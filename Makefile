@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-checks bench bench-json race vet vet-json fmt cover experiments chaos failover overload scenarios city profile linkcheck docs clean
+.PHONY: all build test test-short test-checks bench bench-json benchmark benchmark-selftest race vet vet-json fmt cover experiments chaos failover overload scenarios city profile linkcheck docs clean
 
 all: build vet test
 
@@ -20,10 +20,23 @@ bench:
 
 # Machine-readable pipeline + wire benchmarks (steady-state vs overload,
 # sync vs pipelined vs batched wire), for tracking per-record cost
-# across PRs. BENCH_PR4.json is the frozen pre-pipelining baseline.
+# across PRs. BENCH_PR4.json and BENCH_PR6.json are frozen records of
+# earlier PRs; a run writes $(BENCH_JSON) and leaves them alone.
+BENCH_JSON ?= BENCH.json
 bench-json:
 	$(GO) test -run XXX -bench 'BenchmarkPipeline|BenchmarkWire' -benchmem -json \
-		./internal/rsu ./internal/stream > BENCH_PR6.json
+		./internal/rsu ./internal/stream > $(BENCH_JSON)
+
+# The CAD3 benchmark (BENCHMARK.json, benchmark/README.md): every
+# workload end to end, then traced. Before/after claims rest on this,
+# compared with `bash benchmark/run.sh -compare a.json b.json`.
+benchmark:
+	bash benchmark/run.sh
+
+# The benchmark's selftest: every workload at toy size, under 10 s. The
+# benchmark is a module of its own, so `go test ./...` does not reach it.
+benchmark-selftest:
+	cd benchmark && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

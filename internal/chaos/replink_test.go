@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
+	"cad3/internal/obsv"
 	"cad3/internal/stream"
 )
 
@@ -163,5 +165,140 @@ func TestReplicaLinkFlakyISRDropAndRejoin(t *testing.T) {
 	}
 	if hwm, _ := followerB.HighWaterMark(stream.TopicInData, 0); hwm != 6 {
 		t.Errorf("follower HWM = %d after rejoin, want 6 (not back in the ISR)", hwm)
+	}
+}
+
+// sameLog checks that the follower holds exactly the first n records of
+// the leader's log: same offset, key, value and append timestamp.
+func sameLog(t *testing.T, leader, follower *stream.Broker, n int) {
+	t.Helper()
+	lm, err := leader.Fetch(stream.TopicInData, 0, 0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := follower.Fetch(stream.TopicInData, 0, 0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fm) != n || len(lm) < n {
+		t.Fatalf("follower holds %d records and the leader %d, want %d on the follower", len(fm), len(lm), n)
+	}
+	for i := range fm {
+		l, f := lm[i], fm[i]
+		if l.Offset != f.Offset || !bytes.Equal(l.Key, f.Key) || !bytes.Equal(l.Value, f.Value) ||
+			l.AppendedAt.UnixNano() != f.AppendedAt.UnixNano() {
+			t.Fatalf("record %d: leader %d %q %q, follower %d %q %q", i,
+				l.Offset, l.Key, l.Value, f.Offset, f.Key, f.Value)
+		}
+	}
+}
+
+// TestReplicaLinkLeaderPush runs the acks=all push path (one
+// ReplicaAppend of the record just produced, catch-up only on an offset
+// gap) through an injected link: every fault the injector can draw on a
+// push either leaves the follower's log identical to the leader's or
+// costs it its ISR seat until a Tick re-syncs it.
+func TestReplicaLinkLeaderPush(t *testing.T) {
+	const warm = 3
+	type fixture struct {
+		inj              *Injector
+		rs               *stream.ReplicaSet
+		leader, follower *stream.Broker
+		rsReg, fReg      *obsv.Registry
+	}
+	produce := func(t *testing.T, f *fixture, acks stream.AckLevel) {
+		t.Helper()
+		if _, _, err := f.rs.Produce(stream.TopicInData, 0, []byte("car-1"), []byte("obs"), acks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// run returns the follower's expected log length; the leader's is
+		// always one more than whatever run produced on top of warm.
+		run func(t *testing.T, f *fixture) (followerLen int)
+	}{
+		{"caught up: one link operation", func(t *testing.T, f *fixture) int {
+			ops := f.inj.Stats().Operations
+			produce(t, f, stream.AckAll)
+			if got := f.inj.Stats().Operations - ops; got != 1 {
+				t.Errorf("push cost %d link operations, want 1", got)
+			}
+			return warm + 1
+		}},
+		{"behind: falls back to catch-up", func(t *testing.T, f *fixture) int {
+			produce(t, f, stream.AckLeader)
+			produce(t, f, stream.AckLeader)
+			produce(t, f, stream.AckAll)
+			if n := f.rsReg.Counter("repl.push_fallbacks").Value(); n != 1 {
+				t.Errorf("repl.push_fallbacks = %d, want 1", n)
+			}
+			if n := f.rsReg.Counter("repl.isr_drops").Value(); n != 0 {
+				t.Errorf("repl.isr_drops = %d, want 0", n)
+			}
+			return warm + 3
+		}},
+		{"dup: idempotent", func(t *testing.T, f *fixture) int {
+			f.inj.SetConfig(Config{Seed: 1, DupProb: 1})
+			produce(t, f, stream.AckAll)
+			if got := f.inj.Stats().Dups; got != 1 {
+				t.Errorf("injector counted %d dups, want 1", got)
+			}
+			if n := f.rsReg.Counter("repl.isr_drops").Value(); n != 0 {
+				t.Errorf("a duplicated push dropped the follower (%d drops)", n)
+			}
+			return warm + 1
+		}},
+		{"drop: lost ack, ISR drop, Tick rejoins", func(t *testing.T, f *fixture) int {
+			f.inj.SetConfig(Config{Seed: 1, DropProb: 1})
+			produce(t, f, stream.AckAll)
+			if n := f.rsReg.Counter("repl.isr_drops").Value(); n != 1 {
+				t.Fatalf("repl.isr_drops = %d after a dropped push, want 1", n)
+			}
+			sameLog(t, f.leader, f.follower, warm)
+			f.inj.SetConfig(Config{Seed: 1})
+			f.rs.Tick()
+			sameLog(t, f.leader, f.follower, warm+1)
+			ops := f.inj.Stats().Operations
+			produce(t, f, stream.AckAll)
+			if got := f.inj.Stats().Operations - ops; got != 1 {
+				t.Errorf("produce after the rejoin cost %d link operations, want 1", got)
+			}
+			return warm + 2
+		}},
+		{"stale epoch: fenced", func(t *testing.T, f *fixture) int {
+			if err := f.follower.SetPartitionRole(stream.TopicInData, 0, true, 7, "r-new"); err != nil {
+				t.Fatal(err)
+			}
+			produce(t, f, stream.AckAll)
+			if n := f.fReg.Counter("repl.fenced").Value(); n != 1 {
+				t.Errorf("repl.fenced = %d, want 1", n)
+			}
+			if n := f.rsReg.Counter("repl.isr_drops").Value(); n != 1 {
+				t.Errorf("repl.isr_drops = %d, want 1", n)
+			}
+			return warm
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &fixture{inj: NewInjector(Config{Seed: 1}), rsReg: obsv.NewRegistry(), fReg: obsv.NewRegistry()}
+			f.leader = stream.NewBroker(stream.BrokerConfig{})
+			f.follower = stream.NewBroker(stream.BrokerConfig{Metrics: f.fReg})
+			rs, err := stream.NewReplicaSet(stream.ReplicaSetConfig{Metrics: f.rsReg},
+				stream.Replica{ID: "rL", Broker: f.leader},
+				stream.Replica{ID: "rF", Broker: f.follower, Link: NewReplicaLink(f.inj, "rL", "rF", f.follower)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.rs = rs
+			if err := rs.CreateTopic(stream.TopicInData, 1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < warm; i++ {
+				produce(t, f, stream.AckAll)
+			}
+			sameLog(t, f.leader, f.follower, warm)
+			sameLog(t, f.leader, f.follower, tc.run(t, f))
+		})
 	}
 }

@@ -278,8 +278,8 @@ func (d *Driver) Start() error {
 	d.started = true
 	d.spawnVehicles()
 	for _, s := range d.shards {
-		d.scheduleBatch(s)
-		d.scheduleTick(s)
+		d.sim.After(d.cfg.BatchInterval, s.onBatch)
+		d.sim.After(d.cfg.TickInterval, s.onTick)
 	}
 	for i := range d.cfg.Faults {
 		f := d.cfg.Faults[i]
@@ -292,29 +292,25 @@ func (d *Driver) Start() error {
 	return nil
 }
 
-// scheduleBatch self-reschedules a shard's drain/detect cadence until
-// the run ends.
-func (d *Driver) scheduleBatch(s *shard) {
-	d.sim.After(d.cfg.BatchInterval, func() {
-		s.batch()
-		if d.sim.Now().Before(d.end) {
-			d.scheduleBatch(s)
-		}
-	})
+// runBatch is one firing of a shard's drain/detect cadence, which
+// reschedules itself (the shard's one onBatch value) until the run ends.
+func (d *Driver) runBatch(s *shard) {
+	s.batch()
+	if d.sim.Now().Before(d.end) {
+		d.sim.After(d.cfg.BatchInterval, s.onBatch)
+	}
 }
 
-// scheduleTick self-reschedules a shard's control-plane cadence. The
-// router flush rides shard 0's tick (one flush per interval).
-func (d *Driver) scheduleTick(s *shard) {
-	d.sim.After(d.cfg.TickInterval, func() {
-		s.tick()
-		if s.id == 0 {
-			_, _ = d.router.Flush()
-		}
-		if d.sim.Now().Before(d.end) {
-			d.scheduleTick(s)
-		}
-	})
+// runTick is one firing of a shard's control-plane cadence. The router
+// flush rides shard 0's tick (one flush per interval).
+func (d *Driver) runTick(s *shard) {
+	s.tick()
+	if s.id == 0 {
+		_, _ = d.router.Flush()
+	}
+	if d.sim.Now().Before(d.end) {
+		d.sim.After(d.cfg.TickInterval, s.onTick)
+	}
 }
 
 // nowMs returns the current virtual instant in Unix milliseconds.

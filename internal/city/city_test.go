@@ -102,6 +102,60 @@ func TestCityDeterministicReport(t *testing.T) {
 	}
 }
 
+// TestCityGoldenDigest pins the simulation itself, not just its
+// self-consistency: the counts below were captured at the commit before
+// the typed event queue, the cached per-vehicle closures and the
+// leader-push replication path went in (PR 13), so any change to which
+// event fires when — a different tie-break in the queue, a reordered
+// reschedule, a replication call that shifts an election — fails here
+// loudly instead of passing as "still deterministic". A change that
+// means to alter the simulation updates the digest and says why.
+func TestCityGoldenDigest(t *testing.T) {
+	cfg := testConfig(t, testNetwork(t, 1))
+	cfg.Shards = 2
+	cfg.Vehicles = 2000
+	cfg.Duration = 2 * time.Minute
+	cfg.Faults = []Fault{
+		// Off the one-second tick, so each kill opens a leaderless
+		// window in which produces are refused and retried.
+		{At: 30*time.Second + 250*time.Millisecond, Shard: 0, Replica: 0},
+		{At: 40*time.Second + 50*time.Millisecond, Shard: 1, Replica: 1},
+		{At: 90 * time.Second, Shard: 0, Replica: 0, Revive: true},
+		{At: 100 * time.Second, Shard: 1, Replica: 1, Revive: true},
+	}
+	rep := runCity(t, cfg)
+	if !rep.SettlementClean() || rep.TelemetryUnacked != 0 {
+		t.Fatalf("settlement dirty:\n%s", rep)
+	}
+	got := map[string]int64{
+		"events":              rep.SimEvents,
+		"telemetry":           rep.Telemetry,
+		"handovers":           rep.Handovers,
+		"summaries_forwarded": rep.HandoverSummaries,
+		"summaries_applied":   rep.HandoverApplied,
+		"warnings_delivered":  rep.WarningsDelivered,
+		"elections":           rep.Elections,
+		"site_handovers":      rep.SiteHandovers,
+		"prior_hits":          rep.PriorHits,
+		"produce_retries":     rep.ProduceRetries,
+	}
+	want := map[string]int64{
+		"events":              16842,
+		"telemetry":           6015,
+		"handovers":           3241,
+		"summaries_forwarded": 1995,
+		"summaries_applied":   1995,
+		"warnings_delivered":  1956,
+		"elections":           9,
+		"site_handovers":      8183,
+		"prior_hits":          1713,
+		"produce_retries":     43,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("city digest moved:\n got  %v\n want %v", got, want)
+	}
+}
+
 // TestCityLeaderKillZeroLoss kills one replica of two shards mid-run
 // (leaderless windows + elections) and revives them later: the
 // settlement must still be clean — acked telemetry and ledgered

@@ -40,6 +40,10 @@ type shard struct {
 	// Load accounting for the skew gauges.
 	dwellMs int64
 	records int64
+
+	// onBatch and onTick are the shard's two recurring simulator
+	// events, built once so a firing allocates nothing.
+	onBatch, onTick func()
 }
 
 // pendingRec is one queued produce: owned copies plus the ack callback
@@ -86,6 +90,8 @@ func newShard(d *Driver, id int) (*shard, error) {
 		store:   core.NewSummaryStore(cfg.SummaryTTL, d.sim.Now),
 		applied: make(map[hoKey]bool),
 	}
+	s.onBatch = func() { d.runBatch(s) }
+	s.onTick = func() { d.runTick(s) }
 	return s, nil
 }
 

@@ -14,14 +14,26 @@ import (
 // goroutine and no route — just a position on the network, a tiny PRNG,
 // and the shard its telemetry currently streams to. Two event chains
 // advance it: movement events fire at RSU site boundaries and segment
-// ends, telemetry events at exponential inter-arrival gaps.
+// ends, telemetry events at exponential inter-arrival gaps. Both chains
+// reschedule the same func() value every time (move, telemetry, built
+// once at spawn), so a firing allocates nothing; what a hop carries from
+// scheduling to firing lives in bound.
 type cityVehicle struct {
 	car trace.CarID
 	rng splitmix
 
-	seg      geo.SegmentID
+	// segment is the road the vehicle is on and row its RSU sites in
+	// along order, looked up once on segment entry (enterSegment)
+	// instead of on every hop.
+	segment  *geo.Segment
+	row      []geo.RSUSite
 	alongM   float64
 	speedMps float64
+	// bound is where the pending move event lands: the next site
+	// boundary ahead, or the segment length.
+	bound float64
+
+	move, telemetry func()
 
 	site  geo.RSUSite
 	shard int
@@ -51,11 +63,10 @@ func (d *Driver) spawnVehicles() {
 			car: trace.CarID(i + 1),
 			rng: newSplitmix(d.rng.next()),
 		}
-		v.seg = d.segs[v.rng.intn(len(d.segs))]
-		seg := d.part.Net.Segment(v.seg)
-		v.alongM = v.rng.float() * seg.LengthMeters()
-		v.refreshSpeed(seg)
-		site, ok := d.part.SiteAt(v.seg, v.alongM)
+		d.enterSegment(v, d.segs[v.rng.intn(len(d.segs))])
+		v.alongM = v.rng.float() * v.segment.LengthMeters()
+		v.refreshSpeed()
+		site, ok := geo.NearestSite(v.row, v.alongM)
 		if !ok {
 			// Every segment gets >= 1 site at partitioning; unreachable.
 			continue
@@ -64,16 +75,26 @@ func (d *Driver) spawnVehicles() {
 		v.shard = d.part.ShardOfSite(site.ID)
 		v.enteredMs = d.nowMs()
 		v.keyBuf = append([]byte("car-"), strconv.Itoa(i+1)...)
+		v.move = func() { d.onMove(v) }
+		v.telemetry = func() { d.onTelemetry(v) }
 		d.vehicles[i] = v
 		d.scheduleMove(v)
 		d.scheduleTelemetry(v)
 	}
 }
 
-// refreshSpeed redraws the vehicle's speed for a segment: 75%..125% of
-// the road-type limit.
-func (v *cityVehicle) refreshSpeed(seg *geo.Segment) {
-	limit := seg.Type.SpeedLimitKmh()
+// enterSegment puts the vehicle at the start of seg and caches what
+// every hop along it needs.
+func (d *Driver) enterSegment(v *cityVehicle, seg geo.SegmentID) {
+	v.alongM = 0
+	v.segment = d.part.Net.Segment(seg)
+	v.row = d.part.SitesOf(seg)
+}
+
+// refreshSpeed redraws the vehicle's speed for its segment: 75%..125%
+// of the road-type limit.
+func (v *cityVehicle) refreshSpeed() {
+	limit := v.segment.Type.SpeedLimitKmh()
 	v.speedMps = limit * (0.75 + 0.5*v.rng.float()) / 3.6
 	if v.speedMps < 1 {
 		v.speedMps = 1
@@ -84,25 +105,23 @@ func (v *cityVehicle) refreshSpeed(seg *geo.Segment) {
 // boundary ahead of the vehicle (the midpoint between consecutive site
 // centers), or the segment length when the rest of the segment is one
 // coverage stretch.
-func (d *Driver) nextBoundary(v *cityVehicle, length float64) float64 {
-	row := d.part.SitesOf(v.seg)
+func (v *cityVehicle) nextBoundary() float64 {
+	row := v.row
 	for i := 0; i+1 < len(row); i++ {
 		mid := (row[i].AlongMeters + row[i+1].AlongMeters) / 2
 		if mid > v.alongM+1e-6 {
 			return mid
 		}
 	}
-	return length
+	return v.segment.LengthMeters()
 }
 
 // scheduleMove schedules the vehicle's next site-boundary or
 // segment-end crossing. Each firing reschedules the next, so a vehicle
 // costs O(crossings) events, not O(ticks).
 func (d *Driver) scheduleMove(v *cityVehicle) {
-	seg := d.part.Net.Segment(v.seg)
-	length := seg.LengthMeters()
-	bound := d.nextBoundary(v, length)
-	dist := bound - v.alongM
+	v.bound = v.nextBoundary()
+	dist := v.bound - v.alongM
 	if dist < minMoveMeters {
 		dist = minMoveMeters
 	}
@@ -110,37 +129,40 @@ func (d *Driver) scheduleMove(v *cityVehicle) {
 	if dt < time.Millisecond {
 		dt = time.Millisecond
 	}
-	d.sim.After(dt, func() {
-		if bound >= length-1e-6 {
-			d.advanceSegment(v)
-		} else {
-			v.alongM = bound + 0.01
-		}
-		d.relocate(v)
-		if d.sim.Now().Before(d.end) {
-			d.scheduleMove(v)
-		}
-	})
+	d.sim.After(dt, v.move)
+}
+
+// onMove lands the pending hop: onto the next segment when it reached
+// the end of this one, just past the site boundary otherwise.
+func (d *Driver) onMove(v *cityVehicle) {
+	if v.bound >= v.segment.LengthMeters()-1e-6 {
+		d.advanceSegment(v)
+	} else {
+		v.alongM = v.bound + 0.01
+	}
+	d.relocate(v)
+	if d.sim.Now().Before(d.end) {
+		d.scheduleMove(v)
+	}
 }
 
 // advanceSegment walks the vehicle onto a successor segment, or
 // teleports it to a random one at a dead end (counted — the synthetic
 // graph keeps these rare after densification).
 func (d *Driver) advanceSegment(v *cityVehicle) {
-	next, ok := d.part.Net.NextSegment(v.seg, v.rng.intn)
+	next, ok := d.part.Net.NextSegment(v.segment.ID, v.rng.intn)
 	if !ok {
 		next = d.segs[v.rng.intn(len(d.segs))]
 		d.m.routeResets.Inc()
 	}
-	v.seg = next
-	v.alongM = 0
-	v.refreshSpeed(d.part.Net.Segment(next))
+	d.enterSegment(v, next)
+	v.refreshSpeed()
 }
 
 // relocate re-map-matches the vehicle after a move and runs the
 // handover protocol on site and shard crossings.
 func (d *Driver) relocate(v *cityVehicle) {
-	site, ok := d.part.SiteAt(v.seg, v.alongM)
+	site, ok := geo.NearestSite(v.row, v.alongM)
 	if !ok || site.ID == v.site.ID {
 		return
 	}
@@ -183,12 +205,15 @@ func (d *Driver) handover(v *cityVehicle, dst int) {
 // an exponential gap over the combined probe + abnormal-event rate.
 func (d *Driver) scheduleTelemetry(v *cityVehicle) {
 	rate := d.cfg.EventsPerVehicleHour + d.cfg.ProbesPerVehicleHour
-	d.sim.After(v.rng.expGap(rate), func() {
-		d.emitTelemetry(v)
-		if d.sim.Now().Before(d.end) {
-			d.scheduleTelemetry(v)
-		}
-	})
+	d.sim.After(v.rng.expGap(rate), v.telemetry)
+}
+
+// onTelemetry emits one record and schedules the next.
+func (d *Driver) onTelemetry(v *cityVehicle) {
+	d.emitTelemetry(v)
+	if d.sim.Now().Before(d.end) {
+		d.scheduleTelemetry(v)
+	}
 }
 
 // emitTelemetry produces one telemetry record to the vehicle's current
@@ -198,7 +223,7 @@ func (d *Driver) scheduleTelemetry(v *cityVehicle) {
 // rows.
 func (d *Driver) emitTelemetry(v *cityVehicle) {
 	abnormal := v.rng.float()*(d.cfg.EventsPerVehicleHour+d.cfg.ProbesPerVehicleHour) < d.cfg.EventsPerVehicleHour
-	seg := d.part.Net.Segment(v.seg)
+	seg := v.segment
 	limit := seg.Type.SpeedLimitKmh()
 	ts := d.nowMs()
 	if ts <= v.lastTsMs {
@@ -208,7 +233,7 @@ func (d *Driver) emitTelemetry(v *cityVehicle) {
 	now := d.sim.Now()
 	rec := trace.Record{
 		Car:           v.car,
-		Road:          v.seg,
+		Road:          seg.ID,
 		Hour:          now.Hour(),
 		Day:           now.Day(),
 		RoadType:      seg.Type,

@@ -82,7 +82,15 @@ func NewSiteIndex(sites []RSUSite) *SiteIndex {
 // SiteAt returns the site whose center is closest to the along-track
 // position on the segment. ok is false for segments with no sites.
 func (x *SiteIndex) SiteAt(seg SegmentID, alongMeters float64) (RSUSite, bool) {
-	row := x.bySeg[seg]
+	return NearestSite(x.bySeg[seg], alongMeters)
+}
+
+// NearestSite returns the site of one segment's row (as Sites returns
+// it: sorted by AlongMeters) whose center is closest to the along-track
+// position; a position midway between two centers belongs to the earlier
+// one. ok is false for an empty row. Callers that stay on a segment for
+// many lookups hold its row and skip the per-call index lookup.
+func NearestSite(row []RSUSite, alongMeters float64) (RSUSite, bool) {
 	if len(row) == 0 {
 		return RSUSite{}, false
 	}

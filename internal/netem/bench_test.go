@@ -63,3 +63,32 @@ func BenchmarkMACAccessTimeEval(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimulatorPending100k is the queue at the city's working size:
+// one op reschedules a prebuilt func() and fires the earliest event with
+// 100,000 others pending (a 100k-vehicle fleet holds about two each).
+// 0 allocs/op is part of the contract.
+func BenchmarkSimulatorPending100k(b *testing.B) {
+	s := NewSimulator(t0)
+	fn := func() {}
+	// xorshift delays: a fixed, spread-out schedule with no rand import.
+	x := uint64(88172645463325252)
+	delay := func() time.Duration {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return time.Duration(x % uint64(10*time.Second))
+	}
+	for i := 0; i < 100_000; i++ {
+		s.After(delay(), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(delay(), fn)
+		_ = s.Step()
+	}
+	if s.Pending() != 100_000 {
+		b.Fatalf("pending = %d", s.Pending())
+	}
+}

@@ -1,6 +1,10 @@
 package netem
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -87,6 +91,237 @@ func TestSimulatorPastScheduling(t *testing.T) {
 	}
 	if err := s.Step(); err != ErrSimEmpty {
 		t.Errorf("err = %v, want ErrSimEmpty", err)
+	}
+
+	// A past At joins the current instant behind what is already queued
+	// for it, and never moves the clock back.
+	s.RunUntil(t0.Add(time.Minute))
+	now := s.Now()
+	var order []string
+	s.After(0, func() { order = append(order, "queued") })
+	s.At(t0, func() { order = append(order, "past"); at = s.Now() })
+	s.Run()
+	if len(order) != 2 || order[0] != "queued" || order[1] != "past" {
+		t.Errorf("order = %v, want the already-queued event first", order)
+	}
+	if !at.Equal(now) {
+		t.Errorf("past event fired at %v, want %v", at, now)
+	}
+}
+
+// TestSimulatorFarFuture: with integer keys a huge delay could wrap into
+// the past. It must saturate at the far end of the axis instead: fire
+// last, and never before an event that is merely near.
+func TestSimulatorFarFuture(t *testing.T) {
+	s := NewSimulator(t0)
+	s.RunUntil(t0.Add(time.Hour)) // now > 0, so now+MaxInt64 overflows
+	var order []string
+	var nearAt, farAt time.Time
+	s.After(time.Duration(math.MaxInt64), func() { order = append(order, "far-after"); farAt = s.Now() })
+	s.At(t0.AddDate(1000, 0, 0), func() { order = append(order, "far-at") })
+	s.After(time.Second, func() { order = append(order, "near"); nearAt = s.Now() })
+	if n := s.RunUntil(t0.Add(2 * time.Hour)); n != 1 {
+		t.Fatalf("RunUntil ran %d events, want only the near one", n)
+	}
+	if s.Pending() != 2 {
+		t.Fatalf("pending = %d, want the two far-future events", s.Pending())
+	}
+	s.Run()
+	want := []string{"near", "far-after", "far-at"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if !nearAt.Equal(t0.Add(time.Hour + time.Second)) {
+		t.Errorf("near event fired at %v", nearAt)
+	}
+	if !farAt.After(nearAt) {
+		t.Errorf("far-future event fired at %v, before the near one at %v", farAt, nearAt)
+	}
+	// At the end of the axis a further delay stays there.
+	var again time.Time
+	s.After(time.Hour, func() { again = s.Now() })
+	s.Run()
+	if again.Before(farAt) {
+		t.Errorf("event scheduled from the end of the axis fired at %v, before %v", again, farAt)
+	}
+}
+
+// TestSimulatorReleasesFiredEvents: a popped slot is zeroed, so a fired
+// event's closure (and whatever it captured) is not kept reachable from
+// the queue's backing array.
+func TestSimulatorReleasesFiredEvents(t *testing.T) {
+	s := NewSimulator(t0)
+	for i := 0; i < 100; i++ {
+		big := make([]byte, 1<<10)
+		s.After(time.Duration(i%7)*time.Millisecond, func() { big[0]++ })
+	}
+	s.RunUntil(t0.Add(3 * time.Millisecond))
+	for i, e := range s.queue[len(s.queue):cap(s.queue)] {
+		if e.fn != nil {
+			t.Fatalf("vacated slot %d still holds its closure mid-run", len(s.queue)+i)
+		}
+	}
+	s.Run()
+	for i, e := range s.queue[:cap(s.queue)] {
+		if e.fn != nil {
+			t.Fatalf("slot %d of %d still holds a closure after Run", i, cap(s.queue))
+		}
+	}
+}
+
+// scheduler is what the differential test drives: the Simulator and the
+// reference below.
+type scheduler interface {
+	Now() time.Time
+	At(time.Time, func())
+	After(time.Duration, func())
+	RunUntil(time.Time) int
+	Run() int
+	Pending() int
+}
+
+// refSim states the Simulator's contract the slow way: a list of
+// time.Time entries kept in order by a stable sort after every insert, so
+// entries at one instant stay in insertion order.
+type refSim struct {
+	now     time.Time
+	pending []refEvent
+}
+
+type refEvent struct {
+	at time.Time
+	fn func()
+}
+
+func (r *refSim) Now() time.Time { return r.now }
+func (r *refSim) Pending() int   { return len(r.pending) }
+
+func (r *refSim) At(t time.Time, fn func()) {
+	if t.Before(r.now) {
+		t = r.now
+	}
+	r.pending = append(r.pending, refEvent{t, fn})
+	sort.SliceStable(r.pending, func(i, j int) bool { return r.pending[i].at.Before(r.pending[j].at) })
+}
+
+func (r *refSim) After(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	r.At(r.now.Add(d), fn)
+}
+
+func (r *refSim) step() {
+	e := r.pending[0]
+	r.pending = r.pending[1:]
+	r.now = e.at
+	e.fn()
+}
+
+func (r *refSim) RunUntil(deadline time.Time) int {
+	n := 0
+	for ; len(r.pending) > 0 && !r.pending[0].at.After(deadline); n++ {
+		r.step()
+	}
+	if r.now.Before(deadline) {
+		r.now = deadline
+	}
+	return n
+}
+
+func (r *refSim) Run() int {
+	n := 0
+	for ; len(r.pending) > 0; n++ {
+		r.step()
+	}
+	return n
+}
+
+// firing is one line of a schedule's transcript: which event ran (or,
+// negative, how many a RunUntil ran) and what the clock read.
+type firing struct {
+	id      int
+	at      time.Time
+	pending int
+}
+
+// playSchedule drives s through a seeded random schedule — equal
+// timestamps, past times, handlers that schedule more events, RunUntil
+// deadlines between bursts — and returns what fired, in order.
+func playSchedule(s scheduler, seed int64) []firing {
+	rng := rand.New(rand.NewSource(seed))
+	var log []firing
+	id := 0
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		id++
+		me := id
+		fn := func() {
+			log = append(log, firing{me, s.Now(), s.Pending()})
+			if depth < 3 {
+				for k := rng.Intn(3); k > 0; k-- {
+					schedule(depth + 1)
+				}
+			}
+		}
+		switch rng.Intn(4) {
+		case 0: // a handful of instants: many ties
+			s.After(time.Duration(rng.Intn(5))*time.Millisecond, fn)
+		case 1:
+			s.After(-time.Second, fn)
+		case 2: // absolute, up to 10 ms in the past
+			s.At(s.Now().Add(time.Duration(rng.Intn(20)-10)*time.Millisecond), fn)
+		default:
+			s.After(time.Duration(rng.Int63n(int64(50*time.Millisecond))), fn)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		schedule(0)
+	}
+	for round := 0; round < 12; round++ {
+		n := s.RunUntil(s.Now().Add(time.Duration(rng.Intn(8)) * time.Millisecond))
+		log = append(log, firing{-n, s.Now(), s.Pending()})
+		for k := rng.Intn(30); k > 0; k-- {
+			schedule(0)
+		}
+	}
+	n := s.Run()
+	return append(log, firing{-n, s.Now(), s.Pending()})
+}
+
+// TestSimulatorMatchesReference: over seeded random schedules the heap
+// fires exactly what a stable sort of (instant, insertion order) fires,
+// at the same clock readings.
+func TestSimulatorMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		got := playSchedule(NewSimulator(t0), seed)
+		want := playSchedule(&refSim{now: t0}, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d firings, reference has %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].id != want[i].id || !got[i].at.Equal(want[i].at) || got[i].pending != want[i].pending {
+				t.Fatalf("seed %d, firing %d: got %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSimulatorStepDoesNotAllocate: rescheduling a prebuilt func() on a
+// queue that has reached its working size costs no allocation — what the
+// city's recurring events rely on.
+func TestSimulatorStepDoesNotAllocate(t *testing.T) {
+	s := NewSimulator(t0)
+	fn := func() {}
+	for i := 0; i < 1000; i++ {
+		s.After(time.Duration(i)*time.Microsecond, fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.After(700*time.Microsecond, fn)
+		_ = s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("After+Step allocates %.1f times per event, want 0", allocs)
 	}
 }
 

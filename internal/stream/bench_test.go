@@ -226,3 +226,39 @@ func BenchmarkWireBatchEncode(b *testing.B) {
 		c.encodeBatchLocked("t", AutoPartition, recs, total)
 	}
 }
+
+// BenchmarkReplicaSetProduce is one 200 B produce through a 3-replica
+// in-process ReplicaSet at each ack level. acks=all is the push path: the
+// record is on both followers before the produce returns. At acks=0/1 the
+// followers only catch up at Tick, which runs every 1024 records outside
+// the timer so the leader's log never outruns them.
+func BenchmarkReplicaSetProduce(b *testing.B) {
+	for _, acks := range []AckLevel{AckNone, AckLeader, AckAll} {
+		b.Run("acks="+acks.String(), func(b *testing.B) {
+			rs, err := NewReplicaSet(ReplicaSetConfig{},
+				Replica{ID: "r0", Broker: NewBroker(BrokerConfig{})},
+				Replica{ID: "r1", Broker: NewBroker(BrokerConfig{})},
+				Replica{ID: "r2", Broker: NewBroker(BrokerConfig{})})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := rs.CreateTopic("t", 3); err != nil {
+				b.Fatal(err)
+			}
+			payload := make([]byte, 200)
+			key := []byte("car-42")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := rs.Produce("t", AutoPartition, key, payload, acks); err != nil {
+					b.Fatal(err)
+				}
+				if acks != AckAll && i%1024 == 1023 {
+					b.StopTimer()
+					rs.Tick()
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}

@@ -247,6 +247,18 @@ func (b *Broker) PartitionCount(name string) (int, error) {
 // by FNV key hash, or round-robin when key is nil. It returns the chosen
 // partition and the assigned offset.
 func (b *Broker) Produce(topicName string, partition int32, key, value []byte) (int32, int64, error) {
+	return b.produceStored(topicName, partition, key, value, nil)
+}
+
+// produceStored is Produce; a non-nil stored is filled with the record
+// as the log now holds it: the broker's own copies of key and value (the
+// value trace-stamped, where it carries a trace) and the append
+// timestamp — what a replication controller pushes to followers so that
+// their logs match the leader's byte for byte. The slices alias
+// log-owned buffers, which retention recycles once maxRetained/2 later
+// appends have evicted the record: hold them only across a push the
+// controller serializes with its own produces.
+func (b *Broker) produceStored(topicName string, partition int32, key, value []byte, stored *ReplicaRecord) (int32, int64, error) {
 	if len(value) > MaxMessageSize {
 		return 0, 0, ErrValueTooLarge
 	}
@@ -296,7 +308,10 @@ func (b *Broker) Produce(topicName string, partition int32, key, value []byte) (
 	// paper's latency decomposition. Untraced and JSON payloads are left
 	// untouched.
 	obsv.StampPayload(msg.Value, obsv.StageArrive, b.now())
-	offset := t.partitions[partition].append(msg)
+	offset, appendedAt := t.partitions[partition].append(msg)
+	if stored != nil {
+		*stored = ReplicaRecord{Key: msg.Key, Value: msg.Value, AppendedAtNs: appendedAt.UnixNano()}
+	}
 	b.bytesIn.Add(int64(msg.WireSize()))
 	if b.mProducedMsgs != nil {
 		b.mProducedMsgs.Inc()

@@ -49,8 +49,8 @@ func newPartitionLog(maxRetained int, maxAge time.Duration, now func() time.Time
 	return &partitionLog{maxRetained: maxRetained, maxAge: maxAge, now: now}
 }
 
-// append adds a message and returns its offset.
-func (l *partitionLog) append(m Message) int64 {
+// append adds a message and returns its offset and append timestamp.
+func (l *partitionLog) append(m Message) (int64, time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	offset := l.base + int64(len(l.msgs))
@@ -70,7 +70,7 @@ func (l *partitionLog) append(m Message) int64 {
 			l.dropLocked(drop)
 		}
 	}
-	return offset
+	return offset, m.AppendedAt
 }
 
 // appendBatch adds a run of messages destined for this partition in one

@@ -68,7 +68,8 @@ type ReplicaSetConfig struct {
 	// Values <= 0 select DefaultReplicaFetch.
 	ReplicaFetch int
 	// Metrics, when set, receives election.count / election.epoch,
-	// repl.catchups / repl.isr_drops / repl.isr_size / repl.lag.
+	// repl.catchups / repl.isr_drops / repl.push_fallbacks /
+	// repl.isr_size / repl.lag.
 	Metrics *obsv.Registry
 	// Rebuild is the BrokerConfig used to rebuild a revived replica's
 	// broker from a snapshot (Revive).
@@ -105,11 +106,16 @@ type ReplicaSet struct {
 	rr       uint64 // nil-key AutoPartition rotor (under mu)
 	readRR   uint64 // follower-read rotor (under mu)
 
+	// pushRec carries the one record an AckAll produce pushes to its
+	// followers (under mu), so the push allocates no slice.
+	pushRec [1]ReplicaRecord
+
 	tickStop chan struct{}
 	tickDone chan struct{}
 
 	mElections, mCatchups, mISRDrops   *obsv.Counter
 	mFollowerFetches, mFollowerClamped *obsv.Counter
+	mPushFallbacks                     *obsv.Counter
 }
 
 // NewReplicaSet builds a controller over the given replicas. Replica IDs
@@ -143,6 +149,7 @@ func NewReplicaSet(cfg ReplicaSetConfig, replicas ...Replica) (*ReplicaSet, erro
 		rs.mElections = cfg.Metrics.Counter("election.count")
 		rs.mCatchups = cfg.Metrics.Counter("repl.catchups")
 		rs.mISRDrops = cfg.Metrics.Counter("repl.isr_drops")
+		rs.mPushFallbacks = cfg.Metrics.Counter("repl.push_fallbacks")
 		rs.mFollowerFetches = cfg.Metrics.Counter("repl.follower_fetches")
 		rs.mFollowerClamped = cfg.Metrics.Counter("repl.follower_clamped")
 		cfg.Metrics.RegisterGaugeFunc("repl.isr_size", rs.minISRSize)
@@ -244,9 +251,10 @@ func (rs *ReplicaSet) resolveLocked(t *replTopic, partition int32, key []byte) i
 
 // Produce appends one record through the replication control plane at
 // the given ack level. AckAll returns only after every in-sync follower
-// holds the record; a follower that cannot keep up is dropped from the
-// ISR (min-ISR is the leader alone, Kafka's acks=all with min.insync.replicas=1)
-// rather than failing the produce.
+// holds the record: the leader pushes the record it just appended to
+// each of them (pushLocked). A follower that cannot keep up is dropped
+// from the ISR (min-ISR is the leader alone, Kafka's acks=all with
+// min.insync.replicas=1) rather than failing the produce.
 func (rs *ReplicaSet) Produce(topicName string, partition int32, key, value []byte, acks AckLevel) (int32, int64, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -266,7 +274,11 @@ func (rs *ReplicaSet) Produce(topicName string, partition int32, key, value []by
 		// settle estimate.
 		return 0, 0, &notLeaderError{hint: DefaultLeaderRetryHint}
 	}
-	part, off, err := leader.Broker.Produce(topicName, partition, key, value)
+	var stored *ReplicaRecord
+	if acks == AckAll {
+		stored = &rs.pushRec[0]
+	}
+	part, off, err := leader.Broker.produceStored(topicName, partition, key, value, stored)
 	if err != nil {
 		if errors.Is(err, ErrBrokerClosed) {
 			// The broker died under us (Kill without the controller's
@@ -277,25 +289,39 @@ func (rs *ReplicaSet) Produce(topicName string, partition int32, key, value []by
 		return 0, 0, err
 	}
 	if acks == AckAll {
-		rs.replicateLocked(topicName, partition, ps)
+		rs.pushLocked(topicName, partition, ps, off)
 	}
 	return part, off, nil
 }
 
-// replicateLocked ships the leader's log suffix to every in-sync
-// follower, synchronously. Failures drop the follower from the ISR; the
-// produce that triggered replication still succeeds (the leader holds
-// the record, and the shrunken ISR keeps the durability claim honest —
-// elections only promote members that really have the data).
-func (rs *ReplicaSet) replicateLocked(topicName string, partition int32, ps *partState) {
-	for i := range rs.replicas {
-		if i == ps.leader || !rs.replicas[i].alive || !ps.isr[i] {
+// pushLocked hands the record the leader just appended at off (held in
+// pushRec) to every in-sync follower, synchronously: one ReplicaAppend
+// per follower, no probe and no read back from the leader log. The
+// follower still decides what the append may do — it fences a stale
+// epoch, skips an overlap it already holds, and answers ErrOffsetGap
+// when it is missing records before off; only then does the leader fall
+// back to the probe-and-catch-up sync that Tick uses. Any other failure
+// drops the follower from the ISR; the produce that triggered
+// replication still succeeds (the leader holds the record, and the
+// shrunken ISR keeps the durability claim honest — elections only
+// promote members that really have the data).
+func (rs *ReplicaSet) pushLocked(topicName string, partition int32, ps *partState, off int64) {
+	for i, r := range rs.replicas {
+		if i == ps.leader || !r.alive || !ps.isr[i] {
 			continue
 		}
-		if _, err := rs.syncFollowerLocked(topicName, partition, ps, i); err != nil {
+		_, err := r.Link.ReplicaAppend(topicName, partition, ps.epoch, off, rs.pushRec[:])
+		if errors.Is(err, ErrOffsetGap) {
+			if rs.mPushFallbacks != nil {
+				rs.mPushFallbacks.Inc()
+			}
+			_, err = rs.syncFollowerLocked(topicName, partition, ps, i)
+		}
+		if err != nil {
 			rs.dropISRLocked(ps, i)
 		}
 	}
+	rs.pushRec[0] = ReplicaRecord{} // do not pin the leader log's buffers
 }
 
 // syncFollowerLocked brings one follower up to the leader's high

@@ -14,8 +14,10 @@ package stream
 //   - log contiguity: an append must start exactly at the follower's high
 //     watermark. Starting below it is a benign overlap (the duplicate
 //     prefix is skipped — replication is idempotent); starting above it
-//     is ErrOffsetGap, the signal that the follower needs a snapshot
-//     bootstrap (ReplicaSet.Revive) before it can tail the log again.
+//     is ErrOffsetGap: the follower is missing records. An acks=all push
+//     that gets it falls back to catch-up from the follower's high
+//     watermark; catch-up that still gets it means the follower needs a
+//     snapshot bootstrap (ReplicaSet.Revive) before it can tail the log.
 //
 // A broker that never hears about replication (no SetPartitionRole call)
 // leads every partition at epoch 0, so standalone deployments are
@@ -39,9 +41,10 @@ var (
 	// ErrFencedEpoch rejects a replica append (or role change) carrying a
 	// stale leadership epoch — the sender was deposed.
 	ErrFencedEpoch = errors.New("stream: fenced: stale leader epoch")
-	// ErrOffsetGap rejects a replica append that does not start at the
+	// ErrOffsetGap rejects a replica append that starts past the
 	// follower's high watermark: the follower missed a range and must
-	// bootstrap from a leader snapshot.
+	// catch up from the leader's log, or, once that range has left the
+	// leader's retention window, bootstrap from a snapshot.
 	ErrOffsetGap = errors.New("stream: replica offset gap")
 )
 

@@ -83,8 +83,8 @@ func (c *ReplicatedClient) ProduceBatchInto(topic string, partition int32, recs 
 
 // ProduceBatchAcksInto implements AckBatchClient. There is no batched
 // replication round trip yet: records replicate one produce at a time,
-// so AckAll batches pay one follower sync per record. The per-record
-// result shapes mirror the other batch clients.
+// so AckAll batches pay one push to every follower per record. The
+// per-record result shapes mirror the other batch clients.
 func (c *ReplicatedClient) ProduceBatchAcksInto(topic string, partition int32, recs []BatchRecord, res []BatchResult, acks AckLevel) error {
 	if len(res) != len(recs) {
 		return errBatchSize
