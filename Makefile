@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-checks bench bench-json benchmark benchmark-selftest race vet vet-json fmt cover experiments chaos failover overload scenarios city profile linkcheck docs clean
+.PHONY: all build test test-short test-checks bench benchmark benchmark-selftest race vet vet-json fmt cover experiments chaos failover overload scenarios city profile linkcheck docs clean
 
 all: build vet test
 
@@ -17,15 +17,6 @@ test-short:
 
 bench:
 	$(GO) test -run XXX -bench=. -benchmem ./...
-
-# Machine-readable pipeline + wire benchmarks (steady-state vs overload,
-# sync vs pipelined vs batched wire), for tracking per-record cost
-# across PRs. BENCH_PR4.json and BENCH_PR6.json are frozen records of
-# earlier PRs; a run writes $(BENCH_JSON) and leaves them alone.
-BENCH_JSON ?= BENCH.json
-bench-json:
-	$(GO) test -run XXX -bench 'BenchmarkPipeline|BenchmarkWire' -benchmem -json \
-		./internal/rsu ./internal/stream > $(BENCH_JSON)
 
 # The CAD3 benchmark (BENCHMARK.json, benchmark/README.md): every
 # workload end to end, then traced. Before/after claims rest on this,

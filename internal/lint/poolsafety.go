@@ -48,7 +48,6 @@ var poolKillFuncs = map[string]recycleKind{
 	"PutPayload":      recycledBuffer,
 	"putFrame":        recycledBuffer,
 	"RecycleMessages": recycledBatch,
-	"recyclePayloads": recycledBatch,
 }
 
 // kill records where and how a variable was recycled.

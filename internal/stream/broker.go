@@ -154,7 +154,7 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 		}
 		return fmt.Errorf("%w: %q with %d partitions", ErrTopicExists, name, len(existing.partitions))
 	}
-	t, err := newTopic(name, partitions, b.cfg.MaxRetainedPerPartition, b.cfg.RetentionAge, b.cfg.Now)
+	t, err := newTopic(name, partitions, b.cfg.MaxRetainedPerPartition, b.cfg.RetentionAge)
 	if err != nil {
 		return err
 	}
@@ -251,13 +251,13 @@ func (b *Broker) Produce(topicName string, partition int32, key, value []byte) (
 }
 
 // produceStored is Produce; a non-nil stored is filled with the record
-// as the log now holds it: the broker's own copies of key and value (the
-// value trace-stamped, where it carries a trace) and the append
-// timestamp — what a replication controller pushes to followers so that
-// their logs match the leader's byte for byte. The slices alias
-// log-owned buffers, which retention recycles once maxRetained/2 later
-// appends have evicted the record: hold them only across a push the
-// controller serializes with its own produces.
+// as the log now holds it: the log's own copy of key and value (the value
+// trace-stamped, where it carries a trace) and the append timestamp —
+// what a replication controller pushes to followers so that their logs
+// match the leader's byte for byte. The slices are views into a log
+// chunk, which retention reuses once later appends have evicted the
+// record (maxRetained/2 of them at the least): hold them only across a
+// push the controller serializes with its own produces.
 func (b *Broker) produceStored(topicName string, partition int32, key, value []byte, stored *ReplicaRecord) (int32, int64, error) {
 	if len(value) > MaxMessageSize {
 		return 0, 0, ErrValueTooLarge
@@ -298,24 +298,15 @@ func (b *Broker) produceStored(topicName string, partition int32, key, value []b
 		}
 	}
 
-	// The broker owns its copy of the payload (pooled — recycled when
-	// retention evicts it), so the producer may recycle its buffer as
-	// soon as Produce returns.
-	msg := pooledCloneMessage(Message{Topic: topicName, Partition: partition, Key: key, Value: value})
-	// Log-append-time trace stamping (like Kafka's LogAppendTime): a
-	// traced telemetry payload gets its StageArrive timestamp written in
-	// place into the broker's own copy, ending the Tx component of the
-	// paper's latency decomposition. Untraced and JSON payloads are left
-	// untouched.
-	obsv.StampPayload(msg.Value, obsv.StageArrive, b.now())
-	offset, appendedAt := t.partitions[partition].append(msg)
-	if stored != nil {
-		*stored = ReplicaRecord{Key: msg.Key, Value: msg.Value, AppendedAtNs: appendedAt.UnixNano()}
-	}
-	b.bytesIn.Add(int64(msg.WireSize()))
+	// The log copies the payload into its own chunk, so the producer may
+	// recycle its buffer as soon as Produce returns. One clock reading
+	// serves as both the append time and the StageArrive trace stamp.
+	offset := t.partitions[partition].append(key, value, b.now(), stored)
+	size := int64(Message{Topic: topicName, Key: key, Value: value}.WireSize())
+	b.bytesIn.Add(size)
 	if b.mProducedMsgs != nil {
 		b.mProducedMsgs.Inc()
-		b.mProducedBytes.Add(int64(msg.WireSize()))
+		b.mProducedBytes.Add(size)
 	}
 	return partition, offset, nil
 }
@@ -346,25 +337,26 @@ func (b *Broker) ProduceBatch(topicName string, partition int32, recs []BatchRec
 	class := ClassForTopic(topicName)
 
 	// Accepted records accumulate into runs of one destination partition;
-	// a partition switch or a refused record flushes the pending run.
-	run := make([]Message, 0, len(recs))
-	runStart := 0
+	// a partition switch or a refused record flushes the pending run, so a
+	// run is always the contiguous stretch recs[runStart:runEnd] and goes
+	// to the log as it is.
+	runStart, runEnd := 0, 0
 	runPart := int32(-1)
 	var runBytes int64
 	flush := func() {
-		if len(run) == 0 {
+		if runEnd == runStart {
 			return
 		}
-		base := t.partitions[runPart].appendBatch(run, now)
-		for k := range run {
-			out(runStart+k, runPart, base+int64(k), nil)
+		base := t.partitions[runPart].appendBatch(recs[runStart:runEnd], now)
+		for k := runStart; k < runEnd; k++ {
+			out(k, runPart, base+int64(k-runStart), nil)
 		}
 		b.bytesIn.Add(runBytes)
 		if b.mProducedMsgs != nil {
-			b.mProducedMsgs.Add(int64(len(run)))
+			b.mProducedMsgs.Add(int64(runEnd - runStart))
 			b.mProducedBytes.Add(runBytes)
 		}
-		run = run[:0]
+		runStart = runEnd
 		runBytes = 0
 	}
 
@@ -405,13 +397,11 @@ func (b *Broker) ProduceBatch(topicName string, partition int32, recs []BatchRec
 			flush()
 			runPart = part
 		}
-		if len(run) == 0 {
+		if runEnd == runStart {
 			runStart = i
 		}
-		msg := pooledCloneMessage(Message{Topic: topicName, Partition: part, Key: key, Value: value})
-		obsv.StampPayload(msg.Value, obsv.StageArrive, now)
-		runBytes += int64(msg.WireSize())
-		run = append(run, msg)
+		runEnd = i + 1
+		runBytes += int64(Message{Topic: topicName, Key: key, Value: value}.WireSize())
 	}
 	flush()
 	return nil

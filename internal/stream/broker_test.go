@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -307,5 +308,56 @@ func TestTimeRetentionKeepsLatest(t *testing.T) {
 	// The newest message always survives.
 	if len(msgs) == 0 || string(msgs[len(msgs)-1].Value) != "new" {
 		t.Fatalf("msgs = %v", msgs)
+	}
+}
+
+// TestProduceBatchRunsAndRefusals: a batch goes to the logs as runs of
+// consecutive accepted records for one partition; a partition switch or
+// a refused record in the middle must not shift anyone's offset or bytes.
+func TestProduceBatchRunsAndRefusals(t *testing.T) {
+	b := NewBroker(BrokerConfig{})
+	if err := b.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	// Two keys on different partitions.
+	keyOn := map[int32][]byte{}
+	for i := 0; len(keyOn) < 2; i++ {
+		k := []byte(fmt.Sprintf("car-%d", i))
+		keyOn[b.pickPartition("t", k, 2)] = k
+	}
+	tooBig := make([]byte, MaxMessageSize+1)
+	parts := []int32{0, 0, 1, 1, -1, 1, 0, -1, 0}
+	recs := make([]BatchRecord, len(parts))
+	for i, p := range parts {
+		if p < 0 {
+			recs[i] = BatchRecord{Key: keyOn[0], Value: tooBig}
+			continue
+		}
+		recs[i] = BatchRecord{Key: keyOn[p], Value: []byte(fmt.Sprintf("v%d", i))}
+	}
+	next := map[int32]int64{}
+	reported := 0
+	err := b.ProduceBatch("t", AutoPartition, recs, func(i int, part int32, off int64, err error) {
+		if i != reported {
+			t.Fatalf("outcome for record %d reported at position %d", i, reported)
+		}
+		reported++
+		if parts[i] < 0 {
+			if !errors.Is(err, ErrValueTooLarge) {
+				t.Fatalf("record %d: %v, want ErrValueTooLarge", i, err)
+			}
+			return
+		}
+		if err != nil || part != parts[i] || off != next[part] {
+			t.Fatalf("record %d: (%d, %d, %v), want (%d, %d)", i, part, off, err, parts[i], next[part])
+		}
+		next[part]++
+		got, ferr := b.Fetch("t", part, off, 1)
+		if ferr != nil || len(got) != 1 || string(got[0].Value) != fmt.Sprintf("v%d", i) || !bytes.Equal(got[0].Key, keyOn[part]) {
+			t.Fatalf("record %d reads back as %+v (%v)", i, got, ferr)
+		}
+	})
+	if err != nil || reported != len(recs) {
+		t.Fatalf("batch: %v, %d of %d outcomes", err, reported, len(recs))
 	}
 }

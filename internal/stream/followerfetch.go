@@ -103,18 +103,31 @@ func (rs *ReplicaSet) FetchCommitted(topicName string, partition int32, offset i
 
 // pickReaderLocked rotates over live in-sync followers; only an ISR of
 // one (the leader alone) falls back to the leader.
+//
+//cad3:noalloc
 func (rs *ReplicaSet) pickReaderLocked(ps *partState) int {
-	var eligible []int
+	eligible := 0
 	for i, r := range rs.replicas {
 		if r.alive && ps.isr[i] && i != ps.leader {
-			eligible = append(eligible, i)
+			eligible++
 		}
 	}
-	if len(eligible) == 0 {
+	if eligible == 0 {
 		return ps.leader
 	}
 	rs.readRR++
-	return eligible[rs.readRR%uint64(len(eligible))]
+	// The readRR-th eligible follower in replica order, counted in a second
+	// pass instead of collected into a slice.
+	skip := rs.readRR % uint64(eligible)
+	for i, r := range rs.replicas {
+		if r.alive && ps.isr[i] && i != ps.leader {
+			if skip == 0 {
+				return i
+			}
+			skip--
+		}
+	}
+	return ps.leader
 }
 
 // followerReadClient is a ReplicatedClient whose fetches go to in-sync

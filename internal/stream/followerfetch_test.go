@@ -173,3 +173,105 @@ func TestReadClientWithConsumer(t *testing.T) {
 	}
 	RecycleMessages(msgs)
 }
+
+// readerOf runs one FetchCommitted and names the replica that served it,
+// read off the brokers' fetched-byte counters.
+func readerOf(t *testing.T, rs *ReplicaSet, partition int32) string {
+	t.Helper()
+	ids := []string{"r0", "r1", "r2"}
+	before := make([]int64, len(ids))
+	brokers := make([]*Broker, len(ids))
+	for i, id := range ids {
+		b, _, err := rs.BrokerFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		brokers[i], before[i] = b, b.BytesOut()
+	}
+	msgs, err := rs.FetchCommitted("t", partition, 0, 1)
+	if err != nil {
+		return "err"
+	}
+	if len(msgs) == 0 {
+		return "none"
+	}
+	RecycleMessages(msgs)
+	for i, b := range brokers {
+		if b.BytesOut() != before[i] {
+			return ids[i]
+		}
+	}
+	t.Fatal("a fetch returned records but no broker served it")
+	return ""
+}
+
+// TestFollowerReadOrderOverKillRevive pins the follower-read rotation:
+// for a given ISR history the sequence of serving replicas is exactly
+// what the slice-building picker before it produced (the want columns
+// were captured from that implementation), and picking allocates nothing.
+func TestFollowerReadOrderOverKillRevive(t *testing.T) {
+	steps := []struct {
+		op   string // "read0"/"read1" (partition), "kill", "revive", "tick"
+		id   string
+		want string
+	}{
+		{op: "read0", want: "r2"}, {op: "read0", want: "r1"}, {op: "read1", want: "r2"},
+		{op: "read1", want: "r0"}, {op: "read0", want: "r2"},
+		{op: "kill", id: "r2"},
+		{op: "read0", want: "r1"}, {op: "read0", want: "r1"}, {op: "read1", want: "r0"},
+		{op: "kill", id: "r1"},
+		// r0 leads partition 0 alone: the leader serves and the rotor rests.
+		// Partition 1 lost its leader r1 and elects r0 at the tick.
+		{op: "read0", want: "r0"}, {op: "read1", want: "r0"},
+		{op: "tick"},
+		{op: "read0", want: "r0"}, {op: "read1", want: "r0"},
+		{op: "revive", id: "r2"},
+		// Revived but not yet verified in sync: still not eligible.
+		{op: "read0", want: "r0"},
+		{op: "tick"},
+		{op: "read0", want: "r2"}, {op: "read1", want: "r2"},
+		{op: "revive", id: "r1"}, {op: "tick"},
+		{op: "read0", want: "r1"}, {op: "read0", want: "r2"}, {op: "read1", want: "r1"},
+		{op: "read1", want: "r2"}, {op: "read0", want: "r1"},
+	}
+	rs, err := NewReplicaSet(ReplicaSetConfig{},
+		Replica{ID: "r0", Broker: NewBroker(BrokerConfig{})},
+		Replica{ID: "r1", Broker: NewBroker(BrokerConfig{})},
+		Replica{ID: "r2", Broker: NewBroker(BrokerConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	for p := int32(0); p < 2; p++ {
+		if _, _, err := rs.Produce("t", p, nil, []byte("v"), AckAll); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, s := range steps {
+		switch s.op {
+		case "read0", "read1":
+			if got := readerOf(t, rs, int32(s.op[4]-'0')); got != s.want {
+				t.Errorf("step %d (%s): served by %s, want %s", i, s.op, got, s.want)
+			}
+		case "kill":
+			if err := rs.Kill(s.id); err != nil {
+				t.Fatal(err)
+			}
+		case "revive":
+			if _, err := rs.Revive(s.id); err != nil {
+				t.Fatal(err)
+			}
+		case "tick":
+			rs.Tick()
+		}
+	}
+
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	ps := &rs.topics["t"].parts[0]
+	if allocs := testing.AllocsPerRun(100, func() { rs.pickReaderLocked(ps) }); allocs != 0 {
+		t.Errorf("pickReaderLocked allocates %v per call, want 0", allocs)
+	}
+}

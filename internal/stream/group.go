@@ -356,7 +356,7 @@ func (m *GroupMember) Poll(max int) ([]Message, error) {
 				kept = append(kept, out[i])
 			} else {
 				delete(commits, out[i].Partition)
-				recyclePayloads(&out[i])
+				RecycleMessages(out[i : i+1])
 			}
 		}
 		for i := len(kept); i < len(out); i++ {

@@ -6,12 +6,22 @@ import (
 	"time"
 
 	"cad3/internal/flow"
+	"cad3/internal/obsv"
 )
 
 // partitionLog is one partition's append-only message log. It retains a
 // bounded number of messages: once the log exceeds maxRetained the oldest
 // half is discarded and the base offset advances, like Kafka segment
 // deletion. Offsets are stable across truncation.
+//
+// Storage is a slab: record bytes (key, then value) are copied once into
+// fixed-size chunks the log owns, and a compact index entry per record
+// says where they are. Every writer — append, appendBatch, appendReplica,
+// RestoreBroker — goes through storeLocked; readers copy out of the
+// chunks (read, snapshot) or, for the leader push, borrow views of them
+// (append's stored record). Retention drops index entries and hands the
+// chunks they wholly vacate to a spare list the next appends draw from,
+// so a full log at steady state allocates nothing.
 //
 // When the broker runs flow-controlled, the log also fronts an admission
 // gate: appends consume credits (the broker calls Admit before append) and
@@ -22,12 +32,19 @@ import (
 // single-consumer-group semantics (the RSU ingestion loop on IN-DATA, the
 // vehicle fleet collectively on OUT-DATA).
 type partitionLog struct {
-	mu          sync.Mutex
-	base        int64 // offset of msgs[0]
-	msgs        []Message
+	mu        sync.Mutex
+	topic     string // stamped on the messages read hands out
+	partition int32
+	base      int64 // offset of index[0]
+	index     []logEntry
+	// chunks holds the live chunks, oldest first: chunks[i] has sequence
+	// number firstChunk+i, each one's length is the bytes written to it,
+	// and the last one takes the next append. spare holds vacated chunks.
+	chunks      [][]byte
+	firstChunk  uint32
+	spare       [][]byte
 	maxRetained int
 	maxAge      time.Duration // 0 = no age-based retention
-	now         func() time.Time
 
 	// gate is the partition's admission gate (nil = unbounded legacy
 	// admission); credited is the highest offset accounted as drained.
@@ -35,75 +52,152 @@ type partitionLog struct {
 	credited int64
 }
 
-// defaultMaxRetained bounds per-partition memory; at ~200 B/message this is
-// ~50 MB across a 3-partition topic under sustained load.
+// logEntry locates one record in the chunks: the key starts at off in
+// chunk number chunk and the value follows it. A length of -1 is a nil
+// slice, so nil and empty keys and values read back as they were written.
+type logEntry struct {
+	at         int64 // append time, Unix nanoseconds
+	chunk      uint32
+	off        uint32
+	klen, vlen int32
+}
+
+// defaultMaxRetained bounds per-partition memory; at ~200 B/message plus a
+// 24 B index entry this is ~45 MB across a 3-partition topic under
+// sustained load, held in 64 KiB chunks that eviction recycles in place.
 const defaultMaxRetained = 1 << 16
 
-func newPartitionLog(maxRetained int, maxAge time.Duration, now func() time.Time) *partitionLog {
+// logChunkSize is the size of the chunks record bytes live in: ~300
+// telemetry records each, so chunk turnover is rare next to appends and a
+// near-empty log costs one chunk. A record that does not fit an empty
+// chunk (up to MaxMessageSize plus its key) gets a chunk of its own size.
+const logChunkSize = 64 << 10
+
+func newPartitionLog(topic string, partition int32, maxRetained int, maxAge time.Duration) *partitionLog {
 	if maxRetained <= 0 {
 		maxRetained = defaultMaxRetained
 	}
-	if now == nil {
-		now = time.Now
-	}
-	return &partitionLog{maxRetained: maxRetained, maxAge: maxAge, now: now}
+	return &partitionLog{topic: topic, partition: partition, maxRetained: maxRetained, maxAge: maxAge}
 }
 
-// append adds a message and returns its offset and append timestamp.
-func (l *partitionLog) append(m Message) (int64, time.Time) {
+// storeLocked is the one store path: it copies key then value into the
+// tail chunk — the only copy an append makes — and indexes the record at
+// append time at. It returns the log's own copy, capacity-clipped so an
+// append to either slice cannot reach the neighbouring record.
+//
+//cad3:noalloc
+func (l *partitionLog) storeLocked(key, value []byte, at int64) (k, v []byte) {
+	need := len(key) + len(value)
+	tail := len(l.chunks) - 1
+	if tail < 0 || cap(l.chunks[tail])-len(l.chunks[tail]) < need {
+		l.addChunkLocked(need)
+		tail = len(l.chunks) - 1
+	}
+	c := l.chunks[tail]
+	e := logEntry{at: at, chunk: l.firstChunk + uint32(tail), off: uint32(len(c)), klen: -1, vlen: -1}
+	if key != nil {
+		e.klen = int32(len(key))
+	}
+	if value != nil {
+		e.vlen = int32(len(value))
+	}
+	l.chunks[tail] = append(append(c, key...), value...)
+	l.index = append(l.index, e)
+	return l.viewLocked(e)
+}
+
+// addChunkLocked opens a new tail chunk with room for need bytes: a spare
+// when there is one, a fresh allocation (the log's first, lazily, on its
+// first append) when not.
+func (l *partitionLog) addChunkLocked(need int) {
+	var c []byte
+	switch n := len(l.spare); {
+	case need > logChunkSize:
+		c = make([]byte, 0, need)
+	case n > 0:
+		c, l.spare[n-1] = l.spare[n-1], nil
+		l.spare = l.spare[:n-1]
+	default:
+		c = make([]byte, 0, logChunkSize)
+	}
+	l.chunks = append(l.chunks, c)
+}
+
+// viewLocked returns the stored key and value of one index entry as
+// capacity-clipped views of the chunk holding them.
+func (l *partitionLog) viewLocked(e logEntry) (k, v []byte) {
+	c := l.chunks[e.chunk-l.firstChunk]
+	p := int(e.off)
+	if e.klen >= 0 {
+		k = c[p : p+int(e.klen) : p+int(e.klen)]
+		p += int(e.klen)
+	}
+	if e.vlen >= 0 {
+		v = c[p : p+int(e.vlen) : p+int(e.vlen)]
+	}
+	return k, v
+}
+
+// append adds one message stamped with append time now and returns its
+// offset. Log-append-time trace stamping (like Kafka's LogAppendTime): a
+// traced telemetry payload gets its StageArrive timestamp written in place
+// into the log's copy, ending the Tx component of the paper's latency
+// decomposition; untraced and JSON payloads are left untouched. A non-nil
+// stored receives the record as the log now holds it — views of the
+// chunk, valid until retention vacates it (see Broker.produceStored).
+func (l *partitionLog) append(key, value []byte, now time.Time, stored *ReplicaRecord) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	offset := l.base + int64(len(l.msgs))
-	m.Offset = offset
-	m.AppendedAt = l.now()
-	l.msgs = append(l.msgs, m)
-	if len(l.msgs) > l.maxRetained {
-		l.dropLocked(len(l.msgs) / 2)
+	offset := l.base + int64(len(l.index))
+	at := now.UnixNano()
+	k, v := l.storeLocked(key, value, at)
+	obsv.StampPayload(v, obsv.StageArrive, now)
+	if stored != nil {
+		*stored = ReplicaRecord{Key: k, Value: v, AppendedAtNs: at}
 	}
-	if l.maxAge > 0 {
-		cutoff := m.AppendedAt.Add(-l.maxAge)
-		drop := 0
-		for drop < len(l.msgs)-1 && l.msgs[drop].AppendedAt.Before(cutoff) {
-			drop++
-		}
-		if drop > 0 {
-			l.dropLocked(drop)
-		}
+	if len(l.index) > l.maxRetained {
+		l.dropLocked(len(l.index) / 2)
 	}
-	return offset, m.AppendedAt
+	l.expireLocked(at)
+	return offset
 }
 
-// appendBatch adds a run of messages destined for this partition in one
+// appendBatch adds a run of records destined for this partition in one
 // lock acquisition, stamping them all with one append time (Kafka's
-// LogAppendTime has batch granularity too). The messages receive
-// contiguous offsets starting at the returned base. The slice contents
-// are taken over by the log; the slice header itself is not retained.
-func (l *partitionLog) appendBatch(msgs []Message, stamp time.Time) int64 {
-	if len(msgs) == 0 {
+// LogAppendTime has batch granularity too) and StageArrive as append does.
+// The records receive contiguous offsets starting at the returned base.
+// Nothing of recs is retained.
+func (l *partitionLog) appendBatch(recs []BatchRecord, now time.Time) int64 {
+	if len(recs) == 0 {
 		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	base := l.base + int64(len(l.msgs))
-	for i := range msgs {
-		msgs[i].Offset = base + int64(i)
-		msgs[i].AppendedAt = stamp
+	base := l.base + int64(len(l.index))
+	at := now.UnixNano()
+	for i := range recs {
+		_, v := l.storeLocked(recs[i].Key, recs[i].Value, at)
+		obsv.StampPayload(v, obsv.StageArrive, now)
 	}
-	l.msgs = append(l.msgs, msgs...)
-	for len(l.msgs) > l.maxRetained {
-		l.dropLocked(len(l.msgs) / 2)
+	for len(l.index) > l.maxRetained {
+		l.dropLocked(len(l.index) / 2)
 	}
-	if l.maxAge > 0 {
-		cutoff := stamp.Add(-l.maxAge)
-		drop := 0
-		for drop < len(l.msgs)-1 && l.msgs[drop].AppendedAt.Before(cutoff) {
-			drop++
-		}
-		if drop > 0 {
-			l.dropLocked(drop)
-		}
-	}
+	l.expireLocked(at)
 	return base
+}
+
+// expireLocked applies age-based retention as of append time at: records
+// older than maxAge go, the newest always stays.
+func (l *partitionLog) expireLocked(at int64) {
+	if l.maxAge <= 0 {
+		return
+	}
+	cutoff := at - int64(l.maxAge)
+	drop := 0
+	for drop < len(l.index)-1 && l.index[drop].at < cutoff {
+		drop++
+	}
+	l.dropLocked(drop)
 }
 
 // dropLocked discards the oldest n messages, advancing the base offset.
@@ -113,27 +207,41 @@ func (l *partitionLog) dropLocked(n int) {
 	if n <= 0 {
 		return
 	}
-	if n > len(l.msgs) {
-		n = len(l.msgs)
+	if n > len(l.index) {
+		n = len(l.index)
 	}
-	// The log owns its message buffers (readers get clones), so evicted
-	// entries hand their payloads back to the pool.
-	for i := 0; i < n; i++ {
-		recyclePayloads(&l.msgs[i])
-	}
-	// Compact in place: retention fires every maxRetained/2 appends under
-	// sustained load, and reallocating the window each time made the GC
-	// the hottest function in the produce path. Capacity stays bounded by
-	// what maxRetained already allowed; the vacated tail is zeroed so
-	// stale entries don't pin recycled buffers.
-	remaining := len(l.msgs) - n
-	copy(l.msgs, l.msgs[n:])
-	tail := l.msgs[remaining:]
-	for i := range tail {
-		tail[i] = Message{}
-	}
-	l.msgs = l.msgs[:remaining]
+	// Compact the index in place: retention fires every maxRetained/2
+	// appends under sustained load, and reallocating the window each time
+	// made the GC the hottest function in the produce path.
+	l.index = l.index[:copy(l.index, l.index[n:])]
 	l.base += int64(n)
+
+	// Chunks before the one holding the oldest surviving record are wholly
+	// vacated (all of them, once nothing survives) and go to the spare
+	// list, which is then cut to one more than the chunks still live — the
+	// most the appends up to the next eviction can need when records keep
+	// their size, so the steady state allocates nothing, and a log that
+	// shrinks lets go of the rest. A chunk sized for one oversized record
+	// is never kept.
+	vacated := len(l.chunks)
+	if len(l.index) > 0 {
+		vacated = int(l.index[0].chunk - l.firstChunk)
+	}
+	live := len(l.chunks) - vacated
+	for _, c := range l.chunks[:vacated] {
+		if cap(c) == logChunkSize {
+			l.spare = append(l.spare, c[:0])
+		}
+	}
+	if len(l.spare) > live+1 {
+		clear(l.spare[live+1:])
+		l.spare = l.spare[:live+1]
+	}
+	copy(l.chunks, l.chunks[vacated:])
+	clear(l.chunks[live:])
+	l.chunks = l.chunks[:live]
+	l.firstChunk += uint32(vacated)
+
 	l.creditThroughLocked(l.base)
 }
 
@@ -158,18 +266,27 @@ func (l *partitionLog) read(offset int64, max int) []Message {
 		offset = l.base
 	}
 	start := int(offset - l.base)
-	if start >= len(l.msgs) || max <= 0 {
+	if start >= len(l.index) || max <= 0 {
 		return nil
 	}
 	end := start + max
-	if end > len(l.msgs) {
-		end = len(l.msgs)
+	if end > len(l.index) {
+		end = len(l.index)
 	}
 	out := make([]Message, end-start)
 	for i := range out {
+		e := l.index[start+i]
+		k, v := l.viewLocked(e)
 		// Pooled clones: the reader owns them and may return them via
 		// RecycleMessages once decoded.
-		out[i] = pooledCloneMessage(l.msgs[start+i])
+		out[i] = Message{
+			Topic:      l.topic,
+			Partition:  l.partition,
+			Offset:     offset + int64(i),
+			Key:        pooledClone(k),
+			Value:      pooledClone(v),
+			AppendedAt: time.Unix(0, e.at),
+		}
 	}
 	// Fetch credits: the furthest-ahead reader drains the queue.
 	l.creditThroughLocked(l.base + int64(end))
@@ -180,7 +297,7 @@ func (l *partitionLog) read(offset int64, max int) []Message {
 func (l *partitionLog) highWaterMark() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base + int64(len(l.msgs))
+	return l.base + int64(len(l.index))
 }
 
 // baseOffset returns the earliest retained offset.
@@ -196,7 +313,7 @@ type topic struct {
 	partitions []*partitionLog
 }
 
-func newTopic(name string, partitions, maxRetained int, maxAge time.Duration, now func() time.Time) (*topic, error) {
+func newTopic(name string, partitions, maxRetained int, maxAge time.Duration) (*topic, error) {
 	if name == "" {
 		return nil, fmt.Errorf("stream: empty topic name")
 	}
@@ -205,7 +322,7 @@ func newTopic(name string, partitions, maxRetained int, maxAge time.Duration, no
 	}
 	t := &topic{name: name, partitions: make([]*partitionLog, partitions)}
 	for i := range t.partitions {
-		t.partitions[i] = newPartitionLog(maxRetained, maxAge, now)
+		t.partitions[i] = newPartitionLog(name, int32(i), maxRetained, maxAge)
 	}
 	return t, nil
 }

@@ -2,18 +2,20 @@ package stream
 
 // Payload buffer pooling. The telemetry fast path produces and consumes
 // hundreds of small (~200 B) messages per simulated second; recycling
-// their backing buffers through a bounded free list keeps the broker's
-// per-message copies and the consumers' clones off the allocator.
+// their backing buffers through a bounded free list keeps the producers'
+// encode buffers and the consumers' clones off the allocator.
 //
 // Ownership contract:
 //
-//   - The broker owns the copies it makes on Produce. They are recycled
-//     automatically when retention evicts them.
+//   - The broker holds no pooled buffers. Produce copies the payload
+//     straight into a chunk its partition log owns (log.go); retention
+//     reuses whole chunks, never handing record bytes back to this pool.
 //   - Messages returned by Fetch/Poll/PollInto own their Key and Value
-//     buffers. A consumer that has finished with them MAY hand them back
-//     with RecycleMessages; one that retains them (or does nothing) simply
-//     leaves them to the garbage collector. Never recycle a message whose
-//     Key/Value still alias live data.
+//     buffers: pooled clones of the log's bytes, which later appends,
+//     evictions and chunk reuse never touch. A consumer that has finished
+//     with them MAY hand them back with RecycleMessages; one that retains
+//     them (or does nothing) simply leaves them to the garbage collector.
+//     Never recycle a message whose Key/Value still alias live data.
 //   - Buffers obtained from GetPayload are returned with PutPayload once
 //     the payload has been handed to Send/Produce (the broker and the TCP
 //     client both copy before returning).
@@ -89,21 +91,6 @@ func pooledClone(b []byte) []byte {
 		return nil
 	}
 	return append(GetPayload(), b...)
-}
-
-// pooledCloneMessage deep-copies a message using pooled buffers.
-func pooledCloneMessage(m Message) Message {
-	m.Key = pooledClone(m.Key)
-	m.Value = pooledClone(m.Value)
-	return m
-}
-
-// recyclePayloads returns a message's buffers to the pool (used by the
-// broker when retention evicts log entries it owns).
-func recyclePayloads(m *Message) {
-	PutPayload(m.Key)
-	PutPayload(m.Value)
-	m.Key, m.Value = nil, nil
 }
 
 // frameFree recycles wire-frame bodies, same shape as payloadFree.

@@ -257,7 +257,7 @@ func (b *Broker) ReplicaAppend(topicName string, partition int32, epoch, base in
 	}
 	b.roleMu.Unlock()
 
-	hwm, appended, err := t.partitions[partition].appendReplica(topicName, partition, base, recs)
+	hwm, appended, err := t.partitions[partition].appendReplica(base, recs)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %q/%d", err, topicName, partition)
 	}
@@ -274,14 +274,15 @@ func (b *Broker) ReplicaSnapshot() (*BrokerSnapshot, error) {
 }
 
 // appendReplica installs a leader log suffix starting at base, skipping
-// the already-held overlap and preserving the leader's offsets and
-// append timestamps (retention parity). Replicated records enter a
-// flow-controlled partition as credit debt, like a snapshot restore —
-// replication is never shed, the leader already admitted the records.
-func (l *partitionLog) appendReplica(topicName string, partition int32, base int64, recs []ReplicaRecord) (hwm int64, appended int, err error) {
+// the already-held overlap and preserving the leader's offsets, bytes and
+// append timestamps (retention parity) — nothing is stamped here.
+// Replicated records enter a flow-controlled partition as credit debt,
+// like a snapshot restore — replication is never shed, the leader already
+// admitted the records.
+func (l *partitionLog) appendReplica(base int64, recs []ReplicaRecord) (hwm int64, appended int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cur := l.base + int64(len(l.msgs))
+	cur := l.base + int64(len(l.index))
 	if base > cur {
 		return cur, 0, ErrOffsetGap
 	}
@@ -290,42 +291,16 @@ func (l *partitionLog) appendReplica(topicName string, partition int32, base int
 		return cur, 0, nil // fully duplicate: idempotent no-op
 	}
 	recs = recs[skip:]
-	if len(l.msgs) == 0 && len(recs) > 0 {
-		// Empty log (fresh bootstrap): adopt the leader's base so a
-		// snapshot-restored or brand-new follower can tail from wherever
-		// the leader's retention window starts.
-		l.base = base + int64(skip)
-		cur = l.base
-	}
-	var lastStamp time.Time
 	for i := range recs {
-		m := pooledCloneMessage(Message{
-			Topic:     topicName,
-			Partition: partition,
-			Key:       recs[i].Key,
-			Value:     recs[i].Value,
-		})
-		m.Offset = cur + int64(i)
-		m.AppendedAt = time.Unix(0, recs[i].AppendedAtNs)
-		lastStamp = m.AppendedAt
-		l.msgs = append(l.msgs, m)
+		l.storeLocked(recs[i].Key, recs[i].Value, recs[i].AppendedAtNs)
 	}
 	appended = len(recs)
 	if l.gate != nil {
 		l.gate.Acquire(int64(appended))
 	}
-	for len(l.msgs) > l.maxRetained {
-		l.dropLocked(len(l.msgs) / 2)
+	for len(l.index) > l.maxRetained {
+		l.dropLocked(len(l.index) / 2)
 	}
-	if l.maxAge > 0 {
-		cutoff := lastStamp.Add(-l.maxAge)
-		drop := 0
-		for drop < len(l.msgs)-1 && l.msgs[drop].AppendedAt.Before(cutoff) {
-			drop++
-		}
-		if drop > 0 {
-			l.dropLocked(drop)
-		}
-	}
-	return l.base + int64(len(l.msgs)), appended, nil
+	l.expireLocked(recs[appended-1].AppendedAtNs)
+	return l.base + int64(len(l.index)), appended, nil
 }

@@ -81,16 +81,14 @@ func (b *Broker) Snapshot() *BrokerSnapshot {
 func (l *partitionLog) snapshot() PartitionSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ps := PartitionSnapshot{Base: l.base, Messages: make([]MessageSnapshot, len(l.msgs))}
-	for i, m := range l.msgs {
-		ms := MessageSnapshot{AppendedAtNs: m.AppendedAt.UnixNano()}
-		if m.Key != nil {
-			ms.Key = append([]byte(nil), m.Key...)
+	ps := PartitionSnapshot{Base: l.base, Messages: make([]MessageSnapshot, len(l.index))}
+	for i, e := range l.index {
+		k, v := l.viewLocked(e)
+		ps.Messages[i] = MessageSnapshot{
+			Key:          append([]byte(nil), k...),
+			Value:        append([]byte(nil), v...),
+			AppendedAtNs: e.at,
 		}
-		if m.Value != nil {
-			ms.Value = append([]byte(nil), m.Value...)
-		}
-		ps.Messages[i] = ms
 	}
 	return ps
 }
@@ -116,18 +114,8 @@ func RestoreBroker(cfg BrokerConfig, snap *BrokerSnapshot) (*Broker, error) {
 			pl := t.partitions[p]
 			pl.mu.Lock()
 			pl.base = ps.Base
-			pl.msgs = make([]Message, len(ps.Messages))
-			for i, ms := range ps.Messages {
-				// The log owns pooled copies, matching what append
-				// creates — eviction recycles them safely.
-				pl.msgs[i] = Message{
-					Topic:      ts.Name,
-					Partition:  int32(p),
-					Offset:     ps.Base + int64(i),
-					Key:        pooledClone(ms.Key),
-					Value:      pooledClone(ms.Value),
-					AppendedAt: time.Unix(0, ms.AppendedAtNs),
-				}
+			for _, ms := range ps.Messages {
+				pl.storeLocked(ms.Key, ms.Value, ms.AppendedAtNs)
 			}
 			// A flow-controlled restore re-seats the restored backlog as
 			// gate occupancy: the messages were admitted before the crash,
