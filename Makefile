@@ -53,9 +53,10 @@ vet-json:
 	$(GO) run ./cmd/cad3-vet -json ./...
 
 # Debug build with the runtime pool guard: double-recycles of pooled
-# buffers panic with both offending call sites.
+# buffers panic with both offending call sites. Every package that hands
+# pooled buffers on runs under it.
 test-checks:
-	$(GO) test -tags cad3_checks ./internal/stream/...
+	$(GO) test -tags cad3_checks ./internal/stream/... ./internal/rsu/... ./internal/vehicle/... ./internal/microbatch/...
 
 # Hermetic markdown cross-reference check (the CI docs job).
 linkcheck:

@@ -183,10 +183,11 @@ func wireDecodeSet(pkg *Package) (map[string]bool, token.Pos) {
 
 // qualifiedSentinel resolves an identifier to "pkgbase.ErrName" when it
 // names an exported error sentinel variable in the stream or flow
-// packages.
+// packages — not a struct field of type error called Err
+// (stream.BatchResult.Err): reading one matches no sentinel.
 func qualifiedSentinel(pkg *Package, id *ast.Ident) string {
 	v, ok := pkg.Info.Uses[id].(*types.Var)
-	if !ok || v.Pkg() == nil || !strings.HasPrefix(v.Name(), "Err") {
+	if !ok || v.Pkg() == nil || v.IsField() || !strings.HasPrefix(v.Name(), "Err") {
 		return ""
 	}
 	base := pkgBase(v.Pkg().Path())

@@ -130,6 +130,60 @@ func BenchmarkPipelineSteadyStateTCP(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeStepRemote is one micro-batch of the link node next to its
+// broker over a socket, as Spark sits next to Kafka: 256 records a step, a
+// quarter of them raising warnings, the node polling IN-DATA and writing
+// OUT-DATA over a loopback v2 connection of its own. The records are put
+// in the broker directly, so what is timed is the node's conversation with
+// its broker plus detection — a poll round and one warning batch a step.
+func BenchmarkNodeStepRemote(b *testing.B) {
+	_, link, _, _ := trainedDetectors(b)
+	broker := stream.NewBroker(stream.BrokerConfig{MaxRetainedPerPartition: 4096})
+	srv, err := stream.NewServer(broker, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	nodeClient, err := stream.Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nodeClient.Close()
+	node, err := New(Config{Name: "Bench", Road: 7, Detector: link, Client: nodeClient, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const window = 256
+	recs := make([]stream.BatchRecord, window)
+	for i := range recs {
+		speed := 35.0
+		if i%4 == 1 {
+			speed = 90
+		}
+		car := trace.CarID(1 + i%64)
+		recs[i] = stream.BatchRecord{Key: carKey(car), Value: core.AppendRecord(nil, mkRec(car, geo.MotorwayLink, speed, 14))}
+	}
+	res := make([]stream.BatchResult, window)
+	feed := stream.NewInProcClient(broker)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := feed.ProduceBatchInto(stream.TopicInData, stream.AutoPartition, recs, res); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if bs, err := node.Step(); err != nil || bs.Records != window {
+			b.Fatalf("step processed %d records, %v", bs.Records, err)
+		}
+	}
+	b.StopTimer()
+	if st := node.Stats(); st.Warnings != int64(b.N)*window/4 {
+		b.Fatalf("%d warnings over %d steps, want %d a step", st.Warnings, b.N, window/4)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*window), "ns/record")
+}
+
 // BenchmarkPipelineOverload drives the same pipeline far past its drain
 // rate: the gate spends most of the run full, so the measured cost is
 // dominated by the refusal path — the preallocated backpressure error and

@@ -4,6 +4,13 @@
 // OUT-DATA, accumulates per-vehicle prediction summaries, and forwards
 // them to the next RSU's CO-DATA topic on vehicle handover (Figures 3-4
 // of the paper).
+//
+// The node talks to its broker once per micro-batch in each direction, as
+// the paper's Spark job does: a poll reads every partition in one round
+// (stream.Consumer.PollInto) and each engine worker writes the warnings
+// its records raised in one stream.Producer.SendBatch. A car's warnings
+// keep their order (one key, one partition, a batch appends in order), and
+// only warnings the broker acknowledged count.
 package rsu
 
 import (
@@ -210,30 +217,24 @@ type Node struct {
 	histTx, histQueue, histProc *obsv.Histogram
 }
 
-// warnEncoder carries one warning through SendPooled without building a
-// closure per send: fn is bound once when the encoder is created, and
-// the staging fields are rewritten per warning. Encoders are pooled
+// warnBatch is what one processRecords call has to warn about: the records
+// for the producer (key and encoded warning, in pooled buffers), the
+// broker's answers, and what the bookkeeping after the flush needs. Pooled
 // because the engine calls processRecords from several workers at once.
-type warnEncoder struct {
-	w      core.Warning
-	tc     obsv.TraceContext
-	traced bool
-	fn     func(dst []byte) []byte
+type warnBatch struct {
+	recs []stream.BatchRecord
+	res  []stream.BatchResult
+	meta []warnMeta
 }
 
-//cad3:noalloc
-func (e *warnEncoder) encode(dst []byte) []byte {
-	if e.traced {
-		return core.AppendWarningTraced(dst, e.w, e.tc)
-	}
-	return core.AppendWarning(dst, e.w)
+type warnMeta struct {
+	car     trace.CarID
+	road    int64
+	pNormal float64
+	tc      obsv.TraceContext // not Valid for an untraced record
 }
 
-var warnEncoders = sync.Pool{New: func() any {
-	e := &warnEncoder{}
-	e.fn = e.encode
-	return e
-}}
+var warnBatches = sync.Pool{New: func() any { return new(warnBatch) }}
 
 // collaborativeDetector marks detectors whose accuracy depends on the
 // forwarded prior (satisfied by *core.CAD3 via its fusion weight).
@@ -397,9 +398,11 @@ func (n *Node) AddNeighbor(name string, client stream.Client) error {
 	return nil
 }
 
-// processRecords is the engine's worker callback: detect, warn, observe.
+// processRecords is the engine's worker callback: detect, observe, then
+// warn — in one batch, written after the last record.
 func (n *Node) processRecords(records []tracedRecord) error {
 	var firstErr error
+	wb := warnBatches.Get().(*warnBatch)
 	for _, tr := range records {
 		rec := tr.rec
 		n.records.Add(1)
@@ -486,31 +489,62 @@ func (n *Node) processRecords(records []tracedRecord) error {
 				SourceTsMs:   rec.TimestampMs,
 				DetectedTsMs: n.cfg.Now().UnixMilli(),
 			}
-			// Key and payload both ride pooled buffers: the broker copies
-			// them during Send, so they recycle immediately after. Traced
-			// records emit traced warnings, so the context survives into
-			// dissemination and the vehicle can complete the breakdown.
-			enc := warnEncoders.Get().(*warnEncoder)
-			enc.w, enc.tc, enc.traced = w, tc, traced
-			key := appendCarKey(stream.GetPayload(), rec.Car)
-			_, _, err = n.outProducer.SendPooled(key, enc.fn)
-			stream.PutPayload(key)
-			warnEncoders.Put(enc)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("warn car %d: %w", rec.Car, err)
-				}
-				continue
-			}
-			n.warnings.Add(1)
+			// Traced records emit traced warnings, so the context survives
+			// into dissemination and the vehicle can complete the breakdown.
+			value := stream.GetPayload()
 			if traced {
-				n.ring.PushContext(int64(rec.Car), int64(rec.Road), tc, n.cfg.Now())
+				value = core.AppendWarningTraced(value, w, tc)
+			} else {
+				value = core.AppendWarning(value, w)
 			}
-			n.cfg.Logger.Debug("warning produced",
-				"rsu", n.cfg.Name, "car", int64(rec.Car),
-				"road", int64(rec.Road), "pNormal", det.PNormal)
+			wb.recs = append(wb.recs, stream.BatchRecord{
+				Key: appendCarKey(stream.GetPayload(), rec.Car), Value: value,
+			})
+			wb.meta = append(wb.meta, warnMeta{car: rec.Car, road: int64(rec.Road), pNormal: det.PNormal, tc: tc})
 		}
 	}
+	if err := n.flushWarnings(wb); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	warnBatches.Put(wb)
+	return firstErr
+}
+
+// flushWarnings writes the batch to OUT-DATA in one producer call and
+// settles each warning against the broker's answer: an acknowledged one is
+// counted, pushed to the trace ring and logged; a refused one — every one,
+// if the call itself failed — is not, and the first is returned. The broker
+// has copied what it kept, so every buffer is recycled either way.
+func (n *Node) flushWarnings(wb *warnBatch) error {
+	if len(wb.recs) == 0 {
+		return nil
+	}
+	wb.res = append(wb.res[:0], make([]stream.BatchResult, len(wb.recs))...)
+	batchErr := n.outProducer.SendBatch(wb.recs, wb.res)
+	var firstErr error
+	for i, m := range wb.meta {
+		stream.PutPayload(wb.recs[i].Key)
+		stream.PutPayload(wb.recs[i].Value)
+		wb.recs[i] = stream.BatchRecord{}
+		err := batchErr
+		if err == nil {
+			err = wb.res[i].Err
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("warn car %d: %w", m.car, err)
+			}
+			continue
+		}
+		n.warnings.Add(1)
+		if m.tc.Valid() {
+			n.ring.PushContext(int64(m.car), m.road, m.tc, n.cfg.Now())
+		}
+		n.cfg.Logger.Debug("warning produced",
+			"rsu", n.cfg.Name, "car", int64(m.car),
+			"road", m.road, "pNormal", m.pNormal)
+	}
+	wb.recs, wb.meta = wb.recs[:0], wb.meta[:0]
 	return firstErr
 }
 

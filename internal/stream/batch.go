@@ -149,7 +149,7 @@ func (c *TCPClient) ProduceBatchIssue(topic string, partition int32, recs []Batc
 		return PendingBatch{}, fmt.Errorf("stream: batch frame %d B exceeds peer max %d B; flush smaller batches", total, c.peerMax)
 	}
 	p := c.pipe
-	ch, err := p.acquire()
+	ch, err := p.acquire(true)
 	if err != nil {
 		return PendingBatch{}, err
 	}
@@ -171,11 +171,7 @@ func (c *TCPClient) ProduceBatchIssue(topic string, partition int32, recs []Batc
 	}
 	c.mu.Unlock()
 	if werr != nil {
-		r := <-ch // reader's fail path delivers; keep the channel clean
-		if r.buf != nil {
-			putFrame(r.buf)
-		}
-		p.release(ch)
+		p.abandon(ch)
 		return PendingBatch{}, fmt.Errorf("stream batch write: %w", werr)
 	}
 	return PendingBatch{c: c, ch: ch, n: len(recs)}, nil

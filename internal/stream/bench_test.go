@@ -65,7 +65,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		enc.messages(msgs)
 		frame := enc.frame()
 		dec := wireDecoder{buf: frame[5:]}
-		if out := dec.messages("IN-DATA"); len(out) != 64 || dec.err != nil {
+		if out := dec.messages(nil, "IN-DATA", 64); len(out) != 64 || dec.err != nil {
 			b.Fatalf("decode: %d msgs, err %v", len(out), dec.err)
 		}
 	}
@@ -310,4 +310,53 @@ func BenchmarkPartitionLog(b *testing.B) {
 			RecycleMessages(msgs)
 		}
 	})
+}
+
+// BenchmarkConsumerPollWire is one poll of a 256-record backlog spread
+// over the topic's partitions, across a loopback v2 connection: one
+// pipelined round whatever the partition count, where the one-by-one loop
+// paid a round trip per partition.
+func BenchmarkConsumerPollWire(b *testing.B) {
+	for _, partitions := range []int{1, 3, 8} {
+		b.Run(fmt.Sprintf("%dpartitions", partitions), func(b *testing.B) {
+			broker := NewBroker(BrokerConfig{MaxRetainedPerPartition: 4096})
+			if err := broker.CreateTopic("t", partitions); err != nil {
+				b.Fatal(err)
+			}
+			s, err := NewServer(broker, "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			conn, err := Dial(s.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			c, err := NewConsumer(conn, "t", 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			const window = 256
+			recs := make([]BatchRecord, window)
+			for i := range recs {
+				recs[i] = BatchRecord{Key: []byte(fmt.Sprintf("car-%d", i%64)), Value: make([]byte, 200)}
+			}
+			var buf []Message
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := broker.ProduceBatch("t", AutoPartition, recs, func(int, int32, int64, error) {}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				buf, err = c.PollInto(buf[:0], 8192)
+				if err != nil || len(buf) != window {
+					b.Fatalf("poll returned %d messages, %v", len(buf), err)
+				}
+				RecycleMessages(buf)
+			}
+		})
+	}
 }

@@ -18,6 +18,13 @@ type Consumer struct {
 	next       int // round-robin partition cursor
 	totalBytes int64
 	totalMsgs  int64
+	inflight   []pendingFetch // pollPipelinedLocked scratch
+}
+
+// pendingFetch is a fetch between issue and await, or the issue's error.
+type pendingFetch struct {
+	ch  chan pipeResp
+	err error
 }
 
 // NewConsumer creates a consumer positioned at the given start offset on
@@ -51,7 +58,9 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 // PollInto is Poll appending into a caller-supplied slice, so a steady
 // drain loop can reuse one backing array: msgs = msgs[:0] each round, then
 // msgs, err = c.PollInto(msgs, max). Ownership of the messages' payload
-// buffers is the same as Poll's.
+// buffers is the same as Poll's. A pipelined TCPClient is asked for every
+// partition in one round (pollPipelinedLocked); any other client for one
+// partition after another.
 func (c *Consumer) PollInto(dst []Message, max int) ([]Message, error) {
 	if max <= 0 {
 		return dst, nil
@@ -59,14 +68,18 @@ func (c *Consumer) PollInto(dst []Message, max int) ([]Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	out := dst
-	base := len(dst)
-	var firstErr error
 	n := len(c.offsets)
-	for tried := 0; tried < n && len(out)-base < max; tried++ {
-		part := int32((c.next + tried) % n)
-		//cad3:allow lockdiscipline c.mu must cover the fetch: SwapClient's failover contract (documented there) requires that a swap never interleaves with a poll advancing offsets
-		msgs, err := c.client.Fetch(c.topic, part, c.offsets[part], max-(len(out)-base))
+	start := c.next
+	c.next = (c.next + 1) % n
+	if tc, ok := c.client.(*TCPClient); ok && tc.Pipelined() {
+		return c.pollPipelinedLocked(tc, start, dst, max)
+	}
+	out := dst
+	var firstErr error
+	for tried := 0; tried < n && len(out)-len(dst) < max; tried++ {
+		part := int32((start + tried) % n)
+		//cad3:allow lockdiscipline c.mu must cover the fetch (and the pipelined round that stands in for it): SwapClient's failover contract (documented there) requires that a swap never interleaves with a poll advancing offsets
+		msgs, err := c.client.Fetch(c.topic, part, c.offsets[part], max-(len(out)-len(dst)))
 		if err != nil {
 			// Keep draining the healthy partitions; report the first
 			// failure so callers can degrade gracefully.
@@ -75,17 +88,67 @@ func (c *Consumer) PollInto(dst []Message, max int) ([]Message, error) {
 			}
 			continue
 		}
-		if len(msgs) > 0 {
-			c.offsets[part] = msgs[len(msgs)-1].Offset + 1
-			for i := range msgs {
-				c.totalBytes += int64(msgs[i].WireSize())
-			}
-			c.totalMsgs += int64(len(msgs))
-			out = append(out, msgs...)
-		}
+		c.consumedLocked(part, msgs)
+		out = append(out, msgs...)
 	}
-	c.next = (c.next + 1) % n
 	return out, firstErr
+}
+
+// pollPipelinedLocked returns what PollInto's one-by-one loop returns, in
+// one round trip: it issues a fetch per partition in round-robin order,
+// each asking for all that is still wanted, then awaits them in that order
+// and keeps from each only what is still wanted by then. The surplus is
+// dropped undecoded and its offsets stay put, so the next poll reads it
+// again (consuming it would return more than max). The first fetch of a
+// round waits for the connection's window and the rest stop at a full one,
+// which leaves a topic with more partitions than that to further rounds.
+func (c *Consumer) pollPipelinedLocked(tc *TCPClient, start int, dst []Message, max int) ([]Message, error) {
+	out := dst
+	var firstErr error
+	n := len(c.offsets)
+	want := max // messages still wanted
+	for tried := 0; tried < n && want > 0; {
+		c.inflight = c.inflight[:0]
+		for tried+len(c.inflight) < n {
+			part := int32((start + tried + len(c.inflight)) % n)
+			ch, err := tc.fetchIssue(c.topic, part, c.offsets[part], want, len(c.inflight) == 0)
+			if ch == nil && err == nil {
+				break // window full: collect what is in flight first
+			}
+			c.inflight = append(c.inflight, pendingFetch{ch: ch, err: err})
+		}
+		for i, pf := range c.inflight {
+			part := int32((start + tried + i) % n)
+			from, err := len(out), pf.err
+			if err == nil {
+				out, err = tc.fetchAwait(pf.ch, c.topic, out, want)
+			}
+			if err != nil {
+				// The one-by-one loop stops fetching once it has max, so a
+				// failure past that point is one it would never have seen.
+				if firstErr == nil && want > 0 {
+					firstErr = fmt.Errorf("fetch %q/%d: %w", c.topic, part, err)
+				}
+				continue
+			}
+			c.consumedLocked(part, out[from:])
+			want -= len(out) - from
+		}
+		tried += len(c.inflight)
+	}
+	return out, firstErr
+}
+
+// consumedLocked books one partition's messages as returned to the caller.
+func (c *Consumer) consumedLocked(part int32, msgs []Message) {
+	if len(msgs) == 0 {
+		return
+	}
+	c.offsets[part] = msgs[len(msgs)-1].Offset + 1
+	for i := range msgs {
+		c.totalBytes += int64(msgs[i].WireSize())
+	}
+	c.totalMsgs += int64(len(msgs))
 }
 
 // SwapClient rebinds the consumer to a new client — the failover path

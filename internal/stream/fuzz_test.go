@@ -28,7 +28,7 @@ func FuzzWireDecoder(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := wireDecoder{buf: data}
-		msgs := dec.messages("")
+		msgs := dec.messages(nil, "", 1<<20)
 		if dec.err != nil {
 			return // rejected, fine
 		}

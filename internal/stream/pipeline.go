@@ -225,14 +225,24 @@ func (p *pipeState) fail(err error) {
 }
 
 // acquire takes a window token and a recycled response channel. It
-// refuses immediately once the pipe is stopped or broken.
+// refuses immediately once the pipe is stopped or broken. With wait false
+// (a caller already holding tokens) a full window yields (nil, nil), not a
+// block: two callers each holding part of the window and waiting for the
+// rest would never finish; one that waits only while holding none does.
 //
 //cad3:noalloc
-func (p *pipeState) acquire() (chan pipeResp, error) {
+func (p *pipeState) acquire(wait bool) (chan pipeResp, error) {
 	select {
 	case <-p.window:
-	case <-p.stop:
-		return nil, ErrClientClosed
+	default:
+		if !wait {
+			return nil, nil
+		}
+		select {
+		case <-p.window:
+		case <-p.stop:
+			return nil, ErrClientClosed
+		}
 	}
 	p.mu.Lock()
 	err := p.err
@@ -254,6 +264,18 @@ func (p *pipeState) acquire() (chan pipeResp, error) {
 func (p *pipeState) release(ch chan pipeResp) {
 	p.free <- ch
 	p.window <- struct{}{}
+}
+
+// abandon gives up on an enqueued request whose frame could not be written
+// or whose answer timed out: the connection is closed and the reader's fail
+// path still delivers to ch, so it is drained before it and its token recycle.
+//
+//cad3:noalloc
+func (p *pipeState) abandon(ch chan pipeResp) {
+	if r := <-ch; r.buf != nil {
+		putFrame(r.buf)
+	}
+	p.release(ch)
 }
 
 // brokenErr wraps a terminal pipe error unless it is already a clean
@@ -323,11 +345,7 @@ func (c *TCPClient) pipeAwait(ch chan pipeResp) (byte, wireDecoder, error) {
 			timer.Stop()
 		case <-timer.C:
 			_ = c.conn.Close() // reader fails all waiters, including ours
-			r = <-ch
-			if r.buf != nil {
-				putFrame(r.buf)
-			}
-			c.pipe.release(ch)
+			c.pipe.abandon(ch)
 			return 0, wireDecoder{}, fmt.Errorf("stream: request timed out after %v", c.timeout)
 		}
 	} else {
@@ -351,7 +369,7 @@ func (c *TCPClient) pipeAwait(ch chan pipeResp) (byte, wireDecoder, error) {
 // type byte and correlation ID are in place).
 func (c *TCPClient) pipeDo(msgType byte, encodeLocked func(enc *wireEncoder)) (byte, wireDecoder, error) {
 	p := c.pipe
-	ch, err := p.acquire()
+	ch, err := p.acquire(true)
 	if err != nil {
 		return 0, wireDecoder{}, err
 	}
@@ -372,13 +390,7 @@ func (c *TCPClient) pipeDo(msgType byte, encodeLocked func(enc *wireEncoder)) (b
 	err = c.pipeWriteLocked()
 	c.mu.Unlock()
 	if err != nil {
-		// Already enqueued: the reader delivers the failure to ch; drain
-		// it so the channel recycles clean.
-		r := <-ch
-		if r.buf != nil {
-			putFrame(r.buf)
-		}
-		p.release(ch)
+		p.abandon(ch)
 		return 0, wireDecoder{}, err
 	}
 	return c.pipeAwait(ch)
@@ -391,7 +403,7 @@ func (c *TCPClient) pipeDo(msgType byte, encodeLocked func(enc *wireEncoder)) (b
 //cad3:noalloc
 func (c *TCPClient) producePipe(topicName string, partition int32, key, value []byte) (int32, int64, error) {
 	p := c.pipe
-	ch, err := p.acquire()
+	ch, err := p.acquire(true)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -413,11 +425,7 @@ func (c *TCPClient) producePipe(topicName string, partition int32, key, value []
 	err = c.pipeWriteLocked()
 	c.mu.Unlock()
 	if err != nil {
-		r := <-ch
-		if r.buf != nil {
-			putFrame(r.buf)
-		}
-		p.release(ch)
+		p.abandon(ch)
 		return 0, 0, err
 	}
 	msgType, dec, err := c.pipeAwait(ch)
@@ -448,25 +456,62 @@ func (c *TCPClient) createTopicPipe(name string, partitions int) error {
 	return nil
 }
 
-// fetchPipe is Fetch on a pipelined connection.
-func (c *TCPClient) fetchPipe(topicName string, partition int32, offset int64, max int) ([]Message, error) {
-	msgType, dec, err := c.pipeDo(reqFetch, func(enc *wireEncoder) {
-		enc.str(topicName)
-		enc.u32(uint32(partition))
-		enc.u64(uint64(offset))
-		enc.u32(uint32(max))
-	})
-	if err != nil {
+// fetchIssue puts one reqFetch frame on the wire and returns the channel
+// its answer will arrive on; fetchAwait collects it. Keeping one fetch
+// per partition in flight is how a consumer polls a topic in one round
+// trip. wait is acquire's. Explicit body, like producePipe: a pipeDo
+// closure would cost an allocation per fetch.
+//
+//cad3:noalloc
+func (c *TCPClient) fetchIssue(topicName string, partition int32, offset int64, max int, wait bool) (chan pipeResp, error) {
+	p := c.pipe
+	ch, err := p.acquire(wait)
+	if ch == nil {
 		return nil, err
+	}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		p.release(ch)
+		return nil, ErrClientClosed
+	}
+	if err := c.pipeIssueLocked(ch, reqFetch); err != nil {
+		c.mu.Unlock()
+		p.release(ch)
+		return nil, err
+	}
+	c.enc.str(topicName)
+	c.enc.u32(uint32(partition))
+	c.enc.u64(uint64(offset))
+	c.enc.u32(uint32(max))
+	err = c.pipeWriteLocked()
+	c.mu.Unlock()
+	if err != nil {
+		p.abandon(ch)
+		return nil, err
+	}
+	return ch, nil
+}
+
+// fetchAwait collects an issued fetch, appending at most limit of the
+// answered messages to dst. What lies past limit is never cloned out of
+// the frame, so a caller that asked several partitions for the same
+// remainder drops its surplus at no cost.
+//
+//cad3:noalloc
+func (c *TCPClient) fetchAwait(ch chan pipeResp, topicName string, dst []Message, limit int) ([]Message, error) {
+	msgType, dec, err := c.pipeAwait(ch)
+	if err != nil {
+		return dst, err
 	}
 	if msgType != respFetch {
 		dec.release()
-		return nil, errUnexpectedResponse(msgType)
+		return dst, errUnexpectedResponse(msgType)
 	}
-	msgs := dec.messages(topicName)
+	dst = dec.messages(dst, topicName, limit)
 	err = dec.err
 	dec.release()
-	return msgs, err
+	return dst, err
 }
 
 // listTopicsPipe is ListTopics on a pipelined connection.

@@ -1,0 +1,388 @@
+package stream
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"strings"
+	"testing"
+)
+
+// clientOnly hides what a client is behind the Client interface, so that a
+// Consumer over it reads its partitions with the one-by-one loop — the
+// reference the pipelined round is held against.
+type clientOnly struct{ Client }
+
+func dialTest(t *testing.T, b *Broker, server ServerConfig, dial DialConfig) *TCPClient {
+	t.Helper()
+	s, err := NewServerCfg(b, "127.0.0.1:0", server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	c, err := DialCfg(s.Addr(), dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c
+}
+
+// fakeV2Server accepts one connection, answers its hello as a v2 server
+// would, and hands the connection to serve — the server side of a test
+// that needs a peer which misbehaves or allocates nothing.
+func fakeV2Server(t testing.TB, serve func(conn net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
+			return
+		}
+		var enc wireEncoder
+		enc.reset(respHello)
+		var body [helloBodySize]byte
+		putHello(body[:], protocolV2, DefaultMaxFrameSize, 0)
+		enc.buf = append(enc.buf, body[:]...)
+		if _, err := conn.Write(enc.frame()); err != nil {
+			return
+		}
+		serve(conn)
+	}()
+	return ln.Addr().String()
+}
+
+// idleWindow fails the test unless every window token and response channel
+// of the connection is back where it belongs.
+func idleWindow(t *testing.T, c *TCPClient) {
+	t.Helper()
+	p := c.pipe
+	if len(p.window) != cap(p.window) || len(p.free) != cap(p.free) {
+		t.Fatalf("connection not idle: %d/%d window tokens, %d/%d response channels",
+			len(p.window), cap(p.window), len(p.free), cap(p.free))
+	}
+}
+
+func samePoll(t *testing.T, what string, got, want []Message, gotErr, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s: error %v, sequential loop returned %v", what, gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d messages, sequential loop returned %d", what, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Topic != w.Topic || g.Partition != w.Partition || g.Offset != w.Offset ||
+			string(g.Key) != string(w.Key) || string(g.Value) != string(w.Value) || !g.AppendedAt.Equal(w.AppendedAt) {
+			t.Fatalf("%s: message %d is %s/%d@%d %q, sequential loop returned %s/%d@%d %q",
+				what, i, g.Topic, g.Partition, g.Offset, g.Value, w.Topic, w.Partition, w.Offset, w.Value)
+		}
+	}
+}
+
+// TestPipelinedPollMatchesSequential drives two consumers over one broker
+// in lock step — one polling in pipelined rounds, one through the
+// one-by-one loop — with seeded uneven appends between polls, and demands
+// the same messages in the same order, the same error, the same offsets and
+// the same totals after every poll. max lands before, inside, exactly at
+// the end of and past a partition's backlog; partitions go down and come
+// back; the narrow window forces a round per two partitions.
+func TestPipelinedPollMatchesSequential(t *testing.T) {
+	cases := []struct {
+		name       string
+		partitions int
+		window     int
+	}{
+		{"3 partitions", 3, 0},
+		{"1 partition", 1, 0},
+		{"5 partitions on a window of 2", 5, 2},
+		{"8 partitions on a window of 3", 8, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(7 + tc.partitions)))
+			b := NewBroker(BrokerConfig{})
+			if err := b.CreateTopic("t", tc.partitions); err != nil {
+				t.Fatal(err)
+			}
+			conn := dialTest(t, b, ServerConfig{}, DialConfig{Window: tc.window})
+			other := dialTest(t, b, ServerConfig{}, DialConfig{Window: tc.window})
+			piped, err := NewConsumer(conn, "t", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := NewConsumer(clientOnly{other}, "t", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// An empty topic first.
+			got, gotErr := piped.PollInto(nil, 10)
+			want, wantErr := seq.PollInto(nil, 10)
+			samePoll(t, "empty topic", got, want, gotErr, wantErr)
+
+			backlog := make([]int, tc.partitions)
+			seqNo := 0
+			for round := 0; round < 60; round++ {
+				for p := range backlog {
+					n := rng.Intn(7) // uneven, sometimes nothing
+					if rng.Intn(5) == 0 {
+						n = 0
+					}
+					for i := 0; i < n; i++ {
+						seqNo++
+						if _, _, err := b.Produce("t", int32(p), []byte(fmt.Sprintf("k%d", p)), []byte(fmt.Sprintf("v%d", seqNo))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					backlog[p] += n
+				}
+				down := int32(-1)
+				if round%7 == 3 {
+					down = int32(rng.Intn(tc.partitions))
+					b.SetPartitionDown("t", down, true)
+				}
+				total := 0
+				for _, n := range backlog {
+					total += n
+				}
+				// Cut before, inside and exactly at a partition's end, at the
+				// whole backlog, and past it.
+				first := backlog[piped.next]
+				max := []int{1, first, first + 1, total, total + 5, 1 + rng.Intn(total+2)}[round%6]
+				if max <= 0 {
+					max = 1
+				}
+				got, gotErr = piped.PollInto(got[:0], max)
+				want, wantErr = seq.PollInto(want[:0], max)
+				what := fmt.Sprintf("round %d (max %d, backlog %v, down %d)", round, max, backlog, down)
+				samePoll(t, what, got, want, gotErr, wantErr)
+				if len(got) > max {
+					t.Fatalf("%s: returned %d messages", what, len(got))
+				}
+				if down >= 0 {
+					if total > backlog[down] && len(got) == 0 && max > 0 {
+						t.Fatalf("%s: the healthy partitions did not drain", what)
+					}
+					b.SetPartitionDown("t", down, false)
+				}
+				for i := range got {
+					backlog[got[i].Partition]--
+				}
+				if fmt.Sprint(piped.Offsets()) != fmt.Sprint(seq.Offsets()) {
+					t.Fatalf("%s: offsets %v, sequential loop at %v", what, piped.Offsets(), seq.Offsets())
+				}
+				gm, gb := piped.Received()
+				wm, wb := seq.Received()
+				if gm != wm || gb != wb {
+					t.Fatalf("%s: received %d msgs / %d B, sequential loop %d / %d", what, gm, gb, wm, wb)
+				}
+				RecycleMessages(got)
+				RecycleMessages(want)
+				idleWindow(t, conn)
+
+				// Now and then the failover path: both consumers move to
+				// fresh connections and carry on from their offsets.
+				if round%20 == 19 {
+					conn = dialTest(t, b, ServerConfig{}, DialConfig{Window: tc.window})
+					if err := piped.SwapClient(conn); err != nil {
+						t.Fatal(err)
+					}
+					if err := seq.SwapClient(clientOnly{other}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPollOnSynchronousConnectionStaysSequential: a v1 connection has no
+// window to fill, so the consumer must not try.
+func TestPollOnSynchronousConnectionStaysSequential(t *testing.T) {
+	b := NewBroker(BrokerConfig{})
+	if err := b.CreateTopic("t", 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		if _, _, err := b.Produce("t", int32(i%3), nil, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1 := dialTest(t, b, ServerConfig{DisablePipelining: true}, DialConfig{})
+	if v1.Pipelined() {
+		t.Fatal("connection should have fallen back to v1")
+	}
+	c, err := NewConsumer(v1, "t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := c.Poll(7)
+	if err != nil || len(msgs) != 7 {
+		t.Fatalf("Poll over v1 = %d messages, %v; want 7", len(msgs), err)
+	}
+}
+
+// TestPipelinedPollConnectionKilledBeforeAnswers: the server reads a
+// round's fetches and hangs up without answering one. The poll returns the
+// error, moves no offset, and leaves no window token or response channel
+// behind.
+func TestPipelinedPollConnectionKilledBeforeAnswers(t *testing.T) {
+	const partitions = 3
+	addr := fakeV2Server(t, func(conn net.Conn) {
+		for i := 0; i < partitions; i++ {
+			msgType, payload, err := readFrame(conn, DefaultMaxFrameSize)
+			if err != nil || msgType != reqFetch {
+				return
+			}
+			putFrame(payload)
+		}
+		// All issued, none answered: hang up.
+	})
+
+	tc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	c := &Consumer{client: tc, topic: "t", offsets: []int64{5, 6, 7}}
+	msgs, err := c.PollInto(nil, 100)
+	if err == nil || !errors.Is(err, errPipeBroken) || !strings.Contains(err.Error(), `fetch "t"/0`) {
+		t.Fatalf("PollInto over a killed connection = %d messages, %v; want the first partition's broken-pipe error", len(msgs), err)
+	}
+	if len(msgs) != 0 {
+		t.Fatalf("PollInto returned %d messages from a server that answered nothing", len(msgs))
+	}
+	if got := fmt.Sprint(c.Offsets()); got != "[5 6 7]" {
+		t.Fatalf("offsets moved to %s", got)
+	}
+	idleWindow(t, tc)
+	// The connection stays dead: the next poll fails at issue, as cleanly.
+	if _, err := c.PollInto(nil, 100); err == nil {
+		t.Fatal("poll over a dead connection succeeded")
+	}
+	idleWindow(t, tc)
+}
+
+// TestSharedConnectionPollsDoNotStarveEachOther: consumers of wide topics
+// polling at once over one narrow connection each hold part of the window;
+// none may wait for the rest while holding its own.
+func TestSharedConnectionPollsDoNotStarveEachOther(t *testing.T) {
+	b := NewBroker(BrokerConfig{})
+	if err := b.CreateTopic("t", 6); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		if _, _, err := b.Produce("t", int32(i%6), nil, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := dialTest(t, b, ServerConfig{}, DialConfig{Window: 4})
+	done := make(chan error, 4)
+	for g := 0; g < cap(done); g++ {
+		c, err := NewConsumer(conn, "t", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			got := 0
+			for got < 600 {
+				msgs, err := c.Poll(50)
+				if err != nil {
+					done <- err
+					return
+				}
+				got += len(msgs)
+				RecycleMessages(msgs)
+			}
+			done <- nil
+		}()
+	}
+	for g := 0; g < cap(done); g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	idleWindow(t, conn)
+}
+
+// cannedFetchServer answers the hello, then every request frame with the
+// same respFetch body under the request's correlation ID, allocating
+// nothing per request — so that a process-wide allocation count over a poll
+// is the client's alone.
+func cannedFetchServer(t testing.TB, msgs []Message) string {
+	t.Helper()
+	var enc wireEncoder
+	enc.v2 = true
+	enc.reset(respFetch)
+	enc.messages(msgs)
+	resp := append([]byte(nil), enc.frame()...)
+	return fakeV2Server(t, func(conn net.Conn) {
+		req := make([]byte, 4096)
+		for {
+			if _, err := io.ReadFull(conn, req[:4]); err != nil {
+				return
+			}
+			n := binary.BigEndian.Uint32(req[:4])
+			if _, err := io.ReadFull(conn, req[4:4+n]); err != nil {
+				return
+			}
+			copy(resp[5:5+corrSize], req[5:5+corrSize])
+			if _, err := conn.Write(resp); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// TestPollIntoSteadyStateAllocs pins what a warm poll costs the allocator
+// on the client's side of a loopback connection: at most two allocations
+// per partition, both the reader goroutine's (readFrame's length buffer
+// escapes through its io.Reader, and the frame pool misses when it is
+// handed back a payload view that starts past the buffer's first bytes).
+// Issue, await and decode add none — no closure per fetch, no message
+// slice per answer, and payload clones come from the pool.
+func TestPollIntoSteadyStateAllocs(t *testing.T) {
+	if PoolGuard {
+		t.Skip("the pool guard records a call chain per recycle")
+	}
+	const partitions = 3
+	for _, perFetch := range []int{0, 8} {
+		var canned []Message
+		for i := 0; i < perFetch; i++ {
+			canned = append(canned, Message{Topic: "t", Offset: int64(i), Key: []byte("car-1"), Value: make([]byte, 200)})
+		}
+		tc, err := Dial(cannedFetchServer(t, canned))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tc.Close()
+		c := &Consumer{client: tc, topic: "t", offsets: make([]int64, partitions)}
+		var buf []Message
+		poll := func() {
+			buf, err = c.PollInto(buf[:0], 64)
+			if err != nil || len(buf) != partitions*perFetch {
+				t.Fatalf("PollInto = %d messages, %v; want %d", len(buf), err, partitions*perFetch)
+			}
+			RecycleMessages(buf)
+		}
+		for i := 0; i < 20; i++ {
+			poll() // warm the frame and payload pools
+		}
+		if allocs := testing.AllocsPerRun(200, poll); allocs > 2*partitions {
+			t.Errorf("PollInto, %d messages a fetch: %v allocs/op, want <= %d (the reader's, two per answer)", perFetch, allocs, 2*partitions)
+		}
+	}
+}

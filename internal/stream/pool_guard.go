@@ -23,6 +23,8 @@ import (
 	"unsafe"
 )
 
+const PoolGuard = true // see pool_guard_off.go
+
 var (
 	guardMu sync.Mutex
 	// freeSites maps the backing array of every pool-resident buffer to

@@ -7,6 +7,11 @@ package stream
 // The cad3_checks debug build (pool_guard.go) replaces them with a
 // pointer-keyed double-recycle detector: `go test -tags cad3_checks`.
 
+// PoolGuard reports whether this is the cad3_checks build. The guard
+// records a call chain per recycle, so tests that count allocations on a
+// path through the pools skip their assertion when it is set.
+const PoolGuard = false
+
 func guardAdmit([]byte)   {}
 func guardRetract([]byte) {}
 func guardLease([]byte)   {}

@@ -13,6 +13,10 @@ import (
 // for concurrent use. Each emulated vehicle runs one producer (the paper's
 // "Kafka Producers" on PC1).
 //
+// Send writes one record and waits for its answer; SendBatch writes many
+// and waits once, which is how the RSU node writes a micro-batch's
+// warnings (Spark writes OUT-DATA once per batch, not once per row).
+//
 // A producer carries an AckLevel. The default AckLeader sends through the
 // plain Client Produce path unchanged; AckNone and AckAll require a
 // client that understands durability levels (AckClient — the replicated
@@ -85,23 +89,77 @@ func (p *Producer) produce(partition int32, key, value []byte) (int32, int64, er
 	return client.Produce(p.topic, partition, key, value)
 }
 
+// wrapSendErr names the topic on a failed send. Backpressure and
+// circuit-open pass through untouched: both are part of the
+// allocation-free fast path (they fire exactly when the system is
+// overloaded or the link is down) and drive the sender's pacer.
+func (p *Producer) wrapSendErr(err error) error {
+	if errors.Is(err, flow.ErrBackpressure) || errors.Is(err, flow.ErrCircuitOpen) {
+		return err
+	}
+	return fmt.Errorf("produce to %q: %w", p.topic, err)
+}
+
 // Send publishes value under key with automatic partitioning and returns
 // the (partition, offset) the broker assigned.
 func (p *Producer) Send(key, value []byte) (int32, int64, error) {
 	part, off, err := p.produce(AutoPartition, key, value)
 	if err != nil {
-		// Backpressure and circuit-open pass through untouched: both are
-		// part of the allocation-free fast path (they fire exactly when
-		// the system is overloaded or the link is down), and senders
-		// match them with errors.Is to drive their pacer.
-		if errors.Is(err, flow.ErrBackpressure) || errors.Is(err, flow.ErrCircuitOpen) {
-			return 0, 0, err
-		}
-		return 0, 0, fmt.Errorf("produce to %q: %w", p.topic, err)
+		return 0, 0, p.wrapSendErr(err)
 	}
 	p.sent.Add(1)
 	p.bytes.Add(int64(len(key) + len(value)))
 	return part, off, nil
+}
+
+// SendBatch publishes recs in order with automatic partitioning and
+// answers each in res (same length): partition and offset, or the error
+// Send would have returned. A client
+// that can batch at the producer's ack level gets the lot in one call —
+// one broker lock and clock read in process, one reqProduceBatch frame
+// (which must fit the peer's frame limit) over TCP. Any other client is
+// sent one record at a time, so a wrapper that injects faults per produce
+// keeps seeing every produce. The returned error is a transport failure
+// of the whole batch: res is meaningless and nothing counts as sent.
+func (p *Producer) SendBatch(recs []BatchRecord, res []BatchResult) error {
+	if len(res) != len(recs) {
+		return errBatchSize
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	p.mu.RLock()
+	client, acks := p.client, p.acks
+	p.mu.RUnlock()
+	var err error
+	if ac, ok := client.(AckBatchClient); ok && acks != AckLeader {
+		err = ac.ProduceBatchAcksInto(p.topic, AutoPartition, recs, res, acks)
+	} else if bc, ok := client.(BatchClient); ok && acks == AckLeader {
+		err = bc.ProduceBatchInto(p.topic, AutoPartition, recs, res)
+	} else {
+		for i := range recs {
+			part, off, perr := p.produce(AutoPartition, recs[i].Key, recs[i].Value)
+			res[i] = BatchResult{Partition: part, Offset: off, Err: perr}
+			if hint, ok := flow.RetryAfter(perr); ok {
+				res[i].RetryAfter = hint
+			}
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("produce batch to %q: %w", p.topic, err)
+	}
+	var sent, bytes int64
+	for i := range res {
+		if res[i].Err != nil {
+			res[i].Err = p.wrapSendErr(res[i].Err)
+			continue
+		}
+		sent++
+		bytes += int64(len(recs[i].Key) + len(recs[i].Value))
+	}
+	p.sent.Add(sent)
+	p.bytes.Add(bytes)
+	return nil
 }
 
 // SendPooled publishes a payload assembled into a pooled buffer: encode

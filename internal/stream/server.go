@@ -676,7 +676,11 @@ func (c *TCPClient) Produce(topicName string, partition int32, key, value []byte
 // Fetch implements Client.
 func (c *TCPClient) Fetch(topicName string, partition int32, offset int64, max int) ([]Message, error) {
 	if c.pipe != nil {
-		return c.fetchPipe(topicName, partition, offset, max)
+		ch, err := c.fetchIssue(topicName, partition, offset, max, true)
+		if err != nil {
+			return nil, err
+		}
+		return c.fetchAwait(ch, topicName, nil, max)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -689,7 +693,7 @@ func (c *TCPClient) Fetch(topicName string, partition int32, offset int64, max i
 	if err != nil {
 		return nil, err
 	}
-	msgs := dec.messages(topicName)
+	msgs := dec.messages(nil, topicName, max)
 	err = dec.err
 	dec.release()
 	return msgs, err

@@ -211,7 +211,7 @@ func TestWireCodecRoundTripProperty(t *testing.T) {
 		frame := enc.frame()
 		// Strip length + type.
 		dec := wireDecoder{buf: frame[5:]}
-		out := dec.messages("")
+		out := dec.messages(nil, "", 1<<20)
 		if dec.err != nil || len(out) != 1 {
 			return false
 		}
@@ -234,7 +234,7 @@ func TestWireDecoderTruncatedInput(t *testing.T) {
 	// Chop the payload progressively; the decoder must error, not panic.
 	for cut := 5; cut < len(frame)-1; cut++ {
 		dec := wireDecoder{buf: frame[5:cut]}
-		if msgs := dec.messages(""); dec.err == nil && len(msgs) == 1 {
+		if msgs := dec.messages(nil, "", 1<<20); dec.err == nil && len(msgs) == 1 {
 			t.Fatalf("truncated frame of %d bytes decoded successfully", cut)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire protocol: every frame is a uint32 big-endian length followed by a
@@ -376,19 +377,24 @@ func (e *wireEncoder) messages(msgs []Message) {
 	}
 }
 
-// decodeMessages reads a message list. topicHint, when non-empty, is the
+// messages appends a decoded message list to dst — at most limit of them,
+// the rest of the frame is left unread. topicHint, when non-empty, is the
 // topic the caller asked for: messages whose topic matches reuse the hint
 // string instead of allocating one per message — on the fetch hot path
-// every message in the frame matches.
-func (d *wireDecoder) messages(topicHint string) []Message {
+// every message in the frame matches. Key and Value are pooled clones the
+// caller owns; on a malformed frame the clones made so far are recycled
+// and dst comes back at its original length.
+func (d *wireDecoder) messages(dst []Message, topicHint string, limit int) []Message {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || n > 1<<20 {
 		if d.err == nil {
 			d.err = fmt.Errorf("stream: implausible message count %d", n)
 		}
-		return nil
+		return dst
 	}
-	out := make([]Message, 0, n)
+	n = min(n, limit)
+	base := len(dst)
+	dst = slices.Grow(dst, max(n, 0))
 	for i := 0; i < n; i++ {
 		var m Message
 		if raw := d.raw(); topicHint != "" && string(raw) == topicHint {
@@ -402,10 +408,11 @@ func (d *wireDecoder) messages(topicHint string) []Message {
 		m.AppendedAt = timeFromUnixNano(nanos)
 		m.Key = d.bytes()
 		m.Value = d.bytes()
+		dst = append(dst, m)
 		if d.err != nil {
-			return nil
+			RecycleMessages(dst[base:])
+			return dst[:base]
 		}
-		out = append(out, m)
 	}
-	return out
+	return dst
 }
