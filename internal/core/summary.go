@@ -69,9 +69,13 @@ func (b *SummaryBuilder) Observe(car trace.CarID, pNormal float64) {
 	}
 	a.sum += pNormal
 	a.count++
-	a.last = append(a.last, pNormal)
-	if len(a.last) > maxLastK {
-		a.last = a.last[len(a.last)-maxLastK:]
+	// A full tail slides down in place: reslicing it forward would walk off
+	// its backing array and reallocate every maxLastK predictions.
+	if len(a.last) < maxLastK {
+		a.last = append(a.last, pNormal)
+	} else {
+		copy(a.last, a.last[1:])
+		a.last[maxLastK-1] = pNormal
 	}
 }
 
@@ -213,6 +217,12 @@ func (s *SummaryStore) Put(sum PredictionSummary) {
 
 // Get returns the car's summary if present and fresh.
 func (s *SummaryStore) Get(car trace.CarID) (PredictionSummary, bool) {
+	return s.GetAt(car, s.now())
+}
+
+// GetAt is Get judging freshness as of now, for a caller that looks up a
+// batch of cars against one clock reading.
+func (s *SummaryStore) GetAt(car trace.CarID, now time.Time) (PredictionSummary, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sum, ok := s.byID[car]
@@ -220,7 +230,7 @@ func (s *SummaryStore) Get(car trace.CarID) (PredictionSummary, bool) {
 		s.misses.Add(1)
 		return PredictionSummary{}, false
 	}
-	if s.now().UnixMilli()-sum.UpdatedMs > s.ttl.Milliseconds() {
+	if now.UnixMilli()-sum.UpdatedMs > s.ttl.Milliseconds() {
 		delete(s.byID, car)
 		s.expired.Add(1)
 		return PredictionSummary{}, false

@@ -46,7 +46,7 @@ var lockPkgs = map[string]bool{
 // wait on) network round trips in this codebase's client surfaces.
 var blockingClientNames = map[string]bool{
 	"Produce": true, "ProduceBatch": true, "Fetch": true, "FetchCommitted": true,
-	"Poll": true, "PollInto": true, "Commit": true, "CommitOffsets": true,
+	"Poll": true, "PollInto": true, "PollEach": true, "Commit": true, "CommitOffsets": true,
 	"Subscribe": true, "CreateTopic": true, "Dial": true, "DialContext": true,
 }
 

@@ -21,9 +21,16 @@ import (
 // via msgs[:0], len(msgs) and cap(msgs) stays legal; everything else —
 // indexing, ranging — reads nil'd payloads and reports.
 //
+// A message lent to a PollEach / FetchEach callback is the opposite case:
+// its Key and Value are views of the broker's log or of a response frame,
+// never the callback's to give away, so recycling the parameter (or a field
+// of it) inside the callback reports — the pool would hand out bytes the
+// log still holds.
+//
 // The analysis is per-function and does not track aliases: a copy of a
 // message value taken before the recycle escapes it. The debug build
-// (-tags cad3_checks) closes that gap at runtime.
+// (-tags cad3_checks) closes that gap at runtime, and poisons a lent message
+// once its callback returns, which catches a view that is kept.
 var PoolSafety = &Analyzer{
 	Name:   "poolsafety",
 	Doc:    "no use of pooled buffers after PutPayload/RecycleMessages, no double-recycle",
@@ -49,6 +56,10 @@ var poolKillFuncs = map[string]recycleKind{
 	"putFrame":        recycledBuffer,
 	"RecycleMessages": recycledBatch,
 }
+
+// lendingCalls are the methods whose last argument is a callback that is
+// lent — not given — each message.
+var lendingCalls = map[string]bool{"PollEach": true, "FetchEach": true}
 
 // kill records where and how a variable was recycled.
 type kill struct {
@@ -99,15 +110,65 @@ func runPoolSafety(prog *Program, pkg *Package) []Finding {
 				// Function literals are separate scopes with their own
 				// execution time (often deferred callbacks); they are
 				// scanned independently, and kills inside them do not
-				// leak into the enclosing flow.
+				// leak into the enclosing flow. The walk goes on into the
+				// body for the literals and lending calls nested in it.
 				c := &poolChecker{prog: prog, pkg: pkg, out: &out, seen: map[token.Pos]bool{}}
 				c.block(fn.Body, poolState{})
-				return false
+			case *ast.CallExpr:
+				if lit := lentCallback(fn); lit != nil {
+					c := &poolChecker{prog: prog, pkg: pkg, out: &out, seen: map[token.Pos]bool{}}
+					c.borrowed(lit, calleeName(fn))
+				}
 			}
 			return true
 		})
 	}
 	return out
+}
+
+// lentCallback returns the function literal a PollEach / FetchEach call
+// hands its messages to, or nil.
+func lentCallback(call *ast.CallExpr) *ast.FuncLit {
+	if !lendingCalls[calleeName(call)] || len(call.Args) == 0 {
+		return nil
+	}
+	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
+	return lit
+}
+
+// borrowed reports every recycle, inside a lending call's callback, of the
+// message parameter or of anything reached through it (m.Key, m.Value,
+// &m, []Message{m}).
+func (c *poolChecker) borrowed(lit *ast.FuncLit, lender string) {
+	if lit.Type.Params == nil || len(lit.Type.Params.List) == 0 || len(lit.Type.Params.List[0].Names) == 0 {
+		return
+	}
+	param := c.pkg.Info.Defs[lit.Type.Params.List[0].Names[0]]
+	if param == nil {
+		return
+	}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		name := calleeName(call)
+		if _, isKill := poolKillFuncs[name]; !isKill {
+			return true
+		}
+		reaches := false
+		ast.Inspect(call.Args[0], func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && c.pkg.Info.Uses[id] == param {
+				reaches = true
+			}
+			return !reaches
+		})
+		if reaches {
+			c.report(call.Pos(), "recycle of borrowed message "+param.Name()+" via "+name+
+				": a "+lender+" callback is lent views the broker still owns, never pooled buffers")
+		}
+		return true
+	})
 }
 
 // report emits one finding, deduped by position.

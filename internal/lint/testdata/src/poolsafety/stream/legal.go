@@ -53,3 +53,21 @@ func headerLen(msgs []Message) int {
 	RecycleMessages(msgs)
 	return len(msgs) + cap(msgs)
 }
+
+// lentDecode copies what it keeps out of a lent message and recycles only
+// buffers of its own — the borrowed-read contract.
+func lentDecode(c *Consumer) [][]byte {
+	var kept [][]byte
+	_, _ = c.PollEach(8, func(m Message) {
+		scratch := append(GetPayload(), m.Payload...)
+		kept = append(kept, append([]byte(nil), scratch...))
+		PutPayload(scratch)
+	})
+	return kept
+}
+
+// ownedAfterPoll recycles messages a poll returned (not lent): the callback
+// rule does not reach a plain function's parameter.
+func ownedAfterPoll(m Message) {
+	PutPayload(m.Payload)
+}

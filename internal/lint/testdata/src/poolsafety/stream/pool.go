@@ -37,3 +37,20 @@ func RecycleMessages(msgs []Message) {
 		msgs[i].Payload = nil
 	}
 }
+
+// Consumer lends polled messages to a callback, like the real one.
+type Consumer struct{ backlog []Message }
+
+// PollEach lends each message to fn: Key and Payload are views fn must not
+// keep or recycle.
+func (c *Consumer) PollEach(max int, fn func(Message)) (int, error) {
+	for _, m := range c.backlog {
+		fn(m)
+	}
+	return len(c.backlog), nil
+}
+
+// FetchEach is the per-partition form of the same loan.
+func (c *Consumer) FetchEach(partition int32, fn func(Message)) (int, error) {
+	return c.PollEach(0, fn)
+}

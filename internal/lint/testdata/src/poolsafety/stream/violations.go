@@ -50,3 +50,27 @@ func doubleBatch(msgs []Message) {
 	RecycleMessages(msgs)
 	RecycleMessages(msgs) // want "double recycle of msgs via RecycleMessages"
 }
+
+// recycleLent hands a lent message's views to the pool: the log (or the
+// response frame) still holds those bytes.
+func recycleLent(c *Consumer) {
+	_, _ = c.PollEach(8, func(m Message) {
+		_ = len(m.Payload)
+		PutPayload(m.Payload) // want "recycle of borrowed message m via PutPayload"
+		PutPayload(m.Key)     // want "recycle of borrowed message m via PutPayload"
+	})
+	_, _ = c.FetchEach(0, func(lent Message) {
+		RecycleMessages([]Message{lent}) // want "recycle of borrowed message lent via RecycleMessages: a FetchEach callback"
+	})
+}
+
+// recycleLentNested does the same from inside another literal: the walk
+// reaches lending calls wherever they are written.
+func recycleLentNested(c *Consumer) {
+	drain := func() {
+		_, _ = c.PollEach(8, func(m Message) {
+			PutPayload(m.Payload) // want "recycle of borrowed message m"
+		})
+	}
+	drain()
+}

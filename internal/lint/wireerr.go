@@ -76,7 +76,7 @@ const wireDecoderFunc = "remoteError"
 // dropped.
 var clientCallNames = map[string]bool{
 	"Produce": true, "ProduceBatch": true, "Fetch": true, "FetchCommitted": true,
-	"Poll": true, "PollInto": true, "Commit": true, "CommitOffsets": true,
+	"Poll": true, "PollInto": true, "PollEach": true, "Commit": true, "CommitOffsets": true,
 	"Subscribe": true, "CreateTopic": true,
 }
 

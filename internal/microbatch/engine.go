@@ -39,22 +39,38 @@ type Poller interface {
 	Poll(max int) ([]stream.Message, error)
 }
 
-// intoPoller is the allocation-light drain path (satisfied by
-// *stream.Consumer): the engine reuses one message slice across batches
-// instead of letting Poll allocate a fresh one each window.
-type intoPoller interface {
-	PollInto(dst []stream.Message, max int) ([]stream.Message, error)
+// lendingPoller is the drain path the engine uses (satisfied by
+// *stream.Consumer): each message is lent to the decoder where it lies —
+// the broker's log or a fetch response frame — instead of being copied out
+// for the engine to own and recycle.
+type lendingPoller interface {
+	PollEach(max int, fn func(stream.Message)) (int, error)
+}
+
+// polled drains a plain Poller the same way: the messages Poll returned,
+// one after another. They stay the source's; nothing is recycled.
+type polled struct{ src Poller }
+
+func (p polled) PollEach(max int, fn func(stream.Message)) (int, error) {
+	msgs, err := p.src.Poll(max)
+	for _, m := range msgs {
+		fn(m)
+	}
+	return len(msgs), err
 }
 
 // Config configures an Engine.
 type Config[T any] struct {
-	// Source supplies messages. Required. Sources that also implement
-	// PollInto (like *stream.Consumer) are drained through a reused
-	// buffer and their message payloads are recycled after decoding.
+	// Source supplies messages. Required. A source that also implements
+	// PollEach (like *stream.Consumer) lends its messages to Decode one at
+	// a time instead of returning them.
 	Source Poller
 	// Decode converts a raw message into the item type. Required. The
-	// decoded item must not retain the message's Key/Value bytes — they
-	// are recycled into the payload pool once the batch is decoded.
+	// message's Key and Value are borrowed for the call: they may be views
+	// of the broker's log or of a network frame, overwritten as soon as
+	// Decode returns, so the item must own a copy of anything it keeps
+	// (the cad3_checks build poisons a view that is kept). Decode may run
+	// under the source's locks and must not call back into the broker.
 	Decode func(stream.Message) (T, error)
 	// Process handles one worker's share of a batch. Required. It is
 	// called concurrently from up to Workers goroutines. The items slice
@@ -121,11 +137,14 @@ type Engine[T any] struct {
 	mu    sync.Mutex
 	stats EngineStats
 
-	// Per-batch scratch buffers, reused across Step calls (stepMu keeps
-	// concurrent Step calls from sharing them).
-	stepMu sync.Mutex
-	msgBuf []stream.Message
-	items  []T
+	// The batch being drained, reused across Step calls (stepMu keeps
+	// concurrent Step calls from sharing it). decode is decodeOne, bound
+	// once so that handing it to the source allocates nothing per Step.
+	stepMu     sync.Mutex
+	source     lendingPoller
+	decode     func(stream.Message)
+	items      []T
+	decodeErrs int
 
 	// Cached registry handles, nil when cfg.Metrics is nil.
 	mBatches, mRecords, mDecodeErrs, mProcessErrs *obsv.Counter
@@ -156,6 +175,12 @@ func NewEngine[T any](cfg Config[T]) (*Engine[T], error) {
 		cfg.Now = time.Now
 	}
 	e := &Engine[T]{cfg: cfg}
+	e.decode = e.decodeOne
+	if lp, ok := cfg.Source.(lendingPoller); ok {
+		e.source = lp
+	} else {
+		e.source = polled{cfg.Source}
+	}
 	if cfg.Metrics != nil {
 		e.mBatches = cfg.Metrics.Counter("microbatch.batches")
 		e.mRecords = cfg.Metrics.Counter("microbatch.records")
@@ -181,40 +206,15 @@ func (e *Engine[T]) Step() (BatchStats, error) {
 			limit = a
 		}
 	}
-	var msgs []stream.Message
-	var pollErr error
-	recycler, pooled := e.cfg.Source.(intoPoller)
-	if pooled {
-		//cad3:allow lockdiscipline stepMu exists to serialize whole Step executions including the poll (msgBuf/items reuse); parallelism lives in the worker pool below it
-		msgs, pollErr = recycler.PollInto(e.msgBuf[:0], limit)
-		e.msgBuf = msgs
-	} else {
-		//cad3:allow lockdiscipline stepMu serializes whole Step executions including the poll; see the PollInto branch above
-		msgs, pollErr = e.cfg.Source.Poll(limit)
-	}
+	e.items, e.decodeErrs = e.items[:0], 0
+	//cad3:allow lockdiscipline stepMu exists to serialize whole Step executions including the poll (the items buffer is reused); parallelism lives in the worker pool below it
+	drained, pollErr := e.source.PollEach(limit, e.decode)
 	if pollErr != nil {
 		e.observeErr(fmt.Errorf("microbatch poll: %w", pollErr))
 	}
-
-	var bs BatchStats
-	items := e.items[:0]
-	for _, m := range msgs {
-		item, err := e.cfg.Decode(m)
-		if err != nil {
-			bs.DecodeErrors++
-			e.observeErr(fmt.Errorf("microbatch decode: %w", err))
-			continue
-		}
-		items = append(items, item)
-	}
-	e.items = items
-	if pooled {
-		// Everything the batch needs now lives in items (Decode copies);
-		// hand the payload buffers back to the pool.
-		stream.RecycleMessages(msgs)
-	}
-	bs.Records = len(items)
-	bs.Saturated = len(msgs) >= limit && limit > 0
+	items := e.items
+	bs := BatchStats{Records: len(items), DecodeErrors: e.decodeErrs}
+	bs.Saturated = drained >= limit && limit > 0
 
 	start := e.cfg.Now()
 	if len(items) > 0 {
@@ -226,7 +226,7 @@ func (e *Engine[T]) Step() (BatchStats, error) {
 		// Feed back against the drained count (not the decoded count): a
 		// batch that hit the drain bound is saturated even if some records
 		// failed to decode.
-		e.cfg.Adaptive.Observe(len(msgs), bs.ProcessingTime)
+		e.cfg.Adaptive.Observe(drained, bs.ProcessingTime)
 	}
 
 	e.mu.Lock()
@@ -247,6 +247,17 @@ func (e *Engine[T]) Step() (BatchStats, error) {
 		e.mBatchSizeHist.Observe(int64(bs.Records))
 	}
 	return bs, pollErr
+}
+
+// decodeOne is the source's callback: one lent message into the batch.
+func (e *Engine[T]) decodeOne(m stream.Message) {
+	item, err := e.cfg.Decode(m)
+	if err != nil {
+		e.decodeErrs++
+		e.observeErr(fmt.Errorf("microbatch decode: %w", err))
+		return
+	}
+	e.items = append(e.items, item)
 }
 
 func (e *Engine[T]) processParallel(items []T) {

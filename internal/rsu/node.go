@@ -7,8 +7,9 @@
 //
 // The node talks to its broker once per micro-batch in each direction, as
 // the paper's Spark job does: a poll reads every partition in one round
-// (stream.Consumer.PollInto) and each engine worker writes the warnings
-// its records raised in one stream.Producer.SendBatch. A car's warnings
+// (stream.Consumer.PollEach, which lends each record to the decoder where
+// it lies instead of copying it out) and each engine worker writes the
+// warnings its records raised in one stream.Producer.SendBatch. A car's warnings
 // keep their order (one key, one partition, a batch appends in order), and
 // only warnings the broker acknowledged count.
 package rsu
@@ -217,24 +218,48 @@ type Node struct {
 	histTx, histQueue, histProc *obsv.Histogram
 }
 
-// warnBatch is what one processRecords call has to warn about: the records
-// for the producer (key and encoded warning, in pooled buffers), the
-// broker's answers, and what the bookkeeping after the flush needs. Pooled
+// warnBatch is what one processRecords call has to warn about: each
+// warning's key and encoded value back to back in one arena the batch owns,
+// what the bookkeeping after the flush needs, and — made from the arena at
+// the flush — the records for the producer and the broker's answers. It
+// also lends the call its one prior summary: a pointer to a local would
+// escape through the Detector interface, a heap object per record. Pooled
 // because the engine calls processRecords from several workers at once.
 type warnBatch struct {
-	recs []stream.BatchRecord
-	res  []stream.BatchResult
-	meta []warnMeta
+	arena []byte
+	meta  []warnMeta
+	recs  []stream.BatchRecord
+	res   []stream.BatchResult
+	prior core.PredictionSummary
 }
 
 type warnMeta struct {
-	car     trace.CarID
-	road    int64
-	pNormal float64
-	tc      obsv.TraceContext // not Valid for an untraced record
+	car       trace.CarID
+	road      int64
+	pNormal   float64
+	tc        obsv.TraceContext // not Valid for an untraced record
+	key, size int               // the warning's arena bytes: key, then value up to size
 }
 
 var warnBatches = sync.Pool{New: func() any { return new(warnBatch) }}
+
+// add encodes one warning into the batch under its car's key. A traced
+// record's warning is a traced warning, so the context survives into
+// dissemination and the vehicle can complete the breakdown.
+func (wb *warnBatch) add(w core.Warning, tc obsv.TraceContext) {
+	at := len(wb.arena)
+	wb.arena = appendCarKey(wb.arena, w.Car)
+	key := len(wb.arena) - at
+	if tc.Valid() {
+		wb.arena = core.AppendWarningTraced(wb.arena, w, tc)
+	} else {
+		wb.arena = core.AppendWarning(wb.arena, w)
+	}
+	wb.meta = append(wb.meta, warnMeta{
+		car: w.Car, road: w.Road, pNormal: w.PNormal, tc: tc,
+		key: key, size: len(wb.arena) - at,
+	})
+}
 
 // collaborativeDetector marks detectors whose accuracy depends on the
 // forwarded prior (satisfied by *core.CAD3 via its fusion weight).
@@ -399,17 +424,20 @@ func (n *Node) AddNeighbor(name string, client stream.Client) error {
 }
 
 // processRecords is the engine's worker callback: detect, observe, then
-// warn — in one batch, written after the last record.
+// warn — in one batch, written after the last record. One clock reading
+// serves the whole call's profile buckets and summary freshness checks.
 func (n *Node) processRecords(records []tracedRecord) error {
 	var firstErr error
 	wb := warnBatches.Get().(*warnBatch)
-	for _, tr := range records {
-		rec := tr.rec
+	now := n.cfg.Now()
+	for i := range records {
+		tr := &records[i]
+		rec := &tr.rec
 		n.records.Add(1)
 
 		// Maintain the road's rolling speed profile and backfill the
 		// road-mean-speed context for records that arrive without one.
-		n.profile.Observe(rec.Speed)
+		n.profile.ObserveAt(rec.Speed, now)
 		if rec.RoadMeanSpeed == 0 {
 			if mean, _, ok := n.profile.MeanStd(); ok {
 				rec.RoadMeanSpeed = mean
@@ -417,8 +445,9 @@ func (n *Node) processRecords(records []tracedRecord) error {
 		}
 
 		var prior *core.PredictionSummary
-		if s, ok := n.summaries.Get(rec.Car); ok {
-			prior = &s
+		if s, ok := n.summaries.GetAt(rec.Car, now); ok {
+			wb.prior = s
+			prior = &wb.prior
 		}
 
 		// Degraded-mode admission: shed stale telemetry from known
@@ -439,7 +468,7 @@ func (n *Node) processRecords(records []tracedRecord) error {
 			}
 		}
 
-		det, err := n.cfg.Detector.Detect(rec, prior)
+		det, err := n.cfg.Detector.Detect(*rec, prior)
 		if err != nil {
 			n.detectErrors.Add(1)
 			if firstErr == nil {
@@ -472,7 +501,7 @@ func (n *Node) processRecords(records []tracedRecord) error {
 		// prediction probabilities).
 		pNB := det.PNormal
 		if ps, ok := n.cfg.Detector.(probaSource); ok {
-			if p, err := ps.PredictProba(rec); err == nil {
+			if p, err := ps.PredictProba(*rec); err == nil {
 				pNB = p
 			}
 		}
@@ -489,18 +518,7 @@ func (n *Node) processRecords(records []tracedRecord) error {
 				SourceTsMs:   rec.TimestampMs,
 				DetectedTsMs: n.cfg.Now().UnixMilli(),
 			}
-			// Traced records emit traced warnings, so the context survives
-			// into dissemination and the vehicle can complete the breakdown.
-			value := stream.GetPayload()
-			if traced {
-				value = core.AppendWarningTraced(value, w, tc)
-			} else {
-				value = core.AppendWarning(value, w)
-			}
-			wb.recs = append(wb.recs, stream.BatchRecord{
-				Key: appendCarKey(stream.GetPayload(), rec.Car), Value: value,
-			})
-			wb.meta = append(wb.meta, warnMeta{car: rec.Car, road: int64(rec.Road), pNormal: det.PNormal, tc: tc})
+			wb.add(w, tc)
 		}
 	}
 	if err := n.flushWarnings(wb); err != nil && firstErr == nil {
@@ -514,18 +532,21 @@ func (n *Node) processRecords(records []tracedRecord) error {
 // settles each warning against the broker's answer: an acknowledged one is
 // counted, pushed to the trace ring and logged; a refused one — every one,
 // if the call itself failed — is not, and the first is returned. The broker
-// has copied what it kept, so every buffer is recycled either way.
+// has copied what it kept, so the arena is empty again either way.
 func (n *Node) flushWarnings(wb *warnBatch) error {
-	if len(wb.recs) == 0 {
+	if len(wb.meta) == 0 {
 		return nil
+	}
+	at := 0
+	for _, m := range wb.meta {
+		w := wb.arena[at : at+m.size : at+m.size]
+		wb.recs = append(wb.recs, stream.BatchRecord{Key: w[:m.key:m.key], Value: w[m.key:]})
+		at += m.size
 	}
 	wb.res = append(wb.res[:0], make([]stream.BatchResult, len(wb.recs))...)
 	batchErr := n.outProducer.SendBatch(wb.recs, wb.res)
 	var firstErr error
 	for i, m := range wb.meta {
-		stream.PutPayload(wb.recs[i].Key)
-		stream.PutPayload(wb.recs[i].Value)
-		wb.recs[i] = stream.BatchRecord{}
 		err := batchErr
 		if err == nil {
 			err = wb.res[i].Err
@@ -544,7 +565,8 @@ func (n *Node) flushWarnings(wb *warnBatch) error {
 			"rsu", n.cfg.Name, "car", int64(m.car),
 			"road", m.road, "pNormal", m.pNormal)
 	}
-	wb.recs, wb.meta = wb.recs[:0], wb.meta[:0]
+	clear(wb.recs)
+	wb.arena, wb.meta, wb.recs = wb.arena[:0], wb.meta[:0], wb.recs[:0]
 	return firstErr
 }
 
@@ -628,7 +650,7 @@ func (n *Node) observeSaturation(bs microbatch.BatchStats) {
 // record is stale, and the vehicle's own forwarded summary says it has
 // been behaving. Vehicles without a summary are never shed — absence of
 // evidence is not evidence of safety.
-func (n *Node) shouldShed(rec trace.Record, prior *core.PredictionSummary) bool {
+func (n *Node) shouldShed(rec *trace.Record, prior *core.PredictionSummary) bool {
 	if !n.degraded.Load() || n.cfg.ShedStaleAfter <= 0 || prior == nil {
 		return false
 	}

@@ -59,9 +59,15 @@ func NewRoadProfile(bucketD time.Duration, buckets int, now func() time.Time) *R
 
 // Observe folds one speed sample into the current bucket.
 func (p *RoadProfile) Observe(speedKmh float64) {
+	p.ObserveAt(speedKmh, p.now())
+}
+
+// ObserveAt is Observe into the bucket of the given time, for a caller that
+// folds a batch of samples against one clock reading.
+func (p *RoadProfile) ObserveAt(speedKmh float64, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tick := p.now().UnixNano() / int64(p.bucketD)
+	tick := now.UnixNano() / int64(p.bucketD)
 	b := &p.buckets[tick%int64(len(p.buckets))]
 	if b.tick != tick {
 		*b = profileBucket{tick: tick}

@@ -334,7 +334,7 @@ func TestWarningRefusalsCountAckedOnly(t *testing.T) {
 
 // TestWarningBatchTransportFailure closes the node's connection under it:
 // the whole batch fails, nothing is counted, the error names the first
-// car, and the batch goes back to the pool holding no buffers.
+// car, and the batch goes back to the pool empty.
 func TestWarningBatchTransportFailure(t *testing.T) {
 	_, link, _, _ := trainedDetectors(t)
 	b := stream.NewBroker(stream.BrokerConfig{})
@@ -347,11 +347,7 @@ func TestWarningBatchTransportFailure(t *testing.T) {
 
 	wb := &warnBatch{}
 	for car := trace.CarID(1); car <= 3; car++ {
-		w := core.Warning{Car: car, Road: 7, PNormal: 0.1, SourceTsMs: int64(car)}
-		wb.recs = append(wb.recs, stream.BatchRecord{
-			Key: appendCarKey(stream.GetPayload(), car), Value: core.AppendWarning(stream.GetPayload(), w),
-		})
-		wb.meta = append(wb.meta, warnMeta{car: car, road: 7, pNormal: 0.1})
+		wb.add(core.Warning{Car: car, Road: 7, PNormal: 0.1, SourceTsMs: int64(car)}, obsv.TraceContext{})
 	}
 	err = n.flushWarnings(wb)
 	if err == nil || !strings.HasPrefix(err.Error(), "warn car 1: ") || !errors.Is(err, stream.ErrClientClosed) {
@@ -360,12 +356,12 @@ func TestWarningBatchTransportFailure(t *testing.T) {
 	if got := n.Stats().Warnings; got != 0 {
 		t.Errorf("Stats.Warnings = %d after a failed batch, want 0", got)
 	}
-	if len(wb.recs) != 0 || len(wb.meta) != 0 {
-		t.Errorf("batch not emptied: %d records, %d meta", len(wb.recs), len(wb.meta))
+	if len(wb.recs) != 0 || len(wb.meta) != 0 || len(wb.arena) != 0 {
+		t.Errorf("batch not emptied: %d records, %d meta, %d arena bytes", len(wb.recs), len(wb.meta), len(wb.arena))
 	}
 	for i, r := range wb.recs[:3] {
 		if r.Key != nil || r.Value != nil {
-			t.Errorf("record %d still references its recycled buffers", i)
+			t.Errorf("record %d still references the arena", i)
 		}
 	}
 }

@@ -274,23 +274,50 @@ func (cfg BatchProducerConfig) withDefaults() BatchProducerConfig {
 	return cfg
 }
 
-// BatchProducer accumulates records into pooled buffers and flushes them
-// as batch frames. It is NOT safe for concurrent use — one producer per
-// sending goroutine, like the paper's per-vehicle Kafka producer. The
-// results of a flush are surfaced through the OnResult callback, so a
-// caller can feed its pacer without blocking the add path.
+// BatchProducer accumulates records and flushes them as batch frames. The
+// buffered keys and values live back to back in one arena the producer
+// owns, so a record costs the copy into it and nothing from the payload
+// pool. It is NOT safe for concurrent use — one producer per sending
+// goroutine, like the paper's per-vehicle Kafka producer. The results of a
+// flush are surfaced through the OnResult callback, so a caller can feed
+// its pacer without blocking the add path.
 type BatchProducer struct {
 	client    BatchClient
 	topic     string
 	partition int32
 	cfg       BatchProducerConfig
 
+	// arena holds each buffered record's key, then its value; lens says how
+	// long each is. Offsets, not slices: the arena moves when it grows, so
+	// recs — the views the client is handed — are made at Flush.
+	arena []byte
+	lens  []recLens
 	recs  []BatchRecord
-	bytes int
 	res   []BatchResult
 
 	// OnResult, when set, observes every per-record result at flush.
 	OnResult func(r BatchResult)
+}
+
+// recLens is the key and value length of one record in a batch arena.
+type recLens struct{ key, value int }
+
+// appendBatchViews appends to recs one record per entry of lens, as
+// capacity-clipped views of arena, where they lie key then value. An empty
+// key is nil (round-robin partitioning); a value never is.
+func appendBatchViews(recs []BatchRecord, arena []byte, lens []recLens) []BatchRecord {
+	p := 0
+	for _, l := range lens {
+		var rec BatchRecord
+		if l.key > 0 {
+			rec.Key = arena[p : p+l.key : p+l.key]
+		}
+		p += l.key
+		rec.Value = arena[p : p+l.value : p+l.value]
+		p += l.value
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 // NewBatchProducer binds a batch producer to a topic. partition is
@@ -313,53 +340,56 @@ func NewBatchProducer(client BatchClient, topicName string, partition int32, cfg
 		topic:     topicName,
 		partition: partition,
 		cfg:       cfg,
+		arena:     make([]byte, 0, pooledBufCap),
+		lens:      make([]recLens, 0, cfg.FlushEvery),
 		recs:      make([]BatchRecord, 0, cfg.FlushEvery),
 		res:       make([]BatchResult, cfg.FlushEvery),
 	}, nil
 }
 
-// Add buffers one record, copying key and value into pooled buffers (the
+// Add buffers one record, copying key and value into the batch arena (the
 // caller's slices are free to reuse immediately). It flushes when the
 // batch reaches FlushEvery records or MaxBytes projected frame bytes.
 func (bp *BatchProducer) Add(key, value []byte) error {
-	rec := BatchRecord{Value: append(GetPayload(), value...)}
-	if len(key) > 0 {
-		rec.Key = append(GetPayload(), key...)
-	}
-	bp.recs = append(bp.recs, rec)
-	bp.bytes += 8 + len(key) + len(value)
-	if len(bp.recs) >= bp.cfg.FlushEvery || bp.bytes >= bp.cfg.MaxBytes {
-		return bp.Flush()
-	}
-	return nil
+	bp.arena = append(append(bp.arena, key...), value...)
+	return bp.added(len(key), len(value))
 }
 
-// AddPooled buffers a record whose value is assembled directly into a
-// pooled buffer by encode (e.g. core.AppendRecord), skipping the copy
-// Add would make.
+// AddPooled buffers a record whose value encode assembles (e.g.
+// core.AppendRecord): it is handed the empty tail of the batch arena and
+// appends the wire bytes there, in place of a buffer from the payload pool.
+// An encode that outgrows the tail returns its own buffer, which is copied
+// in.
 func (bp *BatchProducer) AddPooled(key []byte, encode func(dst []byte) []byte) error {
-	rec := BatchRecord{Value: encode(GetPayload())}
-	if len(key) > 0 {
-		rec.Key = append(GetPayload(), key...)
-	}
-	bp.bytes += 8 + len(rec.Key) + len(rec.Value)
-	bp.recs = append(bp.recs, rec)
-	if len(bp.recs) >= bp.cfg.FlushEvery || bp.bytes >= bp.cfg.MaxBytes {
+	bp.arena = append(bp.arena, key...)
+	n := len(bp.arena)
+	value := encode(bp.arena[n:])
+	bp.arena = append(bp.arena, value...) // onto itself when encode wrote in place
+	return bp.added(len(key), len(value))
+}
+
+// added books the record just appended to the arena and flushes a full
+// batch.
+func (bp *BatchProducer) added(key, value int) error {
+	bp.lens = append(bp.lens, recLens{key: key, value: value})
+	if len(bp.lens) >= bp.cfg.FlushEvery || len(bp.arena)+8*len(bp.lens) >= bp.cfg.MaxBytes {
 		return bp.Flush()
 	}
 	return nil
 }
 
 // Len returns the number of buffered (unflushed) records.
-func (bp *BatchProducer) Len() int { return len(bp.recs) }
+func (bp *BatchProducer) Len() int { return len(bp.lens) }
 
-// Flush sends the buffered records as one batch frame and recycles their
-// buffers. Per-record refusals go to OnResult; the returned error is
+// Flush sends the buffered records as one batch frame and empties the
+// arena (the client has copied or written what it sends by the time it
+// returns). Per-record refusals go to OnResult; the returned error is
 // transport-level (the whole batch failed).
 func (bp *BatchProducer) Flush() error {
-	if len(bp.recs) == 0 {
+	if len(bp.lens) == 0 {
 		return nil
 	}
+	bp.recs = appendBatchViews(bp.recs[:0], bp.arena, bp.lens)
 	if cap(bp.res) < len(bp.recs) {
 		bp.res = make([]BatchResult, len(bp.recs))
 	}
@@ -370,13 +400,8 @@ func (bp *BatchProducer) Flush() error {
 	} else {
 		err = bp.client.ProduceBatchInto(bp.topic, bp.partition, bp.recs, res)
 	}
-	for i := range bp.recs {
-		PutPayload(bp.recs[i].Key)
-		PutPayload(bp.recs[i].Value)
-		bp.recs[i] = BatchRecord{}
-	}
-	bp.recs = bp.recs[:0]
-	bp.bytes = 0
+	clear(bp.recs)
+	bp.arena, bp.lens = bp.arena[:0], bp.lens[:0]
 	if err != nil {
 		return err
 	}

@@ -306,7 +306,7 @@ func BenchmarkPartitionLog(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 64 {
-			msgs := l.read(base+int64(i)%(span-64), 64)
+			msgs, _ := l.read(base+int64(i)%(span-64), 64)
 			RecycleMessages(msgs)
 		}
 	})
@@ -358,5 +358,70 @@ func BenchmarkConsumerPollWire(b *testing.B) {
 				RecycleMessages(buf)
 			}
 		})
+	}
+}
+
+// BenchmarkConsumerPollEach is one micro-batch window read the way the
+// RSU node reads it — every message lent to a callback, none copied out —
+// from a broker in the same process and from one behind a pipelined
+// connection. PollInto (plus the recycle its caller owes) is alongside as
+// the owning read it replaced on that path.
+func BenchmarkConsumerPollEach(b *testing.B) {
+	const window, partitions = 256, 3
+	recs := make([]BatchRecord, window)
+	for i := range recs {
+		recs[i] = BatchRecord{Key: []byte(fmt.Sprintf("car-%d", i%64)), Value: make([]byte, 200)}
+	}
+	for _, remote := range []bool{false, true} {
+		for _, lent := range []bool{true, false} {
+			name := map[bool]string{false: "inproc", true: "wire"}[remote] + "/" + map[bool]string{true: "PollEach", false: "PollInto"}[lent]
+			b.Run(name, func(b *testing.B) {
+				broker := NewBroker(BrokerConfig{MaxRetainedPerPartition: 4096})
+				if err := broker.CreateTopic("t", partitions); err != nil {
+					b.Fatal(err)
+				}
+				var client Client = NewInProcClient(broker)
+				if remote {
+					s, err := NewServer(broker, "127.0.0.1:0")
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer s.Close()
+					conn, err := Dial(s.Addr())
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer conn.Close()
+					client = conn
+				}
+				c, err := NewConsumer(client, "t", 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var buf []Message
+				var bytes int
+				visit := func(m Message) { bytes += len(m.Value) }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if err := broker.ProduceBatch("t", AutoPartition, recs, func(int, int32, int64, error) {}); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					n := 0
+					if lent {
+						n, err = c.PollEach(8192, visit)
+					} else {
+						buf, err = c.PollInto(buf[:0], 8192)
+						n = len(buf)
+						RecycleMessages(buf)
+					}
+					if err != nil || n != window {
+						b.Fatalf("poll returned %d messages, %v", n, err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -407,8 +407,9 @@ func (b *Broker) ProduceBatch(topicName string, partition int32, recs []BatchRec
 	return nil
 }
 
-// Fetch reads up to max messages from a partition starting at offset.
-func (b *Broker) Fetch(topicName string, partition int32, offset int64, max int) ([]Message, error) {
+// readablePartition resolves the log a fetch reads, or the reason it
+// cannot.
+func (b *Broker) readablePartition(topicName string, partition int32) (*partitionLog, error) {
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -425,17 +426,44 @@ func (b *Broker) Fetch(topicName string, partition int32, offset int64, max int)
 	if b.partitionDown(topicName, partition) {
 		return nil, fmt.Errorf("%w: %q/%d", ErrPartitionDown, topicName, partition)
 	}
-	msgs := t.partitions[partition].read(offset, max)
-	var bytes int64
-	for i := range msgs {
-		bytes += int64(msgs[i].WireSize())
-	}
+	return t.partitions[partition], nil
+}
+
+// fetched books n messages of the given wire size as read.
+func (b *Broker) fetched(n int, bytes int64) {
 	b.bytesOut.Add(bytes)
 	if b.mFetchedMsgs != nil {
-		b.mFetchedMsgs.Add(int64(len(msgs)))
+		b.mFetchedMsgs.Add(int64(n))
 		b.mFetchedBytes.Add(bytes)
 	}
+}
+
+// Fetch reads up to max messages from a partition starting at offset. The
+// caller owns the messages' Key and Value buffers (see pool.go).
+func (b *Broker) Fetch(topicName string, partition int32, offset int64, max int) ([]Message, error) {
+	pl, err := b.readablePartition(topicName, partition)
+	if err != nil {
+		return nil, err
+	}
+	msgs, bytes := pl.read(offset, max)
+	b.fetched(len(msgs), bytes)
 	return msgs, nil
+}
+
+// FetchEach is Fetch without the copies: it lends fn each message in
+// offset order and returns how many there were. Key and Value are views of
+// the partition log, good only until fn returns, and fn runs under the
+// partition lock: it must not keep them and must not call back into the
+// broker. Everything else — the below-base clamp, flow credits, byte
+// accounting — is Fetch's.
+func (b *Broker) FetchEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error) {
+	pl, err := b.readablePartition(topicName, partition)
+	if err != nil {
+		return 0, err
+	}
+	n, bytes := pl.scan(offset, max, fn)
+	b.fetched(n, bytes)
+	return n, nil
 }
 
 // HighWaterMark returns the next offset to be assigned in a partition.

@@ -47,6 +47,13 @@ func (c *InProcClient) Fetch(topicName string, partition int32, offset int64, ma
 	return c.broker.Fetch(topicName, partition, offset, max)
 }
 
+// FetchEach lends fn the messages Fetch would return, as views of the
+// broker's log (Broker.FetchEach): what lets a Consumer's PollEach read an
+// in-process broker without a copy.
+func (c *InProcClient) FetchEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error) {
+	return c.broker.FetchEach(topicName, partition, offset, max, fn)
+}
+
 // PartitionCount implements Client.
 func (c *InProcClient) PartitionCount(topicName string) (int, error) {
 	return c.broker.PartitionCount(topicName)

@@ -19,12 +19,28 @@ type Consumer struct {
 	totalBytes int64
 	totalMsgs  int64
 	inflight   []pendingFetch // pollPipelinedLocked scratch
+
+	// Where the poll in progress delivers: PollEach's callback, or the
+	// slice PollInto appends to. lastOffset is the offset of the last
+	// message delivered. lend is deliverLocked for borrowed messages, bound
+	// once: a method value made per fetch would be an allocation per fetch.
+	each       func(Message)
+	into       []Message
+	lastOffset int64
+	lend       func(Message)
 }
 
 // pendingFetch is a fetch between issue and await, or the issue's error.
 type pendingFetch struct {
 	ch  chan pipeResp
 	err error
+}
+
+// lender is a Client that can lend a fetch's messages as views of where
+// they already are (InProcClient: the broker's partition log) instead of
+// returning clones.
+type lender interface {
+	FetchEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error)
 }
 
 // NewConsumer creates a consumer positioned at the given start offset on
@@ -58,28 +74,78 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 // PollInto is Poll appending into a caller-supplied slice, so a steady
 // drain loop can reuse one backing array: msgs = msgs[:0] each round, then
 // msgs, err = c.PollInto(msgs, max). Ownership of the messages' payload
-// buffers is the same as Poll's. A pipelined TCPClient is asked for every
-// partition in one round (pollPipelinedLocked); any other client for one
-// partition after another.
+// buffers is the same as Poll's.
 func (c *Consumer) PollInto(dst []Message, max int) ([]Message, error) {
 	if max <= 0 {
 		return dst, nil
 	}
+	_, dst, err := c.poll(max, nil, dst)
+	return dst, err
+}
+
+// PollEach is PollInto for a reader that decodes and moves on: the same
+// partitions in the same order, the same offsets and Received() afterwards,
+// but each message is lent to fn instead of returned, and PollEach returns
+// how many were. A message's Key and Value are borrowed for the call — views
+// of the broker's partition log (in process) or of the fetch response frame
+// (pipelined TCP), with no copy made for the consumer. fn must copy what it
+// keeps, must not recycle them, and must not call into the broker or this
+// consumer: it may run under the partition's lock. The cad3_checks build
+// hands fn a scratch copy and poisons it afterwards, so a view that is kept
+// reads 0xDB.
+func (c *Consumer) PollEach(max int, fn func(Message)) (int, error) {
+	if max <= 0 {
+		return 0, nil
+	}
+	n, _, err := c.poll(max, fn, nil)
+	return n, err
+}
+
+// poll is one poll behind PollInto and PollEach: up to max messages, a
+// partition after another from the round-robin cursor, each delivered
+// through deliverLocked — lent to each, or else appended to into, which
+// comes back. A pipelined TCPClient is asked for every partition in one
+// round (pollPipelinedLocked); a lender lends its log; any other client's
+// Fetch returns messages the consumer owns, which PollInto passes on and
+// PollEach recycles once fn has seen them — so a wrapper that draws a fault
+// per fetch sees the same fetches either way.
+func (c *Consumer) poll(max int, each func(Message), into []Message) (int, []Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
+	if c.lend == nil {
+		c.lend = func(m Message) { c.deliverLocked(m, true) }
+	}
+	c.each, c.into = each, into
 	n := len(c.offsets)
 	start := c.next
 	c.next = (c.next + 1) % n
-	if tc, ok := c.client.(*TCPClient); ok && tc.Pipelined() {
-		return c.pollPipelinedLocked(tc, start, dst, max)
-	}
-	out := dst
+	got, tried := 0, 0
 	var firstErr error
-	for tried := 0; tried < n && len(out)-len(dst) < max; tried++ {
+	if tc, ok := c.client.(*TCPClient); ok && tc.Pipelined() {
+		got, firstErr = c.pollPipelinedLocked(tc, start, max)
+		tried = n // in that one round
+	}
+	lends, _ := c.client.(lender)
+	for ; tried < n && got < max; tried++ {
 		part := int32((start + tried) % n)
-		//cad3:allow lockdiscipline c.mu must cover the fetch (and the pipelined round that stands in for it): SwapClient's failover contract (documented there) requires that a swap never interleaves with a poll advancing offsets
-		msgs, err := c.client.Fetch(c.topic, part, c.offsets[part], max-(len(out)-len(dst)))
+		var k int
+		var err error
+		if lends != nil {
+			k, err = lends.FetchEach(c.topic, part, c.offsets[part], max-got, c.lend)
+		} else {
+			var msgs []Message
+			//cad3:allow lockdiscipline c.mu must cover the fetch (and the lent read or pipelined round that stands in for it): SwapClient's failover contract (documented there) requires that a swap never interleaves with a poll advancing offsets
+			msgs, err = c.client.Fetch(c.topic, part, c.offsets[part], max-got)
+			if err == nil {
+				for i := range msgs {
+					c.deliverLocked(msgs[i], false)
+				}
+				if each != nil {
+					RecycleMessages(msgs)
+				}
+				k = len(msgs)
+			}
+		}
 		if err != nil {
 			// Keep draining the healthy partitions; report the first
 			// failure so callers can degrade gracefully.
@@ -88,22 +154,23 @@ func (c *Consumer) PollInto(dst []Message, max int) ([]Message, error) {
 			}
 			continue
 		}
-		c.consumedLocked(part, msgs)
-		out = append(out, msgs...)
+		c.consumedLocked(part, k)
+		got += k
 	}
-	return out, firstErr
+	into, c.each, c.into = c.into, nil, nil
+	return got, into, firstErr
 }
 
-// pollPipelinedLocked returns what PollInto's one-by-one loop returns, in
-// one round trip: it issues a fetch per partition in round-robin order,
+// pollPipelinedLocked delivers what poll's one-by-one loop delivers,
+// in one round trip: it issues a fetch per partition in round-robin order,
 // each asking for all that is still wanted, then awaits them in that order
-// and keeps from each only what is still wanted by then. The surplus is
-// dropped undecoded and its offsets stay put, so the next poll reads it
-// again (consuming it would return more than max). The first fetch of a
-// round waits for the connection's window and the rest stop at a full one,
-// which leaves a topic with more partitions than that to further rounds.
-func (c *Consumer) pollPipelinedLocked(tc *TCPClient, start int, dst []Message, max int) ([]Message, error) {
-	out := dst
+// and lends from each response frame only what is still wanted by then. The
+// surplus is dropped undecoded and its offsets stay put, so the next poll
+// reads it again (consuming it would return more than max). The first fetch
+// of a round waits for the connection's window and the rest stop at a full
+// one, which leaves a topic with more partitions than that to further
+// rounds.
+func (c *Consumer) pollPipelinedLocked(tc *TCPClient, start, max int) (int, error) {
 	var firstErr error
 	n := len(c.offsets)
 	want := max // messages still wanted
@@ -119,9 +186,14 @@ func (c *Consumer) pollPipelinedLocked(tc *TCPClient, start int, dst []Message, 
 		}
 		for i, pf := range c.inflight {
 			part := int32((start + tried + i) % n)
-			from, err := len(out), pf.err
+			k, err := 0, pf.err
 			if err == nil {
-				out, err = tc.fetchAwait(pf.ch, c.topic, out, want)
+				var dec wireDecoder
+				if dec, err = tc.fetchAwait(pf.ch); err == nil {
+					k = dec.eachMessage(c.topic, want, c.lend)
+					err = dec.err
+					dec.release()
+				}
 			}
 			if err != nil {
 				// The one-by-one loop stops fetching once it has max, so a
@@ -131,24 +203,39 @@ func (c *Consumer) pollPipelinedLocked(tc *TCPClient, start int, dst []Message, 
 				}
 				continue
 			}
-			c.consumedLocked(part, out[from:])
-			want -= len(out) - from
+			c.consumedLocked(part, k)
+			want -= k
 		}
 		tried += len(c.inflight)
 	}
-	return out, firstErr
+	return max - want, firstErr
 }
 
-// consumedLocked books one partition's messages as returned to the caller.
-func (c *Consumer) consumedLocked(part int32, msgs []Message) {
-	if len(msgs) == 0 {
+// deliverLocked books one message as consumed and hands it on: lent to
+// PollEach's callback, or appended to PollInto's slice — as a pooled clone
+// when it is borrowed, since PollInto's caller owns what it gets.
+func (c *Consumer) deliverLocked(m Message, borrowed bool) {
+	c.lastOffset = m.Offset
+	c.totalBytes += int64(m.WireSize())
+	c.totalMsgs++
+	if c.each != nil {
+		m = guardLend(m)
+		c.each(m)
+		guardReclaim(m)
 		return
 	}
-	c.offsets[part] = msgs[len(msgs)-1].Offset + 1
-	for i := range msgs {
-		c.totalBytes += int64(msgs[i].WireSize())
+	if borrowed {
+		m = m.owning()
 	}
-	c.totalMsgs += int64(len(msgs))
+	c.into = append(c.into, m)
+}
+
+// consumedLocked moves a partition's offset past the k messages it just
+// delivered.
+func (c *Consumer) consumedLocked(part int32, k int) {
+	if k > 0 {
+		c.offsets[part] = c.lastOffset + 1
+	}
 }
 
 // SwapClient rebinds the consumer to a new client — the failover path

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 	"time"
@@ -178,13 +179,18 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msgType, payload, err := readFrame(bytes.NewReader(data), DefaultMaxFrameSize)
+		// Plain and buffered readers take different paths to the length
+		// prefix; both must agree on what the bytes are.
+		frame, err := readFrame(bytes.NewReader(data), DefaultMaxFrameSize)
+		buffered, berr := readFrame(bufio.NewReader(bytes.NewReader(data)), DefaultMaxFrameSize)
+		if (err == nil) != (berr == nil) || !bytes.Equal(frame, buffered) {
+			t.Fatalf("plain reader: %d bytes, %v; buffered: %d bytes, %v", len(frame), err, len(buffered), berr)
+		}
 		if err != nil {
 			return
 		}
-		if len(payload) > len(data) {
-			t.Fatalf("payload %d bytes from %d-byte input", len(payload), len(data))
+		if len(frame) == 0 || len(frame) > len(data)-4 {
+			t.Fatalf("frame body %d bytes from %d-byte input", len(frame), len(data))
 		}
-		_ = msgType
 	})
 }

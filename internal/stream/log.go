@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,9 +18,10 @@ import (
 // Storage is a slab: record bytes (key, then value) are copied once into
 // fixed-size chunks the log owns, and a compact index entry per record
 // says where they are. Every writer — append, appendBatch, appendReplica,
-// RestoreBroker — goes through storeLocked; readers copy out of the
-// chunks (read, snapshot) or, for the leader push, borrow views of them
-// (append's stored record). Retention drops index entries and hands the
+// RestoreBroker — goes through storeLocked; readers borrow views of the
+// chunks under the partition lock (scan, which read clones from) or copy
+// out of them (snapshot), and the leader push borrows append's stored
+// record. Retention drops index entries and hands the
 // chunks they wholly vacate to a spare list the next appends draw from,
 // so a full log at steady state allocates nothing.
 //
@@ -255,42 +257,71 @@ func (l *partitionLog) creditThroughLocked(offset int64) {
 	l.credited = offset
 }
 
-// read returns up to max messages starting at offset. Reading below the
-// base offset (truncated history) transparently resumes at the base, like
-// a Kafka consumer resetting to earliest. Reading at or past the high
-// watermark returns an empty slice.
-func (l *partitionLog) read(offset int64, max int) []Message {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// windowLocked clamps a read of up to max records at offset to the index
+// positions [start, end) it covers. Reading below the base offset
+// (truncated history) transparently resumes at the base, like a Kafka
+// consumer resetting to earliest; reading at or past the high watermark
+// covers nothing.
+func (l *partitionLog) windowLocked(offset int64, max int) (start, end int) {
 	if offset < l.base {
 		offset = l.base
 	}
-	start := int(offset - l.base)
-	if start >= len(l.index) || max <= 0 {
-		return nil
+	if max <= 0 || offset-l.base >= int64(len(l.index)) {
+		return 0, 0
 	}
-	end := start + max
-	if end > len(l.index) {
-		end = len(l.index)
+	start = int(offset - l.base)
+	end = len(l.index)
+	if max < end-start {
+		end = start + max
 	}
-	out := make([]Message, end-start)
-	for i := range out {
-		e := l.index[start+i]
-		k, v := l.viewLocked(e)
-		// Pooled clones: the reader owns them and may return them via
-		// RecycleMessages once decoded.
-		out[i] = Message{
-			Topic:      l.topic,
-			Partition:  l.partition,
-			Offset:     offset + int64(i),
-			Key:        pooledClone(k),
-			Value:      pooledClone(v),
-			AppendedAt: time.Unix(0, e.at),
-		}
+	return start, end
+}
+
+// scanLocked is the one read loop: it hands fn the records at index
+// positions [start, end) as messages whose Key and Value are
+// capacity-clipped views of the chunk, and reports how many there were and
+// their wire size. The views are only good inside fn: once the partition
+// lock is let go, retention may hand the chunk to later appends. A read
+// that covers anything credits the gate — the furthest-ahead reader drains
+// the queue.
+func (l *partitionLog) scanLocked(start, end int, fn func(Message)) (n int, bytes int64) {
+	if end <= start {
+		return 0, 0
 	}
-	// Fetch credits: the furthest-ahead reader drains the queue.
+	m := Message{Topic: l.topic, Partition: l.partition}
+	for i := start; i < end; i++ {
+		e := l.index[i]
+		m.Offset = l.base + int64(i)
+		m.Key, m.Value = l.viewLocked(e)
+		m.AppendedAt = time.Unix(0, e.at)
+		bytes += int64(m.WireSize())
+		fn(m)
+	}
 	l.creditThroughLocked(l.base + int64(end))
-	return out
+	return end - start, bytes
+}
+
+// scan lends fn up to max records starting at offset, under the partition
+// lock: fn must not keep the views it is handed and must not call back
+// into the broker.
+func (l *partitionLog) scan(offset int64, max int, fn func(Message)) (n int, bytes int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	start, end := l.windowLocked(offset, max)
+	return l.scanLocked(start, end, fn)
+}
+
+// read is scan for a reader that keeps what it reads: the records come
+// back as messages owning pooled clones of key and value, which the reader
+// may return via RecycleMessages once decoded, with their wire size.
+// Nothing to read is nil.
+func (l *partitionLog) read(offset int64, max int) (out []Message, bytes int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	start, end := l.windowLocked(offset, max)
+	out = slices.Grow(out, end-start)
+	_, bytes = l.scanLocked(start, end, func(m Message) { out = append(out, m.owning()) })
+	return out, bytes
 }
 
 // highWaterMark returns the offset the next append will receive.

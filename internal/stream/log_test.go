@@ -20,6 +20,7 @@ type refLog struct {
 	maxRetained         int
 	maxAge              time.Duration
 	occupancy, credited int64
+	bytesOut            int64 // wire size of everything read since the last restore
 }
 
 func refClone(b []byte) []byte {
@@ -134,6 +135,7 @@ func (r *refLog) restore(maxRetained int) {
 	}
 	r.maxRetained = maxRetained
 	r.credited, r.occupancy = r.base, int64(len(r.msgs))
+	r.bytesOut = 0 // a restored broker counts from zero
 }
 
 // sameBytes compares content and nil-ness.
@@ -254,7 +256,20 @@ func runLogDifferential(t *testing.T, data []byte) {
 			}
 		case 4: // read: below base, inside, at and past the high watermark
 			offset, max := ref.base-2+int64(in.next()%32), in.next()%12-1
-			got, err := b.Fetch(TopicOutData, 0, offset, max)
+			// Every other read borrows (FetchEach, the scan path) instead of
+			// cloning (Fetch, the read path): same records, same credits,
+			// same bytes booked as read.
+			var got []Message
+			var err error
+			if step%2 == 1 {
+				var n int
+				n, err = b.FetchEach(TopicOutData, 0, offset, max, func(m Message) { got = append(got, owned(m)) })
+				if n != len(got) {
+					t.Fatalf("%s: FetchEach reported %d records and lent %d", what, n, len(got))
+				}
+			} else {
+				got, err = b.Fetch(TopicOutData, 0, offset, max)
+			}
 			if err != nil {
 				t.Fatalf("%s: fetch: %v", what, err)
 			}
@@ -266,8 +281,11 @@ func runLogDifferential(t *testing.T, data []byte) {
 				if !sameMessage(got[i], want[i]) {
 					t.Fatalf("%s: fetch(%d, %d)[%d] = %+v, want %+v", what, offset, max, i, got[i], want[i])
 				}
+				ref.bytesOut += int64(want[i].WireSize())
 			}
-			RecycleMessages(got)
+			if step%2 == 0 {
+				RecycleMessages(got)
+			}
 		case 5, 6:
 			clock = clock.Add(time.Duration(in.next()%20) * time.Millisecond)
 		case 7: // snapshot -> restore, sometimes into a tighter bound
@@ -287,7 +305,8 @@ func runLogDifferential(t *testing.T, data []byte) {
 
 // requireLogMatches compares the whole log with the reference without
 // reading through it (a read moves credits): offsets, bytes, nil-ness,
-// append times, base, high watermark, gate occupancy, and the slab's own
+// append times, base, high watermark, gate occupancy, bytes read so far
+// (lent or cloned alike), and the slab's own
 // invariant that the live chunks are exactly the ones the index uses.
 func requireLogMatches(t *testing.T, what string, b *Broker, ref *refLog) {
 	t.Helper()
@@ -299,6 +318,9 @@ func requireLogMatches(t *testing.T, what string, b *Broker, ref *refLog) {
 	}
 	if occ := l.gate.Occupancy(); occ != ref.occupancy {
 		t.Fatalf("%s: gate occupancy %d, reference %d", what, occ, ref.occupancy)
+	}
+	if out := b.BytesOut(); out != ref.bytesOut {
+		t.Fatalf("%s: %d B booked as read, reference %d", what, out, ref.bytesOut)
 	}
 	for i, e := range l.index {
 		k, v := l.viewLocked(e)

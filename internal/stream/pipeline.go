@@ -33,12 +33,11 @@ func errUnexpectedResponse(msgType byte) error {
 	return fmt.Errorf("stream: unexpected response type %d", msgType)
 }
 
-// pipeResp is one response delivered to a waiter. buf is the pooled
-// frame payload past the correlation ID; the waiter releases it.
+// pipeResp is one response delivered to a waiter: the whole pooled frame
+// body (type byte, correlation ID, payload), which the waiter releases.
 type pipeResp struct {
-	msgType byte
-	buf     []byte
-	err     error
+	frame []byte
+	err   error
 }
 
 // pipeWaiter is one in-flight request: the correlation ID it was issued
@@ -114,15 +113,16 @@ func newTCPClient(conn net.Conn, cfg DialConfig) (*TCPClient, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("stream hello write: %w", err)
 	}
-	msgType, payload, err := readFrame(conn, c.maxFrame)
+	frame, err := readFrame(conn, c.maxFrame)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("stream hello read: %w", err)
 	}
+	msgType, payload := frame[0], frame[1:]
 	switch {
 	case msgType == respHello && len(payload) >= helloBodySize:
 		version, peerMax, _ := readHelloBody(payload)
-		putFrame(payload)
+		putFrame(frame)
 		if peerMax > 0 {
 			c.peerMax = peerMax
 		}
@@ -132,10 +132,10 @@ func newTCPClient(conn net.Conn, cfg DialConfig) (*TCPClient, error) {
 	case msgType == respError:
 		// Pre-v2 server: it rejected the hello as an unknown request and
 		// is ready for the next synchronous request on this connection.
-		putFrame(payload)
+		putFrame(frame)
 		return c, nil
 	default:
-		putFrame(payload)
+		putFrame(frame)
 		_ = conn.Close()
 		return nil, fmt.Errorf("stream hello: unexpected response type %d", msgType)
 	}
@@ -161,7 +161,7 @@ func (c *TCPClient) readLoop() {
 			return
 		default:
 		}
-		msgType, payload, err := readFrame(p.br, c.maxFrame)
+		frame, err := readFrame(p.br, c.maxFrame)
 		if err != nil {
 			select {
 			case <-p.stop:
@@ -171,17 +171,17 @@ func (c *TCPClient) readLoop() {
 			p.fail(err)
 			return
 		}
-		if len(payload) < corrSize {
-			putFrame(payload)
+		if len(frame) < 1+corrSize {
+			putFrame(frame)
 			p.fail(errors.New("stream: v2 frame missing correlation ID"))
 			_ = c.conn.Close()
 			return
 		}
-		corr := binary.BigEndian.Uint32(payload)
+		corr := binary.BigEndian.Uint32(frame[1:])
 		p.mu.Lock()
 		if p.head == p.tail {
 			p.mu.Unlock()
-			putFrame(payload)
+			putFrame(frame)
 			p.fail(errors.New("stream: response with no request in flight"))
 			_ = c.conn.Close()
 			return
@@ -190,13 +190,13 @@ func (c *TCPClient) readLoop() {
 		p.head++
 		p.mu.Unlock()
 		if w.corr != corr {
-			putFrame(payload)
+			putFrame(frame)
 			w.ch <- pipeResp{err: fmt.Errorf("stream: correlation mismatch: got %d want %d", corr, w.corr)}
 			p.fail(errors.New("stream: correlation mismatch"))
 			_ = c.conn.Close()
 			return
 		}
-		w.ch <- pipeResp{msgType: msgType, buf: payload[corrSize:]}
+		w.ch <- pipeResp{frame: frame}
 	}
 }
 
@@ -272,8 +272,8 @@ func (p *pipeState) release(ch chan pipeResp) {
 //
 //cad3:noalloc
 func (p *pipeState) abandon(ch chan pipeResp) {
-	if r := <-ch; r.buf != nil {
-		putFrame(r.buf)
+	if r := <-ch; r.frame != nil {
+		putFrame(r.frame)
 	}
 	p.release(ch)
 }
@@ -355,13 +355,13 @@ func (c *TCPClient) pipeAwait(ch chan pipeResp) (byte, wireDecoder, error) {
 	if r.err != nil {
 		return 0, wireDecoder{}, c.pipe.brokenErr(r.err)
 	}
-	dec := wireDecoder{buf: r.buf}
-	if r.msgType == respError {
+	dec := frameDecoder(r.frame, true)
+	if r.frame[0] == respError {
 		msg := dec.str()
 		dec.release()
 		return 0, wireDecoder{}, remoteError(msg)
 	}
-	return r.msgType, dec, nil
+	return r.frame[0], dec, nil
 }
 
 // pipeCall runs one fully-encoded request/response cycle. encodeLocked
@@ -493,25 +493,21 @@ func (c *TCPClient) fetchIssue(topicName string, partition int32, offset int64, 
 	return ch, nil
 }
 
-// fetchAwait collects an issued fetch, appending at most limit of the
-// answered messages to dst. What lies past limit is never cloned out of
-// the frame, so a caller that asked several partitions for the same
-// remainder drops its surplus at no cost.
+// fetchAwait collects an issued fetch and returns the decoder at the
+// answer's message list, for the caller to clone from (messages) or lend
+// views of (eachMessage) and then release.
 //
 //cad3:noalloc
-func (c *TCPClient) fetchAwait(ch chan pipeResp, topicName string, dst []Message, limit int) ([]Message, error) {
+func (c *TCPClient) fetchAwait(ch chan pipeResp) (wireDecoder, error) {
 	msgType, dec, err := c.pipeAwait(ch)
 	if err != nil {
-		return dst, err
+		return wireDecoder{}, err
 	}
 	if msgType != respFetch {
 		dec.release()
-		return dst, errUnexpectedResponse(msgType)
+		return wireDecoder{}, errUnexpectedResponse(msgType)
 	}
-	dst = dec.messages(dst, topicName, limit)
-	err = dec.err
-	dec.release()
-	return dst, err
+	return dec, nil
 }
 
 // listTopicsPipe is ListTopics on a pipelined connection.

@@ -426,7 +426,7 @@ func TestPipelineTimeoutPoisonsConnection(t *testing.T) {
 		}
 		defer conn.Close()
 		// Read the client hello, answer v2, then go silent.
-		if _, _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
+		if _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
 			return
 		}
 		var enc wireEncoder

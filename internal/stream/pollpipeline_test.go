@@ -47,7 +47,7 @@ func fakeV2Server(t testing.TB, serve func(conn net.Conn)) string {
 			return
 		}
 		defer conn.Close()
-		if _, _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
+		if _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
 			return
 		}
 		var enc wireEncoder
@@ -243,11 +243,11 @@ func TestPipelinedPollConnectionKilledBeforeAnswers(t *testing.T) {
 	const partitions = 3
 	addr := fakeV2Server(t, func(conn net.Conn) {
 		for i := 0; i < partitions; i++ {
-			msgType, payload, err := readFrame(conn, DefaultMaxFrameSize)
-			if err != nil || msgType != reqFetch {
+			frame, err := readFrame(conn, DefaultMaxFrameSize)
+			if err != nil || frame[0] != reqFetch {
 				return
 			}
-			putFrame(payload)
+			putFrame(frame)
 		}
 		// All issued, none answered: hang up.
 	})
@@ -321,13 +321,15 @@ func TestSharedConnectionPollsDoNotStarveEachOther(t *testing.T) {
 // cannedFetchServer answers the hello, then every request frame with the
 // same respFetch body under the request's correlation ID, allocating
 // nothing per request — so that a process-wide allocation count over a poll
-// is the client's alone.
-func cannedFetchServer(t testing.TB, msgs []Message) string {
+// is the client's alone. A cut above zero ends the frame that many bytes
+// early, inside its message list.
+func cannedFetchServer(t testing.TB, msgs []Message, cut int) string {
 	t.Helper()
 	var enc wireEncoder
 	enc.v2 = true
 	enc.reset(respFetch)
 	enc.messages(msgs)
+	enc.buf = enc.buf[:len(enc.buf)-cut]
 	resp := append([]byte(nil), enc.frame()...)
 	return fakeV2Server(t, func(conn net.Conn) {
 		req := make([]byte, 4096)
@@ -347,13 +349,12 @@ func cannedFetchServer(t testing.TB, msgs []Message) string {
 	})
 }
 
-// TestPollIntoSteadyStateAllocs pins what a warm poll costs the allocator
-// on the client's side of a loopback connection: at most two allocations
-// per partition, both the reader goroutine's (readFrame's length buffer
-// escapes through its io.Reader, and the frame pool misses when it is
-// handed back a payload view that starts past the buffer's first bytes).
-// Issue, await and decode add none — no closure per fetch, no message
-// slice per answer, and payload clones come from the pool.
+// TestPollIntoSteadyStateAllocs pins what a warm poll costs the allocator on
+// the client's side of a loopback connection: nothing, whether the messages
+// are lent out of the response frames or returned as pooled clones. Issue,
+// await and decode add no closure per fetch and no message slice per
+// answer, the reader goroutine reads the length prefix in place, and the
+// frame pool gets whole frame bodies back.
 func TestPollIntoSteadyStateAllocs(t *testing.T) {
 	if PoolGuard {
 		t.Skip("the pool guard records a call chain per recycle")
@@ -364,25 +365,34 @@ func TestPollIntoSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < perFetch; i++ {
 			canned = append(canned, Message{Topic: "t", Offset: int64(i), Key: []byte("car-1"), Value: make([]byte, 200)})
 		}
-		tc, err := Dial(cannedFetchServer(t, canned))
+		tc, err := Dial(cannedFetchServer(t, canned, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tc.Close()
 		c := &Consumer{client: tc, topic: "t", offsets: make([]int64, partitions)}
 		var buf []Message
-		poll := func() {
+		pollInto := func() {
 			buf, err = c.PollInto(buf[:0], 64)
 			if err != nil || len(buf) != partitions*perFetch {
 				t.Fatalf("PollInto = %d messages, %v; want %d", len(buf), err, partitions*perFetch)
 			}
 			RecycleMessages(buf)
 		}
-		for i := 0; i < 20; i++ {
-			poll() // warm the frame and payload pools
+		lent := 0
+		count := func(Message) { lent++ }
+		pollEach := func() {
+			if n, err := c.PollEach(64, count); err != nil || n != partitions*perFetch {
+				t.Fatalf("PollEach = %d messages, %v; want %d", n, err, partitions*perFetch)
+			}
 		}
-		if allocs := testing.AllocsPerRun(200, poll); allocs > 2*partitions {
-			t.Errorf("PollInto, %d messages a fetch: %v allocs/op, want <= %d (the reader's, two per answer)", perFetch, allocs, 2*partitions)
+		for name, poll := range map[string]func(){"PollInto": pollInto, "PollEach": pollEach} {
+			for i := 0; i < 20; i++ {
+				poll() // warm the frame and payload pools
+			}
+			if allocs := testing.AllocsPerRun(200, poll); allocs != 0 {
+				t.Errorf("%s, %d messages a fetch: %v allocs/op, want 0", name, perFetch, allocs)
+			}
 		}
 	}
 }

@@ -1,24 +1,44 @@
 package stream
 
-// Payload buffer pooling. The telemetry fast path produces and consumes
-// hundreds of small (~200 B) messages per simulated second; recycling
-// their backing buffers through a bounded free list keeps the producers'
-// encode buffers and the consumers' clones off the allocator.
+// Payload buffer pooling. The telemetry fast path moves hundreds of small
+// (~200 B) messages per simulated second. Most of them never meet this
+// pool: a producer's batch and the broker's log each own their bytes in one
+// piece, and a reader that decodes and moves on borrows them where they
+// lie. The pool serves what is left — a reader that keeps whole messages,
+// and one-off sends.
 //
 // Ownership contract:
 //
 //   - The broker holds no pooled buffers. Produce copies the payload
 //     straight into a chunk its partition log owns (log.go); retention
 //     reuses whole chunks, never handing record bytes back to this pool.
-//   - Messages returned by Fetch/Poll/PollInto own their Key and Value
-//     buffers: pooled clones of the log's bytes, which later appends,
-//     evictions and chunk reuse never touch. A consumer that has finished
-//     with them MAY hand them back with RecycleMessages; one that retains
-//     them (or does nothing) simply leaves them to the garbage collector.
-//     Never recycle a message whose Key/Value still alias live data.
+//   - A batch in the making holds none either: BatchProducer.Add/AddPooled
+//     (and the RSU node's warning batch) encode keys and values into one
+//     arena the batch owns and hand the client views of it at Flush; the
+//     client has copied or written them by the time it returns.
+//   - Borrowed reads: a message handed to a Consumer.PollEach /
+//     Broker.FetchEach callback is lent for that call only. Its Key and
+//     Value are views of the partition log (read under the partition's
+//     lock) or of the fetch response frame (released after the callback),
+//     and the next append, eviction or frame overwrites them. The callback
+//     must copy what it keeps, must not hand them to PutPayload or
+//     RecycleMessages, and must not call back into the broker or the
+//     consumer. cad3-vet's poolsafety reports a recycle of a lent message;
+//     the cad3_checks build lends a scratch copy and fills it with 0xDB
+//     when the callback returns, so a view that was kept reads poison.
+//   - Owned reads: messages returned by Fetch/Poll/PollInto own their Key
+//     and Value buffers: pooled clones, which later appends, evictions and
+//     chunk reuse never touch. A consumer that has finished with them MAY
+//     hand them back with RecycleMessages; one that retains them (or does
+//     nothing) simply leaves them to the garbage collector. Never recycle
+//     a message whose Key/Value still alias live data.
 //   - Buffers obtained from GetPayload are returned with PutPayload once
 //     the payload has been handed to Send/Produce (the broker and the TCP
 //     client both copy before returning).
+//   - Wire frames: readFrame leases a whole frame body from the frame pool
+//     and putFrame takes the whole body back — never a view past its
+//     header, which would come back too short for the next frame of the
+//     same size.
 
 const (
 	// pooledBufCap is the capacity of freshly minted pooled payload
@@ -83,6 +103,13 @@ func RecycleMessages(msgs []Message) {
 		PutPayload(msgs[i].Value)
 		msgs[i].Key, msgs[i].Value = nil, nil
 	}
+}
+
+// owning returns a lent message as one its holder owns: Key and Value
+// cloned into pooled buffers, which RecycleMessages may take back.
+func (m Message) owning() Message {
+	m.Key, m.Value = pooledClone(m.Key), pooledClone(m.Value)
+	return m
 }
 
 // pooledClone deep-copies b into a pooled buffer (nil stays nil).

@@ -81,3 +81,34 @@ func guardRetract(b []byte) {
 func guardLease(b []byte) {
 	guardRetract(b)
 }
+
+// lentPoison overwrites a lent message once its PollEach callback returns.
+const lentPoison = 0xDB
+
+// guardLend stands in for a message PollEach is about to lend: the callback
+// gets scratch copies of Key and Value, which guardReclaim poisons when it
+// returns. A decoder that kept a view — which in a release build would
+// alias a log chunk or a response frame that later traffic overwrites —
+// then reads 0xDB instead of plausible bytes.
+func guardLend(m Message) Message {
+	m.Key, m.Value = scratchCopy(m.Key), scratchCopy(m.Value)
+	return m
+}
+
+// guardReclaim poisons the scratch copies guardLend made.
+func guardReclaim(m Message) {
+	for i := range m.Key {
+		m.Key[i] = lentPoison
+	}
+	for i := range m.Value {
+		m.Value[i] = lentPoison
+	}
+}
+
+// scratchCopy copies b outside the pools, nil staying nil.
+func scratchCopy(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}

@@ -15,3 +15,7 @@ const PoolGuard = false
 func guardAdmit([]byte)   {}
 func guardRetract([]byte) {}
 func guardLease([]byte)   {}
+
+// guardLend and guardReclaim bracket a PollEach callback; see pool_guard.go.
+func guardLend(m Message) Message { return m }
+func guardReclaim(Message)        {}

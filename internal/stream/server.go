@@ -141,28 +141,51 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// connState is what one connection's handler reuses from request to
+// request: the response encoder and the record views of a batch produce.
+type connState struct {
+	enc  wireEncoder
+	recs []BatchRecord
+}
+
+// maxKeptBatchRecs bounds the record-view slice a connection keeps between
+// batches, so one oversized batch does not pin its slice for the
+// connection's life.
+const maxKeptBatchRecs = 1 << 12
+
+// dropRecs forgets a handled batch's views — the frame they alias returns
+// to the pool — and keeps the slice for the next batch.
+func (cs *connState) dropRecs() {
+	clear(cs.recs)
+	cs.recs = cs.recs[:0]
+	if cap(cs.recs) > maxKeptBatchRecs {
+		cs.recs = nil
+	}
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	var enc wireEncoder
+	var cs connState
+	enc := &cs.enc
 	first := true
 	for {
-		msgType, payload, err := readFrame(conn, s.maxFrame)
+		frame, err := readFrame(conn, s.maxFrame)
 		if err != nil {
 			return // peer closed or protocol error
 		}
-		if first && msgType == reqHello && !s.noPipe {
-			s.servePipelined(conn, payload)
-			putFrame(payload)
+		if first && frame[0] == reqHello && !s.noPipe {
+			s.servePipelined(conn, frame[1:])
+			putFrame(frame)
 			return
 		}
 		first = false
-		resp, err := s.handle(&enc, msgType, payload)
+		resp, err := s.handle(&cs, frame[0], frame[1:])
 		if err != nil {
 			enc.reset(respError)
 			enc.str(errorWireMessage(err))
 			resp = enc.frame()
 		}
-		putFrame(payload) // handle copied what it keeps; resp is enc's buffer
+		putFrame(frame) // handle copied what it keeps; resp is enc's buffer
 		if _, err := conn.Write(resp); err != nil {
 			return
 		}
@@ -181,7 +204,8 @@ func (s *Server) servePipelined(conn net.Conn, hello []byte) {
 		return // malformed hello
 	}
 	clientVersion, _, _ := readHelloBody(hello)
-	var enc wireEncoder
+	var cs connState
+	enc := &cs.enc
 	enc.reset(respHello)
 	var body [helloBodySize]byte
 	version := uint32(protocolV2)
@@ -195,7 +219,7 @@ func (s *Server) servePipelined(conn net.Conn, hello []byte) {
 	}
 	if version < protocolV2 {
 		// Peer too old for pipelining: fall back to the synchronous loop.
-		s.serveSyncTail(conn, &enc)
+		s.serveSyncTail(conn, &cs)
 		return
 	}
 
@@ -204,22 +228,22 @@ func (s *Server) servePipelined(conn net.Conn, hello []byte) {
 	enc.v2 = true
 	var wbuf []byte
 	for {
-		msgType, payload, err := readFrame(br, s.maxFrame)
+		frame, err := readFrame(br, s.maxFrame)
 		if err != nil {
 			return
 		}
-		if len(payload) < corrSize {
-			putFrame(payload)
+		if len(frame) < 1+corrSize {
+			putFrame(frame)
 			return // malformed v2 frame
 		}
-		enc.corr = binary.BigEndian.Uint32(payload)
-		resp, err := s.handle(&enc, msgType, payload[corrSize:])
+		enc.corr = binary.BigEndian.Uint32(frame[1:])
+		resp, err := s.handle(&cs, frame[0], frame[1+corrSize:])
 		if err != nil {
 			enc.reset(respError)
 			enc.str(errorWireMessage(err))
 			resp = enc.frame()
 		}
-		putFrame(payload)
+		putFrame(frame)
 		wbuf = append(wbuf, resp...)
 		// Flush when the read side has drained (no more pipelined requests
 		// in flight right now) or the write buffer is big enough.
@@ -234,26 +258,28 @@ func (s *Server) servePipelined(conn net.Conn, hello []byte) {
 
 // serveSyncTail continues a connection in v1 mode after a hello exchange
 // settled on the synchronous protocol.
-func (s *Server) serveSyncTail(conn net.Conn, enc *wireEncoder) {
+func (s *Server) serveSyncTail(conn net.Conn, cs *connState) {
+	enc := &cs.enc
 	for {
-		msgType, payload, err := readFrame(conn, s.maxFrame)
+		frame, err := readFrame(conn, s.maxFrame)
 		if err != nil {
 			return
 		}
-		resp, err := s.handle(enc, msgType, payload)
+		resp, err := s.handle(cs, frame[0], frame[1:])
 		if err != nil {
 			enc.reset(respError)
 			enc.str(errorWireMessage(err))
 			resp = enc.frame()
 		}
-		putFrame(payload)
+		putFrame(frame)
 		if _, err := conn.Write(resp); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(enc *wireEncoder, msgType byte, payload []byte) ([]byte, error) {
+func (s *Server) handle(cs *connState, msgType byte, payload []byte) ([]byte, error) {
+	enc := &cs.enc
 	dec := wireDecoder{buf: payload}
 	switch msgType {
 	case reqCreateTopic:
@@ -292,20 +318,21 @@ func (s *Server) handle(enc *wireEncoder, msgType byte, payload []byte) ([]byte,
 
 	case reqProduceBatch:
 		// Zero-copy decode: each record's key/value views (into the frame
-		// buffer, valid for the whole handle call) collect into one slice,
-		// then the broker appends the batch in a single pass — one topic
-		// lookup, one clock read, one partition lock per same-partition
-		// run — and the per-record results stream into the response frame.
-		var recs []BatchRecord
+		// buffer, valid for the whole handle call) collect into the
+		// connection's slice, then the broker appends the batch in a single
+		// pass — one topic lookup, one clock read, one partition lock per
+		// same-partition run — and the per-record results stream into the
+		// response frame.
+		defer cs.dropRecs()
 		topicName, partition, n, err := decodeBatchRequest(&dec, func(i int, _ string, _ int32, key, value []byte) {
-			recs = append(recs, BatchRecord{Key: key, Value: value})
+			cs.recs = append(cs.recs, BatchRecord{Key: key, Value: value})
 		})
 		if err != nil {
 			return nil, err
 		}
 		enc.reset(respProduceBatch)
 		enc.u32(uint32(n))
-		berr := s.broker.ProduceBatch(topicName, partition, recs, func(i int, part int32, off int64, perr error) {
+		berr := s.broker.ProduceBatch(topicName, partition, cs.recs, func(i int, part int32, off int64, perr error) {
 			switch {
 			case perr == nil:
 				var res [batchOKResultSize]byte
@@ -341,13 +368,16 @@ func (s *Server) handle(enc *wireEncoder, msgType byte, payload []byte) ([]byte,
 		if dec.err != nil {
 			return nil, dec.err
 		}
-		msgs, err := s.broker.Fetch(topicName, partition, offset, max)
+		// The response frame is encoded straight out of the partition log:
+		// the count is patched in once the broker has said how many.
+		enc.reset(respFetch)
+		countAt := len(enc.buf)
+		enc.u32(0)
+		n, err := s.broker.FetchEach(topicName, partition, offset, max, enc.message)
 		if err != nil {
 			return nil, err
 		}
-		enc.reset(respFetch)
-		enc.messages(msgs)
-		RecycleMessages(msgs) // encoded into the response frame; copies done
+		binary.BigEndian.PutUint32(enc.buf[countAt:], uint32(n))
 		return enc.frame(), nil
 
 	case reqPartitionCount:
@@ -553,17 +583,17 @@ func (c *TCPClient) roundTrip() (byte, wireDecoder, error) {
 	if _, err := c.conn.Write(c.enc.frame()); err != nil {
 		return 0, wireDecoder{}, fmt.Errorf("stream write: %w", err)
 	}
-	msgType, payload, err := readFrame(c.conn, c.maxFrame)
+	frame, err := readFrame(c.conn, c.maxFrame)
 	if err != nil {
 		return 0, wireDecoder{}, fmt.Errorf("stream read: %w", err)
 	}
-	dec := wireDecoder{buf: payload}
-	if msgType == respError {
+	dec := frameDecoder(frame, false)
+	if frame[0] == respError {
 		msg := dec.str()
 		dec.release()
 		return 0, wireDecoder{}, remoteError(msg)
 	}
-	return msgType, dec, nil
+	return frame[0], dec, nil
 }
 
 // errorWireMessage renders a handler error for the wire. Backpressure
@@ -675,26 +705,30 @@ func (c *TCPClient) Produce(topicName string, partition int32, key, value []byte
 
 // Fetch implements Client.
 func (c *TCPClient) Fetch(topicName string, partition int32, offset int64, max int) ([]Message, error) {
+	var dec wireDecoder
 	if c.pipe != nil {
 		ch, err := c.fetchIssue(topicName, partition, offset, max, true)
 		if err != nil {
 			return nil, err
 		}
-		return c.fetchAwait(ch, topicName, nil, max)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.reset(reqFetch)
-	c.enc.str(topicName)
-	c.enc.u32(uint32(partition))
-	c.enc.u64(uint64(offset))
-	c.enc.u32(uint32(max))
-	_, dec, err := c.roundTrip()
-	if err != nil {
-		return nil, err
+		if dec, err = c.fetchAwait(ch); err != nil {
+			return nil, err
+		}
+	} else {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.enc.reset(reqFetch)
+		c.enc.str(topicName)
+		c.enc.u32(uint32(partition))
+		c.enc.u64(uint64(offset))
+		c.enc.u32(uint32(max))
+		var err error
+		if _, dec, err = c.roundTrip(); err != nil {
+			return nil, err
+		}
 	}
 	msgs := dec.messages(nil, topicName, max)
-	err = dec.err
+	err := dec.err
 	dec.release()
 	return msgs, err
 }

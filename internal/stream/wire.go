@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -248,48 +249,67 @@ func (d *wireDecoder) raw() []byte {
 	return out
 }
 
-// bytes returns an owned (pooled) copy of a length-prefixed byte field.
-// Zero-length fields decode as nil.
-func (d *wireDecoder) bytes() []byte {
-	v := d.raw()
-	if d.err != nil || len(v) == 0 {
-		return nil
-	}
-	return append(GetPayload(), v...)
-}
-
 func (d *wireDecoder) str() string { return string(d.raw()) }
 
 // release returns the decoder's frame buffer to the pool. Only valid on
-// decoders whose buf came from readFrame, after every field (including
-// raw views) has been consumed or copied.
+// decoders over a whole frame body from readFrame (frameDecoder), after
+// every field (including raw views) has been consumed or copied.
 func (d *wireDecoder) release() {
 	putFrame(d.buf)
 	d.buf = nil
 	d.pos = 0
 }
 
-// readFrame reads one frame (type byte + payload) from r into a pooled
-// buffer, rejecting frames larger than maxFrame bytes. The payload is
-// valid until the caller hands it to putFrame.
-func readFrame(r io.Reader, maxFrame uint32) (byte, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
+// frameDecoder decodes a frame body from readFrame, starting past the type
+// byte and, on a v2 connection, the correlation ID. It keeps the whole body
+// so that release recycles all of it: a view that started past the header
+// would come back from the pool too short for the next frame of the same
+// size.
+func frameDecoder(frame []byte, v2 bool) wireDecoder {
+	d := wireDecoder{buf: frame, pos: 1}
+	if v2 {
+		d.pos += corrSize
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	return d
+}
+
+// readFrame reads one frame body (type byte, then payload) from r into a
+// pooled buffer, rejecting frames larger than maxFrame bytes. The body is
+// never empty and is valid until the caller hands it — all of it, not a
+// view past the type byte — to putFrame. A buffered reader's length prefix
+// is read in place; any other reader costs the length buffer, which escapes
+// through the interface.
+func readFrame(r io.Reader, maxFrame uint32) ([]byte, error) {
+	var n uint32
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(4)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(hdr)
+		_, _ = br.Discard(4) // cannot fail: Peek has the bytes buffered
+	} else {
+		var lenBuf [4]byte
+		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(lenBuf[:])
+	}
 	if n == 0 {
-		return 0, nil, io.ErrUnexpectedEOF
+		return nil, io.ErrUnexpectedEOF
 	}
 	if n > maxFrame {
-		return 0, nil, errFrameTooLarge
+		return nil, errFrameTooLarge
 	}
 	body := getFrame(int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
 		putFrame(body)
-		return 0, nil, err
+		return nil, err
 	}
-	return body[0], body[1:], nil
+	return body, nil
 }
 
 // maxBatchRecords bounds one reqProduceBatch frame — a defense against
@@ -364,55 +384,89 @@ func decodeReplicateRequest(dec *wireDecoder, fn func(i int, rec ReplicaRecord))
 	return topic, partition, epoch, base, n, nil
 }
 
-// encodeMessages appends a message list to the encoder.
+// message appends one message of a list.
+func (e *wireEncoder) message(m Message) {
+	e.str(m.Topic)
+	e.u32(uint32(m.Partition))
+	e.u64(uint64(m.Offset))
+	e.u64(uint64(m.AppendedAt.UnixNano()))
+	e.bytes(m.Key)
+	e.bytes(m.Value)
+}
+
+// messages appends a message list to the encoder.
 func (e *wireEncoder) messages(msgs []Message) {
 	e.u32(uint32(len(msgs)))
 	for _, m := range msgs {
-		e.str(m.Topic)
-		e.u32(uint32(m.Partition))
-		e.u64(uint64(m.Offset))
-		e.u64(uint64(m.AppendedAt.UnixNano()))
-		e.bytes(m.Key)
-		e.bytes(m.Value)
+		e.message(m)
 	}
 }
 
-// messages appends a decoded message list to dst — at most limit of them,
-// the rest of the frame is left unread. topicHint, when non-empty, is the
-// topic the caller asked for: messages whose topic matches reuse the hint
-// string instead of allocating one per message — on the fetch hot path
-// every message in the frame matches. Key and Value are pooled clones the
-// caller owns; on a malformed frame the clones made so far are recycled
-// and dst comes back at its original length.
-func (d *wireDecoder) messages(dst []Message, topicHint string, limit int) []Message {
+// message decodes one message of a list as views of the frame: Key and
+// Value alias the decoder's buffer (zero-length fields decode as nil).
+// topicHint, when non-empty, is the topic the caller asked for: a message
+// whose topic matches reuses the hint string instead of allocating one —
+// on the fetch hot path every message in the frame matches.
+func (d *wireDecoder) message(topicHint string) Message {
+	var m Message
+	if raw := d.raw(); topicHint != "" && string(raw) == topicHint {
+		m.Topic = topicHint
+	} else {
+		m.Topic = string(raw)
+	}
+	m.Partition = int32(d.u32())
+	m.Offset = int64(d.u64())
+	m.AppendedAt = timeFromUnixNano(int64(d.u64()))
+	if m.Key = d.raw(); len(m.Key) == 0 {
+		m.Key = nil
+	}
+	if m.Value = d.raw(); len(m.Value) == 0 {
+		m.Value = nil
+	}
+	return m
+}
+
+// messageCount opens a message list: it returns how many messages to
+// decode — at most limit, the rest of the frame is left unread — and leaves
+// the decoder at the first. The list is walked once here, so a malformed
+// frame sets d.err and counts nothing.
+func (d *wireDecoder) messageCount(topicHint string, limit int) int {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || n > 1<<20 {
 		if d.err == nil {
 			d.err = fmt.Errorf("stream: implausible message count %d", n)
 		}
-		return dst
+		return 0
 	}
-	n = min(n, limit)
-	base := len(dst)
-	dst = slices.Grow(dst, max(n, 0))
+	n = max(min(n, limit), 0)
+	first := d.pos
 	for i := 0; i < n; i++ {
-		var m Message
-		if raw := d.raw(); topicHint != "" && string(raw) == topicHint {
-			m.Topic = topicHint
-		} else {
-			m.Topic = string(raw)
-		}
-		m.Partition = int32(d.u32())
-		m.Offset = int64(d.u64())
-		nanos := int64(d.u64())
-		m.AppendedAt = timeFromUnixNano(nanos)
-		m.Key = d.bytes()
-		m.Value = d.bytes()
-		dst = append(dst, m)
-		if d.err != nil {
-			RecycleMessages(dst[base:])
-			return dst[:base]
-		}
+		d.message(topicHint)
+	}
+	if d.err != nil {
+		return 0
+	}
+	d.pos = first
+	return n
+}
+
+// eachMessage lends fn the messages of a list, at most limit of them, as
+// views good until the frame is released, and returns how many there were.
+func (d *wireDecoder) eachMessage(topicHint string, limit int, fn func(Message)) int {
+	n := d.messageCount(topicHint, limit)
+	for i := 0; i < n; i++ {
+		fn(d.message(topicHint))
+	}
+	return n
+}
+
+// messages appends a decoded message list to dst, at most limit of them.
+// Key and Value are pooled clones the caller owns.
+func (d *wireDecoder) messages(dst []Message, topicHint string, limit int) []Message {
+	n := d.messageCount(topicHint, limit)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, d.message(topicHint).owning())
 	}
 	return dst
 }
