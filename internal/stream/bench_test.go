@@ -264,6 +264,77 @@ func BenchmarkReplicaSetProduce(b *testing.B) {
 	}
 }
 
+// benchReplicaSet is three in-process replicas of one three-partition
+// topic, each log bounded at retained records.
+func benchReplicaSet(b *testing.B, retained int) *ReplicaSet {
+	b.Helper()
+	bcfg := BrokerConfig{MaxRetainedPerPartition: retained}
+	rs, err := NewReplicaSet(ReplicaSetConfig{Rebuild: bcfg},
+		Replica{ID: "r0", Broker: NewBroker(bcfg)},
+		Replica{ID: "r1", Broker: NewBroker(bcfg)},
+		Replica{ID: "r2", Broker: NewBroker(bcfg)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rs.CreateTopic("t", 3); err != nil {
+		b.Fatal(err)
+	}
+	return rs
+}
+
+// BenchmarkReplicaSetProduceBatch is a 256-record window of keyed 200 B
+// records from 64 cars through ProduceBatchAcksInto; ns/op is per record.
+// acks=all is one append per partition on the leader and one push per
+// follower per partition; at acks=1 the followers catch up at a Tick
+// outside the timer, as in BenchmarkReplicaSetProduce.
+func BenchmarkReplicaSetProduceBatch(b *testing.B) {
+	for _, acks := range []AckLevel{AckLeader, AckAll} {
+		b.Run("acks="+acks.String(), func(b *testing.B) {
+			client := benchReplicaSet(b, 4096).Client(acks)
+			recs := make([]BatchRecord, 256)
+			for i := range recs {
+				recs[i] = BatchRecord{Key: []byte(fmt.Sprintf("car-%d", i*37%64)), Value: make([]byte, 200)}
+			}
+			res := make([]BatchResult, len(recs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(recs) {
+				if err := client.ProduceBatchAcksInto("t", AutoPartition, recs, res, acks); err != nil {
+					b.Fatal(err)
+				}
+				if acks != AckAll && i/len(recs)%4 == 3 {
+					b.StopTimer()
+					client.rs.Tick()
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReplicaSetRevive is one kill and revival of a follower whose
+// peers retain 4,096 records of 200 B on each of three partitions; ns/op
+// is the pair, nearly all of it the copy of a live peer's logs.
+func BenchmarkReplicaSetRevive(b *testing.B) {
+	rs := benchReplicaSet(b, 4096)
+	key, value := []byte("car-42"), make([]byte, 200)
+	for i := 0; i < 3*4096; i++ {
+		if _, _, err := rs.Produce("t", int32(i%3), key, value, AckAll); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rs.Kill("r2"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rs.Revive("r2"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPartitionLog is the partition log alone, full at 4,096
 // retained 200 B records so retention and chunk turnover are part of
 // every figure. ns/op is per record on all four.

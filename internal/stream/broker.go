@@ -311,6 +311,48 @@ func (b *Broker) produceStored(topicName string, partition int32, key, value []b
 	return partition, offset, nil
 }
 
+// produceRun is produceStored for one partition's share of a replicated
+// batch — the records recs[i] for i in idx, none over MaxMessageSize —
+// with the topic lookup, the down and leader checks and the clock reading
+// done once. A refusal of the partition as a whole is the error; anything
+// else is per record in res (see partitionLog.appendRun, which also says
+// why n may stop short of len(idx) and what base and stored are).
+func (b *Broker) produceRun(topicName string, partition int32, recs []BatchRecord, idx []int32, res []BatchResult, stored *[]ReplicaRecord) (n int, base int64, err error) {
+	b.mu.RLock()
+	if b.closed {
+		b.mu.RUnlock()
+		return 0, 0, ErrBrokerClosed
+	}
+	t, ok := b.topics[topicName]
+	b.mu.RUnlock()
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownTopic, topicName)
+	}
+	if partition < 0 || int(partition) >= len(t.partitions) {
+		return 0, 0, fmt.Errorf("%w: %q/%d", ErrBadPartition, topicName, partition)
+	}
+	if b.partitionDown(topicName, partition) {
+		return 0, 0, fmt.Errorf("%w: %q/%d", ErrPartitionDown, topicName, partition)
+	}
+	if err := b.leaderCheck(topicName, partition); err != nil {
+		return 0, 0, err
+	}
+	n, base, appended, bytes := t.partitions[partition].appendRun(recs, idx, res, b.now(), ClassForTopic(topicName), stored)
+	b.bytesIn.Add(bytes)
+	if b.mProducedMsgs != nil {
+		b.mProducedMsgs.Add(int64(appended))
+		b.mProducedBytes.Add(bytes)
+	}
+	return n, base, nil
+}
+
+// isClosed reports whether Close has been called.
+func (b *Broker) isClosed() bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.closed
+}
+
 // ProduceBatch appends a batch of records in one pass, reporting each
 // record's outcome (partition, offset, or refusal) to out in record
 // order. It amortizes the per-record costs of Produce across the batch:

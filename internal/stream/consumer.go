@@ -37,8 +37,8 @@ type pendingFetch struct {
 }
 
 // lender is a Client that can lend a fetch's messages as views of where
-// they already are (InProcClient: the broker's partition log) instead of
-// returning clones.
+// they already are (InProcClient: the broker's partition log; the replica
+// set's clients: the serving replica's) instead of returning clones.
 type lender interface {
 	FetchEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error)
 }
@@ -89,10 +89,10 @@ func (c *Consumer) PollInto(dst []Message, max int) ([]Message, error) {
 // how many were. A message's Key and Value are borrowed for the call — views
 // of the broker's partition log (in process) or of the fetch response frame
 // (pipelined TCP), with no copy made for the consumer. fn must copy what it
-// keeps, must not recycle them, and must not call into the broker or this
-// consumer: it may run under the partition's lock. The cad3_checks build
-// hands fn a scratch copy and poisons it afterwards, so a view that is kept
-// reads 0xDB.
+// keeps, must not recycle them, and must not call into the broker, the
+// replica set or this consumer: it may run under their locks. The
+// cad3_checks build hands fn a scratch copy and poisons it afterwards, so a
+// view that is kept reads 0xDB.
 func (c *Consumer) PollEach(max int, fn func(Message)) (int, error) {
 	if max <= 0 {
 		return 0, nil

@@ -77,16 +77,41 @@ func (rs *ReplicaSet) committedLocked(topicName string, partition int32, ps *par
 func (rs *ReplicaSet) FetchCommitted(topicName string, partition int32, offset int64, max int) ([]Message, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	b, max, err := rs.committedReaderLocked(topicName, partition, offset, max)
+	if b == nil {
+		return nil, err
+	}
+	return b.Fetch(topicName, partition, offset, max)
+}
+
+// fetchCommittedEach is FetchCommitted lending instead of cloning; what
+// ReplicaSet.fetchEach says of fn holds here too.
+func (rs *ReplicaSet) fetchCommittedEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	b, max, err := rs.committedReaderLocked(topicName, partition, offset, max)
+	if b == nil {
+		return 0, err
+	}
+	return b.FetchEach(topicName, partition, offset, max, fn)
+}
+
+// committedReaderLocked is the committed-read clamp: it picks the member
+// that serves a read of up to max records at offset and cuts max back to
+// the committed offset. A nil broker means there is nothing to read, for
+// the reason given or, with none, because nothing past offset is
+// committed yet.
+func (rs *ReplicaSet) committedReaderLocked(topicName string, partition int32, offset int64, max int) (*Broker, int, error) {
 	ps, err := rs.partLocked(topicName, partition)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	committed, err := rs.committedLocked(topicName, partition, ps)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if offset >= committed {
-		return nil, nil // nothing committed past the consumer's position
+		return nil, 0, nil // nothing committed past the consumer's position
 	}
 	if span := committed - offset; int64(max) > span {
 		max = int(span)
@@ -98,7 +123,7 @@ func (rs *ReplicaSet) FetchCommitted(topicName string, partition int32, offset i
 	if rs.mFollowerFetches != nil && server != ps.leader {
 		rs.mFollowerFetches.Inc()
 	}
-	return rs.replicas[server].Broker.Fetch(topicName, partition, offset, max)
+	return rs.replicas[server].Broker, max, nil
 }
 
 // pickReaderLocked rotates over live in-sync followers; only an ISR of
@@ -136,6 +161,8 @@ type followerReadClient struct {
 	ReplicatedClient
 }
 
+var _ lender = (*followerReadClient)(nil)
+
 // ReadClient returns a Client view of the set whose fetches are served
 // by in-sync followers (committed records only), spreading consumer
 // read load off the partition leaders. Produces still route to leaders
@@ -147,4 +174,11 @@ func (rs *ReplicaSet) ReadClient(acks AckLevel) Client {
 // Fetch implements Client via FetchCommitted.
 func (c *followerReadClient) Fetch(topicName string, partition int32, offset int64, max int) ([]Message, error) {
 	return c.rs.FetchCommitted(topicName, partition, offset, max)
+}
+
+// FetchEach lends the committed read. The embedded client has a FetchEach
+// of its own, which lends the leader's log — uncommitted suffix included —
+// so this one must exist whenever that one does.
+func (c *followerReadClient) FetchEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error) {
+	return c.rs.fetchCommittedEach(topicName, partition, offset, max, fn)
 }

@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
+	"time"
 
 	"cad3/internal/obsv"
 )
@@ -273,5 +276,189 @@ func TestFollowerReadOrderOverKillRevive(t *testing.T) {
 	ps := &rs.topics["t"].parts[0]
 	if allocs := testing.AllocsPerRun(100, func() { rs.pickReaderLocked(ps) }); allocs != 0 {
 		t.Errorf("pickReaderLocked allocates %v per call, want 0", allocs)
+	}
+}
+
+// followerReadClient must declare FetchEach itself: the one it would
+// otherwise inherit from the embedded ReplicatedClient lends the leader's
+// log, uncommitted suffix and all. ownFetchEachProbe has a second FetchEach
+// two embeddings down (lenderTwoDown's); with followerReadClient's own at depth one the
+// selector resolves to that, with only the inherited one (depth two as
+// well) it is ambiguous and the assignment below stops compiling.
+type (
+	lenderTwoDown     struct{ lender }
+	ownFetchEachProbe struct {
+		*followerReadClient
+		lenderTwoDown
+	}
+)
+
+var _ lender = ownFetchEachProbe{}
+
+// replRig is a three-replica set over one virtual clock with a consumer on
+// its topic; TestReplicatedPollEachMatchesPollInto runs two in lock step.
+type replRig struct {
+	rs  *ReplicaSet
+	reg *obsv.Registry
+	c   *Consumer
+}
+
+func newReplRig(t *testing.T, now func() time.Time, client func(rs *ReplicaSet) Client) *replRig {
+	t.Helper()
+	r := &replRig{reg: obsv.NewRegistry()}
+	bcfg := BrokerConfig{MaxRetainedPerPartition: 64, FlowCapacity: 1 << 16, Now: now}
+	var err error
+	r.rs, err = NewReplicaSet(ReplicaSetConfig{Metrics: r.reg, Rebuild: bcfg},
+		Replica{ID: "r0", Broker: NewBroker(bcfg)},
+		Replica{ID: "r1", Broker: NewBroker(bcfg)},
+		Replica{ID: "r2", Broker: NewBroker(bcfg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.rs.CreateTopic(TopicOutData, 3); err != nil {
+		t.Fatal(err)
+	}
+	if r.c, err = NewConsumer(client(r.rs), TopicOutData, 0); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// readSide sums what the replicas count about their readers.
+func (r *replRig) readSide(t *testing.T) (bytesOut, occupancy int64) {
+	t.Helper()
+	for _, id := range []string{"r0", "r1", "r2"} {
+		b, _, err := r.rs.BrokerFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytesOut += b.BytesOut()
+		occupancy += b.FlowStats(TopicOutData).Occupancy
+	}
+	return bytesOut, occupancy
+}
+
+// TestReplicatedPollEachMatchesPollInto holds the replica set's lent reads
+// against its cloning ones, for the leader-read client and the
+// follower-read client: two sets fed the same produces — acks=all, and
+// acks=1 windows that leave the leader ahead of its followers — through
+// the same kills, ticks and revivals, one drained by PollEach through the
+// client as it is (FetchEach, under the set's lock), the other by PollInto
+// through the same client with FetchEach hidden (Fetch / FetchCommitted).
+// After every poll the messages, Offsets() and Received() agree, and so
+// does what the clusters count: bytes read, gate credits, and which
+// replica served (repl.follower_fetches, repl.follower_clamped). And a
+// committed read never lends a record at or past the commit point.
+func TestReplicatedPollEachMatchesPollInto(t *testing.T) {
+	kinds := []struct {
+		name      string
+		committed bool
+		client    func(rs *ReplicaSet) Client
+	}{
+		{"leader reads", false, func(rs *ReplicaSet) Client { return rs.Client(AckAll) }},
+		{"committed reads", true, func(rs *ReplicaSet) Client { return rs.ReadClient(AckAll) }},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(29))
+			clock := time.Unix(1_600_000_000, 0)
+			now := func() time.Time { return clock }
+			each := newReplRig(t, now, kind.client)
+			into := newReplRig(t, now, func(rs *ReplicaSet) Client { return clientOnly{kind.client(rs)} })
+			rigs := []*replRig{each, into}
+			if _, ok := each.c.client.(lender); !ok {
+				t.Fatalf("%T does not lend", each.c.client)
+			}
+			dead := ""
+			var got, want []Message
+			uncommittedSeen := false
+			for round := 0; round < 300; round++ {
+				clock = clock.Add(50 * time.Millisecond)
+				acks := AckAll
+				if round%5 >= 3 {
+					acks = AckLeader // the followers fall behind until the next tick
+				}
+				for n := rng.Intn(12); n > 0; n-- {
+					key, value := []byte(fmt.Sprintf("car-%d", rng.Intn(9))), make([]byte, rng.Intn(260))
+					rng.Read(value)
+					for _, r := range rigs {
+						_, _, _ = r.rs.Produce(TopicOutData, AutoPartition, key, value, acks)
+					}
+				}
+				switch {
+				case round%40 == 17:
+					dead, _, _ = each.rs.Leader(TopicOutData, int32(rng.Intn(3)))
+					for _, r := range rigs {
+						if err := r.rs.Kill(dead); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case round%40 == 31 && dead != "":
+					for _, r := range rigs {
+						if _, err := r.rs.Revive(dead); err != nil {
+							t.Fatal(err)
+						}
+					}
+					dead = ""
+				case round%5 == 0:
+					for _, r := range rigs {
+						r.rs.Tick()
+					}
+				}
+				var commit [3]int64
+				for p := range commit {
+					commit[p], _ = each.rs.CommittedOffset(TopicOutData, int32(p))
+					if hwm, err := each.rs.replicas[each.rs.topics[TopicOutData].parts[p].leader].Broker.HighWaterMark(TopicOutData, int32(p)); err == nil && hwm > commit[p] {
+						uncommittedSeen = true
+					}
+				}
+				limit := []int{1, 7, 64, 0, 3 + rng.Intn(40)}[round%5]
+				what := fmt.Sprintf("round %d (max %d, dead %q)", round, limit, dead)
+
+				var wantErr error
+				want, wantErr = into.c.PollInto(want[:0], limit)
+				got = got[:0]
+				n, gotErr := each.c.PollEach(limit, func(m Message) {
+					if kind.committed && m.Offset >= commit[m.Partition] {
+						t.Errorf("%s: lent %s/%d@%d, committed offset %d", what, m.Topic, m.Partition, m.Offset, commit[m.Partition])
+					}
+					got = append(got, owned(m))
+				})
+				samePoll(t, what, got, want, gotErr, wantErr)
+				if n != len(got) || n > limit {
+					t.Fatalf("%s: PollEach reported %d messages and lent %d", what, n, len(got))
+				}
+				for i := range got {
+					if !sameMessage(got[i], want[i]) {
+						t.Fatalf("%s: message %d lent as %+v, returned as %+v", what, i, got[i], want[i])
+					}
+				}
+				if fmt.Sprint(each.c.Offsets()) != fmt.Sprint(into.c.Offsets()) {
+					t.Fatalf("%s: offsets %v after PollEach, %v after PollInto", what, each.c.Offsets(), into.c.Offsets())
+				}
+				gm, gb := each.c.Received()
+				wm, wb := into.c.Received()
+				if gm != wm || gb != wb {
+					t.Fatalf("%s: Received() %d msgs / %d B after PollEach, %d / %d after PollInto", what, gm, gb, wm, wb)
+				}
+				eachOut, eachOcc := each.readSide(t)
+				intoOut, intoOcc := into.readSide(t)
+				if eachOut != intoOut || eachOcc != intoOcc {
+					t.Fatalf("%s: %d B read and %d credits out lending, %d B and %d copying", what, eachOut, eachOcc, intoOut, intoOcc)
+				}
+				for _, name := range []string{"repl.follower_fetches", "repl.follower_clamped"} {
+					if a, b := each.reg.Counter(name).Value(), into.reg.Counter(name).Value(); a != b {
+						t.Fatalf("%s: %s %d lending, %d copying", what, name, a, b)
+					}
+				}
+				RecycleMessages(want)
+			}
+			if m, _ := each.c.Received(); m < 500 || !uncommittedSeen {
+				t.Fatalf("the schedule delivered %d messages (uncommitted suffix seen: %t): too thin", m, uncommittedSeen)
+			}
+			if kind.committed && each.reg.Counter("repl.follower_fetches").Value() == 0 {
+				t.Fatal("no committed read was served by a follower")
+			}
+		})
 	}
 }

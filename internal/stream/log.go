@@ -17,11 +17,11 @@ import (
 //
 // Storage is a slab: record bytes (key, then value) are copied once into
 // fixed-size chunks the log owns, and a compact index entry per record
-// says where they are. Every writer — append, appendBatch, appendReplica,
-// RestoreBroker — goes through storeLocked; readers borrow views of the
-// chunks under the partition lock (scan, which read clones from) or copy
-// out of them (snapshot), and the leader push borrows append's stored
-// record. Retention drops index entries and hands the
+// says where they are. Every writer — append, appendRun, appendBatch,
+// appendReplica, RestoreBroker — goes through storeLocked; readers borrow
+// views of the chunks under the partition lock (scan, which read clones
+// from) or copy out of them (snapshot), and cloneFrom copies the chunks
+// whole. Retention drops index entries and hands the
 // chunks they wholly vacate to a spare list the next appends draw from,
 // so a full log at steady state allocates nothing.
 //
@@ -152,16 +152,69 @@ func (l *partitionLog) append(key, value []byte, now time.Time, stored *ReplicaR
 	defer l.mu.Unlock()
 	offset := l.base + int64(len(l.index))
 	at := now.UnixNano()
-	k, v := l.storeLocked(key, value, at)
-	obsv.StampPayload(v, obsv.StageArrive, now)
+	k, v := l.appendOneLocked(key, value, now, at)
 	if stored != nil {
 		*stored = ReplicaRecord{Key: k, Value: v, AppendedAtNs: at}
 	}
+	return offset
+}
+
+// appendOneLocked is one append: store, stamp, then retention — ONE size
+// drop, where the batch paths loop. It returns the log's copy.
+//
+//cad3:noalloc
+func (l *partitionLog) appendOneLocked(key, value []byte, now time.Time, at int64) (k, v []byte) {
+	k, v = l.storeLocked(key, value, at)
+	obsv.StampPayload(v, obsv.StageArrive, now)
 	if len(l.index) > l.maxRetained {
 		l.dropLocked(len(l.index) / 2)
 	}
 	l.expireLocked(at)
-	return offset
+	return k, v
+}
+
+// appendRun is append for one partition's share of a replicated batch,
+// the records recs[i] for i in idx, under one lock acquisition and one
+// clock reading. Each record goes through what a produce of it alone goes
+// through, in order — the gate admits it or refuses it (class; a nil gate
+// admits), then append's store, stamp and retention — so the log, the
+// offsets and the refusals are those of len(idx) single produces, and
+// res[i] gets the record's partition and offset or the gate's error. With
+// a non-nil stored the appended records are added to it as the log holds
+// them (see append), for the caller to push to followers.
+//
+// With stored, the run ends once retention has dropped one of its own
+// records: the chunk under that record's view is a spare now, which the
+// next append may write over, so the caller has to push what it holds
+// before it comes back with the rest. n is how many of idx were settled,
+// base the offset of the first record appended, of appended in all, bytes
+// their wire size.
+//
+//cad3:noalloc
+func (l *partitionLog) appendRun(recs []BatchRecord, idx []int32, res []BatchResult, now time.Time, class flow.Class, stored *[]ReplicaRecord) (n int, base int64, appended int, bytes int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	at := now.UnixNano()
+	base = l.base + int64(len(l.index))
+	for n < len(idx) && (stored == nil || l.base <= base) {
+		i := idx[n]
+		n++
+		if l.gate != nil {
+			if err := l.gate.Admit(class); err != nil {
+				res[i] = BatchResult{Err: err}
+				continue
+			}
+		}
+		// Read before the append: retention may move the base under it.
+		res[i] = BatchResult{Partition: l.partition, Offset: l.base + int64(len(l.index))}
+		k, v := l.appendOneLocked(recs[i].Key, recs[i].Value, now, at)
+		if stored != nil {
+			*stored = append(*stored, ReplicaRecord{Key: k, Value: v, AppendedAtNs: at})
+		}
+		appended++
+		bytes += int64(Message{Topic: l.topic, Key: k, Value: v}.WireSize())
+	}
+	return n, base, appended, bytes
 }
 
 // appendBatch adds a run of records destined for this partition in one

@@ -23,7 +23,12 @@ package stream
 //     and the next append, eviction or frame overwrites them. The callback
 //     must copy what it keeps, must not hand them to PutPayload or
 //     RecycleMessages, and must not call back into the broker or the
-//     consumer. cad3-vet's poolsafety reports a recycle of a lent message;
+//     consumer. The replica set's clients lend too (ReplicatedClient and
+//     the follower-read client: views of the serving replica's log, read
+//     under the set's lock as well), so a callback over them must not call
+//     into the replica set either — a produce from inside it would wait
+//     for the lock its own read holds.
+//     cad3-vet's poolsafety reports a recycle of a lent message;
 //     the cad3_checks build lends a scratch copy and fills it with 0xDB
 //     when the callback returns, so a view that was kept reads poison.
 //   - Owned reads: messages returned by Fetch/Poll/PollInto own their Key

@@ -3,6 +3,7 @@
 package stream
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"unsafe"
@@ -80,5 +81,44 @@ func TestGuardRetractsDroppedBuffers(t *testing.T) {
 	guardMu.Unlock()
 	if n != cap(payloadFree) {
 		t.Errorf("guard tracks %d buffers, want exactly the ring capacity %d", n, cap(payloadFree))
+	}
+}
+
+// TestReplicatedLendsPoisonToo: the replica set's clients lend through the
+// same PollEach, so a callback that keeps a view of what it was lent —
+// views of a replica's log, read under the set's lock — finds 0xDB in it
+// afterwards, off the leader and off a committed follower read alike, and
+// the logs themselves stay as they were.
+func TestReplicatedLendsPoisonToo(t *testing.T) {
+	rs := newReadSet(t, nil)
+	want := [][]byte{[]byte("first record"), []byte("second")}
+	for _, v := range want {
+		if _, _, err := rs.Produce("t", 0, []byte("car-1"), v, AckAll); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, client := range map[string]Client{"leader reads": rs.Client(AckAll), "committed reads": rs.ReadClient(AckAll)} {
+		c, err := NewConsumer(client, "t", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept, copied [][]byte
+		if n, err := c.PollEach(10, func(m Message) {
+			kept, copied = append(kept, m.Value), append(copied, append([]byte(nil), m.Value...))
+		}); err != nil || n != len(want) {
+			t.Fatalf("%s: PollEach = %d, %v", name, n, err)
+		}
+		for i := range want {
+			if !bytes.Equal(copied[i], want[i]) {
+				t.Errorf("%s: message %d copied as %q, want %q", name, i, copied[i], want[i])
+			}
+			if !bytes.Equal(kept[i], bytes.Repeat([]byte{lentPoison}, len(want[i]))) {
+				t.Errorf("%s: message %d kept a view that still reads %q: a retaining callback went unnoticed", name, i, kept[i])
+			}
+		}
+	}
+	msgs, err := rs.FetchCommitted("t", 0, 0, 10)
+	if err != nil || len(msgs) != len(want) || !bytes.Equal(msgs[0].Value, want[0]) || !bytes.Equal(msgs[1].Value, want[1]) {
+		t.Fatalf("the replicas' logs were disturbed: %d messages, %v", len(msgs), err)
 	}
 }

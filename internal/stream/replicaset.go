@@ -17,14 +17,17 @@ package stream
 //
 // The controller serializes cluster-state changes behind one mutex.
 // Produce/fetch through the ReplicaSet therefore costs a mutex more
-// than the standalone broker hot path; deployments that need the
-// zero-alloc paths keep talking to the leader broker directly and use
-// the ReplicaSet only as the control plane (elections + replication).
+// than the standalone broker hot path — per record for Produce, per
+// batch for produceBatch, per fetch for a read, lent or cloned;
+// deployments that cannot afford it keep talking to the leader broker
+// directly and use the ReplicaSet only as the control plane (elections +
+// replication).
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -71,8 +74,8 @@ type ReplicaSetConfig struct {
 	// repl.catchups / repl.isr_drops / repl.push_fallbacks /
 	// repl.isr_size / repl.lag.
 	Metrics *obsv.Registry
-	// Rebuild is the BrokerConfig used to rebuild a revived replica's
-	// broker from a snapshot (Revive).
+	// Rebuild is the BrokerConfig of the broker a revived replica gets
+	// (Revive).
 	Rebuild BrokerConfig
 }
 
@@ -103,12 +106,18 @@ type ReplicaSet struct {
 	mu       sync.Mutex
 	replicas []*replicaState
 	topics   map[string]*replTopic
-	rr       uint64 // nil-key AutoPartition rotor (under mu)
-	readRR   uint64 // follower-read rotor (under mu)
+	names    []string // the keys of topics, sorted (see Tick)
+	rr       uint64   // nil-key AutoPartition rotor (under mu)
+	readRR   uint64   // follower-read rotor (under mu)
 
-	// pushRec carries the one record an AckAll produce pushes to its
-	// followers (under mu), so the push allocates no slice.
-	pushRec [1]ReplicaRecord
+	// Scratch reused under mu, so a warm produce allocates nothing:
+	// pushRecs carries the records an AckAll produce pushes to its
+	// followers as the leader log stores them, syncRecs a catch-up chunk
+	// (a push that falls back to catch-up holds both), and buckets[p] the
+	// positions in a batch of the records bound for partition p.
+	pushRecs []ReplicaRecord
+	syncRecs []ReplicaRecord
+	buckets  [][]int32
 
 	tickStop chan struct{}
 	tickDone chan struct{}
@@ -189,6 +198,8 @@ func (rs *ReplicaSet) CreateTopic(name string, partitions int) error {
 		rs.pushRolesLocked(name, int32(p), &t.parts[p])
 	}
 	rs.topics[name] = t
+	at := sort.SearchStrings(rs.names, name)
+	rs.names = slices.Insert(rs.names, at, name)
 	return nil
 }
 
@@ -264,19 +275,17 @@ func (rs *ReplicaSet) Produce(topicName string, partition int32, key, value []by
 	}
 	partition = rs.resolveLocked(t, partition, key)
 	if partition < 0 || int(partition) >= len(t.parts) {
-		return 0, 0, fmt.Errorf("%w: %q/%d", ErrBadPartition, topicName, partition)
+		return 0, 0, badPartition(topicName, partition)
 	}
 	ps := &t.parts[partition]
 	leader := rs.replicas[ps.leader]
 	if !leader.alive {
-		// Leaderless window between the kill and the next Tick's election:
-		// refuse with no hint (there is no leader yet) and the election
-		// settle estimate.
-		return 0, 0, &notLeaderError{hint: DefaultLeaderRetryHint}
+		return 0, 0, leaderless()
 	}
 	var stored *ReplicaRecord
 	if acks == AckAll {
-		stored = &rs.pushRec[0]
+		rs.pushRecs = append(rs.pushRecs[:0], ReplicaRecord{})
+		stored = &rs.pushRecs[0]
 	}
 	part, off, err := leader.Broker.produceStored(topicName, partition, key, value, stored)
 	if err != nil {
@@ -284,7 +293,7 @@ func (rs *ReplicaSet) Produce(topicName string, partition int32, key, value []by
 			// The broker died under us (Kill without the controller's
 			// knowledge): mark it and refuse like a leaderless partition.
 			leader.alive = false
-			return 0, 0, &notLeaderError{hint: DefaultLeaderRetryHint}
+			return 0, 0, leaderless()
 		}
 		return 0, 0, err
 	}
@@ -294,34 +303,190 @@ func (rs *ReplicaSet) Produce(topicName string, partition int32, key, value []by
 	return part, off, nil
 }
 
-// pushLocked hands the record the leader just appended at off (held in
-// pushRec) to every in-sync follower, synchronously: one ReplicaAppend
-// per follower, no probe and no read back from the leader log. The
-// follower still decides what the append may do — it fences a stale
-// epoch, skips an overlap it already holds, and answers ErrOffsetGap
-// when it is missing records before off; only then does the leader fall
-// back to the probe-and-catch-up sync that Tick uses. Any other failure
-// drops the follower from the ISR; the produce that triggered
-// replication still succeeds (the leader holds the record, and the
-// shrunken ISR keeps the durability claim honest — elections only
-// promote members that really have the data).
-func (rs *ReplicaSet) pushLocked(topicName string, partition int32, ps *partState, off int64) {
+// produceBatch is Produce for a batch: the records are settled in res as
+// len(recs) produces in that order would settle them — the same
+// partitions, offsets and refusals, the same logs on every replica
+// afterwards — but each partition's share reaches its leader in one
+// append and, at AckAll, each of its in-sync followers in one push.
+//
+// A batch interleaves keys, so its records are bucketed by partition
+// first, in order (bucketLocked); a partition's records keep their order
+// and partitions do not see each other's, which is all a log can tell.
+func (rs *ReplicaSet) produceBatch(topicName string, partition int32, recs []BatchRecord, res []BatchResult, acks AckLevel) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	t, ok := rs.topics[topicName]
+	if !ok {
+		err := fmt.Errorf("%w: %q", ErrUnknownTopic, topicName)
+		for i := range res {
+			res[i] = BatchResult{Err: err}
+		}
+		return
+	}
+	rs.bucketLocked(t, topicName, partition, recs, res)
+	for p := range t.parts {
+		if idx := rs.buckets[p]; len(idx) > 0 {
+			rs.produceBucketLocked(topicName, int32(p), &t.parts[p], recs, idx, res, acks)
+		}
+	}
+}
+
+// bucketLocked sorts a batch's records by the partition they are bound
+// for: buckets[p] lists, in order, the positions in recs of partition p's.
+// A record that Produce would refuse before it reached the leader's log —
+// partition out of range, leaderless partition, oversized value — is
+// settled here instead, and the nil-key rotor turns for every record, as
+// it does there. The first record to reach a partition also finds out if
+// the leader's broker was closed behind the controller's back, so that
+// the records after it are refused as leaderless, as a produce apiece
+// would have it.
+//
+//cad3:noalloc
+func (rs *ReplicaSet) bucketLocked(t *replTopic, topicName string, partition int32, recs []BatchRecord, res []BatchResult) {
+	for len(rs.buckets) < len(t.parts) {
+		rs.buckets = append(rs.buckets, nil)
+	}
+	for p := range rs.buckets {
+		rs.buckets[p] = rs.buckets[p][:0]
+	}
+	for i := range recs {
+		p := rs.resolveLocked(t, partition, recs[i].Key)
+		if p < 0 || int(p) >= len(t.parts) {
+			res[i] = BatchResult{Err: badPartition(topicName, p)}
+			continue
+		}
+		leader := rs.replicas[t.parts[p].leader]
+		switch {
+		case !leader.alive: // refused below
+		case len(recs[i].Value) > MaxMessageSize:
+			res[i] = BatchResult{Err: ErrValueTooLarge}
+			continue
+		case len(rs.buckets[p]) == 0 && leader.Broker.isClosed():
+			leader.alive = false
+		}
+		if !leader.alive {
+			res[i] = BatchResult{Err: leaderless()}
+			continue
+		}
+		rs.buckets[p] = append(rs.buckets[p], int32(i))
+	}
+}
+
+// badPartition is Produce's refusal of a partition out of range, made out
+// of line so that bucketLocked stays free of allocating constructs.
+func badPartition(topicName string, partition int32) error {
+	return fmt.Errorf("%w: %q/%d", ErrBadPartition, topicName, partition)
+}
+
+// leaderless is the refusal a partition gives while it has no live leader
+// — the window between a kill and the next Tick's election: no hint (there
+// is no leader yet) and the election settle estimate.
+func leaderless() error { return &notLeaderError{hint: DefaultLeaderRetryHint} }
+
+// produceBucketLocked appends one partition's bucket to its leader and,
+// at AckAll, pushes what was appended to the in-sync followers: one run
+// and one push, with two exceptions. Retention on the leader may split
+// the bucket (see partitionLog.appendRun). And while an in-sync follower
+// lags the leader, the run is one record: its push catches the follower
+// up from the leader's log as a produce of that record alone would find
+// it — the catch-up read returns flow credits, which the admission of the
+// records behind it must see — and the rest follow as a batch. pushRecs
+// holds views of the leader's log from the append to the push, which
+// nothing but this controller's own produces — serialized behind mu — can
+// come between.
+func (rs *ReplicaSet) produceBucketLocked(topicName string, partition int32, ps *partState, recs []BatchRecord, idx []int32, res []BatchResult, acks AckLevel) {
+	leader := rs.replicas[ps.leader]
+	var stored *[]ReplicaRecord
+	if acks == AckAll {
+		stored = &rs.pushRecs
+	}
+	for len(idx) > 0 && leader.alive {
+		run := idx
+		if acks == AckAll && rs.followerLagsLocked(topicName, partition, ps) {
+			run = idx[:1]
+		}
+		rs.pushRecs = rs.pushRecs[:0]
+		n, base, err := leader.Broker.produceRun(topicName, partition, recs, run, res, stored)
+		if errors.Is(err, ErrBrokerClosed) {
+			leader.alive = false // closed since bucketLocked looked
+			break
+		}
+		if err != nil {
+			refuse(res, idx, err)
+			return
+		}
+		if len(rs.pushRecs) > 0 {
+			rs.pushLocked(topicName, partition, ps, base)
+		}
+		idx = idx[n:]
+	}
+	if len(idx) > 0 {
+		refuse(res, idx, leaderless())
+	}
+}
+
+// refuse settles the records at positions idx with the same error.
+func refuse(res []BatchResult, idx []int32, err error) {
+	for _, i := range idx {
+		res[i] = BatchResult{Err: err}
+	}
+}
+
+// followerLagsLocked reports whether some in-sync follower of a partition
+// is short of the leader's high watermark, so that the next push to it
+// will be answered with ErrOffsetGap.
+func (rs *ReplicaSet) followerLagsLocked(topicName string, partition int32, ps *partState) bool {
+	target, err := rs.replicas[ps.leader].Broker.HighWaterMark(topicName, partition)
+	if err != nil {
+		return true
+	}
 	for i, r := range rs.replicas {
 		if i == ps.leader || !r.alive || !ps.isr[i] {
 			continue
 		}
-		_, err := r.Link.ReplicaAppend(topicName, partition, ps.epoch, off, rs.pushRec[:])
-		if errors.Is(err, ErrOffsetGap) {
-			if rs.mPushFallbacks != nil {
-				rs.mPushFallbacks.Inc()
-			}
-			_, err = rs.syncFollowerLocked(topicName, partition, ps, i)
-		}
-		if err != nil {
-			rs.dropISRLocked(ps, i)
+		if hwm, err := r.Broker.HighWaterMark(topicName, partition); err != nil || hwm < target {
+			return true
 		}
 	}
-	rs.pushRec[0] = ReplicaRecord{} // do not pin the leader log's buffers
+	return false
+}
+
+// pushLocked hands the records the leader just appended from offset base
+// on (pushRecs, as its log stores them) to every in-sync follower,
+// synchronously: one ReplicaAppend per follower per ReplicaFetch records,
+// no probe and no read back from the leader log. The follower still
+// decides what the append may do — it fences a stale epoch, skips an
+// overlap it already holds, and answers ErrOffsetGap when it is missing
+// records before base; only then does the leader fall back to the
+// probe-and-catch-up sync that Tick uses. Any other failure drops the
+// follower from the ISR; the produce that triggered replication still
+// succeeds (the leader holds the records, and the shrunken ISR keeps the
+// durability claim honest — elections only promote members that really
+// have the data).
+//
+//cad3:noalloc
+func (rs *ReplicaSet) pushLocked(topicName string, partition int32, ps *partState, base int64) {
+	for recs := rs.pushRecs; len(recs) > 0; {
+		chunk := recs[:min(len(recs), rs.cfg.ReplicaFetch)]
+		for i, r := range rs.replicas {
+			if i == ps.leader || !r.alive || !ps.isr[i] {
+				continue
+			}
+			_, err := r.Link.ReplicaAppend(topicName, partition, ps.epoch, base, chunk)
+			if errors.Is(err, ErrOffsetGap) {
+				if rs.mPushFallbacks != nil {
+					rs.mPushFallbacks.Inc()
+				}
+				_, err = rs.syncFollowerLocked(topicName, partition, ps, i)
+			}
+			if err != nil {
+				rs.dropISRLocked(ps, i)
+			}
+		}
+		base += int64(len(chunk))
+		recs = recs[len(chunk):]
+	}
+	clear(rs.pushRecs) // do not pin the leader log's chunks
 }
 
 // syncFollowerLocked brings one follower up to the leader's high
@@ -348,15 +513,17 @@ func (rs *ReplicaSet) syncFollowerLocked(topicName string, partition int32, ps *
 		if len(msgs) == 0 {
 			break // leader truncated past target concurrently; next Tick settles it
 		}
-		recs := make([]ReplicaRecord, len(msgs))
+		recs := rs.syncRecs[:0]
 		for i := range msgs {
-			recs[i] = ReplicaRecord{
+			recs = append(recs, ReplicaRecord{
 				Key:          msgs[i].Key,
 				Value:        msgs[i].Value,
 				AppendedAtNs: msgs[i].AppendedAt.UnixNano(),
-			}
+			})
 		}
 		fhwm, err = f.Link.ReplicaAppend(topicName, partition, ps.epoch, msgs[0].Offset, recs)
+		clear(recs) // the messages go back to the pool
+		rs.syncRecs = recs
 		RecycleMessages(msgs)
 		if err != nil {
 			return target - fhwm, err
@@ -373,19 +540,39 @@ func (rs *ReplicaSet) syncFollowerLocked(topicName string, partition int32, ps *
 func (rs *ReplicaSet) Fetch(topicName string, partition int32, offset int64, max int) ([]Message, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	t, ok := rs.topics[topicName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTopic, topicName)
+	b, err := rs.leaderLocked(topicName, partition)
+	if err != nil {
+		return nil, err
 	}
-	if partition < 0 || int(partition) >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %q/%d", ErrBadPartition, topicName, partition)
+	return b.Fetch(topicName, partition, offset, max)
+}
+
+// fetchEach is Fetch lending (Broker.FetchEach) instead of cloning. fn
+// runs under mu as well as the partition lock, so besides keeping nothing
+// it must not call into the replica set: a produce from inside the
+// callback would wait for the lock its own read holds.
+func (rs *ReplicaSet) fetchEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	b, err := rs.leaderLocked(topicName, partition)
+	if err != nil {
+		return 0, err
 	}
-	ps := &t.parts[partition]
+	return b.FetchEach(topicName, partition, offset, max, fn)
+}
+
+// leaderLocked resolves the broker leading a partition, or the refusal a
+// read of a leaderless one gets.
+func (rs *ReplicaSet) leaderLocked(topicName string, partition int32) (*Broker, error) {
+	ps, err := rs.partLocked(topicName, partition)
+	if err != nil {
+		return nil, err
+	}
 	leader := rs.replicas[ps.leader]
 	if !leader.alive {
-		return nil, &notLeaderError{hint: DefaultLeaderRetryHint}
+		return nil, leaderless()
 	}
-	return leader.Broker.Fetch(topicName, partition, offset, max)
+	return leader.Broker, nil
 }
 
 // Tick is one control-plane round: elect leaders for dead-leader
@@ -395,12 +582,12 @@ func (rs *ReplicaSet) Fetch(topicName string, partition int32, offset int64, max
 func (rs *ReplicaSet) Tick() {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	// Topics are visited in sorted name order: role pushes and follower
-	// syncs go through replica links that may be fault-injection wrappers
-	// drawing from a seeded PRNG, so the control plane's call sequence
-	// must not inherit map iteration order or deterministic replays
-	// diverge run to run.
-	for _, name := range rs.sortedTopicsLocked() {
+	// Topics are visited in sorted name order (names): role pushes and
+	// follower syncs go through replica links that may be fault-injection
+	// wrappers drawing from a seeded PRNG, so the control plane's call
+	// sequence must not inherit map iteration order or deterministic
+	// replays diverge run to run.
+	for _, name := range rs.names {
 		t := rs.topics[name]
 		for p := range t.parts {
 			ps := &t.parts[p]
@@ -409,7 +596,7 @@ func (rs *ReplicaSet) Tick() {
 			}
 		}
 	}
-	for _, name := range rs.sortedTopicsLocked() {
+	for _, name := range rs.names {
 		t := rs.topics[name]
 		for p := range t.parts {
 			ps := &t.parts[p]
@@ -481,12 +668,12 @@ func (rs *ReplicaSet) Kill(id string) error {
 	return nil
 }
 
-// Revive rebuilds a dead replica from a live peer's snapshot and
-// rejoins it as an out-of-sync follower (a Tick syncs it back into the
-// ISR). The rebuilt broker replaces the dead one; the new *Broker is
-// returned so callers holding direct references can rewire. The
-// replication link resets to the in-process broker — a wire link died
-// with the process it pointed at.
+// Revive rebuilds a dead replica as a copy of a live peer's logs
+// (cloneBroker) and rejoins it as an out-of-sync follower (a Tick syncs
+// it back into the ISR). The rebuilt broker replaces the dead one; the
+// new *Broker is returned so callers holding direct references can
+// rewire. The replication link resets to the in-process broker — a wire
+// link died with the process it pointed at.
 func (rs *ReplicaSet) Revive(id string) (*Broker, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -501,11 +688,11 @@ func (rs *ReplicaSet) Revive(id string) (*Broker, error) {
 	if !src.alive {
 		return nil, fmt.Errorf("stream: no live replica to bootstrap %q from", id)
 	}
-	nb, err := RestoreBroker(rs.cfg.Rebuild, src.Broker.Snapshot())
+	nb, err := cloneBroker(rs.cfg.Rebuild, src.Broker)
 	if err != nil {
 		return nil, fmt.Errorf("stream: revive %q: %w", id, err)
 	}
-	for _, name := range rs.sortedTopicsLocked() {
+	for _, name := range rs.names {
 		t := rs.topics[name]
 		for p := range t.parts {
 			ps := &t.parts[p]
@@ -528,18 +715,6 @@ func (rs *ReplicaSet) Revive(id string) (*Broker, error) {
 		rs.mCatchups.Inc()
 	}
 	return nb, nil
-}
-
-// sortedTopicsLocked returns the topic names in sorted order, for
-// control-plane sweeps whose per-topic work has side effects (role
-// pushes, follower syncs through possibly fault-injected links).
-func (rs *ReplicaSet) sortedTopicsLocked() []string {
-	names := make([]string, 0, len(rs.topics))
-	for name := range rs.topics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // findLocked resolves a replica ID.

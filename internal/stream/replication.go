@@ -278,7 +278,9 @@ func (b *Broker) ReplicaSnapshot() (*BrokerSnapshot, error) {
 // append timestamps (retention parity) — nothing is stamped here.
 // Replicated records enter a flow-controlled partition as credit debt,
 // like a snapshot restore — replication is never shed, the leader already
-// admitted the records.
+// admitted the records. Retention runs after every record, at that
+// record's timestamp, so a suffix shipped whole leaves the log exactly as
+// the same records shipped one append apiece leave it.
 func (l *partitionLog) appendReplica(base int64, recs []ReplicaRecord) (hwm int64, appended int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -293,14 +295,13 @@ func (l *partitionLog) appendReplica(base int64, recs []ReplicaRecord) (hwm int6
 	recs = recs[skip:]
 	for i := range recs {
 		l.storeLocked(recs[i].Key, recs[i].Value, recs[i].AppendedAtNs)
+		if l.gate != nil {
+			l.gate.Acquire(1)
+		}
+		for len(l.index) > l.maxRetained {
+			l.dropLocked(len(l.index) / 2)
+		}
+		l.expireLocked(recs[i].AppendedAtNs)
 	}
-	appended = len(recs)
-	if l.gate != nil {
-		l.gate.Acquire(int64(appended))
-	}
-	for len(l.index) > l.maxRetained {
-		l.dropLocked(len(l.index) / 2)
-	}
-	l.expireLocked(recs[appended-1].AppendedAtNs)
-	return l.base + int64(len(l.index)), appended, nil
+	return l.base + int64(len(l.index)), len(recs), nil
 }

@@ -32,6 +32,7 @@ var (
 	_ Client         = (*ReplicatedClient)(nil)
 	_ AckClient      = (*ReplicatedClient)(nil)
 	_ AckBatchClient = (*ReplicatedClient)(nil)
+	_ lender         = (*ReplicatedClient)(nil)
 )
 
 // Client returns a Client view of the set producing at the given ack
@@ -60,6 +61,13 @@ func (c *ReplicatedClient) Fetch(topicName string, partition int32, offset int64
 	return c.rs.Fetch(topicName, partition, offset, max)
 }
 
+// FetchEach lends the leader read (see Consumer.PollEach): fn is handed
+// views of the leader's log under the replica set's lock, and so must
+// neither keep them nor call back into the set.
+func (c *ReplicatedClient) FetchEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error) {
+	return c.rs.fetchEach(topicName, partition, offset, max, fn)
+}
+
 // PartitionCount implements Client.
 func (c *ReplicatedClient) PartitionCount(topicName string) (int, error) {
 	c.rs.mu.Lock()
@@ -81,18 +89,14 @@ func (c *ReplicatedClient) ProduceBatchInto(topic string, partition int32, recs 
 	return c.ProduceBatchAcksInto(topic, partition, recs, res, c.acks)
 }
 
-// ProduceBatchAcksInto implements AckBatchClient. There is no batched
-// replication round trip yet: records replicate one produce at a time,
-// so AckAll batches pay one push to every follower per record. The
-// per-record result shapes mirror the other batch clients.
+// ProduceBatchAcksInto implements AckBatchClient: one pass through the
+// replica set for the whole batch (ReplicaSet.produceBatch), each record
+// settled in res as a ProduceAcks of it would have been.
 func (c *ReplicatedClient) ProduceBatchAcksInto(topic string, partition int32, recs []BatchRecord, res []BatchResult, acks AckLevel) error {
 	if len(res) != len(recs) {
 		return errBatchSize
 	}
-	for i := range recs {
-		part, off, err := c.rs.Produce(topic, partition, recs[i].Key, recs[i].Value, acks)
-		res[i] = BatchResult{Partition: part, Offset: off, Err: err}
-	}
+	c.rs.produceBatch(topic, partition, recs, res, acks)
 	return nil
 }
 

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"time"
 )
 
 // Broker crash recovery: a snapshot captures every topic's partition
@@ -50,25 +50,9 @@ type BrokerSnapshot struct {
 // is deep: the snapshot stays valid however long the broker keeps
 // running (or however quickly it crashes).
 func (b *Broker) Snapshot() *BrokerSnapshot {
-	b.mu.RLock()
-	names := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	topics := make([]*topic, len(names))
-	for i, name := range names {
-		topics[i] = b.topics[name]
-	}
-	now := b.cfg.Now
-	b.mu.RUnlock()
-	if now == nil {
-		now = time.Now
-	}
-
-	snap := &BrokerSnapshot{Version: SnapshotVersion, TakenAtMs: now().UnixMilli()}
-	for i, t := range topics {
-		ts := TopicSnapshot{Name: names[i], Partitions: make([]PartitionSnapshot, len(t.partitions))}
+	snap := &BrokerSnapshot{Version: SnapshotVersion, TakenAtMs: b.now().UnixMilli()}
+	for _, t := range b.topicsByName() {
+		ts := TopicSnapshot{Name: t.name, Partitions: make([]PartitionSnapshot, len(t.partitions))}
 		for p, pl := range t.partitions {
 			ts.Partitions[p] = pl.snapshot()
 		}
@@ -128,6 +112,60 @@ func RestoreBroker(cfg BrokerConfig, snap *BrokerSnapshot) (*Broker, error) {
 		}
 	}
 	return b, nil
+}
+
+// cloneBroker builds a fresh broker holding what src holds now: the same
+// topics and partition counts, the same retained records at the same
+// offsets with the same append times. It is RestoreBroker(cfg,
+// src.Snapshot()) for a copy that never leaves the process — what Revive
+// needs — made by copying each log's chunks whole instead of each record
+// out and in again; it also keeps an empty key or value apart from a nil
+// one, which a snapshot does not. Roles and down marks are not copied.
+func cloneBroker(cfg BrokerConfig, src *Broker) (*Broker, error) {
+	b := NewBroker(cfg)
+	for _, st := range src.topicsByName() {
+		if err := b.CreateTopic(st.name, len(st.partitions)); err != nil {
+			return nil, fmt.Errorf("clone topic %q: %w", st.name, err)
+		}
+		for p, pl := range b.topics[st.name].partitions {
+			pl.cloneFrom(st.partitions[p])
+		}
+	}
+	return b, nil
+}
+
+// topicsByName returns the broker's topics in name order.
+func (b *Broker) topicsByName() []*topic {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	topics := make([]*topic, 0, len(b.topics))
+	for _, t := range b.topics {
+		topics = append(topics, t)
+	}
+	sort.Slice(topics, func(i, j int) bool { return topics[i].name < topics[j].name })
+	return topics
+}
+
+// cloneFrom fills an empty log nobody else can reach yet with what src
+// holds, under src's lock: the index as it is and a copy of every live
+// chunk — one allocation a chunk, standard chunks at their full capacity
+// so that the tail takes the next appends and retention can reuse them.
+// The retention bounds stay the clone's own and are not applied, and the
+// backlog enters the clone's gate as credit debt, as in RestoreBroker.
+func (l *partitionLog) cloneFrom(src *partitionLog) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	l.base = src.base
+	l.index = slices.Clone(src.index)
+	l.firstChunk = src.firstChunk
+	l.chunks = make([][]byte, len(src.chunks))
+	for i, c := range src.chunks {
+		l.chunks[i] = append(make([]byte, 0, cap(c)), c...)
+	}
+	if l.gate != nil {
+		l.credited = l.base
+		l.gate.Acquire(int64(len(l.index)))
+	}
 }
 
 // WriteSnapshot serializes a snapshot as JSON.
