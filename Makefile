@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-checks bench benchmark benchmark-selftest race vet vet-json fmt cover experiments chaos failover overload scenarios city profile linkcheck docs clean
+.PHONY: all build test test-short test-checks bench benchmark benchmark-selftest race vet vet-json fmt cover experiments scenarios city profile linkcheck docs clean
 
 all: build vet test
 
@@ -76,23 +76,10 @@ cover:
 experiments:
 	$(GO) run ./cmd/cad3-bench
 
-# Crash-safety study: partition + crash + recovery continuity table.
-chaos:
-	$(GO) run ./cmd/cad3-chaos
-
-# Replicated-broker failover study: leader kill + election + revive,
-# acks=all durability and consumer-group handoff accounting.
-failover:
-	$(GO) run ./cmd/cad3-chaos -failover
-
-# Overload study: goodput / warning-p99 / shed-fraction curves under
-# multiplied offered load (graceful degradation).
-overload:
-	$(GO) run ./cmd/cad3-overload
-
-# Deterministic replay of the scenarios/ regression corpus, plus the
-# explorer selfcheck (find -> minimize -> archive on an injected
-# failure). See SCENARIOS.md for the spec grammar.
+# Deterministic replay of the scenarios/ regression corpus — the fault
+# studies (leader kill, RSU crash/recover, overload, ...) live there as
+# specs — plus the explorer selfcheck (find -> minimize -> archive on an
+# injected failure). See SCENARIOS.md for the spec grammar.
 scenarios:
 	$(GO) run ./cmd/cad3-scenario -selfcheck
 

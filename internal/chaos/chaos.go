@@ -57,7 +57,7 @@ type Stats struct {
 // the seeded PRNG and the named-link partition matrix. Safe for
 // concurrent use; determinism additionally requires a deterministic
 // operation order (drive the pipeline step-wise, as the simulator and
-// the chaos study do).
+// the scenario harness do).
 type Injector struct {
 	mu    sync.Mutex
 	rng   *rand.Rand

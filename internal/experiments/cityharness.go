@@ -33,8 +33,9 @@ import (
 //	                   at-least-once retry and the receiver-side dedup
 //	heal_all           clear the handover-link loss
 //
-// Everything else (partitions, delay, clock skew, reorder) is reported
-// as an action error and the run continues, per the engine's contract.
+// Everything else (partitions, delay, clock skew, reorder, join, RSU
+// crash/recover) is reported as an action error and the run continues,
+// per the engine's contract.
 //
 // Measurements are phase-scoped deltas of the city.* counters plus the
 // cumulative settlement audit; the loss/duplication fields are omitted

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"cad3/internal/scenario"
@@ -127,6 +128,9 @@ func TestCityHarnessRejectsUnsupportedActions(t *testing.T) {
 				Traffic: scenario.TrafficSpec{Shape: "steady", Rate: 1},
 				Actions: []scenario.ActionSpec{
 					{At: 1, Type: "clock_skew", SkewMs: 500},
+					{At: 2, Type: "join"},
+					{At: 2, Type: "rsu_crash"},
+					{At: 3, Type: "rsu_recover"},
 				},
 			},
 		},
@@ -142,5 +146,8 @@ func TestCityHarnessRejectsUnsupportedActions(t *testing.T) {
 	}
 	if !res.Pass {
 		t.Fatalf("run failed:\n%s", res.Transcript)
+	}
+	if n := strings.Count(res.Transcript, "!error: city harness: unsupported action"); n != 4 {
+		t.Fatalf("%d unsupported-action errors recorded, want 4:\n%s", n, res.Transcript)
 	}
 }

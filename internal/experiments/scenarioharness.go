@@ -40,7 +40,9 @@ import (
 //     truth accounting.
 //
 // Replication links are chaos.ReplicaLinks named "leader" -> r<i>, so
-// spec partitions can cut exactly the paths the ISR depends on.
+// spec partitions can cut exactly the paths the ISR depends on. The node
+// itself can die (rsu_crash) and come back from its last checkpoint
+// (rsu_recover); the replica set, and so its logs, outlive it.
 type ScenarioHarness struct {
 	cfg ScenarioHarnessConfig
 	// events is the sorted corridor link replay with precomputed ground
@@ -104,6 +106,9 @@ type ackedRow struct {
 	truth   int
 	scored  bool // has ground truth and was not mutated
 	spoofed bool
+	// ad3Abnormal is the standalone AD3 verdict on the produced record:
+	// the floor fn_vs_ad3 holds the live CAD3 node to.
+	ad3Abnormal bool
 }
 
 // pendingLedger is a refused ledger record waiting to retry.
@@ -134,12 +139,21 @@ type scenarioRun struct {
 	vnowMs int64
 	skewMs int64
 
-	inj    *chaos.Injector
-	rset   *stream.ReplicaSet
-	reg    *obsv.Registry
-	node   *rsu.Node
-	fleet  *vehicle.Fleet
-	member *stream.GroupMember
+	inj   *chaos.Injector
+	rset  *stream.ReplicaSet
+	reg   *obsv.Registry
+	fleet *vehicle.Fleet
+
+	// node is the link CAD3 node, nil while crashed. nodeCfg is what Reset
+	// built it with (rsu_recover reuses it), checkpoint what the crashed
+	// node left, and carried the crashed incarnations' final counters.
+	node       *rsu.Node
+	nodeCfg    rsu.Config
+	checkpoint *rsu.Checkpoint
+	carried    rsu.Stats
+
+	group   *stream.Group
+	members []*stream.GroupMember
 
 	replicaIDs []string
 	killed     map[string]bool
@@ -214,9 +228,9 @@ const (
 	scenarioBaseMs    = int64(1_700_000_000_000) // virtual epoch
 	scenarioSpoofBase = trace.CarID(1_000_000)   // spoofed telemetry car IDs
 	// scenarioProcUs is the modeled per-record detection cost charged to
-	// the virtual clock (the overload study's ProcCost): it makes batch
-	// latency, staleness and warning latency functions of offered load,
-	// so overload shapes actually overload.
+	// the virtual clock: it makes batch latency, staleness and warning
+	// latency functions of offered load, so overload shapes actually
+	// overload.
 	scenarioProcUs = 500
 )
 
@@ -260,13 +274,17 @@ func (h *ScenarioHarness) Reset(seed int64) error {
 	}
 	run.rset = rset
 
-	run.node, err = rsu.New(rsu.Config{
+	// The node gets a registry of its own: rsu.Recover restores a
+	// checkpoint's snapshot into it wholesale, which must not rewind the
+	// control-plane counters (elections, generations) in run.reg.
+	run.nodeCfg = rsu.Config{
 		Name: "Link", Road: CorridorLinkID,
 		Detector: sc.CAD3, Client: rset.Client(stream.AckAll),
-		Workers: 1, Now: now, Metrics: run.reg,
+		Workers: 1, Now: now, Metrics: obsv.NewRegistry(),
 		BatchSLO:       25 * time.Millisecond,
 		ShedStaleAfter: 150 * time.Millisecond,
-	})
+	}
+	run.node, err = rsu.New(run.nodeCfg)
 	if err != nil {
 		return err
 	}
@@ -320,14 +338,13 @@ func (h *ScenarioHarness) Reset(seed int64) error {
 		}
 	}
 
-	group, err := stream.NewGroupCfg(stream.GroupConfig{
+	run.group, err = stream.NewGroupCfg(stream.GroupConfig{
 		Client: rset.Client(stream.AckLeader), Topic: stream.TopicOutData, Metrics: run.reg,
 	})
 	if err != nil {
 		return err
 	}
-	run.member, err = group.Join("w1")
-	if err != nil {
+	if err := run.join(); err != nil {
 		return err
 	}
 	run.fleetAcc = make([]float64, cfg.Vehicles)
@@ -349,7 +366,7 @@ func (h *ScenarioHarness) BeginPhase(name string) error {
 		spoofed: r.spoofed, faulty: r.faulty,
 		delivered: r.delivered, spoofWarn: r.spoofWarn,
 		leaderless: r.leaderless,
-		nodeStats:  r.node.Stats(),
+		nodeStats:  r.nodeStats(),
 	}
 	for _, v := range r.fleet.Vehicles() {
 		r.base.fleetSent += v.Sent()
@@ -422,6 +439,30 @@ func (h *ScenarioHarness) Apply(a scenario.Action) error {
 		r.skewMs = a.SkewMs
 	case "reorder":
 		r.reorderProb = a.Prob
+	case "join":
+		return r.join()
+	case "rsu_crash":
+		if r.node == nil {
+			return fmt.Errorf("rsu_crash: node already down")
+		}
+		// The supervisor's last healthy cycle checkpointed the node just
+		// before its process died.
+		cp, err := r.node.Checkpoint()
+		if err != nil {
+			return err
+		}
+		r.checkpoint, r.carried, r.node = cp, r.nodeStats(), nil
+	case "rsu_recover":
+		if r.node != nil {
+			return fmt.Errorf("rsu_recover: node is not down")
+		}
+		cfg := r.nodeCfg
+		cfg.Detector = nil // reload it from the checkpoint's bundle
+		node, err := rsu.Recover(cfg, r.checkpoint)
+		if err != nil {
+			return err
+		}
+		r.node = node
 	default:
 		return fmt.Errorf("scenario harness: unknown action %q", a.Type)
 	}
@@ -469,12 +510,51 @@ func (h *ScenarioHarness) Round(tr scenario.Traffic) error {
 		}
 	}
 
+	r.step()
+	r.drain()
+	return nil
+}
+
+// step runs one node micro-batch, charging its detection cost to the
+// virtual clock, and returns the records it drained. A crashed node
+// drains nothing.
+func (r *scenarioRun) step() int {
+	if r.node == nil {
+		return 0
+	}
 	bs, err := r.node.Step()
 	if err != nil {
 		r.leaderless++
 	}
 	r.vnowMs += int64(bs.Records) * scenarioProcUs / 1000
-	return r.drain()
+	return bs.Records
+}
+
+// nodeStats is the link node's activity across crashes: the counters
+// Measure reads, carried over from dead incarnations plus the live
+// node's (a recovered node counts from zero).
+func (r *scenarioRun) nodeStats() rsu.Stats {
+	st := r.carried
+	if r.node != nil {
+		live := r.node.Stats()
+		st.Records += live.Records
+		st.Warnings += live.Warnings
+		st.PriorHits += live.PriorHits
+		st.Fallbacks += live.Fallbacks
+		st.ShedStale += live.ShedStale
+		st.DegradedRounds += live.DegradedRounds
+	}
+	return st
+}
+
+// join adds the next OUT-DATA group member (w1, w2, …).
+func (r *scenarioRun) join() error {
+	m, err := r.group.Join(fmt.Sprintf("w%d", len(r.members)+1))
+	if err != nil {
+		return err
+	}
+	r.members = append(r.members, m)
+	return nil
 }
 
 // buildBatch assembles this round's acks=all corridor slice: replayed
@@ -514,6 +594,10 @@ func (r *scenarioRun) buildBatch(tr scenario.Traffic) []pendingLedger {
 			rec.Accel = -80
 			row.scored = false
 			r.faulty++
+		}
+		if row.scored {
+			d, derr := h.cfg.Scenario.AD3.Detect(rec, nil)
+			row.ad3Abnormal = derr == nil && d.Class == core.ClassAbnormal
 		}
 		payload, err := core.EncodeRecord(rec)
 		if err != nil {
@@ -557,16 +641,20 @@ func (r *scenarioRun) flushPending() {
 	}
 }
 
-// drain delivers pending OUT-DATA warnings to the group member, booking
+// drain delivers pending OUT-DATA warnings to every group member, booking
 // exactly-once state, spoof attribution and latency samples.
-func (r *scenarioRun) drain() error {
+func (r *scenarioRun) drain() {
+	for _, member := range r.members {
+		r.drainMember(member)
+	}
+}
+
+func (r *scenarioRun) drainMember(member *stream.GroupMember) {
 	for {
 		//cad3:allow wireerrexhaustive leaderless-window fetch errors are the disruption under measurement, not a run failure; exactly-once booking below tolerates the gap
-		msgs, _ := r.member.Poll(512)
+		msgs, _ := member.Poll(512)
 		if len(msgs) == 0 {
-			// Leaderless-window fetch errors are the disruption under
-			// measurement, not a run failure.
-			return nil
+			return
 		}
 		for i := range msgs {
 			byOff := r.seen[msgs[i].Partition]
@@ -616,15 +704,9 @@ func (h *ScenarioHarness) Settle() error {
 		r.rset.Tick()
 		r.flushPending()
 		before := r.delivered
-		bs, err := r.node.Step()
-		if err != nil {
-			r.leaderless++
-		}
-		r.vnowMs += int64(bs.Records) * scenarioProcUs / 1000
-		if derr := r.drain(); derr != nil {
-			return derr
-		}
-		if len(r.pending) == 0 && bs.Records == 0 && r.delivered == before {
+		records := r.step()
+		r.drain()
+		if len(r.pending) == 0 && records == 0 && r.delivered == before {
 			quiet++
 		} else {
 			quiet = 0
@@ -670,8 +752,10 @@ func (h *ScenarioHarness) Measure() (scenario.Measurements, error) {
 	m["fleet_backpressured"] = float64(backpressured - r.base.fleetBackpressured)
 	m["fleet_send_errors"] = float64(r.fleetSendErrs - r.base.fleetSendErrs)
 
-	st := r.node.Stats()
+	st := r.nodeStats()
 	m["node_processed"] = float64(st.Records - r.base.nodeStats.Records)
+	m["node_prior_hits"] = float64(st.PriorHits - r.base.nodeStats.PriorHits)
+	m["node_fallbacks"] = float64(st.Fallbacks - r.base.nodeStats.Fallbacks)
 	m["node_shed_stale"] = float64(st.ShedStale - r.base.nodeStats.ShedStale)
 	m["node_detected"] = float64((st.Records - st.ShedStale) -
 		(r.base.nodeStats.Records - r.base.nodeStats.ShedStale))
@@ -699,6 +783,7 @@ func (h *ScenarioHarness) Measure() (scenario.Measurements, error) {
 	m["elections"] = float64(snap.Counters["election.count"])
 	m["generations"] = float64(snap.Counters["rebalance.generations"])
 	m["isr_size"] = float64(snap.Gauges["repl.isr_size"])
+	m["priority_gate_refusals"] = float64(r.priorityGateRefusals())
 
 	lost, unverified := r.durabilitySweep()
 	m["lost_acked"] = float64(lost)
@@ -708,7 +793,7 @@ func (h *ScenarioHarness) Measure() (scenario.Measurements, error) {
 		m["missed_deliveries"] = float64(missed)
 	}
 
-	var abnormal, warnedAbnormal int64
+	var abnormal, warnedAbnormal, ad3Missed int64
 	for _, e := range r.ledger {
 		if !e.scored || e.truth != core.ClassAbnormal {
 			continue
@@ -717,12 +802,45 @@ func (h *ScenarioHarness) Measure() (scenario.Measurements, error) {
 		if r.warned[e.car][e.ts] {
 			warnedAbnormal++
 		}
+		if !e.ad3Abnormal {
+			ad3Missed++
+		}
 	}
 	m["abnormal_truth"] = float64(abnormal)
 	if abnormal > 0 {
 		m["fn_rate"] = 1 - float64(warnedAbnormal)/float64(abnormal)
+		// Live misses minus AD3 misses over the same rows, in one
+		// division so equal counts read exactly 0.
+		m["fn_vs_ad3"] = float64(abnormal-warnedAbnormal-ad3Missed) / float64(abnormal)
 	}
 	return m, nil
+}
+
+// pctOf reads the q-quantile of sorted millisecond latencies.
+func pctOf(sorted []int64, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q * float64(len(sorted)-1))
+	return time.Duration(sorted[i]) * time.Millisecond
+}
+
+// priorityGateRefusals sums the OUT-DATA and CO-DATA gate refusals
+// (rejected plus shed) over the live brokers: warnings and summaries are
+// never shed, whatever the telemetry load.
+func (r *scenarioRun) priorityGateRefusals() int64 {
+	var n int64
+	for _, id := range r.replicaIDs {
+		b, alive, err := r.rset.BrokerFor(id)
+		if err != nil || !alive {
+			continue
+		}
+		for _, topic := range []string{stream.TopicOutData, stream.TopicCoData} {
+			fs := b.FlowStats(topic)
+			n += fs.Rejected + fs.ShedTotal()
+		}
+	}
+	return n
 }
 
 // durabilitySweep reads every acked ledger offset back from the current

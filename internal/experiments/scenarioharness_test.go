@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -101,6 +102,225 @@ func TestScenarioHarnessDeterministic(t *testing.T) {
 	}
 	if r3.Transcript == r1.Transcript {
 		t.Fatal("different seeds produced identical transcripts — the seed is not reaching the run")
+	}
+	// The node crash/recover and sustained-overload paths replay too.
+	for _, name := range []string{"rsu-crash-recover.json", "overload-degraded.json"} {
+		s, err := scenario.LoadSpec(filepath.Join("..", "..", "scenarios", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := e.Run(s, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.Run(s, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Transcript != b.Transcript {
+			t.Errorf("%s: same spec, different transcripts", name)
+		}
+	}
+}
+
+// TestChaosStudyDeterministic replays the chaos drill — injector drop and
+// dup faults, a link partition, and a node crash/recover — twice on the
+// same seed and requires identical per-phase measurements, fired actions
+// and recovered node state.
+func TestChaosStudyDeterministic(t *testing.T) {
+	spec := &scenario.Spec{
+		Version: scenario.SpecVersion, Name: "chaos-determinism", Seed: 7,
+		Phases: []scenario.PhaseSpec{
+			{Name: "pre", Rounds: 15, Traffic: scenario.TrafficSpec{Shape: "steady", Rate: 1}},
+			{
+				Name: "fault", Rounds: 20,
+				Traffic: scenario.TrafficSpec{Shape: "steady", Rate: 1},
+				Actions: []scenario.ActionSpec{
+					{At: 0, Type: "link_loss", Prob: 0.05},
+					{At: 0, Type: "link_dup", Prob: 0.05},
+					{At: 2, Type: "rsu_crash"},
+					{At: 8, Type: "rsu_recover"},
+				},
+			},
+			{Name: "recovered", Rounds: 15, Traffic: scenario.TrafficSpec{Shape: "steady", Rate: 1}},
+		},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	h := testHarness(t)
+	e := scenario.New(scenario.Config{})
+	a, err := e.Run(spec, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aCars := h.run.node.TrackedCars()
+	b, err := e.Run(spec, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bCars := h.run.node.TrackedCars()
+
+	if len(a.Phases) != 3 || len(b.Phases) != 3 {
+		t.Fatalf("phases = %d, %d", len(a.Phases), len(b.Phases))
+	}
+	if got := len(a.Phases[1].Fired); got != 4 {
+		t.Fatalf("fault phase fired %d actions, want 4: %v", got, a.Phases[1].Fired)
+	}
+	if a.Phases[2].Measurements["node_processed"] == 0 {
+		t.Fatal("the recovered node processed nothing")
+	}
+	for i := range a.Phases {
+		pa, pb := a.Phases[i], b.Phases[i]
+		if !reflect.DeepEqual(pa.Fired, pb.Fired) {
+			t.Errorf("phase %s fired actions diverged: %v vs %v", pa.Name, pa.Fired, pb.Fired)
+		}
+		if !reflect.DeepEqual(pa.Measurements, pb.Measurements) {
+			t.Errorf("phase %s measurements diverged:\n%v\n%v", pa.Name, pa.Measurements, pb.Measurements)
+		}
+	}
+	if a.Transcript != b.Transcript {
+		t.Error("same seed, different transcripts")
+	}
+	if aCars != bCars || aCars == 0 {
+		t.Errorf("recovered cars diverged or empty: %d vs %d", aCars, bCars)
+	}
+}
+
+// rounds drives n nominal rounds.
+func rounds(t *testing.T, h *ScenarioHarness, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := h.Round(scenario.Traffic{Rate: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func apply(t *testing.T, h *ScenarioHarness, typ string) {
+	t.Helper()
+	if err := h.Apply(scenario.Action{Type: typ}); err != nil {
+		t.Fatalf("%s: %v", typ, err)
+	}
+}
+
+func measure(t *testing.T, h *ScenarioHarness) scenario.Measurements {
+	t.Helper()
+	m, err := h.Measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestScenarioHarnessCrashRecover pins rsu_crash / rsu_recover: they
+// refuse to run out of order, the recovered node resumes with the dead
+// node's tracked cars and summaries, and the node counters Measure reads
+// carry across the restart instead of dropping to the new node's zero.
+func TestScenarioHarnessCrashRecover(t *testing.T) {
+	h := testHarness(t)
+	if err := h.Reset(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.BeginPhase("crash"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Apply(scenario.Action{Type: "rsu_recover"}); err == nil {
+		t.Error("rsu_recover without a crash succeeded")
+	}
+	rounds(t, h, 20)
+	before := measure(t, h)
+	dead := h.run.node
+	apply(t, h, "rsu_crash")
+	if err := h.Apply(scenario.Action{Type: "rsu_crash"}); err == nil {
+		t.Error("a second rsu_crash succeeded")
+	}
+	rounds(t, h, 5)
+	apply(t, h, "rsu_recover")
+
+	cp, err := h.run.node.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.run.node.TrackedCars(), dead.TrackedCars(); got != want || want == 0 {
+		t.Errorf("recovered node tracks %d cars, the dead one %d", got, want)
+	}
+	if !reflect.DeepEqual(cp.Summaries, h.run.checkpoint.Summaries) || len(cp.Summaries) == 0 {
+		t.Errorf("recovered node holds %d summaries, not the dead node's %d",
+			len(cp.Summaries), len(h.run.checkpoint.Summaries))
+	}
+
+	rounds(t, h, 10)
+	if err := h.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	after := measure(t, h)
+	for _, k := range []string{
+		"node_processed", "node_detected", "node_shed_stale", "node_degraded_rounds",
+		"node_prior_hits", "node_fallbacks", "warnings_produced",
+	} {
+		if after[k] < before[k] {
+			t.Errorf("%s fell across the recovery: %v -> %v", k, before[k], after[k])
+		}
+	}
+	if after["node_processed"] == before["node_processed"] {
+		t.Error("the recovered node processed nothing")
+	}
+}
+
+// TestScenarioHarnessRecoverKeepsControlPlaneCounters: rsu.Recover
+// restores the checkpoint's metrics snapshot wholesale, so a node sharing
+// the control plane's registry would rewind elections to crash time.
+func TestScenarioHarnessRecoverKeepsControlPlaneCounters(t *testing.T) {
+	h := testHarness(t)
+	if err := h.Reset(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.BeginPhase("p"); err != nil {
+		t.Fatal(err)
+	}
+	rounds(t, h, 5)
+	apply(t, h, "kill_leader")
+	apply(t, h, "rsu_crash")
+	atCrash := measure(t, h)["elections"]
+	elected := atCrash
+	for i := 0; i < 40 && elected == atCrash; i++ {
+		rounds(t, h, 1)
+		elected = measure(t, h)["elections"]
+	}
+	if elected == atCrash {
+		t.Fatal("no election after the leader kill")
+	}
+	apply(t, h, "rsu_recover")
+	if got := measure(t, h)["elections"]; got < elected {
+		t.Errorf("elections went %v -> %v across rsu_recover", elected, got)
+	}
+}
+
+// TestScenarioHarnessJoin: a second group member rebalances OUT-DATA
+// with every warning delivered exactly once.
+func TestScenarioHarnessJoin(t *testing.T) {
+	h := testHarness(t)
+	if err := h.Reset(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.BeginPhase("p"); err != nil {
+		t.Fatal(err)
+	}
+	rounds(t, h, 10)
+	apply(t, h, "join")
+	rounds(t, h, 10)
+	if err := h.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	m := measure(t, h)
+	missed, ok := m["missed_deliveries"]
+	if m["generations"] != 2 || m["dup_deliveries"] != 0 || !ok || missed != 0 {
+		t.Errorf("generations=%v dup=%v missed=%v (reported %v), want 2, 0, 0",
+			m["generations"], m["dup_deliveries"], missed, ok)
+	}
+	if m["warnings_delivered"] == 0 {
+		t.Error("no warnings delivered")
 	}
 }
 

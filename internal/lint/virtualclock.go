@@ -7,8 +7,8 @@ import (
 )
 
 // VirtualClock forbids wall-clock time in the simulation packages. The
-// Figure 6 latency numbers, the chaos study, and the overload curves are
-// only reproducible because every component in those packages runs on an
+// Figure 6 latency numbers and the scenario corpus transcripts are only
+// reproducible because every component in those packages runs on an
 // injected clock (netem.Simulator.Now, Config.Now hooks, injected Sleep
 // functions). One stray time.Now or time.Sleep silently re-couples a
 // "deterministic" experiment to the host scheduler.

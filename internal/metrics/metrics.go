@@ -156,7 +156,7 @@ func (r *LatencyRecorder) Report() LatencyReport {
 // Deprecated: the live observability registry (internal/obsv.Registry)
 // absorbed this role — it offers the same monotonic named counters as
 // lock-free atomics plus gauges, histograms, snapshot/reset/restore and
-// the /metrics debug endpoint. The RSU supervisor and the chaos study now
+// the /metrics debug endpoint. The RSU supervisor and the RSU node now
 // publish there; CounterSet remains only for code that wants a tiny
 // mutex-guarded map without the registry.
 // Safe for concurrent use.

@@ -24,8 +24,8 @@
 //     context yields a metrics.LatencyBreakdown without any offline
 //     reconstruction.
 //   - DebugServer (debug.go): /metrics, /trace/recent and /health JSON
-//     endpoints plus net/http/pprof, wired into cmd/cad3-rsu,
-//     cmd/cad3-chaos and cmd/cad3-bench behind -debug-addr.
+//     endpoints plus net/http/pprof, wired into cmd/cad3-rsu and
+//     cmd/cad3-bench behind -debug-addr.
 //
 // Everything is stdlib-only and allocation-free on the hot path: counters
 // and histogram observations are single atomic adds, and trace stamps are

@@ -12,8 +12,8 @@ import (
 )
 
 // benchPipeline wires one paced/unpaced vehicle into a flow-controlled
-// broker and a live node — the full IN-DATA path the overload study
-// sweeps, reduced to a single hot loop.
+// broker and a live node — the full IN-DATA path the overload
+// scenarios drive, reduced to a single hot loop.
 func benchPipeline(b *testing.B, capacity int, pacing flow.PacerConfig) (*vehicle.Vehicle, *Node) {
 	b.Helper()
 	_, _, _, cad3 := trainedDetectors(b)

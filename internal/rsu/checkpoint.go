@@ -97,7 +97,11 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // positioned at the checkpointed offsets. cfg.Name and cfg.Road default
 // to the checkpoint's when unset. The broker behind cfg.Client must hold
 // (or have been restored to) a log compatible with the offsets — the
-// crash-recovery pairing is stream.RestoreBroker + rsu.Recover.
+// crash-recovery pairing is stream.RestoreBroker + rsu.Recover. The
+// checkpoint's metrics snapshot is restored into cfg.Metrics wholesale:
+// every counter, gauge and histogram it names is overwritten, so a
+// registry shared with other components is rewound to the checkpoint
+// too — give the node a registry of its own.
 func Recover(cfg Config, cp *Checkpoint) (*Node, error) {
 	if cp == nil {
 		return nil, ErrNilCheckpoint

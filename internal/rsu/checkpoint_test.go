@@ -108,6 +108,9 @@ func TestCheckpointRecoverResumesWithoutReprocessing(t *testing.T) {
 	if st.PriorHits != 1 {
 		t.Errorf("recovered PriorHits = %d, want 1 (car 7's summary)", st.PriorHits)
 	}
+	if st.Fallbacks != 1 {
+		t.Errorf("recovered Fallbacks = %d, want 1 (car 200 has no prior)", st.Fallbacks)
+	}
 	if rn.TrackedCars() != 5 {
 		t.Errorf("TrackedCars after resume = %d, want 5", rn.TrackedCars())
 	}

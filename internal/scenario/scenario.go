@@ -7,7 +7,8 @@
 // corridor replay, rush-hour surge, accident shockwave, platoon burst,
 // sensor-fault storm, adversarial spoofed telemetry), a list of fault
 // actions fired at round offsets (partition, leader kill/revive, link
-// loss/delay/dup and their ramps, RSU flap, clock skew, reorder), and
+// loss/delay/dup and their ramps, RSU flap, clock skew, reorder, node
+// crash/recover, consumer-group join), and
 // pass/fail assertions evaluated over the measurements the harness
 // reports at the end of the phase (warning p99 ceiling, FN floor, shed
 // fraction, acked-loss == 0, ISR recovery, …).
@@ -48,6 +49,9 @@ type Measurements map[string]float64
 //	                                  MinMs/MaxMs for delay bounds)
 //	clock_skew                      — vehicle clock offset (SkewMs)
 //	reorder                         — send-queue adjacent-swap probability
+//	join                            — one more OUT-DATA group member
+//	rsu_crash, rsu_recover          — the RSU node dies / resumes from
+//	                                  its last checkpoint
 type Action struct {
 	Type    string
 	Replica string

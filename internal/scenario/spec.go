@@ -104,6 +104,7 @@ var declaredActions = map[string]bool{
 	"kill_leader": false, "kill": false, "revive": false,
 	"link_loss": false, "link_delay": false, "link_dup": false,
 	"clock_skew": false, "reorder": false,
+	"join": false, "rsu_crash": false, "rsu_recover": false,
 	"loss_ramp": true, "delay_ramp": true, "rsu_flap": true,
 }
 

@@ -62,6 +62,26 @@ func TestSpecGolden(t *testing.T) {
 	}
 }
 
+// TestKitchenSinkUsesEveryAction keeps ok-kitchen-sink.json what its
+// notes claim: every declared action type appears in it.
+func TestKitchenSinkUsesEveryAction(t *testing.T) {
+	s, err := LoadSpec(filepath.Join("testdata", "specs", "ok-kitchen-sink.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, ph := range s.Phases {
+		for _, a := range ph.Actions {
+			used[a.Type] = true
+		}
+	}
+	for typ := range declaredActions {
+		if !used[typ] {
+			t.Errorf("kitchen sink never uses %q", typ)
+		}
+	}
+}
+
 // TestSpecMarshalRoundTrip checks Marshal → ParseSpec is the identity on
 // the golden ok specs, and that Marshal is byte-stable — the property the
 // explorer's content-addressed archive names rely on.

@@ -275,6 +275,83 @@ func TestVehiclePacingUnderBackpressure(t *testing.T) {
 	}
 }
 
+// refusingClient fails the produces refuse picks (by 1-based produce
+// count) and passes the rest through.
+type refusingClient struct {
+	stream.Client
+	n      int
+	refuse func(n int) error
+}
+
+func (c *refusingClient) Produce(topic string, partition int32, key, value []byte) (int32, int64, error) {
+	c.n++
+	if err := c.refuse(c.n); err != nil {
+		return 0, 0, err
+	}
+	return c.Client.Produce(topic, partition, key, value)
+}
+
+// TestPacedSendAccountingCloses: every SendNext attempt of a paced
+// vehicle was sent, decimated by its pacer, absorbed as backpressure, or
+// returned as an error — the identity the scenario harness's fleet_*
+// measurements rest on.
+func TestPacedSendAccountingCloses(t *testing.T) {
+	gated := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1, FlowPolicy: flow.TailDrop{}})
+	for _, topic := range []string{stream.TopicInData, stream.TopicOutData} {
+		if err := gated.CreateTopic(topic, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, open := testBrokerClient(t)
+	linkDown := errors.New("link down")
+	cases := []struct {
+		name     string
+		client   stream.Client
+		wantErrs bool
+	}{
+		{"refusing gate", stream.NewInProcClient(gated), false},
+		{"decimating pacer", &refusingClient{Client: open, refuse: func(n int) error {
+			if n%3 == 0 {
+				return flow.ErrBackpressure
+			}
+			return nil
+		}}, false},
+		{"erroring client", &refusingClient{Client: open, refuse: func(n int) error {
+			if n%2 == 0 {
+				return linkDown
+			}
+			return nil
+		}}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := New(Config{
+				ID: 9, Client: tc.client, Records: testRecords(4), Loop: true,
+				Pacing: flow.PacerConfig{MaxDecimation: 8, RecoverAfter: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const attempts = 200
+			var errs int64
+			for i := 0; i < attempts; i++ {
+				if _, err := v.SendNext(i); err != nil {
+					errs++
+				}
+			}
+			p := v.Pacer()
+			if got := v.Sent() + p.Decimated() + p.Backpressured() + errs; got != attempts {
+				t.Errorf("sent %d + decimated %d + backpressured %d + errors %d = %d, want %d",
+					v.Sent(), p.Decimated(), p.Backpressured(), errs, got, attempts)
+			}
+			if tc.wantErrs != (errs > 0) || tc.wantErrs == (p.Decimated() > 0) {
+				t.Errorf("errors %d, decimated %d: this row must exercise %s",
+					errs, p.Decimated(), tc.name)
+			}
+		})
+	}
+}
+
 // An unpaced vehicle surfaces backpressure as a send error (matchable via
 // flow.ErrBackpressure) rather than silently dropping.
 func TestVehicleUnpacedSurfacesBackpressure(t *testing.T) {
