@@ -58,10 +58,30 @@ func NewSummaryBuilder(road int64, now func() time.Time) *SummaryBuilder {
 	return &SummaryBuilder{road: road, now: now, cars: make(map[trace.CarID]*carAgg)}
 }
 
+// Observation is one prediction probability for a car.
+type Observation struct {
+	Car     trace.CarID
+	PNormal float64
+}
+
 // Observe records one prediction probability for a car.
 func (b *SummaryBuilder) Observe(car trace.CarID, pNormal float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.observeLocked(car, pNormal)
+}
+
+// ObserveBatch records the observations in order under one lock hold, as
+// that many Observe calls would.
+func (b *SummaryBuilder) ObserveBatch(obs []Observation) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, o := range obs {
+		b.observeLocked(o.Car, o.PNormal)
+	}
+}
+
+func (b *SummaryBuilder) observeLocked(car trace.CarID, pNormal float64) {
 	a := b.cars[car]
 	if a == nil {
 		a = &carAgg{}
@@ -217,26 +237,56 @@ func (s *SummaryStore) Put(sum PredictionSummary) {
 
 // Get returns the car's summary if present and fresh.
 func (s *SummaryStore) Get(car trace.CarID) (PredictionSummary, bool) {
-	return s.GetAt(car, s.now())
-}
-
-// GetAt is Get judging freshness as of now, for a caller that looks up a
-// batch of cars against one clock reading.
-func (s *SummaryStore) GetAt(car trace.CarID, now time.Time) (PredictionSummary, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var c SummaryStoreStats
+	sum, ok := s.getLocked(car, s.now().UnixMilli(), &c)
+	s.count(c)
+	return sum, ok
+}
+
+// GetBatch looks each cars[i] up into sums[i] and found[i] in order, as
+// len(cars) Get calls judging freshness as of now would, under one lock
+// hold; each counter moves once. sums and found must be as long as cars.
+func (s *SummaryStore) GetBatch(cars []trace.CarID, now time.Time, sums []PredictionSummary, found []bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	nowMs := now.UnixMilli()
+	var c SummaryStoreStats
+	for i, car := range cars {
+		sums[i], found[i] = s.getLocked(car, nowMs, &c)
+	}
+	s.count(c)
+}
+
+// getLocked is one lookup: a summary older than the TTL is evicted and
+// reads as absent. It tallies the outcome in c.
+func (s *SummaryStore) getLocked(car trace.CarID, nowMs int64, c *SummaryStoreStats) (PredictionSummary, bool) {
 	sum, ok := s.byID[car]
 	if !ok {
-		s.misses.Add(1)
+		c.Misses++
 		return PredictionSummary{}, false
 	}
-	if now.UnixMilli()-sum.UpdatedMs > s.ttl.Milliseconds() {
+	if nowMs-sum.UpdatedMs > s.ttl.Milliseconds() {
 		delete(s.byID, car)
-		s.expired.Add(1)
+		c.Expired++
 		return PredictionSummary{}, false
 	}
-	s.hits.Add(1)
+	c.Hits++
 	return sum, true
+}
+
+// count adds a tally to the counters, skipping the ones it leaves at zero.
+func (s *SummaryStore) count(c SummaryStoreStats) {
+	if c.Hits != 0 {
+		s.hits.Add(c.Hits)
+	}
+	if c.Misses != 0 {
+		s.misses.Add(c.Misses)
+	}
+	if c.Expired != 0 {
+		s.expired.Add(c.Expired)
+	}
 }
 
 // Len returns the number of stored summaries (including possibly stale

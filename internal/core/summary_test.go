@@ -2,8 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
+
+	"cad3/internal/trace"
 )
 
 func TestSummaryBuilderMean(t *testing.T) {
@@ -130,6 +133,55 @@ func TestSummaryStoreTTLBoundary(t *testing.T) {
 	want := SummaryStoreStats{Hits: 1, Misses: 2, Expired: 1}
 	if got := st.Stats(); got != want {
 		t.Errorf("Stats = %+v, want %+v", got, want)
+	}
+}
+
+// TestSummaryStoreGetBatchMatchesGet: a batch lookup answers, evicts and
+// counts as the same lookups one Get at a time — a car whose summary
+// expires is an expiry once and a miss after that, within one batch too.
+func TestSummaryStoreGetBatchMatchesGet(t *testing.T) {
+	base := time.Date(2016, 7, 1, 8, 0, 0, 0, time.UTC)
+	now := base
+	stores := [2]*SummaryStore{}
+	for i := range stores {
+		stores[i] = NewSummaryStore(time.Minute, func() time.Time { return now })
+		stores[i].Put(PredictionSummary{Car: 1, MeanPNormal: 0.4, UpdatedMs: base.UnixMilli()})
+		stores[i].Put(PredictionSummary{Car: 2, MeanPNormal: 0.9, UpdatedMs: base.Add(45 * time.Second).UnixMilli()})
+	}
+	now = base.Add(90 * time.Second) // car 1 stale, car 2 fresh
+	cars := []trace.CarID{1, 2, 3, 1, 2}
+	sums := make([]PredictionSummary, len(cars))
+	found := make([]bool, len(cars))
+	stores[0].GetBatch(cars, now, sums, found)
+	for i, car := range cars {
+		want, ok := stores[1].Get(car)
+		if found[i] != ok || sums[i].Car != want.Car || sums[i].MeanPNormal != want.MeanPNormal {
+			t.Errorf("lookup %d (car %d): batch %+v %v, Get %+v %v", i, car, sums[i], found[i], want, ok)
+		}
+	}
+	want := SummaryStoreStats{Hits: 2, Misses: 2, Expired: 1}
+	if got := stores[0].Stats(); got != want || stores[1].Stats() != want {
+		t.Errorf("Stats batch %+v, one at a time %+v; want %+v", got, stores[1].Stats(), want)
+	}
+	if stores[0].Len() != 1 {
+		t.Errorf("Len after the batch = %d, want 1 (car 1 evicted)", stores[0].Len())
+	}
+}
+
+// TestSummaryBuilderObserveBatchMatchesObserve: a batch fold leaves every
+// car's sum, count and tail exactly where the same Observe calls do.
+func TestSummaryBuilderObserveBatchMatchesObserve(t *testing.T) {
+	batch, loop := NewSummaryBuilder(1, nil), NewSummaryBuilder(1, nil)
+	var obs []Observation
+	for i := 0; i < 100; i++ {
+		o := Observation{Car: trace.CarID(i % 3), PNormal: float64(i%17) / 17}
+		obs = append(obs, o)
+		loop.Observe(o.Car, o.PNormal)
+	}
+	batch.ObserveBatch(obs[:40])
+	batch.ObserveBatch(obs[40:])
+	if got, want := batch.Snapshot(), loop.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("batch fold %+v, Observe loop %+v", got, want)
 	}
 }
 

@@ -139,12 +139,15 @@ type Engine[T any] struct {
 
 	// The batch being drained, reused across Step calls (stepMu keeps
 	// concurrent Step calls from sharing it). decode is decodeOne, bound
-	// once so that handing it to the source allocates nothing per Step.
+	// once so that handing it to the source allocates nothing per Step; wg
+	// awaits the batch's worker goroutines, a field so that a Step with
+	// none allocates nothing for it either.
 	stepMu     sync.Mutex
 	source     lendingPoller
 	decode     func(stream.Message)
 	items      []T
 	decodeErrs int
+	wg         sync.WaitGroup
 
 	// Cached registry handles, nil when cfg.Metrics is nil.
 	mBatches, mRecords, mDecodeErrs, mProcessErrs *obsv.Counter
@@ -260,37 +263,33 @@ func (e *Engine[T]) decodeOne(m stream.Message) {
 	e.items = append(e.items, item)
 }
 
+// processParallel cuts the items into at most Workers chunks and processes
+// the first on the calling goroutine while a goroutine each takes the
+// rest: with one worker a Step starts no goroutine.
 func (e *Engine[T]) processParallel(items []T) {
-	workers := e.cfg.Workers
-	if workers > len(items) {
-		workers = len(items)
-	}
+	workers := min(e.cfg.Workers, len(items))
 	chunk := (len(items) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(items) {
-			break
-		}
-		if hi > len(items) {
-			hi = len(items)
-		}
-		wg.Add(1)
+	for lo := chunk; lo < len(items); lo += chunk {
+		e.wg.Add(1)
 		go func(part []T) {
-			defer wg.Done()
-			if err := e.cfg.Process(part); err != nil {
-				e.mu.Lock()
-				e.stats.ProcessErrors++
-				e.mu.Unlock()
-				if e.mProcessErrs != nil {
-					e.mProcessErrs.Inc()
-				}
-				e.observeErr(fmt.Errorf("microbatch process: %w", err))
-			}
-		}(items[lo:hi])
+			defer e.wg.Done()
+			e.process(part)
+		}(items[lo:min(lo+chunk, len(items))])
 	}
-	wg.Wait()
+	e.process(items[:chunk])
+	e.wg.Wait()
+}
+
+func (e *Engine[T]) process(part []T) {
+	if err := e.cfg.Process(part); err != nil {
+		e.mu.Lock()
+		e.stats.ProcessErrors++
+		e.mu.Unlock()
+		if e.mProcessErrs != nil {
+			e.mProcessErrs.Inc()
+		}
+		e.observeErr(fmt.Errorf("microbatch process: %w", err))
+	}
 }
 
 // Run ticks Step every Interval until the context is cancelled. It returns

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -411,5 +413,98 @@ func TestEngineAdaptiveRespectsMaxBatch(t *testing.T) {
 	}
 	if bs.Records != 10 {
 		t.Errorf("drained %d, want MaxBatch cap 10", bs.Records)
+	}
+}
+
+// lentSource lends the same messages on every poll, as a warm in-process
+// consumer does, without allocating.
+type lentSource struct{ msgs []stream.Message }
+
+func (s *lentSource) Poll(int) ([]stream.Message, error) { return s.msgs, nil }
+
+func (s *lentSource) PollEach(max int, fn func(stream.Message)) (int, error) {
+	n := min(max, len(s.msgs))
+	for _, m := range s.msgs[:n] {
+		fn(m)
+	}
+	return n, nil
+}
+
+// goid returns the calling goroutine's ID, read off its stack header
+// ("goroutine 7 [running]:").
+func goid() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1]
+}
+
+// TestEngineStepRunsFirstChunkOnCaller: a Step processes its first chunk
+// on the goroutine that called it, so with one worker it starts no
+// goroutine and allocates nothing; with three it still covers every item
+// exactly once, in three chunks.
+func TestEngineStepRunsFirstChunkOnCaller(t *testing.T) {
+	src := &lentSource{msgs: make([]stream.Message, 100)}
+	for i := range src.msgs {
+		src.msgs[i].Offset = int64(i)
+	}
+	decode := func(m stream.Message) (int, error) { return int(m.Offset), nil }
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			caller := goid()
+			var mu sync.Mutex
+			seen := make([]int, len(src.msgs))
+			calls, onCaller := 0, 0
+			eng, err := NewEngine(Config[int]{
+				Source: src, Decode: decode, Workers: workers,
+				Process: func(items []int) error {
+					g := goid()
+					mu.Lock()
+					defer mu.Unlock()
+					calls++
+					if g == caller {
+						onCaller++
+					}
+					for _, x := range items {
+						seen[x]++
+					}
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+			for x, n := range seen {
+				if n != 1 {
+					t.Errorf("item %d processed %d times, want once", x, n)
+				}
+			}
+			if calls != workers || onCaller != 1 {
+				t.Errorf("%d Process calls, %d of them on the caller; want %d and 1", calls, onCaller, workers)
+			}
+		})
+	}
+
+	processed := 0
+	eng, err := NewEngine(Config[int]{
+		Source: src, Decode: decode, Workers: 1,
+		Process: func(items []int) error { processed += len(items); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // grow the batch buffer
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("a warm one-worker Step of %d items: %v allocs, want 0", len(src.msgs), allocs)
+	}
+	if processed != 102*len(src.msgs) {
+		t.Errorf("processed %d items over 102 Steps, want %d", processed, 102*len(src.msgs))
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,12 +45,6 @@ var (
 	ErrNoClient   = errors.New("rsu: config requires a broker client")
 	ErrNoNeighbor = errors.New("rsu: unknown neighbor")
 )
-
-// probaSource is implemented by detectors that expose the raw Naive Bayes
-// probability (the quantity CO-DATA summaries aggregate).
-type probaSource interface {
-	PredictProba(rec trace.Record) (float64, error)
-}
 
 // Config configures a Node.
 type Config struct {
@@ -218,47 +213,67 @@ type Node struct {
 	histTx, histQueue, histProc *obsv.Histogram
 }
 
-// warnBatch is what one processRecords call has to warn about: each
-// warning's key and encoded value back to back in one arena the batch owns,
-// what the bookkeeping after the flush needs, and — made from the arena at
-// the flush — the records for the producer and the broker's answers. It
-// also lends the call its one prior summary: a pointer to a local would
-// escape through the Detector interface, a heap object per record. Pooled
-// because the engine calls processRecords from several workers at once.
+// warnBatch is one processRecords call's scratch, pooled because the
+// engine calls processRecords from several workers at once. Per record it
+// holds the car and the prior the summary store resolved for it (the
+// detector gets a pointer into priors: a pointer to a local would escape
+// through the Detector interface, a heap object per record); per detection,
+// the (car, p) pair for the summary builder; per warning, what the flush
+// and the bookkeeping after it need. At the flush each warning's key and
+// encoded value go back to back into one arena the batch owns, and the
+// records for the producer and the broker's answers are made from it.
 type warnBatch struct {
-	arena []byte
+	cars   []trace.CarID
+	priors []core.PredictionSummary
+	found  []bool
+	obs    []core.Observation
+
 	meta  []warnMeta
+	arena []byte
 	recs  []stream.BatchRecord
 	res   []stream.BatchResult
-	prior core.PredictionSummary
 }
 
 type warnMeta struct {
-	car       trace.CarID
-	road      int64
-	pNormal   float64
+	w         core.Warning
 	tc        obsv.TraceContext // not Valid for an untraced record
-	key, size int               // the warning's arena bytes: key, then value up to size
+	key, size int               // the warning's arena bytes once encoded: key, then value up to size
 }
 
 var warnBatches = sync.Pool{New: func() any { return new(warnBatch) }}
 
-// add encodes one warning into the batch under its car's key. A traced
-// record's warning is a traced warning, so the context survives into
-// dissemination and the vehicle can complete the breakdown.
+// add queues one warning for the flush.
 func (wb *warnBatch) add(w core.Warning, tc obsv.TraceContext) {
-	at := len(wb.arena)
-	wb.arena = appendCarKey(wb.arena, w.Car)
-	key := len(wb.arena) - at
-	if tc.Valid() {
-		wb.arena = core.AppendWarningTraced(wb.arena, w, tc)
-	} else {
-		wb.arena = core.AppendWarning(wb.arena, w)
+	wb.meta = append(wb.meta, warnMeta{w: w, tc: tc})
+}
+
+// lookupPriors resolves every record's prior in one store call.
+func (wb *warnBatch) lookupPriors(store *core.SummaryStore, records []tracedRecord, now time.Time) {
+	wb.cars = wb.cars[:0]
+	for i := range records {
+		wb.cars = append(wb.cars, records[i].rec.Car)
 	}
-	wb.meta = append(wb.meta, warnMeta{
-		car: w.Car, road: w.Road, pNormal: w.PNormal, tc: tc,
-		key: key, size: len(wb.arena) - at,
-	})
+	wb.priors = slices.Grow(wb.priors[:0], len(records))[:len(records)]
+	wb.found = slices.Grow(wb.found[:0], len(records))[:len(records)]
+	store.GetBatch(wb.cars, now, wb.priors, wb.found)
+}
+
+// encode writes every queued warning into the arena under its car's key. A
+// traced record's warning is a traced warning, so the context survives
+// into dissemination and the vehicle can complete the breakdown.
+func (wb *warnBatch) encode() {
+	for i := range wb.meta {
+		m := &wb.meta[i]
+		at := len(wb.arena)
+		wb.arena = appendCarKey(wb.arena, m.w.Car)
+		m.key = len(wb.arena) - at
+		if m.tc.Valid() {
+			wb.arena = core.AppendWarningTraced(wb.arena, m.w, m.tc)
+		} else {
+			wb.arena = core.AppendWarning(wb.arena, m.w)
+		}
+		m.size = len(wb.arena) - at
+	}
 }
 
 // collaborativeDetector marks detectors whose accuracy depends on the
@@ -423,54 +438,52 @@ func (n *Node) AddNeighbor(name string, client stream.Client) error {
 	return nil
 }
 
-// processRecords is the engine's worker callback: detect, observe, then
-// warn — in one batch, written after the last record. One clock reading
-// serves the whole call's profile buckets and summary freshness checks.
+// processRecords is the engine's worker callback, one worker's share of a
+// micro-batch in three passes. Nothing shared is touched per record: each
+// shared structure is locked once, each counter added once, and the whole
+// call reads the clock once — profile buckets, summary freshness, shedding
+// and warning times all judge against that reading. Every record still
+// sees exactly what a record-at-a-time loop would show it.
 func (n *Node) processRecords(records []tracedRecord) error {
-	var firstErr error
 	wb := warnBatches.Get().(*warnBatch)
 	now := n.cfg.Now()
+
+	// Pass 1: the road's rolling speed profile, and the road-mean-speed
+	// context for records that arrive without one.
+	n.profile.fold(records, now)
+
+	// Pass 2: every record's forwarded prior.
+	wb.lookupPriors(n.summaries, records, now)
+
+	// Pass 3: shed, detect, and collect each detection's (car, p) pair and
+	// each warning.
+	var firstErr error
+	var hits, misses, shed, detectErrs int64
+	shedding := n.cfg.ShedStaleAfter > 0 && n.degraded.Load()
 	for i := range records {
 		tr := &records[i]
 		rec := &tr.rec
-		n.records.Add(1)
-
-		// Maintain the road's rolling speed profile and backfill the
-		// road-mean-speed context for records that arrive without one.
-		n.profile.ObserveAt(rec.Speed, now)
-		if rec.RoadMeanSpeed == 0 {
-			if mean, _, ok := n.profile.MeanStd(); ok {
-				rec.RoadMeanSpeed = mean
-			}
-		}
-
 		var prior *core.PredictionSummary
-		if s, ok := n.summaries.GetAt(rec.Car, now); ok {
-			wb.prior = s
-			prior = &wb.prior
+		if wb.found[i] {
+			prior = &wb.priors[i]
 		}
 
 		// Degraded-mode admission: shed stale telemetry from known
 		// well-behaved vehicles before the detector runs. Prior hit/miss
 		// accounting covers processed records only.
-		if n.shouldShed(rec, prior) {
-			n.shedStale.Add(1)
+		if shedding && n.shouldShed(rec, prior, now) {
+			shed++
 			continue
 		}
 		if prior != nil {
-			n.priorHits.Add(1)
+			hits++
 		} else {
-			n.priorMisses.Add(1)
-			if n.collab {
-				// CAD3 without a prior collapses to AD3 — the degraded
-				// mode the supervisor accounts for.
-				n.fallbacks.Add(1)
-			}
+			misses++
 		}
 
 		det, err := n.cfg.Detector.Detect(*rec, prior)
 		if err != nil {
-			n.detectErrors.Add(1)
+			detectErrs++
 			if firstErr == nil {
 				firstErr = fmt.Errorf("detect car %d: %w", rec.Car, err)
 			}
@@ -482,8 +495,7 @@ func (n *Node) processRecords(records []tracedRecord) error {
 		// stamp, Queue from the engine's dequeue stamp). Untraced records
 		// skip all of this — two branches, no allocation either way.
 		tc := tr.tc
-		traced := tc.Valid()
-		if traced {
+		if tc.Valid() {
 			tc.Stamp(obsv.StageDetect, n.cfg.Now())
 			if tc.ArriveMicro >= tc.SentMicro && tc.SentMicro != 0 {
 				n.histTx.Observe(tc.ArriveMicro - tc.SentMicro)
@@ -496,31 +508,32 @@ func (n *Node) processRecords(records []tracedRecord) error {
 			}
 		}
 
-		// Feed the local summary builder with the NB probability when the
-		// detector exposes one (the paper's summaries carry Naive Bayes
-		// prediction probabilities).
-		pNB := det.PNormal
-		if ps, ok := n.cfg.Detector.(probaSource); ok {
-			if p, err := ps.PredictProba(*rec); err == nil {
-				pNB = p
-			}
-		}
-		n.builder.Observe(rec.Car, pNB)
-
+		wb.obs = append(wb.obs, core.Observation{Car: rec.Car, PNormal: det.PNormal})
 		if det.Abnormal() {
-			if n.suppressWarning(rec.Car) {
-				continue
-			}
-			w := core.Warning{
+			wb.add(core.Warning{
 				Car:          rec.Car,
 				Road:         int64(rec.Road),
 				PNormal:      det.PNormal,
 				SourceTsMs:   rec.TimestampMs,
-				DetectedTsMs: n.cfg.Now().UnixMilli(),
-			}
-			wb.add(w, tc)
+				DetectedTsMs: now.UnixMilli(),
+			}, tc)
 		}
 	}
+
+	n.builder.ObserveBatch(wb.obs)
+	wb.obs = wb.obs[:0]
+	n.records.Add(int64(len(records)))
+	n.priorHits.Add(hits)
+	n.priorMisses.Add(misses)
+	if n.collab {
+		// CAD3 without a prior collapses to AD3 — the degraded mode the
+		// supervisor accounts for.
+		n.fallbacks.Add(misses)
+	}
+	n.shedStale.Add(shed)
+	n.detectErrors.Add(detectErrs)
+
+	n.suppressRepeats(wb, now)
 	if err := n.flushWarnings(wb); err != nil && firstErr == nil {
 		firstErr = err
 	}
@@ -537,6 +550,7 @@ func (n *Node) flushWarnings(wb *warnBatch) error {
 	if len(wb.meta) == 0 {
 		return nil
 	}
+	wb.encode()
 	at := 0
 	for _, m := range wb.meta {
 		w := wb.arena[at : at+m.size : at+m.size]
@@ -546,6 +560,8 @@ func (n *Node) flushWarnings(wb *warnBatch) error {
 	wb.res = append(wb.res[:0], make([]stream.BatchResult, len(wb.recs))...)
 	batchErr := n.outProducer.SendBatch(wb.recs, wb.res)
 	var firstErr error
+	var acked int64
+	debug := n.logs(slog.LevelDebug)
 	for i, m := range wb.meta {
 		err := batchErr
 		if err == nil {
@@ -553,38 +569,51 @@ func (n *Node) flushWarnings(wb *warnBatch) error {
 		}
 		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("warn car %d: %w", m.car, err)
+				firstErr = fmt.Errorf("warn car %d: %w", m.w.Car, err)
 			}
 			continue
 		}
-		n.warnings.Add(1)
+		acked++
 		if m.tc.Valid() {
-			n.ring.PushContext(int64(m.car), m.road, m.tc, n.cfg.Now())
+			n.ring.PushContext(int64(m.w.Car), m.w.Road, m.tc, n.cfg.Now())
 		}
-		n.cfg.Logger.Debug("warning produced",
-			"rsu", n.cfg.Name, "car", int64(m.car),
-			"road", m.road, "pNormal", m.pNormal)
+		if debug {
+			n.cfg.Logger.Debug("warning produced",
+				"rsu", n.cfg.Name, "car", int64(m.w.Car),
+				"road", m.w.Road, "pNormal", m.w.PNormal)
+		}
 	}
+	n.warnings.Add(acked)
 	clear(wb.recs)
 	wb.arena, wb.meta, wb.recs = wb.arena[:0], wb.meta[:0], wb.recs[:0]
 	return firstErr
 }
 
-// suppressWarning reports whether a warning to the car should be dropped
-// under the cooldown, updating the last-warned time otherwise.
-func (n *Node) suppressWarning(car trace.CarID) bool {
-	if n.cfg.WarnCooldown <= 0 {
-		return false
+// suppressRepeats drops, in order, the batch's warnings to cars warned
+// within the cooldown as of now, and marks the rest as warned then.
+func (n *Node) suppressRepeats(wb *warnBatch, now time.Time) {
+	if n.cfg.WarnCooldown <= 0 || len(wb.meta) == 0 {
+		return
 	}
-	now := n.cfg.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if last, ok := n.lastWarn[car]; ok && now.Sub(last) < n.cfg.WarnCooldown {
-		n.suppressed.Add(1)
-		return true
+	kept := wb.meta[:0]
+	for _, m := range wb.meta {
+		if last, ok := n.lastWarn[m.w.Car]; ok && now.Sub(last) < n.cfg.WarnCooldown {
+			continue
+		}
+		n.lastWarn[m.w.Car] = now
+		kept = append(kept, m)
 	}
-	n.lastWarn[car] = now
-	return false
+	n.suppressed.Add(int64(len(wb.meta) - len(kept)))
+	wb.meta = kept
+}
+
+// logs reports whether the logger keeps records at level. The node asks
+// before a log call on a per-warning or per-handover path, whose arguments
+// are boxed even when the handler discards them.
+func (n *Node) logs(level slog.Level) bool {
+	return n.cfg.Logger.Enabled(context.Background(), level)
 }
 
 func carKey(car trace.CarID) []byte {
@@ -646,12 +675,12 @@ func (n *Node) observeSaturation(bs microbatch.BatchStats) {
 }
 
 // shouldShed implements the node-level degraded-mode admission decision
-// for one telemetry record: shed only when the node is degraded, the
-// record is stale, and the vehicle's own forwarded summary says it has
+// for one telemetry record of a degraded node: shed only when the record
+// is stale as of now and the vehicle's own forwarded summary says it has
 // been behaving. Vehicles without a summary are never shed — absence of
 // evidence is not evidence of safety.
-func (n *Node) shouldShed(rec *trace.Record, prior *core.PredictionSummary) bool {
-	if !n.degraded.Load() || n.cfg.ShedStaleAfter <= 0 || prior == nil {
+func (n *Node) shouldShed(rec *trace.Record, prior *core.PredictionSummary, now time.Time) bool {
+	if prior == nil {
 		return false
 	}
 	safe := n.cfg.ShedSafePNormal
@@ -661,7 +690,7 @@ func (n *Node) shouldShed(rec *trace.Record, prior *core.PredictionSummary) bool
 	if prior.MeanPNormal < safe {
 		return false
 	}
-	age := time.Duration(n.cfg.Now().UnixMilli()-rec.TimestampMs) * time.Millisecond
+	age := time.Duration(now.UnixMilli()-rec.TimestampMs) * time.Millisecond
 	return age > n.cfg.ShedStaleAfter
 }
 
@@ -724,9 +753,11 @@ func (n *Node) Handover(car trace.CarID, neighbor string) error {
 	}
 	n.builder.Forget(car)
 	n.sentSumm.Add(1)
-	n.cfg.Logger.Info("handover",
-		"rsu", n.cfg.Name, "car", int64(car), "neighbor", neighbor,
-		"meanPNormal", sum.MeanPNormal, "count", sum.Count)
+	if n.logs(slog.LevelInfo) {
+		n.cfg.Logger.Info("handover",
+			"rsu", n.cfg.Name, "car", int64(car), "neighbor", neighbor,
+			"meanPNormal", sum.MeanPNormal, "count", sum.Count)
+	}
 	return nil
 }
 
@@ -762,9 +793,11 @@ func (n *Node) HandoverVia(car trace.CarID, forward func(key, value []byte) erro
 	}
 	n.builder.Forget(car)
 	n.sentSumm.Add(1)
-	n.cfg.Logger.Info("handover",
-		"rsu", n.cfg.Name, "car", int64(car),
-		"meanPNormal", sum.MeanPNormal, "count", sum.Count)
+	if n.logs(slog.LevelInfo) {
+		n.cfg.Logger.Info("handover",
+			"rsu", n.cfg.Name, "car", int64(car),
+			"meanPNormal", sum.MeanPNormal, "count", sum.Count)
+	}
 	return nil
 }
 

@@ -59,19 +59,46 @@ func NewRoadProfile(bucketD time.Duration, buckets int, now func() time.Time) *R
 
 // Observe folds one speed sample into the current bucket.
 func (p *RoadProfile) Observe(speedKmh float64) {
-	p.ObserveAt(speedKmh, p.now())
-}
-
-// ObserveAt is Observe into the bucket of the given time, for a caller that
-// folds a batch of samples against one clock reading.
-func (p *RoadProfile) ObserveAt(speedKmh float64, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tick := now.UnixNano() / int64(p.bucketD)
+	p.bucketLocked(p.tickLocked(p.now())).add(speedKmh)
+}
+
+// fold is Observe then MeanStd for each record in order, under one lock
+// hold and one clock reading: it folds the record's speed into the window
+// and backfills a missing road-mean-speed context from the window as it
+// stands after that sample, so record i sees samples 0..i.
+func (p *RoadProfile) fold(records []tracedRecord, now time.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tick := p.tickLocked(now)
+	b := p.bucketLocked(tick)
+	for i := range records {
+		rec := &records[i].rec
+		b.add(rec.Speed)
+		if rec.RoadMeanSpeed == 0 {
+			if mean, _, ok := p.meanStdLocked(tick); ok {
+				rec.RoadMeanSpeed = mean
+			}
+		}
+	}
+}
+
+func (p *RoadProfile) tickLocked(now time.Time) int64 {
+	return now.UnixNano() / int64(p.bucketD)
+}
+
+// bucketLocked returns the ring bucket of tick, emptied first if it still
+// holds an older tick's samples.
+func (p *RoadProfile) bucketLocked(tick int64) *profileBucket {
 	b := &p.buckets[tick%int64(len(p.buckets))]
 	if b.tick != tick {
 		*b = profileBucket{tick: tick}
 	}
+	return b
+}
+
+func (b *profileBucket) add(speedKmh float64) {
 	b.n++
 	b.sum += speedKmh
 	b.sumSq += speedKmh * speedKmh
@@ -82,7 +109,10 @@ func (p *RoadProfile) ObserveAt(speedKmh float64, now time.Time) {
 func (p *RoadProfile) MeanStd() (mean, std float64, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tick := p.now().UnixNano() / int64(p.bucketD)
+	return p.meanStdLocked(p.tickLocked(p.now()))
+}
+
+func (p *RoadProfile) meanStdLocked(tick int64) (mean, std float64, ok bool) {
 	oldest := tick - int64(len(p.buckets)) + 1
 	var n int64
 	var sum, sumSq float64
@@ -156,7 +186,7 @@ func (p *RoadProfile) Restore(snap ProfileSnapshot) {
 func (p *RoadProfile) Samples() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tick := p.now().UnixNano() / int64(p.bucketD)
+	tick := p.tickLocked(p.now())
 	oldest := tick - int64(len(p.buckets)) + 1
 	var n int64
 	for i := range p.buckets {
