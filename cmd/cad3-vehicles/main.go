@@ -3,11 +3,10 @@
 // records at 10 Hz and polls for warnings every 10 ms, printing end-to-end
 // latency when done (the role of PC1 in the paper's testbed).
 //
-// On the binary wire format each record carries a trace context in its
-// frame padding; warnings coming back carry the full per-stage stamp set,
-// so the fleet also prints the live Tx/Queue/Processing/Dissemination
-// breakdown (Figure 6a) measured in flight — see OBSERVABILITY.md. JSON
-// mode (-json) carries no trace and reports only coarse end-to-end times.
+// Each record is the 200 B binary frame and carries a trace context in its
+// padding; warnings coming back carry the full per-stage stamp set, so the
+// fleet also prints the live Tx/Queue/Processing/Dissemination breakdown
+// (Figure 6a) measured in flight — see OBSERVABILITY.md.
 //
 // Usage:
 //
@@ -41,9 +40,8 @@ func run() error {
 	n := flag.Int("n", 32, "number of vehicles")
 	duration := flag.Duration("duration", 10*time.Second, "run duration")
 	seed := flag.Int64("seed", 1, "record pool seed")
-	jsonWire := flag.Bool("json", false, "publish telemetry as JSON instead of the binary codec (debug/interop)")
 	conns := flag.Int("conns", stream.DefaultPoolSize, "pooled pipelined connections shared by the fleet")
-	perConn := flag.Bool("per-conn", false, "one synchronous connection per vehicle (pre-pipelining behavior, for comparison)")
+	perConn := flag.Bool("per-conn", false, "one connection per vehicle instead of a shared pool (for comparison)")
 	flag.Parse()
 
 	pool, _, err := experiments.BuildLatencyInputs(*seed)
@@ -53,7 +51,7 @@ func run() error {
 
 	// By default the whole fleet multiplexes a small pool of pipelined
 	// connections with per-link circuit breakers; -per-conn restores the
-	// paper's one-synchronous-connection-per-producer emulation.
+	// paper's one-connection-per-producer emulation.
 	var clientFor func(i int) stream.Client
 	if *perConn {
 		clients := make([]*stream.RetryClient, 0, *n)
@@ -79,7 +77,7 @@ func run() error {
 		clientFor = func(i int) stream.Client { return pc }
 	}
 
-	fleet, err := vehicle.NewFleet(*n, pool, clientFor, vehicle.Config{Loop: true, JSONWire: *jsonWire})
+	fleet, err := vehicle.NewFleet(*n, pool, clientFor, vehicle.Config{Loop: true})
 	if err != nil {
 		return err
 	}

@@ -85,10 +85,9 @@ func TestTracedWireZeroAllocs(t *testing.T) {
 }
 
 // TestBackpressuredSendZeroAllocs extends the zero-alloc contract to the
-// refusal path: a producer whose pooled send hits a full admission gate
-// must get its preallocated backpressure error — and recycle its payload
-// buffer — without touching the heap. Overload is exactly when per-send
-// allocations would hurt most.
+// refusal path: a producer whose send hits a full admission gate must get
+// its preallocated backpressure error without touching the heap. Overload
+// is exactly when per-send allocations would hurt most.
 func TestBackpressuredSendZeroAllocs(t *testing.T) {
 	b := stream.NewBroker(stream.BrokerConfig{
 		FlowCapacity: 1,
@@ -103,13 +102,14 @@ func TestBackpressuredSendZeroAllocs(t *testing.T) {
 	}
 	rec := wireTestRecord()
 	key := []byte("car-1")
-	encode := func(dst []byte) []byte { return AppendRecord(dst, rec) }
+	buf := AppendRecord(nil, rec)
 	// Take the topic's only credit; every send after this is refused.
-	if _, _, err := p.SendPooled(key, encode); err != nil {
+	if _, _, err := p.Send(key, buf); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		_, _, serr := p.SendPooled(key, encode)
+		buf = AppendRecord(buf[:0], rec)
+		_, _, serr := p.Send(key, buf)
 		if !errors.Is(serr, flow.ErrBackpressure) {
 			t.Fatalf("want backpressure, got %v", serr)
 		}
@@ -118,6 +118,6 @@ func TestBackpressuredSendZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("backpressured pooled send: %v allocs/op, want 0", allocs)
+		t.Errorf("backpressured send: %v allocs/op, want 0", allocs)
 	}
 }

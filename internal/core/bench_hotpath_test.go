@@ -29,9 +29,9 @@ func benchSummary() PredictionSummary {
 		LastPNormal: []float64{0.91, 0.88, 0.83, 0.79, 0.85}}
 }
 
-// BenchmarkWireCodec compares the binary codec against the JSON fallback
-// for each wire type, measuring one encode+decode round trip per op with a
-// reused destination buffer (the steady-state telemetry path).
+// BenchmarkWireCodec measures one encode+decode round trip per op for each
+// wire type with a reused destination buffer (the steady-state telemetry
+// path), and summaries' JSON form beside their binary one.
 func BenchmarkWireCodec(b *testing.B) {
 	b.Run("record/binary", func(b *testing.B) {
 		rec := benchRecord()
@@ -45,20 +45,6 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 	})
-	b.Run("record/json", func(b *testing.B) {
-		rec := benchRecord()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			payload, err := EncodeRecordJSON(rec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := DecodeRecord(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-	})
 	b.Run("warning/binary", func(b *testing.B) {
 		w := benchWarning()
 		dst := make([]byte, 0, 64)
@@ -66,19 +52,6 @@ func BenchmarkWireCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			dst = AppendWarning(dst[:0], w)
 			if _, err := DecodeWarning(dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warning/json", func(b *testing.B) {
-		w := benchWarning()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			payload, err := EncodeWarningJSON(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := DecodeWarning(payload); err != nil {
 				b.Fatal(err)
 			}
 		}

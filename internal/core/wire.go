@@ -12,15 +12,15 @@ import (
 )
 
 // Binary wire codec for the three CAD3 payloads (IN-DATA records, OUT-DATA
-// warnings, CO-DATA summaries). Every binary payload starts with a single
-// header byte carrying the format version in the high nibble and the
-// payload type in the low nibble; the body is a fixed little-endian layout
-// (summaries append a short variable tail). JSON remains a first-class
-// fallback: encoders can be asked for it (EncodeRecordJSON and friends,
-// used by the CLI/debug tools), and every decoder sniffs the header byte —
-// anything that is not a recognised version-1 binary header is handed to
-// the JSON decoder, so mixed fleets and recorded JSON traffic keep
-// working.
+// warnings, CO-DATA summaries). Every payload starts with a single header
+// byte carrying the format version in the high nibble and the payload type
+// in the low nibble; the body is a fixed little-endian layout (summaries
+// append a short variable tail). Records and warnings are binary only: a
+// payload without their header is a decode error. Summaries alone keep a
+// JSON form, because AppendSummary emits it for what the binary layout
+// cannot hold (a tail longer than 255 entries, a count outside uint32);
+// DecodeSummary hands anything without the summary header to the JSON
+// decoder.
 //
 // See DESIGN.md §"Wire formats" for the byte-level layout and the
 // buffer-ownership rules around the stream package's payload pool.
@@ -28,7 +28,7 @@ import (
 // Wire format constants.
 const (
 	// WireVersion is the current binary format version (header high
-	// nibble). Decoders fall back to JSON for any other version.
+	// nibble). Decoders reject any other version.
 	WireVersion = 1
 
 	wireTypeRecord  = 0x1
@@ -43,11 +43,10 @@ const (
 // RecordWireSize is the on-wire size of a binary-encoded record. The
 // fixed fields need recordBodySize bytes; the frame is zero-padded up to
 // the paper's 200 B status-packet size so the MAC-emulation, bandwidth
-// and Figure 6 results keep the paper's packet-size assumption while the
-// codec sheds the JSON marshalling cost. The padding doubles as the
-// carrier for the pipeline trace context (obsv.TraceContext): traced
-// frames place a 50-byte trace blob at offset recordBodySize, costing no
-// extra wire bytes. Untraced decoders ignore the padding either way.
+// and Figure 6 results keep the paper's packet-size assumption. The
+// padding doubles as the carrier for the pipeline trace context
+// (obsv.TraceContext): traced frames place a 50-byte trace blob at offset
+// recordBodySize, costing no extra wire bytes. Untraced decoders ignore the padding either way.
 const (
 	recordBodySize = 76
 	RecordWireSize = 200
@@ -66,8 +65,8 @@ const maxSummaryTail = 255
 
 // AppendRecord appends the binary encoding of r to dst and returns the
 // extended slice. The result is exactly RecordWireSize bytes longer than
-// dst. Like the JSON form, the generator-ground-truth Anomalous flag is
-// not carried on the wire.
+// dst. The generator-ground-truth Anomalous flag is not carried on the
+// wire.
 //
 //cad3:noalloc
 func AppendRecord(dst []byte, r trace.Record) []byte {
@@ -105,8 +104,8 @@ func AppendRecordTraced(dst []byte, r trace.Record, tc obsv.TraceContext) []byte
 }
 
 // RecordTrace extracts the trace context from a binary record payload.
-// ok=false for untraced frames and JSON payloads (the graceful-degradation
-// path: the pipeline runs untraced).
+// ok=false for untraced frames (the graceful-degradation path: the
+// pipeline runs untraced).
 //
 //cad3:noalloc
 func RecordTrace(b []byte) (obsv.TraceContext, bool) {
@@ -147,7 +146,7 @@ func AppendWarningTraced(dst []byte, w Warning, tc obsv.TraceContext) []byte {
 }
 
 // WarningTrace extracts the trace context from a binary warning payload.
-// ok=false for untraced warnings and JSON payloads.
+// ok=false for untraced warnings.
 //
 //cad3:noalloc
 func WarningTrace(b []byte) (obsv.TraceContext, bool) {
@@ -188,8 +187,8 @@ func AppendSummary(dst []byte, s PredictionSummary) ([]byte, error) {
 var le = binary.LittleEndian
 
 // isBinary reports whether b starts with the given version-1 binary
-// header. Anything else — JSON (which starts with '{' or whitespace),
-// an unknown future version, garbage — is routed to the JSON fallback.
+// header. Anything else — JSON, an unknown future version, garbage — is
+// not a binary payload of that type.
 //
 //cad3:noalloc
 func isBinary(b []byte, hdr byte) bool {
@@ -202,18 +201,10 @@ func EncodeRecord(r trace.Record) ([]byte, error) {
 	return AppendRecord(make([]byte, 0, RecordWireSize), r), nil
 }
 
-// EncodeRecordJSON serializes a record as legacy JSON, for debug tools
-// and mixed-version interop (decoders accept both).
-func EncodeRecordJSON(r trace.Record) ([]byte, error) { return json.Marshal(r) }
-
-// DecodeRecord parses an IN-DATA payload, binary or JSON.
+// DecodeRecord parses a binary IN-DATA payload.
 func DecodeRecord(b []byte) (trace.Record, error) {
 	if !isBinary(b, hdrRecord) {
-		var r trace.Record
-		if err := json.Unmarshal(b, &r); err != nil {
-			return trace.Record{}, fmt.Errorf("decode record: %w", err)
-		}
-		return r, nil
+		return trace.Record{}, fmt.Errorf("decode record: not a binary record (%d bytes)", len(b))
 	}
 	if len(b) < recordBodySize {
 		return trace.Record{}, fmt.Errorf("decode record: truncated binary payload (%d bytes)", len(b))
@@ -239,17 +230,10 @@ func EncodeWarning(w Warning) ([]byte, error) {
 	return AppendWarning(make([]byte, 0, warningWireSize), w), nil
 }
 
-// EncodeWarningJSON serializes a warning as legacy JSON.
-func EncodeWarningJSON(w Warning) ([]byte, error) { return json.Marshal(w) }
-
-// DecodeWarning parses an OUT-DATA payload, binary or JSON.
+// DecodeWarning parses a binary OUT-DATA payload.
 func DecodeWarning(b []byte) (Warning, error) {
 	if !isBinary(b, hdrWarning) {
-		var w Warning
-		if err := json.Unmarshal(b, &w); err != nil {
-			return Warning{}, fmt.Errorf("decode warning: %w", err)
-		}
-		return w, nil
+		return Warning{}, fmt.Errorf("decode warning: not a binary warning (%d bytes)", len(b))
 	}
 	if len(b) < warningWireSize {
 		return Warning{}, fmt.Errorf("decode warning: truncated binary payload (%d bytes)", len(b))

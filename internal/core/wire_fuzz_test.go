@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -10,12 +11,14 @@ import (
 
 // Decode fuzzers: arbitrary bytes must never panic a decoder, and any
 // accepted binary parse must come from a buffer long enough to hold the
-// claimed layout (mirrors internal/stream's wire-protocol fuzzers). Run
-// continuously with `go test -fuzz FuzzDecodeRecord ./internal/core`.
+// claimed layout (mirrors internal/stream's wire-protocol fuzzers). A
+// record or warning without its binary header — JSON included — must not
+// decode at all. Run continuously with `go test -fuzz FuzzDecodeRecord
+// ./internal/core`.
 
 func FuzzDecodeRecord(f *testing.F) {
 	valid, _ := EncodeRecord(trace.Record{Car: 1, Road: 2, Speed: 30, Hour: 9, Day: 4, RoadType: geo.Motorway})
-	j, _ := EncodeRecordJSON(trace.Record{Car: 1, Hour: 9, Day: 4, RoadType: geo.Motorway})
+	j, _ := json.Marshal(trace.Record{Car: 1, Hour: 9, Day: 4, RoadType: geo.Motorway})
 	f.Add(valid)
 	f.Add(j)
 	f.Add([]byte{})
@@ -23,10 +26,13 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(valid[:recordBodySize/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)
+		if !isBinary(data, hdrRecord) && err == nil {
+			t.Fatalf("decoded a payload without the record header: %+v", rec)
+		}
 		if err != nil {
 			return
 		}
-		if isBinary(data, hdrRecord) && len(data) < recordBodySize {
+		if len(data) < recordBodySize {
 			t.Fatalf("accepted %d-byte binary record, need %d: %+v", len(data), recordBodySize, rec)
 		}
 	})
@@ -39,10 +45,13 @@ func FuzzDecodeWarning(f *testing.F) {
 	f.Add([]byte(`{"carId":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := DecodeWarning(data)
+		if !isBinary(data, hdrWarning) && err == nil {
+			t.Fatalf("decoded a payload without the warning header: %+v", w)
+		}
 		if err != nil {
 			return
 		}
-		if isBinary(data, hdrWarning) && len(data) < warningWireSize {
+		if len(data) < warningWireSize {
 			t.Fatalf("accepted %d-byte binary warning: %+v", len(data), w)
 		}
 	})
@@ -65,47 +74,35 @@ func FuzzDecodeSummary(f *testing.F) {
 }
 
 // Round-trip fuzzers: encode→decode must be the identity for any valid
-// payload, on both the binary and the JSON fallback path.
+// payload — records on the binary path, summaries on both of theirs.
 
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(int64(1), int64(2), 30.0, 1.5, 22.5, 114.0, 90.0, byte(9), byte(4), byte(3), 35.0, int64(99), false)
-	f.Add(int64(-7), int64(1<<40), -3.0, 0.0, 0.0, 0.0, 359.9, byte(23), byte(31), byte(10), 0.0, int64(-1), true)
+	f.Add(int64(1), int64(2), 30.0, 1.5, 22.5, 114.0, 90.0, byte(9), byte(4), byte(3), 35.0, int64(99))
+	f.Add(int64(-7), int64(1<<40), -3.0, 0.0, 0.0, 0.0, 359.9, byte(23), byte(31), byte(10), 0.0, int64(-1))
 	f.Fuzz(func(t *testing.T, car, road int64, speed, accel, lat, lon, hdg float64,
-		hour, day, rt byte, vr float64, ts int64, useJSON bool) {
+		hour, day, rt byte, vr float64, ts int64) {
 		rec := trace.Record{
 			Car: trace.CarID(car), Road: geo.SegmentID(road),
 			Speed: speed, Accel: accel, Lat: lat, Lon: lon, Heading: hdg,
 			Hour: int(hour % 24), Day: int(day%31) + 1,
 			RoadType: geo.RoadType(rt % 11), RoadMeanSpeed: vr, TimestampMs: ts,
 		}
-		var payload []byte
-		var err error
-		if useJSON {
-			for _, f := range []float64{speed, accel, lat, lon, hdg, vr} {
-				if f != f || f > 1e308 || f < -1e308 {
-					t.Skip("NaN/Inf cannot cross the JSON fallback")
-				}
-			}
-			payload, err = EncodeRecordJSON(rec)
-		} else {
-			payload, err = EncodeRecord(rec)
-		}
+		payload, err := EncodeRecord(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := DecodeRecord(payload)
 		if err != nil {
-			t.Fatalf("decode (json=%v): %v", useJSON, err)
+			t.Fatalf("decode: %v", err)
 		}
 		if differsNaNAware(got, rec) {
-			t.Fatalf("round trip (json=%v):\n got %+v\nwant %+v", useJSON, got, rec)
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, rec)
 		}
 	})
 }
 
-// differsNaNAware compares records treating NaN==NaN (JSON cannot carry
-// NaN, but the fuzzer only feeds it finite values; binary carries any
-// bit pattern through Float64bits exactly).
+// differsNaNAware compares records treating NaN==NaN: binary carries any
+// bit pattern through Float64bits exactly, but NaN != NaN.
 func differsNaNAware(a, b trace.Record) bool {
 	return !reflect.DeepEqual(normNaN(a), normNaN(b))
 }

@@ -56,22 +56,20 @@ func TestRecordBinaryDropsAnomalousLikeJSON(t *testing.T) {
 	}
 }
 
+// TestRecordJSONFallback: records are binary only. A payload without the
+// binary header, such as the record's JSON form, falls through to a decode
+// error rather than to a JSON decoder.
 func TestRecordJSONFallback(t *testing.T) {
-	rec := wireTestRecord()
-	payload, err := EncodeRecordJSON(rec)
+	payload, err := json.Marshal(wireTestRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRecord(payload)
-	if err != nil {
-		t.Fatalf("JSON fallback decode: %v", err)
-	}
-	if got != rec {
-		t.Fatalf("JSON fallback mismatch: got %+v want %+v", got, rec)
+	if _, err := DecodeRecord(payload); err == nil {
+		t.Fatal("a JSON record decoded")
 	}
 }
 
-func TestWarningBinaryRoundTripAndFallback(t *testing.T) {
+func TestWarningBinaryRoundTrip(t *testing.T) {
 	w := Warning{Car: 7, Road: -42, PNormal: 0.125, SourceTsMs: 1467621000123, DetectedTsMs: 1467621000170}
 	payload, err := EncodeWarning(w)
 	if err != nil {
@@ -83,17 +81,6 @@ func TestWarningBinaryRoundTripAndFallback(t *testing.T) {
 	}
 	if got != w {
 		t.Fatalf("round trip mismatch: got %+v want %+v", got, w)
-	}
-	j, err := EncodeWarningJSON(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeWarning(j)
-	if err != nil {
-		t.Fatalf("JSON fallback decode: %v", err)
-	}
-	if got != w {
-		t.Fatalf("JSON fallback mismatch: got %+v want %+v", got, w)
 	}
 }
 
@@ -169,8 +156,8 @@ func TestDecodeRejectsTruncatedBinary(t *testing.T) {
 }
 
 func TestDecodeUnknownVersionFallsBack(t *testing.T) {
-	// A version-2 header is not JSON either, so decode must fail cleanly
-	// (fall back to the JSON path and surface its error), never panic.
+	// A version-2 header is not a version-1 record, so decode must fail
+	// cleanly, never panic.
 	payload := []byte{WireVersion + 1<<4 | wireTypeRecord, 0xde, 0xad}
 	payload[0] = (WireVersion+1)<<4 | wireTypeRecord
 	if _, err := DecodeRecord(payload); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -88,28 +89,30 @@ func TestWarningTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceJSONFallback proves the JSON wire fallback keeps working end to
-// end and simply degrades to untraced operation.
+// TestTraceJSONFallback: a payload without the binary header, such as the
+// JSON form of a record or a warning, is a decode error and reports no
+// trace context.
 func TestTraceJSONFallback(t *testing.T) {
-	rec := wireTestRecord()
-	payload, err := EncodeRecordJSON(rec)
+	rec, err := json.Marshal(wireTestRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeRecord(payload); err != nil {
-		t.Fatalf("JSON record stopped decoding: %v", err)
+	if _, err := DecodeRecord(rec); err == nil {
+		t.Fatal("a JSON record decoded")
 	}
-	if _, ok := RecordTrace(payload); ok {
-		t.Fatal("JSON record reported a trace context")
+	if _, ok := RecordTrace(rec); ok {
+		t.Fatal("a JSON record reported a trace context")
 	}
 
-	w := Warning{Car: 1, Road: 2, PNormal: 0.5}
-	jw, err := EncodeWarningJSON(w)
+	w, err := json.Marshal(Warning{Car: 1, Road: 2, PNormal: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := WarningTrace(jw); ok {
-		t.Fatal("JSON warning reported a trace context")
+	if _, err := DecodeWarning(w); err == nil {
+		t.Fatal("a JSON warning decoded")
+	}
+	if _, ok := WarningTrace(w); ok {
+		t.Fatal("a JSON warning reported a trace context")
 	}
 }
 

@@ -25,12 +25,6 @@ import (
 //   - fmt.* calls and errors.New (both always allocate);
 //   - implicit interface conversions at call boundaries (boxing);
 //   - go statements (a goroutine allocates its stack).
-//
-// Independent of annotations, the analyzer also enforces the repo's
-// pooled-send contract everywhere: an encode closure handed to
-// SendPooled must not capture variables — SendPooled exists so the
-// telemetry fast path stays allocation-free, and a capturing closure
-// silently reintroduces one heap allocation per message sent.
 var NoAlloc = &Analyzer{
 	Name:   "noalloc",
 	Doc:    "//cad3:noalloc functions must not contain allocating constructs",
@@ -53,7 +47,6 @@ func runNoAlloc(prog *Program, pkg *Package) []Finding {
 				c.check()
 			}
 		}
-		checkSendPooledClosures(prog, pkg, file, &out)
 	}
 	return out
 }
@@ -288,29 +281,4 @@ func capturedVars(pkg *Package, lit *ast.FuncLit) []string {
 	})
 	sort.Strings(names)
 	return names
-}
-
-// checkSendPooledClosures enforces the pooled-send contract everywhere:
-// the encode callback must be a reusable value or a capture-free
-// literal, never a capturing closure built per call.
-func checkSendPooledClosures(prog *Program, pkg *Package, file *ast.File, out *[]Finding) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || calleeName(call) != "SendPooled" || len(call.Args) < 2 {
-			return true
-		}
-		lit, ok := call.Args[1].(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		if caps := capturedVars(pkg, lit); len(caps) > 0 {
-			*out = append(*out, Finding{
-				Pos:      prog.Fset.Position(lit.Pos()),
-				Analyzer: "noalloc",
-				Message: "SendPooled encode closure captures " + strings.Join(caps, ", ") +
-					" — this allocates per send; hoist a reusable closure so the pooled fast path stays allocation-free",
-			})
-		}
-		return true
-	})
 }

@@ -1,7 +1,6 @@
 // Package hot is a golden fixture for the noalloc analyzer: annotated
 // functions mixing the legal zero-allocation idioms with one seeded
-// violation per allocating construct, plus the always-on SendPooled
-// encode-closure rule.
+// violation per allocating construct.
 package hot
 
 import "fmt"
@@ -64,26 +63,3 @@ func Box(v int) {
 }
 
 func sink(x interface{}) { _ = x }
-
-// Producer mimics the transport's pooled-send API by name.
-type Producer struct{}
-
-// SendPooled matches the real signature shape: key plus encode callback.
-func (p *Producer) SendPooled(key []byte, encode func([]byte) []byte) (int, int, error) {
-	return 0, 0, nil
-}
-
-// SendCapturing builds a fresh capturing closure per send — the
-// always-on rule fires without any annotation.
-func SendCapturing(p *Producer, key []byte, rec uint64) {
-	p.SendPooled(key, func(dst []byte) []byte { // want "SendPooled encode closure captures rec"
-		return append(dst, byte(rec))
-	})
-}
-
-// SendHoisted passes a capture-free literal: legal.
-func SendHoisted(p *Producer, key []byte) {
-	p.SendPooled(key, func(dst []byte) []byte {
-		return append(dst, 0)
-	})
-}

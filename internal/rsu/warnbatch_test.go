@@ -157,9 +157,9 @@ func total(m map[warnKey]int) int64 {
 	return n
 }
 
-func serve(t *testing.T, b *stream.Broker, cfg stream.ServerConfig) *stream.TCPClient {
+func serve(t *testing.T, b *stream.Broker) *stream.TCPClient {
 	t.Helper()
-	srv, err := stream.NewServerCfg(b, "127.0.0.1:0", cfg)
+	srv, err := stream.NewServer(b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,22 +198,7 @@ func TestWarningsBatchedPerClientKind(t *testing.T) {
 		},
 		"tcp-v2": func(t *testing.T) fixture {
 			b := stream.NewBroker(stream.BrokerConfig{})
-			tc := serve(t, b, stream.ServerConfig{})
-			if !tc.Pipelined() {
-				t.Fatal("connection did not negotiate v2")
-			}
-			cc := &countingClient{BatchClient: tc}
-			return fixture{node: cc, feed: stream.NewInProcClient(b), count: cc, singles: cc.produces.Load}
-		},
-		"tcp-v1": func(t *testing.T) fixture {
-			b := stream.NewBroker(stream.BrokerConfig{})
-			tc := serve(t, b, stream.ServerConfig{DisablePipelining: true})
-			if tc.Pipelined() {
-				t.Fatal("connection should have fallen back to v1")
-			}
-			// The v1 client answers a batch call with sequential produces of
-			// its own, below the counter: the node still makes one call.
-			cc := &countingClient{BatchClient: tc}
+			cc := &countingClient{BatchClient: serve(t, b)}
 			return fixture{node: cc, feed: stream.NewInProcClient(b), count: cc, singles: cc.produces.Load}
 		},
 		"client-only": func(t *testing.T) fixture {
@@ -300,7 +285,7 @@ func TestWarningRefusalsCountAckedOnly(t *testing.T) {
 		b := stream.NewBroker(stream.BrokerConfig{})
 		var client stream.Client = stream.NewInProcClient(b)
 		if remote {
-			client = serve(t, b, stream.ServerConfig{})
+			client = serve(t, b)
 		}
 		n, err := New(Config{Name: "link", Road: 7, Detector: link, Client: client, Workers: 1})
 		if err != nil {
@@ -338,7 +323,7 @@ func TestWarningRefusalsCountAckedOnly(t *testing.T) {
 func TestWarningBatchTransportFailure(t *testing.T) {
 	_, link, _, _ := trainedDetectors(t)
 	b := stream.NewBroker(stream.BrokerConfig{})
-	tc := serve(t, b, stream.ServerConfig{})
+	tc := serve(t, b)
 	n, err := New(Config{Name: "link", Road: 7, Detector: link, Client: tc, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +472,7 @@ func TestRewireSendsNextBatchToNewClient(t *testing.T) {
 func TestParallelWorkersDeliverEveryWarningOnce(t *testing.T) {
 	_, link, _, _ := trainedDetectors(t)
 	b := stream.NewBroker(stream.BrokerConfig{})
-	tc := serve(t, b, stream.ServerConfig{})
+	tc := serve(t, b)
 	cc := &countingClient{BatchClient: tc}
 	n, err := New(Config{Name: "link", Road: 7, Detector: link, Client: cc, Workers: 6})
 	if err != nil {

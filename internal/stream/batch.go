@@ -4,11 +4,8 @@ package stream
 // into a single length-prefixed frame, flushed with one vectored write
 // (net.Buffers → writev) straight from the callers' buffers — the frame
 // header and the per-field length prefixes come from reused scratch, the
-// key/value bytes are never copied on the way out. Against a pipelined
-// server several batch frames ride in flight at once (the issue/await
-// split below); against a synchronous one the batch degrades to
-// sequential Produce calls, so callers need no fallback logic of their
-// own.
+// key/value bytes are never copied on the way out. Several batch frames
+// ride in flight at once (the issue/await split below).
 
 import (
 	"encoding/binary"
@@ -51,19 +48,12 @@ type BatchClient interface {
 var errBatchSize = errors.New("stream: batch results length must match records")
 
 // PendingBatch is an issued-but-unawaited batch: the frame is on the
-// wire (or, in synchronous mode, the records are parked) and Await
-// collects the per-record results. Keeping several pending batches in
-// flight is how a producer fills the connection's window.
+// wire and Await collects the per-record results. Keeping several pending
+// batches in flight is how a producer fills the connection's window.
 type PendingBatch struct {
 	c  *TCPClient
 	ch chan pipeResp
 	n  int
-
-	// Synchronous fallback: the records are sent one by one at Await.
-	sync      bool
-	topic     string
-	partition int32
-	recs      []BatchRecord
 }
 
 // batchFrameSize computes the full frame size (length prefix included)
@@ -71,8 +61,8 @@ type PendingBatch struct {
 //
 //cad3:noalloc
 func batchFrameSize(topic string, recs []BatchRecord) int {
-	// frame len + type + corr + topic (u32 + bytes) + partition + count.
-	n := 4 + 1 + corrSize + 4 + len(topic) + 4 + 4
+	// header + topic (u32 + bytes) + partition + count.
+	n := frameHeaderSize + 4 + len(topic) + 4 + 4
 	for i := range recs {
 		n += 8 + len(recs[i].Key) + len(recs[i].Value)
 	}
@@ -137,13 +127,8 @@ func (c *TCPClient) encodeBatchLocked(topic string, partition int32, recs []Batc
 
 // ProduceBatchIssue puts a batch on the wire and returns without waiting
 // for the results; Await collects them. recs (and the buffers behind
-// them) must stay untouched until Await returns. On a synchronous
-// connection nothing is sent until Await, which degrades to sequential
-// Produce calls.
+// them) must stay untouched until Await returns.
 func (c *TCPClient) ProduceBatchIssue(topic string, partition int32, recs []BatchRecord) (PendingBatch, error) {
-	if c.pipe == nil {
-		return PendingBatch{c: c, sync: true, topic: topic, partition: partition, recs: recs, n: len(recs)}, nil
-	}
 	total := batchFrameSize(topic, recs)
 	if uint32(total) > c.peerMax {
 		return PendingBatch{}, fmt.Errorf("stream: batch frame %d B exceeds peer max %d B; flush smaller batches", total, c.peerMax)
@@ -184,26 +169,6 @@ func (pb *PendingBatch) Await(res []BatchResult) error {
 	if len(res) != pb.n {
 		return errBatchSize
 	}
-	if pb.sync {
-		for i := range pb.recs {
-			res[i] = BatchResult{}
-			part, off, err := pb.c.Produce(pb.topic, pb.partition, pb.recs[i].Key, pb.recs[i].Value)
-			if err != nil {
-				res[i].Err = err
-				if errors.Is(err, flow.ErrBackpressure) {
-					if hint, ok := flow.RetryAfter(err); ok {
-						res[i].RetryAfter = hint
-					}
-					continue
-				}
-				continue
-			}
-			res[i].Partition = part
-			res[i].Offset = off
-		}
-		return nil
-	}
-
 	msgType, dec, err := pb.c.pipeAwait(pb.ch)
 	if err != nil {
 		return err

@@ -64,7 +64,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		enc.reset(respFetch)
 		enc.messages(msgs)
 		frame := enc.frame()
-		dec := wireDecoder{buf: frame[5:]}
+		dec := wireDecoder{buf: frame[frameHeaderSize:]}
 		if out := dec.messages(nil, "IN-DATA", 64); len(out) != 64 || dec.err != nil {
 			b.Fatalf("decode: %d msgs, err %v", len(out), dec.err)
 		}
@@ -112,32 +112,14 @@ func benchWireServer(b *testing.B) *Server {
 }
 
 // BenchmarkWireThroughput compares messages/second over a real TCP
-// connection across the three wire shapes: the synchronous v1 protocol
-// (one round trip per record), the pipelined v2 protocol (window of
-// in-flight requests), and batched produce over v2 (many records per
-// frame). Payloads are vehicle-telemetry sized (64 B — a CAN/GPS sample)
+// connection across two wire shapes: single-record produces pipelined
+// through the window of in-flight requests, and batched produce (many
+// records per frame). Payloads are vehicle-telemetry sized (64 B — a CAN/GPS sample)
 // so the wire cost, not the broker's payload copy, dominates. ns/op is
 // per record; msgs/sec is reported explicitly.
 func BenchmarkWireThroughput(b *testing.B) {
 	payload := make([]byte, 64)
 	key := []byte("car-42")
-
-	b.Run("sync", func(b *testing.B) {
-		s := benchWireServer(b)
-		c, err := DialCfg(s.Addr(), DialConfig{DisablePipelining: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Produce("t", AutoPartition, key, payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-	})
 
 	b.Run("pipelined", func(b *testing.B) {
 		s := benchWireServer(b)
@@ -146,9 +128,6 @@ func BenchmarkWireThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer c.Close()
-		if !c.Pipelined() {
-			b.Fatal("expected a pipelined connection")
-		}
 		// Keep the window full from a fixed set of senders: each goroutine
 		// is a synchronous caller, the connection pipelines them.
 		const senders = 16

@@ -154,8 +154,8 @@ func TestPollEachMatchesPollInto(t *testing.T) {
 	}{
 		{"in process", func(_ *testing.T, b *Broker) Client { return NewInProcClient(b) }},
 		{"pipelined TCP", func(t *testing.T, b *Broker) Client { return dialTest(t, b, ServerConfig{}, DialConfig{Window: 2}) }},
-		{"synchronous TCP", func(t *testing.T, b *Broker) Client {
-			return dialTest(t, b, ServerConfig{}, DialConfig{DisablePipelining: true})
+		{"client-only TCP", func(t *testing.T, b *Broker) Client {
+			return clientOnly{dialTest(t, b, ServerConfig{}, DialConfig{})}
 		}},
 		{"wrapped", func(_ *testing.T, b *Broker) Client { return clientOnly{NewInProcClient(b)} }},
 	}

@@ -88,7 +88,7 @@ func (c *Consumer) PollInto(dst []Message, max int) ([]Message, error) {
 // but each message is lent to fn instead of returned, and PollEach returns
 // how many were. A message's Key and Value are borrowed for the call — views
 // of the broker's partition log (in process) or of the fetch response frame
-// (pipelined TCP), with no copy made for the consumer. fn must copy what it
+// (TCP), with no copy made for the consumer. fn must copy what it
 // keeps, must not recycle them, and must not call into the broker, the
 // replica set or this consumer: it may run under their locks. The
 // cad3_checks build hands fn a scratch copy and poisons it afterwards, so a
@@ -104,11 +104,11 @@ func (c *Consumer) PollEach(max int, fn func(Message)) (int, error) {
 // poll is one poll behind PollInto and PollEach: up to max messages, a
 // partition after another from the round-robin cursor, each delivered
 // through deliverLocked — lent to each, or else appended to into, which
-// comes back. A pipelined TCPClient is asked for every partition in one
-// round (pollPipelinedLocked); a lender lends its log; any other client's
-// Fetch returns messages the consumer owns, which PollInto passes on and
-// PollEach recycles once fn has seen them — so a wrapper that draws a fault
-// per fetch sees the same fetches either way.
+// comes back. A TCPClient is asked for every partition in one round
+// (pollPipelinedLocked); a lender lends its log; any other client's Fetch
+// returns messages the consumer owns, which PollInto passes on and PollEach
+// recycles once fn has seen them — so a wrapper that draws a fault per
+// fetch sees the same fetches either way.
 func (c *Consumer) poll(max int, each func(Message), into []Message) (int, []Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,7 +121,7 @@ func (c *Consumer) poll(max int, each func(Message), into []Message) (int, []Mes
 	c.next = (c.next + 1) % n
 	got, tried := 0, 0
 	var firstErr error
-	if tc, ok := c.client.(*TCPClient); ok && tc.Pipelined() {
+	if tc, ok := c.client.(*TCPClient); ok {
 		got, firstErr = c.pollPipelinedLocked(tc, start, max)
 		tried = n // in that one round
 	}

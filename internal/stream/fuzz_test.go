@@ -21,7 +21,7 @@ func FuzzWireDecoder(f *testing.F) {
 		Key: []byte("car-7"), Value: []byte("payload"),
 		AppendedAt: time.Unix(0, 1467331200000000000),
 	}})
-	valid := append([]byte(nil), enc.frame()[5:]...)
+	valid := append([]byte(nil), enc.frame()[frameHeaderSize:]...)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -64,14 +64,14 @@ func FuzzBatchRequestDecoder(f *testing.F) {
 	enc.bytes([]byte("payload"))
 	enc.bytes(nil)
 	enc.bytes([]byte("v2"))
-	valid := append([]byte(nil), enc.frame()[5:]...)
+	valid := append([]byte(nil), enc.frame()[frameHeaderSize:]...)
 	f.Add(valid)
 	// Zero-record batch.
 	enc.reset(reqProduceBatch)
 	enc.str("t")
 	enc.u32(0)
 	enc.u32(0)
-	f.Add(append([]byte(nil), enc.frame()[5:]...))
+	f.Add(append([]byte(nil), enc.frame()[frameHeaderSize:]...))
 	// Count promises more records than the payload holds.
 	enc.reset(reqProduceBatch)
 	enc.str("t")
@@ -79,7 +79,7 @@ func FuzzBatchRequestDecoder(f *testing.F) {
 	enc.u32(1000)
 	enc.bytes([]byte("k"))
 	enc.bytes([]byte("v"))
-	f.Add(append([]byte(nil), enc.frame()[5:]...))
+	f.Add(append([]byte(nil), enc.frame()[frameHeaderSize:]...))
 	// Record length prefix overlapping the end of the frame.
 	overlap := append([]byte(nil), valid...)
 	overlap[len(overlap)-6] = 0xff
@@ -132,7 +132,7 @@ func FuzzBatchResponseDecoder(f *testing.F) {
 	enc.u64(1500)
 	enc.byte1(batchStatusError)
 	enc.str("unknown topic \"nope\"")
-	valid := append([]byte(nil), enc.frame()[5:]...)
+	valid := append([]byte(nil), enc.frame()[frameHeaderSize:]...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{0, 0, 0, 1, 3})

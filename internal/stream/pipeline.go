@@ -1,10 +1,10 @@
 package stream
 
-// Client-side windowed pipelining (protocol v2). A pipelined TCPClient
-// decouples request issue from response read: callers encode and write
-// their frame under the client mutex (fixing the on-wire order), park a
-// response channel in a FIFO ring, and block on that channel alone while
-// other callers keep the connection busy. A dedicated reader goroutine
+// Client-side windowed pipelining (protocol v2). A TCPClient decouples
+// request issue from response read: callers encode and write their frame
+// under the client mutex (fixing the on-wire order), park a response
+// channel in a FIFO ring, and block on that channel alone while other
+// callers keep the connection busy. A dedicated reader goroutine
 // matches each inbound frame to the oldest waiter — responses arrive in
 // request order because the server handles frames sequentially — and
 // verifies the echoed correlation ID as an integrity check. The in-flight
@@ -88,28 +88,24 @@ func newPipeState(conn net.Conn, w int) *pipeState {
 	return p
 }
 
-// newTCPClient negotiates the protocol on a fresh connection. Unless
-// pipelining is disabled it sends a hello; a v2 server answers respHello
-// and the connection runs pipelined, while an old server answers
-// respError (unknown request type) and the same connection falls back to
-// the synchronous v1 path — the fallback is negotiated, not accidental.
+// newTCPClient exchanges hellos on a fresh connection and starts its
+// reader. Anything but a v2 respHello fails the dial. The exchange is
+// bounded by RequestTimeout, or by DialTimeout when that is unset: a peer
+// that accepts and never answers must not hang the dial (nor a pool's lazy
+// redial, which holds its link's lock).
 func newTCPClient(conn net.Conn, cfg DialConfig) (*TCPClient, error) {
 	cfg = cfg.withDefaults()
 	c := &TCPClient{
 		conn:     conn,
 		maxFrame: uint32(cfg.MaxFrameSize),
-		peerMax:  uint32(cfg.MaxFrameSize),
 		timeout:  cfg.RequestTimeout,
 	}
-	if cfg.DisablePipelining {
-		return c, nil
+	bound := cfg.RequestTimeout
+	if bound <= 0 {
+		bound = DialTimeout
 	}
-
-	c.enc.reset(reqHello)
-	var body [helloBodySize]byte
-	putHello(body[:], protocolV2, c.maxFrame, uint32(cfg.Window))
-	c.enc.buf = append(c.enc.buf, body[:]...)
-	if _, err := conn.Write(c.enc.frame()); err != nil {
+	_ = conn.SetDeadline(time.Now().Add(bound))
+	if _, err := conn.Write(helloFrame(reqHello, protocolV2, c.maxFrame, uint32(cfg.Window))); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("stream hello write: %w", err)
 	}
@@ -118,30 +114,21 @@ func newTCPClient(conn net.Conn, cfg DialConfig) (*TCPClient, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("stream hello read: %w", err)
 	}
-	msgType, payload := frame[0], frame[1:]
-	switch {
-	case msgType == respHello && len(payload) >= helloBodySize:
-		version, peerMax, _ := readHelloBody(payload)
-		putFrame(frame)
-		if peerMax > 0 {
-			c.peerMax = peerMax
-		}
-		if version < protocolV2 {
-			return c, nil // server too old to pipeline: stay synchronous
-		}
-	case msgType == respError:
-		// Pre-v2 server: it rejected the hello as an unknown request and
-		// is ready for the next synchronous request on this connection.
-		putFrame(frame)
-		return c, nil
-	default:
-		putFrame(frame)
-		_ = conn.Close()
-		return nil, fmt.Errorf("stream hello: unexpected response type %d", msgType)
+	_ = conn.SetDeadline(time.Time{})
+	var version uint32
+	if frame[0] == respHello && len(frame) >= 1+helloBodySize {
+		version, c.peerMax, _ = readHelloBody(frame[1:])
 	}
-
+	msgType := frame[0]
+	putFrame(frame)
+	if version < protocolV2 {
+		_ = conn.Close()
+		return nil, fmt.Errorf("stream hello: peer does not speak protocol v%d (response type %d, version %d)", protocolV2, msgType, version)
+	}
+	if c.peerMax == 0 {
+		c.peerMax = c.maxFrame
+	}
 	c.pipe = newPipeState(conn, cfg.Window)
-	c.enc.v2 = true
 	go c.readLoop()
 	return c, nil
 }
@@ -355,7 +342,7 @@ func (c *TCPClient) pipeAwait(ch chan pipeResp) (byte, wireDecoder, error) {
 	if r.err != nil {
 		return 0, wireDecoder{}, c.pipe.brokenErr(r.err)
 	}
-	dec := frameDecoder(r.frame, true)
+	dec := frameDecoder(r.frame)
 	if r.frame[0] == respError {
 		msg := dec.str()
 		dec.release()
@@ -396,71 +383,11 @@ func (c *TCPClient) pipeDo(msgType byte, encodeLocked func(enc *wireEncoder)) (b
 	return c.pipeAwait(ch)
 }
 
-// producePipe is Produce on a pipelined connection. Explicit body (no
-// pipeDo closure): this is the per-record hot path and a capturing
-// closure would cost an allocation per send.
-//
-//cad3:noalloc
-func (c *TCPClient) producePipe(topicName string, partition int32, key, value []byte) (int32, int64, error) {
-	p := c.pipe
-	ch, err := p.acquire(true)
-	if err != nil {
-		return 0, 0, err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		p.release(ch)
-		return 0, 0, ErrClientClosed
-	}
-	if err := c.pipeIssueLocked(ch, reqProduce); err != nil {
-		c.mu.Unlock()
-		p.release(ch)
-		return 0, 0, err
-	}
-	c.enc.str(topicName)
-	c.enc.u32(uint32(partition))
-	c.enc.bytes(key)
-	c.enc.bytes(value)
-	err = c.pipeWriteLocked()
-	c.mu.Unlock()
-	if err != nil {
-		p.abandon(ch)
-		return 0, 0, err
-	}
-	msgType, dec, err := c.pipeAwait(ch)
-	if err != nil {
-		return 0, 0, err
-	}
-	if msgType != respProduce {
-		dec.release()
-		return 0, 0, errUnexpectedResponse(msgType)
-	}
-	part := int32(dec.u32())
-	off := int64(dec.u64())
-	err = dec.err
-	dec.release()
-	return part, off, err
-}
-
-// createTopicPipe is CreateTopic on a pipelined connection.
-func (c *TCPClient) createTopicPipe(name string, partitions int) error {
-	_, dec, err := c.pipeDo(reqCreateTopic, func(enc *wireEncoder) {
-		enc.str(name)
-		enc.u32(uint32(partitions))
-	})
-	if err != nil {
-		return err
-	}
-	dec.release()
-	return nil
-}
-
 // fetchIssue puts one reqFetch frame on the wire and returns the channel
 // its answer will arrive on; fetchAwait collects it. Keeping one fetch
 // per partition in flight is how a consumer polls a topic in one round
-// trip. wait is acquire's. Explicit body, like producePipe: a pipeDo
-// closure would cost an allocation per fetch.
+// trip. wait is acquire's. Explicit body, like Produce: a pipeDo closure
+// would cost an allocation per fetch.
 //
 //cad3:noalloc
 func (c *TCPClient) fetchIssue(topicName string, partition int32, offset int64, max int, wait bool) (chan pipeResp, error) {
@@ -508,38 +435,4 @@ func (c *TCPClient) fetchAwait(ch chan pipeResp) (wireDecoder, error) {
 		return wireDecoder{}, errUnexpectedResponse(msgType)
 	}
 	return dec, nil
-}
-
-// listTopicsPipe is ListTopics on a pipelined connection.
-func (c *TCPClient) listTopicsPipe() ([]string, error) {
-	_, dec, err := c.pipeDo(reqListTopics, nil)
-	if err != nil {
-		return nil, err
-	}
-	n := int(dec.u32())
-	if dec.err != nil || n < 0 || n > 1<<20 {
-		dec.release()
-		return nil, fmt.Errorf("stream: implausible topic count %d", n)
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, dec.str())
-	}
-	err = dec.err
-	dec.release()
-	return out, err
-}
-
-// partitionCountPipe is PartitionCount on a pipelined connection.
-func (c *TCPClient) partitionCountPipe(topicName string) (int, error) {
-	_, dec, err := c.pipeDo(reqPartitionCount, func(enc *wireEncoder) {
-		enc.str(topicName)
-	})
-	if err != nil {
-		return 0, err
-	}
-	n := int(dec.u32())
-	err = dec.err
-	dec.release()
-	return n, err
 }

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -13,58 +15,147 @@ import (
 	"cad3/internal/obsv"
 )
 
-// TestPipelineNegotiation covers the hello handshake in all four
-// pairings: the fallback to the synchronous protocol must be negotiated,
-// never accidental.
+// TestPipelineNegotiation covers the hello exchange, the only protocol
+// there is: a client and a server agree on v2 in exactly these bytes; a
+// client refuses a peer that does not answer with a v2 hello; a server
+// closes a peer that opens with anything but one, before handling a
+// request.
 func TestPipelineNegotiation(t *testing.T) {
-	cases := []struct {
-		name          string
-		server        ServerConfig
-		dial          DialConfig
-		wantPipelined bool
-	}{
-		{"new client, new server", ServerConfig{}, DialConfig{}, true},
-		{"new client, old server", ServerConfig{DisablePipelining: true}, DialConfig{}, false},
-		{"old client, new server", ServerConfig{}, DialConfig{DisablePipelining: true}, false},
-		{"old client, old server", ServerConfig{DisablePipelining: true}, DialConfig{DisablePipelining: true}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := NewBroker(BrokerConfig{})
-			s, err := NewServerCfg(b, "127.0.0.1:0", tc.server)
-			if err != nil {
-				t.Fatal(err)
+	// Window 8, frame limit 4096 B. The server announces no window.
+	clientHello := []byte{0, 0, 0, 13, 20, 0, 0, 0, 2, 0, 0, 0x10, 0, 0, 0, 0, 8}
+	serverHello := []byte{0, 0, 0, 13, 120, 0, 0, 0, 2, 0, 0, 0x10, 0, 0, 0, 0, 0}
+	dial := DialConfig{Window: 8, MaxFrameSize: 4096}
+
+	t.Run("new client, new server", func(t *testing.T) {
+		got := make(chan []byte, 1)
+		addr := fakePeer(t, func(conn net.Conn) {
+			hello := make([]byte, len(clientHello))
+			if _, err := io.ReadFull(conn, hello); err != nil {
+				return
 			}
-			defer s.Close()
-			c, err := DialCfg(s.Addr(), tc.dial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if c.Pipelined() != tc.wantPipelined {
-				t.Fatalf("Pipelined() = %v, want %v", c.Pipelined(), tc.wantPipelined)
-			}
-			// Whatever was negotiated, the client must work end to end on
-			// the same connection the hello used.
-			if err := c.CreateTopic("t", 2); err != nil {
-				t.Fatal(err)
-			}
-			part, off, err := c.Produce("t", AutoPartition, []byte("k"), []byte("v"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			msgs, err := c.Fetch("t", part, off, 10)
-			if err != nil || len(msgs) != 1 || string(msgs[0].Value) != "v" {
-				t.Fatalf("Fetch = %v, %v", msgs, err)
-			}
-			if n, err := c.PartitionCount("t"); err != nil || n != 2 {
-				t.Fatalf("PartitionCount = %d, %v", n, err)
-			}
-			if topics, err := c.ListTopics(); err != nil || len(topics) != 1 {
-				t.Fatalf("ListTopics = %v, %v", topics, err)
-			}
+			got <- hello
+			_, _ = conn.Write(serverHello)
+			_, _ = io.Copy(io.Discard, conn)
 		})
-	}
+		c, err := DialCfg(addr, dial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if hello := <-got; !bytes.Equal(hello, clientHello) {
+			t.Fatalf("client hello % x, want % x", hello, clientHello)
+		}
+		if c.peerMax != 4096 {
+			t.Fatalf("peerMax = %d, want the announced 4096", c.peerMax)
+		}
+
+		b := NewBroker(BrokerConfig{})
+		s, err := NewServerCfg(b, "127.0.0.1:0", ServerConfig{MaxFrameSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		raw, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := raw.Write(clientHello); err != nil {
+			t.Fatal(err)
+		}
+		answer := make([]byte, len(serverHello))
+		if _, err := io.ReadFull(raw, answer); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(answer, serverHello) {
+			t.Fatalf("server hello % x, want % x", answer, serverHello)
+		}
+
+		// The client works end to end on the connection the hello opened.
+		c, err = DialCfg(s.Addr(), dial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.CreateTopic("t", 2); err != nil {
+			t.Fatal(err)
+		}
+		part, off, err := c.Produce("t", AutoPartition, []byte("k"), []byte("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, err := c.Fetch("t", part, off, 10)
+		if err != nil || len(msgs) != 1 || string(msgs[0].Value) != "v" {
+			t.Fatalf("Fetch = %v, %v", msgs, err)
+		}
+		if n, err := c.PartitionCount("t"); err != nil || n != 2 {
+			t.Fatalf("PartitionCount = %d, %v", n, err)
+		}
+		if topics, err := c.ListTopics(); err != nil || len(topics) != 1 {
+			t.Fatalf("ListTopics = %v, %v", topics, err)
+		}
+	})
+
+	t.Run("new client, old server", func(t *testing.T) {
+		// A pre-v2 server rejects type 20 as unknown; a server that
+		// answers a hello with version 1 is no better.
+		respErr := binary.BigEndian.AppendUint32([]byte{0, 0, 0, 0, respError}, 5)
+		respErr = append(respErr, "nope!"...)
+		binary.BigEndian.PutUint32(respErr, uint32(len(respErr)-4))
+		for _, answer := range [][]byte{respErr, helloFrame(respHello, 1, 4096, 0)} {
+			addr := fakePeer(t, func(conn net.Conn) {
+				if _, err := readFrame(conn, DefaultMaxFrameSize); err == nil {
+					_, _ = conn.Write(answer)
+					_, _ = io.Copy(io.Discard, conn)
+				}
+			})
+			if c, err := DialCfg(addr, dial); err == nil {
+				c.Close()
+				t.Fatalf("dial accepted the answer % x", answer)
+			}
+		}
+	})
+
+	t.Run("old client, new server", func(t *testing.T) {
+		var create wireEncoder
+		create.reset(reqCreateTopic)
+		create.str("t")
+		create.u32(1)
+		v2Create := append([]byte(nil), create.frame()...)
+		// The same request in v1 framing: no correlation ID.
+		v1Create := append(binary.BigEndian.AppendUint32(nil, uint32(len(v2Create)-4-corrSize)), reqCreateTopic)
+		v1Create = append(v1Create, v2Create[frameHeaderSize:]...)
+		openings := map[string][]byte{
+			"v1 request first": v1Create,
+			"version-1 hello":  append(helloFrame(reqHello, 1, 4096, 8), v2Create...),
+		}
+		for name, opening := range openings {
+			b := NewBroker(BrokerConfig{})
+			s, err := NewServer(b, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = s.Close() })
+			raw, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := raw.Write(opening); err != nil {
+				t.Fatal(err)
+			}
+			n, err := raw.Read(make([]byte, 64))
+			var ne net.Error
+			if n > 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("%s: read %d bytes, %v; want the server to close the connection", name, n, err)
+			}
+			raw.Close()
+			if topics := b.Topics(); len(topics) != 0 {
+				t.Fatalf("%s: the broker holds %v", name, topics)
+			}
+		}
+	})
 }
 
 // TestPipelineConcurrentProducers multiplexes many goroutines over one
@@ -77,9 +168,6 @@ func TestPipelineConcurrentProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Pipelined() {
-		t.Fatal("expected a pipelined connection")
-	}
 	if err := c.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -128,49 +216,43 @@ func TestPipelineConcurrentProducers(t *testing.T) {
 // TestBatchProduceRoundTrip sends a mixed batch (keyed, keyless, empty
 // value) in one frame and verifies every record's result and durability.
 func TestBatchProduceRoundTrip(t *testing.T) {
-	for _, pipelined := range []bool{true, false} {
-		name := "pipelined"
-		if !pipelined {
-			name = "sync-fallback"
+	t.Run("pipelined", func(t *testing.T) {
+		_, s := startServer(t)
+		c, err := Dial(s.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			_, s := startServer(t)
-			c, err := DialCfg(s.Addr(), DialConfig{DisablePipelining: !pipelined})
-			if err != nil {
-				t.Fatal(err)
+		defer c.Close()
+		if err := c.CreateTopic("t", 3); err != nil {
+			t.Fatal(err)
+		}
+		recs := []BatchRecord{
+			{Key: []byte("car-1"), Value: []byte("v0")},
+			{Value: []byte("v1")}, // keyless: round-robin
+			{Key: []byte("car-2"), Value: []byte("v2")},
+			{Key: []byte("car-1"), Value: nil}, // empty value
+		}
+		res := make([]BatchResult, len(recs))
+		if err := c.ProduceBatchInto("t", AutoPartition, recs, res); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("record %d: %v", i, r.Err)
 			}
-			defer c.Close()
-			if err := c.CreateTopic("t", 3); err != nil {
-				t.Fatal(err)
+			msgs, err := c.Fetch("t", r.Partition, r.Offset, 1)
+			if err != nil || len(msgs) != 1 {
+				t.Fatalf("record %d not durable: %v, %v", i, msgs, err)
 			}
-			recs := []BatchRecord{
-				{Key: []byte("car-1"), Value: []byte("v0")},
-				{Value: []byte("v1")}, // keyless: round-robin
-				{Key: []byte("car-2"), Value: []byte("v2")},
-				{Key: []byte("car-1"), Value: nil}, // empty value
+			if !bytes.Equal(msgs[0].Value, recs[i].Value) {
+				t.Fatalf("record %d: fetched %q want %q", i, msgs[0].Value, recs[i].Value)
 			}
-			res := make([]BatchResult, len(recs))
-			if err := c.ProduceBatchInto("t", AutoPartition, recs, res); err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range res {
-				if r.Err != nil {
-					t.Fatalf("record %d: %v", i, r.Err)
-				}
-				msgs, err := c.Fetch("t", r.Partition, r.Offset, 1)
-				if err != nil || len(msgs) != 1 {
-					t.Fatalf("record %d not durable: %v, %v", i, msgs, err)
-				}
-				if !bytes.Equal(msgs[0].Value, recs[i].Value) {
-					t.Fatalf("record %d: fetched %q want %q", i, msgs[0].Value, recs[i].Value)
-				}
-			}
-			// Same key must land on the same partition.
-			if res[0].Partition != res[3].Partition {
-				t.Fatalf("key affinity broken: partitions %d vs %d", res[0].Partition, res[3].Partition)
-			}
-		})
-	}
+		}
+		// Same key must land on the same partition.
+		if res[0].Partition != res[3].Partition {
+			t.Fatalf("key affinity broken: partitions %d vs %d", res[0].Partition, res[3].Partition)
+		}
+	})
 }
 
 // TestBatchPerRecordErrors mixes records against a missing topic into the
@@ -331,9 +413,9 @@ func TestMaxFrameSizeServerReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// DisablePipelining: the raw v1 path lets us push an oversized frame
-	// without the client-side batch size check interfering.
-	c, err := DialCfg(s.Addr(), DialConfig{DisablePipelining: true})
+	// A single-record Produce: unlike a batch, it has no client-side size
+	// check to stop the oversized frame before the server sees it.
+	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,23 +447,17 @@ func TestMaxFrameSizeClientReject(t *testing.T) {
 	if _, _, err := big.Produce("t", 0, nil, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	for _, pipelined := range []bool{true, false} {
-		name := "pipelined"
-		if !pipelined {
-			name = "sync"
+	t.Run("pipelined", func(t *testing.T) {
+		small, err := DialCfg(s.Addr(), DialConfig{MaxFrameSize: 256})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			small, err := DialCfg(s.Addr(), DialConfig{MaxFrameSize: 256, DisablePipelining: !pipelined})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer small.Close()
-			_, err = small.Fetch("t", 0, 0, 10)
-			if !errors.Is(err, errFrameTooLarge) {
-				t.Fatalf("Fetch err = %v, want errFrameTooLarge", err)
-			}
-		})
-	}
+		defer small.Close()
+		_, err = small.Fetch("t", 0, 0, 10)
+		if !errors.Is(err, errFrameTooLarge) {
+			t.Fatalf("Fetch err = %v, want errFrameTooLarge", err)
+		}
+	})
 }
 
 // TestBatchIssueRejectsOversizedFrame: the client refuses to assemble a
@@ -412,48 +488,13 @@ func TestBatchIssueRejectsOversizedFrame(t *testing.T) {
 // connection must fail fast and kill the connection (late responses can
 // no longer line up), not hang or misdeliver.
 func TestPipelineTimeoutPoisonsConnection(t *testing.T) {
-	// A listener that accepts the hello exchange but then swallows
-	// requests: the server side of the handshake is replayed manually.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Read the client hello, answer v2, then go silent.
-		if _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
-			return
-		}
-		var enc wireEncoder
-		enc.reset(respHello)
-		var body [helloBodySize]byte
-		putHello(body[:], protocolV2, DefaultMaxFrameSize, 0)
-		enc.buf = append(enc.buf, body[:]...)
-		if _, err := conn.Write(enc.frame()); err != nil {
-			return
-		}
-		// Swallow everything else until the client gives up.
-		buf := make([]byte, 4096)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-
-	c, err := DialCfg(ln.Addr().String(), DialConfig{RequestTimeout: 50 * time.Millisecond})
+	// A peer that answers the hello, then swallows every request.
+	addr := fakeV2Server(t, func(conn net.Conn) { _, _ = io.Copy(io.Discard, conn) })
+	c, err := DialCfg(addr, DialConfig{RequestTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Pipelined() {
-		t.Fatal("handshake failed")
-	}
 	start := time.Now()
 	_, _, err = c.Produce("t", 0, nil, []byte("v"))
 	if err == nil {
@@ -465,6 +506,22 @@ func TestPipelineTimeoutPoisonsConnection(t *testing.T) {
 	// The connection is poisoned: subsequent requests fail immediately.
 	if _, _, err := c.Produce("t", 0, nil, []byte("v")); err == nil {
 		t.Fatal("poisoned connection accepted another request")
+	}
+}
+
+// TestHelloTimeoutFailsDial: a peer that reads the hello and never answers
+// fails the dial within the request timeout instead of hanging it (and,
+// behind it, a pool's lazy redial holding its link's lock).
+func TestHelloTimeoutFailsDial(t *testing.T) {
+	addr := fakePeer(t, func(conn net.Conn) { _, _ = io.Copy(io.Discard, conn) })
+	start := time.Now()
+	c, err := DialCfg(addr, DialConfig{RequestTimeout: 50 * time.Millisecond})
+	if err == nil {
+		c.Close()
+		t.Fatal("dial against a silent peer succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("dial gave up after %v", elapsed)
 	}
 }
 

@@ -31,10 +31,10 @@ func dialTest(t *testing.T, b *Broker, server ServerConfig, dial DialConfig) *TC
 	return c
 }
 
-// fakeV2Server accepts one connection, answers its hello as a v2 server
-// would, and hands the connection to serve — the server side of a test
-// that needs a peer which misbehaves or allocates nothing.
-func fakeV2Server(t testing.TB, serve func(conn net.Conn)) string {
+// fakePeer accepts one connection and hands it to serve, closing it when
+// serve returns — the server side of a test that needs a peer which
+// misbehaves or allocates nothing.
+func fakePeer(t testing.TB, serve func(conn net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,20 +47,23 @@ func fakeV2Server(t testing.TB, serve func(conn net.Conn)) string {
 			return
 		}
 		defer conn.Close()
-		if _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
-			return
-		}
-		var enc wireEncoder
-		enc.reset(respHello)
-		var body [helloBodySize]byte
-		putHello(body[:], protocolV2, DefaultMaxFrameSize, 0)
-		enc.buf = append(enc.buf, body[:]...)
-		if _, err := conn.Write(enc.frame()); err != nil {
-			return
-		}
 		serve(conn)
 	}()
 	return ln.Addr().String()
+}
+
+// fakeV2Server is a fakePeer that first answers the hello as a v2 server
+// would.
+func fakeV2Server(t testing.TB, serve func(conn net.Conn)) string {
+	return fakePeer(t, func(conn net.Conn) {
+		if _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
+			return
+		}
+		if _, err := conn.Write(helloFrame(respHello, protocolV2, DefaultMaxFrameSize, 0)); err != nil {
+			return
+		}
+		serve(conn)
+	})
 }
 
 // idleWindow fails the test unless every window token and response channel
@@ -209,32 +212,6 @@ func TestPipelinedPollMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPollOnSynchronousConnectionStaysSequential: a v1 connection has no
-// window to fill, so the consumer must not try.
-func TestPollOnSynchronousConnectionStaysSequential(t *testing.T) {
-	b := NewBroker(BrokerConfig{})
-	if err := b.CreateTopic("t", 3); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 9; i++ {
-		if _, _, err := b.Produce("t", int32(i%3), nil, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1 := dialTest(t, b, ServerConfig{DisablePipelining: true}, DialConfig{})
-	if v1.Pipelined() {
-		t.Fatal("connection should have fallen back to v1")
-	}
-	c, err := NewConsumer(v1, "t", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := c.Poll(7)
-	if err != nil || len(msgs) != 7 {
-		t.Fatalf("Poll over v1 = %d messages, %v; want 7", len(msgs), err)
-	}
-}
-
 // TestPipelinedPollConnectionKilledBeforeAnswers: the server reads a
 // round's fetches and hangs up without answering one. The poll returns the
 // error, moves no offset, and leaves no window token or response channel
@@ -326,7 +303,6 @@ func TestSharedConnectionPollsDoNotStarveEachOther(t *testing.T) {
 func cannedFetchServer(t testing.TB, msgs []Message, cut int) string {
 	t.Helper()
 	var enc wireEncoder
-	enc.v2 = true
 	enc.reset(respFetch)
 	enc.messages(msgs)
 	enc.buf = enc.buf[:len(enc.buf)-cut]

@@ -15,10 +15,11 @@ func newTestBrokerClient(t *testing.T, cfg BrokerConfig) Client {
 	return NewInProcClient(b)
 }
 
-// TestSendPooledRoundTrip exercises the pooled producer path end to end:
-// payloads encoded into pooled buffers survive the broker copy, and
-// recycling polled messages does not corrupt later sends.
-func TestSendPooledRoundTrip(t *testing.T) {
+// TestSendReusedBufferRoundTrip pins the contract a sender that encodes
+// into one buffer relies on: Send copies the payload before returning, so
+// the buffer is free to reuse at once, and recycling polled messages does
+// not corrupt later sends.
+func TestSendReusedBufferRoundTrip(t *testing.T) {
 	client := newTestBrokerClient(t, BrokerConfig{})
 	prod, err := NewProducer(client, TopicInData)
 	if err != nil {
@@ -31,11 +32,11 @@ func TestSendPooledRoundTrip(t *testing.T) {
 
 	const rounds = 50
 	var msgs []Message
+	var buf []byte
 	for i := 0; i < rounds; i++ {
 		want := fmt.Sprintf("payload-%03d", i)
-		if _, _, err := prod.SendPooled([]byte("car-1"), func(dst []byte) []byte {
-			return append(dst, want...)
-		}); err != nil {
+		buf = append(buf[:0], want...)
+		if _, _, err := prod.Send([]byte("car-1"), buf); err != nil {
 			t.Fatal(err)
 		}
 		msgs = msgs[:0]
@@ -144,9 +145,10 @@ func TestPollIntoAppends(t *testing.T) {
 
 func payloadN(i int) []byte { return []byte(fmt.Sprintf("n-%d", i)) }
 
-// TestSendPooledOverTCP runs the pooled produce/consume path across the
-// wire protocol, where frames themselves are pooled too.
-func TestSendPooledOverTCP(t *testing.T) {
+// TestSendReusedBufferOverTCP runs the reused-buffer send and the
+// consume path across the wire protocol, where frames themselves are
+// pooled too.
+func TestSendReusedBufferOverTCP(t *testing.T) {
 	b := NewBroker(BrokerConfig{})
 	srv, err := NewServer(b, "127.0.0.1:0")
 	if err != nil {
@@ -170,11 +172,11 @@ func TestSendPooledOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	var msgs []Message
+	var buf []byte
 	for i := 0; i < 20; i++ {
 		want := fmt.Sprintf("tcp-%02d", i)
-		if _, _, err := prod.SendPooled(nil, func(dst []byte) []byte {
-			return append(dst, want...)
-		}); err != nil {
+		buf = append(buf[:0], want...)
+		if _, _, err := prod.Send(nil, buf); err != nil {
 			t.Fatal(err)
 		}
 		msgs = msgs[:0]

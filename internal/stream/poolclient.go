@@ -32,7 +32,7 @@ type PoolConfig struct {
 	// DefaultPoolSize.
 	Size int
 	// Dial configures each pooled connection (window, frame limit,
-	// request timeout, pipelining).
+	// request timeout).
 	Dial DialConfig
 	// Breaker configures each link's circuit breaker (threshold,
 	// cooldown, clock). Metrics and Name are overridden by the pool so
@@ -108,19 +108,6 @@ func DialPool(addr string, cfg PoolConfig) (*PoolClient, error) {
 	}
 	p.links[0].c = c
 	return p, nil
-}
-
-// Pipelined reports whether the first live link negotiated protocol v2.
-func (p *PoolClient) Pipelined() bool {
-	for _, l := range p.links {
-		l.mu.Lock()
-		c := l.c
-		l.mu.Unlock()
-		if c != nil {
-			return c.Pipelined()
-		}
-	}
-	return false
 }
 
 // Close closes every pooled connection. Closing twice is a no-op.

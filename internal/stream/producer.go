@@ -162,18 +162,6 @@ func (p *Producer) SendBatch(recs []BatchRecord, res []BatchResult) error {
 	return nil
 }
 
-// SendPooled publishes a payload assembled into a pooled buffer: encode
-// receives an empty pooled buffer and appends the wire bytes (e.g.
-// core.AppendRecord). The buffer is recycled after the send — both the
-// in-process broker and the TCP client copy the payload before returning —
-// so a steady producer allocates nothing per message.
-func (p *Producer) SendPooled(key []byte, encode func(dst []byte) []byte) (int32, int64, error) {
-	value := encode(GetPayload())
-	part, off, err := p.Send(key, value)
-	PutPayload(value)
-	return part, off, err
-}
-
 // SendToPartition publishes to an explicit partition.
 func (p *Producer) SendToPartition(partition int32, key, value []byte) (int64, error) {
 	_, off, err := p.produce(partition, key, value)

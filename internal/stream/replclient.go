@@ -4,8 +4,8 @@ package stream
 // SetPartitionRole, HighWaterMark and FetchSnapshot over the wire, so a
 // replication controller can drive followers on other machines through
 // the same ReplicaLink interface the in-process path uses. These are
-// control-plane calls (cold relative to produce/fetch), so the pipelined
-// variants use the generic pipeDo closure path.
+// control-plane calls (cold relative to produce/fetch), so they use the
+// generic pipeDo closure path.
 
 import (
 	"encoding/json"
@@ -29,20 +29,9 @@ func encodeReplicate(enc *wireEncoder, topicName string, partition int32, epoch,
 // ReplicaAppend implements ReplicaLink over the wire. It returns the
 // remote follower's new high watermark.
 func (c *TCPClient) ReplicaAppend(topicName string, partition int32, epoch, base int64, recs []ReplicaRecord) (int64, error) {
-	var msgType byte
-	var dec wireDecoder
-	var err error
-	if c.pipe != nil {
-		msgType, dec, err = c.pipeDo(reqReplicate, func(enc *wireEncoder) {
-			encodeReplicate(enc, topicName, partition, epoch, base, recs)
-		})
-	} else {
-		c.mu.Lock()
-		c.enc.reset(reqReplicate)
-		encodeReplicate(&c.enc, topicName, partition, epoch, base, recs)
-		msgType, dec, err = c.roundTrip()
-		c.mu.Unlock()
-	}
+	msgType, dec, err := c.pipeDo(reqReplicate, func(enc *wireEncoder) {
+		encodeReplicate(enc, topicName, partition, epoch, base, recs)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -58,7 +47,7 @@ func (c *TCPClient) ReplicaAppend(topicName string, partition int32, epoch, base
 
 // SetPartitionRole implements ReplicaLink over the wire.
 func (c *TCPClient) SetPartitionRole(topicName string, partition int32, follower bool, epoch int64, leaderHint string) error {
-	encode := func(enc *wireEncoder) {
+	_, dec, err := c.pipeDo(reqSetRole, func(enc *wireEncoder) {
 		enc.str(topicName)
 		enc.u32(uint32(partition))
 		if follower {
@@ -68,18 +57,7 @@ func (c *TCPClient) SetPartitionRole(topicName string, partition int32, follower
 		}
 		enc.u64(uint64(epoch))
 		enc.str(leaderHint)
-	}
-	var dec wireDecoder
-	var err error
-	if c.pipe != nil {
-		_, dec, err = c.pipeDo(reqSetRole, encode)
-	} else {
-		c.mu.Lock()
-		c.enc.reset(reqSetRole)
-		encode(&c.enc)
-		_, dec, err = c.roundTrip()
-		c.mu.Unlock()
-	}
+	})
 	if err != nil {
 		return err
 	}
@@ -90,22 +68,10 @@ func (c *TCPClient) SetPartitionRole(topicName string, partition int32, follower
 // HighWaterMark asks the remote broker for a partition's next offset —
 // the replication-lag probe.
 func (c *TCPClient) HighWaterMark(topicName string, partition int32) (int64, error) {
-	encode := func(enc *wireEncoder) {
+	msgType, dec, err := c.pipeDo(reqHighWater, func(enc *wireEncoder) {
 		enc.str(topicName)
 		enc.u32(uint32(partition))
-	}
-	var msgType byte
-	var dec wireDecoder
-	var err error
-	if c.pipe != nil {
-		msgType, dec, err = c.pipeDo(reqHighWater, encode)
-	} else {
-		c.mu.Lock()
-		c.enc.reset(reqHighWater)
-		encode(&c.enc)
-		msgType, dec, err = c.roundTrip()
-		c.mu.Unlock()
-	}
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -123,17 +89,7 @@ func (c *TCPClient) HighWaterMark(topicName string, partition int32) (int64, err
 // bootstrap path when the replica lives on another machine. Large logs
 // may need a raised MaxFrameSize on both ends.
 func (c *TCPClient) FetchSnapshot() (*BrokerSnapshot, error) {
-	var msgType byte
-	var dec wireDecoder
-	var err error
-	if c.pipe != nil {
-		msgType, dec, err = c.pipeDo(reqSnapshot, nil)
-	} else {
-		c.mu.Lock()
-		c.enc.reset(reqSnapshot)
-		msgType, dec, err = c.roundTrip()
-		c.mu.Unlock()
-	}
+	msgType, dec, err := c.pipeDo(reqSnapshot, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -59,9 +59,6 @@ func newPushFixture(t *testing.T, wire bool) *pushFixture {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = c.Close() })
-		if !c.Pipelined() {
-			t.Fatal("replica link did not negotiate protocol v2")
-		}
 		inner = c
 	}
 	f.link = &scriptedLink{ReplicaLink: inner}

@@ -25,14 +25,9 @@ func timeFromUnixNano(nanos int64) time.Time {
 // ServerConfig tunes a Server beyond the defaults.
 type ServerConfig struct {
 	// MaxFrameSize bounds a single inbound frame; it is also announced to
-	// pipelining clients in the hello exchange so they cap their batch
-	// frames. Values <= 0 select DefaultMaxFrameSize.
+	// clients in the hello exchange so they cap their batch frames. Values
+	// <= 0 select DefaultMaxFrameSize.
 	MaxFrameSize int
-	// DisablePipelining makes the server answer reqHello like a pre-v2
-	// server would (respError, unknown request type), forcing every
-	// client onto the synchronous v1 path. Tests use it to prove the
-	// fallback is negotiated, not accidental.
-	DisablePipelining bool
 }
 
 func (cfg ServerConfig) withDefaults() ServerConfig {
@@ -48,7 +43,6 @@ type Server struct {
 	broker   *Broker
 	ln       net.Listener
 	maxFrame uint32
-	noPipe   bool
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -85,7 +79,6 @@ func NewServerOnCfg(broker *Broker, ln net.Listener, cfg ServerConfig) *Server {
 		broker:   broker,
 		ln:       ln,
 		maxFrame: uint32(cfg.MaxFrameSize),
-		noPipe:   cfg.DisablePipelining,
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -163,78 +156,46 @@ func (cs *connState) dropRecs() {
 	}
 }
 
+// serveConn runs one connection. Its first frame must be a hello
+// announcing protocol v2 or later; anything else closes the connection
+// before a request is handled. After the answer every frame carries a
+// correlation ID that is echoed on its response. Requests are handled in
+// order (responses stay in request order — the pipelining win is that the
+// client no longer waits a round trip between them), reads are buffered,
+// and responses coalesce into one write per burst so a saturating client
+// costs one syscall per direction per batch of frames, not per request.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	var cs connState
-	enc := &cs.enc
-	first := true
-	for {
-		frame, err := readFrame(conn, s.maxFrame)
-		if err != nil {
-			return // peer closed or protocol error
-		}
-		if first && frame[0] == reqHello && !s.noPipe {
-			s.servePipelined(conn, frame[1:])
-			putFrame(frame)
-			return
-		}
-		first = false
-		resp, err := s.handle(&cs, frame[0], frame[1:])
-		if err != nil {
-			enc.reset(respError)
-			enc.str(errorWireMessage(err))
-			resp = enc.frame()
-		}
-		putFrame(frame) // handle copied what it keeps; resp is enc's buffer
-		if _, err := conn.Write(resp); err != nil {
-			return
-		}
-	}
-}
-
-// servePipelined runs a v2 connection: after answering the hello, every
-// frame carries a correlation ID that is echoed on its response.
-// Requests are handled in order (responses stay in request order — the
-// pipelining win is that the client no longer waits a round trip between
-// them), reads are buffered, and responses coalesce into one write per
-// burst so a saturating client costs one syscall per direction per
-// batch of frames, not per request.
-func (s *Server) servePipelined(conn net.Conn, hello []byte) {
-	if len(hello) < helloBodySize {
-		return // malformed hello
-	}
-	clientVersion, _, _ := readHelloBody(hello)
-	var cs connState
-	enc := &cs.enc
-	enc.reset(respHello)
-	var body [helloBodySize]byte
-	version := uint32(protocolV2)
-	if clientVersion < protocolV2 {
-		version = protocolV1
-	}
-	putHello(body[:], version, s.maxFrame, 0)
-	enc.buf = append(enc.buf, body[:]...)
-	if _, err := conn.Write(enc.frame()); err != nil {
+	br := bufio.NewReaderSize(conn, 64<<10)
+	hello, err := readFrame(br, s.maxFrame)
+	if err != nil {
 		return
 	}
-	if version < protocolV2 {
-		// Peer too old for pipelining: fall back to the synchronous loop.
-		s.serveSyncTail(conn, &cs)
+	ok := hello[0] == reqHello && len(hello) >= 1+helloBodySize
+	if ok {
+		clientVersion, _, _ := readHelloBody(hello[1:])
+		ok = clientVersion >= protocolV2
+	}
+	putFrame(hello)
+	if !ok {
+		return
+	}
+	if _, err := conn.Write(helloFrame(respHello, protocolV2, s.maxFrame, 0)); err != nil {
 		return
 	}
 
 	const flushThreshold = 64 << 10
-	br := bufio.NewReaderSize(conn, 64<<10)
-	enc.v2 = true
+	var cs connState
+	enc := &cs.enc
 	var wbuf []byte
 	for {
 		frame, err := readFrame(br, s.maxFrame)
 		if err != nil {
-			return
+			return // peer closed or protocol error
 		}
 		if len(frame) < 1+corrSize {
 			putFrame(frame)
-			return // malformed v2 frame
+			return // malformed frame
 		}
 		enc.corr = binary.BigEndian.Uint32(frame[1:])
 		resp, err := s.handle(&cs, frame[0], frame[1+corrSize:])
@@ -243,7 +204,7 @@ func (s *Server) servePipelined(conn net.Conn, hello []byte) {
 			enc.str(errorWireMessage(err))
 			resp = enc.frame()
 		}
-		putFrame(frame)
+		putFrame(frame) // handle copied what it keeps; resp is enc's buffer
 		wbuf = append(wbuf, resp...)
 		// Flush when the read side has drained (no more pipelined requests
 		// in flight right now) or the write buffer is big enough.
@@ -252,28 +213,6 @@ func (s *Server) servePipelined(conn net.Conn, hello []byte) {
 				return
 			}
 			wbuf = wbuf[:0]
-		}
-	}
-}
-
-// serveSyncTail continues a connection in v1 mode after a hello exchange
-// settled on the synchronous protocol.
-func (s *Server) serveSyncTail(conn net.Conn, cs *connState) {
-	enc := &cs.enc
-	for {
-		frame, err := readFrame(conn, s.maxFrame)
-		if err != nil {
-			return
-		}
-		resp, err := s.handle(cs, frame[0], frame[1:])
-		if err != nil {
-			enc.reset(respError)
-			enc.str(errorWireMessage(err))
-			resp = enc.frame()
-		}
-		putFrame(frame)
-		if _, err := conn.Write(resp); err != nil {
-			return
 		}
 	}
 }
@@ -463,22 +402,18 @@ func (s *Server) handle(cs *connState, msgType byte, payload []byte) ([]byte, er
 	}
 }
 
-// TCPClient is a Client speaking the wire protocol to a Server.
-//
-// Against a v2 server (the default), the client runs pipelined: a
-// dedicated reader goroutine matches responses to in-flight requests
-// through a correlation-ID ring, so concurrent callers multiplex the one
-// connection instead of serializing a round trip each — see pipeline.go.
-// Against an old server (or with DialConfig.DisablePipelining) requests
-// fall back to the synchronous v1 path, serialized under the mutex.
+// TCPClient is a Client speaking the wire protocol to a Server. It runs
+// pipelined: a dedicated reader goroutine matches responses to in-flight
+// requests through a correlation-ID ring, so concurrent callers multiplex
+// the one connection instead of serializing a round trip each — see
+// pipeline.go.
 type TCPClient struct {
 	mu   sync.Mutex
 	conn net.Conn
 	enc  wireEncoder
 
 	// maxFrame bounds inbound response frames; peerMax is the server's
-	// announced inbound limit (v1 servers: assumed symmetric) that batch
-	// flushes must stay under.
+	// announced inbound limit that batch flushes must stay under.
 	maxFrame uint32
 	peerMax  uint32
 	timeout  time.Duration
@@ -488,7 +423,6 @@ type TCPClient struct {
 	iov   net.Buffers
 	arena []byte
 
-	// pipe is non-nil when the connection negotiated protocol v2.
 	pipe *pipeState
 }
 
@@ -504,22 +438,20 @@ const DefaultWindow = 32
 // maxWindow bounds the correlation ring (and so per-connection memory).
 const maxWindow = 1024
 
-// DialConfig tunes a TCP client. The zero value selects pipelining with
-// DefaultWindow in-flight requests and DefaultMaxFrameSize frames.
+// DialConfig tunes a TCP client. The zero value selects DefaultWindow
+// in-flight requests and DefaultMaxFrameSize frames.
 type DialConfig struct {
-	// DisablePipelining skips the hello exchange and speaks the
-	// synchronous v1 protocol, like a pre-v2 client would.
-	DisablePipelining bool
 	// Window caps in-flight pipelined requests on the connection. Values
 	// <= 0 select DefaultWindow; values above maxWindow are clamped.
 	Window int
 	// MaxFrameSize bounds inbound frames and is announced to the server.
 	// Values <= 0 select DefaultMaxFrameSize.
 	MaxFrameSize int
-	// RequestTimeout bounds each request round trip. On a pipelined
-	// connection a timeout poisons the link (responses would no longer
-	// line up), so the connection is closed and every in-flight request
-	// errors; the pool's breaker turns that into a trip. Zero disables.
+	// RequestTimeout bounds each request round trip, the hello's
+	// included. A timeout poisons the link (responses would no longer line
+	// up), so the connection is closed and every in-flight request errors;
+	// the pool's breaker turns that into a trip. Zero disables, except for
+	// the hello, which DialTimeout then bounds.
 	RequestTimeout time.Duration
 }
 
@@ -536,7 +468,7 @@ func (cfg DialConfig) withDefaults() DialConfig {
 	return cfg
 }
 
-// Dial connects to a stream server, negotiating the pipelined protocol.
+// Dial connects to a stream server and exchanges hellos.
 func Dial(addr string) (*TCPClient, error) {
 	return DialCfg(addr, DialConfig{})
 }
@@ -550,11 +482,8 @@ func DialCfg(addr string, cfg DialConfig) (*TCPClient, error) {
 	return newTCPClient(conn, cfg)
 }
 
-// Pipelined reports whether the connection negotiated protocol v2.
-func (c *TCPClient) Pipelined() bool { return c.pipe != nil }
-
-// Close closes the connection and, on a pipelined client, stops the
-// reader goroutine and fails every in-flight request.
+// Close closes the connection, stops the reader goroutine and fails every
+// in-flight request.
 func (c *TCPClient) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -562,38 +491,11 @@ func (c *TCPClient) Close() error {
 		return nil
 	}
 	c.closed = true
-	p := c.pipe
 	c.mu.Unlock()
-	if p != nil {
-		close(p.stop)
-	}
+	close(c.pipe.stop)
 	err := c.conn.Close()
-	if p != nil {
-		<-p.done // reader exited; no more slot deliveries
-	}
+	<-c.pipe.done // reader exited; no more slot deliveries
 	return err
-}
-
-// roundTrip sends the encoded frame and reads one response (v1 path).
-func (c *TCPClient) roundTrip() (byte, wireDecoder, error) {
-	if c.timeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if _, err := c.conn.Write(c.enc.frame()); err != nil {
-		return 0, wireDecoder{}, fmt.Errorf("stream write: %w", err)
-	}
-	frame, err := readFrame(c.conn, c.maxFrame)
-	if err != nil {
-		return 0, wireDecoder{}, fmt.Errorf("stream read: %w", err)
-	}
-	dec := frameDecoder(frame, false)
-	if frame[0] == respError {
-		msg := dec.str()
-		dec.release()
-		return 0, wireDecoder{}, remoteError(msg)
-	}
-	return frame[0], dec, nil
 }
 
 // errorWireMessage renders a handler error for the wire. Backpressure
@@ -667,34 +569,56 @@ func remoteError(msg string) error {
 
 // CreateTopic implements Client.
 func (c *TCPClient) CreateTopic(name string, partitions int) error {
-	if c.pipe != nil {
-		return c.createTopicPipe(name, partitions)
+	_, dec, err := c.pipeDo(reqCreateTopic, func(enc *wireEncoder) {
+		enc.str(name)
+		enc.u32(uint32(partitions))
+	})
+	if err != nil {
+		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.reset(reqCreateTopic)
-	c.enc.str(name)
-	c.enc.u32(uint32(partitions))
-	_, dec, err := c.roundTrip()
 	dec.release()
-	return err
+	return nil
 }
 
-// Produce implements Client.
+// Produce implements Client. Explicit body (no pipeDo closure): this is
+// the per-record hot path and a capturing closure would cost an allocation
+// per send.
+//
+//cad3:noalloc
 func (c *TCPClient) Produce(topicName string, partition int32, key, value []byte) (int32, int64, error) {
-	if c.pipe != nil {
-		return c.producePipe(topicName, partition, key, value)
+	p := c.pipe
+	ch, err := p.acquire(true)
+	if err != nil {
+		return 0, 0, err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.reset(reqProduce)
+	if c.closed {
+		c.mu.Unlock()
+		p.release(ch)
+		return 0, 0, ErrClientClosed
+	}
+	if err := c.pipeIssueLocked(ch, reqProduce); err != nil {
+		c.mu.Unlock()
+		p.release(ch)
+		return 0, 0, err
+	}
 	c.enc.str(topicName)
 	c.enc.u32(uint32(partition))
 	c.enc.bytes(key)
 	c.enc.bytes(value)
-	_, dec, err := c.roundTrip()
+	err = c.pipeWriteLocked()
+	c.mu.Unlock()
+	if err != nil {
+		p.abandon(ch)
+		return 0, 0, err
+	}
+	msgType, dec, err := c.pipeAwait(ch)
 	if err != nil {
 		return 0, 0, err
+	}
+	if msgType != respProduce {
+		dec.release()
+		return 0, 0, errUnexpectedResponse(msgType)
 	}
 	part := int32(dec.u32())
 	off := int64(dec.u64())
@@ -705,43 +629,23 @@ func (c *TCPClient) Produce(topicName string, partition int32, key, value []byte
 
 // Fetch implements Client.
 func (c *TCPClient) Fetch(topicName string, partition int32, offset int64, max int) ([]Message, error) {
-	var dec wireDecoder
-	if c.pipe != nil {
-		ch, err := c.fetchIssue(topicName, partition, offset, max, true)
-		if err != nil {
-			return nil, err
-		}
-		if dec, err = c.fetchAwait(ch); err != nil {
-			return nil, err
-		}
-	} else {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.enc.reset(reqFetch)
-		c.enc.str(topicName)
-		c.enc.u32(uint32(partition))
-		c.enc.u64(uint64(offset))
-		c.enc.u32(uint32(max))
-		var err error
-		if _, dec, err = c.roundTrip(); err != nil {
-			return nil, err
-		}
+	ch, err := c.fetchIssue(topicName, partition, offset, max, true)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := c.fetchAwait(ch)
+	if err != nil {
+		return nil, err
 	}
 	msgs := dec.messages(nil, topicName, max)
-	err := dec.err
+	err = dec.err
 	dec.release()
 	return msgs, err
 }
 
 // ListTopics implements Client.
 func (c *TCPClient) ListTopics() ([]string, error) {
-	if c.pipe != nil {
-		return c.listTopicsPipe()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.reset(reqListTopics)
-	_, dec, err := c.roundTrip()
+	_, dec, err := c.pipeDo(reqListTopics, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -761,14 +665,9 @@ func (c *TCPClient) ListTopics() ([]string, error) {
 
 // PartitionCount implements Client.
 func (c *TCPClient) PartitionCount(topicName string) (int, error) {
-	if c.pipe != nil {
-		return c.partitionCountPipe(topicName)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.reset(reqPartitionCount)
-	c.enc.str(topicName)
-	_, dec, err := c.roundTrip()
+	_, dec, err := c.pipeDo(reqPartitionCount, func(enc *wireEncoder) {
+		enc.str(topicName)
+	})
 	if err != nil {
 		return 0, err
 	}

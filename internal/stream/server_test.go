@@ -209,8 +209,7 @@ func TestWireCodecRoundTripProperty(t *testing.T) {
 		enc.reset(respFetch)
 		enc.messages(in)
 		frame := enc.frame()
-		// Strip length + type.
-		dec := wireDecoder{buf: frame[5:]}
+		dec := wireDecoder{buf: frame[frameHeaderSize:]}
 		out := dec.messages(nil, "", 1<<20)
 		if dec.err != nil || len(out) != 1 {
 			return false
@@ -232,8 +231,8 @@ func TestWireDecoderTruncatedInput(t *testing.T) {
 	enc.messages([]Message{{Topic: "t", Key: []byte("k"), Value: []byte("v")}})
 	frame := enc.frame()
 	// Chop the payload progressively; the decoder must error, not panic.
-	for cut := 5; cut < len(frame)-1; cut++ {
-		dec := wireDecoder{buf: frame[5:cut]}
+	for cut := frameHeaderSize; cut < len(frame)-1; cut++ {
+		dec := wireDecoder{buf: frame[frameHeaderSize:cut]}
 		if msgs := dec.messages(nil, "", 1<<20); dec.err == nil && len(msgs) == 1 {
 			t.Fatalf("truncated frame of %d bytes decoded successfully", cut)
 		}

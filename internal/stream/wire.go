@@ -9,21 +9,18 @@ import (
 	"slices"
 )
 
-// Wire protocol: every frame is a uint32 big-endian length followed by a
-// one-byte message type and a type-specific payload. Strings and byte
-// slices are length-prefixed with uint32.
+// Wire protocol (v2): every frame is a uint32 big-endian length followed
+// by a one-byte message type, a uint32 correlation ID and a type-specific
+// payload. Strings and byte slices are length-prefixed with uint32.
 //
-// Protocol v1 is synchronous: one request, one response, per connection,
-// in order. Protocol v2 is negotiated by a hello exchange as the
-// connection's first frames; every subsequent frame additionally carries
-// a uint32 correlation ID right after the type byte, decoupling request
-// issue from response read (windowed pipelining). Responses stay in
-// request order — the correlation ID indexes the client's in-flight ring
-// and doubles as an integrity check. See DESIGN.md §12.
+// A connection opens with a hello exchange, the only two frames without a
+// correlation ID; a server closes any connection that opens otherwise.
+// After it the client pipelines: requests go out without waiting for
+// answers, and responses come back in request order — the correlation ID
+// indexes the client's in-flight ring and doubles as an integrity check.
+// See DESIGN.md §12.
 
-// Request / response type tags. The v1 values are frozen — v2 additions
-// append with explicit values so an old peer and a new peer agree on the
-// meaning of every byte they both know.
+// Request / response type tags.
 const (
 	reqCreateTopic byte = iota + 1
 	reqProduce
@@ -40,9 +37,8 @@ const (
 )
 
 const (
-	// reqHello opens version negotiation: the first frame a pipelining
-	// client sends. An old server answers respError (unknown type) and the
-	// client falls back to the synchronous v1 path.
+	// reqHello opens a connection: the client's protocol version, frame
+	// limit and window.
 	reqHello byte = 20
 	// reqProduceBatch packs N records for one topic into a single frame.
 	reqProduceBatch byte = 21
@@ -79,11 +75,9 @@ const (
 	respSnapshot byte = 124
 )
 
-// Protocol versions exchanged in the hello frame.
-const (
-	protocolV1 = 1 // synchronous request/response
-	protocolV2 = 2 // correlation IDs + pipelining + batched produce
-)
+// protocolV2 is the protocol version a hello announces: correlation IDs,
+// pipelining and batched produce. A server refuses any lower version.
+const protocolV2 = 2
 
 // DefaultMaxFrameSize bounds a single frame to defend against corrupt
 // lengths. Both Server and Dial accept an override (ServerConfig /
@@ -98,8 +92,11 @@ const (
 	// u32, window u32.
 	helloBodySize = 12
 	// corrSize is the width of the correlation ID that follows the type
-	// byte on every v2 frame.
+	// byte on every frame but the hello's.
 	corrSize = 4
+	// frameHeaderSize precedes every payload but the hello's: length
+	// prefix, type byte, correlation ID.
+	frameHeaderSize = 4 + 1 + corrSize
 	// batchOKResultSize is one successful per-record result in a
 	// respProduceBatch: status byte, partition u32, offset u64.
 	batchOKResultSize = 13
@@ -113,6 +110,16 @@ func putHello(b []byte, version, maxFrame, window uint32) {
 	binary.BigEndian.PutUint32(b[0:], version)
 	binary.BigEndian.PutUint32(b[4:], maxFrame)
 	binary.BigEndian.PutUint32(b[8:], window)
+}
+
+// helloFrame encodes a whole hello frame — reqHello from a client,
+// respHello from a server — which carries no correlation ID.
+func helloFrame(msgType byte, version, maxFrame, window uint32) []byte {
+	f := make([]byte, 4+1+helloBodySize)
+	binary.BigEndian.PutUint32(f, 1+helloBodySize)
+	f[4] = msgType
+	putHello(f[5:], version, maxFrame, window)
+	return f
 }
 
 // readHelloBody parses the fixed hello body written by putHello.
@@ -147,18 +154,13 @@ const (
 
 type wireEncoder struct {
 	buf []byte
-	// v2 stamps the correlation ID after the type byte on reset. The
-	// server's pipelined loop sets corr per request; the client sets it
-	// per issue.
-	v2   bool
+	// corr is stamped after the type byte on reset: the server sets it per
+	// request, the client per issue.
 	corr uint32
 }
 
 func (e *wireEncoder) reset(msgType byte) {
-	e.buf = append(e.buf[:0], 0, 0, 0, 0, msgType)
-	if e.v2 {
-		e.buf = binary.BigEndian.AppendUint32(e.buf, e.corr)
-	}
+	e.buf = binary.BigEndian.AppendUint32(append(e.buf[:0], 0, 0, 0, 0, msgType), e.corr)
 }
 
 // byte1 appends a single raw byte.
@@ -261,16 +263,11 @@ func (d *wireDecoder) release() {
 }
 
 // frameDecoder decodes a frame body from readFrame, starting past the type
-// byte and, on a v2 connection, the correlation ID. It keeps the whole body
-// so that release recycles all of it: a view that started past the header
-// would come back from the pool too short for the next frame of the same
-// size.
-func frameDecoder(frame []byte, v2 bool) wireDecoder {
-	d := wireDecoder{buf: frame, pos: 1}
-	if v2 {
-		d.pos += corrSize
-	}
-	return d
+// byte and the correlation ID. It keeps the whole body so that release
+// recycles all of it: a view that started past the header would come back
+// from the pool too short for the next frame of the same size.
+func frameDecoder(frame []byte) wireDecoder {
+	return wireDecoder{buf: frame, pos: 1 + corrSize}
 }
 
 // readFrame reads one frame body (type byte, then payload) from r into a

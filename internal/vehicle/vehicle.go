@@ -47,9 +47,6 @@ type Config struct {
 	PollInterval time.Duration
 	// Loop restarts the replay when the records run out.
 	Loop bool
-	// JSONWire publishes telemetry as JSON instead of the compact binary
-	// codec — the debugging/interop fallback (RSUs decode both).
-	JSONWire bool
 	// Pacing enables send-side congestion response when MaxDecimation > 0:
 	// a backpressured send doubles the vehicle's decimation factor (send
 	// every k-th sample, drop the rest locally) instead of retrying, and a
@@ -71,13 +68,11 @@ type Vehicle struct {
 	pacer *flow.Pacer
 	// key is the precomputed partitioning key ("car-<id>").
 	key []byte
-	// encodeRec is the reusable SendPooled encode callback; it reads the
-	// pending* staging fields so the binary fast path builds no closure
-	// (and therefore allocates nothing) per send. Each vehicle has a
-	// single sender goroutine, so plain fields suffice.
-	encodeRec  func(dst []byte) []byte
-	pendingRec trace.Record
-	pendingTC  obsv.TraceContext
+	// buf is the record frame each send encodes into. The broker (in
+	// process or over TCP) copies the payload before Send returns, and a
+	// vehicle has a single sender goroutine, so one buffer serves every
+	// send.
+	buf []byte
 
 	sent     atomic.Int64
 	received atomic.Int64
@@ -129,9 +124,7 @@ func New(cfg Config) (*Vehicle, error) {
 		latencies: metrics.NewLatencyRecorder(),
 		traced:    metrics.NewBreakdownAccumulator(),
 		bandwidth: metrics.NewBandwidthMeter(),
-	}
-	v.encodeRec = func(dst []byte) []byte {
-		return core.AppendRecordTraced(dst, v.pendingRec, v.pendingTC)
+		buf:       make([]byte, 0, core.RecordWireSize),
 	}
 	if cfg.Pacing.MaxDecimation > 0 {
 		v.pacer = flow.NewPacer(cfg.Pacing)
@@ -160,28 +153,12 @@ func (v *Vehicle) SendNext(i int) (trace.Record, error) {
 		// at the source, no traffic reaches the broker.
 		return rec, nil
 	}
-	var payloadLen int
-	var err error
-	if v.cfg.JSONWire {
-		var payload []byte
-		payload, err = core.EncodeRecordJSON(rec)
-		if err != nil {
-			return trace.Record{}, fmt.Errorf("vehicle %d: encode: %w", v.cfg.ID, err)
-		}
-		_, _, err = v.producer.Send(v.key, payload)
-		payloadLen = len(payload)
-	} else {
-		// Binary fast path: encode into a pooled buffer that recycles
-		// right after the broker's copy. The trace context rides the
-		// frame's padding: StageSent here, StageArrive at the broker,
-		// the rest down the RSU pipeline (JSON payloads carry no trace).
-		v.pendingRec = rec
-		v.pendingTC = obsv.TraceContext{}
-		v.pendingTC.Stamp(obsv.StageSent, v.cfg.Now())
-		_, _, err = v.producer.SendPooled(v.key, v.encodeRec)
-		payloadLen = core.RecordWireSize
-	}
-	if err != nil {
+	// The trace context rides the frame's padding: StageSent here,
+	// StageArrive at the broker, the rest down the RSU pipeline.
+	var tc obsv.TraceContext
+	tc.Stamp(obsv.StageSent, v.cfg.Now())
+	v.buf = core.AppendRecordTraced(v.buf[:0], rec, tc)
+	if _, _, err := v.producer.Send(v.key, v.buf); err != nil {
 		if v.pacer != nil && errors.Is(err, flow.ErrBackpressure) {
 			// Refused by the gate: never blind-retry — double the
 			// decimation and move on. The next samples absorb the cut.
@@ -203,7 +180,7 @@ func (v *Vehicle) SendNext(i int) (trace.Record, error) {
 		v.pacer.OnSuccess()
 	}
 	v.sent.Add(1)
-	v.bandwidth.Add(payloadLen, v.cfg.Now())
+	v.bandwidth.Add(len(v.buf), v.cfg.Now())
 	return rec, nil
 }
 
@@ -319,7 +296,7 @@ func (v *Vehicle) Latencies() metrics.LatencyReport { return v.latencies.Report(
 
 // TracedLatencies reports the live wire-trace breakdowns (µs precision,
 // all four Figure 6 components). Zero counts when the pipeline ran
-// untraced (JSON wire, or pre-trace peers).
+// untraced.
 func (v *Vehicle) TracedLatencies() metrics.LatencyReport { return v.traced.Report() }
 
 // TracedCount returns the number of fully-traced warnings received.
