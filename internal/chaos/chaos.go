@@ -8,11 +8,12 @@
 //     function of its seed and can be asserted in regression tests.
 //   - Client (client.go) wraps a stream.Client as one named directed link
 //     (from -> to), subjecting its operations to the injector.
-//   - Listener (listener.go) wraps a broker server's net.Listener so a
-//     live TCP broker can have its connections killed or be taken down
-//     without losing its in-memory log.
-//   - Schedule (schedule.go) fires named fault events (crash, restart,
-//     partition, heal) at fixed virtual times, in deterministic order.
+//   - ReplicaLink (replink.go) does the same for a replica set's
+//     leader-to-follower replication link.
+//
+// When faults happen is the scenario engine's business (internal/scenario):
+// a spec's phases and actions switch links, partitions and crashes on and
+// off in virtual time.
 package chaos
 
 import (

@@ -128,39 +128,6 @@ func TestKillSurfacesAsTransportError(t *testing.T) {
 	}
 }
 
-func TestScheduleFiresInOrder(t *testing.T) {
-	s := NewSchedule()
-	base := time.Date(2016, 7, 4, 8, 0, 0, 0, time.UTC)
-	var got []string
-	add := func(d time.Duration, name string) {
-		s.At(base.Add(d), name, func() { got = append(got, name) })
-	}
-	add(30*time.Second, "restart")
-	add(10*time.Second, "partition")
-	add(10*time.Second, "kill") // same instant: insertion order
-	if n := s.Advance(base.Add(5 * time.Second)); n != 0 {
-		t.Errorf("fired %d events early", n)
-	}
-	if n := s.Advance(base.Add(20 * time.Second)); n != 2 {
-		t.Errorf("fired %d events, want 2", n)
-	}
-	// A fired event may schedule a follow-up.
-	s.At(base.Add(40*time.Second), "heal", func() { got = append(got, "heal") })
-	if n := s.Advance(base.Add(time.Hour)); n != 2 {
-		t.Errorf("fired %d events, want 2", n)
-	}
-	want := []string{"partition", "kill", "restart", "heal"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("firing order = %v, want %v", got, want)
-	}
-	if !reflect.DeepEqual(s.Fired(), want) {
-		t.Errorf("Fired() = %v, want %v", s.Fired(), want)
-	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0", s.Pending())
-	}
-}
-
 // A broker's backpressure verdict must survive the chaos wrapper intact:
 // a faulty link does not launder flow control into a transport error, and
 // the retry-after hint stays readable.

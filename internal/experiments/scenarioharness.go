@@ -445,8 +445,8 @@ func (h *ScenarioHarness) Apply(a scenario.Action) error {
 		if r.node == nil {
 			return fmt.Errorf("rsu_crash: node already down")
 		}
-		// The supervisor's last healthy cycle checkpointed the node just
-		// before its process died.
+		// The node is checkpointed between rounds, just before its
+		// process dies; its broker survives.
 		cp, err := r.node.Checkpoint()
 		if err != nil {
 			return err

@@ -8,7 +8,7 @@ import (
 
 // GoroutineHygiene forbids fire-and-forget goroutines in the packages
 // that run for the process's lifetime (the broker/TCP substrate, the RSU
-// node and supervisor, the flow controllers). A goroutine there must be
+// node and cluster, the flow controllers). A goroutine there must be
 // stoppable and awaitable: tied to a context, a stop/done channel, or a
 // sync.WaitGroup the owner waits on. A bare `go func` in these packages
 // is how shutdown leaks connections and tests leak background work.

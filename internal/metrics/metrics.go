@@ -151,84 +151,6 @@ func (r *LatencyRecorder) Report() LatencyReport {
 	}
 }
 
-// CounterSet is a set of named monotonic counters.
-//
-// Deprecated: the live observability registry (internal/obsv.Registry)
-// absorbed this role — it offers the same monotonic named counters as
-// lock-free atomics plus gauges, histograms, snapshot/reset/restore and
-// the /metrics debug endpoint. The RSU supervisor and the RSU node now
-// publish there; CounterSet remains only for code that wants a tiny
-// mutex-guarded map without the registry.
-// Safe for concurrent use.
-type CounterSet struct {
-	mu       sync.Mutex
-	counters map[string]int64
-}
-
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{counters: make(map[string]int64)}
-}
-
-// Add increments the named counter by delta (no-op for delta <= 0:
-// counters are monotonic).
-func (c *CounterSet) Add(name string, delta int64) {
-	if delta <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counters[name] += delta
-}
-
-// Get returns the named counter's value (zero if never incremented).
-func (c *CounterSet) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters[name]
-}
-
-// Snapshot returns a copy of every counter.
-func (c *CounterSet) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.counters))
-	for k, v := range c.counters {
-		out[k] = v
-	}
-	return out
-}
-
-// Names returns the counter names, sorted.
-func (c *CounterSet) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.counters))
-	for k := range c.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the counters as sorted "name=value" pairs.
-func (c *CounterSet) String() string {
-	snap := c.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b []byte
-	for i, k := range names {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = fmt.Appendf(b, "%s=%d", k, snap[k])
-	}
-	return string(b)
-}
-
 // BandwidthMeter accumulates byte counts over a time window and converts
 // them to rates. Safe for concurrent use.
 type BandwidthMeter struct {

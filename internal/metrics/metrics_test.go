@@ -143,50 +143,3 @@ func TestBandwidthMeterConcurrent(t *testing.T) {
 		t.Error("rate should be positive")
 	}
 }
-
-func TestCounterSet(t *testing.T) {
-	c := NewCounterSet()
-	c.Add("rsu.fallbacks", 3)
-	c.Add("rsu.fallbacks", 2)
-	c.Add("rsu.restarts", 1)
-	c.Add("rsu.restarts", 0)  // monotonic: no-op
-	c.Add("rsu.restarts", -5) // monotonic: no-op
-	if got := c.Get("rsu.fallbacks"); got != 5 {
-		t.Errorf("fallbacks = %d, want 5", got)
-	}
-	if got := c.Get("rsu.restarts"); got != 1 {
-		t.Errorf("restarts = %d, want 1", got)
-	}
-	if got := c.Get("missing"); got != 0 {
-		t.Errorf("missing = %d, want 0", got)
-	}
-	if names := c.Names(); len(names) != 2 || names[0] != "rsu.fallbacks" {
-		t.Errorf("Names = %v", names)
-	}
-	snap := c.Snapshot()
-	c.Add("rsu.fallbacks", 1)
-	if snap["rsu.fallbacks"] != 5 {
-		t.Error("Snapshot should be a copy")
-	}
-	if got, want := c.String(), "rsu.fallbacks=6 rsu.restarts=1"; got != want {
-		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
-func TestCounterSetConcurrent(t *testing.T) {
-	c := NewCounterSet()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Add("x", 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get("x"); got != 1600 {
-		t.Errorf("x = %d, want 1600", got)
-	}
-}

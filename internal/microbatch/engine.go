@@ -1,9 +1,9 @@
 // Package microbatch is a from-scratch micro-batch stream-processing
 // engine in the spirit of the Spark Streaming deployment the paper uses:
 // a consumer's stream is sliced into fixed-interval batches (50 ms in the
-// paper, "to keep the processing latency minimized"), each batch becomes
-// an in-memory dataset (see Dataset in rdd.go), and a worker pool (the
-// paper configures a 6-worker Spark cluster) processes it.
+// paper, "to keep the processing latency minimized"), each batch is
+// decoded into a plain []T, and a worker pool (the paper configures a
+// 6-worker Spark cluster) processes it, a share of the slice per worker.
 //
 // The engine has two drive modes sharing one code path:
 //

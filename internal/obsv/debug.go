@@ -15,8 +15,8 @@ import (
 //
 //	/metrics       registry snapshot (counters, gauges, histograms) as JSON
 //	/trace/recent  most recent pipeline traces, newest first (?n=K limits)
-//	/health        operator-supplied health document (supervisor heartbeat
-//	               state, degraded-mode counters)
+//	/health        operator-supplied health document (cad3-rsu: broker
+//	               liveness, degraded-mode counters)
 //	/debug/pprof/  the standard net/http/pprof profiles
 //
 // The handlers read atomic snapshots; serving them never blocks the

@@ -15,8 +15,7 @@
 //
 //   - Registry (this file, histogram.go): named atomic counters, gauges
 //     and histograms with consistent-enough snapshots, JSON rendering, and
-//     checkpoint restore. It replaces metrics.CounterSet as the sink for
-//     supervision and degraded-mode accounting.
+//     checkpoint restore. It is the one place named counters live.
 //   - TraceContext (trace.go): a batch ID plus per-stage timestamps that
 //     ride the record's 200 B frame padding and an optional warning tail,
 //     accumulating stamps as the payload crosses netem -> broker ->
@@ -44,8 +43,7 @@ type Counter struct {
 }
 
 // Add increments the counter by delta. Non-positive deltas are ignored:
-// counters are monotonic (matching the CounterSet contract this package
-// absorbs).
+// counters are monotonic.
 func (c *Counter) Add(delta int64) {
 	if delta <= 0 {
 		return

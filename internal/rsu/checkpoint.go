@@ -47,8 +47,8 @@ type Checkpoint struct {
 }
 
 // Checkpoint captures the node's current state. It is safe to call while
-// the node is between Step calls (the supervisor checkpoints from its
-// heartbeat loop); concurrent Steps see a consistent-enough snapshot
+// the node is between Step calls (the scenario harness's rsu_crash
+// checkpoints there); concurrent Steps see a consistent-enough snapshot
 // since every component locks internally, but offsets are captured last
 // so a record is re-processed rather than lost on an unlucky interleave.
 func (n *Node) Checkpoint() (*Checkpoint, error) {
@@ -96,8 +96,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // builder and road profile are restored, and both consumers are
 // positioned at the checkpointed offsets. cfg.Name and cfg.Road default
 // to the checkpoint's when unset. The broker behind cfg.Client must hold
-// (or have been restored to) a log compatible with the offsets — the
-// crash-recovery pairing is stream.RestoreBroker + rsu.Recover. The
+// a log compatible with the offsets: the node's own broker, which outlives
+// the node process (replication and ReplicaSet.Revive keep the log). The
 // checkpoint's metrics snapshot is restored into cfg.Metrics wholesale:
 // every counter, gauge and histogram it names is overwritten, so a
 // registry shared with other components is rewound to the checkpoint

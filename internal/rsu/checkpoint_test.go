@@ -25,14 +25,13 @@ func sendSummary(t *testing.T, client stream.Client, sum core.PredictionSummary)
 
 // TestCheckpointRecoverResumesWithoutReprocessing is the crash drill: an
 // RSU processes part of its backlog, checkpoints, more data arrives, the
-// process dies. The broker log is restored from its own snapshot and the
-// node from its checkpoint; the recovered node must process exactly the
-// records the dead one had not, with its summaries, history and profile
-// intact.
+// process dies. The broker survives, as under the scenario harness's
+// rsu_crash/rsu_recover, and the node is recovered from its checkpoint
+// against it; the recovered node must process exactly the records the
+// dead one had not, with its summaries, history and profile intact.
 func TestCheckpointRecoverResumesWithoutReprocessing(t *testing.T) {
 	_, _, _, cad := trainedDetectors(t)
-	broker := stream.NewBroker(stream.BrokerConfig{})
-	client := stream.NewInProcClient(broker)
+	client := stream.NewInProcClient(stream.NewBroker(stream.BrokerConfig{}))
 	n, err := New(Config{Name: "MwLink", Road: 7, Detector: cad, Client: client})
 	if err != nil {
 		t.Fatal(err)
@@ -66,17 +65,11 @@ func TestCheckpointRecoverResumesWithoutReprocessing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two more records land after the checkpoint, then the node dies. The
-	// broker log survives via its own snapshot.
+	// Two more records land after the checkpoint, then the node dies.
 	sendRecord(t, client, mkRec(200, geo.MotorwayLink, 35, 14))
 	sendRecord(t, client, mkRec(7, geo.MotorwayLink, 50, 14))
-	bsnap := broker.Snapshot()
 
-	restored, err := stream.RestoreBroker(stream.BrokerConfig{}, bsnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn, err := Recover(Config{Client: stream.NewInProcClient(restored)}, cp2)
+	rn, err := Recover(Config{Client: client}, cp2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,65 +159,6 @@ func (c *Cluster) Handover(car trace.CarID, fromRoad, toRoad geo.SegmentID) erro
 	return from.Handover(car, name)
 }
 
-// ReplaceNode swaps the named node for a replacement (typically one
-// recovered from a checkpoint after a crash) and rewires the
-// collaboration topology: the replacement gets producers to every
-// neighbor it had, and every node that forwarded summaries to the dead
-// node gets a fresh producer bound to the replacement's client. The
-// replacement must cover the same road.
-func (c *Cluster) ReplaceNode(name string, repl *Node) error {
-	if repl == nil {
-		return fmt.Errorf("rsu: nil replacement for %q", name)
-	}
-	c.mu.Lock()
-	old, ok := c.byName[name]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoRSU, name)
-	}
-	road := old.Road()
-	if repl.Road() != road {
-		c.mu.Unlock()
-		return fmt.Errorf("rsu: replacement for %q covers road %d, want %d",
-			name, repl.Road(), road)
-	}
-	c.byName[name] = repl
-	c.byRoad[road] = repl
-
-	type wire struct {
-		node  *Node
-		label string
-		peer  *Node
-	}
-	var wires []wire
-	// Outbound: the replacement re-learns its neighbors.
-	for toRoad, label := range c.neighborName[road] {
-		if peer, ok := c.byRoad[toRoad]; ok {
-			wires = append(wires, wire{node: repl, label: label, peer: peer})
-		}
-	}
-	// Inbound: peers that pointed at the dead node point at the
-	// replacement's broker now.
-	for fromRoad, names := range c.neighborName {
-		if fromRoad == road {
-			continue
-		}
-		if label, ok := names[road]; ok {
-			if from, ok := c.byRoad[fromRoad]; ok {
-				wires = append(wires, wire{node: from, label: label, peer: repl})
-			}
-		}
-	}
-	c.mu.Unlock()
-
-	for _, w := range wires {
-		if err := w.node.AddNeighbor(w.label, w.peer.cfg.Client); err != nil {
-			return fmt.Errorf("rsu: rewire %s -> %s: %w", w.node.Name(), w.label, err)
-		}
-	}
-	return nil
-}
-
 // StepAll runs one pipeline round on every node, returning per-node batch
 // stats keyed by name. Per-node errors are collected, not fatal.
 func (c *Cluster) StepAll() (map[string]microbatch.BatchStats, error) {

@@ -44,6 +44,48 @@ func clusterFixture(t *testing.T) (*Cluster, *geo.Network, stream.Client, stream
 	return cluster, net, mwClient, lkClient
 }
 
+// brokerFixture is the same 2-node corridor with its brokers reachable,
+// so a test can kill one.
+type brokerFixture struct {
+	cluster  *Cluster
+	mwBroker *stream.Broker
+	lkBroker *stream.Broker
+	mwClient stream.Client
+	lkClient stream.Client
+}
+
+func newBrokerFixture(t *testing.T) *brokerFixture {
+	t.Helper()
+	_, _, mw, cad := trainedDetectors(t)
+
+	net := geo.NewNetwork(0)
+	if err := net.AddSegment(lineSeg(t, 1, geo.Motorway)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AddSegment(lineSeg(t, 2, geo.MotorwayLink)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Connect(1, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	f := &brokerFixture{
+		mwBroker: stream.NewBroker(stream.BrokerConfig{}),
+		lkBroker: stream.NewBroker(stream.BrokerConfig{}),
+	}
+	f.mwClient = stream.NewInProcClient(f.mwBroker)
+	f.lkClient = stream.NewInProcClient(f.lkBroker)
+	cluster, err := NewCluster(net, []Config{
+		{Name: "Mw", Road: 1, Detector: mw, Client: f.mwClient},
+		{Name: "Link", Road: 2, Detector: cad, Client: f.lkClient},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.cluster = cluster
+	return f
+}
+
 func lineSeg(t *testing.T, id geo.SegmentID, rt geo.RoadType) *geo.Segment {
 	t.Helper()
 	start := geo.Destination(geo.ShenzhenCenter, float64(id)*10, float64(id)*1000)
@@ -118,7 +160,7 @@ func TestClusterHandoverThroughTopology(t *testing.T) {
 // topology knows the neighbor but its broker is dead, so the send fails,
 // the drop is accounted, and the history survives for a later retry.
 func TestClusterHandoverDeadNode(t *testing.T) {
-	f := newSupervisedFixture(t)
+	f := newBrokerFixture(t)
 
 	for i := 0; i < 4; i++ {
 		sendRecord(t, f.mwClient, mkRec(9, geo.Motorway, 140, 14))

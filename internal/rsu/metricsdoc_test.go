@@ -11,7 +11,6 @@ package rsu
 // component registers anymore.
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -108,10 +107,9 @@ func parseMetricInventory(t *testing.T) (counters, gauges, hists []docMetric) {
 }
 
 // registerEverything stands up every metric-emitting component of the
-// substrate on the one registry and drives the supervisor through a
-// healthy round, a failed restart and a successful restart, so the
-// event-keyed `<node>.*` counters register too. Everything else
-// registers eagerly at construction.
+// substrate on the one registry. Each registers eagerly at construction;
+// a produce on the wire and replicated paths exercises their request
+// families.
 func registerEverything(t *testing.T, reg *obsv.Registry) {
 	t.Helper()
 	_, _, mw, cad := trainedDetectors(t)
@@ -132,7 +130,7 @@ func registerEverything(t *testing.T, reg *obsv.Registry) {
 	// the three CAD3 topics the node provisions.
 	mwBroker := stream.NewBroker(stream.BrokerConfig{Metrics: reg, FlowCapacity: 64})
 	lkBroker := stream.NewBroker(stream.BrokerConfig{})
-	cluster, err := NewCluster(net, []Config{
+	if _, err := NewCluster(net, []Config{
 		// The Mw node carries the registry: pipeline.* histograms, the
 		// rsu.* / flow.node.* gauge views, the microbatch.* engine
 		// metrics, and (via BatchSLO) the adaptive flow.node.batch_limit
@@ -140,8 +138,7 @@ func registerEverything(t *testing.T, reg *obsv.Registry) {
 		{Name: "Mw", Road: 1, Detector: mw, Client: stream.NewInProcClient(mwBroker),
 			Metrics: reg, BatchSLO: 50 * time.Millisecond},
 		{Name: "Link", Road: 2, Detector: cad, Client: stream.NewInProcClient(lkBroker)},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,69 +203,6 @@ func registerEverything(t *testing.T, reg *obsv.Registry) {
 		Network: net, Shards: 2, Vehicles: 4, Replicas: 2, Metrics: reg,
 	}); err != nil {
 		t.Fatal(err)
-	}
-
-	// Supervision events. A virtual clock steps past the restart backoff;
-	// a rewire hook that declines, then supplies a working client, then
-	// declines again, combined with a restart hook that fails once then
-	// succeeds, covers the full counter family: heartbeat.{ok,fail},
-	// checkpoints, rewired, restarts, restart.fail and the degraded.*
-	// deltas (published every healthy probe, delta or not).
-	now := time.Unix(0, 0)
-	failNext := true
-	restart := func(name string, cp *Checkpoint) (*Node, error) {
-		if failNext {
-			failNext = false
-			return nil, errors.New("injected restart failure")
-		}
-		b := stream.NewBroker(stream.BrokerConfig{})
-		return Recover(Config{Client: stream.NewInProcClient(b)}, cp)
-	}
-	var rewireBroker *stream.Broker
-	rewires := 0
-	rewire := func(name string) (stream.Client, bool) {
-		rewires++
-		if rewires != 2 {
-			return nil, false // no promoted replica available yet
-		}
-		rewireBroker = stream.NewBroker(stream.BrokerConfig{})
-		for _, topic := range []string{stream.TopicInData, stream.TopicOutData, stream.TopicCoData} {
-			if err := rewireBroker.CreateTopic(topic, stream.DefaultPartitions); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return stream.NewInProcClient(rewireBroker), true
-	}
-	sup, err := NewSupervisor(SupervisorConfig{
-		Cluster:       cluster,
-		Restart:       restart,
-		Rewire:        rewire,
-		FailThreshold: 1,
-		Seed:          7,
-		Metrics:       reg,
-		Now:           func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sup.CheckOnce(); got != 0 {
-		t.Fatalf("unhealthy = %d on a healthy cluster", got)
-	}
-	if err := mwBroker.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sup.CheckOnce(); got != 1 {
-		t.Fatalf("unhealthy = %d after failed restart, want 1", got)
-	}
-	if got := sup.CheckOnce(); got != 0 {
-		t.Fatalf("unhealthy = %d after rewire, want 0", got)
-	}
-	if err := rewireBroker.Close(); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(time.Minute) // clear the restart backoff
-	if got := sup.CheckOnce(); got != 0 {
-		t.Fatalf("unhealthy = %d after restart, want 0", got)
 	}
 }
 

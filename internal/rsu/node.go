@@ -140,8 +140,8 @@ type Stats struct {
 	Engine       microbatch.EngineStats
 }
 
-// DegradedStats isolates the degraded-mode counters the supervisor
-// aggregates into internal/metrics.
+// DegradedStats isolates the degraded-mode counters cad3-rsu's /health
+// endpoint reports.
 type DegradedStats struct {
 	Fallbacks        int64
 	StaleSummaries   int64
@@ -526,8 +526,8 @@ func (n *Node) processRecords(records []tracedRecord) error {
 	n.priorHits.Add(hits)
 	n.priorMisses.Add(misses)
 	if n.collab {
-		// CAD3 without a prior collapses to AD3 — the degraded mode the
-		// supervisor accounts for.
+		// CAD3 without a prior collapses to AD3 — the degraded mode
+		// DegradedCounters reports.
 		n.fallbacks.Add(misses)
 	}
 	n.shedStale.Add(shed)
@@ -846,42 +846,16 @@ func (n *Node) Stats() Stats {
 }
 
 // Ping checks the node's broker liveness with the cheapest round trip
-// (the supervisor's heartbeat).
+// (cad3-rsu's /health probe).
 func (n *Node) Ping() error {
 	_, err := n.cfg.Client.PartitionCount(stream.TopicInData)
 	return err
 }
 
-// Rewire rebinds the node's own stream plumbing — IN-DATA and CO-DATA
-// consumers and the OUT-DATA producer — to a new broker client, the
-// failover path when this node's broker is replaced (e.g. a partition
-// leader died and a replica was promoted). Consumer offsets are
-// preserved, so the node resumes from its committed positions on the
-// replica's copy of the log. Neighbor producers are untouched: they
-// point at other RSUs' brokers. Like Checkpoint and Recover, Rewire must
-// not run concurrently with Step.
-func (n *Node) Rewire(client stream.Client) error {
-	if client == nil {
-		return ErrNoClient
-	}
-	if err := n.inConsumer.SwapClient(client); err != nil {
-		return fmt.Errorf("rsu %s: rewire in-consumer: %w", n.cfg.Name, err)
-	}
-	if err := n.coConsumer.SwapClient(client); err != nil {
-		return fmt.Errorf("rsu %s: rewire co-consumer: %w", n.cfg.Name, err)
-	}
-	if err := n.outProducer.SwapClient(client); err != nil {
-		return fmt.Errorf("rsu %s: rewire out-producer: %w", n.cfg.Name, err)
-	}
-	n.cfg.Client = client
-	return nil
-}
-
 // Detector returns the node's detector (checkpointing persists it).
 func (n *Node) Detector() core.Detector { return n.cfg.Detector }
 
-// Client returns the node's broker client (the cluster rewires neighbor
-// producers with it after a restart).
+// Client returns the node's broker client, which never changes after New.
 func (n *Node) Client() stream.Client { return n.cfg.Client }
 
 // TrackedCars returns the number of vehicles with local prediction

@@ -425,47 +425,6 @@ func TestWarnCooldownFiltersTheBatch(t *testing.T) {
 	}
 }
 
-// TestRewireSendsNextBatchToNewClient swaps the node's broker between two
-// micro-batches: the second batch of warnings goes to the new client in
-// one call and the old client sees nothing more.
-func TestRewireSendsNextBatchToNewClient(t *testing.T) {
-	_, link, _, _ := trainedDetectors(t)
-	brokerA, brokerB := stream.NewBroker(stream.BrokerConfig{}), stream.NewBroker(stream.BrokerConfig{})
-	a := &countingClient{BatchClient: stream.NewInProcClient(brokerA)}
-	c := &countingClient{BatchClient: stream.NewInProcClient(brokerB)}
-	n, err := New(Config{Name: "link", Road: 7, Detector: link, Client: a, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, topic := range []string{stream.TopicInData, stream.TopicOutData, stream.TopicCoData} {
-		if err := c.CreateTopic(topic, stream.DefaultPartitions); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first, second := mixedRecords(4, 40, 1000), mixedRecords(4, 24, 5000)
-	for _, r := range first {
-		feedRecord(t, a, r)
-	}
-	if _, err := n.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Rewire(c); err != nil {
-		t.Fatal(err)
-	}
-	n.inConsumer.SeekTo(0) // broker B's log starts empty
-	for _, r := range second {
-		feedRecord(t, c, r)
-	}
-	if _, err := n.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if a.batches.Load() != 1 || c.batches.Load() != 1 {
-		t.Errorf("batch calls old/new = %d/%d, want 1/1", a.batches.Load(), c.batches.Load())
-	}
-	got, _ := drainWarnings(t, stream.NewInProcClient(brokerB), true)
-	sameWarnings(t, got, referenceWarnings(t, link, second))
-}
-
 // TestParallelWorkersDeliverEveryWarningOnce runs the engine at the paper's
 // six workers (the race detector's case): every worker flushes a batch of
 // its own and between them each warning arrives exactly once.

@@ -134,7 +134,7 @@ func (c *Consumer) poll(max int, each func(Message), into []Message) (int, []Mes
 			k, err = lends.FetchEach(c.topic, part, c.offsets[part], max-got, c.lend)
 		} else {
 			var msgs []Message
-			//cad3:allow lockdiscipline c.mu must cover the fetch (and the lent read or pipelined round that stands in for it): SwapClient's failover contract (documented there) requires that a swap never interleaves with a poll advancing offsets
+			//cad3:allow lockdiscipline c.mu must cover the fetch (and the lent read or pipelined round that stands in for it): two concurrent polls, or a SeekTo/SetOffsets, must never read from the same offsets and deliver a record twice
 			msgs, err = c.client.Fetch(c.topic, part, c.offsets[part], max-got)
 			if err == nil {
 				for i := range msgs {
@@ -238,34 +238,6 @@ func (c *Consumer) consumedLocked(part int32, k int) {
 	}
 }
 
-// SwapClient rebinds the consumer to a new client — the failover path
-// after a broker is replaced. Offsets are preserved: the new broker must
-// serve the same topic with at least as many partitions (extra
-// partitions start from the earliest offset; fewer is an error, since
-// committed offsets would silently vanish). The swap serializes behind
-// the consumer mutex, so it never interleaves with a PollInto in flight.
-func (c *Consumer) SwapClient(client Client) error {
-	if client == nil {
-		return fmt.Errorf("stream: consumer requires a client")
-	}
-	n, err := client.PartitionCount(c.topic)
-	if err != nil {
-		return fmt.Errorf("swap consumer for %q: %w", c.topic, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < len(c.offsets) {
-		return fmt.Errorf("stream: swap would shrink %q from %d to %d partitions",
-			c.topic, len(c.offsets), n)
-	}
-	for len(c.offsets) < n {
-		c.offsets = append(c.offsets, 0)
-	}
-	c.client = client
-	c.next = 0
-	return nil
-}
-
 // SeekTo positions every partition offset.
 func (c *Consumer) SeekTo(offset int64) {
 	c.mu.Lock()
@@ -273,6 +245,26 @@ func (c *Consumer) SeekTo(offset int64) {
 	for i := range c.offsets {
 		c.offsets[i] = offset
 	}
+}
+
+// SetOffsets positions a consumer's per-partition offsets (checkpoint
+// restore). The length must match the partition count.
+//
+// The reposition serializes behind the consumer mutex — the same mutex
+// PollInto holds for its entire fetch loop — so a concurrent poll either
+// completes wholly before the restore or starts wholly after it; it can
+// never observe half-restored offsets. The round-robin cursor resets
+// with the offsets, keeping the first post-restore poll deterministic.
+func (c *Consumer) SetOffsets(offsets []int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(offsets) != len(c.offsets) {
+		return fmt.Errorf("stream: %d offsets for %d partitions of %q",
+			len(offsets), len(c.offsets), c.topic)
+	}
+	copy(c.offsets, offsets)
+	c.next = 0
+	return nil
 }
 
 // Offsets returns a copy of the per-partition offsets.

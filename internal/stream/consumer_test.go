@@ -200,3 +200,51 @@ func TestAccessorSurface(t *testing.T) {
 		t.Error("BytesOut not accounted")
 	}
 }
+
+func populatedBroker(t *testing.T, msgs int) *Broker {
+	t.Helper()
+	b := NewBroker(BrokerConfig{})
+	if err := b.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CreateTopic("u", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < msgs; i++ {
+		key := []byte(fmt.Sprintf("k%d", i))
+		if _, _, err := b.Produce("t", int32(i%2), key, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := b.Produce("u", 0, nil, []byte("solo")); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestConsumerSetOffsets(t *testing.T) {
+	b := populatedBroker(t, 6)
+	c, err := NewConsumer(NewInProcClient(b), "t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Poll(100); err != nil {
+		t.Fatal(err)
+	}
+	saved := c.Offsets()
+
+	c2, err := NewConsumer(NewInProcClient(b), "t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.SetOffsets(saved); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := c2.Poll(100)
+	if err != nil || len(msgs) != 0 {
+		t.Errorf("restored consumer re-read %d messages, want 0 (err %v)", len(msgs), err)
+	}
+	if err := c2.SetOffsets([]int64{0}); err == nil {
+		t.Error("length mismatch accepted")
+	}
+}

@@ -145,7 +145,7 @@ func TestFlowEvictionReturnsCredits(t *testing.T) {
 	}
 }
 
-func TestRestoreBrokerReseatsOccupancy(t *testing.T) {
+func TestCloneBrokerReseatsOccupancy(t *testing.T) {
 	cfg := BrokerConfig{FlowCapacity: 10, FlowPolicy: flow.TailDrop{}}
 	b := NewBroker(cfg)
 	if err := b.CreateTopic(TopicInData, 1); err != nil {
@@ -156,112 +156,29 @@ func TestRestoreBrokerReseatsOccupancy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	restored, err := RestoreBroker(cfg, b.Snapshot())
+	clone, err := cloneBroker(cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if occ := restored.FlowStats(TopicInData).Occupancy; occ != 6 {
-		t.Fatalf("restored occupancy = %d, want 6", occ)
+	if occ := clone.FlowStats(TopicInData).Occupancy; occ != 6 {
+		t.Fatalf("clone occupancy = %d, want 6", occ)
 	}
 	for i := 0; i < 4; i++ {
-		if _, _, err := restored.Produce(TopicInData, 0, nil, []byte("t")); err != nil {
-			t.Fatalf("produce %d into restored headroom: %v", i, err)
+		if _, _, err := clone.Produce(TopicInData, 0, nil, []byte("t")); err != nil {
+			t.Fatalf("produce %d into the clone's headroom: %v", i, err)
 		}
 	}
-	if _, _, err := restored.Produce(TopicInData, 0, nil, []byte("t")); !errors.Is(err, flow.ErrBackpressure) {
-		t.Errorf("restored broker over capacity: got %v, want backpressure", err)
+	if _, _, err := clone.Produce(TopicInData, 0, nil, []byte("t")); !errors.Is(err, flow.ErrBackpressure) {
+		t.Errorf("clone over capacity: got %v, want backpressure", err)
 	}
-	// Draining the restored backlog returns its credits.
-	msgs, err := restored.Fetch(TopicInData, 0, 0, 10)
+	// Draining the cloned backlog returns its credits.
+	msgs, err := clone.Fetch(TopicInData, 0, 0, 10)
 	if err != nil || len(msgs) != 10 {
-		t.Fatalf("fetch restored: %d msgs, err %v", len(msgs), err)
+		t.Fatalf("fetch clone: %d msgs, err %v", len(msgs), err)
 	}
 	RecycleMessages(msgs)
-	if occ := restored.FlowStats(TopicInData).Occupancy; occ != 0 {
+	if occ := clone.FlowStats(TopicInData).Occupancy; occ != 0 {
 		t.Errorf("occupancy after full drain = %d, want 0", occ)
-	}
-}
-
-// A group snapshot taken before a topic grew restores cleanly: committed
-// partitions keep their offsets, new partitions read from the start.
-func TestRestoreGroupTopicGrew(t *testing.T) {
-	b := NewBroker(BrokerConfig{})
-	if err := b.CreateTopic(TopicInData, 2); err != nil {
-		t.Fatal(err)
-	}
-	client := NewInProcClient(b)
-	for p := int32(0); p < 2; p++ {
-		for i := 0; i < 3; i++ {
-			if _, _, err := b.Produce(TopicInData, p, nil, []byte("t")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	g, err := NewGroup(client, TopicInData, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := g.Join("rsu-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Poll(100); err != nil {
-		t.Fatal(err)
-	}
-	snap := g.Snapshot()
-
-	// The topic grows a partition between snapshot and restore.
-	grown := NewBroker(BrokerConfig{})
-	if err := grown.CreateTopic(TopicInData, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := grown.Produce(TopicInData, 2, nil, []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreGroup(NewInProcClient(grown), snap)
-	if err != nil {
-		t.Fatalf("restore against grown topic: %v", err)
-	}
-	offsets := restored.Offsets()
-	if len(offsets) != 3 {
-		t.Fatalf("restored offsets = %v, want 3 entries", offsets)
-	}
-	if offsets[0] != snap.Offsets[0] || offsets[1] != snap.Offsets[1] {
-		t.Errorf("committed offsets changed: %v vs snapshot %v", offsets, snap.Offsets)
-	}
-	if offsets[2] != 0 {
-		t.Errorf("new partition offset = %d, want 0 (read from earliest)", offsets[2])
-	}
-	// The restored member picks up the new partition's backlog.
-	rm, err := restored.Member("rsu-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := rm.Poll(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, msg := range msgs {
-		if msg.Partition == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("restored member never read the new partition (got %d msgs)", len(msgs))
-	}
-}
-
-// A topic that shrank below the snapshot is an error: committed offsets
-// would silently vanish.
-func TestRestoreGroupTopicShrankErrors(t *testing.T) {
-	b := NewBroker(BrokerConfig{})
-	if err := b.CreateTopic(TopicInData, 2); err != nil {
-		t.Fatal(err)
-	}
-	snap := GroupSnapshot{Topic: TopicInData, Offsets: []int64{5, 7, 9}, Members: []string{"rsu-1"}}
-	if _, err := RestoreGroup(NewInProcClient(b), snap); err == nil {
-		t.Fatal("restore with 3 snapshotted offsets against 2 partitions should fail")
 	}
 }
 

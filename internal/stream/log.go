@@ -18,12 +18,11 @@ import (
 // Storage is a slab: record bytes (key, then value) are copied once into
 // fixed-size chunks the log owns, and a compact index entry per record
 // says where they are. Every writer — append, appendRun, appendBatch,
-// appendReplica, RestoreBroker — goes through storeLocked; readers borrow
-// views of the chunks under the partition lock (scan, which read clones
-// from) or copy out of them (snapshot), and cloneFrom copies the chunks
-// whole. Retention drops index entries and hands the
-// chunks they wholly vacate to a spare list the next appends draw from,
-// so a full log at steady state allocates nothing.
+// appendReplica — goes through storeLocked; readers borrow views of the
+// chunks under the partition lock (scan, which read clones from), and
+// cloneFrom copies the chunks whole. Retention drops index entries and
+// hands the chunks they wholly vacate to a spare list the next appends
+// draw from, so a full log at steady state allocates nothing.
 //
 // When the broker runs flow-controlled, the log also fronts an admission
 // gate: appends consume credits (the broker calls Admit before append) and

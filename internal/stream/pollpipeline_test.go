@@ -195,18 +195,6 @@ func TestPipelinedPollMatchesSequential(t *testing.T) {
 				RecycleMessages(got)
 				RecycleMessages(want)
 				idleWindow(t, conn)
-
-				// Now and then the failover path: both consumers move to
-				// fresh connections and carry on from their offsets.
-				if round%20 == 19 {
-					conn = dialTest(t, b, ServerConfig{}, DialConfig{Window: tc.window})
-					if err := piped.SwapClient(conn); err != nil {
-						t.Fatal(err)
-					}
-					if err := seq.SwapClient(clientOnly{other}); err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"cad3/internal/flow"
@@ -20,15 +19,14 @@ import (
 // A producer carries an AckLevel. The default AckLeader sends through the
 // plain Client Produce path unchanged; AckNone and AckAll require a
 // client that understands durability levels (AckClient — the replicated
-// cluster's client). The bound client can be swapped at runtime
-// (SwapClient) so a supervisor can rewire a producer to a new partition
-// leader without rebuilding the pipeline around it.
+// cluster's client). The client and the level are fixed at construction;
+// surviving a broker failover is the replicated client's job, behind the
+// one Client it hands out.
 type Producer struct {
-	mu     sync.RWMutex
 	client Client
 	acks   AckLevel
+	topic  string
 
-	topic string
 	sent  atomic.Int64
 	bytes atomic.Int64
 }
@@ -57,36 +55,15 @@ func NewProducerAcks(client Client, topicName string, acks AckLevel) (*Producer,
 	return &Producer{client: client, topic: topicName, acks: acks}, nil
 }
 
-// SwapClient rebinds the producer to a new client — the failover path
-// after a broker is replaced. In-flight Sends finish against the client
-// they started with.
-func (p *Producer) SwapClient(client Client) error {
-	if client == nil {
-		return fmt.Errorf("stream: producer requires a client")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.acks != AckLeader {
-		if _, ok := client.(AckClient); !ok {
-			return fmt.Errorf("stream: acks=%s requires an AckClient, got %T", p.acks, client)
-		}
-	}
-	p.client = client
-	return nil
-}
-
 // produce routes one record through the bound client at the producer's
 // ack level.
 func (p *Producer) produce(partition int32, key, value []byte) (int32, int64, error) {
-	p.mu.RLock()
-	client, acks := p.client, p.acks
-	p.mu.RUnlock()
-	if acks != AckLeader {
-		if ac, ok := client.(AckClient); ok {
-			return ac.ProduceAcks(p.topic, partition, key, value, acks)
+	if p.acks != AckLeader {
+		if ac, ok := p.client.(AckClient); ok {
+			return ac.ProduceAcks(p.topic, partition, key, value, p.acks)
 		}
 	}
-	return client.Produce(p.topic, partition, key, value)
+	return p.client.Produce(p.topic, partition, key, value)
 }
 
 // wrapSendErr names the topic on a failed send. Backpressure and
@@ -128,13 +105,10 @@ func (p *Producer) SendBatch(recs []BatchRecord, res []BatchResult) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	p.mu.RLock()
-	client, acks := p.client, p.acks
-	p.mu.RUnlock()
 	var err error
-	if ac, ok := client.(AckBatchClient); ok && acks != AckLeader {
-		err = ac.ProduceBatchAcksInto(p.topic, AutoPartition, recs, res, acks)
-	} else if bc, ok := client.(BatchClient); ok && acks == AckLeader {
+	if ac, ok := p.client.(AckBatchClient); ok && p.acks != AckLeader {
+		err = ac.ProduceBatchAcksInto(p.topic, AutoPartition, recs, res, p.acks)
+	} else if bc, ok := p.client.(BatchClient); ok && p.acks == AckLeader {
 		err = bc.ProduceBatchInto(p.topic, AutoPartition, recs, res)
 	} else {
 		for i := range recs {
@@ -177,11 +151,7 @@ func (p *Producer) SendToPartition(partition int32, key, value []byte) (int64, e
 }
 
 // Acks returns the producer's durability level.
-func (p *Producer) Acks() AckLevel {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.acks
-}
+func (p *Producer) Acks() AckLevel { return p.acks }
 
 // Sent returns the number of successfully published messages.
 func (p *Producer) Sent() int64 { return p.sent.Load() }

@@ -1,16 +1,12 @@
 package stream
 
 // TCPClient half of the replication control plane: ReplicaAppend,
-// SetPartitionRole, HighWaterMark and FetchSnapshot over the wire, so a
-// replication controller can drive followers on other machines through
-// the same ReplicaLink interface the in-process path uses. These are
-// control-plane calls (cold relative to produce/fetch), so they use the
-// generic pipeDo closure path.
-
-import (
-	"encoding/json"
-	"fmt"
-)
+// SetPartitionRole and HighWaterMark over the wire, so a replication
+// controller can drive followers on other machines through the same
+// ReplicaLink interface the in-process path uses. These are control-plane
+// calls (cold relative to produce/fetch), so they use the generic pipeDo
+// closure path. A replica that falls out of the leader's retention window
+// is rebuilt in process by ReplicaSet.Revive, not over the wire.
 
 // encodeReplicate writes a reqReplicate body (after reset) into enc.
 func encodeReplicate(enc *wireEncoder, topicName string, partition int32, epoch, base int64, recs []ReplicaRecord) {
@@ -83,26 +79,4 @@ func (c *TCPClient) HighWaterMark(topicName string, partition int32) (int64, err
 	err = dec.err
 	dec.release()
 	return hwm, err
-}
-
-// FetchSnapshot pulls the remote broker's full snapshot — the follower
-// bootstrap path when the replica lives on another machine. Large logs
-// may need a raised MaxFrameSize on both ends.
-func (c *TCPClient) FetchSnapshot() (*BrokerSnapshot, error) {
-	msgType, dec, err := c.pipeDo(reqSnapshot, nil)
-	if err != nil {
-		return nil, err
-	}
-	if msgType != respSnapshot {
-		dec.release()
-		return nil, errUnexpectedResponse(msgType)
-	}
-	data := dec.raw()
-	var snap BrokerSnapshot
-	uerr := json.Unmarshal(data, &snap)
-	dec.release()
-	if uerr != nil {
-		return nil, fmt.Errorf("stream: decode snapshot: %w", uerr)
-	}
-	return &snap, nil
 }

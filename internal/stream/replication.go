@@ -16,8 +16,9 @@ package stream
 //     prefix is skipped — replication is idempotent); starting above it
 //     is ErrOffsetGap: the follower is missing records. An acks=all push
 //     that gets it falls back to catch-up from the follower's high
-//     watermark; catch-up that still gets it means the follower needs a
-//     snapshot bootstrap (ReplicaSet.Revive) before it can tail the log.
+//     watermark; catch-up that still gets it means the follower must be
+//     rebuilt as a clone of a live replica (ReplicaSet.Revive) before it
+//     can tail the log.
 //
 // A broker that never hears about replication (no SetPartitionRole call)
 // leads every partition at epoch 0, so standalone deployments are
@@ -44,7 +45,7 @@ var (
 	// ErrOffsetGap rejects a replica append that starts past the
 	// follower's high watermark: the follower missed a range and must
 	// catch up from the leader's log, or, once that range has left the
-	// leader's retention window, bootstrap from a snapshot.
+	// leader's retention window, be rebuilt by ReplicaSet.Revive.
 	ErrOffsetGap = errors.New("stream: replica offset gap")
 )
 
@@ -267,17 +268,11 @@ func (b *Broker) ReplicaAppend(topicName string, partition int32, epoch, base in
 	return hwm, nil
 }
 
-// ReplicaSnapshot adapts Snapshot to the error-returning shape remote
-// links need (a TCPClient's snapshot fetch can fail in transport).
-func (b *Broker) ReplicaSnapshot() (*BrokerSnapshot, error) {
-	return b.Snapshot(), nil
-}
-
 // appendReplica installs a leader log suffix starting at base, skipping
 // the already-held overlap and preserving the leader's offsets, bytes and
 // append timestamps (retention parity) — nothing is stamped here.
 // Replicated records enter a flow-controlled partition as credit debt,
-// like a snapshot restore — replication is never shed, the leader already
+// like a cloned backlog — replication is never shed, the leader already
 // admitted the records. Retention runs after every record, at that
 // record's timestamp, so a suffix shipped whole leaves the log exactly as
 // the same records shipped one append apiece leave it.

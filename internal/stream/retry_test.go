@@ -68,24 +68,27 @@ func TestRetryClientSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bounce the server: the client's connection dies, the retry client
-	// redials transparently.
-	rs.stop()
-	rs.start()
-
-	if _, _, err := rc.Produce("t", AutoPartition, nil, []byte("after")); err != nil {
-		t.Fatalf("produce after restart: %v", err)
+	// Bounce the server five times, a produce after each: every bounce
+	// kills the client's connection and the retry client redials
+	// transparently.
+	for i := 0; i < 5; i++ {
+		rs.stop()
+		rs.start()
+		if _, _, err := rc.Produce("t", AutoPartition, nil, []byte("after")); err != nil {
+			t.Fatalf("produce after restart %d: %v", i+1, err)
+		}
 	}
-	var total int64
+	// Every record is there, read back through the same retry client.
+	var total int
 	for p := int32(0); p < 3; p++ {
-		hwm, err := rs.broker.HighWaterMark("t", p)
+		msgs, err := rc.Fetch("t", p, 0, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += hwm
+		total += len(msgs)
 	}
-	if total != 2 {
-		t.Errorf("broker holds %d messages, want 2", total)
+	if total != 6 {
+		t.Errorf("fetched %d messages, want 6", total)
 	}
 }
 

@@ -146,10 +146,10 @@ func TestSendBatchBackpressureUnwrapped(t *testing.T) {
 	}
 }
 
-// TestSendBatchAckLevelAndSwap: the producer's ack level picks the batch
-// entry point, a client that cannot batch at that level gets per-record
-// produces at it, and SwapClient moves the next batch to the new client.
-func TestSendBatchAckLevelAndSwap(t *testing.T) {
+// TestSendBatchAckLevel: the producer's ack level picks the batch entry
+// point, and a client that cannot batch at that level gets per-record
+// produces at it.
+func TestSendBatchAckLevel(t *testing.T) {
 	newSet := func() *ReplicaSet {
 		rs, err := NewReplicaSet(ReplicaSetConfig{},
 			Replica{ID: "r1", Broker: NewBroker(BrokerConfig{})},
@@ -195,18 +195,6 @@ func TestSendBatchAckLevelAndSwap(t *testing.T) {
 	}
 	if got := strings.Join(rec2.calls, " "); got != strings.TrimSpace(strings.Repeat("produce@all ", 5)) {
 		t.Errorf("entry points used: %q, want five produces at acks=all", got)
-	}
-
-	// SwapClient: the next batch goes to the new client, whole.
-	rec3 := &ackRecorder{ReplicatedClient: newSet().Client(AckLeader)}
-	if err := all.SwapClient(rec3); err != nil {
-		t.Fatal(err)
-	}
-	if err := all.SendBatch(recs, res); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.calls) != 2 || strings.Join(rec3.calls, " ") != "batch[5]@all" {
-		t.Errorf("after the swap the old client saw %v and the new one %v", rec.calls, rec3.calls)
 	}
 	for i := range res {
 		if res[i].Err != nil {

@@ -3,7 +3,6 @@ package stream
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -386,15 +385,6 @@ func (s *Server) handle(cs *connState, msgType byte, payload []byte) ([]byte, er
 		}
 		enc.reset(respHighWater)
 		enc.u64(uint64(hwm))
-		return enc.frame(), nil
-
-	case reqSnapshot:
-		data, err := json.Marshal(s.broker.Snapshot())
-		if err != nil {
-			return nil, fmt.Errorf("stream: encode snapshot: %w", err)
-		}
-		enc.reset(respSnapshot)
-		enc.bytes(data)
 		return enc.frame(), nil
 
 	default:

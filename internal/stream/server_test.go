@@ -2,8 +2,11 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -258,5 +261,62 @@ func TestRemoteErrorEmptyTopicName(t *testing.T) {
 	}
 	if !brokerError(err) {
 		t.Error("brokerError must classify the reconstructed ErrEmptyTopicName as a broker refusal, not a transport error")
+	}
+}
+
+// TestServerAnswersUnknownRequestType: a request type the server does not
+// know — 25, the gap after the replication types, or 99 — gets a
+// respError carrying its own correlation ID, and the connection goes on
+// serving: the next produce on it succeeds.
+func TestServerAnswersUnknownRequestType(t *testing.T) {
+	b, s := startServer(t)
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Write(helloFrame(reqHello, protocolV2, DefaultMaxFrameSize, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if hello, err := readFrame(raw, DefaultMaxFrameSize); err != nil || hello[0] != respHello {
+		t.Fatalf("hello answer %v, %v", hello, err)
+	}
+
+	var enc wireEncoder
+	ask := func(corr uint32, msgType byte) (byte, wireDecoder) {
+		t.Helper()
+		enc.corr = corr
+		enc.reset(msgType)
+		if msgType == reqProduce {
+			enc.str("t")
+			enc.u32(0)
+			enc.bytes(nil)
+			enc.bytes([]byte("v"))
+		}
+		if _, err := raw.Write(enc.frame()); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(raw, DefaultMaxFrameSize)
+		if err != nil {
+			t.Fatalf("type %d: %v", msgType, err)
+		}
+		if got := binary.BigEndian.Uint32(resp[1:]); got != corr {
+			t.Fatalf("type %d: answer carries correlation ID %d, want %d", msgType, got, corr)
+		}
+		return resp[0], wireDecoder{buf: resp[1+corrSize:]}
+	}
+	for i, msgType := range []byte{25, 99} {
+		typ, dec := ask(uint32(40+i), msgType)
+		if msg := dec.str(); typ != respError || !strings.Contains(msg, "unknown request type") {
+			t.Fatalf("type %d: answered type %d %q, want respError naming an unknown type", msgType, typ, msg)
+		}
+	}
+	typ, dec := ask(50, reqProduce)
+	if part, off := dec.u32(), dec.u64(); typ != respProduce || dec.err != nil || part != 0 || off != 0 {
+		t.Fatalf("produce after the unknown types: type %d, partition %d offset %d (%v)", typ, part, off, dec.err)
 	}
 }

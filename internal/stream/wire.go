@@ -63,16 +63,13 @@ const (
 	// reqHighWater asks for a partition's high watermark (replication lag
 	// probes).
 	reqHighWater byte = 24
-	// reqSnapshot asks for a full broker snapshot (JSON), the follower
-	// bootstrap path.
-	reqSnapshot byte = 25
+	// Type 25 is unassigned; a server answers it, like any type it does
+	// not know, with respError.
 
 	// respReplicate carries the follower's new high watermark.
 	respReplicate byte = 122
 	// respHighWater carries the partition high watermark.
 	respHighWater byte = 123
-	// respSnapshot carries the JSON-serialized BrokerSnapshot.
-	respSnapshot byte = 124
 )
 
 // protocolV2 is the protocol version a hello announces: correlation IDs,

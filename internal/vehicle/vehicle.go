@@ -259,29 +259,6 @@ func (v *Vehicle) Run(ctx context.Context) error {
 	}
 }
 
-// Rebind swaps the vehicle's broker client in place: the shard-handover
-// hook. When a journey crosses a shard boundary, the city driver moves
-// the vehicle's stream affinity to the destination shard's broker —
-// telemetry produces and warning polls both follow the new client from
-// the next call on. Consumer offsets are preserved (the replicated
-// failover case: the destination holds the same log); rebinding to a
-// broker with an unrelated OUT-DATA log re-reads or skips accordingly,
-// which the warning path tolerates by design (warnings are idempotent
-// per (car, source-timestamp)).
-func (v *Vehicle) Rebind(client stream.Client) error {
-	if client == nil {
-		return errors.New("vehicle: rebind requires a client")
-	}
-	if err := v.producer.SwapClient(client); err != nil {
-		return fmt.Errorf("vehicle %d: rebind producer: %w", v.cfg.ID, err)
-	}
-	if err := v.consumer.SwapClient(client); err != nil {
-		return fmt.Errorf("vehicle %d: rebind consumer: %w", v.cfg.ID, err)
-	}
-	v.cfg.Client = client
-	return nil
-}
-
 // Sent returns the number of records published.
 func (v *Vehicle) Sent() int64 { return v.sent.Load() }
 
