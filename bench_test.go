@@ -26,7 +26,6 @@ var (
 	benchScenarioErr  error
 
 	benchInputsOnce sync.Once
-	benchPool       []experiments.LatencyConfig
 	benchLatCfg     experiments.LatencyConfig
 	benchInputsErr  error
 
@@ -58,7 +57,6 @@ func latencyBase(b *testing.B) experiments.LatencyConfig {
 			Records:  pool,
 			Detector: det,
 		}
-		_ = benchPool
 	})
 	if benchInputsErr != nil {
 		b.Fatal(benchInputsErr)

@@ -10,7 +10,6 @@ import (
 	"cad3/internal/geo"
 	"cad3/internal/rsu"
 	"cad3/internal/stream"
-	"cad3/internal/trace"
 )
 
 // The paper's mesoscopic mechanism is recursive: "upon vehicle handover,
@@ -137,137 +136,28 @@ func RunChainMobility(sc *Scenario, cfg ChainConfig) (*ChainResult, error) {
 	}
 
 	// One broker + node per hop, wired as a cluster.
-	brokers := make([]*stream.Broker, cfg.Hops)
 	configs := make([]rsu.Config, cfg.Hops)
-	for i := 0; i < cfg.Hops; i++ {
-		brokers[i] = stream.NewBroker(stream.BrokerConfig{})
+	for i := range configs {
 		configs[i] = rsu.Config{
 			Name:     fmt.Sprintf("hop-%d (%s)", i, chainRoadTypes[i]),
 			Road:     segIDs[i],
 			Detector: detectors[i],
-			Client:   stream.NewInProcClient(brokers[i]),
+			Client:   stream.NewInProcClient(stream.NewBroker(stream.BrokerConfig{})),
 		}
 	}
 	cluster, err := rsu.NewCluster(net, configs)
 	if err != nil {
 		return nil, err
 	}
-	producers := make(map[geo.SegmentID]*stream.Producer, cfg.Hops)
-	for i, id := range segIDs {
-		p, err := stream.NewProducer(stream.NewInProcClient(brokers[i]), stream.TopicInData)
-		if err != nil {
-			return nil, err
-		}
-		producers[id] = p
-	}
-	lastConsumer, err := stream.NewConsumer(stream.NewInProcClient(brokers[cfg.Hops-1]), stream.TopicOutData, 0)
+	run, err := driveFleet(net, cluster, segIDs, fleetConfig{
+		vehicles: cfg.Vehicles, aggressiveFraction: cfg.AggressiveFraction,
+		step: time.Second, maxSteps: 20_000,
+	}, rng)
 	if err != nil {
 		return nil, err
 	}
 
-	// Fleet on the full route.
-	type car struct {
-		id         trace.CarID
-		journey    *geo.Journey
-		aggressive bool
-		biasK      float64
-		speed      float64
-	}
-	profile := trace.DefaultSpeedProfile()
-	cars := make([]*car, 0, cfg.Vehicles)
-	for i := 1; i <= cfg.Vehicles; i++ {
-		j, err := geo.NewJourney(net, segIDs)
-		if err != nil {
-			return nil, err
-		}
-		aggressive := rng.Float64() < cfg.AggressiveFraction
-		bias := 0.2 * rng.Float64()
-		if aggressive {
-			bias = 1.4 + rng.Float64()
-		}
-		if rng.Float64() < 0.3 {
-			bias = -bias
-		}
-		mean, std := profile.MeanStd(chainRoadTypes[0], 12, false)
-		cars = append(cars, &car{
-			id: trace.CarID(i), journey: j, aggressive: aggressive, biasK: bias,
-			speed: mean + bias*std,
-		})
-	}
-
-	res := &ChainResult{Vehicles: cfg.Vehicles}
-	lastHopWarn := make(map[trace.CarID]int)
-	lastHopRecs := make(map[trace.CarID]int)
-	lastSeg := segIDs[cfg.Hops-1]
-	dt := time.Second
-	for step := 0; step < 20_000; step++ {
-		active := 0
-		for _, c := range cars {
-			if c.journey.Done() {
-				continue
-			}
-			active++
-			segType := net.Segment(c.journey.Segment()).Type
-			mean, std := profile.MeanStd(segType, 12, false)
-			target := mean + c.biasK*std + rng.NormFloat64()*std*0.2
-			maxAccel := 1.5 * dt.Seconds()
-			delta := target - c.speed
-			if delta > maxAccel {
-				delta = maxAccel
-			} else if delta < -maxAccel {
-				delta = -maxAccel
-			}
-			prev := c.speed
-			c.speed += delta
-			if c.speed < 0 {
-				c.speed = 0
-			}
-			st, err := c.journey.Advance(c.speed, dt)
-			if err != nil {
-				return nil, err
-			}
-			if st.HandoverFrom != 0 {
-				if err := cluster.Handover(c.id, st.HandoverFrom, st.Segment); err != nil {
-					return nil, err
-				}
-				res.Handovers++
-			}
-			rec := trace.Record{
-				Car: c.id, Road: st.Segment, RoadType: net.Segment(st.Segment).Type,
-				Speed: c.speed, Accel: (c.speed - prev) / dt.Seconds(),
-				Lat: st.Position.Lat, Lon: st.Position.Lon, Hour: 12, Day: 4,
-			}
-			payload := core.AppendRecord(stream.GetPayload(), rec)
-			_, _, err = producers[st.Segment].Send(nil, payload)
-			stream.PutPayload(payload)
-			if err != nil {
-				return nil, err
-			}
-			if st.Segment == lastSeg {
-				lastHopRecs[c.id]++
-			}
-		}
-		if _, err := cluster.StepAll(); err != nil {
-			return nil, fmt.Errorf("chain step %d: %w", step, err)
-		}
-		msgs, err := lastConsumer.Poll(1 << 10)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range msgs {
-			w, derr := core.DecodeWarning(m.Value)
-			if derr != nil {
-				continue
-			}
-			lastHopWarn[w.Car]++
-		}
-		stream.RecycleMessages(msgs)
-		if active == 0 {
-			res.Steps = step + 1
-			break
-		}
-	}
-
+	res := &ChainResult{Vehicles: cfg.Vehicles, Steps: run.steps, Handovers: run.handovers}
 	stats := cluster.Stats()
 	for i := 0; i < cfg.Hops; i++ {
 		st := stats[configs[i].Name]
@@ -281,25 +171,9 @@ func RunChainMobility(sc *Scenario, cfg ChainConfig) (*ChainResult, error) {
 			PriorHits:         st.PriorHits,
 		})
 	}
-	var aggRate, normRate float64
-	for _, c := range cars {
-		rate := 0.0
-		if lastHopRecs[c.id] > 0 {
-			rate = float64(lastHopWarn[c.id]) / float64(lastHopRecs[c.id])
-		}
-		if c.aggressive {
-			res.Aggressive++
-			aggRate += rate
-		} else {
-			normRate += rate
-		}
-	}
-	if res.Aggressive > 0 {
-		res.FinalAggressiveWarnRate = aggRate / float64(res.Aggressive)
-	}
-	if n := cfg.Vehicles - res.Aggressive; n > 0 {
-		res.FinalNormalWarnRate = normRate / float64(n)
-	}
+	cr := run.rates(cfg.Hops - 1)
+	res.Aggressive = cr.aggressive
+	res.FinalAggressiveWarnRate, res.FinalNormalWarnRate = cr.aggRate, cr.normRate
 	return res, nil
 }
 

@@ -10,8 +10,6 @@ import (
 	"cad3/internal/geo"
 	"cad3/internal/metrics"
 	"cad3/internal/netem"
-	"cad3/internal/obsv"
-	"cad3/internal/stream"
 	"cad3/internal/trace"
 )
 
@@ -19,8 +17,10 @@ import (
 // defaults are calibrated to the paper's measurements on its 6-worker
 // Spark cluster (7.3 ms per batch at 8 vehicles, 11.7 ms at 256): the
 // fixed part is Spark micro-batch scheduling overhead, the linear part
-// per-record classification cost. (The Go detectors themselves classify a
-// record in ~1 us; the model represents the paper's substrate, not ours.)
+// per-record classification cost. The site's rsu.Node does the detecting;
+// the model replaces the node's measured time (well under a microsecond a
+// record) on the simulator clock, so it represents the paper's substrate,
+// not ours.
 type ProcessingModel struct {
 	Base      time.Duration
 	PerRecord time.Duration
@@ -140,7 +140,8 @@ type LatencyResult struct {
 	TotalBps      float64
 }
 
-// RunLatency executes the single-RSU discrete-event pipeline.
+// RunLatency executes the single-RSU discrete-event pipeline: one site
+// whose rsu.Node does the detecting.
 func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Vehicles <= 0 {
@@ -153,233 +154,24 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 		return nil, fmt.Errorf("experiments: latency run needs a detector")
 	}
 
-	start := time.Date(2016, 7, 4, 8, 0, 0, 0, time.UTC)
-	sim := netem.NewSimulator(start)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	htb, err := netem.NewHTB(netem.DSRCBandwidthBps, start)
+	sim := netem.NewSimulator(simStart)
+	s, err := newSite(sim, rand.New(rand.NewSource(cfg.Seed)), "rsu", cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	medium, err := netem.NewMedium(netem.MediumConfig{MCS: cfg.MCS, HTB: htb, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
+	s.start(0)
+	sim.RunUntil(s.end.Add(300 * time.Millisecond))
+	if s.err != nil {
+		return nil, s.err
 	}
-
-	broker := stream.NewBroker(stream.BrokerConfig{Now: sim.Now})
-	for _, topic := range []string{stream.TopicInData, stream.TopicOutData} {
-		if err := broker.CreateTopic(topic, stream.DefaultPartitions); err != nil {
-			return nil, err
-		}
-	}
-	client := stream.NewInProcClient(broker)
-	inConsumer, err := stream.NewConsumer(client, stream.TopicInData, 0)
-	if err != nil {
-		return nil, err
-	}
-	outProducer, err := stream.NewProducer(client, stream.TopicOutData)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pending breakdowns keyed by (car, source timestamp).
-	type key struct {
-		car trace.CarID
-		ts  int64
-	}
-	arrivals := make(map[key]time.Time)
-	pending := make(map[key]metrics.LatencyBreakdown)
-	recorder := metrics.NewLatencyRecorder()
-	live := metrics.NewBreakdownAccumulator()
-	var warnings, records int64
-	end := start.Add(cfg.Duration)
-
-	// Vehicle send loops, desynchronized across the send interval.
-	for v := 1; v <= cfg.Vehicles; v++ {
-		v := v
-		class := fmt.Sprintf("veh-%d", v)
-		if err := htb.AddClass(class, netem.PerVehicleFloorBps, 0); err != nil {
-			return nil, err
-		}
-		offset := time.Duration(rng.Int63n(int64(cfg.SendInterval)))
-		idx := rng.Intn(len(cfg.Records))
-		var tick func()
-		tick = func() {
-			now := sim.Now()
-			if now.After(end) {
-				return
-			}
-			rec := cfg.Records[idx%len(cfg.Records)]
-			idx++
-			rec.Car = trace.CarID(v)
-			rec.TimestampMs = now.UnixMilli()
-			// Pooled encode: the closure owns the buffer until the MAC
-			// delivery event fires and the broker clones it. The trace
-			// context rides the frame's padding; StageSent uses the
-			// record's own (ms-truncated) timestamp so the live Tx matches
-			// the offline reconstruction exactly.
-			var tc obsv.TraceContext
-			tc.Stamp(obsv.StageSent, time.UnixMilli(rec.TimestampMs))
-			payload := core.AppendRecordTraced(stream.GetPayload(), rec, tc)
-			sent := now
-			if delivered, terr := medium.Transmit(class, len(payload), now); terr == nil {
-				k := key{car: rec.Car, ts: rec.TimestampMs}
-				sim.At(delivered, func() {
-					if _, _, perr := broker.Produce(stream.TopicInData, stream.AutoPartition, nil, payload); perr == nil {
-						arrivals[k] = sim.Now()
-						_ = sent
-					}
-					stream.PutPayload(payload)
-				})
-			} else {
-				stream.PutPayload(payload)
-			}
-			sim.After(cfg.SendInterval, tick)
-		}
-		sim.After(offset, tick)
-	}
-
-	// RSU micro-batch loop. Poll failures cannot abort a sim callback
-	// mid-flight; the first one is kept and fails the run afterwards.
-	var pollErr error
-	var batch func()
-	var inMsgs []stream.Message
-	var batchID uint64
-	batch = func() {
-		now := sim.Now()
-		if now.After(end) {
-			return
-		}
-		var perr error
-		inMsgs, perr = inConsumer.PollInto(inMsgs[:0], 1<<16)
-		if perr != nil && pollErr == nil {
-			pollErr = fmt.Errorf("latency: rsu poll: %w", perr)
-		}
-		msgs := inMsgs
-		if len(msgs) > 0 {
-			batchID++
-			records += int64(len(msgs))
-			cost := cfg.Proc.Cost(len(msgs))
-			done := now.Add(cost)
-			for _, m := range msgs {
-				rec, derr := core.DecodeRecord(m.Value)
-				if derr != nil {
-					continue
-				}
-				det, derr := cfg.Detector.Detect(rec, nil)
-				if derr != nil || !det.Abnormal() {
-					continue
-				}
-				k := key{car: rec.Car, ts: rec.TimestampMs}
-				arr, ok := arrivals[k]
-				if !ok {
-					continue
-				}
-				delete(arrivals, k)
-				sent := time.UnixMilli(rec.TimestampMs)
-				pending[k] = metrics.LatencyBreakdown{
-					Tx:         arr.Sub(sent),
-					Queue:      now.Sub(arr),
-					Processing: cost,
-				}
-				w := core.Warning{
-					Car:          rec.Car,
-					Road:         int64(rec.Road),
-					PNormal:      det.PNormal,
-					SourceTsMs:   rec.TimestampMs,
-					DetectedTsMs: done.UnixMilli(),
-				}
-				// Live path: the record frame carries Sent (vehicle) and
-				// Arrive (broker log-append time); this loop adds the
-				// dequeue and detection stamps and forwards the context on
-				// the warning's trace tail.
-				var payload []byte
-				if tc, traced := core.RecordTrace(m.Value); traced {
-					tc.BatchID = batchID
-					tc.Stamp(obsv.StageDequeue, now)
-					tc.Stamp(obsv.StageDetect, done)
-					payload = core.AppendWarningTraced(stream.GetPayload(), w, tc)
-				} else {
-					payload = core.AppendWarning(stream.GetPayload(), w)
-				}
-				sim.At(done, func() {
-					_, _, _ = outProducer.Send(nil, payload)
-					stream.PutPayload(payload)
-				})
-			}
-			stream.RecycleMessages(msgs)
-		}
-		sim.After(cfg.BatchInterval, batch)
-	}
-	sim.After(cfg.BatchInterval, batch)
-
-	// Warning dissemination: one shared poll loop standing in for the
-	// per-vehicle consumers (they all poll at the same 10 ms period; the
-	// per-warning fetch overhead is sampled from the dissemination
-	// model).
-	outConsumer, err := stream.NewConsumer(client, stream.TopicOutData, 0)
-	if err != nil {
-		return nil, err
-	}
-	var poll func()
-	var outMsgs []stream.Message
-	poll = func() {
-		now := sim.Now()
-		if now.After(end.Add(200 * time.Millisecond)) { // drain tail
-			return
-		}
-		var perr error
-		outMsgs, perr = outConsumer.PollInto(outMsgs[:0], 1<<14)
-		if perr != nil && pollErr == nil {
-			pollErr = fmt.Errorf("latency: dissemination poll: %w", perr)
-		}
-		msgs := outMsgs
-		for _, m := range msgs {
-			w, derr := core.DecodeWarning(m.Value)
-			if derr != nil {
-				continue
-			}
-			k := key{car: w.Car, ts: w.SourceTsMs}
-			lb, ok := pending[k]
-			if !ok {
-				continue
-			}
-			delete(pending, k)
-			detected := time.UnixMilli(w.DetectedTsMs)
-			ds := cfg.Diss.sample(rng)
-			lb.Dissemination = now.Sub(detected) + ds
-			recorder.Record(lb)
-			warnings++
-			// Live path: the delivery stamp closes the trace; the same
-			// jittered fetch-overhead sample rides on top so both paths
-			// measure the same warning.
-			if tc, traced := core.WarningTrace(m.Value); traced {
-				tc.Stamp(obsv.StageDeliver, now.Add(ds))
-				if bd, complete := tc.Breakdown(); complete {
-					live.Observe(bd)
-				}
-			}
-		}
-		stream.RecycleMessages(msgs)
-		sim.After(cfg.PollInterval, poll)
-	}
-	sim.After(cfg.PollInterval, poll)
-
-	sim.RunUntil(end.Add(300 * time.Millisecond))
-	if pollErr != nil {
-		return nil, pollErr
-	}
-
-	st := medium.Stats()
-	dur := cfg.Duration.Seconds()
-	total := float64(st.WireBytes) * 8 / dur
+	total := s.uplinkBps()
 	return &LatencyResult{
 		Vehicles:      cfg.Vehicles,
-		Report:        recorder.Report(),
-		Live:          live.Report(),
-		LiveTraced:    live.Count(),
-		Warnings:      warnings,
-		Records:       records,
+		Report:        s.recorder.Report(),
+		Live:          s.live.Report(),
+		LiveTraced:    s.live.Count(),
+		Warnings:      s.warnings,
+		Records:       s.node.Stats().Records,
 		PerVehicleBps: total / float64(cfg.Vehicles),
 		TotalBps:      total,
 	}, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -53,7 +52,6 @@ type LossBand struct {
 	FromM, ToM   float64
 	Sent         int64
 	Delivered    int64
-	Warnings     int64
 	AbnormalSent int64
 	AbnormalSeen int64
 }
@@ -76,15 +74,14 @@ func (b LossBand) AbnormalCoverage() float64 {
 }
 
 // RunLossImpact executes the study: vehicles at fixed distances report at
-// 10 Hz through a lossy adaptive-MCS medium; delivered records run
-// through the detector.
+// 10 Hz through a lossy adaptive-MCS medium. It runs no pipeline: the
+// detector only labels each record abnormal or not, and a band's abnormal
+// coverage is the share of abnormal records the medium delivered.
 func RunLossImpact(cfg LossConfig) ([]LossBand, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Records) == 0 || cfg.Detector == nil {
 		return nil, fmt.Errorf("experiments: loss study needs records and a detector")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	start := time.Date(2016, 7, 4, 8, 0, 0, 0, time.UTC)
 	medium, err := netem.NewMedium(netem.MediumConfig{
 		Loss: &netem.LossModel{EdgeMeters: cfg.RangeMeters},
 		Seed: cfg.Seed,
@@ -113,7 +110,7 @@ func RunLossImpact(cfg LossConfig) ([]LossBand, error) {
 		dist[v] = (float64(v) + 0.5) * cfg.RangeMeters / float64(cfg.Vehicles)
 	}
 
-	now := start
+	now := simStart
 	idx := 0
 	for round := 0; round < cfg.Rounds; round++ {
 		for v := 0; v < cfg.Vehicles; v++ {
@@ -137,11 +134,9 @@ func RunLossImpact(cfg LossConfig) ([]LossBand, error) {
 			b.Delivered++
 			if abnormal {
 				b.AbnormalSeen++
-				b.Warnings++
 			}
 		}
 		now = now.Add(100 * time.Millisecond)
-		_ = rng
 	}
 	return out, nil
 }

@@ -6,11 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"cad3/internal/core"
 	"cad3/internal/geo"
 	"cad3/internal/rsu"
 	"cad3/internal/stream"
-	"cad3/internal/trace"
 )
 
 // The live-mobility experiment closes the loop the paper only emulates:
@@ -69,185 +67,32 @@ type MobilityResult struct {
 // completes.
 func RunMobileHandover(sc *Scenario, cfg MobilityConfig) (*MobilityResult, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	mwBroker := stream.NewBroker(stream.BrokerConfig{})
-	lkBroker := stream.NewBroker(stream.BrokerConfig{})
 	cluster, err := rsu.NewCluster(sc.Net, []rsu.Config{
-		{Name: "Mw", Road: CorridorMotorwayID, Detector: sc.Upstream, Client: stream.NewInProcClient(mwBroker)},
-		{Name: "Link", Road: CorridorLinkID, Detector: sc.CAD3, Client: stream.NewInProcClient(lkBroker)},
+		{Name: "Mw", Road: CorridorMotorwayID, Detector: sc.Upstream, Client: stream.NewInProcClient(stream.NewBroker(stream.BrokerConfig{}))},
+		{Name: "Link", Road: CorridorLinkID, Detector: sc.CAD3, Client: stream.NewInProcClient(stream.NewBroker(stream.BrokerConfig{}))},
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Fixed road order: error surfacing and drain order below must not
-	// depend on map iteration (the run transcript is seed-compared).
-	roadBrokers := []struct {
-		road   geo.SegmentID
-		broker *stream.Broker
-	}{
-		{CorridorMotorwayID, mwBroker},
-		{CorridorLinkID, lkBroker},
-	}
-	producers := map[geo.SegmentID]*stream.Producer{}
-	for _, rb := range roadBrokers {
-		p, err := stream.NewProducer(stream.NewInProcClient(rb.broker), stream.TopicInData)
-		if err != nil {
-			return nil, err
-		}
-		producers[rb.road] = p
+	run, err := driveFleet(sc.Net, cluster, []geo.SegmentID{CorridorMotorwayID, CorridorLinkID}, fleetConfig{
+		vehicles: cfg.Vehicles, aggressiveFraction: cfg.AggressiveFraction,
+		step: cfg.StepInterval, maxSteps: 10_000,
+	}, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, err
 	}
 
-	type car struct {
-		id         trace.CarID
-		journey    *geo.Journey
-		aggressive bool
-		biasK      float64
-		speed      float64 // current speed, evolves smoothly
-	}
-	profile := trace.DefaultSpeedProfile()
-	cars := make([]*car, 0, cfg.Vehicles)
-	for i := 1; i <= cfg.Vehicles; i++ {
-		j, err := geo.NewJourney(sc.Net, []geo.SegmentID{CorridorMotorwayID, CorridorLinkID})
-		if err != nil {
-			return nil, err
-		}
-		aggressive := rng.Float64() < cfg.AggressiveFraction
-		bias := 0.2 * rng.Float64()
-		if aggressive {
-			bias = 1.4 + rng.Float64()
-		}
-		if rng.Float64() < 0.3 {
-			bias = -bias
-		}
-		mean, std := profile.MeanStd(geo.Motorway, 12, false)
-		cars = append(cars, &car{
-			id: trace.CarID(i), journey: j, aggressive: aggressive, biasK: bias,
-			speed: mean + bias*std,
-		})
-	}
-
-	res := &MobilityResult{Vehicles: cfg.Vehicles}
-	warnCount := make(map[trace.CarID]int)
-	recCount := make(map[trace.CarID]int)
-	consumers := make([]*stream.Consumer, 0, len(roadBrokers))
-	for _, rb := range roadBrokers {
-		c, err := stream.NewConsumer(stream.NewInProcClient(rb.broker), stream.TopicOutData, 0)
-		if err != nil {
-			return nil, err
-		}
-		consumers = append(consumers, c)
-	}
-
-	dt := cfg.StepInterval
-	for step := 0; step < 10_000; step++ {
-		active := 0
-		for _, c := range cars {
-			if c.journey.Done() {
-				continue
-			}
-			active++
-			seg := c.journey.Segment()
-			segType := sc.Net.Segment(seg).Type
-			mean, std := profile.MeanStd(segType, 12, false)
-			// First-order response toward the driver's habitual target,
-			// bounded to ordinary acceleration so emitted accels match
-			// the training distribution.
-			target := mean + c.biasK*std + rng.NormFloat64()*std*0.2
-			maxAccel := 1.5 * dt.Seconds() // km/h change per step
-			delta := target - c.speed
-			if delta > maxAccel {
-				delta = maxAccel
-			} else if delta < -maxAccel {
-				delta = -maxAccel
-			}
-			prev := c.speed
-			c.speed += delta
-			if c.speed < 0 {
-				c.speed = 0
-			}
-			speed := c.speed
-			st, err := c.journey.Advance(speed, dt)
-			if err != nil {
-				return nil, err
-			}
-			if st.HandoverFrom != 0 {
-				if err := cluster.Handover(c.id, st.HandoverFrom, st.Segment); err != nil {
-					return nil, err
-				}
-				res.Handovers++
-			}
-			rec := trace.Record{
-				Car:      c.id,
-				Road:     st.Segment,
-				RoadType: sc.Net.Segment(st.Segment).Type,
-				Speed:    speed,
-				Accel:    (speed - prev) / dt.Seconds(),
-				Lat:      st.Position.Lat,
-				Lon:      st.Position.Lon,
-				Hour:     12,
-				Day:      4,
-			}
-			payload := core.AppendRecord(stream.GetPayload(), rec)
-			_, _, err = producers[st.Segment].Send(nil, payload)
-			stream.PutPayload(payload)
-			if err != nil {
-				return nil, err
-			}
-			res.Records++
-			recCount[c.id]++
-		}
-		if _, err := cluster.StepAll(); err != nil {
-			return nil, fmt.Errorf("step %d: %w", step, err)
-		}
-		for _, cons := range consumers {
-			msgs, err := cons.Poll(1 << 10)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range msgs {
-				w, derr := core.DecodeWarning(m.Value)
-				if derr != nil {
-					continue
-				}
-				res.Warnings++
-				warnCount[w.Car]++
-			}
-			stream.RecycleMessages(msgs)
-		}
-		if active == 0 {
-			res.Steps = step + 1
-			break
+	res := &MobilityResult{Vehicles: cfg.Vehicles, Steps: run.steps, Handovers: run.handovers}
+	for _, c := range run.cars {
+		for hop := range c.records {
+			res.Records += int64(c.records[hop])
+			res.Warnings += int64(c.warnings[hop])
 		}
 	}
-
-	var aggRate, normRate float64
-	for _, c := range cars {
-		rate := 0.0
-		if recCount[c.id] > 0 {
-			rate = float64(warnCount[c.id]) / float64(recCount[c.id])
-		}
-		if c.aggressive {
-			res.Aggressive++
-			aggRate += rate
-			if warnCount[c.id] > 0 {
-				res.AggressiveWarned++
-			}
-		} else {
-			normRate += rate
-			if warnCount[c.id] > 0 {
-				res.NormalWarned++
-			}
-		}
-	}
-	if res.Aggressive > 0 {
-		res.AggressiveWarnRate = aggRate / float64(res.Aggressive)
-	}
-	if n := res.Vehicles - res.Aggressive; n > 0 {
-		res.NormalWarnRate = normRate / float64(n)
-	}
-	stats := cluster.Stats()
-	res.PriorHits = stats["Link"].PriorHits
+	cr := run.rates(0)
+	res.Aggressive, res.AggressiveWarned, res.NormalWarned = cr.aggressive, cr.aggWarned, cr.normWarned
+	res.AggressiveWarnRate, res.NormalWarnRate = cr.aggRate, cr.normRate
+	res.PriorHits = cluster.Stats()["Link"].PriorHits
 	return res, nil
 }
 

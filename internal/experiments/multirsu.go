@@ -90,197 +90,46 @@ type RSUResult struct {
 // TotalBps returns the RSU's total received bandwidth (Figure 6d).
 func (r RSUResult) TotalBps() float64 { return r.UplinkBps + r.CoDataBps }
 
-// RunMultiRSU executes the 5-RSU discrete-event scenario.
+// RunMultiRSU executes the 5-RSU discrete-event scenario: one site per
+// RSU, each with its own rsu.Node, broker and DSRC medium.
 func RunMultiRSU(cfg MultiRSUConfig) ([]RSUResult, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Records) == 0 || cfg.Detector == nil {
 		return nil, fmt.Errorf("experiments: multi-RSU run needs records and a detector")
 	}
 
-	start := time.Date(2016, 7, 4, 8, 0, 0, 0, time.UTC)
-	sim := netem.NewSimulator(start)
+	sim := netem.NewSimulator(simStart)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	end := start.Add(cfg.Duration)
-
-	type rsuState struct {
-		name     string
-		isLink   bool
-		medium   *netem.Medium
-		broker   *stream.Broker
-		in       *stream.Consumer
-		out      *stream.Producer
-		outCons  *stream.Consumer
-		recorder *metrics.LatencyRecorder
-		coBytes  int64
-		warnings int64
-		// pendingDetected maps warning key -> detection completion time.
-		pendingDetected map[string]time.Time
-	}
-
-	n := cfg.MotorwayRSUs + 1
-	states := make([]*rsuState, 0, n)
-	// Broker errors cannot abort a sim callback mid-flight; the first
-	// one is kept and fails the run after the clock drains.
-	var simErr error
-	for i := 0; i < n; i++ {
-		isLink := i == 0
+	sites := make([]*site, cfg.MotorwayRSUs+1)
+	for i := range sites {
 		name := "Mw Link"
-		if !isLink {
+		if i > 0 {
 			name = fmt.Sprintf("Mw R%d", i)
 		}
-		htb, err := netem.NewHTB(netem.DSRCBandwidthBps, start)
+		siteCfg := LatencyConfig{
+			Vehicles: cfg.VehiclesPerRSU, Duration: cfg.Duration, MCS: netem.MCS8,
+			Seed: cfg.Seed + int64(i), Records: cfg.Records, Detector: cfg.Detector,
+			Proc: cfg.Proc, Diss: cfg.Diss,
+		}.withDefaults()
+		s, err := newSite(sim, rng, name, siteCfg, trace.CarID(i*cfg.VehiclesPerRSU+1))
 		if err != nil {
 			return nil, err
 		}
-		medium, err := netem.NewMedium(netem.MediumConfig{MCS: netem.MCS8, HTB: htb, Seed: cfg.Seed + int64(i)})
-		if err != nil {
-			return nil, err
-		}
-		broker := stream.NewBroker(stream.BrokerConfig{Now: sim.Now})
-		for _, topic := range []string{stream.TopicInData, stream.TopicOutData, stream.TopicCoData} {
-			if err := broker.CreateTopic(topic, stream.DefaultPartitions); err != nil {
-				return nil, err
-			}
-		}
-		client := stream.NewInProcClient(broker)
-		in, err := stream.NewConsumer(client, stream.TopicInData, 0)
-		if err != nil {
-			return nil, err
-		}
-		out, err := stream.NewProducer(client, stream.TopicOutData)
-		if err != nil {
-			return nil, err
-		}
-		outCons, err := stream.NewConsumer(client, stream.TopicOutData, 0)
-		if err != nil {
-			return nil, err
-		}
-		st := &rsuState{
-			name: name, isLink: isLink, medium: medium, broker: broker,
-			in: in, out: out, outCons: outCons,
-			recorder:        metrics.NewLatencyRecorder(),
-			pendingDetected: make(map[string]time.Time),
-		}
-		states = append(states, st)
-
-		// Vehicle send loops for this RSU.
-		for v := 1; v <= cfg.VehiclesPerRSU; v++ {
-			class := fmt.Sprintf("veh-%d", v)
-			if err := htb.AddClass(class, netem.PerVehicleFloorBps, 0); err != nil {
-				return nil, err
-			}
-			car := trace.CarID(i*cfg.VehiclesPerRSU + v)
-			offset := time.Duration(rng.Int63n(int64(100 * time.Millisecond)))
-			idx := rng.Intn(len(cfg.Records))
-			var tick func()
-			tick = func() {
-				now := sim.Now()
-				if now.After(end) {
-					return
-				}
-				rec := cfg.Records[idx%len(cfg.Records)]
-				idx++
-				rec.Car = car
-				rec.TimestampMs = now.UnixMilli()
-				payload := core.AppendRecord(stream.GetPayload(), rec)
-				if delivered, terr := st.medium.Transmit(class, len(payload), now); terr == nil {
-					sim.At(delivered, func() {
-						if _, _, perr := st.broker.Produce(stream.TopicInData, stream.AutoPartition, nil, payload); perr != nil && simErr == nil {
-							simErr = fmt.Errorf("multirsu: %s produce: %w", st.name, perr)
-						}
-						stream.PutPayload(payload)
-					})
-				} else {
-					stream.PutPayload(payload)
-				}
-				sim.After(100*time.Millisecond, tick)
-			}
-			sim.After(offset, tick)
-		}
-
-		// Micro-batch loop.
-		var batch func()
-		var inMsgs []stream.Message
-		batch = func() {
-			now := sim.Now()
-			if now.After(end) {
-				return
-			}
-			var perr error
-			inMsgs, perr = st.in.PollInto(inMsgs[:0], 1<<16)
-			if perr != nil && simErr == nil {
-				simErr = fmt.Errorf("multirsu: %s batch poll: %w", st.name, perr)
-			}
-			msgs := inMsgs
-			if len(msgs) > 0 {
-				cost := cfg.Proc.Cost(len(msgs))
-				done := now.Add(cost)
-				for _, m := range msgs {
-					rec, derr := core.DecodeRecord(m.Value)
-					if derr != nil {
-						continue
-					}
-					det, derr := cfg.Detector.Detect(rec, nil)
-					if derr != nil || !det.Abnormal() {
-						continue
-					}
-					w := core.Warning{
-						Car: rec.Car, Road: int64(rec.Road), PNormal: det.PNormal,
-						SourceTsMs: rec.TimestampMs, DetectedTsMs: done.UnixMilli(),
-					}
-					payload := core.AppendWarning(stream.GetPayload(), w)
-					sim.At(done, func() {
-						_, _, _ = st.out.Send(nil, payload)
-						stream.PutPayload(payload)
-					})
-				}
-				stream.RecycleMessages(msgs)
-			}
-			sim.After(50*time.Millisecond, batch)
-		}
-		sim.After(50*time.Millisecond, batch)
-
-		// Dissemination poll loop (10 ms).
-		var poll func()
-		var outMsgs []stream.Message
-		poll = func() {
-			now := sim.Now()
-			if now.After(end.Add(200 * time.Millisecond)) {
-				return
-			}
-			var perr error
-			outMsgs, perr = st.outCons.PollInto(outMsgs[:0], 1<<14)
-			if perr != nil && simErr == nil {
-				simErr = fmt.Errorf("multirsu: %s dissemination poll: %w", st.name, perr)
-			}
-			msgs := outMsgs
-			for _, m := range msgs {
-				w, derr := core.DecodeWarning(m.Value)
-				if derr != nil {
-					continue
-				}
-				detected := time.UnixMilli(w.DetectedTsMs)
-				st.recorder.Record(metrics.LatencyBreakdown{
-					Dissemination: now.Sub(detected) + cfg.Diss.sample(rng),
-				})
-				st.warnings++
-			}
-			stream.RecycleMessages(msgs)
-			sim.After(10*time.Millisecond, poll)
-		}
-		sim.After(10*time.Millisecond+time.Duration(rng.Int63n(int64(10*time.Millisecond))), poll)
+		s.start(time.Duration(rng.Int63n(int64(siteCfg.PollInterval))))
+		sites[i] = s
 	}
 
 	// Inter-RSU collaboration: each motorway RSU periodically forwards
 	// handover summaries to the link RSU's CO-DATA topic over the
 	// configured backhaul link (the delivery pays the link's delay).
-	link := states[0]
+	link := sites[0]
+	end := link.end
+	var coBytes int64
 	backhaul, err := netem.NewBackhaul(cfg.Backhaul, cfg.Seed+100)
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(states); i++ {
-		i := i
+	for i := 1; i < len(sites); i++ {
 		var forward func()
 		forward = func() {
 			now := sim.Now()
@@ -301,9 +150,8 @@ func RunMultiRSU(cfg MultiRSUConfig) ([]RSUResult, error) {
 				}
 				sim.After(backhaul.Delay(len(payload)), func() {
 					if _, _, err := link.broker.Produce(stream.TopicCoData, stream.AutoPartition, nil, payload); err == nil {
-						link.coBytes += int64(len(payload))
+						coBytes += int64(len(payload))
 					}
-					stream.PutPayload(payload)
 				})
 			}
 			sim.After(cfg.SummaryInterval, forward)
@@ -312,22 +160,22 @@ func RunMultiRSU(cfg MultiRSUConfig) ([]RSUResult, error) {
 	}
 
 	sim.RunUntil(end.Add(300 * time.Millisecond))
-	if simErr != nil {
-		return nil, simErr
-	}
-
-	dur := cfg.Duration.Seconds()
-	out := make([]RSUResult, 0, len(states))
-	for _, st := range states {
-		ms := st.medium.Stats()
-		out = append(out, RSUResult{
-			Name:          st.name,
-			IsLink:        st.isLink,
-			Dissemination: st.recorder.Report().Dissemination,
-			UplinkBps:     float64(ms.WireBytes) * 8 / dur,
-			CoDataBps:     float64(st.coBytes) * 8 / dur,
-			Warnings:      st.warnings,
-		})
+	out := make([]RSUResult, 0, len(sites))
+	for i, s := range sites {
+		if s.err != nil {
+			return nil, s.err
+		}
+		r := RSUResult{
+			Name:          s.node.Name(),
+			IsLink:        i == 0,
+			Dissemination: s.recorder.Report().Dissemination,
+			UplinkBps:     s.uplinkBps(),
+			Warnings:      s.warnings,
+		}
+		if r.IsLink {
+			r.CoDataBps = float64(coBytes) * 8 / cfg.Duration.Seconds()
+		}
+		out = append(out, r)
 	}
 	return out, nil
 }

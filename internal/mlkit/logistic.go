@@ -131,6 +131,11 @@ func (lr *LogisticRegression) PredictProba(features []float64) (float64, error) 
 	for f, x := range features {
 		z += lr.weights[f] * (x - lr.mean[f]) / lr.std[f]
 	}
+	if math.IsNaN(z) {
+		// Two extreme features overflowed to opposite infinities: the
+		// logit is undefined, so neither class is favoured.
+		z = 0
+	}
 	return sigmoid(z), nil
 }
 
