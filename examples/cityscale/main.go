@@ -49,8 +49,7 @@ func run() error {
 	}
 	fmt.Print(experiments.FormatMACRows(mac))
 
-	model := netem.MACModel{}
-	ok, t, err := model.FitsReportingPeriod(256, netem.ReportBytes, netem.MCS8)
+	ok, t, err := netem.FitsReportingPeriod(256, netem.ReportBytes, netem.MCS8)
 	if err != nil {
 		return err
 	}

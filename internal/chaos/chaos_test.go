@@ -141,7 +141,7 @@ func TestKillSurfacesAsTransportError(t *testing.T) {
 // a faulty link does not launder flow control into a transport error, and
 // the retry-after hint stays readable.
 func TestBackpressurePassesThroughChaosClient(t *testing.T) {
-	b := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1, FlowPolicy: flow.TailDrop{}})
+	b := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1})
 	if err := b.CreateTopic(stream.TopicInData, 1); err != nil {
 		t.Fatal(err)
 	}

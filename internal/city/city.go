@@ -41,6 +41,24 @@ import (
 // harness uses), so timestamps are stable run to run.
 const cityEpochMs = 1_700_000_000_000
 
+// Every shard runs one fixed setting for each of these.
+const (
+	// cityVNodes is the virtual node count per shard on the
+	// consistent-hash ring: a city has only a few hundred position cells,
+	// so the ring needs many virtual nodes before per-shard arc lengths
+	// concentrate tightly enough for the 1.5x load-skew gate.
+	cityVNodes = 2048
+	// cityPartitions is the partition count of every shard topic.
+	cityPartitions = 4
+	// cityBatchInterval is each shard's detection/drain cadence.
+	cityBatchInterval = 100 * time.Millisecond
+	// cityTickInterval is the control-plane cadence (replica resync,
+	// elections, router flush).
+	cityTickInterval = time.Second
+	// citySummaryTTL is the freshness window for forwarded priors.
+	citySummaryTTL = 5 * time.Minute
+)
+
 // Fault is one scheduled replica fault: a kill or revive of one member
 // of one shard's broker cluster at a virtual offset into the run.
 type Fault struct {
@@ -56,16 +74,8 @@ type Config struct {
 	// Network is the city road graph. Required; densify it first
 	// (geo.ConnectNearest) so random journeys keep moving.
 	Network *geo.Network
-	// CoverageMeters is the RSU coverage interval (site spacing).
-	// <= 0 selects geo.DefaultRSUCoverageMeters.
-	CoverageMeters float64
 	// Shards is the worker shard count. <= 0 selects 4.
 	Shards int
-	// VNodes per shard on the consistent-hash ring. <= 0 selects 2048:
-	// a city has only a few hundred position cells, so the ring needs
-	// many virtual nodes before per-shard arc lengths concentrate
-	// tightly enough for the 1.5x load-skew gate.
-	VNodes int
 	// CellMeters is the position-cell size for shard assignment. <= 0
 	// selects 2000 m.
 	CellMeters float64
@@ -73,25 +83,14 @@ type Config struct {
 	Vehicles int
 	// Replicas is each shard's broker cluster size. <= 0 selects 3.
 	Replicas int
-	// Partitions per topic. <= 0 selects 4.
-	Partitions int
 	// Seed drives every random choice (routes, speeds, event times).
 	Seed int64
 	// Duration is the simulated time span. <= 0 selects 10 minutes.
 	Duration time.Duration
-	// BatchInterval is each shard's detection/drain cadence. <= 0
-	// selects 100 ms.
-	BatchInterval time.Duration
-	// TickInterval is the control-plane cadence (replica resync +
-	// elections + router flush). <= 0 selects 1 s.
-	TickInterval time.Duration
 	// EventsPerVehicleHour is the abnormal-episode rate. <= 0 selects 2.
 	EventsPerVehicleHour float64
 	// ProbesPerVehicleHour is the normal-telemetry rate. <= 0 selects 2.
 	ProbesPerVehicleHour float64
-	// SummaryTTL is the freshness window for forwarded priors. <= 0
-	// selects 5 minutes.
-	SummaryTTL time.Duration
 	// AccelThreshold (km/h/s) separates abnormal from normal records.
 	// <= 0 selects 8.
 	AccelThreshold float64
@@ -110,35 +109,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 2048
-	}
 	if c.Vehicles <= 0 {
 		c.Vehicles = 1000
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 3
 	}
-	if c.Partitions <= 0 {
-		c.Partitions = 4
-	}
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Minute
-	}
-	if c.BatchInterval <= 0 {
-		c.BatchInterval = 100 * time.Millisecond
-	}
-	if c.TickInterval <= 0 {
-		c.TickInterval = time.Second
 	}
 	if c.EventsPerVehicleHour <= 0 {
 		c.EventsPerVehicleHour = 2
 	}
 	if c.ProbesPerVehicleHour <= 0 {
 		c.ProbesPerVehicleHour = 2
-	}
-	if c.SummaryTTL <= 0 {
-		c.SummaryTTL = 5 * time.Minute
 	}
 	if c.AccelThreshold <= 0 {
 		c.AccelThreshold = 8
@@ -209,10 +193,9 @@ func NewDriver(cfg Config) (*Driver, error) {
 		return nil, err
 	}
 	part, err := geo.PartitionCity(cfg.Network, geo.PartitionConfig{
-		CoverageMeters: cfg.CoverageMeters,
-		Shards:         cfg.Shards,
-		VNodes:         cfg.VNodes,
-		CellMeters:     cfg.CellMeters,
+		Shards:     cfg.Shards,
+		VNodes:     cityVNodes,
+		CellMeters: cfg.CellMeters,
 	})
 	if err != nil {
 		return nil, err
@@ -278,8 +261,8 @@ func (d *Driver) Start() error {
 	d.started = true
 	d.spawnVehicles()
 	for _, s := range d.shards {
-		d.sim.After(d.cfg.BatchInterval, s.onBatch)
-		d.sim.After(d.cfg.TickInterval, s.onTick)
+		d.sim.After(cityBatchInterval, s.onBatch)
+		d.sim.After(cityTickInterval, s.onTick)
 	}
 	for i := range d.cfg.Faults {
 		f := d.cfg.Faults[i]
@@ -297,7 +280,7 @@ func (d *Driver) Start() error {
 func (d *Driver) runBatch(s *shard) {
 	s.batch()
 	if d.sim.Now().Before(d.end) {
-		d.sim.After(d.cfg.BatchInterval, s.onBatch)
+		d.sim.After(cityBatchInterval, s.onBatch)
 	}
 }
 
@@ -309,7 +292,7 @@ func (d *Driver) runTick(s *shard) {
 		_, _ = d.router.Flush()
 	}
 	if d.sim.Now().Before(d.end) {
-		d.sim.After(d.cfg.TickInterval, s.onTick)
+		d.sim.After(cityTickInterval, s.onTick)
 	}
 }
 

@@ -73,7 +73,7 @@ func newShard(d *Driver, id int) (*shard, error) {
 		return nil, err
 	}
 	for _, topic := range []string{stream.TopicInData, stream.TopicCoData, stream.TopicOutData} {
-		if err := rs.CreateTopic(topic, cfg.Partitions); err != nil {
+		if err := rs.CreateTopic(topic, cityPartitions); err != nil {
 			return nil, err
 		}
 	}
@@ -83,11 +83,11 @@ func newShard(d *Driver, id int) (*shard, error) {
 		name:    fmt.Sprintf("shard-%d", id),
 		rs:      rs,
 		prod:    rs.Client(stream.AckAll),
-		inOff:   make([]int64, cfg.Partitions),
-		coOff:   make([]int64, cfg.Partitions),
-		outOff:  make([]int64, cfg.Partitions),
+		inOff:   make([]int64, cityPartitions),
+		coOff:   make([]int64, cityPartitions),
+		outOff:  make([]int64, cityPartitions),
 		builder: core.NewSummaryBuilder(int64(id), d.sim.Now),
-		store:   core.NewSummaryStore(cfg.SummaryTTL, d.sim.Now),
+		store:   core.NewSummaryStore(citySummaryTTL, d.sim.Now),
 		applied: make(map[hoKey]bool),
 	}
 	s.onBatch = func() { d.runBatch(s) }

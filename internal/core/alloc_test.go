@@ -91,7 +91,6 @@ func TestTracedWireZeroAllocs(t *testing.T) {
 func TestBackpressuredSendZeroAllocs(t *testing.T) {
 	b := stream.NewBroker(stream.BrokerConfig{
 		FlowCapacity: 1,
-		FlowPolicy:   flow.TailDrop{},
 	})
 	if err := b.CreateTopic(stream.TopicInData, 1); err != nil {
 		t.Fatal(err)

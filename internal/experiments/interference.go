@@ -97,8 +97,7 @@ func RunInterference(cfg InterferenceConfig) (*InterferenceResult, error) {
 
 	// Per-RSU capacity at the dense deployment's modulation.
 	mcs := netem.AdaptMCS(cfg.SpacingMeters)
-	model := netem.MACModel{}
-	_, access, err := model.FitsReportingPeriod(400, netem.ReportBytes, mcs)
+	_, access, err := netem.FitsReportingPeriod(400, netem.ReportBytes, mcs)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,6 @@ type MACRow struct {
 // at MCS 3 and MCS 8 (§VI-D1, 92.62 / 54.28 ms) and 400 vehicles at MCS 8
 // (§VII-B, < 85 ms), plus the full vehicle sweep.
 func RunMACAnalysis() ([]MACRow, error) {
-	model := netem.MACModel{CollisionProb: netem.DefaultCollisionProb}
 	cases := []struct {
 		n   int
 		mcs netem.MCS
@@ -87,7 +86,7 @@ func RunMACAnalysis() ([]MACRow, error) {
 	}
 	rows := make([]MACRow, 0, len(cases))
 	for _, c := range cases {
-		fits, t, err := model.FitsReportingPeriod(c.n, netem.ReportBytes, c.mcs)
+		fits, t, err := netem.FitsReportingPeriod(c.n, netem.ReportBytes, c.mcs)
 		if err != nil {
 			return nil, err
 		}

@@ -825,9 +825,9 @@ func pctOf(sorted []int64, q float64) time.Duration {
 	return time.Duration(sorted[i]) * time.Millisecond
 }
 
-// priorityGateRefusals sums the OUT-DATA and CO-DATA gate refusals
-// (rejected plus shed) over the live brokers: warnings and summaries are
-// never shed, whatever the telemetry load.
+// priorityGateRefusals sums the OUT-DATA and CO-DATA gate sheds over the
+// live brokers: warnings and summaries are never shed, whatever the
+// telemetry load.
 func (r *scenarioRun) priorityGateRefusals() int64 {
 	var n int64
 	for _, id := range r.replicaIDs {
@@ -836,8 +836,7 @@ func (r *scenarioRun) priorityGateRefusals() int64 {
 			continue
 		}
 		for _, topic := range []string{stream.TopicOutData, stream.TopicCoData} {
-			fs := b.FlowStats(topic)
-			n += fs.Rejected + fs.ShedTotal()
+			n += b.FlowStats(topic).ShedTotal()
 		}
 	}
 	return n

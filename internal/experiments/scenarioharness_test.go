@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"cad3/internal/obsv"
 	"cad3/internal/scenario"
 )
 
@@ -54,6 +57,75 @@ func TestScenarioCorpusPasses(t *testing.T) {
 		if !res.Pass {
 			t.Errorf("%s: %d assertion(s) failed\n%s", names[i], res.Failures, res.Transcript)
 		}
+	}
+}
+
+// TestScenarioCorpusTranscriptGolden pins every transcript the corpus
+// prints, byte for byte: it renders what `cad3-scenario -v` writes with
+// default flags (a fresh 400-car build, seed 77, 24 vehicles, 3
+// replicas) and compares it with testdata/corpus_v.golden. There is no
+// update flag: rewrite the file by hand only when a change means to move
+// a transcript.
+func TestScenarioCorpusTranscriptGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/corpus_v.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "building scenario (cars=%d seed=%d)...\n", 400, 77)
+	sc, err := BuildScenario(ScenarioConfig{Cars: 400, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewScenarioHarness(ScenarioHarnessConfig{Scenario: sc, Vehicles: 24, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obsv.NewRegistry()
+	e := scenario.New(scenario.Config{Metrics: reg})
+	specs, names, err := scenario.LoadCorpus(filepath.Join("..", "..", "scenarios"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cityH *CityScenarioHarness
+	for i, s := range specs {
+		var target scenario.Harness = h
+		if strings.HasPrefix(s.Name, "city-") {
+			if cityH == nil {
+				if cityH, err = NewCityScenarioHarness(CityHarnessConfig{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			target = cityH
+		}
+		res, err := e.Run(s, target)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		verdict := "PASS"
+		if !res.Pass {
+			verdict = fmt.Sprintf("FAIL (%d assertions)", res.Failures)
+		}
+		fmt.Fprintf(&sb, "%-32s %-24s seed=%-6d phases=%d  %s\n",
+			names[i], s.Name, s.Seed, len(s.Phases), verdict)
+		for _, line := range strings.Split(strings.TrimRight(res.Transcript, "\n"), "\n") {
+			sb.WriteString("    " + line + "\n")
+		}
+	}
+	snap := reg.Snapshot()
+	fmt.Fprintf(&sb, "engine: %d runs (%d failed), %d rounds, %d actions (%d errored), %d/%d assertions passed\n",
+		snap.Counters["scenario.runs"], snap.Counters["scenario.runs.failed"],
+		snap.Counters["scenario.rounds"], snap.Counters["scenario.actions"],
+		snap.Counters["scenario.action_errors"], snap.Counters["scenario.assert.pass"],
+		snap.Counters["scenario.assert.pass"]+snap.Counters["scenario.assert.fail"])
+	if got := sb.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("transcript differs from testdata/corpus_v.golden at line %d\ngot:  %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("transcript differs from testdata/corpus_v.golden: %d lines, want %d", len(gl), len(wl))
 	}
 }
 

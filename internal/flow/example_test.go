@@ -8,19 +8,15 @@ import (
 	"cad3/internal/flow"
 )
 
-// Example walks the full flow-control loop: a bounded gate with the
-// priority-shedding policy admits telemetry until pressure builds, sheds
-// it once occupancy crosses the threshold (while warnings keep flowing),
-// and hands refused producers a retry-after hint; draining the queue
-// returns credits and reopens admission.
+// Example walks the full flow-control loop: a bounded gate admits
+// telemetry until pressure builds, sheds it once occupancy crosses nine
+// tenths of capacity (while warnings keep flowing), and hands refused
+// producers a retry-after hint; draining the queue returns credits and
+// reopens admission.
 func Example() {
-	gate := flow.NewGate(flow.GateConfig{
-		Capacity:  4,
-		Policy:    flow.PriorityShed{ShedFrac: 0.75},
-		RetryHint: 5 * time.Millisecond,
-	})
+	gate := flow.NewGate(flow.GateConfig{Capacity: 4})
 
-	// Telemetry is admitted while occupancy is under 75% of capacity.
+	// Telemetry is admitted while occupancy is under 90% of capacity.
 	for i := 1; i <= 5; i++ {
 		err := gate.Admit(flow.ClassTelemetry)
 		fmt.Printf("telemetry %d: admitted=%v\n", i, err == nil)

@@ -4,17 +4,15 @@
 // paper does not test: every hand-off from vehicle to RSU detector is
 // bounded, instrumented, and able to push back.
 //
-// Four pieces:
+// Three pieces:
 //
 //   - Gate (gate.go): a credit/occupancy-based admission gate in front of a
 //     bounded queue. Producers consume credits on admit; consumers return
-//     them as they drain (fetch credits). A full gate answers with a
-//     preallocated backpressure error carrying a retry-after hint, so the
-//     refusal path allocates nothing.
-//   - Policy (this file): pluggable admission policies. PriorityShed — the
-//     pipeline default — may shed telemetry under pressure but never
-//     warnings or neighbour summaries, mirroring the paper's priority
-//     between raw status updates and safety messages.
+//     them as they drain (fetch credits). The gate sheds telemetry under
+//     pressure but never warnings or neighbour summaries, mirroring the
+//     paper's priority between raw status updates and safety messages. A
+//     shed answers with a preallocated backpressure error carrying a
+//     retry-after hint, so the refusal path allocates nothing.
 //   - BatchController (batch.go): an AIMD controller that adapts the
 //     micro-batch drain bound toward a per-batch latency SLO instead of the
 //     fixed 8192-message cap.
@@ -37,10 +35,11 @@ import (
 // CO-DATA = Summary); anything else is Other.
 type Class uint8
 
-// Priority classes, lowest first. Telemetry is the only class the default
-// policy will shed: a lost 10 Hz status update is recovered by the next
-// one, while a lost warning is a missed safety intervention and a lost
-// summary silently degrades a neighbour RSU to its standalone model.
+// Priority classes, lowest first. A gate sheds telemetry (and other
+// traffic) but never warnings or summaries: a lost 10 Hz status update is
+// recovered by the next one, while a lost warning is a missed safety
+// intervention and a lost summary silently degrades a neighbour RSU to its
+// standalone model.
 const (
 	ClassTelemetry Class = iota
 	ClassWarning
@@ -63,28 +62,6 @@ func (c Class) String() string {
 	}
 }
 
-// Verdict is an admission decision.
-type Verdict uint8
-
-const (
-	// Admit lets the message in (occupancy grows).
-	Admit Verdict = iota
-	// Shed refuses the message as an intentional load-shedding drop: the
-	// sender should decimate, the message is not coming back.
-	Shed
-	// Reject refuses the message without shedding semantics (hard bound hit
-	// by a class the policy refuses to shed); senders may retry after the
-	// hint.
-	Reject
-)
-
-// Policy decides admission for one message given the gate's current
-// occupancy and capacity. Implementations must be safe for concurrent use
-// and allocation-free (they run on the produce hot path).
-type Policy interface {
-	Decide(c Class, occupancy, capacity int64) Verdict
-}
-
 // ErrBackpressure is the sentinel every gate refusal matches via
 // errors.Is. Callers that can pace (vehicles) decimate their send rate;
 // callers that cannot treat it as a dropped message.
@@ -105,8 +82,8 @@ func (e *BackpressureError) Error() string { return ErrBackpressure.Error() }
 // Is makes errors.Is(err, ErrBackpressure) true.
 func (e *BackpressureError) Is(target error) bool { return target == ErrBackpressure }
 
-// RetryAfter returns the gate's current backoff hint: the configured base
-// hint scaled by how far over capacity the gate is. A barely-full gate
+// RetryAfter returns the gate's current backoff hint: DefaultRetryHint
+// scaled by how far over capacity the gate is. A barely-full gate
 // hints one base interval; a badly overrun one hints proportionally more.
 func (e *BackpressureError) RetryAfter() time.Duration {
 	if e.gate == nil {
@@ -125,52 +102,4 @@ func RetryAfter(err error) (time.Duration, bool) {
 		err = errors.Unwrap(err)
 	}
 	return 0, false
-}
-
-// TailDrop is the class-blind baseline policy: admit while occupancy is
-// below capacity, reject at the bound. It models the implicit behaviour of
-// a plain bounded buffer.
-type TailDrop struct{}
-
-// Decide implements Policy.
-func (TailDrop) Decide(_ Class, occupancy, capacity int64) Verdict {
-	if occupancy < capacity {
-		return Admit
-	}
-	return Reject
-}
-
-// DefaultShedFrac is the occupancy fraction at which PriorityShed starts
-// refusing telemetry: shedding begins before the queue is full so the
-// remaining headroom is reserved for warnings and summaries.
-const DefaultShedFrac = 0.9
-
-// PriorityShed is the pipeline's default policy: warnings and summaries
-// are always admitted — the gate bound is soft for them, so they are never
-// dropped by flow control — while telemetry is shed once occupancy crosses
-// ShedFrac of capacity. The reserved headroom means a burst of warnings
-// never finds the queue already filled by status updates.
-type PriorityShed struct {
-	// ShedFrac is the telemetry shed threshold as a fraction of capacity.
-	// Values <= 0 or > 1 select DefaultShedFrac.
-	ShedFrac float64
-}
-
-// Decide implements Policy.
-func (p PriorityShed) Decide(c Class, occupancy, capacity int64) Verdict {
-	if c == ClassWarning || c == ClassSummary {
-		return Admit
-	}
-	frac := p.ShedFrac
-	if frac <= 0 || frac > 1 {
-		frac = DefaultShedFrac
-	}
-	threshold := int64(frac * float64(capacity))
-	if threshold < 1 {
-		threshold = 1
-	}
-	if occupancy < threshold {
-		return Admit
-	}
-	return Shed
 }

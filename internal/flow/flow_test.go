@@ -10,8 +10,9 @@ import (
 )
 
 func TestGateAdmitUntilCapacityThenBackpressure(t *testing.T) {
-	g := NewGate(GateConfig{Capacity: 4, Policy: TailDrop{}})
-	for i := 0; i < 4; i++ {
+	// Capacity 10 sheds telemetry from occupancy 9 on.
+	g := NewGate(GateConfig{Capacity: 10})
+	for i := 0; i < 9; i++ {
 		if err := g.Admit(ClassTelemetry); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
@@ -20,20 +21,20 @@ func TestGateAdmitUntilCapacityThenBackpressure(t *testing.T) {
 	if !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("full gate returned %v, want ErrBackpressure", err)
 	}
-	if got := g.Occupancy(); got != 4 {
-		t.Fatalf("occupancy = %d, want 4", got)
+	if got := g.Occupancy(); got != 9 {
+		t.Fatalf("occupancy = %d, want 9", got)
 	}
 	g.Release(2)
 	if err := g.Admit(ClassTelemetry); err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
-	if got := g.Occupancy(); got != 3 {
-		t.Fatalf("occupancy after release+admit = %d, want 3", got)
+	if got := g.Occupancy(); got != 8 {
+		t.Fatalf("occupancy after release+admit = %d, want 8", got)
 	}
 }
 
 func TestGateRetryAfterHintScalesWithOverrun(t *testing.T) {
-	g := NewGate(GateConfig{Capacity: 2, Policy: PriorityShed{}, RetryHint: time.Millisecond})
+	g := NewGate(GateConfig{Capacity: 2})
 	// Warnings are admitted past capacity; drive occupancy to 3x.
 	for i := 0; i < 6; i++ {
 		if err := g.Admit(ClassWarning); err != nil {
@@ -48,8 +49,8 @@ func TestGateRetryAfterHintScalesWithOverrun(t *testing.T) {
 	if !ok {
 		t.Fatal("backpressure error carries no retry-after hint")
 	}
-	if hint < 2*time.Millisecond {
-		t.Fatalf("hint = %v at 3x overrun, want >= 2ms", hint)
+	if hint != 3*DefaultRetryHint {
+		t.Fatalf("hint = %v at 3x overrun, want %v", hint, 3*DefaultRetryHint)
 	}
 	// The hint must survive wrapping.
 	wrapped := fmt.Errorf("produce: %w", err)
@@ -62,7 +63,7 @@ func TestGateRetryAfterHintScalesWithOverrun(t *testing.T) {
 }
 
 func TestPriorityShedNeverRefusesWarningsOrSummaries(t *testing.T) {
-	g := NewGate(GateConfig{Capacity: 2, Policy: PriorityShed{ShedFrac: 0.5}})
+	g := NewGate(GateConfig{Capacity: 2})
 	for i := 0; i < 100; i++ {
 		if err := g.Admit(ClassWarning); err != nil {
 			t.Fatalf("warning %d refused: %v", i, err)
@@ -85,17 +86,17 @@ func TestPriorityShedNeverRefusesWarningsOrSummaries(t *testing.T) {
 }
 
 func TestPriorityShedReservesHeadroom(t *testing.T) {
-	g := NewGate(GateConfig{Capacity: 10, Policy: PriorityShed{ShedFrac: 0.8}})
+	g := NewGate(GateConfig{Capacity: 10})
 	admitted := 0
 	for i := 0; i < 20; i++ {
 		if err := g.Admit(ClassTelemetry); err == nil {
 			admitted++
 		}
 	}
-	if admitted != 8 {
-		t.Fatalf("telemetry admitted = %d, want 8 (80%% of 10)", admitted)
+	if admitted != 9 {
+		t.Fatalf("telemetry admitted = %d, want 9 (90%% of 10)", admitted)
 	}
-	// The reserved 20% still takes warnings.
+	// The reserved tenth still takes warnings.
 	if err := g.Admit(ClassWarning); err != nil {
 		t.Fatalf("warning into reserved headroom: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestPriorityShedReservesHeadroom(t *testing.T) {
 
 func TestGateAdmitRefuseZeroAlloc(t *testing.T) {
 	reg := obsv.NewRegistry()
-	g := NewGate(GateConfig{Capacity: 1, Policy: PriorityShed{}, Metrics: reg, Name: "flow.t"})
+	g := NewGate(GateConfig{Capacity: 1, Metrics: reg, Name: "flow.t"})
 	if err := g.Admit(ClassTelemetry); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestGateAdmitRefuseZeroAlloc(t *testing.T) {
 
 func TestGateMetricsCounters(t *testing.T) {
 	reg := obsv.NewRegistry()
-	g := NewGate(GateConfig{Capacity: 2, Policy: PriorityShed{ShedFrac: 1}, Metrics: reg, Name: "flow.in"})
+	g := NewGate(GateConfig{Capacity: 3, Metrics: reg, Name: "flow.in"})
 	_ = g.Admit(ClassTelemetry)
 	_ = g.Admit(ClassTelemetry)
 	_ = g.Admit(ClassTelemetry) // shed
@@ -146,6 +147,64 @@ func TestGateMetricsCounters(t *testing.T) {
 	}
 	if got := snap.Gauges["flow.in.occupancy"]; got != 2 {
 		t.Errorf("occupancy gauge = %d, want 2", got)
+	}
+}
+
+// refDecide is the gate's admission rule as the pluggable PriorityShed
+// policy decided it at its default shed fraction: warnings and summaries
+// always in, telemetry and other traffic shed from max(0.9*capacity, 1).
+// It reports whether the message is admitted.
+func refDecide(c Class, occupancy, capacity int64) bool {
+	if c == ClassWarning || c == ClassSummary {
+		return true
+	}
+	threshold := int64(0.9 * float64(capacity))
+	if threshold < 1 {
+		threshold = 1
+	}
+	return occupancy < threshold
+}
+
+// TestGateMatchesReferenceRule drives the gate across capacities, every
+// class and the occupancies around the shed threshold, and holds it to
+// refDecide: it admits exactly when the reference does, counts each
+// refusal once under the class, and hands back the same retry hint the
+// error would have carried for that occupancy.
+func TestGateMatchesReferenceRule(t *testing.T) {
+	for _, capacity := range []int64{1, 2, 3, 10, 1024, 1 << 30} {
+		thr := max(int64(0.9*float64(capacity)), 1)
+		for c := Class(0); c < numClasses; c++ {
+			for _, occ := range []int64{0, thr - 1, thr, thr + 1, 2 * capacity} {
+				if occ < 0 {
+					continue
+				}
+				g := NewGate(GateConfig{Capacity: int(capacity)})
+				g.Acquire(occ)
+				err := g.Admit(c)
+				want := refDecide(c, occ, capacity)
+				if (err == nil) != want {
+					t.Errorf("cap=%d %v occ=%d: admitted=%v, reference says %v", capacity, c, occ, err == nil, want)
+					continue
+				}
+				st := g.Stats()
+				if want {
+					if st.Admitted != 1 || st.ShedTotal() != 0 || st.Occupancy != occ+1 {
+						t.Errorf("cap=%d %v occ=%d admitted: stats %+v", capacity, c, occ, st)
+					}
+					continue
+				}
+				if st.Admitted != 0 || st.Shed[c] != 1 || st.ShedTotal() != 1 || st.Occupancy != occ {
+					t.Errorf("cap=%d %v occ=%d shed: stats %+v", capacity, c, occ, st)
+				}
+				mult := int64(1)
+				if occ > capacity {
+					mult = 1 + (occ-1)/capacity
+				}
+				if hint, ok := RetryAfter(err); !ok || hint != time.Duration(mult)*DefaultRetryHint {
+					t.Errorf("cap=%d %v occ=%d: hint %v (ok=%v), want %v", capacity, c, occ, hint, ok, time.Duration(mult)*DefaultRetryHint)
+				}
+			}
+		}
 	}
 }
 

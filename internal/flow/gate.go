@@ -16,14 +16,9 @@ type GateConfig struct {
 	// Capacity is the queue bound the gate fronts (messages). Values <= 0
 	// select 1024.
 	Capacity int
-	// Policy decides admission. Nil selects PriorityShed{}.
-	Policy Policy
-	// RetryHint is the base retry-after suggestion. Values <= 0 select
-	// DefaultRetryHint.
-	RetryHint time.Duration
 	// Metrics, when set, receives the gate's counters under Name
-	// (<name>.admitted, <name>.shed.<class>, <name>.rejected) and an
-	// occupancy gauge (<name>.occupancy).
+	// (<name>.admitted, <name>.shed.<class>) and an occupancy gauge
+	// (<name>.occupancy).
 	Metrics *obsv.Registry
 	// Name prefixes the gate's metric names. Empty selects "flow.gate".
 	Name string
@@ -32,24 +27,26 @@ type GateConfig struct {
 // Gate is a credit/occupancy admission gate in front of a bounded queue.
 // Producers call Admit before enqueueing; the queue's drain side calls
 // Release as messages leave (or are evicted), returning the credits.
-// Occupancy may exceed capacity only for classes the policy refuses to
-// shed — the bound is hard for telemetry, soft for safety traffic.
+//
+// Warnings and summaries are always admitted — the bound is soft for them,
+// so flow control never drops one — while telemetry and other traffic are
+// shed once occupancy reaches nine tenths of capacity (at least one). The
+// reserved headroom means a burst of warnings never finds the queue
+// already filled by status updates.
 //
 // All methods are safe for concurrent use and allocation-free.
 type Gate struct {
 	capacity  int64
-	hintBase  int64 // microseconds
-	policy    Policy
+	shedAt    int64 // occupancy at which telemetry and other traffic are shed
 	occupancy atomic.Int64
 	err       *BackpressureError
 
 	admitted atomic.Int64
-	rejected atomic.Int64
 	shed     [numClasses]atomic.Int64
 
 	// Cached registry handles (nil when GateConfig.Metrics was nil).
-	mAdmitted, mRejected *obsv.Counter
-	mShed                [numClasses]*obsv.Counter
+	mAdmitted *obsv.Counter
+	mShed     [numClasses]*obsv.Counter
 }
 
 // NewGate builds a gate.
@@ -57,16 +54,9 @@ func NewGate(cfg GateConfig) *Gate {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1024
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = PriorityShed{}
-	}
-	if cfg.RetryHint <= 0 {
-		cfg.RetryHint = DefaultRetryHint
-	}
 	g := &Gate{
 		capacity: int64(cfg.Capacity),
-		hintBase: cfg.RetryHint.Microseconds(),
-		policy:   cfg.Policy,
+		shedAt:   max(int64(0.9*float64(cfg.Capacity)), 1),
 	}
 	g.err = &BackpressureError{gate: g}
 	if cfg.Metrics != nil {
@@ -75,7 +65,6 @@ func NewGate(cfg GateConfig) *Gate {
 			name = "flow.gate"
 		}
 		g.mAdmitted = cfg.Metrics.Counter(name + ".admitted")
-		g.mRejected = cfg.Metrics.Counter(name + ".rejected")
 		for c := Class(0); c < numClasses; c++ {
 			g.mShed[c] = cfg.Metrics.Counter(name + ".shed." + c.String())
 		}
@@ -84,36 +73,27 @@ func NewGate(cfg GateConfig) *Gate {
 	return g
 }
 
-// Admit asks the policy to admit one message of the given class. On Admit
-// it takes a credit (occupancy grows) and returns nil; otherwise it
-// returns the gate's backpressure error (matching ErrBackpressure, with a
-// retry-after hint). The refusal path performs no allocation.
+// Admit admits one message of the given class: it takes a credit
+// (occupancy grows) and returns nil, or sheds the message and returns the
+// gate's backpressure error (matching ErrBackpressure, with a retry-after
+// hint). The refusal path performs no allocation.
 func (g *Gate) Admit(c Class) error {
-	occ := g.occupancy.Load()
-	switch g.policy.Decide(c, occ, g.capacity) {
-	case Admit:
+	if c == ClassWarning || c == ClassSummary || g.occupancy.Load() < g.shedAt {
 		g.occupancy.Add(1)
 		g.admitted.Add(1)
 		if g.mAdmitted != nil {
 			g.mAdmitted.Inc()
 		}
 		return nil
-	case Shed:
-		g.shed[c].Add(1)
-		if g.mShed[c] != nil {
-			g.mShed[c].Inc()
-		}
-		return g.err
-	default: // Reject
-		g.rejected.Add(1)
-		if g.mRejected != nil {
-			g.mRejected.Inc()
-		}
-		return g.err
 	}
+	g.shed[c].Add(1)
+	if g.mShed[c] != nil {
+		g.mShed[c].Inc()
+	}
+	return g.err
 }
 
-// Acquire takes n credits unconditionally, bypassing the policy — the
+// Acquire takes n credits unconditionally, bypassing admission — the
 // restore/replay path that rebuilds a queue's occupancy from a snapshot
 // without re-running admission decisions that already happened.
 func (g *Gate) Acquire(n int64) {
@@ -155,7 +135,6 @@ func (g *Gate) Err() *BackpressureError { return g.err }
 // Stats is a point-in-time copy of the gate's counters.
 type Stats struct {
 	Admitted  int64
-	Rejected  int64
 	Shed      [4]int64 // indexed by Class
 	Occupancy int64
 	Capacity  int64
@@ -174,7 +153,6 @@ func (s Stats) ShedTotal() int64 {
 func (g *Gate) Stats() Stats {
 	s := Stats{
 		Admitted:  g.admitted.Load(),
-		Rejected:  g.rejected.Load(),
 		Occupancy: g.occupancy.Load(),
 		Capacity:  g.capacity,
 	}
@@ -192,5 +170,5 @@ func (g *Gate) retryHint() time.Duration {
 	if g.capacity > 0 && occ > g.capacity {
 		mult = 1 + (occ-g.capacity+g.capacity-1)/g.capacity
 	}
-	return time.Duration(g.hintBase*mult) * time.Microsecond
+	return time.Duration(mult) * DefaultRetryHint
 }

@@ -5,18 +5,13 @@
 // decoded into a plain []T, and a worker pool (the paper configures a
 // 6-worker Spark cluster) processes it, a share of the slice per worker.
 //
-// The engine has two drive modes sharing one code path:
-//
-//   - Step() drains and processes exactly one batch synchronously — the
-//     hook the discrete-event simulator and the tests use;
-//   - Run(ctx) ticks Step on the configured interval on the wall clock —
-//     the networked deployment uses this.
+// Step drains and processes exactly one batch synchronously; whoever owns
+// the engine decides when it runs (rsu.Node.Run ticks it on the wall
+// clock, the discrete-event simulator and the tests call it directly).
 package microbatch
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -92,9 +87,6 @@ type Config[T any] struct {
 	// Now injects a clock for processing-time measurement. Nil selects
 	// time.Now.
 	Now func() time.Time
-	// OnError observes per-batch decode/process errors (the engine keeps
-	// running). Nil discards them.
-	OnError func(error)
 	// Metrics, when set, receives live engine instrumentation: the
 	// microbatch.* counters and the per-batch processing-time and
 	// batch-size histograms (see OBSERVABILITY.md).
@@ -212,9 +204,6 @@ func (e *Engine[T]) Step() (BatchStats, error) {
 	e.items, e.decodeErrs = e.items[:0], 0
 	//cad3:allow lockdiscipline stepMu exists to serialize whole Step executions including the poll (the items buffer is reused); parallelism lives in the worker pool below it
 	drained, pollErr := e.source.PollEach(limit, e.decode)
-	if pollErr != nil {
-		e.observeErr(fmt.Errorf("microbatch poll: %w", pollErr))
-	}
 	items := e.items
 	bs := BatchStats{Records: len(items), DecodeErrors: e.decodeErrs}
 	bs.Saturated = drained >= limit && limit > 0
@@ -257,7 +246,6 @@ func (e *Engine[T]) decodeOne(m stream.Message) {
 	item, err := e.cfg.Decode(m)
 	if err != nil {
 		e.decodeErrs++
-		e.observeErr(fmt.Errorf("microbatch decode: %w", err))
 		return
 	}
 	e.items = append(e.items, item)
@@ -288,22 +276,6 @@ func (e *Engine[T]) process(part []T) {
 		if e.mProcessErrs != nil {
 			e.mProcessErrs.Inc()
 		}
-		e.observeErr(fmt.Errorf("microbatch process: %w", err))
-	}
-}
-
-// Run ticks Step every Interval until the context is cancelled. It returns
-// the context's error (context.Canceled on a clean shutdown).
-func (e *Engine[T]) Run(ctx context.Context) error {
-	ticker := time.NewTicker(e.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			_, _ = e.Step() // errors surface through OnError
-		}
 	}
 }
 
@@ -316,9 +288,3 @@ func (e *Engine[T]) Stats() EngineStats {
 
 // Interval returns the configured batch window.
 func (e *Engine[T]) Interval() time.Duration { return e.cfg.Interval }
-
-func (e *Engine[T]) observeErr(err error) {
-	if e.cfg.OnError != nil {
-		e.cfg.OnError(err)
-	}
-}

@@ -1,7 +1,6 @@
 package microbatch
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -83,12 +82,10 @@ func TestEngineStepProcessesAll(t *testing.T) {
 
 func TestEngineDecodeErrorsCounted(t *testing.T) {
 	_, p, c := pipelineFixture(t)
-	var observed atomic.Int64
 	eng, err := NewEngine(Config[int]{
 		Source:  c,
 		Decode:  intDecode,
 		Process: func([]int) error { return nil },
-		OnError: func(error) { observed.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +100,6 @@ func TestEngineDecodeErrorsCounted(t *testing.T) {
 	}
 	if bs.Records != 2 || bs.DecodeErrors != 1 {
 		t.Errorf("batch = %+v", bs)
-	}
-	if observed.Load() != 1 {
-		t.Errorf("OnError calls = %d, want 1", observed.Load())
 	}
 }
 
@@ -187,45 +181,6 @@ func TestEngineEmptyBatch(t *testing.T) {
 	}
 }
 
-func TestEngineRunWallClock(t *testing.T) {
-	_, p, c := pipelineFixture(t)
-	var count atomic.Int64
-	eng, err := NewEngine(Config[int]{
-		Source:   c,
-		Decode:   intDecode,
-		Interval: 5 * time.Millisecond,
-		Process: func(items []int) error {
-			count.Add(int64(len(items)))
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- eng.Run(ctx) }()
-
-	for i := 0; i < 50; i++ {
-		_, _, _ = p.Send(nil, []byte("1"))
-		time.Sleep(time.Millisecond)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for count.Load() < 50 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Errorf("Run returned %v, want context.Canceled", err)
-	}
-	if count.Load() != 50 {
-		t.Errorf("wall-clock engine processed %d, want 50", count.Load())
-	}
-	if eng.Stats().AvgProcessingTime() < 0 {
-		t.Error("negative processing time")
-	}
-}
-
 func TestNewEngineValidation(t *testing.T) {
 	_, _, c := pipelineFixture(t)
 	if _, err := NewEngine(Config[int]{Decode: intDecode, Process: func([]int) error { return nil }}); err == nil {
@@ -250,16 +205,10 @@ func TestEnginePollErrorSurfaces(t *testing.T) {
 	b, _, c := pipelineFixture(t)
 	_, _, _ = b.Produce(stream.TopicInData, 0, nil, []byte("1"))
 	b.SetPartitionDown(stream.TopicInData, 1, true)
-	var sawPollErr atomic.Bool
 	eng, err := NewEngine(Config[int]{
 		Source:  c,
 		Decode:  intDecode,
 		Process: func([]int) error { return nil },
-		OnError: func(err error) {
-			if errors.Is(err, stream.ErrPartitionDown) {
-				sawPollErr.Store(true)
-			}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,9 +219,6 @@ func TestEnginePollErrorSurfaces(t *testing.T) {
 	}
 	if bs.Records != 1 {
 		t.Errorf("healthy partitions yielded %d records, want 1", bs.Records)
-	}
-	if !sawPollErr.Load() {
-		t.Error("OnError did not observe the poll failure")
 	}
 }
 
@@ -506,5 +452,35 @@ func TestEngineStepRunsFirstChunkOnCaller(t *testing.T) {
 	}
 	if processed != 102*len(src.msgs) {
 		t.Errorf("processed %d items over 102 Steps, want %d", processed, 102*len(src.msgs))
+	}
+}
+
+// TestEngineStepDecodeErrorsAllocateNothing: a batch of undecodable
+// records costs a count per record and nothing else — a warm Step over
+// messages whose Decode fails makes no allocation, so hostile bytes
+// cannot turn into garbage at the node.
+func TestEngineStepDecodeErrorsAllocateNothing(t *testing.T) {
+	src := &lentSource{msgs: make([]stream.Message, 100)}
+	errBad := errors.New("bad record")
+	eng, err := NewEngine(Config[int]{
+		Source: src, Workers: 1,
+		Decode:  func(stream.Message) (int, error) { return 0, errBad },
+		Process: func([]int) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		bs, err := eng.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs.DecodeErrors != len(src.msgs) {
+			t.Fatalf("decode errors = %d, want %d", bs.DecodeErrors, len(src.msgs))
+		}
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("a warm Step of %d undecodable records: %v allocs, want 0", len(src.msgs), allocs)
 	}
 }

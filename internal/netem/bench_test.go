@@ -55,10 +55,9 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 }
 
 func BenchmarkMACAccessTimeEval(b *testing.B) {
-	m := MACModel{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.AccessTime(256, ReportBytes, MCS8); err != nil {
+		if _, err := AccessTime(256, ReportBytes, MCS8); err != nil {
 			b.Fatal(err)
 		}
 	}

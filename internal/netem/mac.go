@@ -92,19 +92,10 @@ func PacketDuration(payloadBytes int, m MCS) (time.Duration, error) {
 	return PLCPPreamble + PLCPSignal + time.Duration(symbols)*OFDMSymbol, nil
 }
 
-// MACModel evaluates Equations 5-6 of the paper: the time for numVehicles
-// stations to each get one packet through the shared CSMA/CA medium.
-type MACModel struct {
-	// CollisionProb is p_c. Values <= 0 select DefaultCollisionProb.
-	CollisionProb float64
-}
-
-// Backoff returns t_backoff = p_c * cw_max * t_slot (Equation 6).
-func (m MACModel) Backoff() time.Duration {
-	pc := m.CollisionProb
-	if pc <= 0 {
-		pc = DefaultCollisionProb
-	}
+// Backoff returns t_backoff = p_c * cw_max * t_slot (Equation 6) at the
+// paper's collision bound, DefaultCollisionProb.
+func Backoff() time.Duration {
+	pc := DefaultCollisionProb // float64 arithmetic, not an exact constant product
 	return time.Duration(pc * CWMax * float64(SlotTime))
 }
 
@@ -112,9 +103,9 @@ func (m MACModel) Backoff() time.Duration {
 //
 //	t_v = t_backoff + num_v * (DIFS + t_pkt)
 //
-// — the time for numVehicles stations to each transmit one payload-sized
-// packet.
-func (m MACModel) AccessTime(numVehicles, payloadBytes int, mcs MCS) (time.Duration, error) {
+// — the time for numVehicles stations to each get one payload-sized packet
+// through the shared CSMA/CA medium.
+func AccessTime(numVehicles, payloadBytes int, mcs MCS) (time.Duration, error) {
 	if numVehicles < 0 {
 		return 0, fmt.Errorf("netem: negative vehicle count %d", numVehicles)
 	}
@@ -122,15 +113,15 @@ func (m MACModel) AccessTime(numVehicles, payloadBytes int, mcs MCS) (time.Durat
 	if err != nil {
 		return 0, err
 	}
-	return m.Backoff() + time.Duration(numVehicles)*(DIFS+tPkt), nil
+	return Backoff() + time.Duration(numVehicles)*(DIFS+tPkt), nil
 }
 
 // FitsReportingPeriod reports whether numVehicles stations sending
 // payloadBytes at ReportHz all fit within one reporting period (100 ms) —
 // the feasibility check of §VI-D1 ("all packets are sent before the next
 // packets are generated").
-func (m MACModel) FitsReportingPeriod(numVehicles, payloadBytes int, mcs MCS) (bool, time.Duration, error) {
-	t, err := m.AccessTime(numVehicles, payloadBytes, mcs)
+func FitsReportingPeriod(numVehicles, payloadBytes int, mcs MCS) (bool, time.Duration, error) {
+	t, err := AccessTime(numVehicles, payloadBytes, mcs)
 	if err != nil {
 		return false, 0, err
 	}

@@ -15,7 +15,6 @@ import (
 // in-process equivalent of the paper's PC1 netem setup.
 type Medium struct {
 	mcs    MCS
-	mac    MACModel
 	htb    *HTB
 	loss   *LossModel
 	rng    *rand.Rand
@@ -41,9 +40,6 @@ type MediumConfig struct {
 	// MCS selects the modulation and coding scheme. Zero selects MCS3
 	// (QPSK 1/2, 6 Mb/s), a common DSRC safety-channel default.
 	MCS MCS
-	// CollisionProb is the CSMA/CA collision probability p_c. Values
-	// <= 0 select DefaultCollisionProb.
-	CollisionProb float64
 	// HTB optionally shapes senders before they contend (the testbed
 	// shapes producers with tc). Nil disables shaping.
 	HTB *HTB
@@ -65,7 +61,6 @@ func NewMedium(cfg MediumConfig) (*Medium, error) {
 	}
 	m := &Medium{
 		mcs:  cfg.MCS,
-		mac:  MACModel{CollisionProb: cfg.CollisionProb},
 		htb:  cfg.HTB,
 		loss: cfg.Loss,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
@@ -118,14 +113,11 @@ func (m *Medium) Transmit(class string, payloadBytes int, at time.Time) (time.Ti
 }
 
 // randomBackoff draws a uniform backoff in [0, CW) slots where the
-// contention window is scaled by the collision probability — light-load
-// channels back off rarely, dense ones up to p_c * CWMax slots on average
-// (matching the Equation 6 expectation).
+// contention window is scaled by the collision probability
+// DefaultCollisionProb: p_c * CWMax slots on average (matching the
+// Equation 6 expectation).
 func (m *Medium) randomBackoff() time.Duration {
-	pc := m.mac.CollisionProb
-	if pc <= 0 {
-		pc = DefaultCollisionProb
-	}
+	pc := DefaultCollisionProb
 	maxSlots := int(2 * pc * CWMax) // mean pc*CWMax, as in Eq. 6
 	if maxSlots < 1 {
 		maxSlots = 1

@@ -165,16 +165,15 @@ func TestPacketDuration(t *testing.T) {
 
 func TestMACAccessTimeEquation5(t *testing.T) {
 	// Reproduce §VI-D1: 256 vehicles, 200 B, p_c = 0.03.
-	m := MACModel{CollisionProb: 0.03}
-	if got := m.Backoff(); got != time.Duration(0.03*255*9000) {
+	if got := Backoff(); got != time.Duration(0.03*255*9000) {
 		t.Errorf("backoff = %v", got)
 	}
 
-	t3, err := m.AccessTime(256, ReportBytes, MCS3)
+	t3, err := AccessTime(256, ReportBytes, MCS3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t8, err := m.AccessTime(256, ReportBytes, MCS8)
+	t8, err := AccessTime(256, ReportBytes, MCS8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +190,13 @@ func TestMACAccessTimeEquation5(t *testing.T) {
 	if t8 >= t3 {
 		t.Errorf("MCS8 (%v) should beat MCS3 (%v)", t8, t3)
 	}
-	ok, _, err := m.FitsReportingPeriod(256, ReportBytes, MCS8)
+	ok, _, err := FitsReportingPeriod(256, ReportBytes, MCS8)
 	if err != nil || !ok {
 		t.Errorf("256 vehicles @ MCS8 should fit the 100 ms period (got %v, %v)", ok, err)
 	}
 
 	// §VII-B: 400 vehicles at MCS8 under 85 ms.
-	t400, err := m.AccessTime(400, ReportBytes, MCS8)
+	t400, err := AccessTime(400, ReportBytes, MCS8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,16 +204,15 @@ func TestMACAccessTimeEquation5(t *testing.T) {
 		t.Errorf("400 vehicles @ MCS8 = %v, paper says under 85 ms", t400)
 	}
 
-	if _, err := m.AccessTime(-1, 10, MCS3); err == nil {
+	if _, err := AccessTime(-1, 10, MCS3); err == nil {
 		t.Error("want negative-vehicles error")
 	}
 }
 
 func TestMACAccessTimeMonotoneProperty(t *testing.T) {
-	m := MACModel{}
 	f := func(n uint8) bool {
-		a, err1 := m.AccessTime(int(n), ReportBytes, MCS3)
-		b, err2 := m.AccessTime(int(n)+1, ReportBytes, MCS3)
+		a, err1 := AccessTime(int(n), ReportBytes, MCS3)
+		b, err2 := AccessTime(int(n)+1, ReportBytes, MCS3)
 		return err1 == nil && err2 == nil && b > a
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,10 +1,11 @@
 package rsu
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"cad3/internal/geo"
@@ -18,11 +19,14 @@ import (
 // CO-DATA neighbor — so vehicle handovers resolve automatically from the
 // route, the way adjacent RSUs in Figure 1 of the paper are wired along
 // the motorway/link geometry.
+//
+// NewCluster builds every lookup table and nothing changes them after, so
+// all methods are safe for concurrent use without a lock.
 type Cluster struct {
 	net    *geo.Network
-	mu     sync.Mutex
 	byRoad map[geo.SegmentID]*Node
 	byName map[string]*Node
+	nodes  []*Node // ordered by road ID
 	// neighborName[a][b] is the neighbor label node-a uses for node-b.
 	neighborName map[geo.SegmentID]map[geo.SegmentID]string
 }
@@ -83,14 +87,13 @@ func NewCluster(net *geo.Network, configs []Config) (*Cluster, error) {
 		names[to.Road()] = to.Name()
 		return nil
 	}
-	roads := make([]geo.SegmentID, 0, len(c.byRoad))
-	for road := range c.byRoad {
-		roads = append(roads, road)
+	c.nodes = make([]*Node, 0, len(c.byRoad))
+	for _, n := range c.byRoad {
+		c.nodes = append(c.nodes, n)
 	}
-	sort.Slice(roads, func(i, j int) bool { return roads[i] < roads[j] })
-	for _, road := range roads {
-		from := c.byRoad[road]
-		for _, succ := range net.Successors(road) {
+	slices.SortFunc(c.nodes, func(a, b *Node) int { return cmp.Compare(a.Road(), b.Road()) })
+	for _, from := range c.nodes {
+		for _, succ := range net.Successors(from.Road()) {
 			if to, ok := c.byRoad[succ]; ok {
 				if err := link(from, to); err != nil {
 					return nil, err
@@ -106,8 +109,6 @@ func NewCluster(net *geo.Network, configs []Config) (*Cluster, error) {
 
 // Node returns the node covering a road.
 func (c *Cluster) Node(road geo.SegmentID) (*Node, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n, ok := c.byRoad[road]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoRSU, road)
@@ -117,8 +118,6 @@ func (c *Cluster) Node(road geo.SegmentID) (*Node, error) {
 
 // NodeByName returns the named node.
 func (c *Cluster) NodeByName(name string) (*Node, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n, ok := c.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoRSU, name)
@@ -127,32 +126,16 @@ func (c *Cluster) NodeByName(name string) (*Node, error) {
 }
 
 // Nodes returns every node, ordered by road ID.
-func (c *Cluster) Nodes() []*Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	roads := make([]geo.SegmentID, 0, len(c.byRoad))
-	for road := range c.byRoad {
-		roads = append(roads, road)
-	}
-	sort.Slice(roads, func(i, j int) bool { return roads[i] < roads[j] })
-	out := make([]*Node, 0, len(roads))
-	for _, road := range roads {
-		out = append(out, c.byRoad[road])
-	}
-	return out
-}
+func (c *Cluster) Nodes() []*Node { return slices.Clone(c.nodes) }
 
 // Handover moves a vehicle's prediction summary from the RSU covering
 // fromRoad to the RSU covering toRoad, which must be wired neighbors.
 func (c *Cluster) Handover(car trace.CarID, fromRoad, toRoad geo.SegmentID) error {
-	c.mu.Lock()
 	from, ok := c.byRoad[fromRoad]
 	if !ok {
-		c.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrNoRSU, fromRoad)
 	}
 	name, ok := c.neighborName[fromRoad][toRoad]
-	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %d is not a neighbor of %d", ErrNoNeighbor, toRoad, fromRoad)
 	}
@@ -164,7 +147,7 @@ func (c *Cluster) Handover(car trace.CarID, fromRoad, toRoad geo.SegmentID) erro
 func (c *Cluster) StepAll() (map[string]microbatch.BatchStats, error) {
 	out := make(map[string]microbatch.BatchStats)
 	var errs []error
-	for _, n := range c.Nodes() {
+	for _, n := range c.nodes {
 		bs, err := n.Step()
 		out[n.Name()] = bs
 		if err != nil {
@@ -177,9 +160,8 @@ func (c *Cluster) StepAll() (map[string]microbatch.BatchStats, error) {
 // Run drives every node on the wall clock until the context ends.
 func (c *Cluster) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
-	nodes := c.Nodes()
-	errs := make([]error, len(nodes))
-	for i, n := range nodes {
+	errs := make([]error, len(c.nodes))
+	for i, n := range c.nodes {
 		wg.Add(1)
 		go func(i int, n *Node) {
 			defer wg.Done()
@@ -196,7 +178,7 @@ func (c *Cluster) Run(ctx context.Context) error {
 // Stats returns every node's stats keyed by name.
 func (c *Cluster) Stats() map[string]Stats {
 	out := make(map[string]Stats)
-	for _, n := range c.Nodes() {
+	for _, n := range c.nodes {
 		out[n.Name()] = n.Stats()
 	}
 	return out

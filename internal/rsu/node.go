@@ -34,10 +34,15 @@ import (
 	"cad3/internal/trace"
 )
 
-// DefaultShedSafePNormal is the prior mean P(normal) above which a
+// DefaultShedSafePNormal is the prior mean P(normal) at or above which a
 // vehicle's stale telemetry counts as low-risk for degraded-mode
 // shedding: the forwarded summary says the car has been behaving.
 const DefaultShedSafePNormal = 0.5
+
+// degradedAfter is how many consecutive saturated batches (full drains —
+// the node cannot keep up) flip the node into degraded mode. One
+// unsaturated batch clears it.
+const degradedAfter = 2
 
 // Errors callers match.
 var (
@@ -64,19 +69,12 @@ type Config struct {
 	// MaxBatch bounds messages drained per micro-batch. Values <= 0 select
 	// the engine default (8192).
 	MaxBatch int
-	// SummaryTTL expires stale CO-DATA summaries. Values <= 0 select
-	// core.DefaultSummaryTTL.
-	SummaryTTL time.Duration
 	// Now injects the clock (virtual time in simulation). Nil selects
 	// time.Now.
 	Now func() time.Time
 	// Partitions is the per-topic partition count. Values <= 0 select
 	// stream.DefaultPartitions.
 	Partitions int
-	// WarnCooldown suppresses repeat warnings to the same vehicle within
-	// the window ("less disturbance to other drivers with false
-	// warnings", paper SVI-D4). Zero disables suppression.
-	WarnCooldown time.Duration
 	// Logger receives structured operational events (warnings produced,
 	// handovers, degraded batches). Nil discards them.
 	Logger *slog.Logger
@@ -91,35 +89,24 @@ type Config struct {
 	// keeps the fixed bound.
 	BatchSLO time.Duration
 	// ShedStaleAfter enables node-level degraded-mode admission: once the
-	// node is degraded (see DegradedAfter), telemetry older than this whose
-	// sender's forwarded summary reads low-risk is shed before detection —
-	// the stale sample's information is already superseded and the vehicle
-	// has no history of abnormality. Warnings and summaries are never
-	// touched (they ride separate topics). Zero disables shedding.
+	// node is degraded (two saturated batches in a row), telemetry older
+	// than this whose sender's forwarded summary reads low-risk (prior mean
+	// P(normal) >= DefaultShedSafePNormal) is shed before detection — the
+	// stale sample's information is already superseded and the vehicle has
+	// no history of abnormality. Warnings and summaries are never touched
+	// (they ride separate topics). Zero disables shedding.
 	ShedStaleAfter time.Duration
-	// DegradedAfter is how many consecutive saturated batches (full drains
-	// — the node cannot keep up) flip the node into degraded mode. Values
-	// <= 0 select 2. One unsaturated batch clears it.
-	DegradedAfter int
-	// ShedSafePNormal is the minimum prior mean P(normal) for a stale
-	// record to count as low-risk (sheddable). Values <= 0 select
-	// DefaultShedSafePNormal.
-	ShedSafePNormal float64
-	// TraceRingSize bounds the /trace/recent ring. Values <= 0 select
-	// obsv.DefaultTraceRingSize.
-	TraceRingSize int
 }
 
 // Stats summarises a node's activity.
 type Stats struct {
-	Records            int64
-	Warnings           int64
-	SummariesSent      int64
-	SummariesReceived  int64
-	PriorHits          int64
-	PriorMisses        int64
-	DetectErrors       int64
-	WarningsSuppressed int64
+	Records           int64
+	Warnings          int64
+	SummariesSent     int64
+	SummariesReceived int64
+	PriorHits         int64
+	PriorMisses       int64
+	DetectErrors      int64
 	// Fallbacks counts detections a collaborative (CAD3) detector ran
 	// without a prior — the degraded AD3-equivalent path. Non-collaborative
 	// detectors never count.
@@ -185,7 +172,6 @@ type Node struct {
 
 	mu        sync.Mutex
 	neighbors map[string]*stream.Producer
-	lastWarn  map[trace.CarID]time.Time
 
 	records      atomic.Int64
 	warnings     atomic.Int64
@@ -194,7 +180,6 @@ type Node struct {
 	priorHits    atomic.Int64
 	priorMisses  atomic.Int64
 	detectErrors atomic.Int64
-	suppressed   atomic.Int64
 	fallbacks    atomic.Int64
 	dropped      atomic.Int64
 
@@ -326,13 +311,12 @@ func New(cfg Config) (*Node, error) {
 		inConsumer:  inConsumer,
 		outProducer: outProducer,
 		coConsumer:  coConsumer,
-		summaries:   core.NewSummaryStore(cfg.SummaryTTL, cfg.Now),
+		summaries:   core.NewSummaryStore(core.DefaultSummaryTTL, cfg.Now),
 		builder:     core.NewSummaryBuilder(int64(cfg.Road), cfg.Now),
 		profile:     NewRoadProfile(0, 0, cfg.Now),
 		collab:      collab,
 		neighbors:   make(map[string]*stream.Producer),
-		lastWarn:    make(map[trace.CarID]time.Time),
-		ring:        obsv.NewTraceRing(cfg.TraceRingSize),
+		ring:        obsv.NewTraceRing(obsv.DefaultTraceRingSize),
 		histTx:      cfg.Metrics.Histogram("pipeline.tx_micros", nil),
 		histQueue:   cfg.Metrics.Histogram("pipeline.queue_micros", nil),
 		histProc:    cfg.Metrics.Histogram("pipeline.process_micros", nil),
@@ -390,7 +374,6 @@ func (n *Node) registerGauges() {
 	m := n.cfg.Metrics
 	m.RegisterGaugeFunc("rsu.records", n.records.Load)
 	m.RegisterGaugeFunc("rsu.warnings", n.warnings.Load)
-	m.RegisterGaugeFunc("rsu.warnings_suppressed", n.suppressed.Load)
 	m.RegisterGaugeFunc("rsu.detect_errors", n.detectErrors.Load)
 	m.RegisterGaugeFunc("rsu.prior_hits", n.priorHits.Load)
 	m.RegisterGaugeFunc("rsu.prior_misses", n.priorMisses.Load)
@@ -533,7 +516,6 @@ func (n *Node) processRecords(records []tracedRecord) error {
 	n.shedStale.Add(shed)
 	n.detectErrors.Add(detectErrs)
 
-	n.suppressRepeats(wb, now)
 	if err := n.flushWarnings(wb); err != nil && firstErr == nil {
 		firstErr = err
 	}
@@ -589,26 +571,6 @@ func (n *Node) flushWarnings(wb *warnBatch) error {
 	return firstErr
 }
 
-// suppressRepeats drops, in order, the batch's warnings to cars warned
-// within the cooldown as of now, and marks the rest as warned then.
-func (n *Node) suppressRepeats(wb *warnBatch, now time.Time) {
-	if n.cfg.WarnCooldown <= 0 || len(wb.meta) == 0 {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	kept := wb.meta[:0]
-	for _, m := range wb.meta {
-		if last, ok := n.lastWarn[m.w.Car]; ok && now.Sub(last) < n.cfg.WarnCooldown {
-			continue
-		}
-		n.lastWarn[m.w.Car] = now
-		kept = append(kept, m)
-	}
-	n.suppressed.Add(int64(len(wb.meta) - len(kept)))
-	wb.meta = kept
-}
-
 // logs reports whether the logger keeps records at level. The node asks
 // before a log call on a per-warning or per-handover path, whose arguments
 // are boxed even when the handler discards them.
@@ -650,10 +612,6 @@ func (n *Node) observeSaturation(bs microbatch.BatchStats) {
 	if n.cfg.ShedStaleAfter <= 0 {
 		return
 	}
-	after := int64(n.cfg.DegradedAfter)
-	if after <= 0 {
-		after = 2
-	}
 	if !bs.Saturated {
 		n.saturatedRuns.Store(0)
 		if n.degraded.CompareAndSwap(true, false) {
@@ -665,11 +623,11 @@ func (n *Node) observeSaturation(bs microbatch.BatchStats) {
 		n.degradedRounds.Add(1)
 		return
 	}
-	if n.saturatedRuns.Add(1) >= after {
+	if n.saturatedRuns.Add(1) >= degradedAfter {
 		if n.degraded.CompareAndSwap(false, true) {
 			n.degradedRounds.Add(1)
 			n.cfg.Logger.Warn("degraded mode entered",
-				"rsu", n.cfg.Name, "saturatedBatches", after)
+				"rsu", n.cfg.Name, "saturatedBatches", degradedAfter)
 		}
 	}
 }
@@ -683,11 +641,7 @@ func (n *Node) shouldShed(rec *trace.Record, prior *core.PredictionSummary, now 
 	if prior == nil {
 		return false
 	}
-	safe := n.cfg.ShedSafePNormal
-	if safe <= 0 {
-		safe = DefaultShedSafePNormal
-	}
-	if prior.MeanPNormal < safe {
+	if prior.MeanPNormal < DefaultShedSafePNormal {
 		return false
 	}
 	age := time.Duration(now.UnixMilli()-rec.TimestampMs) * time.Millisecond
@@ -827,21 +781,20 @@ func (n *Node) Run(ctx context.Context) error {
 // Stats returns a snapshot of node activity.
 func (n *Node) Stats() Stats {
 	return Stats{
-		Records:            n.records.Load(),
-		Warnings:           n.warnings.Load(),
-		SummariesSent:      n.sentSumm.Load(),
-		SummariesReceived:  n.recvSumm.Load(),
-		PriorHits:          n.priorHits.Load(),
-		PriorMisses:        n.priorMisses.Load(),
-		DetectErrors:       n.detectErrors.Load(),
-		WarningsSuppressed: n.suppressed.Load(),
-		Fallbacks:          n.fallbacks.Load(),
-		DroppedHandovers:   n.dropped.Load(),
-		ShedStale:          n.shedStale.Load(),
-		DegradedRounds:     n.degradedRounds.Load(),
-		Degraded:           n.degraded.Load(),
-		SummaryStore:       n.summaries.Stats(),
-		Engine:             n.engine.Stats(),
+		Records:           n.records.Load(),
+		Warnings:          n.warnings.Load(),
+		SummariesSent:     n.sentSumm.Load(),
+		SummariesReceived: n.recvSumm.Load(),
+		PriorHits:         n.priorHits.Load(),
+		PriorMisses:       n.priorMisses.Load(),
+		DetectErrors:      n.detectErrors.Load(),
+		Fallbacks:         n.fallbacks.Load(),
+		DroppedHandovers:  n.dropped.Load(),
+		ShedStale:         n.shedStale.Load(),
+		DegradedRounds:    n.degradedRounds.Load(),
+		Degraded:          n.degraded.Load(),
+		SummaryStore:      n.summaries.Stats(),
+		Engine:            n.engine.Stats(),
 	}
 }
 

@@ -292,41 +292,6 @@ func TestNodeMalformedRecordsCounted(t *testing.T) {
 	}
 }
 
-func TestWarnCooldownSuppressesRepeats(t *testing.T) {
-	_, link, _, _ := trainedDetectors(t)
-	b := stream.NewBroker(stream.BrokerConfig{})
-	client := stream.NewInProcClient(b)
-	n, err := New(Config{
-		Name: "MwLink", Road: 7, Detector: link, Client: client,
-		WarnCooldown: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same car abnormal five times in quick succession: one warning.
-	for i := 0; i < 5; i++ {
-		sendRecord(t, client, mkRec(42, geo.MotorwayLink, 90, 14))
-	}
-	if _, err := n.Step(); err != nil {
-		t.Fatal(err)
-	}
-	st := n.Stats()
-	if st.Warnings != 1 {
-		t.Errorf("warnings = %d, want 1 under cooldown", st.Warnings)
-	}
-	if st.WarningsSuppressed != 4 {
-		t.Errorf("suppressed = %d, want 4", st.WarningsSuppressed)
-	}
-	// A different car is unaffected.
-	sendRecord(t, client, mkRec(43, geo.MotorwayLink, 90, 14))
-	if _, err := n.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Stats().Warnings; got != 2 {
-		t.Errorf("warnings = %d, want 2", got)
-	}
-}
-
 func TestNodeWithLogger(t *testing.T) {
 	_, _, mw, _ := trainedDetectors(t)
 	var buf bytes.Buffer
@@ -377,7 +342,6 @@ func TestNodeDegradedModeShedsStaleLowRisk(t *testing.T) {
 		Partitions:     1,
 		MaxBatch:       8,
 		ShedStaleAfter: time.Second,
-		DegradedAfter:  2,
 		Now:            func() time.Time { return base },
 	})
 	if err != nil {

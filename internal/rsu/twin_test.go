@@ -95,9 +95,6 @@ func referenceProcessRecords(n *Node, records []tracedRecord) error {
 		n.builder.Observe(rec.Car, pNB)
 
 		if det.Abnormal() {
-			if referenceSuppress(n, rec.Car) {
-				continue
-			}
 			wb.add(core.Warning{
 				Car:          rec.Car,
 				Road:         int64(rec.Road),
@@ -111,22 +108,6 @@ func referenceProcessRecords(n *Node, records []tracedRecord) error {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// referenceSuppress is the cooldown one warning at a time.
-func referenceSuppress(n *Node, car trace.CarID) bool {
-	if n.cfg.WarnCooldown <= 0 {
-		return false
-	}
-	now := n.cfg.Now()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if last, ok := n.lastWarn[car]; ok && now.Sub(last) < n.cfg.WarnCooldown {
-		n.suppressed.Add(1)
-		return true
-	}
-	n.lastWarn[car] = now
-	return false
 }
 
 var errFlaky = errors.New("flaky detector")
@@ -171,7 +152,7 @@ func (d flakyAD3) PredictProba(r trace.Record) (float64, error) {
 
 const (
 	twinCars = 24
-	twinTTL  = 2 * time.Second
+	twinTTL  = core.DefaultSummaryTTL
 )
 
 // twins is a node under test and a reference node running the record loop,
@@ -194,8 +175,7 @@ func newTwins(t *testing.T, det core.Detector, workers int) *twins {
 		client := stream.NewInProcClient(stream.NewBroker(stream.BrokerConfig{Now: tw.now}))
 		n, err := New(Config{
 			Name: "link", Road: 7, Detector: det, Client: client, Now: tw.now,
-			Workers: workers, MaxBatch: 64, SummaryTTL: twinTTL,
-			WarnCooldown: 200 * time.Millisecond, ShedStaleAfter: 500 * time.Millisecond, DegradedAfter: 2,
+			Workers: workers, MaxBatch: 64, ShedStaleAfter: 500 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -422,8 +402,7 @@ func requireExercised(t *testing.T, st Stats, det core.Detector) {
 	t.Helper()
 	_, collab := det.(collaborativeDetector)
 	for name, n := range map[string]int64{
-		"warnings": st.Warnings, "suppressed warnings": st.WarningsSuppressed,
-		"prior hits": st.PriorHits, "prior misses": st.PriorMisses,
+		"warnings": st.Warnings, "prior hits": st.PriorHits, "prior misses": st.PriorMisses,
 		"expired priors": st.SummaryStore.Expired, "detect errors": st.DetectErrors,
 		"shed records": st.ShedStale, "degraded rounds": st.DegradedRounds,
 	} {

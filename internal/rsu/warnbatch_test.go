@@ -395,35 +395,6 @@ func TestTracedWarningsKeepStampsAndRing(t *testing.T) {
 	}
 }
 
-// TestWarnCooldownFiltersTheBatch checks the cooldown against the log, not
-// only the counters: of one car's five abnormal records in a micro-batch
-// the first alone reaches OUT-DATA.
-func TestWarnCooldownFiltersTheBatch(t *testing.T) {
-	_, link, _, _ := trainedDetectors(t)
-	b := stream.NewBroker(stream.BrokerConfig{})
-	client := stream.NewInProcClient(b)
-	n, err := New(Config{Name: "link", Road: 7, Detector: link, Client: client, Workers: 1, WarnCooldown: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 5; i++ {
-		r := mkRec(42, geo.MotorwayLink, 90, 14)
-		r.TimestampMs = i
-		feedRecord(t, client, r)
-	}
-	other := mkRec(43, geo.MotorwayLink, 90, 14)
-	other.TimestampMs = 9
-	sendRecord(t, client, other)
-	if _, err := n.Step(); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := drainWarnings(t, client, true)
-	sameWarnings(t, got, map[warnKey]int{{42, 1}: 1, {43, 9}: 1})
-	if st := n.Stats(); st.Warnings != 2 || st.WarningsSuppressed != 4 {
-		t.Errorf("warnings %d suppressed %d, want 2 and 4", st.Warnings, st.WarningsSuppressed)
-	}
-}
-
 // TestParallelWorkersDeliverEveryWarningOnce runs the engine at the paper's
 // six workers (the race detector's case): every worker flushes a batch of
 // its own and between them each warning arrives exactly once.

@@ -210,18 +210,15 @@ type BatchProducerConfig struct {
 	// FlushEvery flushes automatically once this many records are
 	// buffered. Values <= 0 select 64.
 	FlushEvery int
-	// MaxBytes caps the projected frame size of a buffered batch; Add
-	// flushes before the cap is crossed. Values <= 0 select 256 KiB
-	// (clamped to the connection's negotiated frame limit by the client).
-	MaxBytes int
 }
+
+// batchMaxBytes caps the projected frame size of a buffered batch: Add
+// flushes once a batch reaches it.
+const batchMaxBytes = 256 << 10
 
 func (cfg BatchProducerConfig) withDefaults() BatchProducerConfig {
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = 64
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 256 << 10
 	}
 	return cfg
 }
@@ -296,7 +293,7 @@ func NewBatchProducer(client Client, topicName string, partition int32, cfg Batc
 
 // Add buffers one record, copying key and value into the batch arena (the
 // caller's slices are free to reuse immediately). It flushes when the
-// batch reaches FlushEvery records or MaxBytes projected frame bytes.
+// batch reaches FlushEvery records or batchMaxBytes projected frame bytes.
 func (bp *BatchProducer) Add(key, value []byte) error {
 	bp.arena = append(append(bp.arena, key...), value...)
 	return bp.added(len(key), len(value))
@@ -319,7 +316,7 @@ func (bp *BatchProducer) AddPooled(key []byte, encode func(dst []byte) []byte) e
 // batch.
 func (bp *BatchProducer) added(key, value int) error {
 	bp.lens = append(bp.lens, recLens{key: key, value: value})
-	if len(bp.lens) >= bp.cfg.FlushEvery || len(bp.arena)+8*len(bp.lens) >= bp.cfg.MaxBytes {
+	if len(bp.lens) >= bp.cfg.FlushEvery || len(bp.arena)+8*len(bp.lens) >= batchMaxBytes {
 		return bp.Flush()
 	}
 	return nil

@@ -25,7 +25,7 @@ func owned(m Message) Message {
 func TestScanMatchesRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	newLog := func() *partitionLog {
-		l := newPartitionLog("t", 2, 48, 40*time.Millisecond)
+		l := newPartitionLog("t", 2, 48)
 		l.gate = flow.NewGate(flow.GateConfig{Capacity: 1 << 20})
 		return l
 	}

@@ -36,10 +36,6 @@ type BrokerConfig struct {
 	// MaxRetainedPerPartition bounds per-partition log memory. Values
 	// <= 0 select the default (65536 messages).
 	MaxRetainedPerPartition int
-	// RetentionAge additionally drops messages older than this (0 keeps
-	// them until the size bound evicts them), like Kafka's time-based
-	// retention.
-	RetentionAge time.Duration
 	// Now injects the clock (virtual time in simulations). Nil selects
 	// time.Now.
 	Now func() time.Time
@@ -51,17 +47,11 @@ type BrokerConfig struct {
 	Metrics *obsv.Registry
 	// FlowCapacity bounds each partition's un-drained backlog (messages):
 	// produce consumes a credit, fetch (or retention eviction) returns it,
-	// and a partition over its bound answers telemetry with
-	// flow.ErrBackpressure per FlowPolicy. Values <= 0 disable admission
-	// control (the legacy unbounded hand-off).
+	// and a partition near its bound sheds telemetry with
+	// flow.ErrBackpressure (warnings and summaries are never shed; see
+	// flow.Gate). Values <= 0 disable admission control (the legacy
+	// unbounded hand-off).
 	FlowCapacity int
-	// FlowPolicy decides admission when FlowCapacity > 0. Nil selects
-	// flow.PriorityShed{}: telemetry sheds under pressure, warnings and
-	// summaries never do.
-	FlowPolicy flow.Policy
-	// FlowRetryHint is the base retry-after hint refused producers get.
-	// Values <= 0 select flow.DefaultRetryHint.
-	FlowRetryHint time.Duration
 }
 
 // ClassForTopic maps the CAD3 topics onto flow priority classes: IN-DATA
@@ -154,7 +144,7 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 		}
 		return fmt.Errorf("%w: %q with %d partitions", ErrTopicExists, name, len(existing.partitions))
 	}
-	t, err := newTopic(name, partitions, b.cfg.MaxRetainedPerPartition, b.cfg.RetentionAge)
+	t, err := newTopic(name, partitions, b.cfg.MaxRetainedPerPartition)
 	if err != nil {
 		return err
 	}
@@ -164,11 +154,9 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 		// re-registered below as the partition sum.
 		for _, pl := range t.partitions {
 			pl.gate = flow.NewGate(flow.GateConfig{
-				Capacity:  b.cfg.FlowCapacity,
-				Policy:    b.cfg.FlowPolicy,
-				RetryHint: b.cfg.FlowRetryHint,
-				Metrics:   b.cfg.Metrics,
-				Name:      "flow." + name,
+				Capacity: b.cfg.FlowCapacity,
+				Metrics:  b.cfg.Metrics,
+				Name:     "flow." + name,
 			})
 		}
 		if b.cfg.Metrics != nil {
@@ -206,7 +194,6 @@ func (b *Broker) FlowStats(topicName string) flow.Stats {
 		}
 		s := pl.gate.Stats()
 		total.Admitted += s.Admitted
-		total.Rejected += s.Rejected
 		total.Occupancy += s.Occupancy
 		total.Capacity += s.Capacity
 		for c := range s.Shed {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func newTestBroker(t *testing.T) *Broker {
@@ -259,55 +258,6 @@ func TestMessageCloneIndependence(t *testing.T) {
 	}
 	if m.WireSize() <= 0 {
 		t.Error("WireSize must be positive")
-	}
-}
-
-func TestTimeBasedRetention(t *testing.T) {
-	now := time.Date(2016, 7, 4, 8, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return now }
-	b := NewBroker(BrokerConfig{RetentionAge: time.Minute, Now: clock})
-	if err := b.CreateTopic("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, _, err := b.Produce("t", 0, nil, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Two minutes later, a fresh produce evicts the stale history.
-	now = now.Add(2 * time.Minute)
-	if _, _, err := b.Produce("t", 0, nil, []byte{99}); err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := b.Fetch("t", 0, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 1 || msgs[0].Value[0] != 99 {
-		t.Fatalf("retained %d messages (%v), want only the fresh one", len(msgs), msgs)
-	}
-	if msgs[0].Offset != 5 {
-		t.Errorf("offset = %d, want 5 (stable across retention)", msgs[0].Offset)
-	}
-}
-
-func TestTimeRetentionKeepsLatest(t *testing.T) {
-	now := time.Date(2016, 7, 4, 8, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return now }
-	b := NewBroker(BrokerConfig{RetentionAge: time.Second, Now: clock})
-	if err := b.CreateTopic("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _ = b.Produce("t", 0, nil, []byte("old"))
-	now = now.Add(time.Hour)
-	_, _, _ = b.Produce("t", 0, nil, []byte("new"))
-	msgs, err := b.Fetch("t", 0, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The newest message always survives.
-	if len(msgs) == 0 || string(msgs[len(msgs)-1].Value) != "new" {
-		t.Fatalf("msgs = %v", msgs)
 	}
 }
 

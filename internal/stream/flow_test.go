@@ -9,14 +9,6 @@ import (
 	"cad3/internal/obsv"
 )
 
-// flowBroker builds a flow-controlled broker with the class-blind TailDrop
-// policy, so tests can reason about exact capacities (the default
-// PriorityShed sheds telemetry early to reserve headroom).
-func flowBroker(t *testing.T, capacity int) *Broker {
-	t.Helper()
-	return NewBroker(BrokerConfig{FlowCapacity: capacity, FlowPolicy: flow.TailDrop{}})
-}
-
 // Regression: nil-key round-robin produces must not land on partitions
 // marked down while healthy ones remain.
 func TestProduceNilKeySkipsDownPartitions(t *testing.T) {
@@ -61,11 +53,12 @@ func TestProduceNilKeySkipsDownPartitions(t *testing.T) {
 }
 
 func TestFlowBackpressureAndFetchCredits(t *testing.T) {
-	b := flowBroker(t, 4)
+	// Capacity 4 sheds telemetry from occupancy 3 (nine tenths) on.
+	b := NewBroker(BrokerConfig{FlowCapacity: 4})
 	if err := b.CreateTopic(TopicInData, 1); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		if _, _, err := b.Produce(TopicInData, 0, nil, []byte("t")); err != nil {
 			t.Fatalf("produce %d under capacity: %v", i, err)
 		}
@@ -77,8 +70,8 @@ func TestFlowBackpressureAndFetchCredits(t *testing.T) {
 	if hint, ok := flow.RetryAfter(err); !ok || hint <= 0 {
 		t.Errorf("backpressure hint = %v, %v; want positive", hint, ok)
 	}
-	if st := b.FlowStats(TopicInData); st.Rejected != 1 {
-		t.Errorf("rejected counter = %d, want 1", st.Rejected)
+	if st := b.FlowStats(TopicInData); st.Shed[flow.ClassTelemetry] != 1 {
+		t.Errorf("shed counter = %d, want 1", st.Shed[flow.ClassTelemetry])
 	}
 
 	// Fetching drains the backlog and returns credits: produce succeeds
@@ -100,15 +93,15 @@ func TestFlowBackpressureAndFetchCredits(t *testing.T) {
 	// Re-reading already-credited offsets must not double-release.
 	msgs, _ = b.Fetch(TopicInData, 0, 0, 1)
 	RecycleMessages(msgs)
-	if occ := b.FlowStats(TopicInData).Occupancy; occ != 4 {
-		t.Errorf("occupancy after re-read = %d, want 4", occ)
+	if occ := b.FlowStats(TopicInData).Occupancy; occ != 3 {
+		t.Errorf("occupancy after re-read = %d, want 3", occ)
 	}
 }
 
 // Warnings and summaries ride a soft bound: the gate tracks their
-// occupancy but the default policy never refuses them.
+// occupancy but never refuses them.
 func TestFlowWarningsAndSummariesNeverShed(t *testing.T) {
-	b := NewBroker(BrokerConfig{FlowCapacity: 2}) // default PriorityShed
+	b := NewBroker(BrokerConfig{FlowCapacity: 2})
 	for _, topicName := range []string{TopicOutData, TopicCoData} {
 		if err := b.CreateTopic(topicName, 1); err != nil {
 			t.Fatal(err)
@@ -146,7 +139,7 @@ func TestFlowEvictionReturnsCredits(t *testing.T) {
 }
 
 func TestCloneBrokerReseatsOccupancy(t *testing.T) {
-	cfg := BrokerConfig{FlowCapacity: 10, FlowPolicy: flow.TailDrop{}}
+	cfg := BrokerConfig{FlowCapacity: 10} // telemetry sheds from occupancy 9
 	b := NewBroker(cfg)
 	if err := b.CreateTopic(TopicInData, 1); err != nil {
 		t.Fatal(err)
@@ -163,7 +156,7 @@ func TestCloneBrokerReseatsOccupancy(t *testing.T) {
 	if occ := clone.FlowStats(TopicInData).Occupancy; occ != 6 {
 		t.Fatalf("clone occupancy = %d, want 6", occ)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		if _, _, err := clone.Produce(TopicInData, 0, nil, []byte("t")); err != nil {
 			t.Fatalf("produce %d into the clone's headroom: %v", i, err)
 		}
@@ -173,7 +166,7 @@ func TestCloneBrokerReseatsOccupancy(t *testing.T) {
 	}
 	// Draining the cloned backlog returns its credits.
 	msgs, err := clone.Fetch(TopicInData, 0, 0, 10)
-	if err != nil || len(msgs) != 10 {
+	if err != nil || len(msgs) != 9 {
 		t.Fatalf("fetch clone: %d msgs, err %v", len(msgs), err)
 	}
 	RecycleMessages(msgs)
@@ -185,7 +178,7 @@ func TestCloneBrokerReseatsOccupancy(t *testing.T) {
 // Backpressure must survive the TCP hop: the producer-side error matches
 // flow.ErrBackpressure and carries the broker's retry-after hint.
 func TestTCPBackpressureRoundTrip(t *testing.T) {
-	b := NewBroker(BrokerConfig{FlowCapacity: 2, FlowPolicy: flow.TailDrop{}, FlowRetryHint: 3 * time.Millisecond})
+	b := NewBroker(BrokerConfig{FlowCapacity: 1})
 	if err := b.CreateTopic(TopicInData, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +193,8 @@ func TestTCPBackpressureRoundTrip(t *testing.T) {
 	}
 	defer client.Close()
 
-	for i := 0; i < 2; i++ {
-		if _, _, err := client.Produce(TopicInData, 0, nil, []byte("t")); err != nil {
-			t.Fatalf("produce %d: %v", i, err)
-		}
+	if _, _, err := client.Produce(TopicInData, 0, nil, []byte("t")); err != nil {
+		t.Fatal(err)
 	}
 	_, _, err = client.Produce(TopicInData, 0, nil, []byte("t"))
 	if !errors.Is(err, flow.ErrBackpressure) {
@@ -213,8 +204,8 @@ func TestTCPBackpressureRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("remote backpressure lost its retry-after hint: %v", err)
 	}
-	if hint < 3*time.Millisecond {
-		t.Errorf("remote hint = %v, want >= configured base 3ms", hint)
+	if hint < flow.DefaultRetryHint {
+		t.Errorf("remote hint = %v, want >= the base %v", hint, flow.DefaultRetryHint)
 	}
 }
 
@@ -257,7 +248,7 @@ func TestRetryClientDoesNotBlindRetryBackpressure(t *testing.T) {
 // counters plus a per-topic occupancy gauge summed over partitions.
 func TestFlowMetricsOnRegistry(t *testing.T) {
 	reg := obsv.NewRegistry()
-	// Default PriorityShed: capacity 10 sheds telemetry at occupancy 9.
+	// Capacity 10 sheds telemetry at occupancy 9.
 	b := NewBroker(BrokerConfig{FlowCapacity: 10, Metrics: reg})
 	if err := b.CreateTopic(TopicInData, 1); err != nil {
 		t.Fatal(err)

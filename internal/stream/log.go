@@ -45,7 +45,6 @@ type partitionLog struct {
 	firstChunk  uint32
 	spare       [][]byte
 	maxRetained int
-	maxAge      time.Duration // 0 = no age-based retention
 
 	// gate is the partition's admission gate (nil = unbounded legacy
 	// admission); credited is the highest offset accounted as drained.
@@ -74,11 +73,11 @@ const defaultMaxRetained = 1 << 16
 // chunk (up to MaxMessageSize plus its key) gets a chunk of its own size.
 const logChunkSize = 64 << 10
 
-func newPartitionLog(topic string, partition int32, maxRetained int, maxAge time.Duration) *partitionLog {
+func newPartitionLog(topic string, partition int32, maxRetained int) *partitionLog {
 	if maxRetained <= 0 {
 		maxRetained = defaultMaxRetained
 	}
-	return &partitionLog{topic: topic, partition: partition, maxRetained: maxRetained, maxAge: maxAge}
+	return &partitionLog{topic: topic, partition: partition, maxRetained: maxRetained}
 }
 
 // storeLocked is the one store path: it copies key then value into the
@@ -168,7 +167,6 @@ func (l *partitionLog) appendOneLocked(key, value []byte, now time.Time, at int6
 	if len(l.index) > l.maxRetained {
 		l.dropLocked(len(l.index) / 2)
 	}
-	l.expireLocked(at)
 	return k, v
 }
 
@@ -236,22 +234,7 @@ func (l *partitionLog) appendBatch(recs []BatchRecord, now time.Time) int64 {
 	for len(l.index) > l.maxRetained {
 		l.dropLocked(len(l.index) / 2)
 	}
-	l.expireLocked(at)
 	return base
-}
-
-// expireLocked applies age-based retention as of append time at: records
-// older than maxAge go, the newest always stays.
-func (l *partitionLog) expireLocked(at int64) {
-	if l.maxAge <= 0 {
-		return
-	}
-	cutoff := at - int64(l.maxAge)
-	drop := 0
-	for drop < len(l.index)-1 && l.index[drop].at < cutoff {
-		drop++
-	}
-	l.dropLocked(drop)
 }
 
 // dropLocked discards the oldest n messages, advancing the base offset.
@@ -396,7 +379,7 @@ type topic struct {
 	partitions []*partitionLog
 }
 
-func newTopic(name string, partitions, maxRetained int, maxAge time.Duration) (*topic, error) {
+func newTopic(name string, partitions, maxRetained int) (*topic, error) {
 	if name == "" {
 		return nil, fmt.Errorf("stream: empty topic name")
 	}
@@ -405,7 +388,7 @@ func newTopic(name string, partitions, maxRetained int, maxAge time.Duration) (*
 	}
 	t := &topic{name: name, partitions: make([]*partitionLog, partitions)}
 	for i := range t.partitions {
-		t.partitions[i] = newPartitionLog(name, int32(i), maxRetained, maxAge)
+		t.partitions[i] = newPartitionLog(name, int32(i), maxRetained)
 	}
 	return t, nil
 }

@@ -46,7 +46,6 @@ func newBatchTwin(t *testing.T, now func() time.Time) *batchTwin {
 	w := &batchTwin{inj: chaos.NewInjector(chaos.Config{Seed: 1}), reg: obsv.NewRegistry()}
 	bcfg := stream.BrokerConfig{
 		MaxRetainedPerPartition: twinRetained,
-		RetentionAge:            400 * time.Millisecond,
 		FlowCapacity:            30,
 		Now:                     now,
 	}

@@ -63,10 +63,6 @@ type Replica struct {
 
 // ReplicaSetConfig configures a ReplicaSet.
 type ReplicaSetConfig struct {
-	// MaxLag is the highest follower lag (records behind the leader,
-	// measured at Tick) that still counts as in-sync. 0 means a follower
-	// must be fully caught up to stay in the ISR.
-	MaxLag int64
 	// ReplicaFetch is the record chunk per replication round trip.
 	// Values <= 0 select DefaultReplicaFetch.
 	ReplicaFetch int
@@ -608,7 +604,7 @@ func (rs *ReplicaSet) Tick() {
 					continue
 				}
 				lag, err := rs.syncFollowerLocked(name, int32(p), ps, i)
-				if err != nil || lag > rs.cfg.MaxLag {
+				if err != nil || lag > 0 {
 					rs.dropISRLocked(ps, i)
 					continue
 				}

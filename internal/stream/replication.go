@@ -296,7 +296,6 @@ func (l *partitionLog) appendReplica(base int64, recs []ReplicaRecord) (hwm int6
 		for len(l.index) > l.maxRetained {
 			l.dropLocked(len(l.index) / 2)
 		}
-		l.expireLocked(recs[i].AppendedAtNs)
 	}
 	return l.base + int64(len(l.index)), len(recs), nil
 }

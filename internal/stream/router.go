@@ -29,14 +29,14 @@ import (
 // ErrUnknownDest reports a Forward to a destination no Register named.
 var ErrUnknownDest = errors.New("stream: unknown router destination")
 
+// routerMaxQueue bounds each destination's outstanding queue: a Forward
+// past it fails rather than grow without limit.
+const routerMaxQueue = 65536
+
 // RouterConfig configures a SummaryRouter.
 type RouterConfig struct {
 	// Topic is the destination topic; empty selects TopicCoData.
 	Topic string
-	// MaxQueue bounds each destination's outstanding queue; a Forward
-	// past the bound fails rather than grow without limit. <= 0 selects
-	// 65536 entries.
-	MaxQueue int
 	// Metrics, when set, receives the shard.router.* family.
 	Metrics *obsv.Registry
 }
@@ -77,9 +77,6 @@ type SummaryRouter struct {
 func NewSummaryRouter(cfg RouterConfig) *SummaryRouter {
 	if cfg.Topic == "" {
 		cfg.Topic = TopicCoData
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 65536
 	}
 	r := &SummaryRouter{cfg: cfg, dests: make(map[string]*routerDest)}
 	if cfg.Metrics != nil {
@@ -128,7 +125,7 @@ func (r *SummaryRouter) Forward(dest string, key, value []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownDest, dest)
 	}
-	if len(d.queue) >= r.cfg.MaxQueue {
+	if len(d.queue) >= routerMaxQueue {
 		if r.mDropped != nil {
 			r.mDropped.Inc()
 		}

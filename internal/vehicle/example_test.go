@@ -18,7 +18,6 @@ func Example_pacing() {
 	// A deliberately tiny broker: one partition, one credit.
 	broker := stream.NewBroker(stream.BrokerConfig{
 		FlowCapacity: 1,
-		FlowPolicy:   flow.TailDrop{},
 	})
 	for _, topic := range []string{stream.TopicInData, stream.TopicOutData} {
 		if err := broker.CreateTopic(topic, 1); err != nil {

@@ -204,7 +204,7 @@ func TestFleetRun(t *testing.T) {
 func TestVehiclePacingUnderBackpressure(t *testing.T) {
 	// Keyed sends land on one partition; capacity 1 means every second
 	// un-drained send is refused.
-	b := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1, FlowPolicy: flow.TailDrop{}})
+	b := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1})
 	for _, topic := range []string{stream.TopicInData, stream.TopicOutData} {
 		if err := b.CreateTopic(topic, 1); err != nil {
 			t.Fatal(err)
@@ -296,7 +296,7 @@ func (c *refusingClient) Produce(topic string, partition int32, key, value []byt
 // returned as an error — the identity the scenario harness's fleet_*
 // measurements rest on.
 func TestPacedSendAccountingCloses(t *testing.T) {
-	gated := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1, FlowPolicy: flow.TailDrop{}})
+	gated := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1})
 	for _, topic := range []string{stream.TopicInData, stream.TopicOutData} {
 		if err := gated.CreateTopic(topic, 1); err != nil {
 			t.Fatal(err)
@@ -355,7 +355,7 @@ func TestPacedSendAccountingCloses(t *testing.T) {
 // An unpaced vehicle surfaces backpressure as a send error (matchable via
 // flow.ErrBackpressure) rather than silently dropping.
 func TestVehicleUnpacedSurfacesBackpressure(t *testing.T) {
-	b := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1, FlowPolicy: flow.TailDrop{}})
+	b := stream.NewBroker(stream.BrokerConfig{FlowCapacity: 1})
 	for _, topic := range []string{stream.TopicInData, stream.TopicOutData} {
 		if err := b.CreateTopic(topic, 1); err != nil {
 			t.Fatal(err)
