@@ -162,6 +162,8 @@ type Node struct {
 	inConsumer  *stream.Consumer
 	outProducer *stream.Producer
 	coConsumer  *stream.Consumer
+	// takeSummary is putSummary, bound once for the CO-DATA drain.
+	takeSummary func(stream.Message)
 
 	summaries *core.SummaryStore
 	builder   *core.SummaryBuilder
@@ -321,6 +323,7 @@ func New(cfg Config) (*Node, error) {
 		histQueue:   cfg.Metrics.Histogram("pipeline.queue_micros", nil),
 		histProc:    cfg.Metrics.Histogram("pipeline.process_micros", nil),
 	}
+	n.takeSummary = n.putSummary
 	n.registerGauges()
 	var adaptive *flow.BatchController
 	if cfg.BatchSLO > 0 {
@@ -650,28 +653,23 @@ func (n *Node) shouldShed(rec *trace.Record, prior *core.PredictionSummary, now 
 
 // drainSummaries ingests pending CO-DATA messages into the summary store.
 func (n *Node) drainSummaries() error {
-	var msgs []stream.Message
 	for {
-		var err error
-		msgs, err = n.coConsumer.PollInto(msgs[:0], 256)
-		if len(msgs) == 0 {
-			return err
-		}
-		for _, m := range msgs {
-			s, derr := core.DecodeSummary(m.Value)
-			if derr != nil {
-				continue // malformed summaries are dropped, not fatal
-			}
-			n.summaries.Put(s)
-			n.recvSumm.Add(1)
-		}
-		// DecodeSummary copies everything it keeps, so the payload
-		// buffers go straight back to the pool.
-		stream.RecycleMessages(msgs)
-		if err != nil {
+		got, err := n.coConsumer.PollEach(256, n.takeSummary)
+		if got == 0 || err != nil {
 			return err
 		}
 	}
+}
+
+// putSummary stores one lent CO-DATA summary. DecodeSummary copies what it
+// keeps, so the lent view goes no further.
+func (n *Node) putSummary(m stream.Message) {
+	s, err := core.DecodeSummary(m.Value)
+	if err != nil {
+		return // malformed summaries are dropped, not fatal
+	}
+	n.summaries.Put(s)
+	n.recvSumm.Add(1)
 }
 
 // Handover forwards the car's prediction summary to the named neighbor

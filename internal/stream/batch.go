@@ -124,23 +124,19 @@ func (c *TCPClient) ProduceBatchIssue(topic string, partition int32, recs []Batc
 		return PendingBatch{}, fmt.Errorf("stream: batch frame %d B exceeds peer max %d B; flush smaller batches", total, c.peerMax)
 	}
 	p := c.pipe
-	ch, err := p.acquire(true)
+	ch, err := p.acquire()
 	if err != nil {
 		return PendingBatch{}, err
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		p.release(ch)
-		return PendingBatch{}, ErrClientClosed
-	}
 	if err := c.pipeIssueLocked(ch, reqProduceBatch); err != nil {
 		c.mu.Unlock()
 		p.release(ch)
 		return PendingBatch{}, err
 	}
 	c.encodeBatchLocked(topic, partition, recs, total)
-	_, werr := c.iov.WriteTo(c.conn)
+	c.sent = c.iov
+	_, werr := c.sent.WriteTo(c.conn)
 	if werr != nil {
 		_ = c.conn.Close()
 	}

@@ -50,24 +50,34 @@ func BenchmarkFetch64(b *testing.B) {
 }
 
 func BenchmarkWireEncodeDecode(b *testing.B) {
-	msgs := make([]Message, 64)
-	for i := range msgs {
-		msgs[i] = Message{
-			Topic: "IN-DATA", Partition: int32(i % 3), Offset: int64(i),
-			Key: []byte(fmt.Sprintf("car-%d", i)), Value: make([]byte, 200),
-		}
+	sections := make([]answerSection, 3)
+	reads := make([]PartitionRead, 3)
+	for p := range sections {
+		sections[p].partition = int32(p)
+		reads[p].Partition = int32(p)
+	}
+	for i := 0; i < 64; i++ {
+		s := &sections[i%3]
+		s.msgs = append(s.msgs, Message{Key: []byte(fmt.Sprintf("car-%d", i)), Value: make([]byte, 200)})
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	var enc wireEncoder
 	for i := 0; i < b.N; i++ {
 		enc.reset(respFetch)
-		enc.messages(msgs)
-		frame := enc.frame()
-		dec := wireDecoder{buf: frame[frameHeaderSize:]}
-		if out := dec.messages(nil, "IN-DATA", 64); len(out) != 64 || dec.err != nil {
-			b.Fatalf("decode: %d msgs, err %v", len(out), dec.err)
+		for _, s := range sections {
+			at := enc.openSection(s.partition)
+			for _, m := range s.msgs {
+				enc.record(m)
+			}
+			enc.closeSection(at, len(s.msgs), 0)
 		}
+		frame := enc.frame()
+		out, err := decodeAnswer(frame[frameHeaderSize:], "IN-DATA", reads, 64)
+		if len(out) != 64 || err != nil {
+			b.Fatalf("decode: %d msgs, err %v", len(out), err)
+		}
+		RecycleMessages(out)
 	}
 }
 
@@ -363,9 +373,9 @@ func BenchmarkPartitionLog(b *testing.B) {
 }
 
 // BenchmarkConsumerPollWire is one poll of a 256-record backlog spread
-// over the topic's partitions, across a loopback v2 connection: one
-// pipelined round whatever the partition count, where reads in turn pay a
-// round trip per partition.
+// over the topic's partitions, across a loopback connection: one fetch
+// frame whatever the partition count, where reads in turn pay a round trip
+// per partition.
 func BenchmarkConsumerPollWire(b *testing.B) {
 	for _, partitions := range []int{1, 3, 8} {
 		b.Run(fmt.Sprintf("%dpartitions", partitions), func(b *testing.B) {

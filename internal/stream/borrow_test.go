@@ -263,7 +263,7 @@ func TestMalformedFetchResponseLendsNothing(t *testing.T) {
 		canned = append(canned, Message{Topic: "t", Offset: int64(i), Key: []byte("car-1"), Value: make([]byte, 50)})
 	}
 	for _, poll := range []string{"PollEach", "PollInto"} {
-		tc, err := Dial(cannedFetchServer(t, canned, 140))
+		tc, err := Dial(cannedFetchServer(t, canned, 1, 140))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,10 +288,11 @@ func TestMalformedFetchResponseLendsNothing(t *testing.T) {
 
 // TestFramePoolSteadyState pins the frame pool: with the whole frame body
 // recycled (not a view past its header, which the pool would find too
-// short for the next frame of the same size) and a buffered reader's
-// length prefix read in place, a warm request costs the allocator the
-// server's copy of the topic name and nothing else — on either side, for a
-// pipelined fetch that lends its response and for a batched produce.
+// short for the next frame of the same size), a buffered reader's length
+// prefix read in place, the server reusing the connection's last topic
+// name and its fetch answer's record writer bound once per connection, a
+// warm request costs the allocator nothing — on either side, for a fetch
+// that lends its answer and for a batched produce.
 func TestFramePoolSteadyState(t *testing.T) {
 	if PoolGuard {
 		t.Skip("the pool guard records a call chain per recycle")
@@ -323,9 +324,8 @@ func TestFramePoolSteadyState(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		round() // warm the frame pool, the log's chunks and the encoders
 	}
-	// Two requests a round, one topic-name string each on the server.
-	if allocs := testing.AllocsPerRun(200, round); allocs > 2 {
-		t.Errorf("a batched produce and a pipelined fetch of %d records: %v allocs, want <= 2 (the server's topic names)", len(recs), allocs)
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Errorf("a batched produce and a fetch of %d records: %v allocs, want 0", len(recs), allocs)
 	}
 }
 

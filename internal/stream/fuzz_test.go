@@ -7,41 +7,104 @@ import (
 	"time"
 )
 
-// FuzzWireDecoder hardens the binary protocol decoder against arbitrary
-// payloads: whatever the bytes, decoding must neither panic nor fabricate
-// a successful parse of a short buffer. Run with `go test -fuzz
-// FuzzWireDecoder ./internal/stream` for continuous fuzzing; plain `go
-// test` exercises the seed corpus.
+// FuzzWireDecoder hardens the fetch-answer decoder against arbitrary
+// payloads, as answers to two reads (partitions 0 and 1) with a large and
+// a small max: whatever the bytes, the check must neither panic nor
+// pass an answer that the lend then reads past, and what it lends must
+// keep to the reads and to max. Run with `go test -fuzz FuzzWireDecoder
+// ./internal/stream` for continuous fuzzing; plain `go test` exercises the
+// seed corpus.
 func FuzzWireDecoder(f *testing.F) {
-	// Seed with a valid frame and mutations of it.
-	var enc wireEncoder
-	enc.reset(respFetch)
-	enc.messages([]Message{{
-		Topic: "IN-DATA", Partition: 2, Offset: 42,
-		Key: []byte("car-7"), Value: []byte("payload"),
-		AppendedAt: time.Unix(0, 1467331200000000000),
-	}})
-	valid := append([]byte(nil), enc.frame()[frameHeaderSize:]...)
+	at := time.Unix(0, 1467331200000000000)
+	rec := func(key, value string) Message {
+		return Message{Key: []byte(key), Value: []byte(value), AppendedAt: at}
+	}
+	seed := func(sections []answerSection, cut int) []byte {
+		frame, _ := encodeAnswer(sections, cut)
+		return frame[frameHeaderSize:]
+	}
+	two := []answerSection{
+		{partition: 0, base: 42, msgs: []Message{rec("car-7", "payload"), rec("", "")}},
+		{partition: 1, base: 7, msgs: []Message{rec("car-8", "payload"), rec("car-9", "p")}},
+	}
+	valid := seed(two, 0)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(valid[:len(valid)/2])
+	// An empty answer: both reads, no records.
+	f.Add(seed([]answerSection{{partition: 0}, {partition: 1}}, 0))
+	// One section, which meets a max of 2.
+	f.Add(seed(two[:1], 0))
+	// Cut inside the second section.
+	f.Add(seed(two, 3))
+	// More sections than reads.
+	f.Add(seed(append(two, answerSection{partition: 2}, answerSection{partition: 3}), 0))
+	// An error section.
+	f.Add(seed([]answerSection{{partition: 0, failure: "stream: partition down"}, two[1]}, 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, max := range []int{1 << 20, 2} {
+			reads := []PartitionRead{{Partition: 0}, {Partition: 1}}
+			dec := wireDecoder{buf: data}
+			if _, err := dec.walkAnswer("IN-DATA", reads, max, nil); err != nil {
+				continue // rejected, fine
+			}
+			// Accepted: the lend reads to the end of the buffer and no
+			// further, lends no more than max, each message of a read's
+			// partition.
+			dec.pos = 0
+			lent := 0
+			n, err := dec.walkAnswer("IN-DATA", reads, max, func(m Message) {
+				lent++
+				if m.Partition < 0 || m.Partition > 1 || len(m.Key)+len(m.Value) > len(data) {
+					t.Fatalf("lent a message outside the reads or the input: %+v", m)
+				}
+			})
+			if err != nil || dec.pos != len(data) {
+				t.Fatalf("a checked answer decoded to %d of %d bytes, error %v", dec.pos, len(data), err)
+			}
+			if n != lent || n > max {
+				t.Fatalf("lent %d, reported %d, max %d", lent, n, max)
+			}
+		}
+	})
+}
+
+// FuzzFetchRequest hardens the server's parse of a fetch request — the
+// untrusted read count and partition list — against hostile frames: it
+// must either reject the buffer or return exactly the reads the frame
+// holds, never reading past it.
+func FuzzFetchRequest(f *testing.F) {
+	var enc wireEncoder
+	enc.reset(reqFetch)
+	enc.str("IN-DATA")
+	enc.u32(256)
+	enc.u32(3)
+	for p := 0; p < 3; p++ {
+		enc.u32(uint32(p))
+		enc.u64(uint64(100 * p))
+	}
+	valid := append([]byte(nil), enc.frame()[frameHeaderSize:]...)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	// A read count far beyond the reads in the frame.
+	huge := append([]byte(nil), valid...)
+	copy(huge[4+len("IN-DATA")+4:], []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(huge)
+	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := wireDecoder{buf: data}
-		msgs := dec.messages(nil, "", 1<<20)
-		if dec.err != nil {
+		topic, _, reads, err := decodeFetchRequest(&dec, nil)
+		if err != nil {
 			return // rejected, fine
 		}
-		// Accepted: every decoded message must be internally consistent
-		// and the decoder must not have read past the buffer.
-		if dec.pos > len(data) {
-			t.Fatalf("decoder position %d beyond buffer %d", dec.pos, len(data))
+		if dec.pos > len(data) || len(topic)+len(reads)*fetchReadSize > len(data) {
+			t.Fatalf("%d reads and a %d-byte topic from %d bytes (decoder at %d)", len(reads), len(topic), len(data), dec.pos)
 		}
-		for _, m := range msgs {
-			if len(m.Topic) > len(data) || len(m.Key) > len(data) || len(m.Value) > len(data) {
-				t.Fatalf("decoded fields larger than input: %+v", m)
-			}
+		if len(reads) > maxFetchReads {
+			t.Fatalf("%d reads, over the %d bound", len(reads), maxFetchReads)
 		}
 	})
 }
@@ -92,7 +155,7 @@ func FuzzBatchRequestDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := wireDecoder{buf: data}
 		visited := 0
-		topic, _, n, err := decodeBatchRequest(&dec, func(i int, topic string, partition int32, key, value []byte) {
+		topic, _, n, err := decodeBatchRequest(&dec, func(i int, key, value []byte) {
 			if i != visited {
 				t.Fatalf("record index %d, expected %d", i, visited)
 			}

@@ -1,6 +1,6 @@
 package stream
 
-// Client-side windowed pipelining (protocol v2). A TCPClient decouples
+// Client-side windowed pipelining. A TCPClient decouples
 // request issue from response read: callers encode and write their frame
 // under the client mutex (fixing the on-wire order), park a response
 // channel in a FIFO ring, and block on that channel alone while other
@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -89,10 +90,11 @@ func newPipeState(conn net.Conn, w int) *pipeState {
 }
 
 // newTCPClient exchanges hellos on a fresh connection and starts its
-// reader. Anything but a v2 respHello fails the dial. The exchange is
-// bounded by RequestTimeout, or by DialTimeout when that is unset: a peer
-// that accepts and never answers must not hang the dial (nor a pool's lazy
-// redial, which holds its link's lock).
+// reader. Anything but a respHello announcing protocolVersion or later
+// fails the dial. The exchange is bounded by RequestTimeout, or by
+// DialTimeout when that is unset: a peer that accepts and never answers
+// must not hang the dial (nor a pool's lazy redial, which holds its link's
+// lock).
 func newTCPClient(conn net.Conn, cfg DialConfig) (*TCPClient, error) {
 	cfg = cfg.withDefaults()
 	c := &TCPClient{
@@ -105,7 +107,7 @@ func newTCPClient(conn net.Conn, cfg DialConfig) (*TCPClient, error) {
 		bound = DialTimeout
 	}
 	_ = conn.SetDeadline(time.Now().Add(bound))
-	if _, err := conn.Write(helloFrame(reqHello, protocolV2, c.maxFrame, uint32(cfg.Window))); err != nil {
+	if _, err := conn.Write(helloFrame(reqHello, protocolVersion, c.maxFrame, uint32(cfg.Window))); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("stream hello write: %w", err)
 	}
@@ -121,9 +123,9 @@ func newTCPClient(conn net.Conn, cfg DialConfig) (*TCPClient, error) {
 	}
 	msgType := frame[0]
 	putFrame(frame)
-	if version < protocolV2 {
+	if version < protocolVersion {
 		_ = conn.Close()
-		return nil, fmt.Errorf("stream hello: peer does not speak protocol v%d (response type %d, version %d)", protocolV2, msgType, version)
+		return nil, fmt.Errorf("stream hello: peer does not speak protocol v%d (response type %d, version %d)", protocolVersion, msgType, version)
 	}
 	if c.peerMax == 0 {
 		c.peerMax = c.maxFrame
@@ -160,7 +162,7 @@ func (c *TCPClient) readLoop() {
 		}
 		if len(frame) < 1+corrSize {
 			putFrame(frame)
-			p.fail(errors.New("stream: v2 frame missing correlation ID"))
+			p.fail(errors.New("stream: frame missing correlation ID"))
 			_ = c.conn.Close()
 			return
 		}
@@ -211,20 +213,15 @@ func (p *pipeState) fail(err error) {
 	}
 }
 
-// acquire takes a window token and a recycled response channel. It
-// refuses immediately once the pipe is stopped or broken. With wait false
-// (a caller already holding tokens) a full window yields (nil, nil), not a
-// block: two callers each holding part of the window and waiting for the
-// rest would never finish; one that waits only while holding none does.
+// acquire takes a window token and a recycled response channel, waiting
+// for the token while the window is full. It refuses immediately once the
+// pipe is stopped or broken.
 //
 //cad3:noalloc
-func (p *pipeState) acquire(wait bool) (chan pipeResp, error) {
+func (p *pipeState) acquire() (chan pipeResp, error) {
 	select {
 	case <-p.window:
 	default:
-		if !wait {
-			return nil, nil
-		}
 		select {
 		case <-p.window:
 		case <-p.stop:
@@ -294,11 +291,14 @@ func (p *pipeState) enqueue(ch chan pipeResp) (uint32, error) {
 	return corr, nil
 }
 
-// pipeIssue finishes an issue under c.mu: enqueue the waiter, stamp the
-// encoder with the correlation ID (the caller encodes the body after
-// this returns), and report the corr. Split from pipeAwait so batch
-// senders can keep several frames in flight.
+// pipeIssueLocked starts a request under c.mu with a channel from acquire:
+// it parks the channel in the ring and starts the frame in c.enc under its
+// correlation ID; the caller encodes the body and writes it before
+// unlocking, so ring order is wire order.
 func (c *TCPClient) pipeIssueLocked(ch chan pipeResp, msgType byte) error {
+	if c.closed {
+		return ErrClientClosed
+	}
 	corr, err := c.pipe.enqueue(ch)
 	if err != nil {
 		return err
@@ -308,9 +308,9 @@ func (c *TCPClient) pipeIssueLocked(ch chan pipeResp, msgType byte) error {
 	return nil
 }
 
-// pipeWrite flushes the encoded frame under c.mu. A write error poisons
-// the connection: responses can no longer line up, so the conn is closed
-// and the reader fails every waiter (including ours).
+// pipeWriteLocked flushes the encoded frame under c.mu. A write error
+// poisons the connection: responses can no longer line up, so the conn is
+// closed and the reader fails every waiter (including ours).
 func (c *TCPClient) pipeWriteLocked() error {
 	if _, err := c.conn.Write(c.enc.frame()); err != nil {
 		_ = c.conn.Close()
@@ -351,21 +351,16 @@ func (c *TCPClient) pipeAwait(ch chan pipeResp) (byte, wireDecoder, error) {
 	return r.frame[0], dec, nil
 }
 
-// pipeCall runs one fully-encoded request/response cycle. encodeLocked
-// writes the request body into c.enc (called with c.mu held, after the
-// type byte and correlation ID are in place).
+// pipeDo runs one request/response cycle. encodeLocked writes the
+// request body into c.enc (called with c.mu held, after the type byte and
+// correlation ID are in place).
 func (c *TCPClient) pipeDo(msgType byte, encodeLocked func(enc *wireEncoder)) (byte, wireDecoder, error) {
 	p := c.pipe
-	ch, err := p.acquire(true)
+	ch, err := p.acquire()
 	if err != nil {
 		return 0, wireDecoder{}, err
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		p.release(ch)
-		return 0, wireDecoder{}, ErrClientClosed
-	}
 	if err := c.pipeIssueLocked(ch, msgType); err != nil {
 		c.mu.Unlock()
 		p.release(ch)
@@ -383,110 +378,69 @@ func (c *TCPClient) pipeDo(msgType byte, encodeLocked func(enc *wireEncoder)) (b
 	return c.pipeAwait(ch)
 }
 
-// fetchIssue puts one reqFetch frame on the wire and returns the channel
-// its answer will arrive on; fetchAwait collects it. Keeping one fetch
-// per partition in flight is how a consumer polls a topic in one round
-// trip. wait is acquire's. Explicit body, like Produce: a pipeDo closure
-// would cost an allocation per fetch.
+// FetchEach implements Client in one round trip: one reqFetch frame
+// carries every read, and the server answers them in order until max
+// records are read, as reads in turn would. The answer is checked whole
+// before its first record is lent, so a cut or malformed answer lends
+// nothing and fails every read; otherwise each record is decoded once, as
+// views of the frame, and each read the broker refused gets its error.
+// Explicit body, like Produce: a pipeDo closure would cost an allocation
+// per fetch.
 //
 //cad3:noalloc
-func (c *TCPClient) fetchIssue(topicName string, partition int32, offset int64, max int, wait bool) (chan pipeResp, error) {
+func (c *TCPClient) FetchEach(topic string, reads []PartitionRead, max int, fn func(Message)) int {
+	if len(reads) == 0 || max <= 0 {
+		return 0
+	}
+	max = min(max, math.MaxInt32)
 	p := c.pipe
-	ch, err := p.acquire(wait)
-	if ch == nil {
-		return nil, err
+	ch, err := p.acquire()
+	if err != nil {
+		return failReads(reads, err)
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		p.release(ch)
-		return nil, ErrClientClosed
-	}
 	if err := c.pipeIssueLocked(ch, reqFetch); err != nil {
 		c.mu.Unlock()
 		p.release(ch)
-		return nil, err
+		return failReads(reads, err)
 	}
-	c.enc.str(topicName)
-	c.enc.u32(uint32(partition))
-	c.enc.u64(uint64(offset))
+	c.enc.str(topic)
 	c.enc.u32(uint32(max))
+	c.enc.u32(uint32(len(reads)))
+	for _, r := range reads {
+		c.enc.u32(uint32(r.Partition))
+		c.enc.u64(uint64(r.Offset))
+	}
 	err = c.pipeWriteLocked()
 	c.mu.Unlock()
 	if err != nil {
 		p.abandon(ch)
-		return nil, err
+		return failReads(reads, err)
 	}
-	return ch, nil
-}
-
-// maxRoundFetches caps the fetches one FetchEach round keeps in flight, so
-// their channels fit a fixed array on the stack.
-const maxRoundFetches = 16
-
-// pendingFetch is a fetch between issue and await, or the issue's error.
-type pendingFetch struct {
-	ch  chan pipeResp
-	err error
-}
-
-// FetchEach implements Client in one round trip where reading the
-// partitions in turn would take one each: it issues a fetch per read, each
-// asking for all that is still wanted, then awaits them in order and lends
-// from each response frame only what is still wanted by then — what reads
-// in turn would lend. The surplus is dropped undecoded, and the reader's
-// offsets stay put for it. The first fetch of a round waits for the
-// connection's window and the rest stop at a full one, which leaves the
-// remaining reads to further rounds.
-func (c *TCPClient) FetchEach(topic string, reads []PartitionRead, max int, fn func(Message)) int {
-	want := max // messages still wanted
-	var inflight [maxRoundFetches]pendingFetch
-	for done := 0; done < len(reads) && want > 0; {
-		k := 0
-		for ; done+k < len(reads) && k < len(inflight); k++ {
-			r := &reads[done+k]
-			ch, err := c.fetchIssue(topic, r.Partition, r.Offset, want, k == 0)
-			if ch == nil && err == nil {
-				break // window full: collect what is in flight first
-			}
-			inflight[k] = pendingFetch{ch: ch, err: err}
-		}
-		for i := 0; i < k; i++ {
-			err := inflight[i].err
-			if err == nil {
-				var dec wireDecoder
-				if dec, err = c.fetchAwait(inflight[i].ch); err == nil {
-					n := dec.eachMessage(topic, want, fn)
-					if err = dec.err; err == nil {
-						want -= n
-					}
-					dec.release()
-				}
-			}
-			// Reads in turn stop once they have max, so a failure past that
-			// point is one they would never have seen.
-			if err != nil && want > 0 {
-				reads[done+i].Err = err
-			}
-		}
-		done += k
-	}
-	return max - want
-}
-
-// fetchAwait collects an issued fetch and returns the decoder at the
-// answer's message list, for the caller to clone from (messages) or lend
-// views of (eachMessage) and then release.
-//
-//cad3:noalloc
-func (c *TCPClient) fetchAwait(ch chan pipeResp) (wireDecoder, error) {
 	msgType, dec, err := c.pipeAwait(ch)
 	if err != nil {
-		return wireDecoder{}, err
+		return failReads(reads, err)
 	}
+	start := dec.pos
 	if msgType != respFetch {
-		dec.release()
-		return wireDecoder{}, errUnexpectedResponse(msgType)
+		err = errUnexpectedResponse(msgType)
+	} else {
+		_, err = dec.walkAnswer(topic, reads, max, nil)
 	}
-	return dec, nil
+	if err != nil {
+		dec.release()
+		return failReads(reads, err)
+	}
+	dec.pos = start
+	n, _ := dec.walkAnswer(topic, reads, max, fn)
+	dec.release()
+	return n
+}
+
+// failReads fails every read of a fetch with err, and lends nothing.
+func failReads(reads []PartitionRead, err error) int {
+	for i := range reads {
+		reads[i].Err = err
+	}
+	return 0
 }

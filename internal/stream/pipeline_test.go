@@ -16,14 +16,14 @@ import (
 )
 
 // TestPipelineNegotiation covers the hello exchange, the only protocol
-// there is: a client and a server agree on v2 in exactly these bytes; a
-// client refuses a peer that does not answer with a v2 hello; a server
+// there is: a client and a server agree on v3 in exactly these bytes; a
+// client refuses a peer that does not answer with a v3 hello; a server
 // closes a peer that opens with anything but one, before handling a
 // request.
 func TestPipelineNegotiation(t *testing.T) {
 	// Window 8, frame limit 4096 B. The server announces no window.
-	clientHello := []byte{0, 0, 0, 13, 20, 0, 0, 0, 2, 0, 0, 0x10, 0, 0, 0, 0, 8}
-	serverHello := []byte{0, 0, 0, 13, 120, 0, 0, 0, 2, 0, 0, 0x10, 0, 0, 0, 0, 0}
+	clientHello := []byte{0, 0, 0, 13, 20, 0, 0, 0, 3, 0, 0, 0x10, 0, 0, 0, 0, 8}
+	serverHello := []byte{0, 0, 0, 13, 120, 0, 0, 0, 3, 0, 0, 0x10, 0, 0, 0, 0, 0}
 	dial := DialConfig{Window: 8, MaxFrameSize: 4096}
 
 	t.Run("new client, new server", func(t *testing.T) {
@@ -99,11 +99,12 @@ func TestPipelineNegotiation(t *testing.T) {
 
 	t.Run("new client, old server", func(t *testing.T) {
 		// A pre-v2 server rejects type 20 as unknown; a server that
-		// answers a hello with version 1 is no better.
+		// answers a hello with version 1 or 2 is no better — a v2 server
+		// would misread every fetch frame.
 		respErr := binary.BigEndian.AppendUint32([]byte{0, 0, 0, 0, respError}, 5)
 		respErr = append(respErr, "nope!"...)
 		binary.BigEndian.PutUint32(respErr, uint32(len(respErr)-4))
-		for _, answer := range [][]byte{respErr, helloFrame(respHello, 1, 4096, 0)} {
+		for _, answer := range [][]byte{respErr, helloFrame(respHello, 1, 4096, 0), helloFrame(respHello, 2, 4096, 0)} {
 			addr := fakePeer(t, func(conn net.Conn) {
 				if _, err := readFrame(conn, DefaultMaxFrameSize); err == nil {
 					_, _ = conn.Write(answer)
@@ -129,6 +130,7 @@ func TestPipelineNegotiation(t *testing.T) {
 		openings := map[string][]byte{
 			"v1 request first": v1Create,
 			"version-1 hello":  append(helloFrame(reqHello, 1, 4096, 8), v2Create...),
+			"version-2 hello":  append(helloFrame(reqHello, 2, 4096, 8), v2Create...),
 		}
 		for name, opening := range openings {
 			b := NewBroker(BrokerConfig{})
@@ -489,7 +491,7 @@ func TestBatchIssueRejectsOversizedFrame(t *testing.T) {
 // no longer line up), not hang or misdeliver.
 func TestPipelineTimeoutPoisonsConnection(t *testing.T) {
 	// A peer that answers the hello, then swallows every request.
-	addr := fakeV2Server(t, func(conn net.Conn) { _, _ = io.Copy(io.Discard, conn) })
+	addr := fakeServer(t, func(conn net.Conn) { _, _ = io.Copy(io.Discard, conn) })
 	c, err := DialCfg(addr, DialConfig{RequestTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -82,14 +82,14 @@ func fakePeer(t testing.TB, serve func(conn net.Conn)) string {
 	return ln.Addr().String()
 }
 
-// fakeV2Server is a fakePeer that first answers the hello as a v2 server
+// fakeServer is a fakePeer that first answers the hello as a server
 // would.
-func fakeV2Server(t testing.TB, serve func(conn net.Conn)) string {
+func fakeServer(t testing.TB, serve func(conn net.Conn)) string {
 	return fakePeer(t, func(conn net.Conn) {
 		if _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
 			return
 		}
-		if _, err := conn.Write(helloFrame(respHello, protocolV2, DefaultMaxFrameSize, 0)); err != nil {
+		if _, err := conn.Write(helloFrame(respHello, protocolVersion, DefaultMaxFrameSize, 0)); err != nil {
 			return
 		}
 		serve(conn)
@@ -230,21 +230,61 @@ func TestPipelinedPollMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBoundedWirePollCreditsOnlyWhatItDelivers: a poll of 100 over a
+// 300-record backlog on three partitions releases the IN-DATA gate's
+// credits for the 100 records it delivers and no more, over the wire as
+// in process. The server reads the partitions in turn, each for what is
+// still wanted; asking each for all 100 credited records the poll then
+// dropped.
+func TestBoundedWirePollCreditsOnlyWhatItDelivers(t *testing.T) {
+	poll := func(wire bool) (int, int64) {
+		b := NewBroker(BrokerConfig{FlowCapacity: 1 << 10})
+		if err := b.CreateTopic(TopicInData, 3); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			if _, _, err := b.Produce(TopicInData, int32(i%3), nil, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var client Client = NewInProcClient(b)
+		if wire {
+			client = dialTest(t, b, ServerConfig{}, DialConfig{})
+		}
+		c, err := NewConsumer(client, TopicInData, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := c.PollEach(100, func(Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, b.FlowStats(TopicInData).Occupancy
+	}
+	n, inProc := poll(false)
+	m, wire := poll(true)
+	if n != 100 || m != 100 || inProc != 200 || wire != inProc {
+		t.Fatalf("a poll of 100: %d delivered in process leaving occupancy %d, %d over the wire leaving %d; want 100 leaving 200 both ways", n, inProc, m, wire)
+	}
+}
+
 // TestPipelinedPollConnectionKilledBeforeAnswers: the server reads a
-// round's fetches and hangs up without answering one. The poll returns the
-// error, moves no offset, and leaves no window token or response channel
-// behind.
+// round's fetch frame, which carries every partition, and hangs up without
+// answering it. The poll returns the error, moves no offset, and leaves no
+// window token or response channel behind.
 func TestPipelinedPollConnectionKilledBeforeAnswers(t *testing.T) {
 	const partitions = 3
-	addr := fakeV2Server(t, func(conn net.Conn) {
-		for i := 0; i < partitions; i++ {
-			frame, err := readFrame(conn, DefaultMaxFrameSize)
-			if err != nil || frame[0] != reqFetch {
-				return
-			}
-			putFrame(frame)
+	asked := make(chan []PartitionRead, 1)
+	addr := fakeServer(t, func(conn net.Conn) {
+		defer close(asked)
+		frame, err := readFrame(conn, DefaultMaxFrameSize)
+		if err != nil || frame[0] != reqFetch {
+			return
 		}
-		// All issued, none answered: hang up.
+		dec := frameDecoder(frame)
+		_, _, reads, _ := decodeFetchRequest(&dec, nil)
+		asked <- reads
+		// Issued, not answered: hang up.
 	})
 
 	tc, err := Dial(addr)
@@ -262,6 +302,9 @@ func TestPipelinedPollConnectionKilledBeforeAnswers(t *testing.T) {
 	}
 	if got := fmt.Sprint(c.Offsets()); got != "[5 6 7]" {
 		t.Fatalf("offsets moved to %s", got)
+	}
+	if got := fmt.Sprint(<-asked); got != "[{0 5 <nil>} {1 6 <nil>} {2 7 <nil>}]" {
+		t.Fatalf("the fetch frame asked for %s, want every partition from its offset", got)
 	}
 	idleWindow(t, tc)
 	// The connection stays dead: the next poll fails at issue, as cleanly.
@@ -313,19 +356,50 @@ func TestSharedConnectionPollsDoNotStarveEachOther(t *testing.T) {
 	idleWindow(t, conn)
 }
 
-// cannedFetchServer answers the hello, then every request frame with the
-// same respFetch body under the request's correlation ID, allocating
-// nothing per request — so that a process-wide allocation count over a poll
-// is the client's alone. A cut above zero ends the frame that many bytes
-// early, inside its message list.
-func cannedFetchServer(t testing.TB, msgs []Message, cut int) string {
-	t.Helper()
+// answerSection is one section of a fetch answer a test encodes: the
+// records of a partition from base on, or the broker's refusal.
+type answerSection struct {
+	partition int32
+	base      int64
+	msgs      []Message
+	failure   string
+}
+
+// encodeAnswer encodes a respFetch frame of sections, cut bytes short, and
+// returns each section's start in the frame.
+func encodeAnswer(sections []answerSection, cut int) (frame []byte, at []int) {
 	var enc wireEncoder
 	enc.reset(respFetch)
-	enc.messages(msgs)
+	for _, s := range sections {
+		start := enc.openSection(s.partition)
+		at = append(at, start)
+		if s.failure != "" {
+			enc.failSection(start, s.failure)
+			continue
+		}
+		for _, m := range s.msgs {
+			enc.record(m)
+		}
+		enc.closeSection(start, len(s.msgs), s.base)
+	}
 	enc.buf = enc.buf[:len(enc.buf)-cut]
-	resp := append([]byte(nil), enc.frame()...)
-	return fakeV2Server(t, func(conn net.Conn) {
+	return append([]byte(nil), enc.frame()...), at
+}
+
+// cannedFetchServer answers the hello, then every fetch frame with the
+// same answer — sections sections of msgs each — under the request's
+// correlation ID, the sections renumbered to the partitions the request
+// reads, allocating nothing per request, so that a process-wide
+// allocation count over a poll is the client's alone. A cut above zero
+// ends the frame that many bytes early, inside its last section.
+func cannedFetchServer(t testing.TB, msgs []Message, sections, cut int) string {
+	t.Helper()
+	all := make([]answerSection, sections)
+	for i := range all {
+		all[i].msgs = msgs
+	}
+	resp, at := encodeAnswer(all, cut)
+	return fakeServer(t, func(conn net.Conn) {
 		req := make([]byte, 4096)
 		for {
 			if _, err := io.ReadFull(conn, req[:4]); err != nil {
@@ -336,6 +410,12 @@ func cannedFetchServer(t testing.TB, msgs []Message, cut int) string {
 				return
 			}
 			copy(resp[5:5+corrSize], req[5:5+corrSize])
+			// Past the header: topic, max and the read count, then the
+			// reads, each a partition and an offset.
+			reads := req[frameHeaderSize+4+int(binary.BigEndian.Uint32(req[frameHeaderSize:]))+8:]
+			for i, start := range at {
+				copy(resp[start:start+4], reads[i*fetchReadSize:])
+			}
 			if _, err := conn.Write(resp); err != nil {
 				return
 			}
@@ -359,7 +439,7 @@ func TestPollIntoSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < perFetch; i++ {
 			canned = append(canned, Message{Topic: "t", Offset: int64(i), Key: []byte("car-1"), Value: make([]byte, 200)})
 		}
-		tc, err := Dial(cannedFetchServer(t, canned, 0))
+		tc, err := Dial(cannedFetchServer(t, canned, partitions, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

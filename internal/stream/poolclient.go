@@ -205,7 +205,7 @@ func isRemoteAnswer(err error) bool {
 // to its floor instead of retrying into a dead peer.
 //
 // A lent read (FetchEach) may fail over only because a fetch answer is
-// checked whole (wireDecoder.messageCount) before its first message is
+// checked whole (wireDecoder.walkAnswer) before its first message is
 // lent: an error never follows a delivered message, so the read repeated
 // on the next link lends nothing twice.
 func (p *PoolClient) do(key []byte, op func(c *TCPClient) error) error {

@@ -193,7 +193,7 @@ func (rc *RetryClient) Addr() string { return rc.address() }
 // address the refusal named, and retries there.
 //
 // A lent read (FetchEach) may run op again only because a fetch answer is
-// checked whole (wireDecoder.messageCount) before its first message is
+// checked whole (wireDecoder.walkAnswer) before its first message is
 // lent: an error never follows a delivered message, so a retried read
 // lends nothing twice.
 func (rc *RetryClient) do(_ []byte, op func(c *TCPClient) error) error {

@@ -303,17 +303,18 @@ func TestRetryClientFullSurface(t *testing.T) {
 // answer is checked whole before its first message is lent.
 func TestLentFetchLendsOnceAcrossAKilledConnection(t *testing.T) {
 	const partitions, perPart = 3, 4
-	answer := func(partition int32, cut int) []byte {
-		var msgs []Message
-		for i := 0; i < perPart; i++ {
-			value := append([]byte(fmt.Sprintf("p%d-%d", partition, i)), make([]byte, 45)...)
-			msgs = append(msgs, Message{Topic: "t", Partition: partition, Offset: int64(i), Key: []byte("car-1"), Value: value})
+	answer := func(reads []PartitionRead, cut int) []byte {
+		var sections []answerSection
+		for _, r := range reads {
+			s := answerSection{partition: r.Partition}
+			for i := 0; i < perPart; i++ {
+				value := append([]byte(fmt.Sprintf("p%d-%d", r.Partition, i)), make([]byte, 45)...)
+				s.msgs = append(s.msgs, Message{Key: []byte("car-1"), Value: value})
+			}
+			sections = append(sections, s)
 		}
-		var enc wireEncoder
-		enc.reset(respFetch)
-		enc.messages(msgs)
-		enc.buf = enc.buf[:len(enc.buf)-cut]
-		return append([]byte(nil), enc.frame()...)
+		frame, _ := encodeAnswer(sections, cut)
+		return frame
 	}
 	for _, kind := range []string{"retry", "pool"} {
 		t.Run(kind, func(t *testing.T) {
@@ -328,7 +329,7 @@ func TestLentFetchLendsOnceAcrossAKilledConnection(t *testing.T) {
 				if _, err := readFrame(conn, DefaultMaxFrameSize); err != nil {
 					return
 				}
-				if _, err := conn.Write(helloFrame(respHello, protocolV2, DefaultMaxFrameSize, 0)); err != nil {
+				if _, err := conn.Write(helloFrame(respHello, protocolVersion, DefaultMaxFrameSize, 0)); err != nil {
 					return
 				}
 				for {
@@ -336,14 +337,17 @@ func TestLentFetchLendsOnceAcrossAKilledConnection(t *testing.T) {
 					if err != nil {
 						return
 					}
-					dec := wireDecoder{buf: req[1+corrSize:]}
-					dec.str()
-					partition := int32(dec.u32())
-					resp := answer(partition, 0)
-					kill := partition == 1 && killed.CompareAndSwap(false, true)
-					if kill {
-						resp = answer(partition, 140)
+					dec := frameDecoder(req)
+					_, _, reads, err := decodeFetchRequest(&dec, nil)
+					if err != nil || len(reads) != 1 {
+						return
 					}
+					kill := reads[0].Partition == 1 && killed.CompareAndSwap(false, true)
+					cut := 0
+					if kill {
+						cut = 100
+					}
+					resp := answer(reads, cut)
 					copy(resp[5:5+corrSize], req[1:1+corrSize])
 					if _, err := conn.Write(resp); err != nil || kill {
 						return

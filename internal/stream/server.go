@@ -134,10 +134,29 @@ func (s *Server) acceptLoop() {
 }
 
 // connState is what one connection's handler reuses from request to
-// request: the response encoder and the record views of a batch produce.
+// request.
 type connState struct {
-	enc  wireEncoder
-	recs []BatchRecord
+	enc   wireEncoder
+	recs  []BatchRecord   // the record views of a batch produce
+	reads []PartitionRead // the reads of a fetch
+	topic string          // the last topic name a request named
+	put   func(Message)   // putRecord, bound once
+	next  int64           // the offset past the last record put wrote
+}
+
+// putRecord writes one record of a fetch answer's open section.
+func (cs *connState) putRecord(m Message) {
+	cs.next = m.Offset + 1
+	cs.enc.record(m)
+}
+
+// topicName returns raw as a string, reusing the last one while requests
+// keep naming the same topic.
+func (cs *connState) topicName(raw []byte) string {
+	if string(raw) != cs.topic {
+		cs.topic = string(raw)
+	}
+	return cs.topic
 }
 
 // maxKeptBatchRecs bounds the record-view slice a connection keeps between
@@ -156,13 +175,14 @@ func (cs *connState) dropRecs() {
 }
 
 // serveConn runs one connection. Its first frame must be a hello
-// announcing protocol v2 or later; anything else closes the connection
-// before a request is handled. After the answer every frame carries a
-// correlation ID that is echoed on its response. Requests are handled in
-// order (responses stay in request order — the pipelining win is that the
-// client no longer waits a round trip between them), reads are buffered,
-// and responses coalesce into one write per burst so a saturating client
-// costs one syscall per direction per batch of frames, not per request.
+// announcing protocolVersion or later; anything else closes the
+// connection before a request is handled. After the answer every frame
+// carries a correlation ID that is echoed on its response. Requests are
+// handled in order (responses stay in request order — the pipelining win
+// is that the client no longer waits a round trip between them), reads
+// are buffered, and responses coalesce into one write per burst so a
+// saturating client costs one syscall per direction per batch of frames,
+// not per request.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -173,18 +193,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	ok := hello[0] == reqHello && len(hello) >= 1+helloBodySize
 	if ok {
 		clientVersion, _, _ := readHelloBody(hello[1:])
-		ok = clientVersion >= protocolV2
+		ok = clientVersion >= protocolVersion
 	}
 	putFrame(hello)
 	if !ok {
 		return
 	}
-	if _, err := conn.Write(helloFrame(respHello, protocolV2, s.maxFrame, 0)); err != nil {
+	if _, err := conn.Write(helloFrame(respHello, protocolVersion, s.maxFrame, 0)); err != nil {
 		return
 	}
 
 	const flushThreshold = 64 << 10
 	var cs connState
+	cs.put = cs.putRecord
 	enc := &cs.enc
 	var wbuf []byte
 	for {
@@ -233,17 +254,14 @@ func (s *Server) handle(cs *connState, msgType byte, payload []byte) ([]byte, er
 		return enc.frame(), nil
 
 	case reqProduce:
-		topicName := dec.str()
+		topicName := cs.topicName(dec.raw())
 		partition := int32(dec.u32())
 		// Zero-copy views into the request frame: the broker clones on
 		// Produce, and the frame outlives this call.
-		key := dec.raw()
+		key := orNil(dec.raw())
 		value := dec.raw()
 		if dec.err != nil {
 			return nil, dec.err
-		}
-		if len(key) == 0 {
-			key = nil
 		}
 		part, off, err := s.broker.Produce(topicName, partition, key, value)
 		if err != nil {
@@ -262,12 +280,13 @@ func (s *Server) handle(cs *connState, msgType byte, payload []byte) ([]byte, er
 		// same-partition run — and the per-record results stream into the
 		// response frame.
 		defer cs.dropRecs()
-		topicName, partition, n, err := decodeBatchRequest(&dec, func(i int, _ string, _ int32, key, value []byte) {
+		topic, partition, n, err := decodeBatchRequest(&dec, func(i int, key, value []byte) {
 			cs.recs = append(cs.recs, BatchRecord{Key: key, Value: value})
 		})
 		if err != nil {
 			return nil, err
 		}
+		topicName := cs.topicName(topic)
 		enc.reset(respProduceBatch)
 		enc.u32(uint32(n))
 		berr := s.broker.ProduceBatch(topicName, partition, cs.recs, func(i int, part int32, off int64, perr error) {
@@ -299,23 +318,28 @@ func (s *Server) handle(cs *connState, msgType byte, payload []byte) ([]byte, er
 		return enc.frame(), nil
 
 	case reqFetch:
-		topicName := dec.str()
-		partition := int32(dec.u32())
-		offset := int64(dec.u64())
-		max := int(dec.u32())
-		if dec.err != nil {
-			return nil, dec.err
-		}
-		// The response frame is encoded straight out of the partition log:
-		// the count is patched in once the broker has said how many.
-		enc.reset(respFetch)
-		countAt := len(enc.buf)
-		enc.u32(0)
-		n, err := s.broker.FetchEach(topicName, partition, offset, max, enc.message)
-		if err != nil {
+		// The reads go in turn, each for what is still wanted, and each
+		// answer section is written straight out of the partition log.
+		topic, max, reads, err := decodeFetchRequest(&dec, cs.reads[:0])
+		if cs.reads = reads; err != nil {
 			return nil, err
 		}
-		binary.BigEndian.PutUint32(enc.buf[countAt:], uint32(n))
+		topicName := cs.topicName(topic)
+		enc.reset(respFetch)
+		for _, r := range reads {
+			if max <= 0 {
+				break
+			}
+			at := enc.openSection(r.Partition)
+			cs.next = r.Offset
+			n, err := s.broker.FetchEach(topicName, r.Partition, r.Offset, max, cs.put)
+			if err != nil {
+				enc.failSection(at, errorWireMessage(err))
+				continue
+			}
+			enc.closeSection(at, n, cs.next-int64(n))
+			max -= n
+		}
 		return enc.frame(), nil
 
 	case reqPartitionCount:
@@ -410,7 +434,10 @@ type TCPClient struct {
 	closed   bool
 
 	// Reused vectored-write scratch for batch flushes (guarded by mu).
+	// WriteTo consumes the buffers it is called on, so it runs on sent, a
+	// copy of iov: iov keeps the backing array for the next batch.
 	iov   net.Buffers
+	sent  net.Buffers
 	arena []byte
 
 	pipe *pipeState
@@ -577,16 +604,11 @@ func (c *TCPClient) CreateTopic(name string, partitions int) error {
 //cad3:noalloc
 func (c *TCPClient) Produce(topicName string, partition int32, key, value []byte) (int32, int64, error) {
 	p := c.pipe
-	ch, err := p.acquire(true)
+	ch, err := p.acquire()
 	if err != nil {
 		return 0, 0, err
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		p.release(ch)
-		return 0, 0, ErrClientClosed
-	}
 	if err := c.pipeIssueLocked(ch, reqProduce); err != nil {
 		c.mu.Unlock()
 		p.release(ch)
@@ -617,21 +639,13 @@ func (c *TCPClient) Produce(topicName string, partition int32, key, value []byte
 	return part, off, err
 }
 
-// Fetch reads up to max messages from offset, as clones the caller owns.
-// Client reads are lent (FetchEach).
+// Fetch reads up to max messages from offset, as clones the caller owns:
+// a FetchEach of one read. Client reads are lent (FetchEach).
 func (c *TCPClient) Fetch(topicName string, partition int32, offset int64, max int) ([]Message, error) {
-	ch, err := c.fetchIssue(topicName, partition, offset, max, true)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := c.fetchAwait(ch)
-	if err != nil {
-		return nil, err
-	}
-	msgs := dec.messages(nil, topicName, max)
-	err = dec.err
-	dec.release()
-	return msgs, err
+	reads := []PartitionRead{{Partition: partition, Offset: offset}}
+	var msgs []Message
+	c.FetchEach(topicName, reads, max, func(m Message) { msgs = append(msgs, m.owning()) })
+	return msgs, reads[0].Err
 }
 
 // ListTopics implements Client.

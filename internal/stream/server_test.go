@@ -195,26 +195,28 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// decodeAnswer checks a fetch answer payload to reads and, if it passes,
+// returns pooled clones of the records it lends, or the error.
+func decodeAnswer(payload []byte, topic string, reads []PartitionRead, max int) ([]Message, error) {
+	dec := wireDecoder{buf: payload}
+	if _, err := dec.walkAnswer(topic, reads, max, nil); err != nil {
+		return nil, err
+	}
+	dec.pos = 0
+	var out []Message
+	_, err := dec.walkAnswer(topic, reads, max, func(m Message) { out = append(out, m.owning()) })
+	return out, err
+}
+
 func TestWireCodecRoundTripProperty(t *testing.T) {
 	f := func(topic string, partition int32, offset int64, key, value []byte) bool {
 		if len(topic) > 1000 || len(key) > 10000 || len(value) > 10000 {
 			return true
 		}
-		in := []Message{{
-			Topic:      topic,
-			Partition:  partition,
-			Offset:     offset,
-			Key:        key,
-			Value:      value,
-			AppendedAt: time.Unix(0, 1467331200000000000),
-		}}
-		var enc wireEncoder
-		enc.reset(respFetch)
-		enc.messages(in)
-		frame := enc.frame()
-		dec := wireDecoder{buf: frame[frameHeaderSize:]}
-		out := dec.messages(nil, "", 1<<20)
-		if dec.err != nil || len(out) != 1 {
+		in := Message{Key: key, Value: value, AppendedAt: time.Unix(0, 1467331200000000000)}
+		frame, _ := encodeAnswer([]answerSection{{partition: partition, base: offset, msgs: []Message{in}}}, 0)
+		out, err := decodeAnswer(frame[frameHeaderSize:], topic, []PartitionRead{{Partition: partition}}, 1)
+		if err != nil || len(out) != 1 {
 			return false
 		}
 		m := out[0]
@@ -229,15 +231,11 @@ func TestWireCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestWireDecoderTruncatedInput(t *testing.T) {
-	var enc wireEncoder
-	enc.reset(respFetch)
-	enc.messages([]Message{{Topic: "t", Key: []byte("k"), Value: []byte("v")}})
-	frame := enc.frame()
+	frame, _ := encodeAnswer([]answerSection{{msgs: []Message{{Key: []byte("k"), Value: []byte("v")}}}}, 0)
 	// Chop the payload progressively; the decoder must error, not panic.
 	for cut := frameHeaderSize; cut < len(frame)-1; cut++ {
-		dec := wireDecoder{buf: frame[frameHeaderSize:cut]}
-		if msgs := dec.messages(nil, "", 1<<20); dec.err == nil && len(msgs) == 1 {
-			t.Fatalf("truncated frame of %d bytes decoded successfully", cut)
+		if msgs, err := decodeAnswer(frame[frameHeaderSize:cut], "t", []PartitionRead{{}}, 1<<20); err == nil {
+			t.Fatalf("truncated frame of %d bytes decoded successfully (%d messages)", cut, len(msgs))
 		}
 	}
 }
@@ -279,7 +277,7 @@ func TestServerAnswersUnknownRequestType(t *testing.T) {
 	}
 	defer raw.Close()
 	_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := raw.Write(helloFrame(reqHello, protocolV2, DefaultMaxFrameSize, 8)); err != nil {
+	if _, err := raw.Write(helloFrame(reqHello, protocolVersion, DefaultMaxFrameSize, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if hello, err := readFrame(raw, DefaultMaxFrameSize); err != nil || hello[0] != respHello {

@@ -6,10 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 )
 
-// Wire protocol (v2): every frame is a uint32 big-endian length followed
+// Wire protocol (v3): every frame is a uint32 big-endian length followed
 // by a one-byte message type, a uint32 correlation ID and a type-specific
 // payload. Strings and byte slices are length-prefixed with uint32.
 //
@@ -72,9 +71,26 @@ const (
 	respHighWater byte = 123
 )
 
-// protocolV2 is the protocol version a hello announces: correlation IDs,
-// pipelining and batched produce. A server refuses any lower version.
-const protocolV2 = 2
+// protocolVersion is what a hello announces: v2 brought correlation IDs,
+// pipelining and batched produce, v3 one fetch frame per poll. Either side
+// refuses a peer that announces a lower version.
+const protocolVersion = 3
+
+// A reqFetch carries a whole poll: topic, max, a read count, then that
+// many (partition u32, offset u64). Its respFetch answers the reads in
+// request order until max records are read, one section per read: the
+// partition u32 and a status byte — fetchOK, then a record count u32, the
+// base offset u64 and count × (appendedAtNs u64, key, value), or
+// fetchFailed, then the error string. Record i of a section sits at
+// offset base+i, in the request's topic.
+const (
+	fetchOK     byte = 0
+	fetchFailed byte = 1
+	// fetchReadSize is one (partition, offset) read of a reqFetch, and
+	// maxFetchReads bounds them: a poll reads each partition once.
+	fetchReadSize = 12
+	maxFetchReads = 1 << 10
+)
 
 // DefaultMaxFrameSize bounds a single frame to defend against corrupt
 // lengths. Both Server and Dial accept an override (ServerConfig /
@@ -82,7 +98,7 @@ const protocolV2 = 2
 // the default, and tests shrink it to exercise rejection.
 const DefaultMaxFrameSize = 8 << 20
 
-// Fixed v2 layout sizes, cross-checked against the encoders by
+// Fixed layout sizes, cross-checked against the encoders by
 // cad3-vet's wirelayout analyzer.
 const (
 	// helloBodySize is the fixed hello payload: version u32, max frame
@@ -250,6 +266,15 @@ func (d *wireDecoder) raw() []byte {
 
 func (d *wireDecoder) str() string { return string(d.raw()) }
 
+// orNil returns b, or nil when it is empty: an empty key or value decodes
+// as nil.
+func orNil(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b
+}
+
 // release returns the decoder's frame buffer to the pool. Only valid on
 // decoders over a whole frame body from readFrame (frameDecoder), after
 // every field (including raw views) has been consumed or copied.
@@ -312,35 +337,53 @@ const maxBatchRecords = 1 << 16
 
 // decodeBatchRequest parses a reqProduceBatch payload — topic, partition,
 // count, then count × (key, value) — invoking fn per record with
-// zero-copy views into the frame. It is the single decode path for the
-// server handler and the fuzz harness: whatever the bytes, it must
-// either error out or visit exactly n internally-consistent records
-// without reading past the buffer. Empty keys decode as nil (round-robin
-// partitioning).
-func decodeBatchRequest(dec *wireDecoder, fn func(i int, topic string, partition int32, key, value []byte)) (topic string, partition int32, n int, err error) {
-	topic = dec.str()
+// zero-copy views into the frame; the topic is a view too. It is the
+// single decode path for the server handler and the fuzz harness:
+// whatever the bytes, it must either error out or visit exactly n
+// internally-consistent records without reading past the buffer. Empty
+// keys decode as nil (round-robin partitioning).
+func decodeBatchRequest(dec *wireDecoder, fn func(i int, key, value []byte)) (topic []byte, partition int32, n int, err error) {
+	topic = dec.raw()
 	partition = int32(dec.u32())
 	n = int(dec.u32())
 	if dec.err != nil {
-		return "", 0, 0, dec.err
+		return nil, 0, 0, dec.err
 	}
 	if n < 0 || n > maxBatchRecords {
-		return "", 0, 0, fmt.Errorf("stream: implausible batch record count %d", n)
+		return nil, 0, 0, fmt.Errorf("stream: implausible batch record count %d", n)
 	}
 	for i := 0; i < n; i++ {
-		key := dec.raw()
+		key := orNil(dec.raw())
 		value := dec.raw()
 		if dec.err != nil {
-			return "", 0, 0, dec.err
-		}
-		if len(key) == 0 {
-			key = nil
+			return nil, 0, 0, dec.err
 		}
 		if fn != nil {
-			fn(i, topic, partition, key, value)
+			fn(i, key, value)
 		}
 	}
 	return topic, partition, n, nil
+}
+
+// decodeFetchRequest parses a reqFetch payload — the topic as a view of
+// the frame, max, and the reads, appended to reads. It is the server's
+// parse and the fuzz harness's: whatever the bytes, it errors out or
+// returns exactly the reads the frame holds, their count checked against
+// the bytes left before any is read.
+func decodeFetchRequest(dec *wireDecoder, reads []PartitionRead) (topic []byte, max int, _ []PartitionRead, err error) {
+	topic = dec.raw()
+	max = int(dec.u32())
+	n := int(dec.u32())
+	if dec.err != nil {
+		return nil, 0, reads, dec.err
+	}
+	if n > maxFetchReads || n*fetchReadSize > len(dec.buf)-dec.pos {
+		return nil, 0, reads, fmt.Errorf("stream: implausible fetch read count %d", n)
+	}
+	for i := 0; i < n; i++ {
+		reads = append(reads, PartitionRead{Partition: int32(dec.u32()), Offset: int64(dec.u64())})
+	}
+	return topic, max, reads, nil
 }
 
 // decodeReplicateRequest parses a reqReplicate payload — topic,
@@ -362,14 +405,11 @@ func decodeReplicateRequest(dec *wireDecoder, fn func(i int, rec ReplicaRecord))
 		return "", 0, 0, 0, 0, fmt.Errorf("stream: implausible replicate record count %d", n)
 	}
 	for i := 0; i < n; i++ {
-		key := dec.raw()
+		key := orNil(dec.raw())
 		value := dec.raw()
 		atNs := int64(dec.u64())
 		if dec.err != nil {
 			return "", 0, 0, 0, 0, dec.err
-		}
-		if len(key) == 0 {
-			key = nil
 		}
 		if fn != nil {
 			fn(i, ReplicaRecord{Key: key, Value: value, AppendedAtNs: atNs})
@@ -378,89 +418,84 @@ func decodeReplicateRequest(dec *wireDecoder, fn func(i int, rec ReplicaRecord))
 	return topic, partition, epoch, base, n, nil
 }
 
-// message appends one message of a list.
-func (e *wireEncoder) message(m Message) {
-	e.str(m.Topic)
-	e.u32(uint32(m.Partition))
-	e.u64(uint64(m.Offset))
+// openSection starts an ok section of a fetch answer for partition and
+// returns where it starts: records follow, and closeSection or
+// failSection finishes it.
+func (e *wireEncoder) openSection(partition int32) int {
+	at := len(e.buf)
+	e.u32(uint32(partition))
+	e.byte1(fetchOK)
+	e.u32(0)
+	e.u64(0)
+	return at
+}
+
+// record appends one record of a section.
+func (e *wireEncoder) record(m Message) {
 	e.u64(uint64(m.AppendedAt.UnixNano()))
 	e.bytes(m.Key)
 	e.bytes(m.Value)
 }
 
-// messages appends a message list to the encoder.
-func (e *wireEncoder) messages(msgs []Message) {
-	e.u32(uint32(len(msgs)))
-	for _, m := range msgs {
-		e.message(m)
-	}
+// closeSection patches the section opened at at: n records from base on.
+func (e *wireEncoder) closeSection(at, n int, base int64) {
+	binary.BigEndian.PutUint32(e.buf[at+5:], uint32(n))
+	binary.BigEndian.PutUint64(e.buf[at+9:], uint64(base))
 }
 
-// message decodes one message of a list as views of the frame: Key and
-// Value alias the decoder's buffer (zero-length fields decode as nil).
-// topicHint, when non-empty, is the topic the caller asked for: a message
-// whose topic matches reuses the hint string instead of allocating one —
-// on the fetch hot path every message in the frame matches.
-func (d *wireDecoder) message(topicHint string) Message {
-	var m Message
-	if raw := d.raw(); topicHint != "" && string(raw) == topicHint {
-		m.Topic = topicHint
-	} else {
-		m.Topic = string(raw)
-	}
-	m.Partition = int32(d.u32())
-	m.Offset = int64(d.u64())
-	m.AppendedAt = timeFromUnixNano(int64(d.u64()))
-	if m.Key = d.raw(); len(m.Key) == 0 {
-		m.Key = nil
-	}
-	if m.Value = d.raw(); len(m.Value) == 0 {
-		m.Value = nil
-	}
-	return m
+// failSection turns the section opened at at into a failed one.
+func (e *wireEncoder) failSection(at int, msg string) {
+	e.buf = e.buf[:at+4]
+	e.byte1(fetchFailed)
+	e.str(msg)
 }
 
-// messageCount opens a message list: it returns how many messages to
-// decode — at most limit, the rest of the frame is left unread — and leaves
-// the decoder at the first. The list is walked once here, so a malformed
-// frame sets d.err and counts nothing.
-func (d *wireDecoder) messageCount(topicHint string, limit int) int {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > 1<<20 {
-		if d.err == nil {
-			d.err = fmt.Errorf("stream: implausible message count %d", n)
+// walkAnswer walks a fetch answer to reads. With fn nil it is the check,
+// over lengths only, that an answer passes before anything of it may be
+// lent: its sections answer a prefix of reads in order, hold at most max
+// records, and stop short of the reads only once max is met. With fn, over
+// an answer that passed, it lends fn each record, decoded once as views of
+// the frame (empty fields as nil), sets the Err of each read the broker
+// refused, and returns how many records it lent.
+func (d *wireDecoder) walkAnswer(topic string, reads []PartitionRead, max int, fn func(Message)) (int, error) {
+	want, i := max, 0
+	m := Message{Topic: topic}
+	for ; d.pos < len(d.buf) && d.err == nil; i++ {
+		if i == len(reads) {
+			return 0, fmt.Errorf("stream: fetch answer of more sections than its %d reads", len(reads))
 		}
-		return 0
+		m.Partition = int32(d.u32())
+		n, base := 0, int64(0)
+		switch d.byte1() {
+		case fetchOK:
+			n, base = int(d.u32()), int64(d.u64())
+		case fetchFailed:
+			if failure := d.raw(); fn != nil {
+				reads[i].Err = remoteError(string(failure))
+			}
+		default:
+			if d.err == nil {
+				d.err = errors.New("stream: bad fetch section status")
+			}
+		}
+		if d.err == nil && m.Partition != reads[i].Partition {
+			return 0, fmt.Errorf("stream: fetch answer section %d is partition %d, read %d", i, m.Partition, reads[i].Partition)
+		}
+		if n > want {
+			return 0, fmt.Errorf("stream: fetch answer holds more than the %d records asked for", max)
+		}
+		want -= n
+		for j := 0; j < n && d.err == nil; j++ {
+			at, key, value := d.u64(), d.raw(), d.raw()
+			if fn != nil {
+				m.Offset, m.AppendedAt = base+int64(j), timeFromUnixNano(int64(at))
+				m.Key, m.Value = orNil(key), orNil(value)
+				fn(m)
+			}
+		}
 	}
-	n = max(min(n, limit), 0)
-	first := d.pos
-	for i := 0; i < n; i++ {
-		d.message(topicHint)
+	if d.err == nil && i < len(reads) && want > 0 {
+		d.err = fmt.Errorf("stream: fetch answer stops at read %d of %d short of %d records", i, len(reads), max)
 	}
-	if d.err != nil {
-		return 0
-	}
-	d.pos = first
-	return n
-}
-
-// eachMessage lends fn the messages of a list, at most limit of them, as
-// views good until the frame is released, and returns how many there were.
-func (d *wireDecoder) eachMessage(topicHint string, limit int, fn func(Message)) int {
-	n := d.messageCount(topicHint, limit)
-	for i := 0; i < n; i++ {
-		fn(d.message(topicHint))
-	}
-	return n
-}
-
-// messages appends a decoded message list to dst, at most limit of them.
-// Key and Value are pooled clones the caller owns.
-func (d *wireDecoder) messages(dst []Message, topicHint string, limit int) []Message {
-	n := d.messageCount(topicHint, limit)
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, d.message(topicHint).owning())
-	}
-	return dst
+	return max - want, d.err
 }
