@@ -160,14 +160,14 @@ type hoRow struct {
 
 // Driver owns one city run.
 type Driver struct {
-	cfg  Config
-	sim  *netem.Simulator
-	part *geo.CityPartition
-	segs []geo.SegmentID
+	cfg   Config
+	sim   *netem.Simulator
+	part  *geo.CityPartition
+	table []segEntry
 
 	shards   []*shard
 	router   *stream.SummaryRouter
-	vehicles []*cityVehicle
+	vehicles []cityVehicle // one array, hot fields first
 
 	m   *cityMetrics
 	rng splitmix
@@ -212,9 +212,7 @@ func NewDriver(cfg Config) (*Driver, error) {
 	}
 	d.start = d.sim.Now()
 	d.end = d.start.Add(cfg.Duration)
-	for _, seg := range cfg.Network.AllSegments() {
-		d.segs = append(d.segs, seg.ID)
-	}
+	d.table = newSegTable(part)
 	d.router = stream.NewSummaryRouter(stream.RouterConfig{Metrics: cfg.Metrics})
 	for i := 0; i < cfg.Shards; i++ {
 		s, err := newShard(d, i)

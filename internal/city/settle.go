@@ -16,8 +16,9 @@ func (d *Driver) settle() {
 	// is exactly d.end; a stepped driver (scenario harness) settles at
 	// whatever instant it stopped advancing.
 	endMs := d.sim.Now().UnixMilli()
-	for _, v := range d.vehicles {
-		if v == nil {
+	for i := range d.vehicles {
+		v := &d.vehicles[i]
+		if v.move == nil { // never spawned
 			continue
 		}
 		d.shards[v.shard].dwellMs += endMs - v.enteredMs

@@ -19,35 +19,72 @@ import (
 // once at spawn), so a firing allocates nothing; what a hop carries from
 // scheduling to firing lives in bound.
 type cityVehicle struct {
-	car trace.CarID
-	rng splitmix
-
-	// segment is the road the vehicle is on and row its RSU sites in
-	// along order, looked up once on segment entry (enterSegment)
-	// instead of on every hop.
-	segment  *geo.Segment
-	row      []geo.RSUSite
+	// The fields a move hop touches fill the first 64 bytes, one cache
+	// line of the fleet's array.
 	alongM   float64
 	speedMps float64
 	// bound is where the pending move event lands: the next site
 	// boundary ahead, or the segment length.
 	bound float64
+	// seg is the road the vehicle is on, as an index into Driver.table,
+	// and lengthM that road's length.
+	lengthM float64
+	move    func()
+	seg     int32
+	site    int32 // ID of the serving RSU site
+	shard   int
+	rng     splitmix
 
-	move, telemetry func()
-
-	site  geo.RSUSite
-	shard int
+	telemetry func()
+	car       trace.CarID
 	// enteredMs is when the vehicle entered its current shard (dwell
 	// accounting for the skew gauges).
 	enteredMs int64
-
-	// hoSeq numbers this vehicle's shard handovers (ledger key).
-	hoSeq int32
 	// lastTsMs keeps telemetry timestamps strictly increasing per
 	// vehicle, so (car, timestamp) is a unique ledger key.
 	lastTsMs int64
+	keyBuf   []byte // "car-<id>", reused for every produce
+	// hoSeq numbers this vehicle's shard handovers (ledger key).
+	hoSeq int32
+}
 
-	keyBuf []byte // "car-<id>", reused for every produce
+// segEntry is one row of the driver's per-segment table: everything a
+// vehicle hop needs about the road it is on, so entering a segment,
+// walking to a successor and crossing a site boundary make no map or
+// partition lookup.
+type segEntry struct {
+	seg     *geo.Segment
+	lengthM float64
+	// row is the segment's RSU sites in along order and shards the shard
+	// of each.
+	row    []geo.RSUSite
+	shards []int
+	// next holds the successor segments' table indices, in Connect order.
+	next []int32
+}
+
+// newSegTable builds the per-segment table in segment ID order, the
+// order a spawn or dead-end teleport draws from.
+func newSegTable(part *geo.CityPartition) []segEntry {
+	segs := part.Net.AllSegments()
+	index := make(map[geo.SegmentID]int32, len(segs))
+	for i, seg := range segs {
+		index[seg.ID] = int32(i)
+	}
+	table := make([]segEntry, len(segs))
+	for i, seg := range segs {
+		e := &table[i]
+		e.seg, e.lengthM = seg, seg.LengthMeters()
+		e.row = part.SitesOf(seg.ID)
+		e.shards = make([]int, len(e.row))
+		for j, site := range e.row {
+			e.shards[j] = part.ShardOfSite(site.ID)
+		}
+		for _, id := range part.Net.Successors(seg.ID) {
+			e.next = append(e.next, index[id])
+		}
+	}
+	return table
 }
 
 // minMoveMeters clamps a movement hop so boundary epsilons cannot
@@ -57,44 +94,42 @@ const minMoveMeters = 0.5
 // spawnVehicles places the fleet uniformly over the network and starts
 // each vehicle's movement and telemetry event chains.
 func (d *Driver) spawnVehicles() {
-	d.vehicles = make([]*cityVehicle, d.cfg.Vehicles)
+	d.vehicles = make([]cityVehicle, d.cfg.Vehicles)
 	for i := range d.vehicles {
-		v := &cityVehicle{
-			car: trace.CarID(i + 1),
-			rng: newSplitmix(d.rng.next()),
-		}
-		d.enterSegment(v, d.segs[v.rng.intn(len(d.segs))])
-		v.alongM = v.rng.float() * v.segment.LengthMeters()
-		v.refreshSpeed()
-		site, ok := geo.NearestSite(v.row, v.alongM)
+		v := &d.vehicles[i]
+		v.car = trace.CarID(i + 1)
+		v.rng = newSplitmix(d.rng.next())
+		d.enterSegment(v, v.rng.intn(len(d.table)))
+		e := &d.table[v.seg]
+		v.alongM = v.rng.float() * v.lengthM
+		v.refreshSpeed(e.seg.Type)
+		j, ok := geo.NearestSite(e.row, v.alongM)
 		if !ok {
 			// Every segment gets >= 1 site at partitioning; unreachable.
 			continue
 		}
-		v.site = site
-		v.shard = d.part.ShardOfSite(site.ID)
+		v.site = int32(e.row[j].ID)
+		v.shard = e.shards[j]
 		v.enteredMs = d.nowMs()
 		v.keyBuf = append([]byte("car-"), strconv.Itoa(i+1)...)
 		v.move = func() { d.onMove(v) }
 		v.telemetry = func() { d.onTelemetry(v) }
-		d.vehicles[i] = v
 		d.scheduleMove(v)
 		d.scheduleTelemetry(v)
 	}
 }
 
-// enterSegment puts the vehicle at the start of seg and caches what
-// every hop along it needs.
-func (d *Driver) enterSegment(v *cityVehicle, seg geo.SegmentID) {
+// enterSegment puts the vehicle at the start of table entry seg.
+func (d *Driver) enterSegment(v *cityVehicle, seg int) {
 	v.alongM = 0
-	v.segment = d.part.Net.Segment(seg)
-	v.row = d.part.SitesOf(seg)
+	v.seg = int32(seg)
+	v.lengthM = d.table[seg].lengthM
 }
 
 // refreshSpeed redraws the vehicle's speed for its segment: 75%..125%
 // of the road-type limit.
-func (v *cityVehicle) refreshSpeed() {
-	limit := v.segment.Type.SpeedLimitKmh()
+func (v *cityVehicle) refreshSpeed(t geo.RoadType) {
+	limit := t.SpeedLimitKmh()
 	v.speedMps = limit * (0.75 + 0.5*v.rng.float()) / 3.6
 	if v.speedMps < 1 {
 		v.speedMps = 1
@@ -102,25 +137,24 @@ func (v *cityVehicle) refreshSpeed() {
 }
 
 // nextBoundary returns the along-track position of the next RSU site
-// boundary ahead of the vehicle (the midpoint between consecutive site
-// centers), or the segment length when the rest of the segment is one
-// coverage stretch.
-func (v *cityVehicle) nextBoundary() float64 {
-	row := v.row
+// boundary ahead of the vehicle on row (the midpoint between consecutive
+// site centers), or the segment length when the rest of the segment is
+// one coverage stretch.
+func (v *cityVehicle) nextBoundary(row []geo.RSUSite) float64 {
 	for i := 0; i+1 < len(row); i++ {
 		mid := (row[i].AlongMeters + row[i+1].AlongMeters) / 2
 		if mid > v.alongM+1e-6 {
 			return mid
 		}
 	}
-	return v.segment.LengthMeters()
+	return v.lengthM
 }
 
 // scheduleMove schedules the vehicle's next site-boundary or
 // segment-end crossing. Each firing reschedules the next, so a vehicle
 // costs O(crossings) events, not O(ticks).
 func (d *Driver) scheduleMove(v *cityVehicle) {
-	v.bound = v.nextBoundary()
+	v.bound = v.nextBoundary(d.table[v.seg].row)
 	dist := v.bound - v.alongM
 	if dist < minMoveMeters {
 		dist = minMoveMeters
@@ -135,7 +169,7 @@ func (d *Driver) scheduleMove(v *cityVehicle) {
 // onMove lands the pending hop: onto the next segment when it reached
 // the end of this one, just past the site boundary otherwise.
 func (d *Driver) onMove(v *cityVehicle) {
-	if v.bound >= v.segment.LengthMeters()-1e-6 {
+	if v.bound >= v.lengthM-1e-6 {
 		d.advanceSegment(v)
 	} else {
 		v.alongM = v.bound + 0.01
@@ -150,25 +184,28 @@ func (d *Driver) onMove(v *cityVehicle) {
 // teleports it to a random one at a dead end (counted — the synthetic
 // graph keeps these rare after densification).
 func (d *Driver) advanceSegment(v *cityVehicle) {
-	next, ok := d.part.Net.NextSegment(v.segment.ID, v.rng.intn)
-	if !ok {
-		next = d.segs[v.rng.intn(len(d.segs))]
+	var next int
+	if succ := d.table[v.seg].next; len(succ) > 0 {
+		next = int(succ[v.rng.intn(len(succ))])
+	} else {
+		next = v.rng.intn(len(d.table))
 		d.m.routeResets.Inc()
 	}
 	d.enterSegment(v, next)
-	v.refreshSpeed()
+	v.refreshSpeed(d.table[next].seg.Type)
 }
 
 // relocate re-map-matches the vehicle after a move and runs the
 // handover protocol on site and shard crossings.
 func (d *Driver) relocate(v *cityVehicle) {
-	site, ok := geo.NearestSite(v.row, v.alongM)
-	if !ok || site.ID == v.site.ID {
+	e := &d.table[v.seg]
+	i, ok := geo.NearestSite(e.row, v.alongM)
+	if !ok || e.row[i].ID == int(v.site) {
 		return
 	}
-	v.site = site
+	v.site = int32(e.row[i].ID)
 	d.m.siteHandovers.Inc()
-	if next := d.part.ShardOfSite(site.ID); next != v.shard {
+	if next := e.shards[i]; next != v.shard {
 		d.handover(v, next)
 	}
 }
@@ -223,7 +260,7 @@ func (d *Driver) onTelemetry(v *cityVehicle) {
 // rows.
 func (d *Driver) emitTelemetry(v *cityVehicle) {
 	abnormal := v.rng.float()*(d.cfg.EventsPerVehicleHour+d.cfg.ProbesPerVehicleHour) < d.cfg.EventsPerVehicleHour
-	seg := v.segment
+	seg := d.table[v.seg].seg
 	limit := seg.Type.SpeedLimitKmh()
 	ts := d.nowMs()
 	if ts <= v.lastTsMs {
@@ -240,7 +277,7 @@ func (d *Driver) emitTelemetry(v *cityVehicle) {
 		RoadMeanSpeed: limit * 0.9,
 		TimestampMs:   ts,
 	}
-	pos := seg.PointAt(v.alongM / maxf(seg.LengthMeters(), 1e-9))
+	pos := seg.PointAt(v.alongM / maxf(v.lengthM, 1e-9))
 	rec.Lat, rec.Lon = pos.Lat, pos.Lon
 	if abnormal {
 		rec.Accel = d.cfg.AccelThreshold*1.5 + 4*v.rng.float()

@@ -14,8 +14,8 @@ type Network struct {
 	byType   map[RoadType][]*Segment
 	// adjacency: successor segments reachable from the end of a segment.
 	next map[SegmentID][]SegmentID
-	// grid index: cell -> segment IDs whose bounding box intersects it.
-	grid     map[gridCell][]SegmentID
+	// grid index: cell -> segments whose bounding box intersects it.
+	grid     map[gridCell][]*Segment
 	cellSize float64 // degrees
 }
 
@@ -31,7 +31,7 @@ func NewNetwork(cellSizeDeg float64) *Network {
 		segments: make(map[SegmentID]*Segment),
 		byType:   make(map[RoadType][]*Segment),
 		next:     make(map[SegmentID][]SegmentID),
-		grid:     make(map[gridCell][]SegmentID),
+		grid:     make(map[gridCell][]*Segment),
 		cellSize: cellSizeDeg,
 	}
 }
@@ -47,7 +47,7 @@ func (n *Network) AddSegment(s *Segment) error {
 	n.segments[s.ID] = s
 	n.byType[s.Type] = append(n.byType[s.Type], s)
 	for _, c := range n.cellsFor(s) {
-		n.grid[c] = append(n.grid[c], s.ID)
+		n.grid[c] = append(n.grid[c], s)
 	}
 	return nil
 }
@@ -117,16 +117,7 @@ func (n *Network) cellOf(p Point) gridCell {
 }
 
 func (n *Network) cellsFor(s *Segment) []gridCell {
-	minLat, maxLat := math.Inf(1), math.Inf(-1)
-	minLon, maxLon := math.Inf(1), math.Inf(-1)
-	for _, p := range s.Polyline {
-		minLat = math.Min(minLat, p.Lat)
-		maxLat = math.Max(maxLat, p.Lat)
-		minLon = math.Min(minLon, p.Lon)
-		maxLon = math.Max(maxLon, p.Lon)
-	}
-	lo := n.cellOf(Point{Lat: minLat, Lon: minLon})
-	hi := n.cellOf(Point{Lat: maxLat, Lon: maxLon})
+	lo, hi := n.cellOf(s.lo), n.cellOf(s.hi)
 	cells := make([]gridCell, 0, (hi.x-lo.x+1)*(hi.y-lo.y+1))
 	for x := lo.x; x <= hi.x; x++ {
 		for y := lo.y; y <= hi.y; y++ {
@@ -147,16 +138,20 @@ func (n *Network) Nearby(p Point, radiusMeters float64) []Projection {
 	metersPerDegLat := 111_320.0
 	span := int(math.Ceil(radiusMeters/metersPerDegLat/n.cellSize)) + 1
 	center := n.cellOf(p)
-	seen := make(map[SegmentID]bool)
+	first := gridCell{x: center.x - span, y: center.y - span}
+	far := newFarTest(p, radiusMeters)
 	var out []Projection
 	for dx := -span; dx <= span; dx++ {
 		for dy := -span; dy <= span; dy++ {
-			for _, id := range n.grid[gridCell{x: center.x + dx, y: center.y + dy}] {
-				if seen[id] {
+			c := gridCell{x: center.x + dx, y: center.y + dy}
+			for _, s := range n.grid[c] {
+				// A segment is listed in every cell its box touches:
+				// take it in the first of them this scan visits.
+				lo := n.cellOf(s.lo)
+				if c != (gridCell{x: max(lo.x, first.x), y: max(lo.y, first.y)}) || far.beyond(s) {
 					continue
 				}
-				seen[id] = true
-				proj := n.segments[id].Project(p)
+				proj := s.Project(p)
 				if proj.DistanceMeters <= radiusMeters {
 					out = append(out, proj)
 				}
@@ -170,4 +165,47 @@ func (n *Network) Nearby(p Point, radiusMeters float64) []Projection {
 		return out[i].SegmentID < out[j].SegmentID
 	})
 	return out
+}
+
+// farTest rules a segment out of a radius search by its bounding box
+// alone, without projecting onto it.
+//
+// DistanceMeters(p, q) is 2R·asin(√h) with
+// h = sin²(Δφ/2) + cos φp·cos φq·sin²(Δλ/2), which grows with h. Project's
+// point lies on a leg of the polyline, so inside the box [lo, hi]. For
+// every q in the box: |Δφ| is at least gφ, the gap between p's latitude
+// and the box's latitude interval; cos φq is at least the smaller of cos
+// lo.Lat and cos hi.Lat, since cos is concave on [-90°, 90°]; and when no
+// point of the box is more than 180° of longitude from p, |Δλ| lies in
+// [gλ, 180°], where sin²(Δλ/2) grows, so it is at least sin²(gλ/2). Every
+// term of h is then at least its bound, and if the bounds already sum to
+// more than sin²(r/2R), every point of the box — the projection included
+// — is farther than r. hMax carries a relative margin of 1e-9, far above
+// the rounding of either side, so the test never drops a segment that the
+// projection would keep.
+type farTest struct {
+	p      Point
+	cosLat float64 // cos φp
+	hMax   float64 // sin²(r/2R), plus the margin
+}
+
+func newFarTest(p Point, radiusMeters float64) farTest {
+	sinR := math.Sin(math.Min(radiusMeters/(2*EarthRadiusMeters), math.Pi/2))
+	return farTest{p: p, cosLat: math.Cos(p.Lat * math.Pi / 180), hMax: sinR * sinR * (1 + 1e-9)}
+}
+
+// beyond reports whether every point of s's bounding box is farther than
+// the radius from p.
+func (f farTest) beyond(s *Segment) bool {
+	const degToRad = math.Pi / 180
+	gLat := math.Max(0, math.Max(s.lo.Lat-f.p.Lat, f.p.Lat-s.hi.Lat)) * degToRad
+	sinLat := math.Sin(gLat / 2)
+	h := sinLat * sinLat
+	if math.Max(f.p.Lon-s.lo.Lon, s.hi.Lon-f.p.Lon) <= 180 {
+		gLon := math.Max(0, math.Max(s.lo.Lon-f.p.Lon, f.p.Lon-s.hi.Lon)) * degToRad
+		sinLon := math.Sin(gLon / 2)
+		cosBox := math.Min(math.Cos(s.lo.Lat*degToRad), math.Cos(s.hi.Lat*degToRad))
+		h += f.cosLat * cosBox * sinLon * sinLon
+	}
+	return h > f.hMax
 }

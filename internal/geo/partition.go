@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -82,26 +83,32 @@ func NewSiteIndex(sites []RSUSite) *SiteIndex {
 // SiteAt returns the site whose center is closest to the along-track
 // position on the segment. ok is false for segments with no sites.
 func (x *SiteIndex) SiteAt(seg SegmentID, alongMeters float64) (RSUSite, bool) {
-	return NearestSite(x.bySeg[seg], alongMeters)
+	row := x.bySeg[seg]
+	i, ok := NearestSite(row, alongMeters)
+	if !ok {
+		return RSUSite{}, false
+	}
+	return row[i], true
 }
 
-// NearestSite returns the site of one segment's row (as Sites returns
-// it: sorted by AlongMeters) whose center is closest to the along-track
-// position; a position midway between two centers belongs to the earlier
-// one. ok is false for an empty row. Callers that stay on a segment for
-// many lookups hold its row and skip the per-call index lookup.
-func NearestSite(row []RSUSite, alongMeters float64) (RSUSite, bool) {
+// NearestSite returns the index, in one segment's row (as Sites returns
+// it: sorted by AlongMeters), of the site whose center is closest to the
+// along-track position; a position midway between two centers belongs to
+// the earlier one. ok is false for an empty row. Callers that stay on a
+// segment for many lookups hold its row and skip the per-call index
+// lookup, and can keep per-site facts in a slice parallel to the row.
+func NearestSite(row []RSUSite, alongMeters float64) (int, bool) {
 	if len(row) == 0 {
-		return RSUSite{}, false
+		return 0, false
 	}
 	i := sort.Search(len(row), func(i int) bool { return row[i].AlongMeters >= alongMeters })
 	if i == len(row) {
-		return row[len(row)-1], true
+		return len(row) - 1, true
 	}
 	if i > 0 && alongMeters-row[i-1].AlongMeters <= row[i].AlongMeters-alongMeters {
-		return row[i-1], true
+		return i - 1, true
 	}
-	return row[i], true
+	return i, true
 }
 
 // Sites returns the segment's sites in along order (shared slice; do
@@ -349,8 +356,8 @@ func (cp *CityPartition) ShardAt(seg SegmentID, alongMeters float64) (int, bool)
 }
 
 // SitesOf returns a segment's sites in along order (shared slice; do
-// not mutate). The city driver's vehicles use it to find the next
-// coverage boundary ahead of their position.
+// not mutate). The city driver copies it into its per-segment table,
+// where vehicles find the next coverage boundary ahead of them.
 func (cp *CityPartition) SitesOf(seg SegmentID) []RSUSite { return cp.idx.Sites(seg) }
 
 // ShardPath walks a route through the partition and returns the shard
@@ -437,10 +444,13 @@ func ConnectNearest(net *Network, k int, radiusMeters float64) int {
 		radiusMeters = 500
 	}
 	added := 0
+	var have []SegmentID
 	for _, seg := range net.AllSegments() {
-		have := make(map[SegmentID]bool)
-		for _, id := range net.Successors(seg.ID) {
-			have[id] = true
+		have = have[:0]
+		for _, id := range net.next[seg.ID] {
+			if !slices.Contains(have, id) {
+				have = append(have, id)
+			}
 		}
 		if len(have) >= k {
 			continue
@@ -449,49 +459,15 @@ func ConnectNearest(net *Network, k int, radiusMeters float64) int {
 			if len(have) >= k {
 				break
 			}
-			if proj.SegmentID == seg.ID || have[proj.SegmentID] {
+			if proj.SegmentID == seg.ID || slices.Contains(have, proj.SegmentID) {
 				continue
 			}
 			if err := net.Connect(seg.ID, proj.SegmentID); err != nil {
 				continue
 			}
-			have[proj.SegmentID] = true
+			have = append(have, proj.SegmentID)
 			added++
 		}
 	}
 	return added
-}
-
-// RandomRoute generates a random-walk route of up to maxSegs segments
-// starting at start, choosing each successor with pick(n) in [0, n).
-// The walk stops early at dead ends. Deterministic for a fixed network
-// and pick sequence (Successors order is Connect-insertion order).
-func RandomRoute(net *Network, start SegmentID, pick func(n int) int, maxSegs int) []SegmentID {
-	if net.Segment(start) == nil || maxSegs < 1 {
-		return nil
-	}
-	route := make([]SegmentID, 1, maxSegs)
-	route[0] = start
-	cur := start
-	for len(route) < maxSegs {
-		succ := net.next[cur]
-		if len(succ) == 0 {
-			break
-		}
-		cur = succ[pick(len(succ))]
-		route = append(route, cur)
-	}
-	return route
-}
-
-// NextSegment advances a random walk by one step without materializing
-// a route: it returns the pick(n)-th successor of cur, or ok=false at a
-// dead end. The city driver's vehicles use it to walk indefinitely with
-// no per-vehicle route storage.
-func (n *Network) NextSegment(cur SegmentID, pick func(n int) int) (SegmentID, bool) {
-	succ := n.next[cur]
-	if len(succ) == 0 {
-		return 0, false
-	}
-	return succ[pick(len(succ))], true
 }

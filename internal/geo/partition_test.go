@@ -138,12 +138,7 @@ func TestShardPathDeterministic(t *testing.T) {
 	crossings := 0
 	for i := 0; i < 50; i++ {
 		start := segs[rng.Intn(len(segs))].ID
-		seq := rng.Int63()
-		routeA := RandomRoute(net, start, seededPick(seq), 30)
-		routeB := RandomRoute(net, start, seededPick(seq), 30)
-		if !reflect.DeepEqual(routeA, routeB) {
-			t.Fatal("RandomRoute is not deterministic for an identical pick sequence")
-		}
+		routeA := randomWalk(net, start, seededPick(rng.Int63()), 30)
 		pathA := cp1.ShardPath(routeA)
 		pathB := cp2.ShardPath(routeA)
 		if !reflect.DeepEqual(pathA, pathB) {
@@ -167,6 +162,20 @@ func TestShardPathDeterministic(t *testing.T) {
 	}
 }
 
+// randomWalk is a route of up to maxSegs segments from start, choosing
+// each successor with pick(n) in [0, n) and stopping at a dead end.
+func randomWalk(net *Network, start SegmentID, pick func(n int) int, maxSegs int) []SegmentID {
+	route := []SegmentID{start}
+	for len(route) < maxSegs {
+		succ := net.Successors(route[len(route)-1])
+		if len(succ) == 0 {
+			break
+		}
+		route = append(route, succ[pick(len(succ))])
+	}
+	return route
+}
+
 // seededPick returns a deterministic pick function from one seed.
 func seededPick(seed int64) func(n int) int {
 	rng := rand.New(rand.NewSource(seed))
@@ -180,7 +189,7 @@ func TestShardPathMatchesIncrementalWalk(t *testing.T) {
 	net := buildTestCity(t, 4)
 	cp := testPartition(t, net, 6)
 	segs := net.AllSegments()
-	route := RandomRoute(net, segs[0].ID, seededPick(7), 40)
+	route := randomWalk(net, segs[0].ID, seededPick(7), 40)
 
 	var walked []int
 	for _, segID := range route {
@@ -247,18 +256,9 @@ func TestConnectNearestNavigable(t *testing.T) {
 	if frac := float64(after) / float64(net.SegmentCount()); frac < 0.9 {
 		t.Fatalf("only %.0f%% of segments have successors after densification", frac*100)
 	}
-	// NextSegment walks must keep moving from any navigable start.
-	pick := seededPick(9)
-	cur := net.AllSegments()[0].ID
-	steps := 0
-	for i := 0; i < 100; i++ {
-		next, ok := net.NextSegment(cur, pick)
-		if !ok {
-			break
-		}
-		cur = next
-		steps++
-	}
+	// Random walks over the successors must keep moving from any
+	// navigable start.
+	steps := len(randomWalk(net, net.AllSegments()[0].ID, seededPick(9), 101)) - 1
 	if steps < 50 {
 		t.Fatalf("random walk stalled after %d steps", steps)
 	}

@@ -129,6 +129,13 @@ type Segment struct {
 	Name     string
 	Polyline []Point // at least two points
 	length   float64 // cached, meters
+	// legs[i-1] is the length of the leg from Polyline[i-1] to
+	// Polyline[i] in meters, cached so PointAt and Project walk the
+	// polyline without a haversine per leg.
+	legs []float64
+	// lo and hi are the corners of the polyline's bounding box: the
+	// minimum and maximum latitude and longitude.
+	lo, hi Point
 }
 
 // NewSegment builds a segment and caches its length. It returns an error if
@@ -144,17 +151,15 @@ func NewSegment(id SegmentID, t RoadType, name string, polyline []Point) (*Segme
 	}
 	pts := make([]Point, len(polyline))
 	copy(pts, polyline)
-	s := &Segment{ID: id, Type: t, Name: name, Polyline: pts}
-	s.length = polylineLength(pts)
-	return s, nil
-}
-
-func polylineLength(pts []Point) float64 {
-	var total float64
+	s := &Segment{ID: id, Type: t, Name: name, Polyline: pts, lo: pts[0], hi: pts[0]}
+	s.legs = make([]float64, len(pts)-1)
 	for i := 1; i < len(pts); i++ {
-		total += DistanceMeters(pts[i-1], pts[i])
+		s.legs[i-1] = DistanceMeters(pts[i-1], pts[i])
+		s.length += s.legs[i-1]
+		s.lo.Lat, s.hi.Lat = math.Min(s.lo.Lat, pts[i].Lat), math.Max(s.hi.Lat, pts[i].Lat)
+		s.lo.Lon, s.hi.Lon = math.Min(s.lo.Lon, pts[i].Lon), math.Max(s.hi.Lon, pts[i].Lon)
 	}
-	return total
+	return s, nil
 }
 
 // LengthMeters returns the polyline length of the segment in meters.
@@ -180,7 +185,7 @@ func (s *Segment) PointAt(frac float64) Point {
 	var walked float64
 	for i := 1; i < len(s.Polyline); i++ {
 		a, b := s.Polyline[i-1], s.Polyline[i]
-		leg := DistanceMeters(a, b)
+		leg := s.legs[i-1]
 		if walked+leg >= target && leg > 0 {
 			f := (target - walked) / leg
 			return Point{
@@ -210,7 +215,7 @@ func (s *Segment) Project(p Point) Projection {
 	cosLat := math.Cos(p.Lat * math.Pi / 180)
 	for i := 1; i < len(s.Polyline); i++ {
 		a, b := s.Polyline[i-1], s.Polyline[i]
-		leg := DistanceMeters(a, b)
+		leg := s.legs[i-1]
 		// Planar approximation in a local tangent frame (meters).
 		ax := (a.Lon - p.Lon) * cosLat
 		ay := a.Lat - p.Lat
