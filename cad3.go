@@ -255,10 +255,6 @@ type (
 	LogisticAD3 = core.LogisticAD3
 	// Router plans shortest routes over a network.
 	Router = geo.Router
-	// Heatmap is the Figure 9 vehicle-density grid.
-	Heatmap = geo.Heatmap
-	// CoverageGap is a traffic hotspot without nearby infrastructure.
-	CoverageGap = geo.CoverageGap
 	// Group is a consumer group sharing a topic's partitions.
 	Group = stream.Group
 	// ChannelManager assigns DSRC service channels to RSU sites.

@@ -47,3 +47,29 @@ func BenchmarkCityEpisode(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
+
+// BenchmarkCityStart is the fleet spawn city-40k pays at every episode:
+// one op is Start on a fresh driver carrying 40,000 vehicles over the
+// same street network, which places every vehicle and schedules its
+// first move and telemetry events. Building the driver is outside the
+// timer.
+func BenchmarkCityStart(b *testing.B) {
+	net, err := geo.BuildNetwork(geo.BuildConfig{Scale: 0.25, ExtentMeters: 12_000, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	geo.ConnectNearest(net, 2, 1500)
+	cfg := Config{Network: net, Shards: 4, Vehicles: 40_000, Seed: 21, Duration: 5 * time.Minute}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := NewDriver(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := d.Start(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cad3/internal/core"
@@ -99,7 +100,7 @@ func BuildScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pts []trace.TrajectoryPoint
+	parts := make([][]trace.TrajectoryPoint, 0, cfg.Cars+1)
 	var tripID trace.TripID = 1
 	for c := 1; c <= cfg.Cars; c++ {
 		day := 1 + (c % 28)
@@ -109,7 +110,7 @@ func BuildScenario(cfg ScenarioConfig) (*Scenario, error) {
 			return nil, err
 		}
 		tripID++
-		pts = append(pts, p...)
+		parts = append(parts, p)
 	}
 
 	bg, err := trace.NewGenerator(trace.GeneratorConfig{
@@ -131,9 +132,9 @@ func BuildScenario(cfg ScenarioConfig) (*Scenario, error) {
 		bgDS.Trajectories[i].Car += trace.CarID(cfg.Cars)
 		bgDS.Trajectories[i].Trip += tripID
 	}
-	pts = append(pts, bgDS.Trajectories...)
+	parts = append(parts, bgDS.Trajectories)
 
-	recs, err := trace.DeriveRecords(net, pts, trace.DeriveOptions{})
+	recs, err := trace.DeriveRecords(net, slices.Concat(parts...), trace.DeriveOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -144,6 +145,12 @@ func BuildScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each road type is filtered out of each half once. The models
+	// filter what they are handed again, which copies nothing when their
+	// types come as contiguous runs (trace.RecordsOfType).
+	mwTrain := trace.RecordsOfType(split.Train, geo.Motorway)
+	linkTrain := trace.RecordsOfType(split.Train, geo.MotorwayLink)
+	mwTest := trace.RecordsOfType(split.Test, geo.Motorway)
 	sc := &Scenario{
 		Net:      net,
 		Train:    split.Train,
@@ -156,22 +163,22 @@ func BuildScenario(cfg ScenarioConfig) (*Scenario, error) {
 		return nil, err
 	}
 	sc.Upstream = core.NewAD3(geo.Motorway)
-	if err := sc.Upstream.Train(split.Train, labeler); err != nil {
+	if err := sc.Upstream.Train(mwTrain, labeler); err != nil {
 		return nil, err
 	}
 	sc.AD3 = core.NewAD3(geo.MotorwayLink)
-	if err := sc.AD3.Train(split.Train, labeler); err != nil {
+	if err := sc.AD3.Train(linkTrain, labeler); err != nil {
 		return nil, err
 	}
 	sc.CAD3 = core.NewCAD3(geo.MotorwayLink, core.CAD3Config{SummaryRoad: CorridorMotorwayID})
-	if err := sc.CAD3.Train(split.Train, labeler, sc.Upstream); err != nil {
+	if err := sc.CAD3.Train(slices.Concat(linkTrain, mwTrain), labeler, sc.Upstream); err != nil {
 		return nil, err
 	}
 	// Evaluation priors come from the corridor motorway only — the road
 	// the test vehicles actually drove before handing over to the link
 	// RSU (the online CO-DATA stream's content).
 	var corridorMw []trace.Record
-	for _, r := range trace.RecordsOfType(split.Test, geo.Motorway) {
+	for _, r := range mwTest {
 		if r.Road == CorridorMotorwayID {
 			corridorMw = append(corridorMw, r)
 		}

@@ -65,3 +65,23 @@ func BenchmarkRoute(b *testing.B) {
 		_, _ = r.Route(mws[i%len(mws)].ID, links[i%len(links)].ID)
 	}
 }
+
+// BenchmarkConnectNearest is street-network densification on the network
+// the city benchmark builds (seed 42, scale 0.25, 12 km): one op joins
+// every segment of a freshly built network to its two nearest neighbours
+// within 1.5 km. Building the network is outside the timer.
+func BenchmarkConnectNearest(b *testing.B) {
+	cfg := BuildConfig{Scale: 0.25, ExtentMeters: 12_000, Seed: 42}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		net, err := BuildNetwork(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if ConnectNearest(net, 2, 1500) == 0 {
+			b.Fatal("no joins")
+		}
+	}
+}

@@ -176,12 +176,20 @@ func connectLinks(net *Network) {
 	}
 }
 
+// nearestSegment returns the candidate whose start is closest to p, the
+// first of equals. Like Segment.Project it computes metres only for a
+// haversine h at or below the best one's (the haversine is symmetric, bit
+// for bit, so measuring from p is measuring to it).
 func nearestSegment(candidates []*Segment, p Point) *Segment {
+	cosP := math.Cos(p.Lat * degToRad)
 	best := candidates[0]
-	bestD := DistanceMeters(best.Start(), p)
+	bestH := haversine(p, best.Start(), cosP)
+	bestD := arcMeters(bestH)
 	for _, s := range candidates[1:] {
-		if d := DistanceMeters(s.Start(), p); d < bestD {
-			best, bestD = s, d
+		if h := haversine(p, s.Start(), cosP); h <= bestH {
+			if d := arcMeters(h); d < bestD {
+				best, bestH, bestD = s, h, d
+			}
 		}
 	}
 	return best

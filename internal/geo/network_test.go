@@ -100,3 +100,50 @@ func TestNearbySortedByDistance(t *testing.T) {
 		t.Errorf("found %d segments, want 5", len(got))
 	}
 }
+
+// TestNearbyReachesAcrossLongitudeAtHighLatitude: at 60°N a degree of
+// longitude is half a degree of latitude's length, so the search window
+// must span twice the cells east and west. A segment 1,400 m due east of
+// p is within 1,500 m of it.
+func TestNearbyReachesAcrossLongitudeAtHighLatitude(t *testing.T) {
+	p := Point{Lat: 60.0001, Lon: 10}
+	east := Destination(p, 90, 1400)
+	net := NewNetwork(0)
+	if err := net.AddSegment(line(t, 1, Primary, east, 90, 200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	got := net.Nearby(p, 1500)
+	if len(got) != 1 || got[0].SegmentID != 1 {
+		t.Fatalf("Nearby = %+v, want segment 1 at ~1400 m", got)
+	}
+	if d := got[0].DistanceMeters; math.Abs(d-1400) > 1 {
+		t.Errorf("distance %.1f m, want ~1400", d)
+	}
+	if near := net.nearest(nil, p, 1500, 1, nil); len(near) != 1 || near[0] != got[0] {
+		t.Errorf("nearest = %+v, want %+v", near, got)
+	}
+}
+
+// TestNearestBreaksDistanceTiesByID: two segments on the same polyline
+// are equally far from every point; the smaller ID comes first whichever
+// the scan meets first, in Nearby and in the k-nearest query.
+func TestNearestBreaksDistanceTiesByID(t *testing.T) {
+	start := Destination(ShenzhenCenter, 0, 300)
+	net := NewNetwork(0)
+	for _, id := range []SegmentID{9, 4} {
+		if err := net.AddSegment(line(t, id, Primary, start, 90, 600, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := ShenzhenCenter
+	all := net.Nearby(p, 1000)
+	if len(all) != 2 || all[0].SegmentID != 4 || all[1].SegmentID != 9 || all[0].DistanceMeters != all[1].DistanceMeters {
+		t.Fatalf("Nearby = %+v, want 4 then 9 at one distance", all)
+	}
+	if near := net.nearest(nil, p, 1000, 1, nil); len(near) != 1 || near[0].SegmentID != 4 {
+		t.Fatalf("nearest(k=1) = %+v, want segment 4", near)
+	}
+	if near := net.nearest(nil, p, 1000, 1, []SegmentID{4}); len(near) != 1 || near[0].SegmentID != 9 {
+		t.Fatalf("nearest(k=1, skip 4) = %+v, want segment 9", near)
+	}
+}

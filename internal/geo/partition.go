@@ -430,12 +430,12 @@ func (cp *CityPartition) ShardSiteCounts() []int {
 
 // ConnectNearest densifies the network's adjacency so random journeys
 // keep moving: for every segment it connects the segment end to up to k
-// nearby segments (closest first) within the radius. The synthetic
-// builder only connects main roads to their ramp families, leaving most
-// segments without successors; city-scale driving needs every street to
-// lead somewhere. Existing connections are kept and not duplicated.
-// Returns the number of connections added. Deterministic for a fixed
-// network.
+// nearby segments (closest first, ties by ID) within the radius. The
+// synthetic builder only connects main roads to their ramp families,
+// leaving most segments without successors; city-scale driving needs
+// every street to lead somewhere. Existing connections are kept and not
+// duplicated. Returns the number of connections added. Deterministic for
+// a fixed network.
 func ConnectNearest(net *Network, k int, radiusMeters float64) int {
 	if k <= 0 {
 		k = 2
@@ -445,6 +445,7 @@ func ConnectNearest(net *Network, k int, radiusMeters float64) int {
 	}
 	added := 0
 	var have []SegmentID
+	var found []Projection
 	for _, seg := range net.AllSegments() {
 		have = have[:0]
 		for _, id := range net.next[seg.ID] {
@@ -455,17 +456,9 @@ func ConnectNearest(net *Network, k int, radiusMeters float64) int {
 		if len(have) >= k {
 			continue
 		}
-		for _, proj := range net.Nearby(seg.End(), radiusMeters) {
-			if len(have) >= k {
-				break
-			}
-			if proj.SegmentID == seg.ID || slices.Contains(have, proj.SegmentID) {
-				continue
-			}
-			if err := net.Connect(seg.ID, proj.SegmentID); err != nil {
-				continue
-			}
-			have = append(have, proj.SegmentID)
+		found = net.nearest(found[:0], seg.End(), radiusMeters, k-len(have), append(have, seg.ID))
+		for _, proj := range found {
+			net.next[seg.ID] = append(net.next[seg.ID], proj.SegmentID)
 			added++
 		}
 	}

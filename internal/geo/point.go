@@ -39,15 +39,29 @@ func (p Point) Valid() bool {
 // DistanceMeters returns the great-circle (haversine) distance between two
 // points in meters. This is the Dist function of Equation 4 in the paper.
 func DistanceMeters(a, b Point) float64 {
-	const degToRad = math.Pi / 180
-	lat1 := a.Lat * degToRad
+	return arcMeters(haversine(a, b, math.Cos(a.Lat*degToRad)))
+}
+
+// degToRad converts degrees to radians.
+const degToRad = math.Pi / 180
+
+// haversine returns DistanceMeters' h = sin²(Δφ/2) + cos φa·cos φb·sin²(Δλ/2)
+// for a and b, given cosA = cos φa. A caller measuring many points from
+// one a computes cosA once, as math.Cos(a.Lat*degToRad), and gets the
+// same bits DistanceMeters would.
+func haversine(a, b Point, cosA float64) float64 {
 	lat2 := b.Lat * degToRad
 	dLat := (b.Lat - a.Lat) * degToRad
 	dLon := (b.Lon - a.Lon) * degToRad
 
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	return sinLat*sinLat + cosA*math.Cos(lat2)*sinLon*sinLon
+}
+
+// arcMeters turns a haversine h into metres. It does not decrease as h
+// grows.
+func arcMeters(h float64) float64 {
 	if h > 1 {
 		h = 1
 	}
@@ -59,7 +73,6 @@ func DistanceMeters(a, b Point) float64 {
 // forward geodesic problem on a sphere, used by the synthetic network
 // generator to lay out road segments.
 func Destination(p Point, bearingDeg, distanceMeters float64) Point {
-	const degToRad = math.Pi / 180
 	const radToDeg = 180 / math.Pi
 
 	delta := distanceMeters / EarthRadiusMeters
@@ -86,7 +99,6 @@ func Midpoint(a, b Point) Point {
 // BearingDeg returns the initial bearing from a to b in degrees clockwise
 // from north, normalized to [0, 360).
 func BearingDeg(a, b Point) float64 {
-	const degToRad = math.Pi / 180
 	const radToDeg = 180 / math.Pi
 
 	phi1 := a.Lat * degToRad

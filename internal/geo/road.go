@@ -136,6 +136,9 @@ type Segment struct {
 	// lo and hi are the corners of the polyline's bounding box: the
 	// minimum and maximum latitude and longitude.
 	lo, hi Point
+	// cosBox is the smallest cosine of a latitude in the box, which
+	// farTest.beyond needs for every radius search that lists it.
+	cosBox float64
 }
 
 // NewSegment builds a segment and caches its length. It returns an error if
@@ -159,6 +162,7 @@ func NewSegment(id SegmentID, t RoadType, name string, polyline []Point) (*Segme
 		s.lo.Lat, s.hi.Lat = math.Min(s.lo.Lat, pts[i].Lat), math.Max(s.hi.Lat, pts[i].Lat)
 		s.lo.Lon, s.hi.Lon = math.Min(s.lo.Lon, pts[i].Lon), math.Max(s.hi.Lon, pts[i].Lon)
 	}
+	s.cosBox = math.Min(math.Cos(s.lo.Lat*degToRad), math.Cos(s.hi.Lat*degToRad))
 	return s, nil
 }
 
@@ -209,10 +213,19 @@ type Projection struct {
 // Project returns the closest point on the segment's polyline to p, the
 // perpendicular distance, and the along-track offset. It approximates each
 // leg as planar, which is accurate for the sub-kilometer legs used here.
+// Of equally distant legs the first wins.
+//
+// The distance is DistanceMeters(p, ·) of each leg's closest point. It
+// grows with the haversine h, so a leg whose h is above the best leg's
+// cannot be closer and skips the square root and arcsine; the others are
+// compared in metres, so the result is the one a DistanceMeters per leg
+// gives, bit for bit.
 func (s *Segment) Project(p Point) Projection {
 	best := Projection{SegmentID: s.ID, DistanceMeters: math.Inf(1)}
+	bestH := math.Inf(1)
 	var walked float64
 	cosLat := math.Cos(p.Lat * math.Pi / 180)
+	cosP := math.Cos(p.Lat * degToRad)
 	for i := 1; i < len(s.Polyline); i++ {
 		a, b := s.Polyline[i-1], s.Polyline[i]
 		leg := s.legs[i-1]
@@ -231,11 +244,13 @@ func (s *Segment) Project(p Point) Projection {
 			Lat: a.Lat + (b.Lat-a.Lat)*t,
 			Lon: a.Lon + (b.Lon-a.Lon)*t,
 		}
-		d := DistanceMeters(p, proj)
-		if d < best.DistanceMeters {
-			best.Point = proj
-			best.DistanceMeters = d
-			best.AlongMeters = walked + t*leg
+		if h := haversine(p, proj, cosP); h <= bestH {
+			if d := arcMeters(h); d < best.DistanceMeters {
+				best.Point = proj
+				best.DistanceMeters = d
+				best.AlongMeters = walked + t*leg
+				bestH = h
+			}
 		}
 		walked += leg
 	}

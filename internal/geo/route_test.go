@@ -2,7 +2,6 @@ package geo
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -112,96 +111,5 @@ func TestRouteOnSyntheticNetwork(t *testing.T) {
 	}
 	if len(route) != 2 {
 		t.Errorf("route = %v", route)
-	}
-}
-
-func TestHeatmapCountsAndHotspots(t *testing.T) {
-	center := ShenzhenCenter
-	pts := []Point{center, center, center, Destination(center, 90, 3000)}
-	h, err := NewHeatmap(pts, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total != 4 {
-		t.Errorf("Total = %d", h.Total)
-	}
-	hot := h.Hotspots(1)
-	if len(hot) != 1 || hot[0].Count != 3 {
-		t.Fatalf("hotspots = %+v", hot)
-	}
-	if d := DistanceMeters(hot[0].Center, center); d > 1200 {
-		t.Errorf("hotspot center %.0f m from the cluster", d)
-	}
-	if h.Render() == "" {
-		t.Error("empty render")
-	}
-	if _, err := NewHeatmap(nil, 0.01); err == nil {
-		t.Error("want error for empty input")
-	}
-}
-
-func TestHeatmapAddClamps(t *testing.T) {
-	h, err := NewHeatmap([]Point{ShenzhenCenter}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Far outside the grid: must clamp, not panic.
-	h.Add(Destination(ShenzhenCenter, 45, 100_000))
-	if h.Total != 2 {
-		t.Errorf("Total = %d", h.Total)
-	}
-}
-
-func TestFindCoverageGaps(t *testing.T) {
-	center := ShenzhenCenter
-	hotspotA := Destination(center, 90, 5000) // will be covered
-	hotspotB := Destination(center, 0, 9000)  // uncovered
-
-	var pts []Point
-	for i := 0; i < 10; i++ {
-		pts = append(pts, hotspotA, hotspotB)
-	}
-	h, err := NewHeatmap(pts, 0.005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	infra := []Point{Destination(hotspotA, 45, 100)} // near A only
-
-	gaps := FindCoverageGaps(h, infra, 5, 300)
-	if len(gaps) != 1 {
-		t.Fatalf("gaps = %+v, want exactly the uncovered hotspot", gaps)
-	}
-	if d := DistanceMeters(gaps[0].Cell.Center, hotspotB); d > 1000 {
-		t.Errorf("gap at %.0f m from hotspot B", d)
-	}
-	if gaps[0].NearestInfraMeters < 300 {
-		t.Errorf("gap nearest infra %.0f m should exceed range", gaps[0].NearestInfraMeters)
-	}
-
-	// With a huge range everything is covered.
-	if gaps := FindCoverageGaps(h, infra, 5, 50_000); len(gaps) != 0 {
-		t.Errorf("gaps with huge range = %+v", gaps)
-	}
-}
-
-func TestInfrastructurePoints(t *testing.T) {
-	net, err := BuildNetwork(BuildConfig{Scale: 0.05, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	placement := PlaceInfrastructure(net, 200, 50, rng.NormFloat64)
-	pts := InfrastructurePoints(net, placement)
-	var marks int
-	for _, m := range placement {
-		marks += len(m)
-	}
-	if len(pts) != marks {
-		t.Errorf("points = %d, placement marks = %d", len(pts), marks)
-	}
-	for _, p := range pts {
-		if !p.Valid() {
-			t.Fatalf("invalid infrastructure point %v", p)
-		}
 	}
 }

@@ -1,8 +1,8 @@
 package trace
 
 import (
+	"slices"
 	"sort"
-	"time"
 
 	"cad3/internal/geo"
 )
@@ -26,22 +26,15 @@ type DeriveOptions struct {
 // The input order does not matter: points are grouped by trip and sorted
 // by time internally.
 func DeriveRecords(net *geo.Network, points []TrajectoryPoint, opts DeriveOptions) ([]Record, error) {
-	byTrip := make(map[TripID][]TrajectoryPoint)
-	for _, p := range points {
-		byTrip[p.Trip] = append(byTrip[p.Trip], p)
-	}
-	tripIDs := make([]TripID, 0, len(byTrip))
-	for id := range byTrip {
-		tripIDs = append(tripIDs, id)
-	}
-	sort.Slice(tripIDs, func(i, j int) bool { return tripIDs[i] < tripIDs[j] })
-
-	var records []Record
-	for _, id := range tripIDs {
-		pts := byTrip[id]
+	grouped, bounds := groupByTrip(points)
+	// Every trip yields at most one record fewer than its points.
+	records := make([]Record, 0, len(points)-(len(bounds)-1))
+	var segIDs []geo.SegmentID
+	for t := 1; t < len(bounds); t++ {
+		pts := grouped[bounds[t-1]:bounds[t]]
 		sort.Slice(pts, func(i, j int) bool { return pts[i].GPSTime.Before(pts[j].GPSTime) })
 
-		segIDs := make([]geo.SegmentID, len(pts))
+		segIDs = slices.Grow(segIDs[:0], len(pts))[:len(pts)]
 		if opts.UseMapMatching && opts.Matcher != nil {
 			fixes := make([]geo.Point, len(pts))
 			for i, p := range pts {
@@ -114,6 +107,33 @@ func DeriveRecords(net *geo.Network, points []TrajectoryPoint, opts DeriveOption
 	return records, nil
 }
 
+// groupByTrip copies points into one array grouped by trip, trips in
+// ascending ID order and each trip's points in input order: trip t is
+// grouped[bounds[t]:bounds[t+1]]. It counts each trip's points first, so
+// the array is allocated once at its final size.
+func groupByTrip(points []TrajectoryPoint) (grouped []TrajectoryPoint, bounds []int) {
+	next := make(map[TripID]int) // a trip's point count, then where its next point goes
+	for _, p := range points {
+		next[p.Trip]++
+	}
+	ids := make([]TripID, 0, len(next))
+	for id := range next {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	bounds = make([]int, len(ids)+1)
+	for t, id := range ids {
+		bounds[t+1] = bounds[t] + next[id]
+		next[id] = bounds[t]
+	}
+	grouped = make([]TrajectoryPoint, len(points))
+	for _, p := range points {
+		grouped[next[p.Trip]] = p
+		next[p.Trip]++
+	}
+	return grouped, bounds
+}
+
 // attachRoadMeanSpeed computes v̄_r per road segment over the plausible
 // (< MaxPlausibleSpeedKmh) observations and writes it into every record.
 func attachRoadMeanSpeed(records []Record) {
@@ -139,16 +159,4 @@ func attachRoadMeanSpeed(records []Record) {
 			records[i].RoadMeanSpeed = a.sum / float64(a.n)
 		}
 	}
-}
-
-// ReplayClock rewrites record timestamps so a slice of records can be
-// replayed starting at the given instant with the given inter-record gap.
-// Used by the vehicle emulator, which streams dataset rows at 10 Hz.
-func ReplayClock(records []Record, start time.Time, gap time.Duration) []Record {
-	out := make([]Record, len(records))
-	copy(out, records)
-	for i := range out {
-		out[i].TimestampMs = start.Add(time.Duration(i) * gap).UnixMilli()
-	}
-	return out
 }

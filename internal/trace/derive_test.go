@@ -3,6 +3,9 @@ package trace
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -154,17 +157,36 @@ func TestRecordWireSizeApprox200Bytes(t *testing.T) {
 	}
 }
 
-func TestReplayClock(t *testing.T) {
-	recs := []Record{{Car: 1}, {Car: 2}, {Car: 3}}
-	start := time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC)
-	out := ReplayClock(recs, start, 100*time.Millisecond)
-	if out[0].TimestampMs != start.UnixMilli() {
-		t.Errorf("first ts = %d", out[0].TimestampMs)
+// TestGroupByTripMatchesMapGrouping: the count-then-fill grouping hands
+// DeriveRecords each trip's points in the order a map of per-trip
+// appends did — trips by ascending ID, each trip's points in input order —
+// so the per-trip sort sees the same input, equal timestamps included.
+func TestGroupByTripMatchesMapGrouping(t *testing.T) {
+	_, ds := generateSmallDataset(t, 6, 4)
+	rng := rand.New(rand.NewSource(5))
+	pts := append([]TrajectoryPoint(nil), ds.Trajectories...)
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	for i := 1; i < len(pts); i += 7 {
+		pts[i].GPSTime = pts[i-1].GPSTime // ties for the unstable sort
 	}
-	if out[2].TimestampMs-out[1].TimestampMs != 100 {
-		t.Errorf("gap = %d ms, want 100", out[2].TimestampMs-out[1].TimestampMs)
+
+	byTrip := make(map[TripID][]TrajectoryPoint)
+	var ids []TripID
+	for _, p := range pts {
+		if _, ok := byTrip[p.Trip]; !ok {
+			ids = append(ids, p.Trip)
+		}
+		byTrip[p.Trip] = append(byTrip[p.Trip], p)
 	}
-	if recs[0].TimestampMs != 0 {
-		t.Error("ReplayClock must not mutate its input")
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+
+	grouped, bounds := groupByTrip(pts)
+	if len(bounds) != len(ids)+1 || bounds[len(ids)] != len(pts) {
+		t.Fatalf("%d trip bounds ending at %d, want %d ending at %d", len(bounds), bounds[len(bounds)-1], len(ids)+1, len(pts))
+	}
+	for i, id := range ids {
+		if got := grouped[bounds[i]:bounds[i+1]]; !reflect.DeepEqual(got, byTrip[id]) {
+			t.Fatalf("trip %d: grouped points differ from the map grouping", id)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"cad3/internal/geo"
@@ -202,6 +203,7 @@ func (g *Generator) Aggressive(car CarID) bool {
 // FilterRecords), mirroring the paper's offline preprocessing flow.
 func (g *Generator) Generate() (*Dataset, error) {
 	ds := &Dataset{}
+	var parts [][]TrajectoryPoint // each trip's points, joined once at the end
 	var nextTrip TripID = 1
 	for car := 1; car <= g.cfg.Cars; car++ {
 		nTrips := poissonAtLeast1(g.rng, g.cfg.TripsPerCar)
@@ -209,9 +211,10 @@ func (g *Generator) Generate() (*Dataset, error) {
 			trip, points := g.generateTrip(CarID(car), nextTrip)
 			nextTrip++
 			ds.Trips = append(ds.Trips, trip)
-			ds.Trajectories = append(ds.Trajectories, points...)
+			parts = append(parts, points)
 		}
 	}
+	ds.Trajectories = slices.Concat(parts...)
 	return ds, nil
 }
 

@@ -11,22 +11,6 @@ type Split struct {
 	Test  []Record
 }
 
-// SplitRecords shuffles records deterministically and splits them at
-// trainFrac (the paper uses 80/20). trainFrac outside (0,1) selects 0.8.
-func SplitRecords(records []Record, trainFrac float64, seed int64) Split {
-	if trainFrac <= 0 || trainFrac >= 1 {
-		trainFrac = 0.8
-	}
-	shuffled := make([]Record, len(records))
-	copy(shuffled, records)
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	cut := int(float64(len(shuffled)) * trainFrac)
-	return Split{Train: shuffled[:cut], Test: shuffled[cut:]}
-}
-
 // SplitByCar partitions records so that every car's records land entirely
 // in either train or test. This is the split the mesoscopic (driver-trip)
 // experiments need: the test driver's history must be unseen.
@@ -51,9 +35,17 @@ func SplitByCar(records []Record, trainFrac float64, seed int64) Split {
 	for _, c := range cars[:cut] {
 		trainCars[c] = true
 	}
-	var sp Split
-	for _, r := range records {
+	inTrain := make([]bool, len(records))
+	nTrain := 0
+	for i, r := range records {
 		if trainCars[r.Car] {
+			inTrain[i] = true
+			nTrain++
+		}
+	}
+	sp := Split{Train: make([]Record, 0, nTrain), Test: make([]Record, 0, len(records)-nTrain)}
+	for i, r := range records {
+		if inTrain[i] {
 			sp.Train = append(sp.Train, r)
 		} else {
 			sp.Test = append(sp.Test, r)

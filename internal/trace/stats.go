@@ -55,46 +55,6 @@ func statsFor(region string, records []Record, match func(Record) bool) StatsRow
 	return row
 }
 
-// TripStats computes exact per-road-type trip and car counts from the raw
-// dataset tables (requires trajectory points, which carry trip IDs).
-func TripStats(ds *Dataset, net *geo.Network, roadTypes []geo.RoadType) []StatsRow {
-	rows := []StatsRow{{
-		Region:       "Shenzhen",
-		Cars:         distinctCars(ds.Trips),
-		Trips:        len(ds.Trips),
-		Trajectories: len(ds.Trajectories),
-	}}
-	for _, t := range roadTypes {
-		carSet := make(map[CarID]bool)
-		tripSet := make(map[TripID]bool)
-		var n int
-		for _, p := range ds.Trajectories {
-			seg := net.Segment(p.SegmentID)
-			if seg == nil || seg.Type != t {
-				continue
-			}
-			carSet[p.Car] = true
-			tripSet[p.Trip] = true
-			n++
-		}
-		rows = append(rows, StatsRow{
-			Region:       t.String(),
-			Cars:         len(carSet),
-			Trips:        len(tripSet),
-			Trajectories: n,
-		})
-	}
-	return rows
-}
-
-func distinctCars(trips []Trip) int {
-	set := make(map[CarID]bool, len(trips))
-	for _, t := range trips {
-		set[t.Car] = true
-	}
-	return len(set)
-}
-
 // AnomalyShare returns the fraction of records flagged as ground-truth
 // anomalous by the generator.
 func AnomalyShare(records []Record) float64 {
@@ -132,10 +92,29 @@ func SpeedSeries(records []Record, t geo.RoadType, weekend bool) [24]float64 {
 }
 
 // RecordsOfType returns the records on roads of the given type, preserving
-// order.
+// order. When those records are one contiguous run of the input — all of
+// it, say — it returns that run of records itself, capacity clipped, so
+// filtering a slice that is already filtered or grouped by type copies
+// nothing.
 func RecordsOfType(records []Record, t geo.RoadType) []Record {
-	var out []Record
-	for _, r := range records {
+	first, last, n := 0, -1, 0
+	for i := range records {
+		if records[i].RoadType == t {
+			if n == 0 {
+				first = i
+			}
+			last = i
+			n++
+		}
+	}
+	switch {
+	case n == 0:
+		return nil
+	case last-first+1 == n:
+		return records[first : last+1 : last+1]
+	}
+	out := make([]Record, 0, n)
+	for _, r := range records[first : last+1] {
 		if r.RoadType == t {
 			out = append(out, r)
 		}

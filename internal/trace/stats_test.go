@@ -34,20 +34,6 @@ func TestDatasetStatsShape(t *testing.T) {
 	}
 }
 
-func TestTripStats(t *testing.T) {
-	net, ds := generateSmallDataset(t, 15, 6)
-	rows := TripStats(ds, net, []geo.RoadType{geo.Motorway})
-	if rows[0].Trips != len(ds.Trips) {
-		t.Errorf("city trips = %d, want %d", rows[0].Trips, len(ds.Trips))
-	}
-	if rows[0].Cars != 15 {
-		t.Errorf("city cars = %d, want 15", rows[0].Cars)
-	}
-	if rows[0].Trajectories != len(ds.Trajectories) {
-		t.Errorf("city trajectories = %d, want %d", rows[0].Trajectories, len(ds.Trajectories))
-	}
-}
-
 func TestSpeedSeriesReflectsRushHour(t *testing.T) {
 	net, err := geo.BuildNetwork(geo.BuildConfig{Scale: 0.02, Seed: 42})
 	if err != nil {
@@ -99,30 +85,6 @@ func TestRecordsOfTypeAndSort(t *testing.T) {
 	SortRecordsByTime(recs)
 	if recs[0].TimestampMs != 1 || recs[2].TimestampMs != 3 {
 		t.Errorf("sort order wrong: %+v", recs)
-	}
-}
-
-func TestSplitRecords(t *testing.T) {
-	recs := make([]Record, 100)
-	for i := range recs {
-		recs[i] = Record{Car: CarID(i % 10), TimestampMs: int64(i)}
-	}
-	sp := SplitRecords(recs, 0.8, 1)
-	if len(sp.Train) != 80 || len(sp.Test) != 20 {
-		t.Errorf("split sizes = %d/%d, want 80/20", len(sp.Train), len(sp.Test))
-	}
-	// Bad fraction falls back to 0.8.
-	sp = SplitRecords(recs, -1, 1)
-	if len(sp.Train) != 80 {
-		t.Errorf("fallback split train = %d, want 80", len(sp.Train))
-	}
-	// Deterministic.
-	a := SplitRecords(recs, 0.8, 42)
-	b := SplitRecords(recs, 0.8, 42)
-	for i := range a.Train {
-		if a.Train[i].TimestampMs != b.Train[i].TimestampMs {
-			t.Fatal("split not deterministic")
-		}
 	}
 }
 
@@ -180,5 +142,30 @@ func TestSummarizeTrips(t *testing.T) {
 	}
 	if z := SummarizeTrips(nil); z.Trips != 0 || z.MeanMileageM != 0 {
 		t.Errorf("empty summary = %+v", z)
+	}
+}
+
+// TestRecordsOfTypeSharesContiguousRuns: a type whose records are one run
+// of the input comes back as that run, capacity clipped so appending to
+// it cannot overwrite the input; a scattered type is copied in order.
+func TestRecordsOfTypeSharesContiguousRuns(t *testing.T) {
+	recs := []Record{
+		{Car: 1, RoadType: geo.Motorway}, {Car: 2, RoadType: geo.MotorwayLink},
+		{Car: 3, RoadType: geo.MotorwayLink}, {Car: 4, RoadType: geo.Motorway},
+	}
+	link := RecordsOfType(recs, geo.MotorwayLink)
+	if len(link) != 2 || &link[0] != &recs[1] || cap(link) != 2 {
+		t.Fatalf("link run: len %d cap %d, want a 2-record view of the input", len(link), cap(link))
+	}
+	_ = append(link, Record{Car: 9})
+	if recs[3].Car != 4 {
+		t.Fatal("appending to the run overwrote the input")
+	}
+	mw := RecordsOfType(recs, geo.Motorway)
+	if len(mw) != 2 || mw[0].Car != 1 || mw[1].Car != 4 || &mw[0] == &recs[0] {
+		t.Fatalf("scattered motorway records = %+v, want a copy of cars 1 and 4", mw)
+	}
+	if got := RecordsOfType(recs, geo.Trunk); got != nil {
+		t.Fatalf("absent type = %+v, want nil", got)
 	}
 }
