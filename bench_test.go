@@ -401,23 +401,6 @@ func BenchmarkAblationPollInterval(b *testing.B) {
 	printRows("Ablation: consumer poll interval", experiments.FormatIntervalRows(rows))
 }
 
-// BenchmarkExtensionDetectorComparison scores the standalone detector
-// algorithms (the paper's future-work direction).
-func BenchmarkExtensionDetectorComparison(b *testing.B) {
-	sc := scenario(b)
-	b.ResetTimer()
-	var rows []experiments.DetectorRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunDetectorComparison(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	printRows("Extension: detector algorithms", experiments.FormatDetectorRows(rows))
-}
-
 // BenchmarkExtensionMobileHandover drives vehicles along the corridor
 // geometry through a live 2-RSU cluster with automatic handover.
 func BenchmarkExtensionMobileHandover(b *testing.B) {

@@ -247,12 +247,8 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) { return experiments.
 // aggregate road statistics.
 func PlanRSUs() []RSUPlanRow { return geo.PlanRSUsFromStats(geo.ShenzhenRoadStats(), 0) }
 
-// Extended detectors and infrastructure (beyond the paper's baseline).
+// Extended infrastructure (beyond the paper's baseline).
 type (
-	// OnlineAD3 is the continuously learning AD3 variant.
-	OnlineAD3 = core.OnlineAD3
-	// LogisticAD3 swaps Naive Bayes for logistic regression.
-	LogisticAD3 = core.LogisticAD3
 	// Router plans shortest routes over a network.
 	Router = geo.Router
 	// Group is a consumer group sharing a topic's partitions.
@@ -260,12 +256,6 @@ type (
 	// ChannelManager assigns DSRC service channels to RSU sites.
 	ChannelManager = netem.ChannelManager
 )
-
-// NewOnlineAD3 creates a continuously learning detector (sigmaK <= 0 and
-// warmup <= 0 select the defaults).
-func NewOnlineAD3(t RoadType, sigmaK float64, warmup int64) (*OnlineAD3, error) {
-	return core.NewOnlineAD3(t, sigmaK, warmup)
-}
 
 // NewRouter creates a route planner over a network.
 func NewRouter(net *Network) *Router { return geo.NewRouter(net) }

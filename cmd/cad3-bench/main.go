@@ -189,13 +189,6 @@ func run() error {
 	}
 	fmt.Print(experiments.FormatChain(chain))
 
-	section("Extension: standalone detector algorithms")
-	dr, err := experiments.RunDetectorComparison(sc)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatDetectorRows(dr))
-
 	section("Ablation: collaboration weight (Equation 1)")
 	w, err := experiments.RunCollabWeightSweep(sc, nil)
 	if err != nil {

@@ -234,15 +234,6 @@ func TestPublicAPIDESLatency(t *testing.T) {
 }
 
 func TestPublicAPIExtensionsSurface(t *testing.T) {
-	// Online detector.
-	online, err := cad3.NewOnlineAD3(cad3.MotorwayLink, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if online.Name() != "OnlineAD3" {
-		t.Errorf("name = %q", online.Name())
-	}
-
 	// Router over a small network.
 	net, err := cad3.BuildNetwork(cad3.NetworkConfig{Scale: 0.02, Seed: 9})
 	if err != nil {

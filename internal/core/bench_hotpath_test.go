@@ -31,7 +31,7 @@ func benchSummary() PredictionSummary {
 
 // BenchmarkWireCodec measures one encode+decode round trip per op for each
 // wire type with a reused destination buffer (the steady-state telemetry
-// path), and summaries' JSON form beside their binary one.
+// path).
 func BenchmarkWireCodec(b *testing.B) {
 	b.Run("record/binary", func(b *testing.B) {
 		rec := benchRecord()
@@ -67,19 +67,6 @@ func BenchmarkWireCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := DecodeSummary(dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("summary/json", func(b *testing.B) {
-		s := benchSummary()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			payload, err := EncodeSummaryJSON(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := DecodeSummary(payload); err != nil {
 				b.Fatal(err)
 			}
 		}

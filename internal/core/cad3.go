@@ -108,7 +108,7 @@ func (c *CAD3) Train(records []trace.Record, labeler *Labeler, upstream *AD3) er
 		}
 		upstreamRecs = scoped
 	}
-	summaries, err := BuildTrainingSummaries(upstreamRecs, upstream, c.summaryDepth)
+	summaries, err := BuildTrainingSummaries(upstreamRecs, upstream)
 	if err != nil {
 		return fmt.Errorf("CAD3 training summaries: %w", err)
 	}
@@ -214,7 +214,7 @@ func (c *CAD3) DumpTree() string {
 // grouped per car, producing the summaries the paper's CO-DATA stream
 // would have delivered. Exported because the experiment harness also uses
 // it to drive evaluation.
-func BuildTrainingSummaries(upstreamRecs []trace.Record, upstream *AD3, depth int) (map[trace.CarID]PredictionSummary, error) {
+func BuildTrainingSummaries(upstreamRecs []trace.Record, upstream *AD3) (map[trace.CarID]PredictionSummary, error) {
 	byCar := make(map[trace.CarID][]trace.Record)
 	for _, r := range upstreamRecs {
 		byCar[r.Car] = append(byCar[r.Car], r)
@@ -233,7 +233,6 @@ func BuildTrainingSummaries(upstreamRecs []trace.Record, upstream *AD3, depth in
 		if s, ok := builder.Summarize(car); ok {
 			out[car] = s
 		}
-		_ = depth // depth is applied at fusion time, not at build time
 	}
 	return out, nil
 }

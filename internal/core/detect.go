@@ -74,12 +74,9 @@ func FeatureVec(r trace.Record) [FeatureWidth]float64 {
 }
 
 // Features returns the feature vector as a slice, for width-generic
-// consumers (training-sample construction, kNN/logistic baselines). The
-// hot detect path uses FeatureVec instead.
+// consumers (training-sample construction). The hot detect path uses
+// FeatureVec instead.
 func Features(r trace.Record) []float64 {
 	v := FeatureVec(r)
 	return v[:]
 }
-
-// FeatureNames matches Features, for explainability dumps.
-func FeatureNames() []string { return []string{"speed", "accel", "hour"} }

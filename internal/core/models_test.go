@@ -172,7 +172,7 @@ func trainAll(t testing.TB, fx fixture) (*Centralized, *AD3, *CAD3, map[trace.Ca
 		t.Fatal(err)
 	}
 	testMw := trace.RecordsOfType(fx.test, geo.Motorway)
-	summaries, err := BuildTrainingSummaries(testMw, upstream, 0)
+	summaries, err := BuildTrainingSummaries(testMw, upstream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,9 +414,6 @@ func TestAccessorSurface(t *testing.T) {
 	}
 	if cad3.LocalNB() == nil {
 		t.Error("LocalNB is nil")
-	}
-	if names := FeatureNames(); len(names) != len(Features(fx.test[0])) {
-		t.Errorf("FeatureNames width %d != Features width", len(names))
 	}
 	d := Detection{Class: ClassAbnormal}
 	if !d.Abnormal() {

@@ -89,10 +89,18 @@ func TestSaveUntrainedFails(t *testing.T) {
 	if err := SaveDetector(&buf, NewCAD3(geo.MotorwayLink, CAD3Config{})); err != ErrNotTrained {
 		t.Errorf("err = %v, want ErrNotTrained", err)
 	}
-	online, _ := NewOnlineAD3(geo.Motorway, 0, 0)
-	if err := SaveDetector(&buf, online); err == nil {
+	if err := SaveDetector(&buf, unsavedDetector{}); err == nil {
 		t.Error("want error for unsupported detector type")
 	}
+}
+
+// unsavedDetector is a Detector that SaveDetector has no encoding for.
+type unsavedDetector struct{}
+
+func (unsavedDetector) Name() string { return "unsaved" }
+
+func (unsavedDetector) Detect(trace.Record, *PredictionSummary) (Detection, error) {
+	return Detection{}, nil
 }
 
 func TestLoadDetectorErrors(t *testing.T) {

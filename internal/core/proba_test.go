@@ -6,8 +6,6 @@ import (
 
 	"cad3/internal/core"
 	"cad3/internal/experiments"
-	"cad3/internal/geo"
-	"cad3/internal/mlkit"
 	"cad3/internal/trace"
 )
 
@@ -51,42 +49,6 @@ func TestPredictProbaIsDetectPNormal(t *testing.T) {
 
 	same("AD3 (motorway)", sc.Upstream)
 	same("AD3 (link)", sc.AD3)
-
-	logistic := core.NewLogisticAD3(geo.MotorwayLink, mlkit.LogisticConfig{})
-	if err := logistic.Train(sc.Train, sc.Labeler); err != nil {
-		t.Fatal(err)
-	}
-	same("LogisticAD3", logistic)
-
-	online, err := core.NewOnlineAD3(geo.MotorwayLink, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same("OnlineAD3 (untrained)", online)
-	var link []trace.Record
-	for _, r := range sc.Train {
-		if r.RoadType == geo.MotorwayLink {
-			link = append(link, r)
-		}
-	}
-	if len(link) < 200 {
-		t.Fatalf("%d link training records, want 200 to warm the online model past its warmup", len(link))
-	}
-	for i, r := range link {
-		if err := online.Observe(r); err != nil {
-			t.Fatal(err)
-		}
-		if i == 49 {
-			if online.Ready() {
-				t.Fatal("online model ready within its warmup")
-			}
-			same("OnlineAD3 (warming up)", online)
-		}
-	}
-	if !online.Ready() {
-		t.Fatalf("online model not ready after %d records", len(link))
-	}
-	same("OnlineAD3 (ready)", online)
 
 	if _, ok := any(sc.CAD3).(probaDetector); ok {
 		t.Error("CAD3 has a PredictProba: decide which probability a CAD3 node's summaries carry")

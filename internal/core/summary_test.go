@@ -234,11 +234,7 @@ func TestSummaryStoreSnapshotRestore(t *testing.T) {
 
 func TestWarningRoundTrip(t *testing.T) {
 	in := Warning{Car: 3, Road: 7, PNormal: 0.12, SourceTsMs: 111, DetectedTsMs: 222}
-	b, err := EncodeWarning(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeWarning(b)
+	out, err := DecodeWarning(AppendWarning(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}

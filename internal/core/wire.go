@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -15,12 +14,10 @@ import (
 // warnings, CO-DATA summaries). Every payload starts with a single header
 // byte carrying the format version in the high nibble and the payload type
 // in the low nibble; the body is a fixed little-endian layout (summaries
-// append a short variable tail). Records and warnings are binary only: a
-// payload without their header is a decode error. Summaries alone keep a
-// JSON form, because AppendSummary emits it for what the binary layout
-// cannot hold (a tail longer than 255 entries, a count outside uint32);
-// DecodeSummary hands anything without the summary header to the JSON
-// decoder.
+// append a short variable tail). Every payload is binary only: a payload
+// without its header is a decode error, and AppendSummary refuses a
+// summary the layout cannot hold (a tail longer than 255 entries, a count
+// outside uint32).
 //
 // See DESIGN.md §"Wire formats" for the byte-level layout and the
 // buffer-ownership rules around the stream package's payload pool.
@@ -60,7 +57,7 @@ const warningWireSize = 41
 const summaryFixedSize = 38
 
 // maxSummaryTail bounds the LastPNormal tail a binary summary can carry
-// (one length byte). Longer tails fall back to JSON encoding.
+// (one length byte). SummaryBuilder keeps at most maxLastK entries.
 const maxSummaryTail = 255
 
 // AppendRecord appends the binary encoding of r to dst and returns the
@@ -156,17 +153,15 @@ func WarningTrace(b []byte) (obsv.TraceContext, bool) {
 	return obsv.PayloadTrace(b)
 }
 
-// AppendSummary appends the binary encoding of s to dst. Summaries whose
-// LastPNormal tail exceeds maxSummaryTail entries (or whose Count does
-// not fit an unsigned 32-bit integer) are encoded as JSON instead — the
-// decoder's fallback keeps the pair interoperable.
+// AppendSummary appends the binary encoding of s to dst. A summary whose
+// LastPNormal tail exceeds maxSummaryTail entries, or whose Count does not
+// fit an unsigned 32-bit integer, is an error and leaves dst unchanged.
 func AppendSummary(dst []byte, s PredictionSummary) ([]byte, error) {
-	if len(s.LastPNormal) > maxSummaryTail || s.Count < 0 || int64(s.Count) > math.MaxUint32 {
-		j, err := json.Marshal(s)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, j...), nil
+	if len(s.LastPNormal) > maxSummaryTail {
+		return dst, fmt.Errorf("encode summary: tail of %d entries exceeds %d", len(s.LastPNormal), maxSummaryTail)
+	}
+	if s.Count < 0 || int64(s.Count) > math.MaxUint32 {
+		return dst, fmt.Errorf("encode summary: count %d outside uint32", s.Count)
 	}
 	off := len(dst)
 	dst = append(dst, make([]byte, summaryFixedSize+8*len(s.LastPNormal))...)
@@ -225,11 +220,6 @@ func DecodeRecord(b []byte) (trace.Record, error) {
 	}, nil
 }
 
-// EncodeWarning serializes a warning for OUT-DATA using the binary codec.
-func EncodeWarning(w Warning) ([]byte, error) {
-	return AppendWarning(make([]byte, 0, warningWireSize), w), nil
-}
-
 // DecodeWarning parses a binary OUT-DATA payload.
 func DecodeWarning(b []byte) (Warning, error) {
 	if !isBinary(b, hdrWarning) {
@@ -248,22 +238,15 @@ func DecodeWarning(b []byte) (Warning, error) {
 }
 
 // EncodeSummary serializes a summary for CO-DATA using the binary codec
-// (JSON for oversized tails; see AppendSummary).
+// (see AppendSummary for what it refuses).
 func EncodeSummary(s PredictionSummary) ([]byte, error) {
 	return AppendSummary(make([]byte, 0, summaryFixedSize+8*len(s.LastPNormal)), s)
 }
 
-// EncodeSummaryJSON serializes a summary as legacy JSON.
-func EncodeSummaryJSON(s PredictionSummary) ([]byte, error) { return json.Marshal(s) }
-
-// DecodeSummary parses a CO-DATA payload, binary or JSON.
+// DecodeSummary parses a binary CO-DATA payload.
 func DecodeSummary(b []byte) (PredictionSummary, error) {
 	if !isBinary(b, hdrSummary) {
-		var s PredictionSummary
-		if err := json.Unmarshal(b, &s); err != nil {
-			return PredictionSummary{}, fmt.Errorf("decode summary: %w", err)
-		}
-		return s, nil
+		return PredictionSummary{}, fmt.Errorf("decode summary: not a binary summary (%d bytes)", len(b))
 	}
 	if len(b) < summaryFixedSize {
 		return PredictionSummary{}, fmt.Errorf("decode summary: truncated binary payload (%d bytes)", len(b))

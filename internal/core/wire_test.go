@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -71,11 +72,7 @@ func TestRecordJSONFallback(t *testing.T) {
 
 func TestWarningBinaryRoundTrip(t *testing.T) {
 	w := Warning{Car: 7, Road: -42, PNormal: 0.125, SourceTsMs: 1467621000123, DetectedTsMs: 1467621000170}
-	payload, err := EncodeWarning(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeWarning(payload)
+	got, err := DecodeWarning(AppendWarning(nil, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +81,7 @@ func TestWarningBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSummaryBinaryRoundTripAndFallback(t *testing.T) {
+func TestSummaryBinaryRoundTrip(t *testing.T) {
 	cases := []PredictionSummary{
 		{Car: 3, MeanPNormal: 0.875, Count: 12, FromRoad: 9001, UpdatedMs: 99},
 		{Car: 3, MeanPNormal: 0.875, Count: 12, FromRoad: 9001, UpdatedMs: 99,
@@ -102,38 +99,43 @@ func TestSummaryBinaryRoundTripAndFallback(t *testing.T) {
 		if !reflect.DeepEqual(got, s) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
 		}
-		j, err := EncodeSummaryJSON(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = DecodeSummary(j)
-		if err != nil {
-			t.Fatalf("JSON fallback decode: %v", err)
-		}
-		if !reflect.DeepEqual(got, s) {
-			t.Fatalf("JSON fallback mismatch: got %+v want %+v", got, s)
-		}
 	}
 }
 
-func TestSummaryOversizedTailFallsBackToJSON(t *testing.T) {
-	s := PredictionSummary{Car: 5, Count: 400, FromRoad: 1}
-	for i := 0; i < maxSummaryTail+10; i++ {
-		s.LastPNormal = append(s.LastPNormal, float64(i)/1000)
+// TestSummaryOutsideLayoutIsRefused holds the summary codec to its one
+// encoding: what the binary layout cannot carry is an encode error that
+// leaves dst as it was, and a payload without the summary header (the
+// JSON form older peers sent) is a decode error.
+func TestSummaryOutsideLayoutIsRefused(t *testing.T) {
+	long := PredictionSummary{Car: 5, Count: 400, FromRoad: 1}
+	for i := 0; i < maxSummaryTail+1; i++ {
+		long.LastPNormal = append(long.LastPNormal, float64(i)/1000)
 	}
-	payload, err := EncodeSummary(s)
+	full := long
+	full.LastPNormal = long.LastPNormal[:maxSummaryTail]
+	if _, err := EncodeSummary(full); err != nil {
+		t.Fatalf("a %d-entry tail should encode: %v", maxSummaryTail, err)
+	}
+	for name, s := range map[string]PredictionSummary{
+		"tail over 255":  long,
+		"negative count": {Car: 5, Count: -1},
+		"count over u32": {Car: 5, Count: math.MaxUint32 + 1},
+	} {
+		dst := []byte{0xaa}
+		got, err := AppendSummary(dst, s)
+		if err == nil {
+			t.Errorf("%s: encoded, want an error", name)
+		}
+		if len(got) != 1 || got[0] != 0xaa {
+			t.Errorf("%s: dst changed to %d bytes", name, len(got))
+		}
+	}
+	j, err := json.Marshal(PredictionSummary{Car: 5, MeanPNormal: 0.5, Count: 3, LastPNormal: []float64{0.4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(payload) {
-		t.Fatal("oversized-tail summary should encode as JSON")
-	}
-	got, err := DecodeSummary(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("oversized-tail round trip mismatch")
+	if s, err := DecodeSummary(j); err == nil {
+		t.Fatalf("a JSON summary decoded: %+v", s)
 	}
 }
 
@@ -142,7 +144,7 @@ func TestDecodeRejectsTruncatedBinary(t *testing.T) {
 	if _, err := DecodeRecord(rec[:recordBodySize-1]); err == nil {
 		t.Error("truncated binary record should not decode")
 	}
-	w, _ := EncodeWarning(Warning{Car: 1})
+	w := AppendWarning(nil, Warning{Car: 1})
 	if _, err := DecodeWarning(w[:warningWireSize-1]); err == nil {
 		t.Error("truncated binary warning should not decode")
 	}

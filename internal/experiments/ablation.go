@@ -139,7 +139,7 @@ func RunDTFeatureAblation(sc *Scenario) ([]FeatureRow, error) {
 		{"pX", false, true, false},
 	}
 	upstreamRecs := trace.RecordsOfType(sc.Train, geo.Motorway)
-	trainSumm, err := core.BuildTrainingSummaries(upstreamRecs, sc.Upstream, 0)
+	trainSumm, err := core.BuildTrainingSummaries(upstreamRecs, sc.Upstream)
 	if err != nil {
 		return nil, err
 	}

@@ -477,29 +477,6 @@ func TestLatencyValidation(t *testing.T) {
 	}
 }
 
-func TestRunDetectorComparison(t *testing.T) {
-	sc := testScenario(t)
-	rows, err := RunDetectorComparison(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", FormatDetectorRows(rows))
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Accuracy < 0.6 || r.Accuracy > 1 {
-			t.Errorf("%s accuracy %.3f implausible", r.Detector, r.Accuracy)
-		}
-		if r.F1 <= 0 || r.F1 > 1 {
-			t.Errorf("%s F1 %.3f out of range", r.Detector, r.F1)
-		}
-	}
-	if FormatDetectorRows(rows) == "" {
-		t.Error("empty format")
-	}
-}
-
 func TestRunMobileHandover(t *testing.T) {
 	sc := testScenario(t)
 	res, err := RunMobileHandover(sc, MobilityConfig{Vehicles: 16, Seed: 9})

@@ -183,7 +183,7 @@ func BuildScenario(cfg ScenarioConfig) (*Scenario, error) {
 			corridorMw = append(corridorMw, r)
 		}
 	}
-	sc.Summaries, err = core.BuildTrainingSummaries(corridorMw, sc.Upstream, 0)
+	sc.Summaries, err = core.BuildTrainingSummaries(corridorMw, sc.Upstream)
 	if err != nil {
 		return nil, err
 	}

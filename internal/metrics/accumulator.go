@@ -29,9 +29,6 @@ type Accumulator struct {
 	total float64 // running sum, ns (for exact-total reporting)
 }
 
-// NewAccumulator returns an empty accumulator.
-func NewAccumulator() *Accumulator { return &Accumulator{} }
-
 // Observe folds one duration into the summary.
 func (a *Accumulator) Observe(d time.Duration) {
 	f := float64(d)

@@ -35,7 +35,7 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 
 	for name, durs := range cases {
 		t.Run(name, func(t *testing.T) {
-			acc := NewAccumulator()
+			acc := &Accumulator{}
 			for _, d := range durs {
 				acc.Observe(d)
 			}
@@ -61,7 +61,7 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 }
 
 func TestAccumulatorEmptyAndReset(t *testing.T) {
-	acc := NewAccumulator()
+	acc := &Accumulator{}
 	if s := acc.Summary(); s != (Summary{}) {
 		t.Fatalf("empty summary %+v", s)
 	}
@@ -73,7 +73,7 @@ func TestAccumulatorEmptyAndReset(t *testing.T) {
 }
 
 func TestAccumulatorConcurrent(t *testing.T) {
-	acc := NewAccumulator()
+	acc := &Accumulator{}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -99,18 +99,18 @@ func TestAccumulatorConcurrent(t *testing.T) {
 // across shards and merging must match observing it all in one stream.
 func TestAccumulatorMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	whole := NewAccumulator()
-	shards := []*Accumulator{NewAccumulator(), NewAccumulator(), NewAccumulator()}
+	whole := &Accumulator{}
+	shards := []*Accumulator{&Accumulator{}, &Accumulator{}, &Accumulator{}}
 	for i := 0; i < 3000; i++ {
 		d := time.Duration(rng.Int63n(int64(40 * time.Millisecond)))
 		whole.Observe(d)
 		shards[i%len(shards)].Observe(d)
 	}
-	merged := NewAccumulator()
+	merged := &Accumulator{}
 	merged.Merge(shards[0])
 	merged.Merge(shards[1])
 	merged.Merge(shards[2])
-	merged.Merge(NewAccumulator()) // empty shard is a no-op
+	merged.Merge(&Accumulator{}) // empty shard is a no-op
 
 	got, want := merged.Summary(), whole.Summary()
 	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max {

@@ -68,36 +68,3 @@ func BenchmarkDecisionTreePredict(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkOnlineNBObserve(b *testing.B) {
-	nb, err := NewOnlineGaussianNB(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	features := [][]float64{
-		{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()},
-		{5 + rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()},
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := nb.Observe(features[i%2], i%2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKNNPredict(b *testing.B) {
-	train, probes := benchFixture(b, 2000)
-	kn := NewKNN(7)
-	if err := kn.Fit(train); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := kn.PredictProba(probes[i%len(probes)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

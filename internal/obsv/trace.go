@@ -38,9 +38,9 @@ import (
 // For records the blob sits at RecordTraceOffset inside the fixed 200 B
 // frame's zero padding — tracing costs zero extra wire bytes and zero
 // allocations (core asserts the offsets against its body layout). For
-// warnings it is an optional tail after the 41-byte fixed body. JSON
-// payloads have no padding, so the JSON fallback simply carries no trace:
-// decoders report absence and the pipeline keeps working untraced.
+// warnings it is an optional tail after the 41-byte fixed body. A payload
+// that is not a full frame (JSON, truncated) carries no trace: decoders
+// report absence and the pipeline keeps working untraced.
 
 // TraceBlobSize is the encoded size of a TraceContext.
 const TraceBlobSize = 50

@@ -105,8 +105,9 @@ func TestPayloadTraceAndStamp(t *testing.T) {
 	}
 }
 
-// TestPayloadTraceGracefulDegradation proves the JSON fallback and
-// untraced binary frames simply carry no trace, instead of failing.
+// TestPayloadTraceGracefulDegradation proves that payloads which are not
+// full frames (JSON, truncated) and untraced binary frames simply carry no
+// trace, instead of failing.
 func TestPayloadTraceGracefulDegradation(t *testing.T) {
 	cases := map[string][]byte{
 		"json":             []byte(`{"Car":42,"Road":900001,"TimestampMs":123}`),

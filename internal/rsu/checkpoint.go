@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"cad3/internal/core"
 	"cad3/internal/geo"
@@ -13,7 +12,7 @@ import (
 	"cad3/internal/stream"
 )
 
-// CheckpointVersion guards the checkpoint wire format.
+// CheckpointVersion guards the checkpoint layout Recover accepts.
 const CheckpointVersion = 1
 
 // ErrNilCheckpoint rejects Recover without a checkpoint.
@@ -69,26 +68,6 @@ func (n *Node) Checkpoint() (*Checkpoint, error) {
 		CoOffsets: n.coConsumer.Offsets(),
 		Metrics:   n.cfg.Metrics.Snapshot(),
 	}, nil
-}
-
-// EncodeCheckpoint writes the checkpoint as JSON.
-func EncodeCheckpoint(w io.Writer, cp *Checkpoint) error {
-	if cp == nil {
-		return ErrNilCheckpoint
-	}
-	return json.NewEncoder(w).Encode(cp)
-}
-
-// DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("rsu: decode checkpoint: %w", err)
-	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("rsu: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
-	}
-	return &cp, nil
 }
 
 // Recover builds a node from a checkpoint: the detector is loaded from

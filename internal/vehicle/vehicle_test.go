@@ -84,11 +84,7 @@ func TestVehiclePollWarnings(t *testing.T) {
 	mine := core.Warning{Car: 5, Road: 7, SourceTsMs: now - 40, DetectedTsMs: now - 15}
 	other := core.Warning{Car: 6, Road: 7, SourceTsMs: now - 40, DetectedTsMs: now - 15}
 	for _, w := range []core.Warning{mine, other} {
-		payload, err := core.EncodeWarning(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := client.Produce(stream.TopicOutData, stream.AutoPartition, nil, payload); err != nil {
+		if _, _, err := client.Produce(stream.TopicOutData, stream.AutoPartition, nil, core.AppendWarning(nil, w)); err != nil {
 			t.Fatal(err)
 		}
 	}
