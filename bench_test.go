@@ -332,23 +332,6 @@ func BenchmarkAblationCollabWeight(b *testing.B) {
 	printRows("Ablation: collaboration weight", experiments.FormatWeightRows(rows))
 }
 
-// BenchmarkAblationSummaryDepth sweeps the summary depth (full-trip mean
-// vs last-k).
-func BenchmarkAblationSummaryDepth(b *testing.B) {
-	sc := scenario(b)
-	b.ResetTimer()
-	var rows []experiments.DepthRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunSummaryDepthSweep(sc, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	printRows("Ablation: summary depth", experiments.FormatDepthRows(rows))
-}
-
 // BenchmarkAblationDTFeatures ablates the Decision Tree feature set.
 func BenchmarkAblationDTFeatures(b *testing.B) {
 	sc := scenario(b)

@@ -196,13 +196,6 @@ func run() error {
 	}
 	fmt.Print(experiments.FormatWeightRows(w))
 
-	section("Ablation: summary depth")
-	d, err := experiments.RunSummaryDepthSweep(sc, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatDepthRows(d))
-
 	section("Ablation: decision-tree feature set")
 	f, err := experiments.RunDTFeatureAblation(sc)
 	if err != nil {

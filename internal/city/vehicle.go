@@ -232,13 +232,12 @@ func (d *Driver) handover(v *cityVehicle, dst int) {
 	if sum, ok := src.summarizeForHandover(v.car); ok {
 		seq := v.hoSeq
 		v.hoSeq++
-		payload, err := core.EncodeSummary(sum)
-		if err == nil {
-			d.scratch = appendHandoverKey(d.scratch[:0], v.car, seq)
-			if d.router.Forward(d.shards[dst].name, d.scratch, payload) == nil {
-				d.hoLedger[hoKey{car: v.car, seq: seq}] = &hoRow{dst: dst}
-				d.m.handoverSummaries.Inc()
-			}
+		// Key then summary in the driver's scratch; Forward copies both.
+		buf, err := core.AppendSummary(appendHandoverKey(d.scratch[:0], v.car, seq), sum)
+		d.scratch = buf
+		if err == nil && d.router.Forward(d.shards[dst].name, buf[:handoverKeySize], buf[handoverKeySize:]) == nil {
+			d.hoLedger[hoKey{car: v.car, seq: seq}] = &hoRow{dst: dst}
+			d.m.handoverSummaries.Inc()
 		}
 	} else {
 		d.m.handoverEmpty.Inc()

@@ -84,6 +84,25 @@ func TestTracedWireZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSummaryCodecZeroAllocs holds the CO-DATA codec to a fixed layout:
+// appending a summary into a reused buffer and decoding it touch no heap.
+func TestSummaryCodecZeroAllocs(t *testing.T) {
+	s := PredictionSummary{Car: 42, MeanPNormal: 0.87, Count: 84, FromRoad: 9, UpdatedMs: 123}
+	buf := make([]byte, 0, summaryFixedSize)
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		if buf, err = AppendSummary(buf[:0], s); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeSummary(buf); err != nil || got != s {
+			t.Fatalf("decode = %+v, %v", got, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("summary encode+decode: %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestBackpressuredSendZeroAllocs extends the zero-alloc contract to the
 // refusal path: a producer whose send hits a full admission gate must get
 // its preallocated backpressure error without touching the heap. Overload

@@ -25,8 +25,7 @@ func benchWarning() Warning {
 
 func benchSummary() PredictionSummary {
 	return PredictionSummary{Car: 42, MeanPNormal: 0.87, Count: 84,
-		FromRoad: 900001, UpdatedMs: 1721930000123,
-		LastPNormal: []float64{0.91, 0.88, 0.83, 0.79, 0.85}}
+		FromRoad: 900001, UpdatedMs: 1721930000123}
 }
 
 // BenchmarkWireCodec measures one encode+decode round trip per op for each

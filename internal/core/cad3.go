@@ -22,13 +22,10 @@ import (
 type CAD3 struct {
 	local *AD3 // NB for this RSU's road type
 	tree  *mlkit.DecisionTree
-	// weight is w in Equation 1 (paper: 0.5). SummaryDepth selects how
-	// much history the fusion uses: 0 = the full-trip mean (paper), k > 0
-	// = mean of the last k predictions (ablation).
-	weight       float64
-	summaryDepth int
-	summaryRoad  geo.SegmentID
-	trained      bool
+	// weight is w in Equation 1 (paper: 0.5).
+	weight      float64
+	summaryRoad geo.SegmentID
+	trained     bool
 }
 
 var _ Detector = (*CAD3)(nil)
@@ -38,20 +35,21 @@ var _ Detector = (*CAD3)(nil)
 type CAD3Config struct {
 	// Weight is w in Equation 1. Values outside (0, 1] select 0.5.
 	Weight float64
-	// SummaryDepth: 0 uses the summary's full-trip mean; k > 0 averages
-	// only the last k predictions.
-	SummaryDepth int
 	// SummaryRoad, when nonzero, restricts training-summary construction
 	// to the upstream records on that specific road — the paper's
 	// P̄_prevs covers "the motorway" the vehicle just drove, not the
 	// car's whole history on every motorway.
 	SummaryRoad geo.SegmentID
-	// Tree overrides the Decision Tree growth bounds.
-	Tree mlkit.TreeConfig
 }
 
 // DefaultCollabWeight is the paper's w = 0.5.
 const DefaultCollabWeight = 0.5
+
+// CAD3TreeDepth bounds the collaborative Decision Tree. A shallow tree
+// regularizes the three-feature fusion well and stays human-readable —
+// the explainability the paper argues is critical for road-safety
+// liability (§VI-D4).
+const CAD3TreeDepth = 4
 
 // NewCAD3 creates an untrained CAD3 detector for the given road type.
 func NewCAD3(roadType geo.RoadType, cfg CAD3Config) *CAD3 {
@@ -59,18 +57,11 @@ func NewCAD3(roadType geo.RoadType, cfg CAD3Config) *CAD3 {
 	if w <= 0 || w > 1 {
 		w = DefaultCollabWeight
 	}
-	if cfg.Tree == (mlkit.TreeConfig{}) {
-		// A shallow tree regularizes the three-feature fusion well and
-		// stays human-readable — the explainability the paper argues is
-		// critical for road-safety liability (§VI-D4).
-		cfg.Tree = mlkit.TreeConfig{MaxDepth: 4}
-	}
 	return &CAD3{
-		local:        NewAD3(roadType),
-		tree:         mlkit.NewDecisionTree(cfg.Tree),
-		weight:       w,
-		summaryDepth: cfg.SummaryDepth,
-		summaryRoad:  cfg.SummaryRoad,
+		local:       NewAD3(roadType),
+		tree:        mlkit.NewDecisionTree(mlkit.TreeConfig{MaxDepth: CAD3TreeDepth}),
+		weight:      w,
+		summaryRoad: cfg.SummaryRoad,
 	}
 }
 
@@ -149,7 +140,7 @@ func (c *CAD3) Train(records []trace.Record, labeler *Labeler, upstream *AD3) er
 func (c *CAD3) fusedVec(r trace.Record, pNB float64, prior *PredictionSummary) [3]float64 {
 	pPrev := pNB // no summary -> collapse to the standalone probability
 	if prior != nil {
-		pPrev = c.summaryMean(prior)
+		pPrev = prior.MeanPNormal
 	}
 	pX := c.weight*pPrev + (1-c.weight)*pNB
 	return [3]float64{float64(r.Hour), pX, float64(mlkit.PredictLabel(pNB))}
@@ -160,22 +151,6 @@ func (c *CAD3) fusedVec(r trace.Record, pNB float64, prior *PredictionSummary) [
 func (c *CAD3) fusedFeatures(r trace.Record, pNB float64, prior *PredictionSummary) []float64 {
 	v := c.fusedVec(r, pNB, prior)
 	return v[:]
-}
-
-func (c *CAD3) summaryMean(s *PredictionSummary) float64 {
-	if c.summaryDepth <= 0 || len(s.LastPNormal) == 0 {
-		return s.MeanPNormal
-	}
-	k := c.summaryDepth
-	if k > len(s.LastPNormal) {
-		k = len(s.LastPNormal)
-	}
-	tail := s.LastPNormal[len(s.LastPNormal)-k:]
-	var sum float64
-	for _, p := range tail {
-		sum += p
-	}
-	return sum / float64(k)
 }
 
 // Detect implements Detector: Naive Bayes, Equation 1 fusion with the

@@ -424,37 +424,3 @@ func TestAccessorSurface(t *testing.T) {
 		t.Error("normal detection reported abnormal")
 	}
 }
-
-func TestCAD3SummaryDepthFusion(t *testing.T) {
-	// With depth k > 0, the fusion averages only the last k predictions.
-	fx := corridorFixture(t)
-	upstream := NewAD3(geo.Motorway)
-	if err := upstream.Train(fx.train, fx.labeler); err != nil {
-		t.Fatal(err)
-	}
-	det := NewCAD3(geo.MotorwayLink, CAD3Config{SummaryDepth: 2})
-	if err := det.Train(fx.train, fx.labeler, upstream); err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.RecordsOfType(fx.test, geo.MotorwayLink)[0]
-	// A summary whose trip mean is high but whose recent tail is low:
-	// with depth 2 the fusion must use the tail.
-	prior := &PredictionSummary{
-		Car: rec.Car, MeanPNormal: 0.95, Count: 10,
-		LastPNormal: []float64{0.9, 0.9, 0.05, 0.05},
-	}
-	dWithTail, err := det.Detect(rec, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noTail := &PredictionSummary{Car: rec.Car, MeanPNormal: 0.95, Count: 10}
-	dMean, err := det.Detect(rec, noTail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two fusions use different priors; at minimum both must be valid
-	// probabilities, and the suspicious tail must not raise P(normal).
-	if dWithTail.PNormal > dMean.PNormal {
-		t.Errorf("suspicious tail raised P(normal): %.3f > %.3f", dWithTail.PNormal, dMean.PNormal)
-	}
-}

@@ -25,7 +25,6 @@ type detectorBundle struct {
 	NB       json.RawMessage `json:"nb,omitempty"`
 	Tree     json.RawMessage `json:"tree,omitempty"`
 	Weight   float64         `json:"weight,omitempty"`
-	Depth    int             `json:"summaryDepth,omitempty"`
 	Road     int64           `json:"summaryRoad,omitempty"`
 }
 
@@ -64,7 +63,6 @@ func SaveDetector(w io.Writer, det Detector) error {
 			NB:       nb,
 			Tree:     tree,
 			Weight:   d.weight,
-			Depth:    d.summaryDepth,
 			Road:     int64(d.summaryRoad),
 		}
 	default:
@@ -102,9 +100,8 @@ func LoadDetector(r io.Reader) (Detector, error) {
 			return nil, fmt.Errorf("core: CAD3 bundle road type %d invalid", b.RoadType)
 		}
 		d := NewCAD3(rt, CAD3Config{
-			Weight:       b.Weight,
-			SummaryDepth: b.Depth,
-			SummaryRoad:  geo.SegmentID(b.Road),
+			Weight:      b.Weight,
+			SummaryRoad: geo.SegmentID(b.Road),
 		})
 		if err := json.Unmarshal(b.NB, d.local.nb); err != nil {
 			return nil, fmt.Errorf("core: load CAD3 NB: %w", err)

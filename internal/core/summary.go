@@ -20,17 +20,11 @@ type PredictionSummary struct {
 	MeanPNormal float64 `json:"meanPNormal"`
 	// Count is the number of predictions the mean aggregates.
 	Count int `json:"count"`
-	// LastPNormal holds the most recent predictions (bounded), supporting
-	// the last-k summary-depth ablation.
-	LastPNormal []float64 `json:"lastPNormal,omitempty"`
 	// FromRoad identifies the summarising RSU's road.
 	FromRoad int64 `json:"fromRd"`
 	// UpdatedMs is the summary's production time (Unix ms).
 	UpdatedMs int64 `json:"updatedMs"`
 }
-
-// maxLastK bounds the retained per-vehicle prediction tail.
-const maxLastK = 16
 
 // SummaryBuilder accumulates a vehicle's predictions at one RSU and emits
 // summaries on handover. Safe for concurrent use (the micro-batch worker
@@ -46,7 +40,6 @@ type SummaryBuilder struct {
 type carAgg struct {
 	sum   float64
 	count int
-	last  []float64
 }
 
 // NewSummaryBuilder creates a builder for the RSU covering the given road.
@@ -89,14 +82,6 @@ func (b *SummaryBuilder) observeLocked(car trace.CarID, pNormal float64) {
 	}
 	a.sum += pNormal
 	a.count++
-	// A full tail slides down in place: reslicing it forward would walk off
-	// its backing array and reallocate every maxLastK predictions.
-	if len(a.last) < maxLastK {
-		a.last = append(a.last, pNormal)
-	} else {
-		copy(a.last, a.last[1:])
-		a.last[maxLastK-1] = pNormal
-	}
 }
 
 // Summarize emits the car's summary, or ok=false if the car is unknown.
@@ -107,13 +92,10 @@ func (b *SummaryBuilder) Summarize(car trace.CarID) (PredictionSummary, bool) {
 	if !ok || a.count == 0 {
 		return PredictionSummary{}, false
 	}
-	last := make([]float64, len(a.last))
-	copy(last, a.last)
 	return PredictionSummary{
 		Car:         car,
 		MeanPNormal: a.sum / float64(a.count),
 		Count:       a.count,
-		LastPNormal: last,
 		FromRoad:    b.road,
 		UpdatedMs:   b.now().UnixMilli(),
 	}, true
@@ -139,7 +121,6 @@ type CarHistory struct {
 	Car   trace.CarID `json:"carId"`
 	Sum   float64     `json:"sum"`
 	Count int         `json:"count"`
-	Last  []float64   `json:"last,omitempty"`
 }
 
 // BuilderSnapshot is a SummaryBuilder checkpoint: the road it serves and
@@ -150,18 +131,14 @@ type BuilderSnapshot struct {
 	Cars []CarHistory `json:"cars"`
 }
 
-// Snapshot exports the builder's state (deep copy, sorted by car for
-// deterministic serialization).
+// Snapshot exports the builder's state, sorted by car for deterministic
+// serialization.
 func (b *SummaryBuilder) Snapshot() BuilderSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	snap := BuilderSnapshot{Road: b.road, Cars: make([]CarHistory, 0, len(b.cars))}
 	for car, a := range b.cars {
-		h := CarHistory{Car: car, Sum: a.sum, Count: a.count}
-		if len(a.last) > 0 {
-			h.Last = append([]float64(nil), a.last...)
-		}
-		snap.Cars = append(snap.Cars, h)
+		snap.Cars = append(snap.Cars, CarHistory{Car: car, Sum: a.sum, Count: a.count})
 	}
 	sort.Slice(snap.Cars, func(i, j int) bool { return snap.Cars[i].Car < snap.Cars[j].Car })
 	return snap
@@ -174,11 +151,7 @@ func (b *SummaryBuilder) Restore(snap BuilderSnapshot) {
 	b.road = snap.Road
 	b.cars = make(map[trace.CarID]*carAgg, len(snap.Cars))
 	for _, h := range snap.Cars {
-		a := &carAgg{sum: h.Sum, count: h.Count}
-		if len(h.Last) > 0 {
-			a.last = append([]float64(nil), h.Last...)
-		}
-		b.cars[h.Car] = a
+		b.cars[h.Car] = &carAgg{sum: h.Sum, count: h.Count}
 	}
 }
 
@@ -313,9 +286,6 @@ func (s *SummaryStore) Snapshot() []PredictionSummary {
 	defer s.mu.Unlock()
 	out := make([]PredictionSummary, 0, len(s.byID))
 	for _, sum := range s.byID {
-		if len(sum.LastPNormal) > 0 {
-			sum.LastPNormal = append([]float64(nil), sum.LastPNormal...)
-		}
 		out = append(out, sum)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Car < out[j].Car })

@@ -27,9 +27,6 @@ func TestSummaryBuilderMean(t *testing.T) {
 	if s.Count != 3 || s.FromRoad != 42 || s.Car != 1 {
 		t.Errorf("summary = %+v", s)
 	}
-	if len(s.LastPNormal) != 3 {
-		t.Errorf("last = %v", s.LastPNormal)
-	}
 	if b.Cars() != 1 {
 		t.Errorf("Cars = %d", b.Cars())
 	}
@@ -39,26 +36,8 @@ func TestSummaryBuilderMean(t *testing.T) {
 	}
 }
 
-func TestSummaryBuilderLastKBounded(t *testing.T) {
-	b := NewSummaryBuilder(1, nil)
-	for i := 0; i < 100; i++ {
-		b.Observe(7, float64(i)/100)
-	}
-	s, _ := b.Summarize(7)
-	if len(s.LastPNormal) != maxLastK {
-		t.Errorf("last tail = %d, want %d", len(s.LastPNormal), maxLastK)
-	}
-	// The tail must be the most recent values.
-	if s.LastPNormal[len(s.LastPNormal)-1] != 0.99 {
-		t.Errorf("tail end = %v", s.LastPNormal[len(s.LastPNormal)-1])
-	}
-	if s.Count != 100 {
-		t.Errorf("count = %d", s.Count)
-	}
-}
-
 func TestSummaryRoundTrip(t *testing.T) {
-	in := PredictionSummary{Car: 9, MeanPNormal: 0.31, Count: 12, FromRoad: 5, UpdatedMs: 123456, LastPNormal: []float64{0.1, 0.5}}
+	in := PredictionSummary{Car: 9, MeanPNormal: 0.31, Count: 12, FromRoad: 5, UpdatedMs: 123456}
 	b, err := EncodeSummary(in)
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +46,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Car != in.Car || out.MeanPNormal != in.MeanPNormal || out.Count != in.Count ||
-		out.FromRoad != in.FromRoad || len(out.LastPNormal) != 2 {
+	if out != in {
 		t.Errorf("round trip = %+v", out)
 	}
 	if _, err := DecodeSummary([]byte("{broken")); err == nil {

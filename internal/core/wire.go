@@ -13,10 +13,9 @@ import (
 // Binary wire codec for the three CAD3 payloads (IN-DATA records, OUT-DATA
 // warnings, CO-DATA summaries). Every payload starts with a single header
 // byte carrying the format version in the high nibble and the payload type
-// in the low nibble; the body is a fixed little-endian layout (summaries
-// append a short variable tail). Every payload is binary only: a payload
-// without its header is a decode error, and AppendSummary refuses a
-// summary the layout cannot hold (a tail longer than 255 entries, a count
+// in the low nibble; the body is a fixed little-endian layout. Every
+// payload is binary only: a payload without its header is a decode error,
+// and AppendSummary refuses a summary the layout cannot hold (a count
 // outside uint32).
 //
 // See DESIGN.md §"Wire formats" for the byte-level layout and the
@@ -52,13 +51,9 @@ const (
 // warningWireSize is the fixed size of a binary warning.
 const warningWireSize = 41
 
-// summaryFixedSize is the fixed prefix of a binary summary: header,
-// car, mean, count, from-road, updated-ms and the tail length byte.
+// summaryFixedSize is the size of a binary summary: header, car, mean,
+// count, from-road, updated-ms and a reserved byte that is always 0.
 const summaryFixedSize = 38
-
-// maxSummaryTail bounds the LastPNormal tail a binary summary can carry
-// (one length byte). SummaryBuilder keeps at most maxLastK entries.
-const maxSummaryTail = 255
 
 // AppendRecord appends the binary encoding of r to dst and returns the
 // extended slice. The result is exactly RecordWireSize bytes longer than
@@ -153,18 +148,15 @@ func WarningTrace(b []byte) (obsv.TraceContext, bool) {
 	return obsv.PayloadTrace(b)
 }
 
-// AppendSummary appends the binary encoding of s to dst. A summary whose
-// LastPNormal tail exceeds maxSummaryTail entries, or whose Count does not
-// fit an unsigned 32-bit integer, is an error and leaves dst unchanged.
+// AppendSummary appends the summaryFixedSize-byte binary encoding of s to
+// dst. A summary whose Count does not fit an unsigned 32-bit integer is an
+// error and leaves dst unchanged.
 func AppendSummary(dst []byte, s PredictionSummary) ([]byte, error) {
-	if len(s.LastPNormal) > maxSummaryTail {
-		return dst, fmt.Errorf("encode summary: tail of %d entries exceeds %d", len(s.LastPNormal), maxSummaryTail)
-	}
 	if s.Count < 0 || int64(s.Count) > math.MaxUint32 {
 		return dst, fmt.Errorf("encode summary: count %d outside uint32", s.Count)
 	}
 	off := len(dst)
-	dst = append(dst, make([]byte, summaryFixedSize+8*len(s.LastPNormal))...)
+	dst = append(dst, make([]byte, summaryFixedSize)...)
 	b := dst[off:]
 	b[0] = hdrSummary
 	le.PutUint64(b[1:], uint64(s.Car))
@@ -172,10 +164,7 @@ func AppendSummary(dst []byte, s PredictionSummary) ([]byte, error) {
 	le.PutUint32(b[17:], uint32(s.Count))
 	le.PutUint64(b[21:], uint64(s.FromRoad))
 	le.PutUint64(b[29:], uint64(s.UpdatedMs))
-	b[37] = byte(len(s.LastPNormal))
-	for i, p := range s.LastPNormal {
-		le.PutUint64(b[summaryFixedSize+8*i:], math.Float64bits(p))
-	}
+	b[37] = 0 // reserved; written so the layout analyzer sees all 38 bytes
 	return dst, nil
 }
 
@@ -240,33 +229,26 @@ func DecodeWarning(b []byte) (Warning, error) {
 // EncodeSummary serializes a summary for CO-DATA using the binary codec
 // (see AppendSummary for what it refuses).
 func EncodeSummary(s PredictionSummary) ([]byte, error) {
-	return AppendSummary(make([]byte, 0, summaryFixedSize+8*len(s.LastPNormal)), s)
+	return AppendSummary(make([]byte, 0, summaryFixedSize), s)
 }
 
-// DecodeSummary parses a binary CO-DATA payload.
+// DecodeSummary parses a binary CO-DATA payload: exactly summaryFixedSize
+// bytes with the reserved byte 0. It allocates only on error.
 func DecodeSummary(b []byte) (PredictionSummary, error) {
 	if !isBinary(b, hdrSummary) {
 		return PredictionSummary{}, fmt.Errorf("decode summary: not a binary summary (%d bytes)", len(b))
 	}
-	if len(b) < summaryFixedSize {
-		return PredictionSummary{}, fmt.Errorf("decode summary: truncated binary payload (%d bytes)", len(b))
+	if len(b) != summaryFixedSize {
+		return PredictionSummary{}, fmt.Errorf("decode summary: %d bytes, want %d", len(b), summaryFixedSize)
 	}
-	n := int(b[37])
-	if len(b) < summaryFixedSize+8*n {
-		return PredictionSummary{}, fmt.Errorf("decode summary: tail needs %d bytes, have %d", summaryFixedSize+8*n, len(b))
+	if b[37] != 0 {
+		return PredictionSummary{}, fmt.Errorf("decode summary: reserved byte is %#x, want 0", b[37])
 	}
-	s := PredictionSummary{
+	return PredictionSummary{
 		Car:         trace.CarID(le.Uint64(b[1:])),
 		MeanPNormal: math.Float64frombits(le.Uint64(b[9:])),
 		Count:       int(le.Uint32(b[17:])),
 		FromRoad:    int64(le.Uint64(b[21:])),
 		UpdatedMs:   int64(le.Uint64(b[29:])),
-	}
-	if n > 0 {
-		s.LastPNormal = make([]float64, n)
-		for i := range s.LastPNormal {
-			s.LastPNormal[i] = math.Float64frombits(le.Uint64(b[summaryFixedSize+8*i:]))
-		}
-	}
-	return s, nil
+	}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // Decode fuzzers: arbitrary bytes must never panic a decoder, and any
 // accepted binary parse must come from a buffer long enough to hold the
-// claimed layout (mirrors internal/stream's wire-protocol fuzzers). A
+// layout (a summary: exactly its 38 bytes, re-encoding to the same bytes) (mirrors internal/stream's wire-protocol fuzzers). A
 // record or warning without its binary header — JSON included — must not
 // decode at all. Run continuously with `go test -fuzz FuzzDecodeRecord
 // ./internal/core`.
@@ -58,10 +59,12 @@ func FuzzDecodeWarning(f *testing.F) {
 }
 
 func FuzzDecodeSummary(f *testing.F) {
-	valid, _ := EncodeSummary(PredictionSummary{Car: 1, MeanPNormal: 0.5, Count: 3, LastPNormal: []float64{0.4, 0.6}})
+	valid, _ := EncodeSummary(PredictionSummary{Car: 1, MeanPNormal: 0.5, Count: 3})
+	tailed := append(append([]byte(nil), valid...), make([]byte, 16)...)
+	tailed[37] = 2 // the retired two-entry tail form
 	f.Add(valid)
 	f.Add([]byte{hdrSummary, 0xff})
-	f.Add([]byte(`{"carId":1,"lastPNormal":[0.5]}`))
+	f.Add(tailed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSummary(data)
 		if !isBinary(data, hdrSummary) && err == nil {
@@ -70,8 +73,15 @@ func FuzzDecodeSummary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(data) < summaryFixedSize+8*len(s.LastPNormal) {
-			t.Fatalf("accepted %d-byte binary summary with %d-entry tail", len(data), len(s.LastPNormal))
+		if len(data) != summaryFixedSize || data[37] != 0 {
+			t.Fatalf("accepted a %d-byte summary with reserved byte %#x", len(data), data[len(data)-1])
+		}
+		again, err := AppendSummary(nil, s)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-encode differs:\n got %x\nwant %x", again, data)
 		}
 	})
 }
@@ -126,29 +136,28 @@ func normNaN(r trace.Record) trace.Record {
 }
 
 func FuzzSummaryRoundTrip(f *testing.F) {
-	f.Add(int64(1), 0.5, uint16(3), int64(2), int64(99), uint8(2), 0.25)
-	f.Add(int64(9), 1.0, uint16(65535), int64(-2), int64(0), uint8(20), 0.75)
-	f.Fuzz(func(t *testing.T, car int64, mean float64, count uint16, road, ts int64,
-		tail uint8, p float64) {
-		if mean != mean || p != p {
+	f.Add(int64(1), 0.5, uint16(3), int64(2), int64(99))
+	f.Add(int64(9), 1.0, uint16(65535), int64(-2), int64(0))
+	f.Fuzz(func(t *testing.T, car int64, mean float64, count uint16, road, ts int64) {
+		if mean != mean {
 			t.Skip("NaN is not equal to itself")
 		}
 		s := PredictionSummary{
 			Car: trace.CarID(car), MeanPNormal: mean, Count: int(count),
 			FromRoad: road, UpdatedMs: ts,
 		}
-		for i := 0; i < int(tail); i++ {
-			s.LastPNormal = append(s.LastPNormal, p+float64(i))
-		}
 		payload, err := EncodeSummary(s)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(payload) != summaryFixedSize {
+			t.Fatalf("encoded %d bytes, want %d", len(payload), summaryFixedSize)
 		}
 		got, err := DecodeSummary(payload)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if !reflect.DeepEqual(got, s) {
+		if got != s {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", got, s)
 		}
 	})

@@ -84,13 +84,15 @@ func TestWarningBinaryRoundTrip(t *testing.T) {
 func TestSummaryBinaryRoundTrip(t *testing.T) {
 	cases := []PredictionSummary{
 		{Car: 3, MeanPNormal: 0.875, Count: 12, FromRoad: 9001, UpdatedMs: 99},
-		{Car: 3, MeanPNormal: 0.875, Count: 12, FromRoad: 9001, UpdatedMs: 99,
-			LastPNormal: []float64{0.9, 0.8, 0.7}},
+		{Car: -1, MeanPNormal: 0.125, Count: math.MaxUint32, FromRoad: -2, UpdatedMs: -3},
 	}
 	for _, s := range cases {
 		payload, err := EncodeSummary(s)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(payload) != summaryFixedSize || payload[37] != 0 {
+			t.Fatalf("payload is %d bytes ending %#x, want %d ending 0", len(payload), payload[len(payload)-1], summaryFixedSize)
 		}
 		got, err := DecodeSummary(payload)
 		if err != nil {
@@ -104,20 +106,11 @@ func TestSummaryBinaryRoundTrip(t *testing.T) {
 
 // TestSummaryOutsideLayoutIsRefused holds the summary codec to its one
 // encoding: what the binary layout cannot carry is an encode error that
-// leaves dst as it was, and a payload without the summary header (the
-// JSON form older peers sent) is a decode error.
+// leaves dst as it was, and a payload that is not exactly the 38-byte
+// layout with its reserved byte 0 — the JSON form older peers sent, or the
+// retired form with a prediction tail — is a decode error.
 func TestSummaryOutsideLayoutIsRefused(t *testing.T) {
-	long := PredictionSummary{Car: 5, Count: 400, FromRoad: 1}
-	for i := 0; i < maxSummaryTail+1; i++ {
-		long.LastPNormal = append(long.LastPNormal, float64(i)/1000)
-	}
-	full := long
-	full.LastPNormal = long.LastPNormal[:maxSummaryTail]
-	if _, err := EncodeSummary(full); err != nil {
-		t.Fatalf("a %d-entry tail should encode: %v", maxSummaryTail, err)
-	}
 	for name, s := range map[string]PredictionSummary{
-		"tail over 255":  long,
 		"negative count": {Car: 5, Count: -1},
 		"count over u32": {Car: 5, Count: math.MaxUint32 + 1},
 	} {
@@ -130,12 +123,29 @@ func TestSummaryOutsideLayoutIsRefused(t *testing.T) {
 			t.Errorf("%s: dst changed to %d bytes", name, len(got))
 		}
 	}
-	j, err := json.Marshal(PredictionSummary{Car: 5, MeanPNormal: 0.5, Count: 3, LastPNormal: []float64{0.4}})
+	j, err := json.Marshal(PredictionSummary{Car: 5, MeanPNormal: 0.5, Count: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s, err := DecodeSummary(j); err == nil {
 		t.Fatalf("a JSON summary decoded: %+v", s)
+	}
+	valid, err := EncodeSummary(PredictionSummary{Car: 5, MeanPNormal: 0.5, Count: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailed := append(append([]byte(nil), valid...), make([]byte, 8)...)
+	tailed[37] = 1
+	reserved := append([]byte(nil), valid...)
+	reserved[37] = 1
+	for name, b := range map[string][]byte{
+		"one-entry tail":    tailed,
+		"reserved byte set": reserved,
+		"trailing byte":     append(append([]byte(nil), valid...), 0),
+	} {
+		if s, err := DecodeSummary(b); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", name, s)
+		}
 	}
 }
 
@@ -148,12 +158,9 @@ func TestDecodeRejectsTruncatedBinary(t *testing.T) {
 	if _, err := DecodeWarning(w[:warningWireSize-1]); err == nil {
 		t.Error("truncated binary warning should not decode")
 	}
-	s, _ := EncodeSummary(PredictionSummary{Car: 1, LastPNormal: []float64{0.5}})
-	if _, err := DecodeSummary(s[:len(s)-1]); err == nil {
-		t.Error("truncated binary summary tail should not decode")
-	}
+	s, _ := EncodeSummary(PredictionSummary{Car: 1})
 	if _, err := DecodeSummary(s[:summaryFixedSize-1]); err == nil {
-		t.Error("truncated binary summary prefix should not decode")
+		t.Error("truncated binary summary should not decode")
 	}
 }
 

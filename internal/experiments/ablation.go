@@ -12,8 +12,11 @@ import (
 )
 
 // The ablations quantify the design choices DESIGN.md calls out: the
-// Equation 1 fusion weight, the micro-batch interval, the summary depth,
-// the Decision Tree feature set, and the consumer poll interval.
+// Equation 1 fusion weight, the micro-batch interval, the Decision Tree
+// feature set, and the consumer poll interval. The accuracy sweeps train
+// CAD3 as BuildScenario does (summaries scoped to the corridor motorway,
+// the depth-bounded tree), so each sweep's paper-default row is Table IV's
+// CAD3 row.
 
 // WeightRow is one point of the collaboration-weight sweep (w = 0
 // collapses CAD3 to AD3-like behaviour; the paper fixes w = 0.5).
@@ -30,7 +33,7 @@ func RunCollabWeightSweep(sc *Scenario, weights []float64) ([]WeightRow, error) 
 	}
 	rows := make([]WeightRow, 0, len(weights))
 	for _, w := range weights {
-		det := core.NewCAD3(geo.MotorwayLink, core.CAD3Config{Weight: w})
+		det := core.NewCAD3(geo.MotorwayLink, core.CAD3Config{Weight: w, SummaryRoad: CorridorMotorwayID})
 		if err := det.Train(sc.Train, sc.Labeler, sc.Upstream); err != nil {
 			return nil, fmt.Errorf("weight %.2f: %w", w, err)
 		}
@@ -39,34 +42,6 @@ func RunCollabWeightSweep(sc *Scenario, weights []float64) ([]WeightRow, error) 
 			return nil, err
 		}
 		rows = append(rows, WeightRow{Weight: w, F1: m.F1(), FNRate: m.FNRate()})
-	}
-	return rows, nil
-}
-
-// DepthRow is one point of the summary-depth sweep (0 = full-trip mean,
-// the paper's choice; k > 0 = last-k predictions only).
-type DepthRow struct {
-	Depth  int
-	F1     float64
-	FNRate float64
-}
-
-// RunSummaryDepthSweep retrains CAD3 across summary depths.
-func RunSummaryDepthSweep(sc *Scenario, depths []int) ([]DepthRow, error) {
-	if len(depths) == 0 {
-		depths = []int{0, 1, 4, 8, 16}
-	}
-	rows := make([]DepthRow, 0, len(depths))
-	for _, d := range depths {
-		det := core.NewCAD3(geo.MotorwayLink, core.CAD3Config{SummaryDepth: d})
-		if err := det.Train(sc.Train, sc.Labeler, sc.Upstream); err != nil {
-			return nil, fmt.Errorf("depth %d: %w", d, err)
-		}
-		m, err := core.EvaluateDetector(det, sc.TestLink, sc.Labeler, sc.Summaries)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, DepthRow{Depth: d, F1: m.F1(), FNRate: m.FNRate()})
 	}
 	return rows, nil
 }
@@ -89,7 +64,7 @@ func (d *featureAblationDetector) features(rec trace.Record, pNB float64, prior 
 	if prior != nil {
 		pPrev = prior.MeanPNormal
 	}
-	pX := 0.5*pPrev + 0.5*pNB
+	pX := core.DefaultCollabWeight*pPrev + (1-core.DefaultCollabWeight)*pNB
 	out := make([]float64, 0, 3)
 	if d.useHour {
 		out = append(out, float64(rec.Hour))
@@ -138,8 +113,7 @@ func RunDTFeatureAblation(sc *Scenario) ([]FeatureRow, error) {
 		{"hour+pX", true, true, false},
 		{"pX", false, true, false},
 	}
-	upstreamRecs := trace.RecordsOfType(sc.Train, geo.Motorway)
-	trainSumm, err := core.BuildTrainingSummaries(upstreamRecs, sc.Upstream)
+	trainSumm, err := core.BuildTrainingSummaries(corridorMotorway(sc.Train), sc.Upstream)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +123,7 @@ func RunDTFeatureAblation(sc *Scenario) ([]FeatureRow, error) {
 	for _, v := range variants {
 		det := &featureAblationDetector{
 			local:   sc.AD3,
-			tree:    mlkit.NewDecisionTree(mlkit.TreeConfig{}),
+			tree:    mlkit.NewDecisionTree(mlkit.TreeConfig{MaxDepth: core.CAD3TreeDepth}),
 			useHour: v.hour, usePX: v.pX, useCls: v.cls,
 		}
 		samples := make([]mlkit.Sample, 0, len(linkTrain))
@@ -249,16 +223,6 @@ func FormatWeightRows(rows []WeightRow) string {
 	fmt.Fprintf(&sb, "%8s %8s %8s\n", "weight", "F1", "FN-rate")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%8.2f %8.4f %8.4f\n", r.Weight, r.F1, r.FNRate)
-	}
-	return sb.String()
-}
-
-// FormatDepthRows renders the depth sweep.
-func FormatDepthRows(rows []DepthRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%8s %8s %8s\n", "depth", "F1", "FN-rate")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%8d %8.4f %8.4f\n", r.Depth, r.F1, r.FNRate)
 	}
 	return sb.String()
 }

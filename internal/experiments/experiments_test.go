@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cad3/internal/core"
 	"cad3/internal/geo"
 	"cad3/internal/netem"
 )
@@ -392,8 +393,20 @@ func TestRunFigure2AndTable3(t *testing.T) {
 	}
 }
 
+// TestAblationSweeps runs the accuracy sweeps and holds each one's
+// paper-default row (w = 0.5; the full [Hour, P_X, Class_NB] feature set)
+// to Table IV's CAD3 row: a sweep that trains CAD3 differently from
+// BuildScenario would not be ablating the model the tables report.
 func TestAblationSweeps(t *testing.T) {
 	sc := testScenario(t)
+	models, err := RunModelComparison(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := models[2]
+	if table.Model != "CAD3" {
+		t.Fatalf("third model row = %q", table.Model)
+	}
 
 	weights, err := RunCollabWeightSweep(sc, []float64{0.25, 0.5, 0.75})
 	if err != nil {
@@ -408,14 +421,9 @@ func TestAblationSweeps(t *testing.T) {
 			t.Errorf("weight %.2f: F1 %.4f out of range", w.Weight, w.F1)
 		}
 	}
-
-	depths, err := RunSummaryDepthSweep(sc, []int{0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", FormatDepthRows(depths))
-	if len(depths) != 2 {
-		t.Fatalf("depth rows = %d", len(depths))
+	if paper := weights[1]; paper.Weight != core.DefaultCollabWeight || paper.F1 != table.F1 || paper.FNRate != table.FNRate {
+		t.Errorf("weight %.2f row F1 %.4f FN %.4f, want Table IV's CAD3 %.4f / %.4f",
+			paper.Weight, paper.F1, paper.FNRate, table.F1, table.FNRate)
 	}
 
 	features, err := RunDTFeatureAblation(sc)
@@ -429,6 +437,10 @@ func TestAblationSweeps(t *testing.T) {
 	full := features[0]
 	if full.Features != "hour+pX+classNB" {
 		t.Fatalf("first variant = %q", full.Features)
+	}
+	if full.F1 != table.F1 || full.FNRate != table.FNRate {
+		t.Errorf("full feature set F1 %.4f FN %.4f, want Table IV's CAD3 %.4f / %.4f",
+			full.F1, full.FNRate, table.F1, table.FNRate)
 	}
 }
 

@@ -177,17 +177,24 @@ func BuildScenario(cfg ScenarioConfig) (*Scenario, error) {
 	// Evaluation priors come from the corridor motorway only — the road
 	// the test vehicles actually drove before handing over to the link
 	// RSU (the online CO-DATA stream's content).
-	var corridorMw []trace.Record
-	for _, r := range mwTest {
-		if r.Road == CorridorMotorwayID {
-			corridorMw = append(corridorMw, r)
-		}
-	}
-	sc.Summaries, err = core.BuildTrainingSummaries(corridorMw, sc.Upstream)
+	sc.Summaries, err = core.BuildTrainingSummaries(corridorMotorway(mwTest), sc.Upstream)
 	if err != nil {
 		return nil, err
 	}
 	return sc, nil
+}
+
+// corridorMotorway returns the records on the corridor's motorway
+// segment, in order: the road whose history the link RSU's CO-DATA
+// summaries carry.
+func corridorMotorway(recs []trace.Record) []trace.Record {
+	var out []trace.Record
+	for _, r := range recs {
+		if r.Road == CorridorMotorwayID {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // AddCorridor inserts the testbed corridor into a network and returns the

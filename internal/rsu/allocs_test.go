@@ -88,3 +88,36 @@ func TestNodeStepAllocatesNothingPerRecord(t *testing.T) {
 			window/4, allocs["quarter-warn"], allocs["quiet"])
 	}
 }
+
+// TestCarLifecycleAllocatesOnce pins a warm car's life at an RSU: twenty
+// predictions folded into its history, then a handover that encodes the
+// key and the 38 B summary into one pooled buffer and writes them to an
+// in-process neighbour's CO-DATA. The one allocation left is the car's
+// history aggregate, made anew after the handover forgot the last one.
+func TestCarLifecycleAllocatesOnce(t *testing.T) {
+	_, _, _, cad3 := trainedDetectors(t)
+	n, _, _ := newNode(t, "motorway", cad3)
+	neighbour := stream.NewInProcClient(stream.NewBroker(stream.BrokerConfig{MaxRetainedPerPartition: 1024}))
+	if err := n.AddNeighbor("link", neighbour); err != nil {
+		t.Fatal(err)
+	}
+	const car = trace.CarID(7)
+	life := func() {
+		for i := 0; i < 20; i++ {
+			n.builder.Observe(car, 0.9)
+		}
+		if err := n.Handover(car, "link"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		life() // warm the payload pool and the neighbour's log
+	}
+	allocs := testing.AllocsPerRun(100, life)
+	if got := n.Stats().SummariesSent; got != 111 {
+		t.Fatalf("SummariesSent = %d, want 111", got)
+	}
+	if !stream.PoolGuard && !raceEnabled && allocs > 1 {
+		t.Errorf("observe x20 + handover: %v allocs, want at most 1", allocs)
+	}
+}

@@ -687,14 +687,16 @@ func (n *Node) Handover(car trace.CarID, neighbor string) error {
 	if !found {
 		return nil
 	}
-	payload, err := core.EncodeSummary(sum)
+	// Key and summary share one pooled buffer; Send copies what it keeps.
+	buf := appendCarKey(stream.GetPayload(), car)
+	keyLen := len(buf)
+	buf, err := core.AppendSummary(buf, sum)
 	if err != nil {
+		stream.PutPayload(buf)
 		return fmt.Errorf("rsu %s: encode summary: %w", n.cfg.Name, err)
 	}
-	key := appendCarKey(stream.GetPayload(), car)
-	_, _, err = p.Send(key, payload)
-	stream.PutPayload(key)
-	stream.PutPayload(payload)
+	_, _, err = p.Send(buf[:keyLen:keyLen], buf[keyLen:])
+	stream.PutPayload(buf)
 	if err != nil {
 		// The local history is kept: a later handover (or a healed link)
 		// can still deliver it.
@@ -708,46 +710,6 @@ func (n *Node) Handover(car trace.CarID, neighbor string) error {
 	if n.logs(slog.LevelInfo) {
 		n.cfg.Logger.Info("handover",
 			"rsu", n.cfg.Name, "car", int64(car), "neighbor", neighbor,
-			"meanPNormal", sum.MeanPNormal, "count", sum.Count)
-	}
-	return nil
-}
-
-// HandoverVia is Handover routed through an arbitrary forwarder instead
-// of a named neighbor producer — the shard-boundary hook: the city
-// driver passes a closure over a stream.SummaryRouter destination so
-// the summary reaches another shard's broker rather than a neighbor on
-// this one. The forwarder must not retain key or value past its return
-// (the router copies; both buffers are recycled here). As with
-// Handover, a forward failure keeps the local history so a later
-// crossing can still deliver it, and unknown cars are a no-op.
-func (n *Node) HandoverVia(car trace.CarID, forward func(key, value []byte) error) error {
-	if forward == nil {
-		return fmt.Errorf("rsu %s: HandoverVia needs a forwarder", n.cfg.Name)
-	}
-	sum, found := n.builder.Summarize(car)
-	if !found {
-		return nil
-	}
-	payload, err := core.EncodeSummary(sum)
-	if err != nil {
-		return fmt.Errorf("rsu %s: encode summary: %w", n.cfg.Name, err)
-	}
-	key := appendCarKey(stream.GetPayload(), car)
-	err = forward(key, payload)
-	stream.PutPayload(key)
-	stream.PutPayload(payload)
-	if err != nil {
-		n.dropped.Add(1)
-		n.cfg.Logger.Warn("handover dropped",
-			"rsu", n.cfg.Name, "car", int64(car), "err", err)
-		return fmt.Errorf("rsu %s: handover car %d: %w", n.cfg.Name, car, err)
-	}
-	n.builder.Forget(car)
-	n.sentSumm.Add(1)
-	if n.logs(slog.LevelInfo) {
-		n.cfg.Logger.Info("handover",
-			"rsu", n.cfg.Name, "car", int64(car),
 			"meanPNormal", sum.MeanPNormal, "count", sum.Count)
 	}
 	return nil

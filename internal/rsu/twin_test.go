@@ -224,7 +224,7 @@ func (tw *twins) window(t *testing.T, rng *rand.Rand, backfill bool) {
 		car := trace.CarID(1 + rng.Intn(twinCars))
 		sum := core.PredictionSummary{
 			Car: car, FromRoad: 3, Count: 1 + rng.Intn(20), MeanPNormal: 0.9,
-			LastPNormal: []float64{rng.Float64(), rng.Float64()}, UpdatedMs: now.UnixMilli(),
+			UpdatedMs: now.UnixMilli(),
 		}
 		if rng.Intn(3) == 0 {
 			sum.MeanPNormal = 0.2

@@ -45,21 +45,6 @@ func LoadCorpus(dir string) ([]*Spec, []string, error) {
 	return specs, names, nil
 }
 
-// RunCorpus replays every spec against the harness, in order, and
-// returns one result per spec. A run error aborts (a corpus spec that
-// cannot execute at all is itself a regression).
-func (e *Engine) RunCorpus(specs []*Spec, h Harness) ([]*Result, error) {
-	results := make([]*Result, 0, len(specs))
-	for _, s := range specs {
-		res, err := e.Run(s, h)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
-}
-
 // Explorer perturbs specs, hunts for assertion failures, and minimizes
 // what it finds. All randomness comes from Rng, so an exploration
 // session is reproducible from its seed.

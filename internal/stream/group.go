@@ -22,14 +22,11 @@ var (
 // previous assignee left off — the client-side analogue of Kafka consumer
 // groups, sufficient for scaling an RSU's ingestion across workers.
 //
-// Every rebalance bumps a generation number. Members that registered
-// RebalanceHooks are told which partitions they lost (OnRevoke) and
-// gained (OnAssign) under the new generation — all revocations fire
-// before any assignment, so two members never believe they own the same
-// partition at once. A poll that straddles a rebalance delivers only the
-// messages from partitions the member still owns; fetches from revoked
-// partitions are discarded uncommitted so the new assignee re-reads them
-// (at-least-once, never double-delivered, never skipped).
+// Every rebalance bumps a generation number. A poll that straddles a
+// rebalance delivers only the messages from partitions the member still
+// owns; fetches from revoked partitions are discarded uncommitted so the
+// new assignee re-reads them (at-least-once, never double-delivered, never
+// skipped).
 type Group struct {
 	client Client
 	topic  string
@@ -39,21 +36,8 @@ type Group struct {
 	offsets    []int64
 	members    []string // join order
 	generation int64
-	hooks      map[string]RebalanceHooks
 
-	mGenerations, mRevoked, mAssigned *obsv.Counter
-}
-
-// RebalanceHooks are a member's rebalance callbacks. Either may be nil.
-// Callbacks run outside the group lock (they may poll or commit), on the
-// goroutine that triggered the rebalance — a member's own Join/Leave can
-// therefore fire another member's hooks.
-type RebalanceHooks struct {
-	// OnRevoke reports partitions the member no longer owns under the new
-	// generation. It fires before any OnAssign of the same rebalance.
-	OnRevoke func(generation int64, partitions []int32)
-	// OnAssign reports partitions the member newly owns.
-	OnAssign func(generation int64, partitions []int32)
+	mGenerations *obsv.Counter
 }
 
 // GroupConfig configures a Group beyond the NewGroup basics.
@@ -61,9 +45,7 @@ type GroupConfig struct {
 	Client      Client
 	Topic       string
 	StartOffset int64
-	// Metrics, when set, receives rebalance.generations (bumps),
-	// rebalance.revoked and rebalance.assigned (partition moves reported
-	// through hooks).
+	// Metrics, when set, receives rebalance.generations (bumps).
 	Metrics *obsv.Registry
 }
 
@@ -91,12 +73,9 @@ func NewGroupCfg(cfg GroupConfig) (*Group, error) {
 		topic:      cfg.Topic,
 		partitions: n,
 		offsets:    offsets,
-		hooks:      make(map[string]RebalanceHooks),
 	}
 	if cfg.Metrics != nil {
 		g.mGenerations = cfg.Metrics.Counter("rebalance.generations")
-		g.mRevoked = cfg.Metrics.Counter("rebalance.revoked")
-		g.mAssigned = cfg.Metrics.Counter("rebalance.assigned")
 	}
 	return g, nil
 }
@@ -104,131 +83,41 @@ func NewGroupCfg(cfg GroupConfig) (*Group, error) {
 // Join adds a member and returns its handle. The assignment of every
 // member changes (generation bump).
 func (g *Group) Join(id string) (*GroupMember, error) {
-	return g.JoinWithHooks(id, RebalanceHooks{})
-}
-
-// JoinWithHooks is Join with rebalance callbacks. The joining member's
-// own OnAssign fires for its initial assignment, after the revocations
-// this join causes elsewhere.
-func (g *Group) JoinWithHooks(id string, hooks RebalanceHooks) (*GroupMember, error) {
 	if id == "" {
 		return nil, fmt.Errorf("stream: empty member id")
 	}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, m := range g.members {
 		if m == id {
-			g.mu.Unlock()
 			return nil, fmt.Errorf("%w: %q", ErrMemberExists, id)
 		}
 	}
-	before := g.hookAssignmentsLocked()
 	g.members = append(g.members, id)
-	if hooks.OnRevoke != nil || hooks.OnAssign != nil {
-		g.hooks[id] = hooks
-		before[id] = nil
-	}
-	fire := g.rebalancedLocked(before)
-	g.mu.Unlock()
-	fire()
+	g.rebalancedLocked()
 	return &GroupMember{group: g, id: id}, nil
 }
 
 // Leave removes a member; its partitions are redistributed.
 func (g *Group) Leave(id string) error {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	for i, m := range g.members {
-		if m != id {
-			continue
+		if m == id {
+			g.members = append(g.members[:i], g.members[i+1:]...)
+			g.rebalancedLocked()
+			return nil
 		}
-		before := g.hookAssignmentsLocked()
-		g.members = append(g.members[:i], g.members[i+1:]...)
-		delete(g.hooks, id)
-		delete(before, id) // the leaver gets no callbacks; it asked to go
-		fire := g.rebalancedLocked(before)
-		g.mu.Unlock()
-		fire()
-		return nil
 	}
-	g.mu.Unlock()
 	return fmt.Errorf("%w: %q", ErrUnknownMember, id)
 }
 
-// hookAssignmentsLocked snapshots the current assignment of every member
-// with hooks — the "before" side of a rebalance diff.
-func (g *Group) hookAssignmentsLocked() map[string][]int32 {
-	out := make(map[string][]int32, len(g.hooks))
-	for id := range g.hooks {
-		out[id] = g.assignmentLocked(id)
-	}
-	return out
-}
-
-// rebalancedLocked bumps the generation and builds the callback volley
-// for a finished membership change: each hooked member's lost partitions
-// (OnRevoke) and gained partitions (OnAssign) against the before
-// snapshot. The returned closure fires them outside the lock, all
-// revocations first.
-func (g *Group) rebalancedLocked(before map[string][]int32) func() {
+// rebalancedLocked bumps the generation for a finished membership change.
+func (g *Group) rebalancedLocked() {
 	g.generation++
-	gen := g.generation
 	if g.mGenerations != nil {
 		g.mGenerations.Inc()
 	}
-	type call struct {
-		fn    func(int64, []int32)
-		parts []int32
-	}
-	var revokes, assigns []call
-	for id, hooks := range g.hooks {
-		after := g.assignmentLocked(id)
-		lost := diffPartitions(before[id], after)
-		gained := diffPartitions(after, before[id])
-		if hooks.OnRevoke != nil && len(lost) > 0 {
-			revokes = append(revokes, call{hooks.OnRevoke, lost})
-			if g.mRevoked != nil {
-				g.mRevoked.Add(int64(len(lost)))
-			}
-		}
-		if hooks.OnAssign != nil && len(gained) > 0 {
-			assigns = append(assigns, call{hooks.OnAssign, gained})
-			if g.mAssigned != nil {
-				g.mAssigned.Add(int64(len(gained)))
-			}
-		}
-	}
-	// Deterministic callback order (map iteration is not).
-	sortCalls := func(cs []call) {
-		sort.Slice(cs, func(i, j int) bool { return cs[i].parts[0] < cs[j].parts[0] })
-	}
-	sortCalls(revokes)
-	sortCalls(assigns)
-	return func() {
-		for _, c := range revokes {
-			c.fn(gen, c.parts)
-		}
-		for _, c := range assigns {
-			c.fn(gen, c.parts)
-		}
-	}
-}
-
-// diffPartitions returns the elements of a not present in b, sorted.
-func diffPartitions(a, b []int32) []int32 {
-	var out []int32
-	for _, p := range a {
-		found := false
-		for _, q := range b {
-			if p == q {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Members returns the current member ids in join order.
