@@ -139,11 +139,13 @@ type warnKey struct {
 	ts  int64
 }
 
-// warnRow is the warning ledger's ground truth for one record.
+// warnRow is the warning ledger's ground truth for one record, and the
+// number of warnings delivered for it.
 type warnRow struct {
 	shard    int
 	abnormal bool
 	acked    bool
+	seen     int
 }
 
 // hoKey identifies one ledgered handover.
@@ -176,8 +178,7 @@ type Driver struct {
 
 	// Settlement ledgers.
 	warnLedger map[warnKey]warnRow
-	warnSeen   map[warnKey]int
-	hoLedger   map[hoKey]*hoRow
+	hoLedger   map[hoKey]hoRow
 
 	scratch []byte // single-goroutine encode buffer
 	started bool
@@ -207,8 +208,7 @@ func NewDriver(cfg Config) (*Driver, error) {
 		m:          newCityMetrics(cfg.Metrics),
 		rng:        newSplitmix(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15),
 		warnLedger: make(map[warnKey]warnRow),
-		warnSeen:   make(map[warnKey]int),
-		hoLedger:   make(map[hoKey]*hoRow),
+		hoLedger:   make(map[hoKey]hoRow),
 	}
 	d.start = d.sim.Now()
 	d.end = d.start.Add(cfg.Duration)

@@ -18,7 +18,7 @@ type cityMetrics struct {
 	// Handover protocol.
 	handovers, handoverSummaries, handoverEmpty *obsv.Counter
 	handoverApplied, handoverDups, handoverLost *obsv.Counter
-	handoverMisrouted                           *obsv.Counter
+	handoverMisrouted, handoverRefused          *obsv.Counter
 	siteHandovers                               *obsv.Counter
 
 	// Collaborative detection.
@@ -52,6 +52,7 @@ func newCityMetrics(reg *obsv.Registry) *cityMetrics {
 		handoverDups:       reg.Counter("city.handover_dups"),
 		handoverLost:       reg.Counter("city.handover_lost"),
 		handoverMisrouted:  reg.Counter("city.handover_misrouted"),
+		handoverRefused:    reg.Counter("city.handover_refused"),
 		siteHandovers:      reg.Counter("city.site_handovers"),
 		priorHits:          reg.Counter("city.prior_hits"),
 		priorFallbacks:     reg.Counter("city.prior_fallbacks"),

@@ -18,7 +18,7 @@ func (d *Driver) settle() {
 	endMs := d.sim.Now().UnixMilli()
 	for i := range d.vehicles {
 		v := &d.vehicles[i]
-		if v.move == nil { // never spawned
+		if v.d == nil { // never spawned
 			continue
 		}
 		d.shards[v.shard].dwellMs += endMs - v.enteredMs
@@ -71,29 +71,14 @@ func (d *Driver) InFlight() int {
 }
 
 // sweepLedgers settles both ledgers against what the shards actually
-// delivered and applied.
+// delivered and applied, adding the audit into the counters.
 func (d *Driver) sweepLedgers() {
-	for k, row := range d.warnLedger {
-		if !row.acked {
-			d.m.telemetryUnacked.Inc()
-			continue
-		}
-		n := d.warnSeen[k]
-		if row.abnormal {
-			if n == 0 {
-				d.m.warningsLost.Inc()
-			} else if n > 1 {
-				d.m.warningsDup.Add(int64(n - 1))
-			}
-		} else if n > 0 {
-			d.m.falseWarnings.Add(int64(n))
-		}
-	}
-	for _, row := range d.hoLedger {
-		if row.applied == 0 {
-			d.m.handoverLost.Inc()
-		}
-	}
+	a := d.Audit()
+	d.m.telemetryUnacked.Add(a.TelemetryUnacked)
+	d.m.warningsLost.Add(a.WarningsLost)
+	d.m.warningsDup.Add(a.WarningsDup)
+	d.m.falseWarnings.Add(a.FalseWarnings)
+	d.m.handoverLost.Add(a.HandoverLost)
 }
 
 // publishLoad computes the per-shard load spread (dwell milliseconds

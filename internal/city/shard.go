@@ -19,11 +19,14 @@ type shard struct {
 
 	rs   *stream.ReplicaSet
 	prod *stream.ReplicatedClient // AckAll producer
+	// read lends committed records from in-sync followers
+	// (fetch-from-ISR), never past the committed offset.
+	read stream.Client
 
-	// Per-partition read cursors, advanced by FetchCommitted — shard
-	// consumers read from followers (fetch-from-ISR), never past the
-	// committed offset.
+	// Per-partition read cursors, each the offset after the last record
+	// lent from its partition, and one drain round's reads.
 	inOff, coOff, outOff []int64
+	reads                []stream.PartitionRead
 
 	builder *core.SummaryBuilder
 	store   *core.SummaryStore
@@ -37,22 +40,39 @@ type shard struct {
 	pending []pendingRec
 	head    int
 
+	// held is the warnings of the IN-DATA read in progress, whose keys
+	// and encoded values lie back to back in arena: a lent read runs
+	// under the replica set's lock, so they are produced once it is over.
+	arena []byte
+	held  []heldWarning
+
 	// Load accounting for the skew gauges.
 	dwellMs int64
 	records int64
 
 	// onBatch and onTick are the shard's two recurring simulator
-	// events, built once so a firing allocates nothing.
-	onBatch, onTick func()
+	// events, and onIn, onCo and onOut what each topic's drain lends its
+	// records to, all built once so a firing allocates nothing.
+	onBatch, onTick   func()
+	onIn, onCo, onOut func(stream.Message)
 }
 
-// pendingRec is one queued produce: owned copies plus the ack callback
-// (ledger bookkeeping) to run when it finally lands.
+// pendingRec is one queued produce: owned copies plus, when book is set,
+// the telemetry record to mark acked in the warning ledger once it
+// finally lands.
 type pendingRec struct {
 	topic      string
 	key, value []byte
-	onAck      func()
+	ack        warnKey
+	book       bool
 }
+
+// heldWarning is where one held warning ends in the shard's arena: its
+// key ends at keyEnd, its value at end, and the next warning starts there.
+type heldWarning struct{ keyEnd, end int }
+
+// drainMax is the most records one drain round lends.
+const drainMax = 512
 
 // newShard stands up one shard's broker cluster on the driver's clock.
 func newShard(d *Driver, id int) (*shard, error) {
@@ -83,43 +103,61 @@ func newShard(d *Driver, id int) (*shard, error) {
 		name:    fmt.Sprintf("shard-%d", id),
 		rs:      rs,
 		prod:    rs.Client(stream.AckAll),
+		read:    rs.ReadClient(stream.AckAll),
 		inOff:   make([]int64, cityPartitions),
 		coOff:   make([]int64, cityPartitions),
 		outOff:  make([]int64, cityPartitions),
+		reads:   make([]stream.PartitionRead, cityPartitions),
 		builder: core.NewSummaryBuilder(int64(id), d.sim.Now),
 		store:   core.NewSummaryStore(citySummaryTTL, d.sim.Now),
 		applied: make(map[hoKey]bool),
 	}
 	s.onBatch = func() { d.runBatch(s) }
 	s.onTick = func() { d.runTick(s) }
+	// Each moves its partition's cursor past the lent record and hands
+	// it on. The calls are direct, so the record stays on the stack.
+	s.onIn = func(m stream.Message) {
+		s.inOff[m.Partition] = m.Offset + 1
+		s.handleIn(&m)
+	}
+	s.onCo = func(m stream.Message) {
+		s.coOff[m.Partition] = m.Offset + 1
+		s.handleCo(&m)
+	}
+	s.onOut = func(m stream.Message) {
+		s.outOff[m.Partition] = m.Offset + 1
+		s.handleOut(&m)
+	}
 	return s, nil
 }
 
 // produce appends one record at AckAll, preserving FIFO order with any
 // backlog: while the pending queue is non-empty new records queue
-// behind it rather than overtake.
-func (s *shard) produce(topic string, key, value []byte, onAck func()) {
+// behind it rather than overtake. With book set, the warning ledger's
+// row ack is marked acked once the record lands.
+func (s *shard) produce(topic string, key, value []byte, ack warnKey, book bool) {
 	if s.head < len(s.pending) {
-		s.enqueue(topic, key, value, onAck)
+		s.enqueue(topic, key, value, ack, book)
 		return
 	}
 	if _, _, err := s.prod.Produce(topic, stream.AutoPartition, key, value); err != nil {
-		s.enqueue(topic, key, value, onAck)
+		s.enqueue(topic, key, value, ack, book)
 		return
 	}
-	if onAck != nil {
-		onAck()
+	if book {
+		s.d.ackTelemetry(ack)
 	}
 }
 
 // enqueue copies the record into an owned pending entry (callers reuse
 // their scratch buffers).
-func (s *shard) enqueue(topic string, key, value []byte, onAck func()) {
+func (s *shard) enqueue(topic string, key, value []byte, ack warnKey, book bool) {
 	s.pending = append(s.pending, pendingRec{
 		topic: topic,
 		key:   append([]byte(nil), key...),
 		value: append([]byte(nil), value...),
-		onAck: onAck,
+		ack:   ack,
+		book:  book,
 	})
 }
 
@@ -133,8 +171,8 @@ func (s *shard) retryPending() bool {
 			break
 		}
 		s.d.m.produceRetries.Inc()
-		if p.onAck != nil {
-			p.onAck()
+		if p.book {
+			s.d.ackTelemetry(p.ack)
 		}
 		s.pending[s.head] = pendingRec{}
 		s.head++
@@ -151,11 +189,14 @@ func (s *shard) retryPending() bool {
 func (s *shard) pendingCount() int { return len(s.pending) - s.head }
 
 // batch is one detection round: drain telemetry, inbound handovers and
-// the warning log through committed-offset (follower-read) fetches.
+// the warning log through committed-offset (follower-read) fetches. The
+// telemetry's warnings are produced between the first drain and the
+// others, so the warning log's drain sees them.
 func (s *shard) batch() int {
-	n := s.drain(stream.TopicInData, s.inOff, s.handleIn)
-	n += s.drain(stream.TopicCoData, s.coOff, s.handleCo)
-	n += s.drain(stream.TopicOutData, s.outOff, s.handleOut)
+	n := s.drain(stream.TopicInData, s.inOff, s.onIn)
+	s.produceHeld()
+	n += s.drain(stream.TopicCoData, s.coOff, s.onCo)
+	n += s.drain(stream.TopicOutData, s.outOff, s.onOut)
 	return n
 }
 
@@ -166,25 +207,35 @@ func (s *shard) tick() {
 	s.retryPending()
 }
 
-// drain advances one topic's cursors through FetchCommitted until dry.
-// A leaderless partition simply stays put until a later round.
-func (s *shard) drain(topic string, offs []int64, handle func(m *stream.Message)) int {
+// drain lends one topic's committed records to lend, every partition
+// from its cursor in each round, until a round lends fewer than it asked
+// for: that round read every partition up to its committed offset, and
+// nothing between two rounds produces or commits, so another would lend
+// nothing. A leaderless partition simply stays put until a later round.
+func (s *shard) drain(topic string, offs []int64, lend func(stream.Message)) int {
 	n := 0
-	for p := range offs {
-		for {
-			msgs, err := s.rs.FetchCommitted(topic, int32(p), offs[p], 512)
-			if err != nil || len(msgs) == 0 {
-				break
-			}
-			for i := range msgs {
-				handle(&msgs[i])
-			}
-			offs[p] += int64(len(msgs))
-			n += len(msgs)
-			stream.RecycleMessages(msgs)
+	for {
+		for p := range s.reads {
+			s.reads[p] = stream.PartitionRead{Partition: int32(p), Offset: offs[p]}
+		}
+		got := s.read.FetchEach(topic, s.reads, drainMax, lend)
+		n += got
+		if got < drainMax {
+			return n
 		}
 	}
-	return n
+}
+
+// produceHeld produces the held warnings in the order they were raised
+// and empties the arena.
+func (s *shard) produceHeld() {
+	start := 0
+	for _, h := range s.held {
+		s.produce(stream.TopicOutData, s.arena[start:h.keyEnd], s.arena[h.keyEnd:h.end], warnKey{}, false)
+		start = h.end
+	}
+	s.arena = s.arena[:0]
+	s.held = s.held[:0]
 }
 
 // handleIn runs detection on one telemetry record: consult the
@@ -218,8 +269,10 @@ func (s *shard) handleIn(msg *stream.Message) {
 		SourceTsMs:   rec.TimestampMs,
 		DetectedTsMs: s.d.nowMs(),
 	}
-	s.d.scratch = core.AppendWarning(s.d.scratch[:0], w)
-	s.produce(stream.TopicOutData, msg.Key, s.d.scratch, nil)
+	s.arena = append(s.arena, msg.Key...)
+	keyEnd := len(s.arena)
+	s.arena = core.AppendWarning(s.arena, w)
+	s.held = append(s.held, heldWarning{keyEnd: keyEnd, end: len(s.arena)})
 }
 
 // handleCo applies one inbound handover summary, exactly once: repeat
@@ -231,8 +284,8 @@ func (s *shard) handleCo(msg *stream.Message) {
 		return
 	}
 	k := hoKey{car: car, seq: seq}
-	row := s.d.hoLedger[k]
-	if row == nil || row.dst != s.id {
+	row, ok := s.d.hoLedger[k]
+	if !ok || row.dst != s.id {
 		s.d.m.handoverMisrouted.Inc()
 		return
 	}
@@ -246,6 +299,7 @@ func (s *shard) handleCo(msg *stream.Message) {
 	}
 	s.applied[k] = true
 	row.applied++
+	s.d.hoLedger[k] = row
 	s.store.Put(sum)
 	s.d.m.handoverApplied.Inc()
 }
@@ -256,7 +310,11 @@ func (s *shard) handleOut(msg *stream.Message) {
 	if err != nil {
 		return
 	}
-	s.d.warnSeen[warnKey{car: w.Car, ts: w.SourceTsMs}]++
+	k := warnKey{car: w.Car, ts: w.SourceTsMs}
+	if row, ok := s.d.warnLedger[k]; ok {
+		row.seen++
+		s.d.warnLedger[k] = row
+	}
 	s.d.m.warningsDelivered.Inc()
 }
 
@@ -272,13 +330,14 @@ func (s *shard) applyFault(f Fault) {
 
 // summarizeForHandover produces the CO-DATA payload for a departing
 // vehicle: live prediction history first, else the last forwarded prior
-// while still fresh (chained handover).
-func (s *shard) summarizeForHandover(car trace.CarID) (core.PredictionSummary, bool) {
+// while still fresh (chained handover). live reports the first case,
+// whose history the caller forgets once the summary is on its way.
+func (s *shard) summarizeForHandover(car trace.CarID) (sum core.PredictionSummary, live, ok bool) {
 	if sum, ok := s.builder.Summarize(car); ok {
-		s.builder.Forget(car)
-		return sum, true
+		return sum, true, true
 	}
-	return s.store.Get(car)
+	sum, ok = s.store.Get(car)
+	return sum, false, ok
 }
 
 // handoverKeySize is the CO-DATA key layout: car (8 bytes) | seq (4).

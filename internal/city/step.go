@@ -96,12 +96,12 @@ func (a Audit) Clean() bool {
 // Audit sweeps both settlement ledgers without consuming them.
 func (d *Driver) Audit() Audit {
 	var a Audit
-	for k, row := range d.warnLedger {
+	for _, row := range d.warnLedger {
 		if !row.acked {
 			a.TelemetryUnacked++
 			continue
 		}
-		n := d.warnSeen[k]
+		n := row.seen
 		if row.abnormal {
 			if n == 0 {
 				a.WarningsLost++

@@ -14,10 +14,11 @@ import (
 // goroutine and no route — just a position on the network, a tiny PRNG,
 // and the shard its telemetry currently streams to. Two event chains
 // advance it: movement events fire at RSU site boundaries and segment
-// ends, telemetry events at exponential inter-arrival gaps. Both chains
-// reschedule the same func() value every time (move, telemetry, built
-// once at spawn), so a firing allocates nothing; what a hop carries from
-// scheduling to firing lives in bound.
+// ends, telemetry events at exponential inter-arrival gaps. Each chain's
+// event is the vehicle itself, seen as a moveHop or a telemetryHop
+// Handler, so scheduling one allocates nothing and firing one loads the
+// vehicle's line and no closure; what a hop carries from scheduling to
+// firing lives in bound.
 type cityVehicle struct {
 	// The fields a move hop touches fill the first 64 bytes, one cache
 	// line of the fleet's array.
@@ -29,14 +30,15 @@ type cityVehicle struct {
 	// seg is the road the vehicle is on, as an index into Driver.table,
 	// and lengthM that road's length.
 	lengthM float64
-	move    func()
-	seg     int32
-	site    int32 // ID of the serving RSU site
-	shard   int
-	rng     splitmix
+	// d is the driver the vehicle's events call back into; nil until
+	// the vehicle is spawned.
+	d     *Driver
+	seg   int32
+	site  int32 // ID of the serving RSU site
+	shard int
+	rng   splitmix
 
-	telemetry func()
-	car       trace.CarID
+	car trace.CarID
 	// enteredMs is when the vehicle entered its current shard (dwell
 	// accounting for the skew gauges).
 	enteredMs int64
@@ -46,6 +48,27 @@ type cityVehicle struct {
 	key      []byte // "car-<id>", a view of the fleet's one key array
 	// hoSeq numbers this vehicle's shard handovers (ledger key).
 	hoSeq int32
+	// Pads the value to 128 bytes, so every vehicle's first 64 bytes
+	// are one cache line of the array.
+	_ [8]byte
+}
+
+// moveHop and telemetryHop are a vehicle as the Handler of its move and
+// telemetry events. Converting a *cityVehicle to either is free, and a
+// pointer Handler is stored in the event as it is.
+type (
+	moveHop      cityVehicle
+	telemetryHop cityVehicle
+)
+
+func (h *moveHop) Fire() {
+	v := (*cityVehicle)(h)
+	v.d.onMove(v)
+}
+
+func (h *telemetryHop) Fire() {
+	v := (*cityVehicle)(h)
+	v.d.onTelemetry(v)
 }
 
 // segEntry is one row of the driver's per-segment table: everything a
@@ -93,9 +116,10 @@ const minMoveMeters = 0.5
 
 // spawnVehicles places the fleet uniformly over the network and starts
 // each vehicle's movement and telemetry event chains. The keys share one
-// array, so a vehicle allocates its two closures and nothing else. A
-// vehicle keeps exactly two events pending, so the far heap, grown once
-// here to twice the fleet, never regrows in the spawn or the run.
+// array and the events are the vehicles themselves, so a vehicle
+// allocates nothing of its own. A vehicle keeps exactly two events
+// pending, so the far heap, grown once here to twice the fleet, never
+// regrows in the spawn or the run.
 func (d *Driver) spawnVehicles() {
 	n := d.cfg.Vehicles
 	d.vehicles = make([]cityVehicle, n)
@@ -120,8 +144,7 @@ func (d *Driver) spawnVehicles() {
 		at := len(keys)
 		keys = strconv.AppendInt(append(keys, "car-"...), int64(i+1), 10)
 		v.key = keys[at:len(keys):len(keys)]
-		v.move = func() { d.onMove(v) }
-		v.telemetry = func() { d.onTelemetry(v) }
+		v.d = d
 		d.scheduleMove(v)
 		d.scheduleTelemetry(v)
 	}
@@ -171,7 +194,7 @@ func (d *Driver) scheduleMove(v *cityVehicle) {
 	if dt < time.Millisecond {
 		dt = time.Millisecond
 	}
-	d.sim.After(dt, v.move)
+	d.sim.AfterHandler(dt, (*moveHop)(v))
 }
 
 // onMove lands the pending hop: onto the next segment when it reached
@@ -229,27 +252,37 @@ func (d *Driver) handover(v *cityVehicle, dst int) {
 	v.enteredMs = now
 	d.m.handovers.Inc()
 
-	if sum, ok := src.summarizeForHandover(v.car); ok {
-		seq := v.hoSeq
-		v.hoSeq++
-		// Key then summary in the driver's scratch; Forward copies both.
-		buf, err := core.AppendSummary(appendHandoverKey(d.scratch[:0], v.car, seq), sum)
-		d.scratch = buf
-		if err == nil && d.router.Forward(d.shards[dst].name, buf[:handoverKeySize], buf[handoverKeySize:]) == nil {
-			d.hoLedger[hoKey{car: v.car, seq: seq}] = &hoRow{dst: dst}
-			d.m.handoverSummaries.Inc()
-		}
-	} else {
-		d.m.handoverEmpty.Inc()
-	}
 	v.shard = dst
+	sum, live, ok := src.summarizeForHandover(v.car)
+	if !ok {
+		d.m.handoverEmpty.Inc()
+		return
+	}
+	seq := v.hoSeq
+	v.hoSeq++
+	// Key then summary in the driver's scratch; Forward copies both.
+	buf, err := core.AppendSummary(appendHandoverKey(d.scratch[:0], v.car, seq), sum)
+	d.scratch = buf
+	if err == nil {
+		err = d.router.Forward(d.shards[dst].name, buf[:handoverKeySize], buf[handoverKeySize:])
+	}
+	if err != nil {
+		// The source keeps the history, as rsu.Node.Handover does.
+		d.m.handoverRefused.Inc()
+		return
+	}
+	if live {
+		src.builder.Forget(v.car)
+	}
+	d.hoLedger[hoKey{car: v.car, seq: seq}] = hoRow{dst: dst}
+	d.m.handoverSummaries.Inc()
 }
 
 // scheduleTelemetry schedules the vehicle's next telemetry emission at
 // an exponential gap over the combined probe + abnormal-event rate.
 func (d *Driver) scheduleTelemetry(v *cityVehicle) {
 	rate := d.cfg.EventsPerVehicleHour + d.cfg.ProbesPerVehicleHour
-	d.sim.After(v.rng.expGap(rate), v.telemetry)
+	d.sim.AfterHandler(v.rng.expGap(rate), (*telemetryHop)(v))
 }
 
 // onTelemetry emits one record and schedules the next.
@@ -300,11 +333,14 @@ func (d *Driver) emitTelemetry(v *cityVehicle) {
 	k := warnKey{car: v.car, ts: ts}
 	d.warnLedger[k] = warnRow{shard: v.shard, abnormal: abnormal}
 	d.scratch = core.AppendRecord(d.scratch[:0], rec)
-	d.shards[v.shard].produce(stream.TopicInData, v.key, d.scratch, func() {
-		row := d.warnLedger[k]
-		row.acked = true
-		d.warnLedger[k] = row
-	})
+	d.shards[v.shard].produce(stream.TopicInData, v.key, d.scratch, k, true)
+}
+
+// ackTelemetry marks a ledgered telemetry record acked.
+func (d *Driver) ackTelemetry(k warnKey) {
+	row := d.warnLedger[k]
+	row.acked = true
+	d.warnLedger[k] = row
 }
 
 func maxf(a, b float64) float64 {

@@ -33,8 +33,10 @@ type SummaryBuilder struct {
 	road int64
 	now  func() time.Time
 
-	mu   sync.Mutex
-	cars map[trace.CarID]*carAgg
+	mu sync.Mutex
+	// cars holds aggregates by value, so a car forgotten and seen again
+	// reuses the map's slot instead of allocating an aggregate.
+	cars map[trace.CarID]carAgg
 }
 
 type carAgg struct {
@@ -48,7 +50,7 @@ func NewSummaryBuilder(road int64, now func() time.Time) *SummaryBuilder {
 	if now == nil {
 		now = time.Now
 	}
-	return &SummaryBuilder{road: road, now: now, cars: make(map[trace.CarID]*carAgg)}
+	return &SummaryBuilder{road: road, now: now, cars: make(map[trace.CarID]carAgg)}
 }
 
 // Observation is one prediction probability for a car.
@@ -76,12 +78,9 @@ func (b *SummaryBuilder) ObserveBatch(obs []Observation) {
 
 func (b *SummaryBuilder) observeLocked(car trace.CarID, pNormal float64) {
 	a := b.cars[car]
-	if a == nil {
-		a = &carAgg{}
-		b.cars[car] = a
-	}
 	a.sum += pNormal
 	a.count++
+	b.cars[car] = a
 }
 
 // Summarize emits the car's summary, or ok=false if the car is unknown.
@@ -149,9 +148,9 @@ func (b *SummaryBuilder) Restore(snap BuilderSnapshot) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.road = snap.Road
-	b.cars = make(map[trace.CarID]*carAgg, len(snap.Cars))
+	b.cars = make(map[trace.CarID]carAgg, len(snap.Cars))
 	for _, h := range snap.Cars {
-		b.cars[h.Car] = &carAgg{sum: h.Sum, count: h.Count}
+		b.cars[h.Car] = carAgg{sum: h.Sum, count: h.Count}
 	}
 }
 

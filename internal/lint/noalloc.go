@@ -23,7 +23,9 @@ import (
 //   - new(T);
 //   - non-constant string concatenation and string<->[]byte conversions;
 //   - fmt.* calls and errors.New (both always allocate);
-//   - implicit interface conversions at call boundaries (boxing);
+//   - implicit interface conversions at call boundaries (boxing), except
+//     of pointer-shaped values — a pointer, func, map, chan or
+//     unsafe.Pointer is stored in the interface word as it is;
 //   - go statements (a goroutine allocates its stack).
 var NoAlloc = &Analyzer{
 	Name:   "noalloc",
@@ -214,8 +216,23 @@ func (c *allocChecker) checkBoxing(call *ast.CallExpr) {
 		if _, argIsIface := at.Type.Underlying().(*types.Interface); argIsIface {
 			continue
 		}
+		if pointerShaped(at.Type) {
+			continue
+		}
 		c.report(arg.Pos(), "passes a concrete value where an interface is expected (boxes on the heap)")
 	}
+}
+
+// pointerShaped reports whether a value of t is one machine pointer that
+// an interface holds directly, so converting it allocates nothing.
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Signature, *types.Map, *types.Chan:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	}
+	return false
 }
 
 // callSignature resolves the callee's *types.Signature, or nil for

@@ -63,3 +63,28 @@ func Box(v int) {
 }
 
 func sink(x interface{}) { _ = x }
+
+// point is a struct: passing it as an interface boxes it.
+type point struct{ x, y int }
+
+// hook is a func type, stored in an interface word as it is.
+type hook func()
+
+// NoBox passes pointer-shaped values where an interface is expected: a
+// pointer, a func, a map and a chan are stored in the interface word
+// directly, so none allocates.
+//
+//cad3:noalloc
+func NoBox(p *point, h hook, m map[int]int, ch chan int) {
+	sink(p)
+	sink(h)
+	sink(m)
+	sink(ch)
+}
+
+// BoxStruct passes a struct where an interface is expected.
+//
+//cad3:noalloc
+func BoxStruct(p point) {
+	sink(p) // want "boxes on the heap"
+}

@@ -29,8 +29,10 @@ import (
 // events become the near heap, and far events that the ring's window now
 // reaches migrate into it; an empty ring jumps straight to far's minimum.
 // A pop sifts through the few events of one bucket instead of the whole
-// queue. With a prebuilt func() neither After nor Step allocates once the
-// backing arrays have grown to the run's working set (DESIGN.md §15).
+// queue. An event holds a Handler; a func() scheduled through At or After
+// is one too. With a prebuilt func() or a pointer Handler neither
+// scheduling nor Step allocates once the backing arrays have grown to the
+// run's working set (DESIGN.md §15).
 type Simulator struct {
 	start time.Time
 	now   int64 // virtual nanoseconds since start
@@ -50,10 +52,21 @@ type Simulator struct {
 // ErrSimEmpty is returned by Step when no events remain.
 var ErrSimEmpty = errors.New("netem: simulator has no pending events")
 
+// Handler is what an event runs when it fires. A pointer to the state
+// an event acts on can implement it, so the queue reaches that state
+// with no closure in between.
+type Handler interface{ Fire() }
+
+// funcHandler makes a func() a Handler. A func value is one pointer, so
+// converting it to a Handler allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
 type event struct {
 	at  int64 // virtual nanoseconds since Simulator.start
 	seq int64 // FIFO tiebreak for simultaneous events
-	fn  func()
+	h   Handler
 }
 
 // before is the queue's total order: earlier instant first, insertion
@@ -99,17 +112,29 @@ func (s *Simulator) offset(t time.Time) int64 { return int64(t.Sub(s.start)) }
 
 // At schedules fn at an absolute virtual time. Scheduling in the past
 // fires at the current instant, after the events already queued for it.
+//
+//cad3:noalloc
 func (s *Simulator) At(t time.Time, fn func()) {
 	at := s.offset(t)
 	if at < s.now {
 		at = s.now
 	}
-	s.push(at, fn)
+	s.push(at, funcHandler(fn))
 }
 
 // After schedules fn after a virtual delay. A delay that would carry the
 // clock past the end of the int64 nanosecond axis saturates there.
+//
+//cad3:noalloc
 func (s *Simulator) After(d time.Duration, fn func()) {
+	s.AfterHandler(d, funcHandler(fn))
+}
+
+// AfterHandler schedules h to fire after a virtual delay, as After
+// schedules a func().
+//
+//cad3:noalloc
+func (s *Simulator) AfterHandler(d time.Duration, h Handler) {
 	if d < 0 {
 		d = 0
 	}
@@ -117,7 +142,7 @@ func (s *Simulator) After(d time.Duration, fn func()) {
 	if at < s.now {
 		at = math.MaxInt64
 	}
-	s.push(at, fn)
+	s.push(at, h)
 }
 
 // Grow makes room for n more events past the ring's window, so that
@@ -130,9 +155,9 @@ func (s *Simulator) Grow(n int) { s.far = slices.Grow(s.far, n) }
 // that event's slot.
 //
 //cad3:noalloc
-func (s *Simulator) push(at int64, fn func()) {
+func (s *Simulator) push(at int64, h Handler) {
 	s.seq++
-	e := event{at: at, seq: s.seq, fn: fn}
+	e := event{at: at, seq: s.seq, h: h}
 	switch b := bucketOf(at); {
 	case b <= s.cursor:
 		s.near.push(e)
@@ -254,7 +279,7 @@ func (s *Simulator) Step() error {
 	}
 	e := s.near.pop()
 	s.now = e.at
-	e.fn()
+	e.h.Fire()
 	return nil
 }
 
@@ -315,7 +340,7 @@ func (h *eventHeap) push(e event) {
 
 // pop removes and returns the earliest event. The last leaf refills the
 // root and sifts down; the vacated slot is zeroed so a fired event's
-// closure is not kept reachable from the backing array.
+// handler is not kept reachable from the backing array.
 //
 //cad3:noalloc
 func (h *eventHeap) pop() event {

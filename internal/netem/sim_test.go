@@ -203,13 +203,13 @@ func TestSimulatorReleasesFiredEvents(t *testing.T) {
 	}
 }
 
-// vacatedClosures counts closures left in the unused capacity of every
+// vacatedClosures counts handlers left in the unused capacity of every
 // backing array of the queue.
 func vacatedClosures(s *Simulator) int {
 	n := 0
 	count := func(q []event) {
 		for _, e := range q[len(q):cap(q)] {
-			if e.fn != nil {
+			if e.h != nil {
 				n++
 			}
 		}
@@ -401,14 +401,21 @@ func TestSimulatorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSimulatorStepDoesNotAllocate: rescheduling a prebuilt func() on a
-// queue that has reached its working size costs no allocation — what the
-// city's recurring events rely on.
+// countHandler is a pointer Handler, the shape the city's vehicles use.
+type countHandler struct{ fired int }
+
+func (c *countHandler) Fire() { c.fired++ }
+
+// TestSimulatorStepDoesNotAllocate: rescheduling a prebuilt func() or a
+// pointer Handler on a queue that has reached its working size costs no
+// allocation — what the city's recurring events rely on.
 func TestSimulatorStepDoesNotAllocate(t *testing.T) {
 	s := NewSimulator(t0)
 	fn := func() {}
+	h := &countHandler{}
 	for i := 0; i < 1000; i++ {
 		s.After(time.Duration(i)*time.Microsecond, fn)
+		s.AfterHandler(time.Duration(i)*time.Microsecond, h)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.After(700*time.Microsecond, fn)
@@ -416,6 +423,17 @@ func TestSimulatorStepDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("After+Step allocates %.1f times per event, want 0", allocs)
+	}
+	fired := h.fired
+	allocs = testing.AllocsPerRun(1000, func() {
+		s.AfterHandler(700*time.Microsecond, h)
+		_ = s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("AfterHandler+Step allocates %.1f times per event, want 0", allocs)
+	}
+	if h.fired == fired {
+		t.Fatal("no Handler event fired")
 	}
 }
 

@@ -26,7 +26,7 @@ func (rs *ReplicaSet) CommittedOffset(topicName string, partition int32) (int64,
 	if err != nil {
 		return 0, err
 	}
-	return rs.committedLocked(topicName, partition, ps)
+	return rs.committedLocked(topicName, partition, ps, -1)
 }
 
 // partLocked resolves a (topic, partition) to its control-plane state.
@@ -43,8 +43,12 @@ func (rs *ReplicaSet) partLocked(topicName string, partition int32) (*partState,
 
 // committedLocked computes the min HWM over live ISR members. A member
 // whose broker cannot answer (closed under us) is skipped; a partition
-// with no live in-sync member has nothing committed to serve.
-func (rs *ReplicaSet) committedLocked(topicName string, partition int32, ps *partState) (int64, error) {
+// with no live in-sync member has nothing committed to serve. A read at
+// offset past needs no more than that nothing past it is committed, so
+// the first member whose HWM is at or below past ends the walk with that
+// HWM: the minimum can only be lower. An empty poll then reads one HWM,
+// not every member's. past -1 asks for the minimum itself.
+func (rs *ReplicaSet) committedLocked(topicName string, partition int32, ps *partState, past int64) (int64, error) {
 	committed, seen := int64(0), false
 	for i, r := range rs.replicas {
 		if !r.alive || !ps.isr[i] {
@@ -53,6 +57,9 @@ func (rs *ReplicaSet) committedLocked(topicName string, partition int32, ps *par
 		hwm, err := r.Broker.HighWaterMark(topicName, partition)
 		if err != nil {
 			continue
+		}
+		if hwm <= past {
+			return hwm, nil
 		}
 		if !seen || hwm < committed {
 			committed, seen = hwm, true
@@ -84,11 +91,9 @@ func (rs *ReplicaSet) FetchCommitted(topicName string, partition int32, offset i
 	return b.Fetch(topicName, partition, offset, max)
 }
 
-// fetchCommittedEach is FetchCommitted lending instead of cloning; what
-// ReplicaSet.fetchEach says of fn holds here too.
-func (rs *ReplicaSet) fetchCommittedEach(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
+// fetchCommittedEachLocked is FetchCommitted lending instead of cloning;
+// what ReplicaSet.fetchEach says of fn holds here too.
+func (rs *ReplicaSet) fetchCommittedEachLocked(topicName string, partition int32, offset int64, max int, fn func(Message)) (int, error) {
 	b, max, err := rs.committedReaderLocked(topicName, partition, offset, max)
 	if b == nil {
 		return 0, err
@@ -106,7 +111,7 @@ func (rs *ReplicaSet) committedReaderLocked(topicName string, partition int32, o
 	if err != nil {
 		return nil, 0, err
 	}
-	committed, err := rs.committedLocked(topicName, partition, ps)
+	committed, err := rs.committedLocked(topicName, partition, ps, offset)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -169,13 +174,18 @@ func (rs *ReplicaSet) ReadClient(acks AckLevel) Client {
 	return &followerReadClient{ReplicatedClient{rs: rs, acks: acks}}
 }
 
-// FetchEach implements Client by lending the committed reads. The
-// embedded client has a FetchEach of its own, which lends the leader's
-// log — uncommitted suffix included — so this one must exist whenever that
-// one does.
+// FetchEach implements Client by lending the committed reads, all of
+// them under one hold of the set's lock (fn may not call back into the
+// client, so nothing it does can wait for that lock). The embedded
+// client has a FetchEach of its own, which lends the leader's log —
+// uncommitted suffix included — so this one must exist whenever that one
+// does.
 func (c *followerReadClient) FetchEach(topic string, reads []PartitionRead, max int, fn func(Message)) int {
+	rs := c.rs
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	return FetchInTurn(reads, max, func(one []PartitionRead, max int) (n int) {
-		n, one[0].Err = c.rs.fetchCommittedEach(topic, one[0].Partition, one[0].Offset, max, fn)
+		n, one[0].Err = rs.fetchCommittedEachLocked(topic, one[0].Partition, one[0].Offset, max, fn)
 		return n
 	})
 }

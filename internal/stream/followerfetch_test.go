@@ -465,3 +465,145 @@ func TestReplicatedPollEachMatchesPollInto(t *testing.T) {
 		})
 	}
 }
+
+// TestCommittedFetchEachAtTheEdge holds the follower-read client's
+// FetchEach — every partition read under one hold of the set's lock, each
+// ending its HWM walk at the first member at or below the read offset —
+// to a committed read taken one partition at a time that consults the
+// full minimum HWM over the ISR (CommittedOffset) before it reads. Two
+// sets take the same produces, with acks=1 windows in which the followers
+// lag the leader, and the same kills of leaders and followers, ticks and
+// revivals; each round reads every partition a few records either side
+// of its committed offset. Both sides lend the same messages, fail the
+// same reads and move repl.follower_* alike, and a read lends exactly
+// what lies between its offset and the committed offset, up to max.
+func TestCommittedFetchEachAtTheEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	clock := time.Unix(1_600_000_000, 0)
+	now := func() time.Time { return clock }
+	readClient := func(rs *ReplicaSet) Client { return rs.ReadClient(AckAll) }
+	each := newReplRig(t, now, readClient)
+	into := newReplRig(t, now, readClient)
+	eachC := each.rs.ReadClient(AckAll)
+	// The reference reads a partition only when the full minimum says
+	// something past the offset is committed.
+	intoC := inTurn{into.rs.ReadClient(AckAll), func(topic string, p int32, off int64, max int) ([]Message, error) {
+		c, err := into.rs.CommittedOffset(topic, p)
+		if err != nil || off >= c {
+			return nil, err
+		}
+		return into.rs.FetchCommitted(topic, p, off, max)
+	}}
+	rigs := []*replRig{each, into}
+	dead := ""
+	lagging, edge := 0, 0
+	for round := 0; round < 400; round++ {
+		clock = clock.Add(50 * time.Millisecond)
+		acks := AckAll
+		if round%5 >= 3 {
+			acks = AckLeader
+		}
+		for n := rng.Intn(10); n > 0; n-- {
+			key, value := []byte(fmt.Sprintf("car-%d", rng.Intn(9))), make([]byte, 1+rng.Intn(100))
+			rng.Read(value)
+			for _, r := range rigs {
+				_, _, _ = r.rs.Produce(TopicOutData, AutoPartition, key, value, acks)
+			}
+		}
+		switch {
+		case round%30 == 11 && dead == "":
+			dead = fmt.Sprintf("r%d", rng.Intn(3)) // a leader or a follower
+			for _, r := range rigs {
+				if err := r.rs.Kill(dead); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case round%30 == 23 && dead != "":
+			for _, r := range rigs {
+				if _, err := r.rs.Revive(dead); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dead = ""
+		case round%5 == 0:
+			for _, r := range rigs {
+				r.rs.Tick()
+			}
+		}
+
+		var commit [3]int64
+		var reads, readsRef [3]PartitionRead
+		for p := range commit {
+			c, err := each.rs.CommittedOffset(TopicOutData, int32(p))
+			if err != nil {
+				t.Fatalf("round %d: committed offset of %d: %v", round, p, err)
+			}
+			commit[p] = c
+			off := c + int64(rng.Intn(5)-2)
+			if off < 0 {
+				off = 0
+			}
+			reads[p] = PartitionRead{Partition: int32(p), Offset: off}
+			leader := each.rs.topics[TopicOutData].parts[p].leader
+			if hwm, err := each.rs.replicas[leader].Broker.HighWaterMark(TopicOutData, int32(p)); err == nil && hwm > c {
+				lagging++
+				if off == c {
+					edge++
+				}
+			}
+		}
+		readsRef = reads
+		max := 1 + rng.Intn(8)
+		what := fmt.Sprintf("round %d (max %d, dead %q, reads %+v)", round, max, dead, reads)
+
+		var got, want []Message
+		n := eachC.FetchEach(TopicOutData, reads[:], max, func(m Message) { got = append(got, owned(m)) })
+		m := intoC.FetchEach(TopicOutData, readsRef[:], max, func(m Message) { want = append(want, owned(m)) })
+		if n != len(got) || m != len(want) || n != m {
+			t.Fatalf("%s: lent %d (reported %d), in turn %d (reported %d)", what, len(got), n, len(want), m)
+		}
+		for i := range got {
+			if !sameMessage(got[i], want[i]) {
+				t.Fatalf("%s: message %d lent as %+v, in turn as %+v", what, i, got[i], want[i])
+			}
+		}
+		for p := range reads {
+			if (reads[p].Err == nil) != (readsRef[p].Err == nil) {
+				t.Fatalf("%s: partition %d read error %v, in turn %v", what, p, reads[p].Err, readsRef[p].Err)
+			}
+		}
+		for _, name := range []string{"repl.follower_fetches", "repl.follower_clamped"} {
+			if a, b := each.reg.Counter(name).Value(), into.reg.Counter(name).Value(); a != b {
+				t.Fatalf("%s: %s %d at once, %d in turn", what, name, a, b)
+			}
+		}
+
+		// Against the minimum itself: each partition in turn lends the
+		// records from its offset up to the committed offset, until max.
+		left, i := max, 0
+		for p, r := range reads {
+			span := 0
+			if r.Offset < commit[p] {
+				span = int(min(int64(left), commit[p]-r.Offset))
+			}
+			for k := 0; k < span; k++ {
+				if i >= len(got) || got[i].Partition != int32(p) || got[i].Offset != r.Offset+int64(k) {
+					t.Fatalf("%s: want %d/%d next, lent %+v", what, p, r.Offset+int64(k), got[i:])
+				}
+				i++
+			}
+			if left -= span; left == 0 {
+				break
+			}
+		}
+		if i != len(got) {
+			t.Fatalf("%s: lent %d records past the committed offsets %v", what, len(got)-i, commit)
+		}
+	}
+	if lagging < 100 || edge < 20 {
+		t.Fatalf("the schedule left followers behind %d times, %d of them read at the edge: too thin", lagging, edge)
+	}
+	if each.reg.Counter("repl.follower_fetches").Value() == 0 || each.reg.Counter("repl.follower_clamped").Value() == 0 {
+		t.Fatal("no committed read was served by a follower or clamped")
+	}
+}

@@ -41,15 +41,55 @@ type RouterConfig struct {
 	Metrics *obsv.Registry
 }
 
-// routerDest is one destination shard's client and FIFO backlog.
+// routerDest is one destination shard's client and FIFO backlog. The
+// queued entries' bytes are copies in arena, back to back in queue
+// order; a flush that empties the queue empties the arena for reuse.
 type routerDest struct {
 	client Client
 	queue  []routedEntry
+	arena  []byte
 }
 
-// routedEntry is one queued summary.
+// routedEntry is one queued summary: views of its destination's arena.
 type routedEntry struct {
 	key, value []byte
+}
+
+// hold copies key and value to the end of the arena and returns the
+// entry that keeps their views.
+func (d *routerDest) hold(key, value []byte) routedEntry {
+	return routedEntry{key: d.copyIn(key), value: d.copyIn(value)}
+}
+
+// copyIn appends b to the arena and returns its view there; an empty b
+// is nil, as an owned copy of it would be.
+func (d *routerDest) copyIn(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	at := len(d.arena)
+	d.arena = append(d.arena, b...)
+	return d.arena[at:len(d.arena):len(d.arena)]
+}
+
+// trim drops the first n entries, delivered, and packs the rest at the
+// front of the arena in order. Each survivor lies at or past its new
+// place — in this array or, copied at a growth, an earlier one — so no
+// copy overwrites a survivor still to move.
+func (d *routerDest) trim(n int) {
+	d.queue = append(d.queue[:0], d.queue[n:]...)
+	d.arena = d.arena[:0]
+	for i, e := range d.queue {
+		d.queue[i] = d.hold(e.key, e.value)
+	}
+}
+
+// flushRound is one destination's share of a flush: the queue as it
+// stood when the round began.
+type flushRound struct {
+	name    string
+	client  Client
+	entries []routedEntry
 }
 
 // SummaryRouter forwards summaries between shard brokers.
@@ -66,6 +106,9 @@ type SummaryRouter struct {
 	// the full network round trip. A Flush that finds a round already
 	// in flight returns immediately instead of piling up behind it.
 	flushing atomic.Bool
+	// rounds is the flush in flight's per-destination snapshots, owned
+	// by whoever holds flushing and reused from flush to flush.
+	rounds []flushRound
 
 	stop chan struct{}
 	done chan struct{}
@@ -117,7 +160,8 @@ func (r *SummaryRouter) Register(dest string, client Client) error {
 }
 
 // Forward enqueues one summary for a destination shard. The key and
-// value are copied — callers are free to reuse their buffers.
+// value are copied into the destination's arena — callers are free to
+// reuse their buffers.
 func (r *SummaryRouter) Forward(dest string, key, value []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -131,12 +175,7 @@ func (r *SummaryRouter) Forward(dest string, key, value []byte) error {
 		}
 		return fmt.Errorf("stream: router queue for %q full (%d entries)", dest, len(d.queue))
 	}
-	e := routedEntry{}
-	if key != nil {
-		e.key = append([]byte(nil), key...)
-	}
-	e.value = append([]byte(nil), value...)
-	d.queue = append(d.queue, e)
+	d.queue = append(d.queue, d.hold(key, value))
 	if r.mForwards != nil {
 		r.mForwards.Inc()
 	}
@@ -160,28 +199,30 @@ func (r *SummaryRouter) Flush() (sent int, err error) {
 
 	// Snapshot each backlog under the lock, produce with the lock
 	// released, then reconcile. Producing under r.mu held Forward and
-	// the pending gauge hostage for the full broker round trip.
-	type batch struct {
-		name    string
-		client  Client
-		entries []routedEntry
-	}
+	// the pending gauge hostage for the full broker round trip. A
+	// snapshot is the queue's own head: Forward only appends past it and
+	// only this round trims, so neither the entries nor their arena bytes
+	// change under the produce.
 	r.mu.Lock()
-	batches := make([]batch, 0, len(r.names))
+	rounds := r.rounds[:0]
 	for _, name := range r.names {
 		d := r.dests[name]
 		if len(d.queue) == 0 {
 			continue
 		}
-		batches = append(batches, batch{
+		rounds = append(rounds, flushRound{
 			name:    name,
 			client:  d.client,
-			entries: append([]routedEntry(nil), d.queue...),
+			entries: d.queue[:len(d.queue):len(d.queue)],
 		})
 	}
 	r.mu.Unlock()
+	defer func() {
+		clear(rounds)
+		r.rounds = rounds[:0]
+	}()
 
-	for _, b := range batches {
+	for _, b := range rounds {
 		i := 0
 		for ; i < len(b.entries); i++ {
 			e := b.entries[i]
@@ -205,7 +246,7 @@ func (r *SummaryRouter) Flush() (sent int, err error) {
 		// and stay queued; only this round (the flushing latch) trims.
 		r.mu.Lock()
 		if d, ok := r.dests[b.name]; ok {
-			d.queue = append(d.queue[:0], d.queue[i:]...)
+			d.trim(i)
 		}
 		r.mu.Unlock()
 	}

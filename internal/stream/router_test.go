@@ -291,3 +291,84 @@ func TestRouterFlushReleasesLockDuringProduce(t *testing.T) {
 	}
 	RecycleMessages(msgs)
 }
+
+// flakyClient records what it accepts and refuses every produce whose
+// turn the refuse function picks.
+type flakyClient struct {
+	Client
+	turn   int
+	refuse func(turn int) bool
+	got    [][2]string
+}
+
+func (c *flakyClient) Produce(topicName string, partition int32, key, value []byte) (int32, int64, error) {
+	c.turn++
+	if c.refuse(c.turn) {
+		return 0, 0, errors.New("refused")
+	}
+	c.got = append(c.got, [2]string{string(key), string(value)})
+	return 0, int64(len(c.got) - 1), nil
+}
+
+// TestRouterArenaKeepsQueuedBytes: entries queued in a destination's
+// arena keep their bytes across partial flushes that repack the arena,
+// across the arena's growth and across its reuse once a flush empties it,
+// and arrive in order, each exactly once, with empty keys kept nil. A warm
+// forward and flush allocates nothing.
+func TestRouterArenaKeepsQueuedBytes(t *testing.T) {
+	r := NewSummaryRouter(RouterConfig{})
+	c := &flakyClient{refuse: func(turn int) bool { return turn%7 == 3 || turn%11 == 0 }}
+	if err := r.Register("s", c); err != nil {
+		t.Fatal(err)
+	}
+	var want [][2]string
+	next := 0
+	forward := func(n int) {
+		for ; n > 0; n-- {
+			key := []byte(fmt.Sprintf("car-%d", next))
+			if next%5 == 0 {
+				key = nil
+			}
+			value := []byte(fmt.Sprintf("summary-%d-%s", next, make([]byte, next%40)))
+			if err := r.Forward("s", key, value); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, [2]string{string(key), string(value)})
+			next++
+		}
+	}
+	for round := 0; round < 60; round++ {
+		forward(round % 13)
+		_, _ = r.Flush()
+	}
+	for r.Pending() > 0 {
+		_, _ = r.Flush()
+	}
+	if len(c.got) != len(want) {
+		t.Fatalf("delivered %d entries, forwarded %d", len(c.got), len(want))
+	}
+	for i := range want {
+		if c.got[i] != want[i] {
+			t.Fatalf("entry %d delivered as %q, forwarded as %q", i, c.got[i], want[i])
+		}
+	}
+	if d := r.dests["s"]; len(d.arena) != 0 {
+		t.Fatalf("an empty queue left %d arena bytes", len(d.arena))
+	}
+
+	if err := r.Register("s", NewInProcClient(routerBroker(t))); err != nil {
+		t.Fatal(err)
+	}
+	key, value := []byte("car-7"), make([]byte, 38)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := r.Forward("s", key, value); err != nil {
+			t.Fatal(err)
+		}
+		if sent, err := r.Flush(); sent != 1 || err != nil {
+			t.Fatalf("flush = (%d, %v)", sent, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Forward + Flush: %v allocs, want 0", allocs)
+	}
+}
