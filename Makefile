@@ -40,15 +40,15 @@ profile:
 
 # go vet plus the repo-aware analyzers (determinism, pool safety, wire
 # layout, zero-alloc, goroutine hygiene, deterministic ordering, lock
-# discipline, atomic/plain mixing, wire error exhaustiveness) — see
-# DESIGN.md §11 and §16. Results are memoized in .cad3vetcache.
+# discipline, atomic/plain mixing, wire error exhaustiveness, reach from
+# a main package) — see DESIGN.md §11 and §16.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/cad3-vet ./...
 
-# Machine-readable vet: findings, the //cad3:allow suppression census,
-# and cache stats as one JSON object. CI runs this with -max-allows to
-# keep the suppression count from growing unnoticed.
+# Machine-readable vet: findings and the //cad3:allow suppression census
+# as one JSON object. CI runs cad3-vet with -max-allows to keep the
+# suppression count from growing unnoticed.
 vet-json:
 	$(GO) run ./cmd/cad3-vet -json ./...
 

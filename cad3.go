@@ -31,8 +31,6 @@ import (
 	"cad3/internal/core"
 	"cad3/internal/experiments"
 	"cad3/internal/geo"
-	"cad3/internal/mlkit"
-	"cad3/internal/netem"
 	"cad3/internal/rsu"
 	"cad3/internal/stream"
 	"cad3/internal/trace"
@@ -83,10 +81,6 @@ type (
 	TrajectoryPoint = trace.TrajectoryPoint
 	// Dataset bundles generated tables.
 	Dataset = trace.Dataset
-	// GeneratorConfig configures the synthetic trace generator.
-	GeneratorConfig = trace.GeneratorConfig
-	// Generator produces synthetic trips and trajectories.
-	Generator = trace.Generator
 )
 
 // Detection core.
@@ -99,16 +93,6 @@ type (
 	Warning = core.Warning
 	// PredictionSummary is the CO-DATA payload.
 	PredictionSummary = core.PredictionSummary
-	// Labeler implements the sigma-cutoff offline labelling stage.
-	Labeler = core.Labeler
-	// AD3 is the standalone road-aware model; CAD3 the collaborative
-	// model; Centralized the cloud baseline.
-	AD3         = core.AD3
-	CAD3        = core.CAD3
-	CAD3Config  = core.CAD3Config
-	Centralized = core.Centralized
-	// ConfusionMatrix carries the Table IV metrics.
-	ConfusionMatrix = mlkit.ConfusionMatrix
 )
 
 // Class labels (the paper's encoding).
@@ -162,49 +146,11 @@ type (
 	ScenarioConfig = experiments.ScenarioConfig
 	// ModelRow is one Figure 7 / Table IV row.
 	ModelRow = experiments.ModelRow
-	// LatencyConfig / LatencyResult drive the Figure 6 experiments.
-	LatencyConfig = experiments.LatencyConfig
-	LatencyResult = experiments.LatencyResult
 )
 
 // BuildNetwork generates a synthetic road network matched to the paper's
 // Table V statistics.
 func BuildNetwork(cfg NetworkConfig) (*Network, error) { return geo.BuildNetwork(cfg) }
-
-// NewGenerator prepares a synthetic driving-trace generator.
-func NewGenerator(cfg GeneratorConfig) (*Generator, error) { return trace.NewGenerator(cfg) }
-
-// DeriveRecords converts raw trajectories into Table II analysis records
-// (Equation 4 speeds, acceleration, context, road mean speed).
-func DeriveRecords(net *Network, points []TrajectoryPoint) ([]Record, error) {
-	return trace.DeriveRecords(net, points, trace.DeriveOptions{})
-}
-
-// FilterRecords removes erroneous records, returning the clean set.
-func FilterRecords(records []Record) []Record {
-	clean, _ := trace.FilterRecords(records)
-	return clean
-}
-
-// TrainLabeler fits the per-road-type sigma-cutoff labeler (k <= 0
-// selects the paper's 1-sigma rule).
-func TrainLabeler(records []Record, sigmaK float64) (*Labeler, error) {
-	return core.TrainLabeler(records, sigmaK)
-}
-
-// NewAD3 creates an untrained standalone detector for a road type.
-func NewAD3(t RoadType) *AD3 { return core.NewAD3(t) }
-
-// NewCAD3 creates an untrained collaborative detector for a road type.
-func NewCAD3(t RoadType, cfg CAD3Config) *CAD3 { return core.NewCAD3(t, cfg) }
-
-// NewCentralized creates the untrained cloud baseline.
-func NewCentralized() *Centralized { return core.NewCentralized() }
-
-// EvaluateDetector scores a detector against the labeler's ground truth.
-func EvaluateDetector(det Detector, records []Record, labeler *Labeler, summaries map[CarID]PredictionSummary) (ConfusionMatrix, error) {
-	return core.EvaluateDetector(det, records, labeler, summaries)
-}
 
 // NewBroker creates an in-memory event broker.
 func NewBroker() *Broker { return stream.NewBroker(stream.BrokerConfig{}) }
@@ -220,9 +166,6 @@ func Dial(addr string) (Client, error) { return stream.Dial(addr) }
 
 // NewRSU assembles an edge node over a broker client.
 func NewRSU(cfg RSUConfig) (*RSU, error) { return rsu.New(cfg) }
-
-// NewVehicle creates one emulated vehicle.
-func NewVehicle(cfg VehicleConfig) (*Vehicle, error) { return vehicle.New(cfg) }
 
 // NewFleet creates n vehicles replaying records round-robin.
 func NewFleet(n int, records []Record, clientFor func(i int) Client, opts VehicleConfig) (*Fleet, error) {
@@ -240,33 +183,6 @@ func RunModelComparison(sc *Scenario) ([]ModelRow, error) {
 // FormatModelRows renders the comparison.
 func FormatModelRows(rows []ModelRow) string { return experiments.FormatModelRows(rows) }
 
-// RunLatency executes the single-RSU network experiment (Figure 6a/6c).
-func RunLatency(cfg LatencyConfig) (*LatencyResult, error) { return experiments.RunLatency(cfg) }
-
 // PlanRSUs reproduces the Table V deployment plan from the paper's
 // aggregate road statistics.
 func PlanRSUs() []RSUPlanRow { return geo.PlanRSUsFromStats(geo.ShenzhenRoadStats(), 0) }
-
-// Extended infrastructure (beyond the paper's baseline).
-type (
-	// Router plans shortest routes over a network.
-	Router = geo.Router
-	// Group is a consumer group sharing a topic's partitions.
-	Group = stream.Group
-	// ChannelManager assigns DSRC service channels to RSU sites.
-	ChannelManager = netem.ChannelManager
-)
-
-// NewRouter creates a route planner over a network.
-func NewRouter(net *Network) *Router { return geo.NewRouter(net) }
-
-// NewGroup creates a consumer group over a topic.
-func NewGroup(client Client, topicName string, startOffset int64) (*Group, error) {
-	return stream.NewGroup(client, topicName, startOffset)
-}
-
-// NewChannelManager creates the §VII-B service-channel manager
-// (parameters <= 0 select the defaults).
-func NewChannelManager(interferenceRangeM, switchThreshold float64) *ChannelManager {
-	return netem.NewChannelManager(interferenceRangeM, switchThreshold)
-}

@@ -12,22 +12,21 @@
 // goroutines (goroutinehygiene), determinism-critical packages leak no
 // runtime-randomized orders (detorder), mutexes follow the lock
 // discipline (lockdiscipline), no variable lives under two sync regimes
-// (atomicmix), and the v2 wire error contract holds at every client
-// call site (wireerrexhaustive). See DESIGN.md §11 and §16 for the
-// rationale and the //cad3:allow escape hatch.
+// (atomicmix), the v2 wire error contract holds at every client call
+// site (wireerrexhaustive), and every function is reachable from a main
+// package (reach). See DESIGN.md §11 and §16 for the rationale and the
+// //cad3:allow escape hatch.
 //
 // Usage:
 //
-//	cad3-vet [-list] [-only analyzer,...] [-json] [-allows] [-max-allows n] [-cache dir] [dir]
+//	cad3-vet [-list] [-only analyzer,...] [-json] [-allows] [-max-allows n] [dir]
 //
 // With no directory, the module containing the current directory is
-// analyzed. Results are memoized in a content-hashed cache (default
-// <module>/.cad3vetcache, disable with -cache ""), so an unchanged
-// package costs a hash instead of a re-analysis. -json emits the
-// findings, the suppression census, and cache statistics as one JSON
-// object for CI. -allows prints the census human-readably; -max-allows
-// fails the run when the census exceeds n, which is how CI keeps the
-// suppression count from growing unnoticed.
+// analyzed. It writes nothing. -json emits the findings and the
+// suppression census as one JSON object for CI. -allows prints the
+// census human-readably; -max-allows fails the run when the census
+// exceeds n, which is how CI keeps the suppression count from growing
+// unnoticed.
 package main
 
 import (
@@ -52,23 +51,18 @@ func main() {
 
 // jsonReport is the -json output shape.
 type jsonReport struct {
-	Findings []lint.Finding `json:"findings"`
-	Allows   []lint.Allow   `json:"allows"`
-	Packages int            `json:"packages"`
-	Cache    struct {
-		Hits   int `json:"hits"`
-		Misses int `json:"misses"`
-	} `json:"cache"`
-	ElapsedMS int64 `json:"elapsed_ms"`
+	Findings  []lint.Finding `json:"findings"`
+	Allows    []lint.Allow   `json:"allows"`
+	Packages  int            `json:"packages"`
+	ElapsedMS int64          `json:"elapsed_ms"`
 }
 
 func run() error {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := flag.Bool("json", false, "emit findings, allow census, and cache stats as JSON")
+	asJSON := flag.Bool("json", false, "emit findings and the allow census as JSON")
 	allowsFlag := flag.Bool("allows", false, "print the //cad3:allow suppression census")
 	maxAllows := flag.Int("max-allows", -1, "fail if the suppression census exceeds this count (-1: no limit)")
-	cacheDir := flag.String("cache", defaultCacheDir, "result cache directory (empty: disable caching)")
 	flag.Parse()
 
 	analyzers := lint.Analyzers()
@@ -133,21 +127,7 @@ func run() error {
 		return fmt.Errorf("%d type error(s) while loading — fix the build first", len(typeErrs))
 	}
 
-	var cache *lint.Cache
-	if *cacheDir != "" {
-		cdir := *cacheDir
-		if cdir == defaultCacheDir {
-			cdir = filepath.Join(root, ".cad3vetcache")
-		}
-		cache, err = lint.NewCache(cdir, prog)
-		if err != nil {
-			// A broken cache dir must not block the analysis.
-			fmt.Fprintln(os.Stderr, "cad3-vet: cache disabled:", err)
-			cache = nil
-		}
-	}
-
-	findings, allows := lint.RunCensusCached(prog, analyzers, cache)
+	findings, allows := lint.RunCensus(prog, analyzers)
 	elapsed := time.Since(start)
 
 	overLimit := *maxAllows >= 0 && len(allows) > *maxAllows
@@ -163,9 +143,6 @@ func run() error {
 			rep.Allows = []lint.Allow{}
 		}
 		rep.Packages = len(prog.Pkgs)
-		if cache != nil {
-			rep.Cache.Hits, rep.Cache.Misses = cache.Stats()
-		}
 		rep.ElapsedMS = elapsed.Milliseconds()
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -193,10 +170,6 @@ func run() error {
 	}
 	return nil
 }
-
-// defaultCacheDir is a sentinel: the real default is resolved against
-// the module root once it is known.
-const defaultCacheDir = "<module>/.cad3vetcache"
 
 // printCensus renders the suppression census, flagging stale allows
 // (ones that no longer suppress anything).

@@ -7,13 +7,15 @@ import (
 	"time"
 
 	"cad3"
+	"cad3/internal/core"
+	"cad3/internal/experiments"
 	"cad3/internal/geo"
 	"cad3/internal/trace"
 )
 
-// The integration tests drive the public API end-to-end: dataset
-// generation through model training, and the full networked pipeline
-// (TCP brokers, RSU nodes, emulated vehicles) on the wall clock.
+// The integration tests drive the system end-to-end: dataset generation
+// through model training, and the full networked pipeline (TCP brokers,
+// RSU nodes, emulated vehicles) through the public API on the wall clock.
 
 var (
 	itScenarioOnce sync.Once
@@ -37,7 +39,7 @@ func TestPublicAPIDatasetPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := cad3.NewGenerator(cad3.GeneratorConfig{Network: net, Cars: 20, Seed: 3})
+	gen, err := trace.NewGenerator(trace.GeneratorConfig{Network: net, Cars: 20, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,23 +47,23 @@ func TestPublicAPIDatasetPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := cad3.DeriveRecords(net, ds.Trajectories)
+	recs, err := trace.DeriveRecords(net, ds.Trajectories, trace.DeriveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := cad3.FilterRecords(recs)
+	clean, _ := trace.FilterRecords(recs)
 	if len(clean) == 0 {
 		t.Fatal("empty filtered dataset")
 	}
-	labeler, err := cad3.TrainLabeler(clean, 0)
+	labeler, err := core.TrainLabeler(clean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := cad3.NewCentralized()
+	det := core.NewCentralized()
 	if err := det.Train(clean, labeler); err != nil {
 		t.Fatal(err)
 	}
-	m, err := cad3.EvaluateDetector(det, clean, labeler, nil)
+	m, err := core.EvaluateDetector(det, clean, labeler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestEndToEndPipelineOverTCP(t *testing.T) {
 
 func TestPublicAPIDESLatency(t *testing.T) {
 	sc := integrationScenario(t)
-	res, err := cad3.RunLatency(cad3.LatencyConfig{
+	res, err := experiments.RunLatency(experiments.LatencyConfig{
 		Vehicles: 16,
 		Duration: time.Second,
 		Seed:     21,
@@ -230,48 +232,5 @@ func TestPublicAPIDESLatency(t *testing.T) {
 	}
 	if res.Report.Total.Mean <= 0 || res.Report.Total.Mean > 100*time.Millisecond {
 		t.Errorf("total latency %v out of band", res.Report.Total.Mean)
-	}
-}
-
-func TestPublicAPIExtensionsSurface(t *testing.T) {
-	// Router over a small network.
-	net, err := cad3.BuildNetwork(cad3.NetworkConfig{Scale: 0.02, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := cad3.NewRouter(net)
-	mw := net.SegmentsOfType(cad3.Motorway)[0]
-	succ := net.Successors(mw.ID)
-	if len(succ) > 0 {
-		route, err := router.Route(mw.ID, succ[0])
-		if err != nil || len(route) != 2 {
-			t.Errorf("route = %v, %v", route, err)
-		}
-	}
-
-	// Consumer group through the facade.
-	broker := cad3.NewBroker()
-	if err := broker.CreateTopic(cad3.TopicInData, 3); err != nil {
-		t.Fatal(err)
-	}
-	group, err := cad3.NewGroup(cad3.NewInProcClient(broker), cad3.TopicInData, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := group.Join("worker-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Assignment()) != 3 {
-		t.Errorf("assignment = %v", m.Assignment())
-	}
-
-	// Channel manager.
-	mgr := cad3.NewChannelManager(0, 0)
-	if _, err := mgr.AddSite("rsu-a", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if ch, ok := mgr.ChannelOf("rsu-a"); !ok || !ch.Valid() {
-		t.Errorf("channel = %v, %v", ch, ok)
 	}
 }

@@ -118,20 +118,6 @@ func (in *Injector) HealAll() {
 	in.cut = make(map[string]map[string]bool)
 }
 
-// Partitioned reports whether the directed link from -> to is cut.
-func (in *Injector) Partitioned(from, to string) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.cut[from][to]
-}
-
-// Stats returns a snapshot of the injected-fault counters.
-func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stats
-}
-
 // Config returns the injector's current fault configuration.
 func (in *Injector) Config() Config {
 	in.mu.Lock()

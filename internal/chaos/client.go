@@ -60,9 +60,6 @@ func NewClient(inj *Injector, from, to string, inner stream.Client) *Client {
 	return &Client{From: from, To: to, inner: inner, inj: inj}
 }
 
-// Injector returns the client's injector.
-func (c *Client) Injector() *Injector { return c.inj }
-
 // apply draws the operation's verdict and handles partition/kill/delay.
 // It reports (drop, dup, err).
 func (c *Client) apply() (bool, bool, error) {

@@ -50,9 +50,6 @@ func NewReplicaLink(inj *Injector, from, to string, inner stream.ReplicaLink) *R
 	return &ReplicaLink{From: from, To: to, inner: inner, inj: inj}
 }
 
-// Injector returns the link's injector.
-func (l *ReplicaLink) Injector() *Injector { return l.inj }
-
 // apply draws the operation's verdict and handles partition/kill/delay,
 // reporting (drop, dup, err) like Client.apply.
 func (l *ReplicaLink) apply() (bool, bool, error) {

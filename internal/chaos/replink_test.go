@@ -32,7 +32,7 @@ func someRecords(n int) []stream.ReplicaRecord {
 // drop the follower from the ISR) and heals cleanly.
 func TestReplicaLinkPartitionBlocksReplication(t *testing.T) {
 	b, link := replinkFixture(t, Config{Seed: 1})
-	link.Injector().Partition("leader", "follower")
+	link.inj.Partition("leader", "follower")
 
 	if _, err := link.ReplicaAppend(stream.TopicInData, 0, 0, 0, someRecords(2)); !errors.Is(err, ErrLinkDown) {
 		t.Errorf("append err = %v, want ErrLinkDown", err)
@@ -44,7 +44,7 @@ func TestReplicaLinkPartitionBlocksReplication(t *testing.T) {
 		t.Errorf("follower HWM = %d behind a partitioned link, want 0", hwm)
 	}
 
-	link.Injector().Heal("leader", "follower")
+	link.inj.Heal("leader", "follower")
 	if hwm, err := link.ReplicaAppend(stream.TopicInData, 0, 0, 0, someRecords(2)); err != nil || hwm != 2 {
 		t.Errorf("append after heal = %d, %v, want 2", hwm, err)
 	}
@@ -62,7 +62,7 @@ func TestReplicaLinkDropIsALostAck(t *testing.T) {
 	if hwm, _ := b.HighWaterMark(stream.TopicInData, 0); hwm != 0 {
 		t.Errorf("follower HWM = %d after a dropped append, want 0", hwm)
 	}
-	if got := link.Injector().Stats().Drops; got != 1 {
+	if got := link.inj.Stats().Drops; got != 1 {
 		t.Errorf("injector counted %d drops, want 1", got)
 	}
 }

@@ -50,7 +50,7 @@ func TestRetryClientHealsThroughChaosListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	kl := &killableListener{Listener: ln}
-	srv := stream.NewServerOn(b, kl)
+	srv := stream.NewServerOnCfg(b, kl, stream.ServerConfig{})
 	t.Cleanup(func() { _ = srv.Close() })
 
 	rc, err := stream.DialRetry(srv.Addr(), 5, 5*time.Millisecond)

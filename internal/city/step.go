@@ -87,12 +87,6 @@ type Audit struct {
 	HandoverApplied   int64
 }
 
-// Clean reports a loss-free, duplicate-free audit.
-func (a Audit) Clean() bool {
-	return a.TelemetryUnacked == 0 && a.WarningsLost == 0 && a.WarningsDup == 0 &&
-		a.FalseWarnings == 0 && a.HandoverLost == 0
-}
-
 // Audit sweeps both settlement ledgers without consuming them.
 func (d *Driver) Audit() Audit {
 	var a Audit

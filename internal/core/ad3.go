@@ -27,9 +27,6 @@ func NewAD3(roadType geo.RoadType) *AD3 {
 // Name implements Detector.
 func (a *AD3) Name() string { return "AD3" }
 
-// RoadType returns the road type the detector serves.
-func (a *AD3) RoadType() geo.RoadType { return a.roadType }
-
 // Train fits the Naive Bayes on the road type's slice of the training
 // records, labelled by the given labeler.
 func (a *AD3) Train(records []trace.Record, labeler *Labeler) error {

@@ -68,9 +68,6 @@ func NewCAD3(roadType geo.RoadType, cfg CAD3Config) *CAD3 {
 // Name implements Detector.
 func (c *CAD3) Name() string { return "CAD3" }
 
-// RoadType returns the road type the detector serves.
-func (c *CAD3) RoadType() geo.RoadType { return c.local.roadType }
-
 // Weight returns w of Equation 1.
 func (c *CAD3) Weight() float64 { return c.weight }
 
@@ -175,10 +172,6 @@ func (c *CAD3) Detect(rec trace.Record, prior *PredictionSummary) (Detection, er
 		UsedPrior: prior != nil,
 	}, nil
 }
-
-// LocalNB exposes the local Naive Bayes (the summary builder feeds on its
-// probabilities).
-func (c *CAD3) LocalNB() *AD3 { return c.local }
 
 // DumpTree renders the fitted Decision Tree for explainability review.
 func (c *CAD3) DumpTree() string {

@@ -87,17 +87,6 @@ func (l *Labeler) Label(r trace.Record) (int, error) {
 	return ClassAbnormal, nil
 }
 
-// RoadStats returns the fitted (speedMu, speedSigma) for a road type,
-// used by the accident estimator and reporting. ok is false when the road
-// type was unseen.
-func (l *Labeler) RoadStats(t geo.RoadType) (mu, sigma float64, ok bool) {
-	st, found := l.stats[t]
-	return st.speedMu, st.speedSigma, found
-}
-
-// SigmaK returns the configured cutoff multiplier.
-func (l *Labeler) SigmaK() float64 { return l.sigmaK }
-
 // MakeSamples converts records to labelled mlkit samples using the
 // instantaneous features. Records with unseen road types are skipped and
 // counted.
@@ -113,26 +102,4 @@ func (l *Labeler) MakeSamples(records []trace.Record) ([]mlkit.Sample, int) {
 		out = append(out, mlkit.Sample{Features: Features(r), Label: label})
 	}
 	return out, skipped
-}
-
-// AbnormalShare returns the labelled abnormal fraction of records.
-func (l *Labeler) AbnormalShare(records []trace.Record) float64 {
-	if len(records) == 0 {
-		return 0
-	}
-	var abnormal, total int
-	for _, r := range records {
-		label, err := l.Label(r)
-		if err != nil {
-			continue
-		}
-		total++
-		if label == ClassAbnormal {
-			abnormal++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(abnormal) / float64(total)
 }

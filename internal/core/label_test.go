@@ -157,3 +157,36 @@ func TestDeltaSeverity(t *testing.T) {
 		}
 	}
 }
+
+// RoadStats returns the fitted (speedMu, speedSigma) for a road type,
+// used by the accident estimator and reporting. ok is false when the road
+// type was unseen.
+func (l *Labeler) RoadStats(t geo.RoadType) (mu, sigma float64, ok bool) {
+	st, found := l.stats[t]
+	return st.speedMu, st.speedSigma, found
+}
+
+// SigmaK returns the configured cutoff multiplier.
+func (l *Labeler) SigmaK() float64 { return l.sigmaK }
+
+// AbnormalShare returns the labelled abnormal fraction of records.
+func (l *Labeler) AbnormalShare(records []trace.Record) float64 {
+	if len(records) == 0 {
+		return 0
+	}
+	var abnormal, total int
+	for _, r := range records {
+		label, err := l.Label(r)
+		if err != nil {
+			continue
+		}
+		total++
+		if label == ClassAbnormal {
+			abnormal++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(abnormal) / float64(total)
+}

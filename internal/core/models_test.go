@@ -328,8 +328,8 @@ func TestCAD3ConfigDefaults(t *testing.T) {
 	if c.Weight() != 0.8 {
 		t.Errorf("weight = %v, want 0.8", c.Weight())
 	}
-	if c.Name() != "CAD3" || c.RoadType() != geo.MotorwayLink {
-		t.Errorf("identity = %q %v", c.Name(), c.RoadType())
+	if c.Name() != "CAD3" {
+		t.Errorf("identity = %q", c.Name())
 	}
 }
 
@@ -407,14 +407,6 @@ func TestEvaluateDetectorObservesTruth(t *testing.T) {
 }
 
 func TestAccessorSurface(t *testing.T) {
-	fx := corridorFixture(t)
-	_, ad3, cad3, _ := trainAll(t, fx)
-	if ad3.RoadType() != geo.MotorwayLink {
-		t.Errorf("RoadType = %v", ad3.RoadType())
-	}
-	if cad3.LocalNB() == nil {
-		t.Error("LocalNB is nil")
-	}
 	d := Detection{Class: ClassAbnormal}
 	if !d.Abnormal() {
 		t.Error("Abnormal() broken")

@@ -11,12 +11,17 @@ import (
 
 // PredictionSummary is the CO-DATA payload a motorway RSU forwards to the
 // next RSU when a vehicle hands over (§IV-D): the vehicle's prediction
-// history along the previous road, condensed to the mean Naive Bayes
-// probability (P̄_prevs in Equation 1) plus bookkeeping.
+// history along the previous road, condensed to the mean of the
+// probabilities the previous node's detector returned (P̄_prevs in
+// Equation 1) plus bookkeeping. An AD3 node's detector is Naive Bayes; a
+// CAD3 node folds its fused tree output, so on a chain a hop's mean
+// already carries the prior it received (DESIGN.md, "The node's
+// conversation with its broker").
 type PredictionSummary struct {
 	Car trace.CarID `json:"carId"`
-	// MeanPNormal is the average P(normal) the previous RSU's Naive Bayes
-	// assigned to this vehicle's records.
+	// MeanPNormal is the average P(normal) the previous RSU's detector
+	// returned for this vehicle's records (Detection.PNormal: Naive Bayes
+	// for AD3, the fused tree output for CAD3).
 	MeanPNormal float64 `json:"meanPNormal"`
 	// Count is the number of predictions the mean aggregates.
 	Count int `json:"count"`

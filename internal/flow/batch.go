@@ -55,10 +55,8 @@ type BatchControllerConfig struct {
 type BatchController struct {
 	cfg BatchControllerConfig
 
-	mu      sync.Mutex
-	size    int
-	grows   int64
-	shrinks int64
+	mu   sync.Mutex
+	size int
 
 	mLimit         *obsv.Gauge
 	mGrow, mShrink *obsv.Counter
@@ -114,9 +112,6 @@ func (c *BatchController) Size() int {
 	return c.size
 }
 
-// SLO returns the controller's latency objective.
-func (c *BatchController) SLO() time.Duration { return c.cfg.SLO }
-
 // Observe feeds one batch outcome back: how many records it drained
 // (against the bound it ran under) and how long processing took.
 func (c *BatchController) Observe(drained int, latency time.Duration) {
@@ -131,7 +126,6 @@ func (c *BatchController) Observe(drained int, latency time.Duration) {
 		}
 		if next != c.size {
 			c.size = next
-			c.shrinks++
 			if c.mShrink != nil {
 				c.mShrink.Inc()
 			}
@@ -144,7 +138,6 @@ func (c *BatchController) Observe(drained int, latency time.Duration) {
 		}
 		if next != c.size {
 			c.size = next
-			c.grows++
 			if c.mGrow != nil {
 				c.mGrow.Inc()
 			}
@@ -153,11 +146,4 @@ func (c *BatchController) Observe(drained int, latency time.Duration) {
 	if c.mLimit != nil {
 		c.mLimit.Set(int64(c.size))
 	}
-}
-
-// Adjustments returns the cumulative (grows, shrinks).
-func (c *BatchController) Adjustments() (int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.grows, c.shrinks
 }

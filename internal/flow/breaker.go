@@ -197,17 +197,3 @@ func (b *Breaker) OnFailure() {
 		// the trip): keep the original cooldown clock.
 	}
 }
-
-// State returns the breaker's current state.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// Failures returns the current consecutive-failure count.
-func (b *Breaker) Failures() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fails
-}

@@ -172,3 +172,17 @@ func TestPacerFloor(t *testing.T) {
 		t.Fatalf("Decimation = %d after sustained success, want recovery", p.Decimation())
 	}
 }
+
+// State returns the breaker's current state.
+func (b *Breaker) State() BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
+// Failures returns the current consecutive-failure count.
+func (b *Breaker) Failures() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.fails
+}

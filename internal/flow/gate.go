@@ -125,9 +125,6 @@ func (g *Gate) Release(n int64) {
 // messages).
 func (g *Gate) Occupancy() int64 { return g.occupancy.Load() }
 
-// Capacity returns the configured bound.
-func (g *Gate) Capacity() int64 { return g.capacity }
-
 // Err returns the gate's preallocated backpressure error (for tests and
 // for wiring layers that surface it without calling Admit).
 func (g *Gate) Err() *BackpressureError { return g.err }

@@ -157,13 +157,6 @@ func (p *Pacer) OnSuccess() {
 	}
 }
 
-// Decimation returns the current factor (1 = full rate).
-func (p *Pacer) Decimation() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.k
-}
-
 // Decimated returns how many samples were locally dropped.
 func (p *Pacer) Decimated() int64 {
 	p.mu.Lock()

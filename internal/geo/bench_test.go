@@ -51,21 +51,6 @@ func BenchmarkMapMatch(b *testing.B) {
 	}
 }
 
-func BenchmarkRoute(b *testing.B) {
-	net, err := BuildNetwork(BuildConfig{Scale: 0.1, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mws := net.SegmentsOfType(Motorway)
-	links := net.SegmentsOfType(MotorwayLink)
-	r := NewRouter(net)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Routes may not exist between arbitrary pairs; benchmark the attempt.
-		_, _ = r.Route(mws[i%len(mws)].ID, links[i%len(links)].ID)
-	}
-}
-
 // BenchmarkConnectNearest is street-network densification on the network
 // the city benchmark builds (seed 42, scale 0.25, 12 km): one op joins
 // every segment of a freshly built network to its two nearest neighbours

@@ -113,12 +113,3 @@ func (j *Journey) Segment() SegmentID { return j.route[j.idx] }
 
 // Done reports whether the route is exhausted.
 func (j *Journey) Done() bool { return j.done }
-
-// RemainingMeters returns the distance left on the route.
-func (j *Journey) RemainingMeters() float64 {
-	var total float64
-	for i := j.idx; i < len(j.route); i++ {
-		total += j.net.Segment(j.route[i]).LengthMeters()
-	}
-	return total - j.along
-}

@@ -116,3 +116,32 @@ func TestJourneyEndClampsToRouteEnd(t *testing.T) {
 		t.Errorf("final position %.1f m from route end", d)
 	}
 }
+
+// RemainingMeters returns the distance left on the route.
+func (j *Journey) RemainingMeters() float64 {
+	var total float64
+	for i := j.idx; i < len(j.route); i++ {
+		total += j.net.Segment(j.route[i]).LengthMeters()
+	}
+	return total - j.along
+}
+
+// chainNetwork builds a linear chain of n 500 m segments: 1 -> 2 -> ... -> n.
+func chainNetwork(t *testing.T, n int) *Network {
+	t.Helper()
+	net := NewNetwork(0)
+	start := ShenzhenCenter
+	for i := 1; i <= n; i++ {
+		seg := line(t, SegmentID(i), Primary, start, 90, 500, 2)
+		if err := net.AddSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+		start = seg.End()
+	}
+	for i := 1; i < n; i++ {
+		if err := net.Connect(SegmentID(i), SegmentID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return net
+}

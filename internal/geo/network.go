@@ -126,15 +126,6 @@ func (n *Network) AllSegments() []*Segment {
 	return out
 }
 
-// TotalLengthMeters returns the summed length of all segments of type t.
-func (n *Network) TotalLengthMeters(t RoadType) float64 {
-	var total float64
-	for _, s := range n.byType[t] {
-		total += s.LengthMeters()
-	}
-	return total
-}
-
 func (n *Network) cellOf(p Point) gridCell {
 	return gridCell{
 		x: int(math.Floor(p.Lon / n.cellSize)),

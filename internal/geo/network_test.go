@@ -147,3 +147,12 @@ func TestNearestBreaksDistanceTiesByID(t *testing.T) {
 		t.Fatalf("nearest(k=1, skip 4) = %+v, want segment 9", near)
 	}
 }
+
+// TotalLengthMeters returns the summed length of all segments of type t.
+func (n *Network) TotalLengthMeters(t RoadType) float64 {
+	var total float64
+	for _, s := range n.byType[t] {
+		total += s.LengthMeters()
+	}
+	return total
+}

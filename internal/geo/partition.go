@@ -80,17 +80,6 @@ func NewSiteIndex(sites []RSUSite) *SiteIndex {
 	return idx
 }
 
-// SiteAt returns the site whose center is closest to the along-track
-// position on the segment. ok is false for segments with no sites.
-func (x *SiteIndex) SiteAt(seg SegmentID, alongMeters float64) (RSUSite, bool) {
-	row := x.bySeg[seg]
-	i, ok := NearestSite(row, alongMeters)
-	if !ok {
-		return RSUSite{}, false
-	}
-	return row[i], true
-}
-
 // NearestSite returns the index, in one segment's row (as Sites returns
 // it: sorted by AlongMeters), of the site whose center is closest to the
 // along-track position; a position midway between two centers belongs to
@@ -168,16 +157,6 @@ func mixKey(key uint64) uint64 {
 	binary.LittleEndian.PutUint64(b[:], key)
 	_, _ = h.Write(b[:])
 	return h.Sum64()
-}
-
-// ShardForKey walks clockwise from the hashed key to the next virtual
-// node and returns its shard.
-func (r *Ring) ShardForKey(key uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= mixKey(key) })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].shard
 }
 
 // WalkFrom returns every shard exactly once, in ring order starting at
@@ -335,89 +314,13 @@ func assignCells(ring *Ring, sites []RSUSite, cellMeters, eps float64) map[uint6
 	return out
 }
 
-// Shards returns the shard count.
-func (cp *CityPartition) Shards() int { return cp.ring.Shards() }
-
 // ShardOfSite returns the shard a site is assigned to.
 func (cp *CityPartition) ShardOfSite(siteID int) int { return cp.shardOf[siteID] }
-
-// SiteAt map-matches an along-track position to its serving site.
-func (cp *CityPartition) SiteAt(seg SegmentID, alongMeters float64) (RSUSite, bool) {
-	return cp.idx.SiteAt(seg, alongMeters)
-}
-
-// ShardAt returns the shard serving an along-track position.
-func (cp *CityPartition) ShardAt(seg SegmentID, alongMeters float64) (int, bool) {
-	site, ok := cp.idx.SiteAt(seg, alongMeters)
-	if !ok {
-		return 0, false
-	}
-	return cp.shardOf[site.ID], true
-}
 
 // SitesOf returns a segment's sites in along order (shared slice; do
 // not mutate). The city driver copies it into its per-segment table,
 // where vehicles find the next coverage boundary ahead of them.
 func (cp *CityPartition) SitesOf(seg SegmentID) []RSUSite { return cp.idx.Sites(seg) }
-
-// ShardPath walks a route through the partition and returns the shard
-// sequence the journey visits, consecutive duplicates collapsed. It is
-// the reference the handover ledger checks vehicles against: the same
-// route always produces the same sequence.
-func (cp *CityPartition) ShardPath(route []SegmentID) []int {
-	var path []int
-	for _, seg := range route {
-		for _, site := range cp.idx.Sites(seg) {
-			shard := cp.shardOf[site.ID]
-			if len(path) == 0 || path[len(path)-1] != shard {
-				path = append(path, shard)
-			}
-		}
-	}
-	return path
-}
-
-// Boundary is one adjacent site pair whose shards differ — a place a
-// through-driving vehicle hands over between shards.
-type Boundary struct {
-	FromSite, ToSite   int
-	FromShard, ToShard int
-}
-
-// Boundaries extracts every shard boundary: consecutive sites along one
-// segment, and the last site of a segment against the first site of
-// each successor. Sorted by (FromSite, ToSite).
-func (cp *CityPartition) Boundaries() []Boundary {
-	var out []Boundary
-	add := func(a, b RSUSite) {
-		sa, sb := cp.shardOf[a.ID], cp.shardOf[b.ID]
-		if sa != sb {
-			out = append(out, Boundary{FromSite: a.ID, ToSite: b.ID, FromShard: sa, ToShard: sb})
-		}
-	}
-	for _, seg := range cp.Net.AllSegments() {
-		row := cp.idx.Sites(seg.ID)
-		if len(row) == 0 {
-			continue
-		}
-		for i := 1; i < len(row); i++ {
-			add(row[i-1], row[i])
-		}
-		last := row[len(row)-1]
-		for _, succ := range cp.Net.Successors(seg.ID) {
-			if next := cp.idx.Sites(succ); len(next) > 0 {
-				add(last, next[0])
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].FromSite != out[j].FromSite {
-			return out[i].FromSite < out[j].FromSite
-		}
-		return out[i].ToSite < out[j].ToSite
-	})
-	return out
-}
 
 // ShardSiteCounts returns how many sites each shard owns.
 func (cp *CityPartition) ShardSiteCounts() []int {

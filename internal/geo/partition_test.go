@@ -65,10 +65,12 @@ func TestSiteIndexMatchesNearestCenter(t *testing.T) {
 		length := seg.LengthMeters()
 		for frac := 0.0; frac <= 1.0; frac += 0.25 {
 			along := frac * length
-			got, ok := idx.SiteAt(seg.ID, along)
+			row := idx.Sites(seg.ID)
+			i, ok := NearestSite(row, along)
 			if !ok {
 				t.Fatalf("segment %d has no site", seg.ID)
 			}
+			got := row[i]
 			// Brute force: the returned site must be (one of) the closest.
 			best := -1.0
 			for _, s := range idx.Sites(seg.ID) {
@@ -85,7 +87,7 @@ func TestSiteIndexMatchesNearestCenter(t *testing.T) {
 				gd = -gd
 			}
 			if gd > best+1e-9 {
-				t.Fatalf("SiteAt(%d, %.1f) returned site %.1fm away; closest is %.1fm",
+				t.Fatalf("NearestSite(%d, %.1f) returned site %.1fm away; closest is %.1fm",
 					seg.ID, along, gd, best)
 			}
 		}
@@ -100,8 +102,8 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 	r2, _ := NewRing(8, 128)
 	counts := make([]int, 8)
 	for k := uint64(0); k < 10_000; k++ {
-		s := r1.ShardForKey(k)
-		if s != r2.ShardForKey(k) {
+		s := r1.WalkFrom(k)[0]
+		if s != r2.WalkFrom(k)[0] {
 			t.Fatalf("ring assignment for key %d differs between identical rings", k)
 		}
 		counts[s]++
@@ -125,43 +127,6 @@ func TestPositionCellLocality(t *testing.T) {
 	}
 }
 
-// TestShardPathDeterministic is the satellite coverage for journeys
-// across partition boundaries: a journey's map-matched path must yield
-// a deterministic shard sequence under the consistent-hash ring.
-func TestShardPathDeterministic(t *testing.T) {
-	net := buildTestCity(t, 3)
-	cp1 := testPartition(t, net, 8)
-	cp2 := testPartition(t, net, 8)
-
-	segs := net.AllSegments()
-	rng := rand.New(rand.NewSource(42))
-	crossings := 0
-	for i := 0; i < 50; i++ {
-		start := segs[rng.Intn(len(segs))].ID
-		routeA := randomWalk(net, start, seededPick(rng.Int63()), 30)
-		pathA := cp1.ShardPath(routeA)
-		pathB := cp2.ShardPath(routeA)
-		if !reflect.DeepEqual(pathA, pathB) {
-			t.Fatalf("shard path differs across identically-configured partitions:\n%v\n%v", pathA, pathB)
-		}
-		if len(pathA) == 0 {
-			t.Fatalf("route %v produced an empty shard path", routeA)
-		}
-		for j, s := range pathA {
-			if s < 0 || s >= cp1.Shards() {
-				t.Fatalf("shard path %v has out-of-range shard at %d", pathA, j)
-			}
-			if j > 0 && pathA[j-1] == s {
-				t.Fatalf("shard path %v has consecutive duplicates", pathA)
-			}
-		}
-		crossings += len(pathA) - 1
-	}
-	if crossings == 0 {
-		t.Fatal("no route crossed a shard boundary; partition too coarse for the test city")
-	}
-}
-
 // randomWalk is a route of up to maxSegs segments from start, choosing
 // each successor with pick(n) in [0, n) and stopping at a dead end.
 func randomWalk(net *Network, start SegmentID, pick func(n int) int, maxSegs int) []SegmentID {
@@ -182,46 +147,9 @@ func seededPick(seed int64) func(n int) int {
 	return func(n int) int { return rng.Intn(n) }
 }
 
-// TestShardPathMatchesIncrementalWalk pins the equivalence the city
-// driver relies on: walking a route site-by-site through ShardAt
-// produces exactly the ShardPath sequence.
-func TestShardPathMatchesIncrementalWalk(t *testing.T) {
-	net := buildTestCity(t, 4)
-	cp := testPartition(t, net, 6)
-	segs := net.AllSegments()
-	route := randomWalk(net, segs[0].ID, seededPick(7), 40)
-
-	var walked []int
-	for _, segID := range route {
-		seg := net.Segment(segID)
-		for _, site := range cp.idx.Sites(segID) {
-			_ = seg
-			shard := cp.ShardOfSite(site.ID)
-			if len(walked) == 0 || walked[len(walked)-1] != shard {
-				walked = append(walked, shard)
-			}
-		}
-	}
-	if !reflect.DeepEqual(walked, cp.ShardPath(route)) {
-		t.Fatalf("incremental walk %v != ShardPath %v", walked, cp.ShardPath(route))
-	}
-}
-
-func TestBoundariesConsistent(t *testing.T) {
+func TestShardSiteCountsCoverSites(t *testing.T) {
 	net := buildTestCity(t, 5)
 	cp := testPartition(t, net, 8)
-	bounds := cp.Boundaries()
-	if len(bounds) == 0 {
-		t.Fatal("a multi-shard city has no boundaries")
-	}
-	for _, b := range bounds {
-		if b.FromShard == b.ToShard {
-			t.Fatalf("boundary %+v joins a shard to itself", b)
-		}
-		if cp.ShardOfSite(b.FromSite) != b.FromShard || cp.ShardOfSite(b.ToSite) != b.ToShard {
-			t.Fatalf("boundary %+v disagrees with site assignment", b)
-		}
-	}
 	counts := cp.ShardSiteCounts()
 	total := 0
 	for _, c := range counts {

@@ -98,24 +98,6 @@ func (t RoadType) SpeedLimitKmh() float64 {
 	}
 }
 
-// Lanes returns a representative per-direction lane count for the type.
-func (t RoadType) Lanes() int {
-	switch t {
-	case Motorway:
-		return 4
-	case Trunk:
-		return 3
-	case Primary:
-		return 3
-	case Secondary:
-		return 2
-	case Tertiary:
-		return 2
-	default:
-		return 1
-	}
-}
-
 // SegmentID identifies a road segment within a Network. It corresponds to
 // the RdID column of the paper's Table II schema.
 type SegmentID int64

@@ -113,8 +113,5 @@ func TestRoadTypeDefaults(t *testing.T) {
 		if rt.SpeedLimitKmh() <= 0 {
 			t.Errorf("%v speed limit must be positive", rt)
 		}
-		if rt.Lanes() < 1 {
-			t.Errorf("%v lanes must be >= 1", rt)
-		}
 	}
 }

@@ -13,7 +13,12 @@ const DefaultRSUCoverageMeters = 1000
 // RSUPlanRow is one row of the Table V reproduction: the RSU deployment
 // required for one road class.
 type RSUPlanRow struct {
-	Type         RoadType
+	Type RoadType
+	// DensityShare is the class's density column. A row from the
+	// aggregate statistics carries the published figure; a row from a
+	// network carries the class's share of road count, RoadCount over the
+	// network's total, which is what the published figure equals for nine
+	// of the ten classes.
 	DensityShare float64
 	RoadCount    int
 	MeanLengthM  float64
@@ -52,13 +57,13 @@ func PlanRSUsFromNetwork(net *Network, coverageMeters float64) []RSUPlanRow {
 		coverageMeters = DefaultRSUCoverageMeters
 	}
 	var rows []RSUPlanRow
-	var grand float64
+	roads := 0
 	lengths := make(map[RoadType][]float64)
 	for _, t := range AllRoadTypes() {
 		for _, s := range net.SegmentsOfType(t) {
 			lengths[t] = append(lengths[t], s.LengthMeters())
-			grand += s.LengthMeters()
 		}
+		roads += len(lengths[t])
 	}
 	for _, t := range AllRoadTypes() {
 		ls := lengths[t]
@@ -68,11 +73,12 @@ func PlanRSUsFromNetwork(net *Network, coverageMeters float64) []RSUPlanRow {
 		mean, std := meanStd(ls)
 		total := mean * float64(len(ls))
 		rows = append(rows, RSUPlanRow{
-			Type:        t,
-			RoadCount:   len(ls),
-			MeanLengthM: mean,
-			StdLengthM:  std,
-			RSUs:        int(math.Floor(total / coverageMeters)),
+			Type:         t,
+			DensityShare: float64(len(ls)) / float64(roads),
+			RoadCount:    len(ls),
+			MeanLengthM:  mean,
+			StdLengthM:   std,
+			RSUs:         int(math.Floor(total / coverageMeters)),
 		})
 	}
 	return rows

@@ -49,11 +49,25 @@ func TestPlanRSUsFromNetworkApproximatesStats(t *testing.T) {
 	for _, r := range fromStats {
 		byType[r.Type] = r
 	}
+	roads := 0
+	for _, r := range fromNet {
+		roads += r.RoadCount
+	}
+	var shares float64
 	for _, r := range fromNet {
 		want := byType[r.Type]
 		if r.RoadCount != want.RoadCount {
 			t.Errorf("%v: road count %d, want %d", r.Type, r.RoadCount, want.RoadCount)
 		}
+		// The network row's density is its share of road count, which
+		// the published column matches to within half a point.
+		if share := float64(r.RoadCount) / float64(roads); r.DensityShare != share {
+			t.Errorf("%v: density %v, want the count share %v", r.Type, r.DensityShare, share)
+		}
+		if math.Abs(r.DensityShare-want.DensityShare) > 0.005 {
+			t.Errorf("%v: density %.4f, published %.4f", r.Type, r.DensityShare, want.DensityShare)
+		}
+		shares += r.DensityShare
 		// Sampled totals should be within 2.5x of the aggregate plan
 		// (lognormal tails make per-seed variation large for skewed
 		// classes).
@@ -61,6 +75,9 @@ func TestPlanRSUsFromNetworkApproximatesStats(t *testing.T) {
 		if float64(r.RSUs) < lo || float64(r.RSUs) > hi {
 			t.Errorf("%v: RSUs from network = %d, want within [%.0f, %.0f]", r.Type, r.RSUs, lo, hi)
 		}
+	}
+	if math.Abs(shares-1) > 1e-9 {
+		t.Errorf("density shares sum to %v, want 1", shares)
 	}
 }
 

@@ -33,6 +33,9 @@ import (
 // loop, iterate the sorted slice). Everything else reports; genuinely
 // order-free sinks the analysis cannot see take a //cad3:allow with the
 // reason.
+//
+// Justified by (CHANGES.md, "cad3-vet v2"): byte-compared transcripts
+// and ledgers. No defect found.
 var DetOrder = &Analyzer{
 	Name:   "detorder",
 	Doc:    "determinism-critical packages must not leak map/select/global-rand ordering",

@@ -45,12 +45,12 @@ func loadGolden(t *testing.T, dir string) *Program {
 	return prog
 }
 
-// runGolden checks one analyzer (plus the allow machinery in Run)
+// runGolden checks one analyzer (plus the allow machinery in RunCensus)
 // against one fixture.
 func runGolden(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
 	prog := loadGolden(t, dir)
-	findings := Run(prog, analyzers)
+	findings, _ := RunCensus(prog, analyzers)
 
 	wants := map[string][]*wantEntry{} // "file:line" -> patterns
 	for _, pkg := range prog.Pkgs {
@@ -107,6 +107,7 @@ func TestGoldenDetOrder(t *testing.T)          { runGolden(t, "detorder", DetOrd
 func TestGoldenLockDiscipline(t *testing.T)    { runGolden(t, "lockdiscipline", LockDiscipline) }
 func TestGoldenAtomicMix(t *testing.T)         { runGolden(t, "atomicmix", AtomicMix) }
 func TestGoldenWireErrExhaustive(t *testing.T) { runGolden(t, "wireerrexhaustive", WireErrExhaustive) }
+func TestGoldenReach(t *testing.T)             { runGolden(t, "reach", Reach) }
 
 // TestGoldenSuiteTogether runs the full suite over every fixture at once
 // to prove analyzers do not interfere (each fixture's wants are scoped to
@@ -114,7 +115,7 @@ func TestGoldenWireErrExhaustive(t *testing.T) { runGolden(t, "wireerrexhaustive
 func TestGoldenSuiteTogether(t *testing.T) {
 	for _, dir := range []string{
 		"virtualclock", "poolsafety", "noalloc", "goroutine",
-		"detorder", "lockdiscipline", "atomicmix",
+		"detorder", "lockdiscipline", "atomicmix", "reach",
 	} {
 		// wirelayout is excluded: its fixture deliberately seeds layout
 		// drift that the dedicated test covers, and the noalloc/poolsafety

@@ -30,6 +30,12 @@
 //     broker error codes, must not test for codes the called method
 //     cannot return, and the analyzer's code table is cross-checked
 //     against the sentinels the broker actually encodes.
+//   - reach: every function must be reachable from a main package
+//     (cmd/*, examples/*, benchmark/); a function only tests call is
+//     dead code.
+//
+// Each analyzer's doc comment names the invariant it holds and the
+// CHANGES.md entry that justified it.
 //
 // Findings print as "file:line: [analyzer] message"; a finding can be
 // suppressed with an annotation on the same line or the line above:
@@ -73,14 +79,8 @@ type Analyzer struct {
 	// else sets RunPkg instead.
 	Run func(prog *Program) []Finding
 	// RunPkg reports the analyzer's findings for one package. Per-package
-	// analyzers are fanned out across workers and their results are
-	// cacheable per package (see Cache).
+	// analyzers are fanned out across workers.
 	RunPkg func(prog *Program, pkg *Package) []Finding
-	// KeyPkgs scopes a whole-program analyzer's cache key to the packages
-	// with these base names — the ones it actually reads. Per-package
-	// analyzers leave it nil (their key is the package plus its
-	// module-internal transitive dependencies).
-	KeyPkgs []string
 }
 
 // Analyzers returns the full suite in stable order.
@@ -95,6 +95,7 @@ func Analyzers() []*Analyzer {
 		LockDiscipline,
 		AtomicMix,
 		WireErrExhaustive,
+		Reach,
 	}
 }
 
@@ -110,33 +111,19 @@ type Allow struct {
 	Analyzer string         `json:"analyzer"`
 	Reason   string         `json:"reason"`
 	// Used reports whether the allow matched at least one raw finding in
-	// the run that produced it (set by Run/RepoVet, false for an allow
+	// the run that produced it (set by RunCensus, false for an allow
 	// that no longer suppresses anything).
 	Used bool `json:"used"`
 }
 
-// Run executes the analyzers over the program, applies //cad3:allow
-// suppressions, and appends a finding for every malformed allow (missing
-// analyzer name or reason). Findings come back sorted by position.
-// Per-package analyzers are fanned out over GOMAXPROCS workers.
-func Run(prog *Program, analyzers []*Analyzer) []Finding {
-	findings, _ := RunCensus(prog, analyzers)
-	return findings
-}
-
-// RunCensus is Run plus the suppression census: every well-formed allow
+// RunCensus executes the analyzers over the program, applies
+// //cad3:allow suppressions, and appends a finding for every malformed
+// allow (missing analyzer name or reason). Findings come back sorted by
+// position, with the suppression census: every well-formed allow
 // annotation in the program, marked Used if it suppressed a finding.
+// Per-package analyzers are fanned out over GOMAXPROCS workers.
 func RunCensus(prog *Program, analyzers []*Analyzer) ([]Finding, []Allow) {
-	return RunCensusCached(prog, analyzers, nil)
-}
-
-// RunCensusCached is RunCensus through a content-hashed result cache
-// (nil disables caching): per-(analyzer, package) jobs whose inputs are
-// byte-identical to a previous run return their stored raw findings
-// without re-analysis. Suppression filtering and the census always run
-// fresh, so allows can never be served stale.
-func RunCensusCached(prog *Program, analyzers []*Analyzer, c *Cache) ([]Finding, []Allow) {
-	raw := runParallel(prog, analyzers, c)
+	raw := runParallel(prog, analyzers)
 	allows, bad := prog.Allows()
 	out := append(filterAllowed(raw, allows), bad...)
 	sortFindings(out)
@@ -147,25 +134,18 @@ func RunCensusCached(prog *Program, analyzers []*Analyzer, c *Cache) ([]Finding,
 // (per-package analyzer, package) pair plus one per whole-program
 // analyzer, bounded by GOMAXPROCS workers. Output order is made
 // deterministic by the caller's sort.
-func runParallel(prog *Program, analyzers []*Analyzer, c *Cache) []Finding {
-	type job func() []Finding
-	cached := func(a *Analyzer, pkg *Package, run func() []Finding) job {
-		if c == nil {
-			return run
-		}
-		return func() []Finding { return c.wrap(prog, a, pkg, run) }
-	}
-	var jobs []job
+func runParallel(prog *Program, analyzers []*Analyzer) []Finding {
+	var jobs []func() []Finding
 	for _, a := range analyzers {
 		a := a
 		if a.RunPkg != nil {
 			for _, pkg := range prog.Pkgs {
 				pkg := pkg
-				jobs = append(jobs, cached(a, pkg, func() []Finding { return a.RunPkg(prog, pkg) }))
+				jobs = append(jobs, func() []Finding { return a.RunPkg(prog, pkg) })
 			}
 			continue
 		}
-		jobs = append(jobs, cached(a, nil, func() []Finding { return a.Run(prog) }))
+		jobs = append(jobs, func() []Finding { return a.Run(prog) })
 	}
 	results := make([][]Finding, len(jobs))
 	workers := runtime.GOMAXPROCS(0)

@@ -21,9 +21,7 @@ import (
 type Package struct {
 	// Path is the package's import path (module-qualified for repo
 	// packages, synthetic for golden-file testdata).
-	Path string
-	// Dir is the directory the files came from.
-	Dir   string
+	Path  string
 	Files []*ast.File
 	// Types is the type-checked package; Info holds the use/def/type
 	// maps the analyzers consult. Both are always non-nil, but may be
@@ -48,10 +46,6 @@ type Package struct {
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-	// Root and Module identify the loaded module (set by LoadRepo); the
-	// result cache keys package hashes under them.
-	Root   string
-	Module string
 }
 
 // Loader loads repo packages with the standard library only: files are
@@ -71,9 +65,6 @@ type Loader struct {
 	Root string
 	// Module is the module path ("cad3"); imports under it load from Root.
 	Module string
-	// Tags are extra build tags considered active (GOOS, GOARCH, and the
-	// toolchain's go1.x tags are always active).
-	Tags []string
 
 	fset *token.FileSet
 	std  types.Importer
@@ -84,20 +75,16 @@ type Loader struct {
 }
 
 // NewLoader returns a loader rooted at the module directory.
-func NewLoader(root, module string, tags ...string) *Loader {
+func NewLoader(root, module string) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
 		Root:   root,
 		Module: module,
-		Tags:   tags,
 		fset:   fset,
 		std:    importer.ForCompiler(fset, "source", nil),
 		pkgs:   map[string]*Package{},
 	}
 }
-
-// Fset returns the loader's file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Import implements types.Importer so the type checker can pull in
 // dependencies: module-internal paths load (and cache) from source,
@@ -155,7 +142,7 @@ func (l *Loader) parseDir(dir, path string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	pkg := &Package{Path: path, Dir: dir, Files: files}
+	pkg := &Package{Path: path, Files: files}
 	l.mu.Lock()
 	if p, ok := l.pkgs[path]; ok {
 		l.mu.Unlock()
@@ -232,7 +219,7 @@ func (l *Loader) goFiles(dir string) ([]string, error) {
 }
 
 // fileBuildable evaluates the file's //go:build constraint (if any)
-// against GOOS, GOARCH, the toolchain release tags, and l.Tags. Files
+// against GOOS, GOARCH and the toolchain release tags. Files
 // guarded by foreign tags (e.g. the cad3_checks debug build) are
 // excluded exactly like `go build` excludes them.
 func (l *Loader) fileBuildable(path string) (bool, error) {
@@ -250,7 +237,7 @@ func (l *Loader) fileBuildable(path string) (bool, error) {
 			if perr != nil {
 				return false, fmt.Errorf("lint: %s: %w", path, perr)
 			}
-			return expr.Eval(l.tagActive), nil
+			return expr.Eval(tagActive), nil
 		}
 		break // first non-comment, non-blank line: constraints must precede it
 	}
@@ -259,19 +246,11 @@ func (l *Loader) fileBuildable(path string) (bool, error) {
 
 // tagActive reports whether a build tag is satisfied in this toolchain's
 // default configuration.
-func (l *Loader) tagActive(tag string) bool {
+func tagActive(tag string) bool {
 	if tag == runtime.GOOS || tag == runtime.GOARCH || tag == "unix" && unixOS[runtime.GOOS] {
 		return true
 	}
-	if strings.HasPrefix(tag, "go1.") {
-		return releaseTagActive(tag)
-	}
-	for _, t := range l.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
+	return strings.HasPrefix(tag, "go1.") && releaseTagActive(tag)
 }
 
 var unixOS = map[string]bool{
@@ -422,7 +401,7 @@ func (l *Loader) LoadRepo() (*Program, error) {
 		}
 	}
 
-	prog := &Program{Fset: l.fset, Root: l.Root, Module: l.Module, Pkgs: pkgs}
+	prog := &Program{Fset: l.fset, Pkgs: pkgs}
 	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].Path < prog.Pkgs[j].Path })
 	return prog, nil
 }

@@ -29,6 +29,9 @@ import (
 // functions, so helpers that acquire on behalf of their caller follow
 // the repo convention of a FooLocked name and take a //cad3:allow where
 // the analysis cannot see the protocol.
+//
+// Justified by (CHANGES.md, "cad3-vet v2"): it found SummaryRouter.Flush
+// holding its lock across a produce.
 var LockDiscipline = &Analyzer{
 	Name:   "lockdiscipline",
 	Doc:    "no blocking ops under a mutex, no double-lock, unlock on every path, no lock copies",

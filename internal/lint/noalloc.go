@@ -27,6 +27,9 @@ import (
 //     of pointer-shaped values — a pointer, func, map, chan or
 //     unsafe.Pointer is stored in the interface word as it is;
 //   - go statements (a goroutine allocates its stack).
+//
+// Justified by (CHANGES.md, "cad3-vet static analysis suite"): it found
+// per-send closures on two pooled-send paths.
 var NoAlloc = &Analyzer{
 	Name:   "noalloc",
 	Doc:    "//cad3:noalloc functions must not contain allocating constructs",

@@ -31,6 +31,9 @@ import (
 // message value taken before the recycle escapes it. The debug build
 // (-tags cad3_checks) closes that gap at runtime, and poisons a lent message
 // once its callback returns, which catches a view that is kept.
+//
+// Justified by (CHANGES.md, "cad3-vet static analysis suite"): the
+// payload pool. No defect found; it goes with the pool.
 var PoolSafety = &Analyzer{
 	Name:   "poolsafety",
 	Doc:    "no use of pooled buffers after PutPayload/RecycleMessages, no double-recycle",

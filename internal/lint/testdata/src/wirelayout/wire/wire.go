@@ -1,7 +1,7 @@
 // Package wire is a golden fixture for the wirelayout analyzer's stream
 // protocol checks: the hello codec agrees with helloBodySize, while the
-// batch-result codec writes and reads 13 bytes against a seeded
-// batchOKResultSize of 12 — drift both sides must report.
+// batch-result encoder writes 13 bytes against a seeded
+// batchOKResultSize of 12 — drift it must report.
 package wire
 
 import "encoding/binary"
@@ -34,11 +34,4 @@ func putBatchOK(b []byte, part int32, off int64) { // want "putBatchOK touches 1
 	b[0] = 0
 	be.PutUint32(b[1:], uint32(part))
 	be.PutUint64(b[5:], uint64(off))
-}
-
-// readBatchOK reads the same 13 bytes back; same drift.
-func readBatchOK(b []byte) (part int32, off int64) { // want "readBatchOK touches 13 bytes of fixed layout but batchOKResultSize = 12"
-	part = int32(be.Uint32(b[1:]))
-	off = int64(be.Uint64(b[5:]))
-	return
 }

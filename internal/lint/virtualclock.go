@@ -16,6 +16,9 @@ import (
 // Pure time constructors and arithmetic (time.Date, time.UnixMilli,
 // time.Duration math) are fine — only the functions that read or wait on
 // the wall clock are banned.
+//
+// Justified by (CHANGES.md, "cad3-vet static analysis suite"): it found
+// chaos.Client delaying on the wall clock.
 var VirtualClock = &Analyzer{
 	Name:   "virtualclock",
 	Doc:    "simulation packages must take an injected clock — no time.Now/Sleep/timers",

@@ -36,6 +36,9 @@ import (
 //
 // The analyzer is whole-program: it reads the decoder out of the stream
 // package and then audits every client package against it.
+//
+// Justified by (CHANGES.md, "cad3-vet v2"): it found ErrEmptyTopicName
+// missing from remoteError.
 var WireErrExhaustive = &Analyzer{
 	Name: "wireerrexhaustive",
 	Doc:  "wire error sentinels decoded, matched, and handled consistently at client call sites",

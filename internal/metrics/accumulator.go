@@ -14,8 +14,7 @@ import (
 // Summarize would re-sort and re-sum the whole sample set on every call.
 //
 // Quantiles need the full sample (or a sketch); Accumulator deliberately
-// reports none — the live quantile approximation is the obsv histogram's
-// Quantile. Everything else in Summary (count, mean, std, min, max,
+// reports none. Everything else in Summary (count, mean, std, min, max,
 // stderr) matches Summarize exactly; see TestAccumulatorMatchesSummarize.
 //
 // Safe for concurrent use.
@@ -62,8 +61,7 @@ func (a *Accumulator) Sum() time.Duration {
 }
 
 // Summary renders the streamed moments as a Summary. P50/P95 are zero:
-// quantiles are not streamable without a sketch (use the obsv histogram's
-// Quantile for live approximations).
+// quantiles are not streamable without a sketch.
 func (a *Accumulator) Summary() Summary {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -116,13 +116,6 @@ func (r *LatencyRecorder) Record(l LatencyBreakdown) {
 	r.samples = append(r.samples, l)
 }
 
-// Count returns the number of recorded samples.
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
 // LatencyReport summarises every component plus the total.
 type LatencyReport struct {
 	Tx, Queue, Processing, Dissemination, Total Summary
@@ -149,48 +142,4 @@ func (r *LatencyRecorder) Report() LatencyReport {
 		Dissemination: Summarize(pick(func(l LatencyBreakdown) time.Duration { return l.Dissemination })),
 		Total:         Summarize(pick(LatencyBreakdown.Total)),
 	}
-}
-
-// BandwidthMeter accumulates byte counts over a time window and converts
-// them to rates. Safe for concurrent use.
-type BandwidthMeter struct {
-	mu    sync.Mutex
-	bytes int64
-	first time.Time
-	last  time.Time
-}
-
-// NewBandwidthMeter returns an empty meter.
-func NewBandwidthMeter() *BandwidthMeter { return &BandwidthMeter{} }
-
-// Add records n bytes observed at the given instant.
-func (m *BandwidthMeter) Add(n int, at time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.bytes += int64(n)
-	if m.first.IsZero() || at.Before(m.first) {
-		m.first = at
-	}
-	if at.After(m.last) {
-		m.last = at
-	}
-}
-
-// Bytes returns the cumulative byte count.
-func (m *BandwidthMeter) Bytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes
-}
-
-// RateBitsPerSec returns the average rate over the observed window; zero
-// if fewer than two distinct instants were observed.
-func (m *BandwidthMeter) RateBitsPerSec() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	window := m.last.Sub(m.first).Seconds()
-	if window <= 0 {
-		return 0
-	}
-	return float64(m.bytes) * 8 / window
 }

@@ -90,9 +90,6 @@ func TestLatencyRecorderReport(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if r.Count() != 10 {
-		t.Fatalf("Count = %d", r.Count())
-	}
 	rep := r.Report()
 	if rep.Processing.Mean != 5*time.Millisecond {
 		t.Errorf("Processing mean = %v", rep.Processing.Mean)
@@ -102,44 +99,5 @@ func TestLatencyRecorderReport(t *testing.T) {
 	}
 	if rep.Tx.Count != 10 {
 		t.Errorf("Tx count = %d", rep.Tx.Count)
-	}
-}
-
-func TestBandwidthMeter(t *testing.T) {
-	m := NewBandwidthMeter()
-	if m.RateBitsPerSec() != 0 {
-		t.Error("empty meter rate should be 0")
-	}
-	start := time.Date(2016, 7, 1, 8, 0, 0, 0, time.UTC)
-	// 250 bytes every 100 ms for 1 s => 2500 B over 1.0 s window = 20 kb/s.
-	for i := 0; i <= 10; i++ {
-		m.Add(250, start.Add(time.Duration(i)*100*time.Millisecond))
-	}
-	if m.Bytes() != 2750 {
-		t.Errorf("Bytes = %d", m.Bytes())
-	}
-	rate := m.RateBitsPerSec()
-	if math.Abs(rate-22000) > 1 {
-		t.Errorf("rate = %.1f b/s, want 22000", rate)
-	}
-}
-
-func TestBandwidthMeterConcurrent(t *testing.T) {
-	m := NewBandwidthMeter()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m.Add(100, start.Add(time.Duration(i)*time.Millisecond))
-		}(i)
-	}
-	wg.Wait()
-	if m.Bytes() != 2000 {
-		t.Errorf("Bytes = %d, want 2000", m.Bytes())
-	}
-	if m.RateBitsPerSec() <= 0 {
-		t.Error("rate should be positive")
 	}
 }

@@ -114,14 +114,6 @@ type EngineStats struct {
 	MaxProcessingTime   time.Duration
 }
 
-// AvgProcessingTime returns the mean per-batch processing time.
-func (s EngineStats) AvgProcessingTime() time.Duration {
-	if s.Batches == 0 {
-		return 0
-	}
-	return s.TotalProcessingTime / time.Duration(s.Batches)
-}
-
 // Engine slices a message stream into micro-batches.
 type Engine[T any] struct {
 	cfg Config[T]

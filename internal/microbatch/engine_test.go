@@ -244,7 +244,7 @@ func TestEngineStatsAggregation(t *testing.T) {
 	if st.Batches != 5 || st.Records != 50 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.MaxProcessingTime < st.AvgProcessingTime() {
+	if st.MaxProcessingTime*time.Duration(st.Batches) < st.TotalProcessingTime {
 		t.Error("max processing time below average")
 	}
 }

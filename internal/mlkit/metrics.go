@@ -55,9 +55,6 @@ func (m ConfusionMatrix) Recall() float64 {
 	return float64(m.TP) / float64(m.TP+m.FN)
 }
 
-// TPRate is an alias of Recall matching the paper's Table IV terminology.
-func (m ConfusionMatrix) TPRate() float64 { return m.Recall() }
-
 // FNRate returns FN/(TP+FN): the share of abnormal points the model missed,
 // the quantity the paper ties to potential accidents.
 func (m ConfusionMatrix) FNRate() float64 {
@@ -80,18 +77,4 @@ func (m ConfusionMatrix) F1() float64 {
 func (m ConfusionMatrix) String() string {
 	return fmt.Sprintf("TP=%d FN=%d TN=%d FP=%d acc=%.4f f1=%.4f",
 		m.TP, m.FN, m.TN, m.FP, m.Accuracy(), m.F1())
-}
-
-// Evaluate runs a classifier over labelled samples and accumulates a
-// confusion matrix.
-func Evaluate(c Classifier, samples []Sample) (ConfusionMatrix, error) {
-	var m ConfusionMatrix
-	for i, s := range samples {
-		pred, err := c.Predict(s.Features)
-		if err != nil {
-			return m, fmt.Errorf("evaluate sample %d: %w", i, err)
-		}
-		m.Observe(s.Label, pred)
-	}
-	return m, nil
 }

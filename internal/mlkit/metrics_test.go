@@ -1,6 +1,7 @@
 package mlkit
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -31,9 +32,6 @@ func TestConfusionMatrixCounts(t *testing.T) {
 	if got := m.Recall(); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Errorf("Recall = %v", got)
 	}
-	if m.TPRate() != m.Recall() {
-		t.Error("TPRate should alias Recall")
-	}
 	if got := m.FNRate(); math.Abs(got-1.0/3.0) > 1e-12 {
 		t.Errorf("FNRate = %v", got)
 	}
@@ -56,7 +54,7 @@ func TestTPPlusFNRateIsOne(t *testing.T) {
 		if m.TP+m.FN == 0 {
 			return true
 		}
-		return math.Abs(m.TPRate()+m.FNRate()-1) < 1e-12
+		return math.Abs(m.Recall()+m.FNRate()-1) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -104,4 +102,18 @@ func TestPredictLabel(t *testing.T) {
 	if PredictLabel(0.49) != ClassAbnormal || PredictLabel(0) != ClassAbnormal {
 		t.Error("p < 0.5 should be abnormal")
 	}
+}
+
+// Evaluate runs a classifier over labelled samples and accumulates a
+// confusion matrix.
+func Evaluate(c Classifier, samples []Sample) (ConfusionMatrix, error) {
+	var m ConfusionMatrix
+	for i, s := range samples {
+		pred, err := c.Predict(s.Features)
+		if err != nil {
+			return m, fmt.Errorf("evaluate sample %d: %w", i, err)
+		}
+		m.Observe(s.Label, pred)
+	}
+	return m, nil
 }

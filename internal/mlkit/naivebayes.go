@@ -165,18 +165,3 @@ func (nb *GaussianNB) Predict(features []float64) (int, error) {
 	}
 	return PredictLabel(p), nil
 }
-
-// Trained reports whether Fit has succeeded.
-func (nb *GaussianNB) Trained() bool { return nb.trained }
-
-// FeatureWidth returns the trained feature width (0 if untrained).
-func (nb *GaussianNB) FeatureWidth() int { return nb.width }
-
-// ClassMean returns the fitted mean of feature f under class c, for
-// explainability surfaces (the paper stresses explainable models).
-func (nb *GaussianNB) ClassMean(c, f int) float64 {
-	if !nb.trained || c < 0 || c > 1 || f < 0 || f >= nb.width {
-		return math.NaN()
-	}
-	return nb.mean[c][f]
-}

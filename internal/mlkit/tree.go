@@ -245,23 +245,6 @@ func (t *DecisionTree) Predict(features []float64) (int, error) {
 	return PredictLabel(p), nil
 }
 
-// Trained reports whether Fit has succeeded.
-func (t *DecisionTree) Trained() bool { return t.trained }
-
-// Depth returns the depth of the grown tree (0 for a stump/untrained).
-func (t *DecisionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // Dump renders the tree as indented text — the explainability surface the
 // paper argues matters for road-safety liability (§VI-D4).
 func (t *DecisionTree) Dump(featureNames []string) string {

@@ -149,3 +149,20 @@ func TestDecisionTreeDump(t *testing.T) {
 		t.Errorf("dump missing feature names:\n%s", out)
 	}
 }
+
+// Trained reports whether Fit has succeeded.
+func (t *DecisionTree) Trained() bool { return t.trained }
+
+// Depth returns the depth of the grown tree (0 for a stump/untrained).
+func (t *DecisionTree) Depth() int { return depthOf(t.root) }
+
+func depthOf(n *treeNode) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	l, r := depthOf(n.left), depthOf(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
+}

@@ -45,9 +45,6 @@ type Backhaul struct {
 	jitter  time.Duration // uniform +- jitter
 	rateBps float64       // serialization rate (bits/s)
 	rng     *rand.Rand
-
-	sent      int64
-	sentBytes int64
 }
 
 // Backhaul presets: one-way latency floors and typical jitter from the
@@ -90,13 +87,8 @@ func (b *Backhaul) Delay(payloadBytes int) time.Duration {
 	if d < 0 {
 		d = 0
 	}
-	b.sent++
-	b.sentBytes += int64(payloadBytes)
 	return d
 }
 
 // Kind returns the link technology.
 func (b *Backhaul) Kind() BackhaulKind { return b.kind }
-
-// Sent returns the cumulative (messages, bytes) carried.
-func (b *Backhaul) Sent() (int64, int64) { return b.sent, b.sentBytes }

@@ -68,10 +68,6 @@ func TestBackhaulDelayProperties(t *testing.T) {
 	if b.Delay(-5) < 0 {
 		t.Error("negative payload should clamp")
 	}
-	msgs, bytes := b.Sent()
-	if msgs == 0 || bytes == 0 {
-		t.Errorf("accounting = %d msgs, %d bytes", msgs, bytes)
-	}
 	if b.Kind() != Backhaul5G || b.Kind().String() != "5g" {
 		t.Errorf("kind = %v", b.Kind())
 	}

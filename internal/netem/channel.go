@@ -34,11 +34,6 @@ func ServiceChannels() []Channel {
 	return []Channel{SCH172, SCH174, SCH176, SCH180, SCH182, SCH184}
 }
 
-// Valid reports whether c is a DSRC channel.
-func (c Channel) Valid() bool {
-	return c >= SCH172 && c <= SCH184 && c%2 == 0
-}
-
 // AdaptMCS selects the modulation-and-coding scheme for a link of the
 // given length: near vehicles use high-rate, short-range modes (§VII-B's
 // "higher data rate and smaller range"), distant ones fall back to robust
@@ -181,17 +176,6 @@ func (m *ChannelManager) bestChannelLocked(site *RSUSite) Channel {
 func (m *ChannelManager) distance(a, b *RSUSite) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y
 	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// ChannelOf returns a site's current channel.
-func (m *ChannelManager) ChannelOf(name string) (Channel, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.sites[name]
-	if !ok {
-		return 0, false
-	}
-	return s.Channel, true
 }
 
 // ReportInterference records a site's measured interference level

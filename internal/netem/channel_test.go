@@ -112,8 +112,8 @@ func TestMediumTransmitFromAdaptsAirtime(t *testing.T) {
 		t.Errorf("near delivery %v should precede far %v", dNear, dFar)
 	}
 	// The configured MCS is restored after adaptive sends.
-	if near.MCS() != MCS3 {
-		t.Errorf("MCS = %v after TransmitFrom, want default restored", near.MCS())
+	if near.mcs != MCS3 {
+		t.Errorf("MCS = %v after TransmitFrom, want default restored", near.mcs)
 	}
 }
 
@@ -239,4 +239,23 @@ func TestSwitchesCounterStartsZero(t *testing.T) {
 	if m.Switches() != 0 {
 		t.Errorf("Switches = %d", m.Switches())
 	}
+}
+
+// Lost returns the number of frames dropped by the loss model.
+func (m *Medium) Lost() int64 { return m.lost }
+
+// Valid reports whether c is a DSRC channel.
+func (c Channel) Valid() bool {
+	return c >= SCH172 && c <= SCH184 && c%2 == 0
+}
+
+// ChannelOf returns a site's current channel.
+func (m *ChannelManager) ChannelOf(name string) (Channel, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.sites[name]
+	if !ok {
+		return 0, false
+	}
+	return s.Channel, true
 }

@@ -145,9 +145,6 @@ func (m *Medium) Stats() MediumStats {
 	}
 }
 
-// MCS returns the configured modulation-and-coding scheme.
-func (m *Medium) MCS() MCS { return m.mcs }
-
 // TransmitFrom models a frame sent from the given distance: the MCS
 // adapts to the link length, the loss model may drop the frame (it still
 // occupies airtime — a corrupted frame busies the channel), and the
@@ -170,6 +167,3 @@ func (m *Medium) TransmitFrom(class string, payloadBytes int, at time.Time, dist
 	}
 	return done, true, nil
 }
-
-// Lost returns the number of frames dropped by the loss model.
-func (m *Medium) Lost() int64 { return m.lost }

@@ -242,3 +242,21 @@ func TestMCSLadder(t *testing.T) {
 		t.Error("String must not be empty")
 	}
 }
+
+// TotalAssuredBps returns the summed assured rates — callers can check
+// feasibility against the ceiling (the paper's 256-vehicle cap).
+func (h *HTB) TotalAssuredBps() float64 {
+	var total float64
+	for _, c := range h.classes {
+		total += c.assured.rateBps * 8
+	}
+	return total
+}
+
+// ClassSentBytes returns the cumulative bytes a class has reserved.
+func (h *HTB) ClassSentBytes(name string) int64 {
+	if c, ok := h.classes[name]; ok {
+		return c.sent
+	}
+	return 0
+}

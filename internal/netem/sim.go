@@ -299,20 +299,6 @@ func (s *Simulator) RunUntil(deadline time.Time) int {
 	return n
 }
 
-// Run processes all pending events (including those newly scheduled by
-// event handlers), returning the count. Use with care: a self-rescheduling
-// event makes this loop forever — prefer RunUntil in that case.
-func (s *Simulator) Run() int {
-	var n int
-	for s.Step() == nil {
-		n++
-	}
-	return n
-}
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.near) + s.inRing + len(s.far) }
-
 // eventHeap is a 4-ary min-heap of events in before order. Four children
 // per node halve the depth of a binary heap and keep a node's children on
 // one or two cache lines.

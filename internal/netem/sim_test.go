@@ -466,8 +466,8 @@ func TestMediumSerializesTransmissions(t *testing.T) {
 	if st.WireBytes <= st.PayloadBytes {
 		t.Error("wire bytes must include MAC overhead")
 	}
-	if m.MCS() != MCS3 {
-		t.Errorf("MCS = %v", m.MCS())
+	if m.mcs != MCS3 {
+		t.Errorf("MCS = %v", m.mcs)
 	}
 }
 
@@ -514,8 +514,8 @@ func TestMediumInvalidConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.MCS() != MCS3 {
-		t.Errorf("default MCS = %v, want MCS3", m.MCS())
+	if m.mcs != MCS3 {
+		t.Errorf("default MCS = %v, want MCS3", m.mcs)
 	}
 }
 
@@ -540,3 +540,17 @@ func TestMedium256VehiclesOneRound(t *testing.T) {
 		t.Errorf("256-vehicle drain = %v, want ~100ms order", total)
 	}
 }
+
+// Run processes all pending events (including those newly scheduled by
+// event handlers), returning the count. Use with care: a self-rescheduling
+// event makes this loop forever — prefer RunUntil in that case.
+func (s *Simulator) Run() int {
+	var n int
+	for s.Step() == nil {
+		n++
+	}
+	return n
+}
+
+// Pending returns the number of queued events.
+func (s *Simulator) Pending() int { return len(s.near) + s.inRing + len(s.far) }

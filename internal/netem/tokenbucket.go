@@ -162,16 +162,6 @@ func (h *HTB) AddClass(name string, assuredBitsPerSec, ceilBitsPerSec float64) e
 	return nil
 }
 
-// TotalAssuredBps returns the summed assured rates — callers can check
-// feasibility against the ceiling (the paper's 256-vehicle cap).
-func (h *HTB) TotalAssuredBps() float64 {
-	var total float64
-	for _, c := range h.classes {
-		total += c.assured.rateBps * 8
-	}
-	return total
-}
-
 // Reserve books n bytes for the class and returns when the payload has
 // cleared shaping. Guaranteed traffic (within the assured rate) passes the
 // root immediately; traffic beyond it borrows root capacity, so the
@@ -197,12 +187,4 @@ func (h *HTB) Reserve(class string, nBytes int, now time.Time) (time.Time, error
 		t = rt
 	}
 	return t, nil
-}
-
-// ClassSentBytes returns the cumulative bytes a class has reserved.
-func (h *HTB) ClassSentBytes(name string) int64 {
-	if c, ok := h.classes[name]; ok {
-		return c.sent
-	}
-	return 0
 }

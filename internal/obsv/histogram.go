@@ -62,9 +62,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in microseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // HistogramSnapshot is a copy of a histogram's state. Counts[i] is the
 // number of observations v with Bounds[i-1] < v <= Bounds[i]; the final
 // slot is the overflow bucket.
@@ -73,43 +70,6 @@ type HistogramSnapshot struct {
 	Counts []int64 `json:"counts"`
 	Count  int64   `json:"count"`
 	Sum    int64   `json:"sum"`
-}
-
-// Mean returns the mean observation, zero when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the containing bucket — the live approximation of the offline
-// metrics.Summarize percentiles. The overflow bucket reports its lower
-// bound.
-func (s HistogramSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 || len(s.Counts) == 0 {
-		return 0
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(s.Bounds) { // overflow bucket
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := int64(0)
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		frac := (rank - prev) / float64(c)
-		return lo + int64(frac*float64(s.Bounds[i]-lo))
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // Snapshot copies the histogram state. Each bucket is read atomically; a

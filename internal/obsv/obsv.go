@@ -32,7 +32,6 @@
 package obsv
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -160,10 +159,6 @@ func (r *Registry) RegisterGaugeFunc(name string, fn func() int64) {
 	r.gaugeFuncs[name] = fn
 }
 
-// AddCounter is shorthand for Counter(name).Add(delta); use the handle
-// form on hot paths.
-func (r *Registry) AddCounter(name string, delta int64) { r.Counter(name).Add(delta) }
-
 // Snapshot is a point-in-time copy of a registry, JSON-marshalable as the
 // /metrics response body and embeddable in an RSU checkpoint. Each metric
 // is read atomically; the set as a whole is "consistent enough" — see
@@ -228,17 +223,4 @@ func (r *Registry) Restore(s Snapshot) {
 	for name, hs := range s.Histograms {
 		r.Histogram(name, hs.Bounds).restore(hs)
 	}
-}
-
-// CounterNames returns the registered counter names, sorted (tests and
-// text renderers).
-func (r *Registry) CounterNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -3,8 +3,6 @@ package obsv
 import (
 	"sync"
 	"time"
-
-	"cad3/internal/metrics"
 )
 
 // TraceEntry is one completed (or partially completed) pipeline trace as
@@ -43,16 +41,6 @@ func entryFromContext(car, road int64, tc TraceContext, at time.Time) TraceEntry
 	}
 	e.TotalMicros = e.TxMicros + e.QueueMicros + e.ProcMicros + e.DissMicros
 	return e
-}
-
-// Breakdown converts the entry back to the metrics decomposition.
-func (e TraceEntry) Breakdown() metrics.LatencyBreakdown {
-	return metrics.LatencyBreakdown{
-		Tx:            time.Duration(e.TxMicros) * time.Microsecond,
-		Queue:         time.Duration(e.QueueMicros) * time.Microsecond,
-		Processing:    time.Duration(e.ProcMicros) * time.Microsecond,
-		Dissemination: time.Duration(e.DissMicros) * time.Microsecond,
-	}
 }
 
 // TraceRing keeps the most recent N trace entries for /trace/recent. A
@@ -105,11 +93,4 @@ func (r *TraceRing) Recent(max int) []TraceEntry {
 		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}
 	return out
-}
-
-// Len returns the number of stored entries.
-func (r *TraceRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
 }

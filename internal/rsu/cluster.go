@@ -2,11 +2,9 @@ package rsu
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"cad3/internal/geo"
 	"cad3/internal/microbatch"
@@ -116,18 +114,6 @@ func (c *Cluster) Node(road geo.SegmentID) (*Node, error) {
 	return n, nil
 }
 
-// NodeByName returns the named node.
-func (c *Cluster) NodeByName(name string) (*Node, error) {
-	n, ok := c.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoRSU, name)
-	}
-	return n, nil
-}
-
-// Nodes returns every node, ordered by road ID.
-func (c *Cluster) Nodes() []*Node { return slices.Clone(c.nodes) }
-
 // Handover moves a vehicle's prediction summary from the RSU covering
 // fromRoad to the RSU covering toRoad, which must be wired neighbors.
 func (c *Cluster) Handover(car trace.CarID, fromRoad, toRoad geo.SegmentID) error {
@@ -155,24 +141,6 @@ func (c *Cluster) StepAll() (map[string]microbatch.BatchStats, error) {
 		}
 	}
 	return out, errors.Join(errs...)
-}
-
-// Run drives every node on the wall clock until the context ends.
-func (c *Cluster) Run(ctx context.Context) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.nodes))
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func(i int, n *Node) {
-			defer wg.Done()
-			if err := n.Run(ctx); err != nil && !errors.Is(err, context.Canceled) &&
-				!errors.Is(err, context.DeadlineExceeded) {
-				errs[i] = fmt.Errorf("%s: %w", n.Name(), err)
-			}
-		}(i, n)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // Stats returns every node's stats keyed by name.

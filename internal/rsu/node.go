@@ -581,10 +581,6 @@ func (n *Node) logs(level slog.Level) bool {
 	return n.cfg.Logger.Enabled(context.Background(), level)
 }
 
-func carKey(car trace.CarID) []byte {
-	return appendCarKey(make([]byte, 0, 24), car)
-}
-
 // appendCarKey appends the partitioning key for a car ("car-<id>") without
 // the fmt machinery.
 //
@@ -765,21 +761,14 @@ func (n *Node) Ping() error {
 	return err
 }
 
-// Detector returns the node's detector (checkpointing persists it).
-func (n *Node) Detector() core.Detector { return n.cfg.Detector }
-
 // Client returns the node's broker client, which never changes after New.
 func (n *Node) Client() stream.Client { return n.cfg.Client }
 
 // TrackedCars returns the number of vehicles with local prediction
 // history.
+//
+//cad3:allow reach TestScenarioHarnessCrashRecover compares a recovered node's car count with the crashed one's
 func (n *Node) TrackedCars() int { return n.builder.Cars() }
-
-// Profile returns the node's rolling road speed profile.
-func (n *Node) Profile() *RoadProfile { return n.profile }
-
-// StoredSummaries returns the number of summaries received and retained.
-func (n *Node) StoredSummaries() int { return n.summaries.Len() }
 
 // Registry returns the node's observability registry (the /metrics
 // backing store; checkpointing persists its snapshot).

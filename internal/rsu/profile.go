@@ -57,13 +57,6 @@ func NewRoadProfile(bucketD time.Duration, buckets int, now func() time.Time) *R
 	}
 }
 
-// Observe folds one speed sample into the current bucket.
-func (p *RoadProfile) Observe(speedKmh float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.bucketLocked(p.tickLocked(p.now())).add(speedKmh)
-}
-
 // fold is Observe then MeanStd for each record in order, under one lock
 // hold and one clock reading: it folds the record's speed into the window
 // and backfills a missing road-mean-speed context from the window as it
@@ -102,14 +95,6 @@ func (b *profileBucket) add(speedKmh float64) {
 	b.n++
 	b.sum += speedKmh
 	b.sumSq += speedKmh * speedKmh
-}
-
-// MeanStd returns the windowed mean and standard deviation of speed, and
-// ok=false until enough samples accumulated.
-func (p *RoadProfile) MeanStd() (mean, std float64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.meanStdLocked(p.tickLocked(p.now()))
 }
 
 func (p *RoadProfile) meanStdLocked(tick int64) (mean, std float64, ok bool) {
@@ -180,19 +165,4 @@ func (p *RoadProfile) Restore(snap ProfileSnapshot) {
 			p.buckets[i] = profileBucket{tick: b.Tick, n: b.N, sum: b.Sum, sumSq: b.SumSq}
 		}
 	}
-}
-
-// Samples returns the number of samples currently inside the window.
-func (p *RoadProfile) Samples() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	tick := p.tickLocked(p.now())
-	oldest := tick - int64(len(p.buckets)) + 1
-	var n int64
-	for i := range p.buckets {
-		if b := p.buckets[i]; b.tick >= oldest && b.tick <= tick {
-			n += b.n
-		}
-	}
-	return n
 }

@@ -390,7 +390,7 @@ func TestTracedWarningsKeepStampsAndRing(t *testing.T) {
 	if traced == 0 || traced == len(msgs) {
 		t.Fatalf("%d of %d warnings traced; the fixture wants both kinds", traced, len(msgs))
 	}
-	if got := n.TraceRing().Len(); got != traced {
+	if got := len(n.TraceRing().Recent(0)); got != traced {
 		t.Errorf("trace ring holds %d entries, want one per traced warning (%d)", got, traced)
 	}
 }
@@ -488,7 +488,7 @@ func TestNodeStepRequestFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	counted := &frameCounter{Listener: ln}
-	srv := stream.NewServerOn(b, counted)
+	srv := stream.NewServerOnCfg(b, counted, stream.ServerConfig{})
 	defer srv.Close()
 	tc, err := stream.Dial(srv.Addr())
 	if err != nil {

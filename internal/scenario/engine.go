@@ -72,17 +72,6 @@ type PhaseResult struct {
 	Assertions   []AssertionResult
 }
 
-// Failed counts the phase's failed assertions.
-func (p PhaseResult) Failed() int {
-	n := 0
-	for _, a := range p.Assertions {
-		if !a.Pass {
-			n++
-		}
-	}
-	return n
-}
-
 // Result is one run's outcome.
 type Result struct {
 	Spec   *Spec

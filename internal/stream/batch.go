@@ -287,14 +287,6 @@ func NewBatchProducer(client Client, topicName string, partition int32, cfg Batc
 	}, nil
 }
 
-// Add buffers one record, copying key and value into the batch arena (the
-// caller's slices are free to reuse immediately). It flushes when the
-// batch reaches FlushEvery records or batchMaxBytes projected frame bytes.
-func (bp *BatchProducer) Add(key, value []byte) error {
-	bp.arena = append(append(bp.arena, key...), value...)
-	return bp.added(len(key), len(value))
-}
-
 // AddPooled buffers a record whose value encode assembles (e.g.
 // core.AppendRecord): it is handed the empty tail of the batch arena and
 // appends the wire bytes there, in place of a buffer from the payload pool.

@@ -174,9 +174,6 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 	return nil
 }
 
-// FlowEnabled reports whether the broker admits under flow control.
-func (b *Broker) FlowEnabled() bool { return b.cfg.FlowCapacity > 0 }
-
 // FlowStats sums the named topic's per-partition gate statistics. A
 // zero-value Stats is returned for unknown topics or a flow-disabled
 // broker.

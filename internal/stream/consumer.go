@@ -191,13 +191,3 @@ func (c *Consumer) Offsets() []int64 {
 	copy(out, c.offsets)
 	return out
 }
-
-// Received returns the cumulative (messages, wire bytes) consumed.
-func (c *Consumer) Received() (int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalMsgs, c.totalBytes
-}
-
-// Topic returns the topic the consumer reads.
-func (c *Consumer) Topic() string { return c.topic }

@@ -27,9 +27,6 @@ func TestProducerConsumerFlow(t *testing.T) {
 	if p.Sent() != 50 {
 		t.Errorf("Sent = %d", p.Sent())
 	}
-	if p.Topic() != TopicInData {
-		t.Errorf("Topic = %q", p.Topic())
-	}
 
 	var got int
 	for {
@@ -188,9 +185,6 @@ func TestAccessorSurface(t *testing.T) {
 		t.Errorf("Bytes = %d, want 6", p.Bytes())
 	}
 	c, _ := NewConsumer(client, TopicInData, 0)
-	if c.Topic() != TopicInData {
-		t.Errorf("Topic = %q", c.Topic())
-	}
 	if _, err := c.Poll(10); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"cad3/internal/obsv"
@@ -40,19 +39,13 @@ type Group struct {
 	mGenerations *obsv.Counter
 }
 
-// GroupConfig configures a Group beyond the NewGroup basics.
+// GroupConfig configures a Group.
 type GroupConfig struct {
 	Client      Client
 	Topic       string
 	StartOffset int64
 	// Metrics, when set, receives rebalance.generations (bumps).
 	Metrics *obsv.Registry
-}
-
-// NewGroup creates a group over a topic, with all partition offsets at
-// startOffset.
-func NewGroup(client Client, topicName string, startOffset int64) (*Group, error) {
-	return NewGroupCfg(GroupConfig{Client: client, Topic: topicName, StartOffset: startOffset})
 }
 
 // NewGroupCfg creates a group from a full config.
@@ -98,42 +91,12 @@ func (g *Group) Join(id string) (*GroupMember, error) {
 	return &GroupMember{group: g, id: id}, nil
 }
 
-// Leave removes a member; its partitions are redistributed.
-func (g *Group) Leave(id string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, m := range g.members {
-		if m == id {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			g.rebalancedLocked()
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %q", ErrUnknownMember, id)
-}
-
 // rebalancedLocked bumps the generation for a finished membership change.
 func (g *Group) rebalancedLocked() {
 	g.generation++
 	if g.mGenerations != nil {
 		g.mGenerations.Inc()
 	}
-}
-
-// Members returns the current member ids in join order.
-func (g *Group) Members() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, len(g.members))
-	copy(out, g.members)
-	return out
-}
-
-// Generation returns the rebalance generation (bumped on join/leave).
-func (g *Group) Generation() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.generation
 }
 
 // assignmentLocked returns the partitions assigned to member id under the
@@ -156,31 +119,10 @@ func (g *Group) assignmentLocked(id string) []int32 {
 	return out
 }
 
-// Offsets returns a copy of the group's committed per-partition offsets.
-func (g *Group) Offsets() []int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]int64, len(g.offsets))
-	copy(out, g.offsets)
-	return out
-}
-
 // GroupMember is one consumer within a group.
 type GroupMember struct {
 	group *Group
 	id    string
-}
-
-// ID returns the member's id.
-func (m *GroupMember) ID() string { return m.id }
-
-// Assignment returns the member's current partitions, sorted.
-func (m *GroupMember) Assignment() []int32 {
-	m.group.mu.Lock()
-	defer m.group.mu.Unlock()
-	out := m.group.assignmentLocked(m.id)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Poll fetches up to max messages from the member's assigned partitions,

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"cad3/internal/obsv"
 )
 
 func groupFixture(t *testing.T) (*Broker, Client, *Producer) {
@@ -22,7 +20,7 @@ func groupFixture(t *testing.T) (*Broker, Client, *Producer) {
 
 func TestGroupSingleMemberGetsAll(t *testing.T) {
 	_, client, p := groupFixture(t)
-	g, err := NewGroup(client, TopicInData, 0)
+	g, err := NewGroupCfg(GroupConfig{Client: client, Topic: TopicInData})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +52,7 @@ func TestGroupSingleMemberGetsAll(t *testing.T) {
 
 func TestGroupPartitionsSplitExactlyOnce(t *testing.T) {
 	_, client, p := groupFixture(t)
-	g, err := NewGroup(client, TopicInData, 0)
+	g, err := NewGroupCfg(GroupConfig{Client: client, Topic: TopicInData})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,82 +101,15 @@ func TestGroupPartitionsSplitExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestGroupRebalanceOnLeave(t *testing.T) {
-	_, client, p := groupFixture(t)
-	reg := obsv.NewRegistry()
-	g, err := NewGroupCfg(GroupConfig{Client: client, Topic: TopicInData, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, _ := g.Join("a")
-	if gen := g.Generation(); gen != 1 {
-		t.Fatalf("generation after first join = %d, want 1", gen)
-	}
-	m2, _ := g.Join("b")
-	if gen := g.Generation(); gen != 2 {
-		t.Fatalf("generation after second join = %d, want 2", gen)
-	}
-
-	for i := 0; i < 30; i++ {
-		_, _, _ = p.Send([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("m%d", i)))
-	}
-	// m1 consumes its share, then leaves.
-	first, err := m1.Poll(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Leave("a"); err != nil {
-		t.Fatal(err)
-	}
-	if gen := g.Generation(); gen != 3 {
-		t.Errorf("generation after leave = %d, want 3", gen)
-	}
-	if bumps := reg.Snapshot().Counters["rebalance.generations"]; bumps != 3 {
-		t.Errorf("rebalance.generations = %d, want 3", bumps)
-	}
-	// m2 now owns everything and picks up from committed offsets: the
-	// remaining messages come through exactly once.
-	if got := m2.Assignment(); len(got) != DefaultPartitions {
-		t.Errorf("survivor assignment = %v", got)
-	}
-	seen := make(map[string]bool)
-	for _, msg := range first {
-		seen[string(msg.Value)] = true
-	}
-	for {
-		msgs, err := m2.Poll(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(msgs) == 0 {
-			break
-		}
-		for _, msg := range msgs {
-			v := string(msg.Value)
-			if seen[v] {
-				t.Fatalf("message %q delivered twice across rebalance", v)
-			}
-			seen[v] = true
-		}
-	}
-	if len(seen) != 30 {
-		t.Errorf("group consumed %d unique messages, want 30", len(seen))
-	}
-	// The departed member can no longer poll.
-	if _, err := m1.Poll(1); !errors.Is(err, ErrUnknownMember) {
-		t.Errorf("err = %v, want ErrUnknownMember", err)
-	}
-}
-
 func TestGroupValidation(t *testing.T) {
 	_, client, _ := groupFixture(t)
-	if _, err := NewGroup(nil, TopicInData, 0); err == nil {
+	if _, err := NewGroupCfg(GroupConfig{Client: nil, Topic: TopicInData}); err == nil {
 		t.Error("want error for nil client")
 	}
-	if _, err := NewGroup(client, "missing", 0); !errors.Is(err, ErrUnknownTopic) {
+	if _, err := NewGroupCfg(GroupConfig{Client: client, Topic: "missing"}); !errors.Is(err, ErrUnknownTopic) {
 		t.Errorf("err = %v, want ErrUnknownTopic", err)
 	}
-	g, _ := NewGroup(client, TopicInData, 0)
+	g, _ := NewGroupCfg(GroupConfig{Client: client, Topic: TopicInData})
 	if _, err := g.Join(""); err == nil {
 		t.Error("want error for empty member id")
 	}
@@ -187,15 +118,6 @@ func TestGroupValidation(t *testing.T) {
 	}
 	if _, err := g.Join("x"); !errors.Is(err, ErrMemberExists) {
 		t.Errorf("err = %v, want ErrMemberExists", err)
-	}
-	if err := g.Leave("ghost"); !errors.Is(err, ErrUnknownMember) {
-		t.Errorf("err = %v, want ErrUnknownMember", err)
-	}
-	if got := g.Members(); len(got) != 1 || got[0] != "x" {
-		t.Errorf("Members = %v", got)
-	}
-	if offs := g.Offsets(); len(offs) != DefaultPartitions {
-		t.Errorf("Offsets = %v", offs)
 	}
 	m, _ := g.Join("y")
 	if msgs, err := m.Poll(0); err != nil || msgs != nil {
@@ -225,7 +147,7 @@ func (c *tripClient) FetchEach(topic string, reads []PartitionRead, max int, fn 
 func TestGroupRebalanceMidPollFencesGeneration(t *testing.T) {
 	_, inner, p := groupFixture(t)
 	tc := &tripClient{Client: inner}
-	g, err := NewGroup(tc, TopicInData, 0)
+	g, err := NewGroupCfg(GroupConfig{Client: tc, Topic: TopicInData})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,13 +366,6 @@ func (l *partitionLog) highWaterMark() int64 {
 	return l.base + int64(len(l.index))
 }
 
-// baseOffset returns the earliest retained offset.
-func (l *partitionLog) baseOffset() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base
-}
-
 // topic is a named set of partition logs.
 type topic struct {
 	name       string

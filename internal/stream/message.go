@@ -38,19 +38,6 @@ type Message struct {
 	AppendedAt time.Time
 }
 
-// Clone returns a deep copy of the message so consumers can retain it
-// without aliasing broker memory.
-func (m Message) Clone() Message {
-	out := m
-	if m.Key != nil {
-		out.Key = append([]byte(nil), m.Key...)
-	}
-	if m.Value != nil {
-		out.Value = append([]byte(nil), m.Value...)
-	}
-	return out
-}
-
 // WireSize returns the approximate on-wire size of the message in bytes,
 // used by bandwidth accounting: payload plus the fixed frame overhead.
 func (m Message) WireSize() int {

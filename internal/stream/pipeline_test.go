@@ -602,7 +602,7 @@ func TestPoolBreakerTripRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServerOn(b, ln)
+	s := NewServerOnCfg(b, ln, ServerConfig{})
 	addr := s.Addr()
 
 	now := time.Unix(0, 0)
@@ -657,7 +657,7 @@ func TestPoolBreakerTripRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	s2 := NewServerOn(b, ln2)
+	s2 := NewServerOnCfg(b, ln2, ServerConfig{})
 	defer s2.Close()
 	nowMu.Lock()
 	now = now.Add(2 * time.Second)
@@ -684,8 +684,10 @@ func TestPoolBreakerTripRecovery(t *testing.T) {
 // breaker exists for: flow.ErrCircuitOpen from the pool must drive an
 // AIMD pacer straight to its decimation floor.
 func TestPoolCircuitOpenFloorsPacer(t *testing.T) {
-	pacer := flow.NewPacer(flow.PacerConfig{MaxDecimation: 16})
-	if pacer.Decimation() != 1 {
+	reg := obsv.NewRegistry()
+	pacer := flow.NewPacer(flow.PacerConfig{MaxDecimation: 16, Metrics: reg})
+	decimation := reg.Gauge("flow.pacer.decimation")
+	if decimation.Value() != 1 {
 		t.Fatal("pacer not at full rate")
 	}
 	// The vehicle-side contract, exercised without a vehicle: a sender
@@ -694,7 +696,7 @@ func TestPoolCircuitOpenFloorsPacer(t *testing.T) {
 	if errors.Is(err, flow.ErrCircuitOpen) {
 		pacer.Floor()
 	}
-	if got := pacer.Decimation(); got != 16 {
+	if got := decimation.Value(); got != 16 {
 		t.Fatalf("Decimation = %d after Floor, want 16", got)
 	}
 }

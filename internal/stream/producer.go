@@ -93,12 +93,3 @@ func (p *Producer) SendBatch(recs []BatchRecord, res []BatchResult) error {
 	p.bytes.Add(bytes)
 	return nil
 }
-
-// Sent returns the number of successfully published messages.
-func (p *Producer) Sent() int64 { return p.sent.Load() }
-
-// Bytes returns the cumulative payload bytes published.
-func (p *Producer) Bytes() int64 { return p.bytes.Load() }
-
-// Topic returns the topic the producer publishes to.
-func (p *Producer) Topic() string { return p.topic }

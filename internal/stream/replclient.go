@@ -60,23 +60,3 @@ func (c *TCPClient) SetPartitionRole(topicName string, partition int32, follower
 	dec.release()
 	return nil
 }
-
-// HighWaterMark asks the remote broker for a partition's next offset —
-// the replication-lag probe.
-func (c *TCPClient) HighWaterMark(topicName string, partition int32) (int64, error) {
-	msgType, dec, err := c.pipeDo(reqHighWater, func(enc *wireEncoder) {
-		enc.str(topicName)
-		enc.u32(uint32(partition))
-	})
-	if err != nil {
-		return 0, err
-	}
-	if msgType != respHighWater {
-		dec.release()
-		return 0, errUnexpectedResponse(msgType)
-	}
-	hwm := int64(dec.u64())
-	err = dec.err
-	dec.release()
-	return hwm, err
-}

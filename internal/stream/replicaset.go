@@ -30,7 +30,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"cad3/internal/obsv"
 )
@@ -114,9 +113,6 @@ type ReplicaSet struct {
 	pushRecs []ReplicaRecord
 	syncRecs []ReplicaRecord
 	buckets  [][]int32
-
-	tickStop chan struct{}
-	tickDone chan struct{}
 
 	mElections, mCatchups, mISRDrops   *obsv.Counter
 	mFollowerFetches, mFollowerClamped *obsv.Counter
@@ -573,8 +569,7 @@ func (rs *ReplicaSet) leaderLocked(topicName string, partition int32) (*Broker, 
 
 // Tick is one control-plane round: elect leaders for dead-leader
 // partitions, then resync followers and recompute every ISR. Call it
-// from a scheduler (chaos studies drive it in virtual time) or start
-// the wall-clock ticker.
+// from a scheduler (chaos studies drive it in virtual time).
 func (rs *ReplicaSet) Tick() {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -747,46 +742,6 @@ func (rs *ReplicaSet) BrokerFor(id string) (*Broker, bool, error) {
 		return nil, false, err
 	}
 	return r.Broker, r.alive, nil
-}
-
-// StartTicker runs Tick on a wall-clock interval until StopTicker.
-func (rs *ReplicaSet) StartTicker(interval time.Duration) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.tickStop != nil {
-		return
-	}
-	rs.tickStop = make(chan struct{})
-	rs.tickDone = make(chan struct{})
-	go rs.tickLoop(interval, rs.tickStop, rs.tickDone)
-}
-
-// tickLoop is the ticker goroutine; it exits when stop closes.
-func (rs *ReplicaSet) tickLoop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		//cad3:allow detorder wall-clock convenience loop; deterministic runs drive Tick() off the virtual clock and never start the ticker, and both arms are idempotent
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			rs.Tick()
-		}
-	}
-}
-
-// StopTicker stops the ticker goroutine and waits for it to exit.
-func (rs *ReplicaSet) StopTicker() {
-	rs.mu.Lock()
-	stop, done := rs.tickStop, rs.tickDone
-	rs.tickStop, rs.tickDone = nil, nil
-	rs.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 }
 
 // minISRSize is the repl.isr_size gauge: the smallest ISR across all

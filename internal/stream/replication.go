@@ -192,15 +192,6 @@ func (b *Broker) SetPartitionRole(topicName string, partition int32, follower bo
 	return nil
 }
 
-// PartitionRole reports a partition's current role. Partitions never
-// told otherwise lead at epoch 0.
-func (b *Broker) PartitionRole(topicName string, partition int32) (follower bool, epoch int64, leader string) {
-	b.roleMu.RLock()
-	r := b.roles[topicName][partition]
-	b.roleMu.RUnlock()
-	return r.follower, r.epoch, r.leader
-}
-
 // leaderCheck refuses produces addressed to follower partitions with the
 // current leader hint.
 func (b *Broker) leaderCheck(topicName string, partition int32) error {

@@ -148,7 +148,7 @@ func TestEpochFencingOverWire(t *testing.T) {
 	if err := c.SetPartitionRole(TopicInData, 0, false, 1, ""); !errors.Is(err, ErrFencedEpoch) {
 		t.Errorf("wire role push err = %v, want ErrFencedEpoch", err)
 	}
-	hwm, err := c.HighWaterMark(TopicInData, 0)
+	hwm, err := b.HighWaterMark(TopicInData, 0)
 	if err != nil || hwm != 0 {
 		t.Errorf("follower HWM = %d, %v after fenced replay, want 0", hwm, err)
 	}

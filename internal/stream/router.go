@@ -12,16 +12,14 @@ package stream
 // is the receiver's job (the city driver dedups on the entry key), the
 // same split the rest of the pipeline uses.
 //
-// Flushing is explicit (Flush, typically scheduled on the virtual
-// clock) or periodic (Run/Stop, a wall-clock goroutine with the stop/
-// done lifecycle the repo's goroutine-hygiene analyzer expects).
+// Flushing is explicit: the driver calls Flush, typically scheduled on
+// the virtual clock.
 
 import (
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cad3/internal/obsv"
 )
@@ -109,9 +107,6 @@ type SummaryRouter struct {
 	// rounds is the flush in flight's per-destination snapshots, owned
 	// by whoever holds flushing and reused from flush to flush.
 	rounds []flushRound
-
-	stop chan struct{}
-	done chan struct{}
 
 	mForwards, mSent, mRetries, mDropped *obsv.Counter
 }
@@ -264,51 +259,8 @@ func (r *SummaryRouter) Pending() int {
 	return n
 }
 
-// Run flushes on a wall-clock interval until Stop. Virtual-clock
-// drivers schedule Flush themselves instead.
-func (r *SummaryRouter) Run(interval time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stop != nil {
-		return
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	go r.flushLoop(interval, r.stop, r.done)
-}
-
-// flushLoop is the periodic flusher; it exits when stop closes.
-func (r *SummaryRouter) flushLoop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		//cad3:allow detorder wall-clock convenience loop; deterministic drivers schedule Flush() on the virtual clock and never call Run, and a stop/tick race only changes when the last flush lands
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_, _ = r.Flush()
-		}
-	}
-}
-
-// Stop halts the periodic flusher and waits for it to exit. Queued
-// entries stay queued.
-func (r *SummaryRouter) Stop() {
-	r.mu.Lock()
-	stop, done := r.stop, r.done
-	r.stop, r.done = nil, nil
-	r.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// Close stops the flusher and closes every registered client.
+// Close closes every registered client.
 func (r *SummaryRouter) Close() error {
-	r.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var err error

@@ -175,28 +175,6 @@ func TestRouterOverWireClient(t *testing.T) {
 	RecycleMessages(msgs)
 }
 
-// TestRouterRunStop covers the periodic wall-clock flusher's lifecycle.
-func TestRouterRunStop(t *testing.T) {
-	r := NewSummaryRouter(RouterConfig{})
-	b := routerBroker(t)
-	if err := r.Register("s", NewInProcClient(b)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Forward("s", nil, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	r.Run(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for r.Pending() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	r.Stop()
-	r.Stop() // idempotent
-	if got := r.Pending(); got != 0 {
-		t.Fatalf("periodic flusher left %d pending", got)
-	}
-}
-
 // gatedClient blocks every Produce until released, signalling entry, so
 // tests can observe what the router keeps responsive mid-produce.
 type gatedClient struct {

@@ -64,14 +64,9 @@ func NewServerCfg(broker *Broker, addr string, cfg ServerConfig) (*Server, error
 	return NewServerOnCfg(broker, ln, cfg), nil
 }
 
-// NewServerOn serves the broker on an already-bound listener. The caller
-// may wrap the listener (e.g. with a fault injector) before handing it
-// over; Close closes it.
-func NewServerOn(broker *Broker, ln net.Listener) *Server {
-	return NewServerOnCfg(broker, ln, ServerConfig{})
-}
-
-// NewServerOnCfg is NewServerOn with an explicit config.
+// NewServerOnCfg serves the broker on an already-bound listener. The
+// caller may wrap the listener (e.g. with a fault injector) before
+// handing it over; Close closes it.
 func NewServerOnCfg(broker *Broker, ln net.Listener, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{

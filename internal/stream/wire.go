@@ -151,13 +151,6 @@ func putBatchOK(b []byte, part int32, off int64) {
 	binary.BigEndian.PutUint64(b[5:], uint64(off))
 }
 
-// readBatchOK parses a successful batch result written by putBatchOK.
-func readBatchOK(b []byte) (part int32, off int64) {
-	part = int32(binary.BigEndian.Uint32(b[1:]))
-	off = int64(binary.BigEndian.Uint64(b[5:]))
-	return
-}
-
 // Per-record batch result status codes.
 const (
 	batchStatusOK           byte = 0 // followed by partition u32, offset u64

@@ -5,6 +5,7 @@ import (
 
 	"cad3/internal/flow"
 	"cad3/internal/geo"
+	"cad3/internal/obsv"
 	"cad3/internal/stream"
 	"cad3/internal/trace"
 	"cad3/internal/vehicle"
@@ -26,6 +27,7 @@ func Example_pacing() {
 	}
 	client := stream.NewInProcClient(broker)
 
+	reg := obsv.NewRegistry()
 	v, err := vehicle.New(vehicle.Config{
 		ID:     7,
 		Client: client,
@@ -33,7 +35,7 @@ func Example_pacing() {
 		Records: []trace.Record{{
 			Car: 7, Road: 3, RoadType: geo.Motorway, Speed: 100,
 		}},
-		Pacing: flow.PacerConfig{MaxDecimation: 8, RecoverAfter: 2},
+		Pacing: flow.PacerConfig{MaxDecimation: 8, RecoverAfter: 2, Metrics: reg},
 	})
 	if err != nil {
 		panic(err)
@@ -43,16 +45,16 @@ func Example_pacing() {
 	// pacer backs off instead of surfacing an error.
 	v.SendNext(0)
 	v.SendNext(1)
-	fmt.Println("decimation after backpressure:", v.Pacer().Decimation())
+	fmt.Println("decimation after backpressure:", reg.Gauge("flow.pacer.decimation").Value())
 
 	// Drain the queue, then keep sending: accepted sends recover the rate.
 	consumer, _ := stream.NewConsumer(client, stream.TopicInData, 0)
-	for i := 2; v.Pacer().Decimation() > 1 && i < 20; i++ {
+	for i := 2; reg.Gauge("flow.pacer.decimation").Value() > 1 && i < 20; i++ {
 		msgs, _ := consumer.Poll(8)
 		stream.RecycleMessages(msgs)
 		v.SendNext(i)
 	}
-	fmt.Println("decimation after recovery:", v.Pacer().Decimation())
+	fmt.Println("decimation after recovery:", reg.Gauge("flow.pacer.decimation").Value())
 	fmt.Println("records on the wire:", v.Sent())
 
 	// Output:

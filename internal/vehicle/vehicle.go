@@ -83,8 +83,7 @@ type Vehicle struct {
 	// the wire-format trace context (Tx/Queue/Processing/Dissemination per
 	// warning) — the vehicle is both the trace origin (StageSent on send)
 	// and terminus (StageDeliver on receipt).
-	traced    *metrics.BreakdownAccumulator
-	bandwidth *metrics.BandwidthMeter
+	traced *metrics.BreakdownAccumulator
 
 	// pollMu guards the reused warning-poll scratch buffer.
 	pollMu  sync.Mutex
@@ -123,7 +122,6 @@ func New(cfg Config) (*Vehicle, error) {
 		key:       []byte("car-" + strconv.FormatInt(int64(cfg.ID), 10)),
 		latencies: metrics.NewLatencyRecorder(),
 		traced:    metrics.NewBreakdownAccumulator(),
-		bandwidth: metrics.NewBandwidthMeter(),
 		buf:       make([]byte, 0, core.RecordWireSize),
 	}
 	if cfg.Pacing.MaxDecimation > 0 {
@@ -180,7 +178,6 @@ func (v *Vehicle) SendNext(i int) (trace.Record, error) {
 		v.pacer.OnSuccess()
 	}
 	v.sent.Add(1)
-	v.bandwidth.Add(len(v.buf), v.cfg.Now())
 	return rec, nil
 }
 
@@ -271,20 +268,12 @@ func (v *Vehicle) Received() int64 { return v.received.Load() }
 // Latencies reports the recorded warning latency breakdowns.
 func (v *Vehicle) Latencies() metrics.LatencyReport { return v.latencies.Report() }
 
-// TracedLatencies reports the live wire-trace breakdowns (µs precision,
-// all four Figure 6 components). Zero counts when the pipeline ran
-// untraced.
-func (v *Vehicle) TracedLatencies() metrics.LatencyReport { return v.traced.Report() }
-
 // TracedCount returns the number of fully-traced warnings received.
 func (v *Vehicle) TracedCount() int { return v.traced.Count() }
 
 // MergeTracedInto folds this vehicle's live-trace streams into a
 // fleet-level accumulator.
 func (v *Vehicle) MergeTracedInto(dst *metrics.BreakdownAccumulator) { dst.Merge(v.traced) }
-
-// BandwidthBitsPerSec returns the vehicle's average uplink rate.
-func (v *Vehicle) BandwidthBitsPerSec() float64 { return v.bandwidth.RateBitsPerSec() }
 
 // Fleet runs a set of vehicles together.
 type Fleet struct {

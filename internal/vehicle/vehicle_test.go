@@ -9,6 +9,7 @@ import (
 	"cad3/internal/core"
 	"cad3/internal/flow"
 	"cad3/internal/geo"
+	"cad3/internal/obsv"
 	"cad3/internal/stream"
 	"cad3/internal/trace"
 )
@@ -127,9 +128,6 @@ func TestVehicleRunEndsWhenRecordsExhausted(t *testing.T) {
 	if v.Sent() != 3 {
 		t.Errorf("Sent = %d, want 3", v.Sent())
 	}
-	if v.BandwidthBitsPerSec() <= 0 {
-		t.Error("bandwidth should be measured")
-	}
 }
 
 func TestVehicleValidation(t *testing.T) {
@@ -207,9 +205,10 @@ func TestVehiclePacingUnderBackpressure(t *testing.T) {
 		}
 	}
 	client := stream.NewInProcClient(b)
+	reg := obsv.NewRegistry()
 	v, err := New(Config{
 		ID: 9, Client: client, Records: testRecords(4), Loop: true,
-		Pacing: flow.PacerConfig{MaxDecimation: 8, RecoverAfter: 2},
+		Pacing: flow.PacerConfig{MaxDecimation: 8, RecoverAfter: 2, Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +229,7 @@ func TestVehiclePacingUnderBackpressure(t *testing.T) {
 	if v.Sent() != 1 {
 		t.Errorf("refused send counted as sent")
 	}
-	if got := v.Pacer().Decimation(); got != 2 {
+	if got := reg.Gauge("flow.pacer.decimation").Value(); got != 2 {
 		t.Errorf("decimation after backpressure = %d, want 2", got)
 	}
 	if v.Pacer().Backpressured() != 1 {
@@ -260,13 +259,13 @@ func TestVehiclePacingUnderBackpressure(t *testing.T) {
 		msgs, _ := c.Poll(64)
 		stream.RecycleMessages(msgs)
 	}
-	for i := 3; v.Pacer().Decimation() > 1 && i < 40; i++ {
+	for i := 3; reg.Gauge("flow.pacer.decimation").Value() > 1 && i < 40; i++ {
 		drain()
 		if _, err := v.SendNext(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := v.Pacer().Decimation(); got != 1 {
+	if got := reg.Gauge("flow.pacer.decimation").Value(); got != 1 {
 		t.Errorf("decimation never recovered: %d", got)
 	}
 }
