@@ -10,8 +10,7 @@ package geo
 // crosses shards at cell edges, not at every site edge. The functions
 // here are pure geometry + hashing: deterministic for a fixed network,
 // so a journey's map-matched path always yields the same shard
-// sequence (ShardPath), which is what the handover settlement ledger
-// relies on.
+// sequence, which is what the handover settlement ledger relies on.
 
 import (
 	"encoding/binary"

@@ -3,6 +3,7 @@ package geo
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -27,6 +28,68 @@ func testPartition(t *testing.T, net *Network, shards int) *CityPartition {
 		t.Fatal(err)
 	}
 	return cp
+}
+
+// Shards returns the shard count.
+func (cp *CityPartition) Shards() int { return cp.ring.Shards() }
+
+// ShardPath walks a route through the partition and returns the shard
+// sequence the journey visits, consecutive duplicates collapsed: the
+// reference the tests hold the partition to (the same route always
+// produces the same sequence).
+func (cp *CityPartition) ShardPath(route []SegmentID) []int {
+	var path []int
+	for _, seg := range route {
+		for _, site := range cp.idx.Sites(seg) {
+			shard := cp.shardOf[site.ID]
+			if len(path) == 0 || path[len(path)-1] != shard {
+				path = append(path, shard)
+			}
+		}
+	}
+	return path
+}
+
+// Boundary is one adjacent site pair whose shards differ — a place a
+// through-driving vehicle hands over between shards.
+type Boundary struct {
+	FromSite, ToSite   int
+	FromShard, ToShard int
+}
+
+// Boundaries extracts every shard boundary: consecutive sites along one
+// segment, and the last site of a segment against the first site of
+// each successor. Sorted by (FromSite, ToSite).
+func (cp *CityPartition) Boundaries() []Boundary {
+	var out []Boundary
+	add := func(a, b RSUSite) {
+		sa, sb := cp.shardOf[a.ID], cp.shardOf[b.ID]
+		if sa != sb {
+			out = append(out, Boundary{FromSite: a.ID, ToSite: b.ID, FromShard: sa, ToShard: sb})
+		}
+	}
+	for _, seg := range cp.Net.AllSegments() {
+		row := cp.idx.Sites(seg.ID)
+		if len(row) == 0 {
+			continue
+		}
+		for i := 1; i < len(row); i++ {
+			add(row[i-1], row[i])
+		}
+		last := row[len(row)-1]
+		for _, succ := range cp.Net.Successors(seg.ID) {
+			if next := cp.idx.Sites(succ); len(next) > 0 {
+				add(last, next[0])
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].FromSite != out[j].FromSite {
+			return out[i].FromSite < out[j].FromSite
+		}
+		return out[i].ToSite < out[j].ToSite
+	})
+	return out
 }
 
 func TestPlaceRSUSitesDeterministicAndCoverage(t *testing.T) {
@@ -127,6 +190,43 @@ func TestPositionCellLocality(t *testing.T) {
 	}
 }
 
+// TestShardPathDeterministic is the satellite coverage for journeys
+// across partition boundaries: a journey's map-matched path must yield
+// a deterministic shard sequence under the consistent-hash ring.
+func TestShardPathDeterministic(t *testing.T) {
+	net := buildTestCity(t, 3)
+	cp1 := testPartition(t, net, 8)
+	cp2 := testPartition(t, net, 8)
+
+	segs := net.AllSegments()
+	rng := rand.New(rand.NewSource(42))
+	crossings := 0
+	for i := 0; i < 50; i++ {
+		start := segs[rng.Intn(len(segs))].ID
+		routeA := randomWalk(net, start, seededPick(rng.Int63()), 30)
+		pathA := cp1.ShardPath(routeA)
+		pathB := cp2.ShardPath(routeA)
+		if !reflect.DeepEqual(pathA, pathB) {
+			t.Fatalf("shard path differs across identically-configured partitions:\n%v\n%v", pathA, pathB)
+		}
+		if len(pathA) == 0 {
+			t.Fatalf("route %v produced an empty shard path", routeA)
+		}
+		for j, s := range pathA {
+			if s < 0 || s >= cp1.Shards() {
+				t.Fatalf("shard path %v has out-of-range shard at %d", pathA, j)
+			}
+			if j > 0 && pathA[j-1] == s {
+				t.Fatalf("shard path %v has consecutive duplicates", pathA)
+			}
+		}
+		crossings += len(pathA) - 1
+	}
+	if crossings == 0 {
+		t.Fatal("no route crossed a shard boundary; partition too coarse for the test city")
+	}
+}
+
 // randomWalk is a route of up to maxSegs segments from start, choosing
 // each successor with pick(n) in [0, n) and stopping at a dead end.
 func randomWalk(net *Network, start SegmentID, pick func(n int) int, maxSegs int) []SegmentID {
@@ -147,9 +247,46 @@ func seededPick(seed int64) func(n int) int {
 	return func(n int) int { return rng.Intn(n) }
 }
 
-func TestShardSiteCountsCoverSites(t *testing.T) {
+// TestShardPathMatchesIncrementalWalk pins the equivalence the city
+// driver relies on: walking a route site-by-site through ShardAt
+// produces exactly the ShardPath sequence.
+func TestShardPathMatchesIncrementalWalk(t *testing.T) {
+	net := buildTestCity(t, 4)
+	cp := testPartition(t, net, 6)
+	segs := net.AllSegments()
+	route := randomWalk(net, segs[0].ID, seededPick(7), 40)
+
+	var walked []int
+	for _, segID := range route {
+		seg := net.Segment(segID)
+		for _, site := range cp.idx.Sites(segID) {
+			_ = seg
+			shard := cp.ShardOfSite(site.ID)
+			if len(walked) == 0 || walked[len(walked)-1] != shard {
+				walked = append(walked, shard)
+			}
+		}
+	}
+	if !reflect.DeepEqual(walked, cp.ShardPath(route)) {
+		t.Fatalf("incremental walk %v != ShardPath %v", walked, cp.ShardPath(route))
+	}
+}
+
+func TestBoundariesConsistent(t *testing.T) {
 	net := buildTestCity(t, 5)
 	cp := testPartition(t, net, 8)
+	bounds := cp.Boundaries()
+	if len(bounds) == 0 {
+		t.Fatal("a multi-shard city has no boundaries")
+	}
+	for _, b := range bounds {
+		if b.FromShard == b.ToShard {
+			t.Fatalf("boundary %+v joins a shard to itself", b)
+		}
+		if cp.ShardOfSite(b.FromSite) != b.FromShard || cp.ShardOfSite(b.ToSite) != b.ToShard {
+			t.Fatalf("boundary %+v disagrees with site assignment", b)
+		}
+	}
 	counts := cp.ShardSiteCounts()
 	total := 0
 	for _, c := range counts {

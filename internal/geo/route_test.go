@@ -1,30 +1,119 @@
 package geo
 
 import (
+	"container/heap"
 	"errors"
+	"fmt"
 	"testing"
 )
 
-// chainNetwork builds a linear chain of n segments: 1 -> 2 -> ... -> n,
-// plus an expensive bypass 1 -> n for route-choice tests.
-func chainNetwork(t *testing.T, n int) *Network {
-	t.Helper()
-	net := NewNetwork(0)
-	start := ShenzhenCenter
-	for i := 1; i <= n; i++ {
-		seg := line(t, SegmentID(i), Primary, start, 90, 500, 2)
-		if err := net.AddSegment(seg); err != nil {
-			t.Fatal(err)
-		}
-		start = seg.End()
-	}
-	for i := 1; i < n; i++ {
-		if err := net.Connect(SegmentID(i), SegmentID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return net
+// ErrNoRoute is returned when no connected path exists between segments.
+var ErrNoRoute = errors.New("geo: no route between segments")
+
+// Router computes shortest routes over the network's segment connectivity
+// graph with Dijkstra's algorithm. No binary plans routes (journeys are
+// seeded walks), so it lives with its tests as a check that the
+// successor graph the builder wires is navigable. Costs are segment traversal times
+// (length / speed limit), so routes prefer fast roads, as drivers do.
+type Router struct {
+	net *Network
 }
+
+// NewRouter creates a router over the network.
+func NewRouter(net *Network) *Router { return &Router{net: net} }
+
+// Route returns the segment sequence from `from` to `to` (inclusive of
+// both) minimising total traversal time.
+func (r *Router) Route(from, to SegmentID) ([]SegmentID, error) {
+	if r.net.Segment(from) == nil {
+		return nil, fmt.Errorf("geo: route source %d unknown", from)
+	}
+	if r.net.Segment(to) == nil {
+		return nil, fmt.Errorf("geo: route target %d unknown", to)
+	}
+	if from == to {
+		return []SegmentID{from}, nil
+	}
+
+	dist := map[SegmentID]float64{from: r.cost(from)}
+	prev := make(map[SegmentID]SegmentID)
+	done := make(map[SegmentID]bool)
+	pq := &routeQueue{{id: from, cost: dist[from]}}
+
+	for pq.Len() > 0 {
+		cur := heap.Pop(pq).(routeItem)
+		if done[cur.id] {
+			continue
+		}
+		done[cur.id] = true
+		if cur.id == to {
+			break
+		}
+		for _, next := range r.net.next[cur.id] {
+			if done[next] {
+				continue
+			}
+			nd := cur.cost + r.cost(next)
+			if old, ok := dist[next]; !ok || nd < old {
+				dist[next] = nd
+				prev[next] = cur.id
+				heap.Push(pq, routeItem{id: next, cost: nd})
+			}
+		}
+	}
+	if !done[to] {
+		return nil, fmt.Errorf("%w: %d -> %d", ErrNoRoute, from, to)
+	}
+
+	// Backtrack.
+	var path []SegmentID
+	for at := to; ; {
+		path = append(path, at)
+		if at == from {
+			break
+		}
+		at = prev[at]
+	}
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return path, nil
+}
+
+// TravelTimeSeconds returns the summed traversal time of a route.
+func (r *Router) TravelTimeSeconds(route []SegmentID) float64 {
+	var total float64
+	for _, id := range route {
+		total += r.cost(id)
+	}
+	return total
+}
+
+// cost is a segment's free-flow traversal time in seconds.
+func (r *Router) cost(id SegmentID) float64 {
+	s := r.net.Segment(id)
+	if s == nil {
+		return 0
+	}
+	v := s.Type.SpeedLimitKmh() / 3.6 // m/s
+	if v <= 0 {
+		v = 10
+	}
+	return s.LengthMeters() / v
+}
+
+type routeItem struct {
+	id   SegmentID
+	cost float64
+}
+
+type routeQueue []routeItem
+
+func (q routeQueue) Len() int           { return len(q) }
+func (q routeQueue) Less(i, j int) bool { return q[i].cost < q[j].cost }
+func (q routeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *routeQueue) Push(x any)        { *q = append(*q, x.(routeItem)) }
+func (q *routeQueue) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
 func TestRouteLinearChain(t *testing.T) {
 	net := chainNetwork(t, 5)

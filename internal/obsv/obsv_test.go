@@ -45,6 +45,26 @@ func TestHistogramBuckets(t *testing.T) {
 	if s.Count != 6 || s.Sum != 5+10+11+100+500+5000 {
 		t.Fatalf("count=%d sum=%d", s.Count, s.Sum)
 	}
+	if m := s.Mean(); m < 900 || m > 940 {
+		t.Fatalf("mean = %f", m)
+	}
+}
+
+func TestHistogramQuantile(t *testing.T) {
+	h := NewHistogram([]int64{10, 20, 40})
+	for v := int64(1); v <= 40; v++ {
+		h.Observe(v)
+	}
+	s := h.Snapshot()
+	if q := s.Quantile(0.5); q < 15 || q > 25 {
+		t.Fatalf("p50 = %d, want ~20", q)
+	}
+	if q := s.Quantile(0.95); q < 30 || q > 40 {
+		t.Fatalf("p95 = %d, want ~38", q)
+	}
+	if (HistogramSnapshot{}).Quantile(0.5) != 0 {
+		t.Fatal("empty quantile should be 0")
+	}
 }
 
 // TestHistogramConcurrent hammers Observe from many goroutines while a
@@ -194,3 +214,40 @@ func TestTraceRing(t *testing.T) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Mean returns the mean observation, zero when empty.
+func (s HistogramSnapshot) Mean() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return float64(s.Sum) / float64(s.Count)
+}
+
+// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
+// within the containing bucket; the overflow bucket reports its lower
+// bound. The exposition publishes buckets, not quantiles, so this reader
+// lives with the tests that hold the bucket counts to it.
+func (s HistogramSnapshot) Quantile(q float64) int64 {
+	if s.Count == 0 || len(s.Counts) == 0 {
+		return 0
+	}
+	rank := q * float64(s.Count)
+	var cum float64
+	for i, c := range s.Counts {
+		prev := cum
+		cum += float64(c)
+		if cum < rank || c == 0 {
+			continue
+		}
+		if i >= len(s.Bounds) { // overflow bucket
+			return s.Bounds[len(s.Bounds)-1]
+		}
+		lo := int64(0)
+		if i > 0 {
+			lo = s.Bounds[i-1]
+		}
+		frac := (rank - prev) / float64(c)
+		return lo + int64(frac*float64(s.Bounds[i]-lo))
+	}
+	return s.Bounds[len(s.Bounds)-1]
+}

@@ -1,11 +1,17 @@
 package rsu
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cad3/internal/geo"
 	"cad3/internal/stream"
+	"cad3/internal/trace"
 )
 
 // clusterFixture builds a 2-node cluster over a motorway -> link corridor.
@@ -240,5 +246,112 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if cluster.Nodes()[0].Name() != "rsu-1" {
 		t.Errorf("default name = %q", cluster.Nodes()[0].Name())
+	}
+}
+
+// Run drives every node on the wall clock until the context ends: each
+// node's own Node.Run loop, side by side, as a deployment of several RSUs
+// in one process would.
+func (c *Cluster) Run(ctx context.Context) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(c.nodes))
+	for i, n := range c.nodes {
+		wg.Add(1)
+		go func(i int, n *Node) {
+			defer wg.Done()
+			if err := n.Run(ctx); err != nil && !errors.Is(err, context.Canceled) &&
+				!errors.Is(err, context.DeadlineExceeded) {
+				errs[i] = fmt.Errorf("%s: %w", n.Name(), err)
+			}
+		}(i, n)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+func TestClusterRunWallClock(t *testing.T) {
+	cluster, _, mwClient, lkClient := clusterFixture(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- cluster.Run(ctx) }()
+
+	sendRecord(t, mwClient, mkRec(1, geo.Motorway, 140, 14))
+	sendRecord(t, lkClient, mkRec(2, geo.MotorwayLink, 90, 14))
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		st := cluster.Stats()
+		if st["Mw"].Warnings >= 1 && st["Link"].Warnings >= 1 {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := cluster.Stats()
+	if st["Mw"].Warnings == 0 || st["Link"].Warnings == 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestClusterLookupsDuringRun reads the cluster's tables from eight
+// goroutines while Run steps every node: the tables are built once in
+// NewCluster, so the lookups need no lock (the race detector is the
+// judge), and Nodes hands out a copy a caller may scribble on.
+func TestClusterLookupsDuringRun(t *testing.T) {
+	cluster, _, mwClient, _ := clusterFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- cluster.Run(ctx) }()
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(car trace.CarID) {
+			defer wg.Done()
+			for !stop.Load() {
+				if n, err := cluster.Node(1); err != nil || n.Name() != "Mw" {
+					t.Errorf("Node(1) = %v, %v", n, err)
+					return
+				}
+				if n, err := cluster.NodeByName("Link"); err != nil || n.Road() != 2 {
+					t.Errorf("NodeByName(Link) = %v, %v", n, err)
+					return
+				}
+				nodes := cluster.Nodes()
+				if len(nodes) != 2 || nodes[0].Road() != 1 || nodes[1].Road() != 2 {
+					t.Errorf("Nodes() = %v", nodes)
+					return
+				}
+				nodes[0] = nil
+				if err := cluster.Handover(car, 1, 2); err != nil {
+					t.Errorf("Handover: %v", err)
+					return
+				}
+			}
+		}(trace.CarID(g))
+	}
+
+	// Keep the lookups going across several steps that find work.
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; time.Now().Before(deadline); i++ {
+		st := cluster.Stats()["Mw"]
+		if st.Engine.Batches >= 4 && st.Records >= 8 {
+			break
+		}
+		sendRecord(t, mwClient, mkRec(trace.CarID(i%8), geo.Motorway, 140, 14))
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := cluster.Stats()["Mw"]; st.Engine.Batches < 4 || st.Records < 8 {
+		t.Errorf("the lookups overlapped %d steps and %d records, want >= 4 and >= 8", st.Engine.Batches, st.Records)
 	}
 }

@@ -1,6 +1,9 @@
 package stream
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Sent returns the number of successfully published messages.
 func (p *Producer) Sent() int64 { return p.sent.Load() }
@@ -53,4 +56,25 @@ func (m *GroupMember) Assignment() []int32 {
 	out := m.group.assignmentLocked(m.id)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Leave removes a member; its partitions are redistributed.
+func (g *Group) Leave(id string) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i, m := range g.members {
+		if m == id {
+			g.members = append(g.members[:i], g.members[i+1:]...)
+			g.rebalancedLocked()
+			return nil
+		}
+	}
+	return fmt.Errorf("%w: %q", ErrUnknownMember, id)
+}
+
+// Generation returns the rebalance generation (bumped on join/leave).
+func (g *Group) Generation() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.generation
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"cad3/internal/obsv"
 )
 
 func groupFixture(t *testing.T) (*Broker, Client, *Producer) {
@@ -98,6 +100,73 @@ func TestGroupPartitionsSplitExactlyOnce(t *testing.T) {
 	}
 	if len(delivered) != 60 {
 		t.Errorf("group consumed %d unique messages, want 60", len(delivered))
+	}
+}
+
+func TestGroupRebalanceOnLeave(t *testing.T) {
+	_, client, p := groupFixture(t)
+	reg := obsv.NewRegistry()
+	g, err := NewGroupCfg(GroupConfig{Client: client, Topic: TopicInData, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, _ := g.Join("a")
+	if gen := g.Generation(); gen != 1 {
+		t.Fatalf("generation after first join = %d, want 1", gen)
+	}
+	m2, _ := g.Join("b")
+	if gen := g.Generation(); gen != 2 {
+		t.Fatalf("generation after second join = %d, want 2", gen)
+	}
+
+	for i := 0; i < 30; i++ {
+		_, _, _ = p.Send([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("m%d", i)))
+	}
+	// m1 consumes its share, then leaves.
+	first, err := m1.Poll(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Leave("a"); err != nil {
+		t.Fatal(err)
+	}
+	if gen := g.Generation(); gen != 3 {
+		t.Errorf("generation after leave = %d, want 3", gen)
+	}
+	if bumps := reg.Snapshot().Counters["rebalance.generations"]; bumps != 3 {
+		t.Errorf("rebalance.generations = %d, want 3", bumps)
+	}
+	// m2 now owns everything and picks up from committed offsets: the
+	// remaining messages come through exactly once.
+	if got := m2.Assignment(); len(got) != DefaultPartitions {
+		t.Errorf("survivor assignment = %v", got)
+	}
+	seen := make(map[string]bool)
+	for _, msg := range first {
+		seen[string(msg.Value)] = true
+	}
+	for {
+		msgs, err := m2.Poll(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(msgs) == 0 {
+			break
+		}
+		for _, msg := range msgs {
+			v := string(msg.Value)
+			if seen[v] {
+				t.Fatalf("message %q delivered twice across rebalance", v)
+			}
+			seen[v] = true
+		}
+	}
+	if len(seen) != 30 {
+		t.Errorf("group consumed %d unique messages, want 30", len(seen))
+	}
+	// The departed member can no longer poll.
+	if _, err := m1.Poll(1); !errors.Is(err, ErrUnknownMember) {
+		t.Errorf("err = %v, want ErrUnknownMember", err)
 	}
 }
 
