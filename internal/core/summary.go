@@ -39,9 +39,12 @@ type SummaryBuilder struct {
 	now  func() time.Time
 
 	mu sync.Mutex
-	// cars holds aggregates by value, so a car forgotten and seen again
-	// reuses the map's slot instead of allocating an aggregate.
-	cars map[trace.CarID]carAgg
+	// cars maps a car to its aggregate's slot in aggs, so an observation
+	// of a tracked car is one map lookup and an add in place. Forget
+	// returns the slot to free, and the next new car takes it.
+	cars map[trace.CarID]int32
+	aggs []carAgg
+	free []int32
 }
 
 type carAgg struct {
@@ -55,7 +58,7 @@ func NewSummaryBuilder(road int64, now func() time.Time) *SummaryBuilder {
 	if now == nil {
 		now = time.Now
 	}
-	return &SummaryBuilder{road: road, now: now, cars: make(map[trace.CarID]carAgg)}
+	return &SummaryBuilder{road: road, now: now, cars: make(map[trace.CarID]int32)}
 }
 
 // Observation is one prediction probability for a car.
@@ -82,20 +85,37 @@ func (b *SummaryBuilder) ObserveBatch(obs []Observation) {
 }
 
 func (b *SummaryBuilder) observeLocked(car trace.CarID, pNormal float64) {
-	a := b.cars[car]
+	i, ok := b.cars[car]
+	if !ok {
+		i = b.slotLocked()
+		b.cars[car] = i
+	}
+	a := &b.aggs[i]
 	a.sum += pNormal
 	a.count++
-	b.cars[car] = a
+}
+
+// slotLocked returns a zeroed aggregate slot: a forgotten car's if there
+// is one, a new one at the end of aggs if not.
+func (b *SummaryBuilder) slotLocked() int32 {
+	if n := len(b.free); n > 0 {
+		i := b.free[n-1]
+		b.free = b.free[:n-1]
+		return i
+	}
+	b.aggs = append(b.aggs, carAgg{})
+	return int32(len(b.aggs) - 1)
 }
 
 // Summarize emits the car's summary, or ok=false if the car is unknown.
 func (b *SummaryBuilder) Summarize(car trace.CarID) (PredictionSummary, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	a, ok := b.cars[car]
-	if !ok || a.count == 0 {
+	i, ok := b.cars[car]
+	if !ok || b.aggs[i].count == 0 {
 		return PredictionSummary{}, false
 	}
+	a := b.aggs[i]
 	return PredictionSummary{
 		Car:         car,
 		MeanPNormal: a.sum / float64(a.count),
@@ -109,7 +129,11 @@ func (b *SummaryBuilder) Summarize(car trace.CarID) (PredictionSummary, bool) {
 func (b *SummaryBuilder) Forget(car trace.CarID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	delete(b.cars, car)
+	if i, ok := b.cars[car]; ok {
+		delete(b.cars, car)
+		b.aggs[i] = carAgg{}
+		b.free = append(b.free, i)
+	}
 }
 
 // Cars returns the number of tracked vehicles.
@@ -141,7 +165,8 @@ func (b *SummaryBuilder) Snapshot() BuilderSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	snap := BuilderSnapshot{Road: b.road, Cars: make([]CarHistory, 0, len(b.cars))}
-	for car, a := range b.cars {
+	for car, i := range b.cars {
+		a := b.aggs[i]
 		snap.Cars = append(snap.Cars, CarHistory{Car: car, Sum: a.sum, Count: a.count})
 	}
 	sort.Slice(snap.Cars, func(i, j int) bool { return snap.Cars[i].Car < snap.Cars[j].Car })
@@ -153,9 +178,12 @@ func (b *SummaryBuilder) Restore(snap BuilderSnapshot) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.road = snap.Road
-	b.cars = make(map[trace.CarID]carAgg, len(snap.Cars))
+	b.cars = make(map[trace.CarID]int32, len(snap.Cars))
+	b.aggs = make([]carAgg, 0, len(snap.Cars))
+	b.free = nil
 	for _, h := range snap.Cars {
-		b.cars[h.Car] = carAgg{sum: h.Sum, count: h.Count}
+		b.cars[h.Car] = int32(len(b.aggs))
+		b.aggs = append(b.aggs, carAgg{sum: h.Sum, count: h.Count})
 	}
 }
 

@@ -163,6 +163,32 @@ func TestSummaryBuilderObserveBatchMatchesObserve(t *testing.T) {
 	}
 }
 
+// TestSummaryBuilderReusesForgottenSlot holds the aggregate slab to
+// recycling: a car forgotten at handover gives its slot to the next new
+// car, which starts from zero and not from the forgotten car's history.
+func TestSummaryBuilderReusesForgottenSlot(t *testing.T) {
+	b := NewSummaryBuilder(1, nil)
+	b.Observe(1, 0.9)
+	b.Observe(1, 0.7)
+	b.Observe(2, 0.5)
+	b.Forget(1)
+	b.Observe(3, 0.1)
+	if len(b.aggs) != 2 || b.cars[3] != 0 {
+		t.Fatalf("new car took slot %d of %d, want the forgotten car's slot 0 of 2", b.cars[3], len(b.aggs))
+	}
+	s, ok := b.Summarize(3)
+	if !ok || s.Count != 1 || s.MeanPNormal != 0.1 {
+		t.Errorf("car in a reused slot summarises as %+v (ok=%t), want one prediction of 0.1", s, ok)
+	}
+	if s, _ := b.Summarize(2); s.Count != 1 || s.MeanPNormal != 0.5 {
+		t.Errorf("untouched car summarises as %+v", s)
+	}
+	b.Observe(1, 0.3) // the forgotten car comes back as a new one
+	if s, _ := b.Summarize(1); s.Count != 1 || s.MeanPNormal != 0.3 || len(b.aggs) != 3 {
+		t.Errorf("returning car summarises as %+v over %d slots, want one prediction of 0.3 over 3", s, len(b.aggs))
+	}
+}
+
 // TestSummaryStoreZeroTTLDefaults ensures ttl <= 0 selects the default
 // rather than expiring everything instantly.
 func TestSummaryStoreZeroTTLDefaults(t *testing.T) {

@@ -5,19 +5,6 @@ import (
 	"sort"
 )
 
-// Sent returns the number of successfully published messages.
-func (p *Producer) Sent() int64 { return p.sent.Load() }
-
-// Bytes returns the cumulative payload bytes published.
-func (p *Producer) Bytes() int64 { return p.bytes.Load() }
-
-// Received returns the cumulative (messages, wire bytes) consumed.
-func (c *Consumer) Received() (int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalMsgs, c.totalBytes
-}
-
 // Add buffers one record, copying key and value into the batch arena (the
 // caller's slices are free to reuse immediately). It flushes when the
 // batch reaches FlushEvery records or batchMaxBytes projected frame bytes.

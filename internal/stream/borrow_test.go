@@ -142,8 +142,8 @@ func newBorrowRig(t *testing.T, partitions int, now func() time.Time, client fun
 // fed the same records, one drained by each, over every kind of client a
 // consumer treats differently — one that lends its log, a pipelined
 // connection whose response frames are lent, and a wrapper that can only
-// Fetch. After every poll the messages, Offsets() and Received() agree, and
-// so does everything the brokers count about their readers: BytesOut, the
+// Fetch. After every poll the messages, Offsets() and the running count
+// of messages and wire bytes each consumer handed out agree, and so does everything the brokers count about their readers: BytesOut, the
 // fetched metrics and the gate occupancy. max lands before, inside, at the
 // end of and past a partition's backlog, retention drops unread records
 // (the below-base clamp), and partitions go down and come back.
@@ -172,6 +172,7 @@ func TestPollEachMatchesPollInto(t *testing.T) {
 			into, each := newBorrowRig(t, partitions, now, cl.client), newBorrowRig(t, partitions, now, cl.client)
 			backlog := make([]int, partitions)
 			var got, want []Message
+			var gm, gb, wm, wb int64 // messages and wire bytes lent, returned
 			for round := 0; round < 80; round++ {
 				clock = clock.Add(50 * time.Millisecond)
 				for p := range backlog {
@@ -214,7 +215,13 @@ func TestPollEachMatchesPollInto(t *testing.T) {
 				var wantErr error
 				want, wantErr = into.c.PollInto(want[:0], limit)
 				got = got[:0]
-				n, gotErr := each.c.PollEach(limit, func(m Message) { got = append(got, owned(m)) })
+				n, gotErr := each.c.PollEach(limit, func(m Message) {
+					gm, gb = gm+1, gb+int64(m.WireSize())
+					got = append(got, owned(m))
+				})
+				for _, m := range want {
+					wm, wb = wm+1, wb+int64(m.WireSize())
+				}
 				samePoll(t, what, got, want, gotErr, wantErr)
 				if n != len(got) || n > limit {
 					t.Fatalf("%s: PollEach reported %d messages and lent %d", what, n, len(got))
@@ -231,10 +238,8 @@ func TestPollEachMatchesPollInto(t *testing.T) {
 				if fmt.Sprint(each.c.Offsets()) != fmt.Sprint(into.c.Offsets()) {
 					t.Fatalf("%s: offsets %v after PollEach, %v after PollInto", what, each.c.Offsets(), into.c.Offsets())
 				}
-				gm, gb := each.c.Received()
-				wm, wb := into.c.Received()
 				if gm != wm || gb != wb {
-					t.Fatalf("%s: Received() %d msgs / %d B after PollEach, %d / %d after PollInto", what, gm, gb, wm, wb)
+					t.Fatalf("%s: %d msgs / %d B received by PollEach, %d / %d by PollInto", what, gm, gb, wm, wb)
 				}
 				if a, b := each.b.BytesOut(), into.b.BytesOut(); a != b {
 					t.Fatalf("%s: broker BytesOut %d lending, %d copying", what, a, b)
@@ -269,19 +274,22 @@ func TestMalformedFetchResponseLendsNothing(t *testing.T) {
 		}
 		defer tc.Close()
 		c := &Consumer{client: tc, topic: "t", offsets: make([]int64, 1), ends: make([]int64, 1)}
-		lent, n := 0, 0
+		lent, n, received := 0, 0, int64(0)
 		if poll == "PollEach" {
-			n, err = c.PollEach(64, func(Message) { lent++ })
+			n, err = c.PollEach(64, func(m Message) { lent, received = lent+1, received+int64(m.WireSize()) })
 		} else {
 			var msgs []Message
 			msgs, err = c.PollInto(nil, 64)
 			n = len(msgs)
+			for _, m := range msgs {
+				received += int64(m.WireSize())
+			}
 		}
 		if err == nil || n != 0 || lent != 0 || c.Offsets()[0] != 0 {
 			t.Fatalf("%s over a truncated answer: %d messages (%d lent), offsets %v, error %v", poll, n, lent, c.Offsets(), err)
 		}
-		if m, b := c.Received(); m != 0 || b != 0 {
-			t.Fatalf("%s over a truncated answer booked %d messages / %d B as received", poll, m, b)
+		if received != 0 {
+			t.Fatalf("%s over a truncated answer handed out %d B", poll, received)
 		}
 	}
 }

@@ -13,11 +13,9 @@ type Consumer struct {
 	client Client
 	topic  string
 
-	mu         sync.Mutex
-	offsets    []int64
-	next       int // round-robin partition cursor
-	totalBytes int64
-	totalMsgs  int64
+	mu      sync.Mutex
+	offsets []int64
+	next    int // round-robin partition cursor
 
 	// The poll in progress: its reads, one a partition from the cursor on;
 	// ends, per partition, the offset past the last message it delivered
@@ -78,7 +76,7 @@ func (c *Consumer) PollInto(dst []Message, max int) ([]Message, error) {
 }
 
 // PollEach is PollInto for a reader that decodes and moves on: the same
-// partitions in the same order, the same offsets and Received() afterwards,
+// partitions in the same order and the same offsets afterwards,
 // but each message is lent to fn instead of returned, and PollEach returns
 // how many were. A message's Key and Value are borrowed for the call — views
 // of the broker's partition log (in process) or of the fetch response frame
@@ -136,15 +134,13 @@ func (c *Consumer) poll(max int, each func(Message), into []Message) (int, []Mes
 	return got, into, firstErr
 }
 
-// deliverLocked books one lent message as consumed and hands it on: to
-// PollEach's callback, or appended to PollInto's slice as a pooled clone,
-// since PollInto's caller owns what it gets.
+// deliverLocked marks one lent message's partition as read past it and
+// hands it on: to PollEach's callback, or appended to PollInto's slice as
+// a pooled clone, since PollInto's caller owns what it gets.
 func (c *Consumer) deliverLocked(m Message) {
 	if p := int(m.Partition); p >= 0 && p < len(c.ends) {
 		c.ends[p] = m.Offset + 1
 	}
-	c.totalBytes += int64(m.WireSize())
-	c.totalMsgs++
 	if c.each != nil {
 		m = guardLend(m)
 		c.each(m)

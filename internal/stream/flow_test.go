@@ -149,7 +149,7 @@ func TestCloneBrokerReseatsOccupancy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clone, err := cloneBroker(cfg, b)
+	clone, err := cloneBroker(cfg, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

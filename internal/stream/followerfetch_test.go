@@ -348,8 +348,9 @@ func (r *replRig) readSide(t *testing.T) (bytesOut, occupancy int64) {
 // the same kills, ticks and revivals, one drained by PollEach through the
 // client as it is (FetchEach, under the set's lock), the other by PollInto
 // through the same client read in turn (Fetch / FetchCommitted).
-// After every poll the messages, Offsets() and Received() agree, and so
-// does what the clusters count: bytes read, gate credits, and which
+// After every poll the messages, Offsets() and the running count of
+// messages and wire bytes each consumer handed out agree, and so does
+// what the clusters count: bytes read, gate credits, and which
 // replica served (repl.follower_fetches, repl.follower_clamped). And a
 // committed read never lends a record at or past the commit point.
 func TestReplicatedPollEachMatchesPollInto(t *testing.T) {
@@ -374,6 +375,7 @@ func TestReplicatedPollEachMatchesPollInto(t *testing.T) {
 			rigs := []*replRig{each, into}
 			dead := ""
 			var got, want []Message
+			var gm, gb, wm, wb int64 // messages and wire bytes lent, returned
 			uncommittedSeen := false
 			for round := 0; round < 300; round++ {
 				clock = clock.Add(50 * time.Millisecond)
@@ -425,8 +427,12 @@ func TestReplicatedPollEachMatchesPollInto(t *testing.T) {
 					if kind.committed && m.Offset >= commit[m.Partition] {
 						t.Errorf("%s: lent %s/%d@%d, committed offset %d", what, m.Topic, m.Partition, m.Offset, commit[m.Partition])
 					}
+					gm, gb = gm+1, gb+int64(m.WireSize())
 					got = append(got, owned(m))
 				})
+				for _, m := range want {
+					wm, wb = wm+1, wb+int64(m.WireSize())
+				}
 				samePoll(t, what, got, want, gotErr, wantErr)
 				if n != len(got) || n > limit {
 					t.Fatalf("%s: PollEach reported %d messages and lent %d", what, n, len(got))
@@ -439,10 +445,8 @@ func TestReplicatedPollEachMatchesPollInto(t *testing.T) {
 				if fmt.Sprint(each.c.Offsets()) != fmt.Sprint(into.c.Offsets()) {
 					t.Fatalf("%s: offsets %v after PollEach, %v after PollInto", what, each.c.Offsets(), into.c.Offsets())
 				}
-				gm, gb := each.c.Received()
-				wm, wb := into.c.Received()
 				if gm != wm || gb != wb {
-					t.Fatalf("%s: Received() %d msgs / %d B after PollEach, %d / %d after PollInto", what, gm, gb, wm, wb)
+					t.Fatalf("%s: %d msgs / %d B received by PollEach, %d / %d by PollInto", what, gm, gb, wm, wb)
 				}
 				eachOut, eachOcc := each.readSide(t)
 				intoOut, intoOcc := into.readSide(t)
@@ -456,8 +460,8 @@ func TestReplicatedPollEachMatchesPollInto(t *testing.T) {
 				}
 				RecycleMessages(want)
 			}
-			if m, _ := each.c.Received(); m < 500 || !uncommittedSeen {
-				t.Fatalf("the schedule delivered %d messages (uncommitted suffix seen: %t): too thin", m, uncommittedSeen)
+			if gm < 500 || !uncommittedSeen {
+				t.Fatalf("the schedule delivered %d messages (uncommitted suffix seen: %t): too thin", gm, uncommittedSeen)
 			}
 			if kind.committed && each.reg.Counter("repl.follower_fetches").Value() == 0 {
 				t.Fatal("no committed read was served by a follower")

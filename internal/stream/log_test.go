@@ -191,6 +191,7 @@ func runLogDifferential(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	ref := &refLog{maxRetained: cfg.MaxRetainedPerPartition}
+	var retired *Broker // the broker the last clone replaced
 
 	for step := 0; in.more() && step < 2000; step++ {
 		op := in.next() % 8
@@ -272,13 +273,27 @@ func runLogDifferential(t *testing.T, data []byte) {
 			if in.next()%2 == 1 {
 				cfg.MaxRetainedPerPartition = 1 + cfg.MaxRetainedPerPartition/2
 			}
-			clone, err := cloneBroker(cfg, b)
+			// The donor is the generation the last clone retired, so the
+			// clone lands in recycled chunks still holding stale bytes.
+			var donorHWM int64
+			if retired != nil {
+				_ = retired.Close()
+				donorHWM, _ = retired.HighWaterMark(TopicOutData, 0)
+			}
+			clone, err := cloneBroker(cfg, b, retired)
 			if err != nil {
 				t.Fatalf("%s: clone: %v", what, err)
 			}
 			requireOwnChunks(t, what, b, clone)
 			requireLogMatches(t, what+" (source after cloning)", b, ref)
-			b = clone
+			if retired != nil {
+				d := retired.topics[TopicOutData].partitions[0]
+				if hwm, _ := retired.HighWaterMark(TopicOutData, 0); hwm != donorHWM || len(d.index)+len(d.chunks)+len(d.spare) != 0 {
+					t.Fatalf("%s: donor left at high watermark %d (was %d) with %d records, %d chunks, %d spares",
+						what, hwm, donorHWM, len(d.index), len(d.chunks), len(d.spare))
+				}
+			}
+			retired, b = b, clone
 			ref.reseat(cfg.MaxRetainedPerPartition)
 		}
 		requireLogMatches(t, what, b, ref)
@@ -319,23 +334,52 @@ func requireLogMatches(t *testing.T, what string, b *Broker, ref *refLog) {
 	if len(l.spare) > len(l.chunks)+1 {
 		t.Fatalf("%s: %d spare chunks beside %d live", what, len(l.spare), len(l.chunks))
 	}
+	for i, c := range l.spare {
+		if len(c) != 0 || cap(c) != logChunkSize {
+			t.Fatalf("%s: spare chunk %d holds %d B of %d, want an empty %d B chunk", what, i, len(c), cap(c), logChunkSize)
+		}
+	}
 }
 
-// requireOwnChunks holds a clone's chunks to being its own: as many as the
-// source's, none of them the source's memory, or an append to the one
-// would write into the other. Its content is checked against the
-// reference once the run carries on with it.
+// requireOwnChunks holds a clone's chunks to being its own: as many live
+// chunks as the source's at the same capacities, no more spares than
+// dropLocked keeps, and none of them the source's memory.
 func requireOwnChunks(t *testing.T, what string, src, clone *Broker) {
 	t.Helper()
 	s, c := src.topics[TopicOutData].partitions[0], clone.topics[TopicOutData].partitions[0]
-	if len(c.chunks) != len(s.chunks) || len(c.spare) != 0 {
+	if len(c.chunks) != len(s.chunks) || len(c.spare) > len(c.chunks)+1 {
 		t.Fatalf("%s: clone holds %d chunks and %d spares, source %d chunks", what, len(c.chunks), len(c.spare), len(s.chunks))
 	}
 	for i := range c.chunks {
-		if cap(c.chunks[i]) != cap(s.chunks[i]) || (cap(c.chunks[i]) > 0 && &c.chunks[i][:1][0] == &s.chunks[i][:1][0]) {
-			t.Fatalf("%s: clone's chunk %d (cap %d) is not a copy of the source's (cap %d)", what, i, cap(c.chunks[i]), cap(s.chunks[i]))
+		if cap(c.chunks[i]) != cap(s.chunks[i]) {
+			t.Fatalf("%s: clone's chunk %d has capacity %d, the source's %d", what, i, cap(c.chunks[i]), cap(s.chunks[i]))
 		}
 	}
+	requireDistinctChunks(t, what, s, c)
+}
+
+// requireDistinctChunks holds that no chunk of the clone's log, live or
+// spare, is memory of the source's, live or spare, or another of its own:
+// an append to the one would write into the other.
+func requireDistinctChunks(t *testing.T, what string, src, clone *partitionLog) {
+	t.Helper()
+	owner := make(map[*byte]string)
+	claim := func(who string, chunks [][]byte) {
+		for i, ch := range chunks {
+			if cap(ch) == 0 {
+				continue
+			}
+			at := &ch[:1][0]
+			if prev, ok := owner[at]; ok {
+				t.Fatalf("%s: %s chunk %d is the memory of %s", what, who, i, prev)
+			}
+			owner[at] = fmt.Sprintf("%s chunk %d", who, i)
+		}
+	}
+	claim("source live", src.chunks)
+	claim("source spare", src.spare)
+	claim("clone live", clone.chunks)
+	claim("clone spare", clone.spare)
 }
 
 // TestPartitionLogDifferential runs the differential over seeded random

@@ -168,6 +168,7 @@ func TestPipelinedPollMatchesSequential(t *testing.T) {
 
 			backlog := make([]int, tc.partitions)
 			seqNo := 0
+			var gm, gb, wm, wb int64 // messages and wire bytes received, each side
 			for round := 0; round < 60; round++ {
 				for p := range backlog {
 					n := rng.Intn(7) // uneven, sometimes nothing
@@ -217,8 +218,12 @@ func TestPipelinedPollMatchesSequential(t *testing.T) {
 				if fmt.Sprint(piped.Offsets()) != fmt.Sprint(seq.Offsets()) {
 					t.Fatalf("%s: offsets %v, sequential loop at %v", what, piped.Offsets(), seq.Offsets())
 				}
-				gm, gb := piped.Received()
-				wm, wb := seq.Received()
+				for i := range got {
+					gm, gb = gm+1, gb+int64(got[i].WireSize())
+				}
+				for i := range want {
+					wm, wb = wm+1, wb+int64(want[i].WireSize())
+				}
 				if gm != wm || gb != wb {
 					t.Fatalf("%s: received %d msgs / %d B, sequential loop %d / %d", what, gm, gb, wm, wb)
 				}

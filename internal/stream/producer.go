@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"cad3/internal/flow"
 )
@@ -22,9 +21,6 @@ import (
 type Producer struct {
 	client Client
 	topic  string
-
-	sent  atomic.Int64
-	bytes atomic.Int64
 }
 
 // NewProducer binds a producer to a topic. The topic must already exist
@@ -57,8 +53,6 @@ func (p *Producer) Send(key, value []byte) (int32, int64, error) {
 	if err != nil {
 		return 0, 0, p.wrapSendErr(err)
 	}
-	p.sent.Add(1)
-	p.bytes.Add(int64(len(key) + len(value)))
 	return part, off, nil
 }
 
@@ -68,8 +62,7 @@ func (p *Producer) Send(key, value []byte) (int32, int64, error) {
 // broker lock and clock read in process, one reqProduceBatch frame (which
 // must fit the peer's frame limit) over TCP, one record at a time through
 // a wrapper that injects faults per produce. The returned error is a
-// transport failure of the whole batch: res is meaningless and nothing
-// counts as sent.
+// transport failure of the whole batch: res is meaningless.
 func (p *Producer) SendBatch(recs []BatchRecord, res []BatchResult) error {
 	if len(res) != len(recs) {
 		return errBatchSize
@@ -80,16 +73,10 @@ func (p *Producer) SendBatch(recs []BatchRecord, res []BatchResult) error {
 	if err := p.client.ProduceBatchInto(p.topic, AutoPartition, recs, res); err != nil {
 		return fmt.Errorf("produce batch to %q: %w", p.topic, err)
 	}
-	var sent, bytes int64
 	for i := range res {
 		if res[i].Err != nil {
 			res[i].Err = p.wrapSendErr(res[i].Err)
-			continue
 		}
-		sent++
-		bytes += int64(len(recs[i].Key) + len(recs[i].Value))
 	}
-	p.sent.Add(sent)
-	p.bytes.Add(bytes)
 	return nil
 }

@@ -661,9 +661,10 @@ func (rs *ReplicaSet) Kill(id string) error {
 
 // Revive rebuilds a dead replica as a copy of a live peer's logs
 // (cloneBroker) and rejoins it as an out-of-sync follower (a Tick syncs
-// it back into the ISR). The rebuilt broker replaces the dead one; the
-// new *Broker is returned so callers holding direct references can
-// rewire. The replication link resets to the in-process broker — a wire
+// it back into the ISR). The rebuilt broker replaces the dead one and is
+// built in its storage: the dead broker stays closed, empty at its old
+// high watermarks. The new *Broker is returned so callers holding direct
+// references can rewire. The replication link resets to the in-process broker — a wire
 // link died with the process it pointed at.
 func (rs *ReplicaSet) Revive(id string) (*Broker, error) {
 	rs.mu.Lock()
@@ -679,7 +680,7 @@ func (rs *ReplicaSet) Revive(id string) (*Broker, error) {
 	if !src.alive {
 		return nil, fmt.Errorf("stream: no live replica to bootstrap %q from", id)
 	}
-	nb, err := cloneBroker(rs.cfg.Rebuild, src.Broker)
+	nb, err := cloneBroker(rs.cfg.Rebuild, src.Broker, r.Broker)
 	if err != nil {
 		return nil, fmt.Errorf("stream: revive %q: %w", id, err)
 	}

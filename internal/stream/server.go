@@ -392,20 +392,6 @@ func (s *Server) handle(cs *connState, msgType byte, payload []byte) ([]byte, er
 		enc.reset(respOK)
 		return enc.frame(), nil
 
-	case reqHighWater:
-		topicName := dec.str()
-		partition := int32(dec.u32())
-		if dec.err != nil {
-			return nil, dec.err
-		}
-		hwm, err := s.broker.HighWaterMark(topicName, partition)
-		if err != nil {
-			return nil, err
-		}
-		enc.reset(respHighWater)
-		enc.u64(uint64(hwm))
-		return enc.frame(), nil
-
 	default:
 		return nil, fmt.Errorf("stream: unknown request type %d", msgType)
 	}

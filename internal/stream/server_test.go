@@ -263,7 +263,7 @@ func TestRemoteErrorEmptyTopicName(t *testing.T) {
 }
 
 // TestServerAnswersUnknownRequestType: a request type the server does not
-// know — 25, the gap after the replication types, or 99 — gets a
+// know — 24 and 25, the gap after the replication types, or 99 — gets a
 // respError carrying its own correlation ID, and the connection goes on
 // serving: the next produce on it succeeds.
 func TestServerAnswersUnknownRequestType(t *testing.T) {
@@ -307,7 +307,7 @@ func TestServerAnswersUnknownRequestType(t *testing.T) {
 		}
 		return resp[0], wireDecoder{buf: resp[1+corrSize:]}
 	}
-	for i, msgType := range []byte{25, 99} {
+	for i, msgType := range []byte{24, 25, 99} {
 		typ, dec := ask(uint32(40+i), msgType)
 		if msg := dec.str(); typ != respError || !strings.Contains(msg, "unknown request type") {
 			t.Fatalf("type %d: answered type %d %q, want respError naming an unknown type", msgType, typ, msg)

@@ -59,16 +59,11 @@ const (
 	// reqSetRole installs a partition's replication role: topic,
 	// partition, follower flag, epoch, leader hint. Answered with respOK.
 	reqSetRole byte = 23
-	// reqHighWater asks for a partition's high watermark (replication lag
-	// probes).
-	reqHighWater byte = 24
-	// Type 25 is unassigned; a server answers it, like any type it does
-	// not know, with respError.
+	// Types 24 and 25 are unassigned; a server answers them, like any type
+	// it does not know, with respError.
 
 	// respReplicate carries the follower's new high watermark.
 	respReplicate byte = 122
-	// respHighWater carries the partition high watermark.
-	respHighWater byte = 123
 )
 
 // protocolVersion is what a hello announces: v2 brought correlation IDs,
